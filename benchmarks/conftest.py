@@ -1,10 +1,11 @@
 """Shared infrastructure for the reproduction benchmarks.
 
 Every benchmark regenerates one evaluation artifact of the paper (a
-figure) or one ablation, at the ``smoke`` profile scale (DESIGN.md §4).
-Because pytest captures stdout, each benchmark *writes* its rendered
-table and raw JSON under ``benchmarks/results/`` — inspect those files
-(or EXPERIMENTS.md, which embeds them) for the reproduced numbers.
+figure) or one ablation, at the ``smoke`` profile scale (profiles and
+their runtimes: docs/reproducing.md; the code they run:
+docs/architecture.md).  Because pytest captures stdout, each benchmark
+*writes* its rendered table and raw JSON under ``benchmarks/results/`` —
+inspect those files for the reproduced numbers.
 
 Figures 6, 7 and 8 come from a single run of Algorithm 1; the grid
 exploration is executed once per session (timed inside the Figure-6

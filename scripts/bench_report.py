@@ -16,7 +16,7 @@ Measures, on the default spiking LeNet of an experiment profile:
    attack outcomes asserted).
 
 4. **Stacked grid execution** — the same cell task list through the
-   per-cell scheduler vs ``run_stacked_cell_tasks`` (K-variant
+   per-cell scheduler vs ``run_cell_tasks(stack=K)`` (K-variant
    ``VariantStack`` fused passes), asserting every per-cell result
    compares equal, at two scales: a K=5 headline grid and a cheap K=2
    micro leg for CI.
@@ -71,7 +71,6 @@ from repro.attacks.pgd import PGD  # noqa: E402
 from repro.data.dataset import ArrayDataset  # noqa: E402
 from repro.engine.job import ExplorationJobContext, build_cell_tasks  # noqa: E402
 from repro.engine.scheduler import run_cell_tasks  # noqa: E402
-from repro.engine.stacking import run_stacked_cell_tasks  # noqa: E402
 from repro.experiments.profiles import get_profile  # noqa: E402
 from repro.models import build_model  # noqa: E402
 from repro.robustness.config import ExplorationConfig  # noqa: E402
@@ -308,7 +307,7 @@ def _stacked_grid_bench(
     """One stacked-vs-per-cell grid measurement (parity asserted first).
 
     Runs the *same* cell task list through ``run_cell_tasks`` and through
-    ``run_stacked_cell_tasks(stack=K)`` on synthetic data, requires every
+    ``run_cell_tasks(stack=K)`` on synthetic data, requires every
     per-cell result to compare equal (the dataclass equality covers all
     science fields), and reports both wall-clocks.  Best-of-two per path
     (the first pass doubles as cache/allocator warm-up), because the
@@ -364,7 +363,7 @@ def _stacked_grid_bench(
     for _ in range(2):
         context = ExplorationJobContext(factory, train, test, config)
         start = time.perf_counter()
-        stacked, _stats = run_stacked_cell_tasks(context, tasks, stack=stack)
+        stacked, _stats = run_cell_tasks(context, tasks, stack=stack)
         stacked_s = min(stacked_s, time.perf_counter() - start)
 
     parity = all(a == b for a, b in zip(per_cell, stacked))

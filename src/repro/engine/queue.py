@@ -97,6 +97,7 @@ from repro.engine.resilience import (
 )
 from repro.engine.scheduler import ScheduleStats
 from repro.engine.shard import record_durable_manifest
+from repro.engine.stacking import plan_units
 from repro.errors import ReproError
 from repro.utils.logging import get_logger
 
@@ -723,11 +724,11 @@ def run_queued_tasks(
     a corrupt write becomes a retry instead of a poisoned merge.
     ``pending_order`` prices the claim order (the runners pass the cost
     model's longest-first ordering); ``stack > 1`` claims up to that
-    many cells per round and folds compatible ones through
-    :func:`~repro.engine.stacking.run_stacked_group`, bitwise identical
-    per cell.  ``resume`` serves already-checkpointed tasks straight
-    into commit markers, which makes a replay over a finished queue a
-    no-op.
+    many cells per round and runs them as the units of
+    :func:`~repro.engine.stacking.plan_units` — compatible ones fold
+    through one variant-stack pass, bitwise identical per cell.
+    ``resume`` serves already-checkpointed tasks straight into commit
+    markers, which makes a replay over a finished queue a no-op.
 
     ``resilience`` bundles the supervision knobs (attempt budget,
     backoff shape, watchdog pricing); ``task_deadline`` maps a task to
@@ -995,21 +996,8 @@ def run_queued_tasks(
                 time.sleep(poll)
                 continue
             try:
-                if stack > 1 and len(held) > 1:
-                    from repro.engine.stacking import pack_stacks, run_stacked_group
-
-                    groups, singles = pack_stacks(context, held, stack)
-                    for group_tasks, group_models in groups:
-                        execute(
-                            group_tasks,
-                            lambda gt=group_tasks, gm=group_models:
-                                run_stacked_group(context, gt, gm),
-                        )
-                    for task in singles:
-                        execute([task], lambda t=task: [run_fn(context, t)])
-                else:
-                    for task in held:
-                        execute([task], lambda t=task: [run_fn(context, t)])
+                for unit_tasks, run in plan_units(context, held, run_fn, stack):
+                    execute(unit_tasks, run)
             except WorkerRetired:
                 # Graceful retirement: hand off every unfinished held
                 # lease so peers reclaim it immediately (no TTL wait),

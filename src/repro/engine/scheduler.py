@@ -31,6 +31,9 @@ Cache integration happens here, in the parent process: completed tasks
 are checkpointed as they arrive (so an interrupted parallel run still
 resumes), and with ``resume=True`` cached results are served without
 dispatching work.
+
+With ``stack=K`` the in-process loop runs the units of
+:func:`repro.engine.stacking.plan_units`: K grid cells per fused pass.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from importlib import import_module
 
+from repro.engine.costs import cached_cell_costs, order_cell_tasks
 from repro.engine.job import ExplorationJobContext, run_cell_task
 from repro.engine.metrics import (
     configure_metrics,
@@ -49,6 +53,7 @@ from repro.engine.metrics import (
     reset_metrics,
 )
 from repro.engine.shard import ShardSpec
+from repro.engine.stacking import plan_units
 from repro.utils.logging import get_logger
 
 __all__ = ["ContextSpec", "ScheduleStats", "run_cell_tasks", "run_tasks"]
@@ -148,7 +153,7 @@ class ScheduleStats:
     """Distinct process names that computed at least one task."""
 
     start_method: str = "serial"
-    """Pool backend actually used: ``serial``, ``fork`` or ``spawn``."""
+    """Backend actually used: ``serial``, ``stacked``, ``fork`` or ``spawn``."""
 
     shard: str = ""
     """Shard slice this schedule served (``"1/3"``; empty = unsharded)."""
@@ -215,6 +220,7 @@ def run_tasks(
     context_spec: ContextSpec | None = None,
     shard: ShardSpec | None = None,
     pending_order: Callable[[list], list] | None = None,
+    stack: int = 1,
 ) -> tuple[list, ScheduleStats]:
     """Execute ``tasks`` and return ``(results, stats)`` in task order.
 
@@ -267,9 +273,18 @@ def run_tasks(
         still returned — and checkpointed — in declared task order, and
         every task carries its own seeds, so reordering moves wall-clock,
         never science.
+    stack:
+        Run pending tasks in-process as the units of
+        :func:`~repro.engine.stacking.plan_units` — up to ``stack`` grid
+        cells per fused pass, bitwise identical per cell.  The fold
+        replaces worker parallelism, so it conflicts with ``jobs > 1``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if stack < 1:
+        raise ValueError(f"stack must be >= 1, got {stack}")
+    if stack > 1 and jobs > 1:
+        raise ValueError(f"stack={stack} is in-process and conflicts with jobs={jobs}")
     if start_method not in _START_METHODS:
         raise ValueError(
             f"unknown start_method {start_method!r}; choose from {_START_METHODS}"
@@ -397,9 +412,10 @@ def run_tasks(
                 index, result = future.result()
                 record(by_index[index], result)
     else:
-        method_used = "serial"
-        for task in pending:
-            record(task, run_fn(context, task))
+        method_used = "stacked" if stack > 1 else "serial"
+        for unit_tasks, run in plan_units(context, pending, run_fn, stack):
+            for task, result in zip(unit_tasks, run()):
+                record(task, result)
 
     ordered = [results[task.index] for task in tasks]
     stats = ScheduleStats(
@@ -426,16 +442,20 @@ def run_cell_tasks(
     start_method: str = "auto",
     context_spec: ContextSpec | None = None,
     shard: ShardSpec | None = None,
-    pending_order: Callable[[list], list] | None = None,
+    stack: int = 1,
 ) -> tuple[list, ScheduleStats]:
     """Grid-cell convenience wrapper: :func:`run_tasks` with
     :func:`~repro.engine.job.run_cell_task` as the job function.
+
+    Pending cells run longest-first by the timings recorded in ``cache``'s
+    directory (:func:`~repro.engine.costs.order_cell_tasks`).
 
     Example::
 
         cells, stats = run_cell_tasks(context, build_cell_tasks(config),
                                       jobs=4, cache=cache, resume=True)
     """
+    costs = cached_cell_costs(cache.directory) if cache is not None else None
     return run_tasks(
         context,
         tasks,
@@ -447,5 +467,6 @@ def run_cell_tasks(
         start_method=start_method,
         context_spec=context_spec,
         shard=shard,
-        pending_order=pending_order,
+        pending_order=lambda pending: order_cell_tasks(pending, costs),
+        stack=stack,
     )

@@ -80,7 +80,6 @@ from repro.engine.job import (
 )
 from repro.engine.queue import DEFAULT_LEASE_TTL, run_queued_tasks
 from repro.engine.scheduler import run_cell_tasks
-from repro.engine.stacking import run_stacked_cell_tasks
 from repro.errors import ExplorationError
 from repro.robustness.results import CellResult, ExplorationResult
 from repro.utils.logging import get_logger
@@ -629,12 +628,8 @@ def _run_rung(
     are read back from the shared checkpoint cache so all workers leave
     the rung holding the identical result list.
     """
-    costs = cached_cell_costs(cache_dir)
-
-    def order(pending: list) -> list:
-        return order_cell_tasks(pending, costs)
-
     if queue_dir is not None:
+        costs = cached_cell_costs(cache_dir)
         _queue_result, stats = run_queued_tasks(
             context,
             tasks,
@@ -646,7 +641,7 @@ def _run_rung(
             resume=resume,
             progress=progress,
             lease_ttl=lease_ttl,
-            pending_order=order,
+            pending_order=lambda pending: order_cell_tasks(pending, costs),
             stack=stack,
         )
         if _queue_result.quarantined:
@@ -668,15 +663,6 @@ def _run_rung(
                 f"the shared cache directory may have been pruned mid-run"
             )
         return results, stats
-    if stack > 1:
-        return run_stacked_cell_tasks(
-            context,
-            tasks,
-            stack=stack,
-            cache=cell_cache,
-            resume=resume,
-            progress=progress,
-        )
     return run_cell_tasks(
         context,
         tasks,
@@ -686,7 +672,7 @@ def _run_rung(
         progress=progress,
         start_method=start_method,
         context_spec=None,
-        pending_order=order,
+        stack=stack,
     )
 
 

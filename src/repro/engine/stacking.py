@@ -1,12 +1,13 @@
 """K-stacked cell execution: one fused pass trains and attacks K grid cells.
 
-:func:`run_stacked_cell_tasks` is the stacked sibling of
-:func:`repro.engine.scheduler.run_cell_tasks`: it packs compatible grid
-cells into :class:`~repro.snn.stack.VariantStack` groups and drives each
-group through *stacked mirrors* of the phases of
-:func:`repro.engine.job.run_cell_task` — one folded forward/backward per
-training batch instead of K, one folded PGD step per attack iteration
-instead of K.
+:func:`plan_units` is the stack-packing step both executors share —
+:func:`repro.engine.scheduler.run_tasks` (``stack=K``) and
+:func:`repro.engine.queue.run_queued_tasks` run whatever units it plans.
+It packs compatible grid cells into :class:`~repro.snn.stack.VariantStack`
+groups, and :func:`run_stacked_group` drives each group through *stacked
+mirrors* of the phases of :func:`repro.engine.job.run_cell_task` — one
+folded forward/backward per training batch instead of K, one folded PGD
+step per attack iteration instead of K.
 
 Exactness contract
 ------------------
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import replace
 from multiprocessing import current_process
 
@@ -53,11 +54,7 @@ from repro.attacks.base import shares_clean_gradient
 from repro.attacks.pgd import PGD
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.engine.cache import archive_weights
-from repro.engine.costs import cached_cell_costs, order_cell_tasks
-from repro.engine.job import CellTask, ExplorationJobContext, run_cell_task
-from repro.engine.metrics import flush_metrics, record_task
-from repro.engine.scheduler import ProgressCallback, ScheduleStats, run_cell_tasks
-from repro.engine.shard import ShardSpec
+from repro.engine.job import CellTask, ExplorationJobContext
 from repro.nn.module import Module
 from repro.optim.adam import Adam
 from repro.robustness.results import CellResult
@@ -67,7 +64,7 @@ from repro.training.metrics import accuracy
 from repro.training.trainer import TrainingConfig
 from repro.utils.logging import get_logger
 
-__all__ = ["pack_stacks", "run_stacked_cell_tasks", "run_stacked_group"]
+__all__ = ["pack_stacks", "plan_units", "run_stacked_group"]
 
 _logger = get_logger("engine")
 
@@ -437,7 +434,7 @@ def run_stacked_group(
     return results
 
 
-# -- packing + the stacked schedule --------------------------------------------
+# -- packing + the unit plan ---------------------------------------------------
 
 
 def pack_stacks(
@@ -508,105 +505,28 @@ def pack_stacks(
     return groups, singles
 
 
-def run_stacked_cell_tasks(
+def plan_units(
     context: ExplorationJobContext,
-    tasks: Sequence[CellTask],
-    stack: int = 1,
-    cache=None,
-    resume: bool = False,
-    progress: ProgressCallback | None = None,
-    shard: ShardSpec | None = None,
-) -> tuple[list, ScheduleStats]:
-    """Serve ``tasks`` through variant stacks of up to ``stack`` cells.
+    tasks: Sequence,
+    run_fn: Callable,
+    stack: int,
+) -> list[tuple[list, Callable[[], list]]]:
+    """Split ``tasks`` into execution units ``(unit_tasks, run)``.
 
-    The stacked sibling of :func:`repro.engine.scheduler.run_cell_tasks`
-    with identical cache/resume/shard/progress semantics and bitwise
-    identical per-cell results; ``stack <= 1`` simply delegates to it.
-    Stacking is in-process (the fold replaces worker parallelism), so
-    pending tasks are additionally cost-ordered longest-first from the
-    cache directory's recorded timings — a stack of uniformly expensive
-    cells amortises best, and the most expensive work stops stranding
-    the end of the schedule.
+    ``run()`` returns one result per task of its unit, in unit order.
+    With ``stack > 1`` and at least two tasks, :func:`pack_stacks` packs
+    compatible cells into groups that each run as one
+    :func:`run_stacked_group` pass; every other task is a one-task unit
+    run as ``run_fn(context, task)``.  Groups come first, then singles.
     """
-    if stack <= 1:
-        return run_cell_tasks(
-            context,
-            tasks,
-            jobs=1,
-            cache=cache,
-            resume=resume,
-            progress=progress,
-            shard=shard,
-        )
-    if resume and cache is None:
-        raise ValueError("resume=True requires a cache to resume from")
-    start = time.perf_counter()
-    if shard is not None:
-        # Partition before anything else, exactly like run_tasks: a shard
-        # must neither compute nor serve tasks it does not own.
-        tasks = shard.partition(list(tasks))
-    results: dict[int, object] = {}
-    by_index = {task.index: task for task in tasks}
-    if len(by_index) != len(tasks):
-        raise ValueError("task indices must be unique")
-
-    pending: list[CellTask] = []
-    cached = 0
-    for task in tasks:
-        result = cache.get(task) if (cache is not None and resume) else None
-        if result is not None:
-            results[task.index] = result
-            cached += 1
-            record_task(result, cached=True)
-            if progress is not None:
-                progress(task, result, True)
-        else:
-            pending.append(task)
-
-    costs = cached_cell_costs(cache.directory) if cache is not None else None
-    pending = order_cell_tasks(pending, costs)
-
-    computed_workers: set[str] = set()
-    cache_write_failed = False
-
-    def record(task: CellTask, result: CellResult) -> None:
-        nonlocal cache_write_failed
-        results[task.index] = result
-        record_task(result, cached=False)
-        if result.worker:
-            computed_workers.add(result.worker)
-        if cache is not None and not cache_write_failed:
-            # Checkpointing is a convenience; an unwritable cache directory
-            # must not abort the computation (same policy as run_tasks).
-            try:
-                cache.put(task, result)
-            except OSError as error:
-                cache_write_failed = True
-                _logger.warning(
-                    "checkpointing disabled for the rest of this run: "
-                    "cache write failed (%s)",
-                    error,
-                )
-        if progress is not None:
-            progress(task, result, False)
-
-    groups, singles = pack_stacks(context, pending, stack)
-    for group_tasks, group_models in groups:
-        for task, result in zip(group_tasks, run_stacked_group(context, group_tasks, group_models)):
-            record(task, result)
-    for task in singles:
-        record(task, run_cell_task(context, task))
-
-    ordered = [results[task.index] for task in tasks]
-    stats = ScheduleStats(
-        jobs=1,
-        total_cells=len(tasks),
-        cached_cells=cached,
-        computed_cells=len(pending),
-        elapsed_seconds=time.perf_counter() - start,
-        workers=sorted(computed_workers),
-        start_method="stacked",
-        shard="" if shard is None else str(shard),
+    groups, singles = (
+        pack_stacks(context, tasks, stack)
+        if stack > 1 and len(tasks) > 1
+        else ([], list(tasks))
     )
-    flush_metrics()
-    return ordered, stats
+    units: list[tuple[list, Callable[[], list]]] = [
+        (group, lambda group=group, models=models: run_stacked_group(context, group, models))
+        for group, models in groups
+    ]
+    units += [([task], lambda t=task: [run_fn(context, t)]) for task in singles]
+    return units

@@ -31,7 +31,6 @@ from repro.engine.search import (
     derive_schedule,
     run_halving_search,
 )
-from repro.engine.stacking import run_stacked_cell_tasks
 from repro.engine.shard import (
     ShardRunResult,
     ShardSpec,
@@ -91,30 +90,18 @@ def _run_grid_shard(
 
     manifest_path = None
     try:
-        if stack > 1:
-            _cells, stats = run_stacked_cell_tasks(
-                context,
-                tasks,
-                stack=stack,
-                cache=cache,
-                resume=resume,
-                progress=progress,
-                shard=shard,
-            )
-        else:
-            costs = cached_cell_costs(cache.directory) if cache is not None else None
-            _cells, stats = run_cell_tasks(
-                context,
-                tasks,
-                jobs=jobs,
-                cache=cache,
-                resume=resume,
-                progress=progress,
-                start_method=start_method,
-                context_spec=spec,
-                shard=shard,
-                pending_order=lambda pending: order_cell_tasks(pending, costs),
-            )
+        _cells, stats = run_cell_tasks(
+            context,
+            tasks,
+            jobs=jobs,
+            cache=cache,
+            resume=resume,
+            progress=progress,
+            start_method=start_method,
+            context_spec=spec,
+            shard=shard,
+            stack=stack,
+        )
     finally:
         # Even an interrupted shard leaves an accurate completion record
         # for the coordinator's `cache verify`.
@@ -237,8 +224,8 @@ def run_grid_exploration(
         Pack up to ``stack`` compatible grid cells into one
         :class:`~repro.snn.stack.VariantStack` fused pass — bitwise
         identical per-cell results, sublinear wall-clock in the cell
-        count.  Stacked execution is in-process (``jobs``/
-        ``start_method`` do not apply); it composes with ``shard`` (the
+        count.  Stacked execution is in-process, so ``stack > 1``
+        conflicts with ``jobs > 1``; it composes with ``shard`` (the
         shard's slice is packed) and with ``cache_dir``/``resume``
         (checkpoints and weight archives stay per-cell and
         fingerprint-identical to the unstacked path).
@@ -293,21 +280,23 @@ def run_grid_exploration(
             explorer, context, cache, cache_dir, shard, profile,
             verbose, jobs, resume, start_method, spec, stack=stack,
         )
-    result = explorer.run(
-        verbose=verbose,
-        jobs=jobs,
-        cache=cache,
-        resume=resume,
-        start_method=start_method,
-        context_spec=spec,
-        weight_cache=context.weight_cache,
-        stack=stack,
-    )
+    try:
+        result = explorer.run(
+            verbose=verbose,
+            jobs=jobs,
+            cache=cache,
+            resume=resume,
+            start_method=start_method,
+            context_spec=spec,
+            weight_cache=context.weight_cache,
+            stack=stack,
+        )
+    finally:
+        if cache is not None:
+            # Unsharded runs, interrupted ones too, record the degenerate
+            # 0/1 shard, so any cache directory answers `cache verify`.
+            record_durable_manifest(cache_dir, cache, "grid", explorer.tasks(), None)
     result.metadata["profile"] = profile.name
-    if cache is not None:
-        # Unsharded runs record the degenerate 0/1 shard, so any cache
-        # directory answers `cache verify` with a completion claim.
-        record_durable_manifest(cache_dir, cache, "grid", explorer.tasks(), None)
     return result
 
 

@@ -1126,6 +1126,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--jobs must be >= 1")
     if args.stack < 1:
         parser.error("--stack must be >= 1")
+    if args.stack > 1 and args.jobs > 1:
+        parser.error(
+            "--stack runs in-process (the fold replaces worker parallelism); "
+            "it conflicts with --jobs"
+        )
     if args.resume and args.no_cache:
         parser.error("--resume needs checkpoints; drop --no-cache")
     if args.cache_dir is not None and args.no_cache:

@@ -149,15 +149,12 @@ class RobustnessExplorer:
         stack:
             Pack up to ``stack`` compatible cells into one
             :class:`~repro.snn.stack.VariantStack` fused pass
-            (:func:`~repro.engine.stacking.run_stacked_cell_tasks`).
-            Stacked execution is in-process and per-cell bitwise
-            identical to the unstacked path; ``1`` (the default) keeps
-            the per-cell scheduler, where ``jobs``/``start_method``
-            apply.
+            (:func:`~repro.engine.stacking.plan_units`).  Stacked
+            execution is in-process and per-cell bitwise identical to
+            the unstacked path, so ``stack > 1`` conflicts with
+            ``jobs > 1``; ``1`` (the default) runs cell by cell.
         """
-        from repro.engine.costs import cached_cell_costs, order_cell_tasks
         from repro.engine.scheduler import run_cell_tasks
-        from repro.engine.stacking import run_stacked_cell_tasks
 
         tasks = self.tasks()
         total = len(tasks)
@@ -185,28 +182,17 @@ class RobustnessExplorer:
         context = self.context
         context.weight_cache = weight_cache
         context.reuse_weights = weight_cache is not None and resume
-        if stack > 1:
-            cells, stats = run_stacked_cell_tasks(
-                context,
-                tasks,
-                stack=stack,
-                cache=cache,
-                resume=resume,
-                progress=progress,
-            )
-        else:
-            costs = cached_cell_costs(cache.directory) if cache is not None else None
-            cells, stats = run_cell_tasks(
-                context,
-                tasks,
-                jobs=jobs,
-                cache=cache,
-                resume=resume,
-                progress=progress,
-                start_method=start_method,
-                context_spec=context_spec,
-                pending_order=lambda pending: order_cell_tasks(pending, costs),
-            )
+        cells, stats = run_cell_tasks(
+            context,
+            tasks,
+            jobs=jobs,
+            cache=cache,
+            resume=resume,
+            progress=progress,
+            start_method=start_method,
+            context_spec=context_spec,
+            stack=stack,
+        )
         return ExplorationResult(
             v_thresholds=self.config.v_thresholds,
             time_windows=self.config.time_windows,

@@ -185,6 +185,13 @@ class TestSchedulerUnits:
         with pytest.raises(ValueError):
             run_cell_tasks(explorer.context, [task, task])
 
+    @pytest.mark.parametrize("jobs,stack", [(1, 0), (2, 2)])
+    def test_invalid_stack_rejected(self, explorer, jobs, stack):
+        # stack < 1 is meaningless; stack > 1 runs in-process, so a pool
+        # request alongside it would be silently dropped.
+        with pytest.raises(ValueError, match="stack"):
+            run_cell_tasks(explorer.context, explorer.tasks(), jobs=jobs, stack=stack)
+
     def test_build_cell_tasks_is_deterministic(self):
         config = _tiny_config()
         assert build_cell_tasks(config) == build_cell_tasks(config)
@@ -324,6 +331,11 @@ class TestRunnerCLIFlags:
         with pytest.raises(SystemExit):
             main(["grid", "--profile", "micro", "--jobs", "0"])
 
+    def test_stack_conflicts_with_jobs(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["grid", "--profile", "micro", "--stack", "2", "--jobs", "2"])
+        assert "conflicts with --jobs" in capsys.readouterr().err
+
     def test_unknown_ablation_factor_rejected(self):
         with pytest.raises(SystemExit):
             main(["ablation", "--profile", "micro", "--factor", "banana"])
@@ -432,7 +444,10 @@ class TestCacheRobustness:
             cache.path_for(task).write_text(content)
             assert cache.get(task) is None
 
-    def test_unwritable_cache_does_not_abort_the_run(self, explorer, tmp_path, caplog):
+    @pytest.mark.parametrize("stack", [1, 2])
+    def test_unwritable_cache_does_not_abort_the_run(
+        self, explorer, tmp_path, caplog, stack
+    ):
         import logging
 
         class BrokenCache(CellCache):
@@ -441,9 +456,32 @@ class TestCacheRobustness:
 
         cache = BrokenCache(tmp_path, context_fingerprint(explorer.context))
         with caplog.at_level(logging.WARNING, logger="repro.engine"):
-            result = explorer.run(cache=cache)
+            result = explorer.run(cache=cache, stack=stack)
         assert len(result.cells) == 2
         assert result.metadata["engine"]["computed_cells"] == 2
         assert sum(
             "checkpointing disabled" in r.message for r in caplog.records
         ) == 1  # warned once, not per cell
+
+    @pytest.mark.parametrize("stack", [1, 2])
+    def test_transient_cache_write_failure_is_retried(
+        self, explorer, tmp_path, caplog, stack
+    ):
+        import logging
+
+        class FlakyCache(CellCache):
+            failures = 1
+
+            def put(self, task, cell):
+                if FlakyCache.failures:
+                    FlakyCache.failures -= 1
+                    raise OSError("transient")
+                return super().put(task, cell)
+
+        cache = FlakyCache(tmp_path, context_fingerprint(explorer.context))
+        with caplog.at_level(logging.WARNING, logger="repro.engine"):
+            explorer.run(cache=cache, stack=stack)
+        assert all(cache.get(task) is not None for task in explorer.tasks())
+        messages = [r.message for r in caplog.records]
+        assert sum("retrying once" in m for m in messages) == 1
+        assert not any("checkpointing disabled" in m for m in messages)

@@ -415,6 +415,30 @@ class TestShardedExperimentRunners:
         assert replayed.metadata["engine"]["computed_cells"] == 0
         assert replayed.cells == reference.cells
 
+    def test_interrupted_unsharded_grid_certifies_its_durable_cell(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.engine import scheduler
+        from repro.experiments import run_grid_exploration
+
+        ran: list[int] = []
+        real_run_cell_task = scheduler.run_cell_task
+
+        def crash_on_second_cell(context, task):
+            ran.append(task.index)
+            if len(ran) == 2:
+                raise RuntimeError("interrupted")
+            return real_run_cell_task(context, task)
+
+        monkeypatch.setattr(scheduler, "run_cell_task", crash_on_second_cell)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_grid_exploration("micro", cache_dir=tmp_path)
+        ok, summaries = verify_cache_dir(tmp_path)
+        assert not ok
+        assert summaries[0]["experiment"] == "grid"
+        assert summaries[0]["completed"] == 1
+        assert summaries[0]["shards"][0]["completed"] == [ran[0]]
+
     def test_fig9_shard_returns_summary_and_manifest(self, tmp_path):
         from repro.engine import ShardRunResult
         from repro.experiments import run_fig9

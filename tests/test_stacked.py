@@ -33,7 +33,7 @@ from repro.engine.costs import (
 )
 from repro.engine.job import ExplorationJobContext, build_cell_tasks
 from repro.engine.scheduler import run_cell_tasks, run_tasks
-from repro.engine.stacking import pack_stacks, run_stacked_cell_tasks
+from repro.engine.stacking import pack_stacks
 from repro.models.spiking_lenet import build_spiking_lenet_mini
 from repro.robustness.config import ExplorationConfig
 from repro.snn.encoding import PoissonEncoder
@@ -338,7 +338,7 @@ class TestStackedEngine:
             tmp_path / "b", training_fingerprint(train, config.training)
         )
         cache = CellCache(tmp_path / "b", context_fingerprint(ctx_b))
-        stacked, stats = run_stacked_cell_tasks(ctx_b, tasks, stack=3, cache=cache)
+        stacked, stats = run_cell_tasks(ctx_b, tasks, stack=3, cache=cache)
 
         assert stats.start_method == "stacked"
         assert [cell.stack_size for cell in stacked].count(3) >= 3
@@ -359,7 +359,7 @@ class TestStackedEngine:
                     assert got_a[0][key].tobytes() == got_b[0][key].tobytes()
 
         # Resume: every cell served from the checkpoint store, bitwise.
-        served, resume_stats = run_stacked_cell_tasks(
+        served, resume_stats = run_cell_tasks(
             ctx_b, tasks, stack=3, cache=cache, resume=True
         )
         assert served == stacked
@@ -379,7 +379,7 @@ class TestStackedEngine:
         ctx_a = ExplorationJobContext(suspicious_factory, train, test, config)
         base, _stats = run_cell_tasks(ctx_a, tasks)
         ctx_b = ExplorationJobContext(suspicious_factory, train, test, config)
-        stacked, _stats = run_stacked_cell_tasks(ctx_b, tasks, stack=4)
+        stacked, _stats = run_cell_tasks(ctx_b, tasks, stack=4)
         for expected, got in zip(base, stacked):
             assert expected == got
         by_cell = {
