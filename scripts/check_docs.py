@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (run by the CI docs job and the tests).
 
-Two invariants:
+Four invariants:
 
 1. **Links** — every relative markdown link in README.md and docs/*.md
    must point at a file that exists in the repository.
@@ -15,6 +15,9 @@ Two invariants:
    docs/observability.md with its exact type and label names, every
    ``repro_*`` name the doc mentions must exist in the catalogue, and
    every label value the catalogue enumerates must appear in the doc.
+4. **Citations** — every ``*.md`` file a docstring under ``src/`` cites
+   (as a path relative to the repository root, e.g. ``docs/cli.md``)
+   must exist.
 
 Exits non-zero with one line per violation.
 """
@@ -22,6 +25,7 @@ Exits non-zero with one line per violation.
 from __future__ import annotations
 
 import argparse
+import ast
 import re
 import sys
 from pathlib import Path
@@ -154,8 +158,36 @@ def check_metrics_docs() -> list[str]:
     return errors
 
 
+DOC_CITATION_PATTERN = re.compile(r"(?<![\w./-])[\w./-]*\w\.md\b")
+_DOCSTRING_OWNERS = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def check_docstring_citations(root: Path = ROOT) -> list[str]:
+    """Every ``*.md`` file cited in a ``src/`` docstring must exist."""
+    errors = []
+    for path in sorted((root / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, _DOCSTRING_OWNERS):
+                continue
+            docstring = ast.get_docstring(node, clean=False)
+            if docstring is None:
+                continue
+            first_line = node.body[0].lineno
+            for match in DOC_CITATION_PATTERN.finditer(docstring):
+                if (root / match.group()).is_file():
+                    continue
+                line = first_line + docstring.count("\n", 0, match.start())
+                errors.append(
+                    f"{path.relative_to(root)}:{line}: docstring cites "
+                    f"{match.group()}, which does not exist"
+                )
+    return errors
+
+
 def main() -> int:
-    errors = check_links() + check_flags() + check_metrics_docs()
+    errors = (
+        check_links() + check_flags() + check_metrics_docs() + check_docstring_citations()
+    )
     for error in errors:
         print(error, file=sys.stderr)
     if errors:

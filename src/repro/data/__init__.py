@@ -5,8 +5,8 @@ paper is replaced by :class:`~repro.data.synth_mnist.SyntheticMNIST` — a
 procedural generator that renders the ten digit glyphs with randomized
 affine distortion, stroke thickness, blur and noise.  It exercises the
 same code path (10-class grey-scale image classification with pixels in
-``[0, 1]``) and is deterministic per seed.  See DESIGN.md §2 for the full
-substitution rationale.
+``[0, 1]``) and is deterministic per seed.  See docs/reproducing.md, "Caveats",
+for the substitution rationale.
 """
 
 from repro.data.dataset import ArrayDataset, DataLoader, train_test_split

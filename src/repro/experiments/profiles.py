@@ -1,7 +1,7 @@
 """Experiment profiles: paper-scale vs CPU-friendly settings.
 
 All profiles run the *same code path*; they differ only in grid density,
-sample counts and training length (DESIGN.md §4):
+sample counts and training length (docs/reproducing.md):
 
 * ``micro`` — seconds; used by the integration tests.
 * ``micro-search`` — micro's scale with a longer budget (6 epochs over a

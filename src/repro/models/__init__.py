@@ -9,7 +9,7 @@ The paper compares equal-topology pairs:
 
 ``*Mini`` variants keep the topology shape but shrink widths; the fast
 experiment profiles use them so the full `(Vth, T)` grid runs on CPU in
-minutes (DESIGN.md §2).
+minutes (docs/reproducing.md, "Expected runtimes").
 """
 
 from repro.models.lenet import CNN5, LeNet5, LeNetMini

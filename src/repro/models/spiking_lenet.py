@@ -12,7 +12,7 @@ Two substrate-specific adaptations (both ablated in ``benchmarks/``):
   activations, so Kaiming-initialised currents are too weak to reach
   threshold in deep stages.  All transform weights are scaled by
   ``weight_gain`` (default 3.0 ≈ 1/sqrt(p)), which restores signal
-  propagation; see DESIGN.md §4.
+  propagation; see docs/reproducing.md, "Caveats".
 * **Decoder** — the default is Norse's max-over-time readout membrane
   (what the paper's pipeline used); ``decoder="mean"`` (time-averaged
   membrane) trains slightly better on this substrate but smooths the

@@ -9,7 +9,7 @@ plus a gradient-connectivity diagnostic for the white-box threat model.
 
 Nothing here is needed to reproduce the paper's figures; it supports the
 efficiency/robustness trade-off analyses in the examples and the
-structural-parameter discussion in EXPERIMENTS.md.
+structural-parameter results described in docs/reproducing.md.
 """
 
 from __future__ import annotations

@@ -350,7 +350,7 @@ def avg_pool2d(
 # --------------------------------------------------------------------------
 #
 # A *plan* freezes everything about conv2d/pooling that depends only on the
-# input shape — output geometry, im2col window views, padded and column
+# input shape — output geometry, kernel-offset slices, padded and column
 # scratch buffers — so the fused SNN inference loop pays the shape analysis
 # once instead of at every one of T time steps.  Plans perform the exact
 # float operations (same order, same promotions) as the Tensor ops above,
@@ -374,6 +374,15 @@ class Conv2dPlan:
     ``__call__(x, weight, bias)`` computes the same cross-correlation as
     :func:`conv2d`'s forward, skipping Tensor construction, the backward
     closure, and the per-call ``np.pad``/column allocations.
+
+    The column matrix keeps :func:`conv2d`'s row-major layout — one row
+    per output pixel, ``(C_in, kh, kw)`` along a row — so every GEMM is
+    issued on the Tensor op's operand layout.  Only the fill differs: the
+    input is staged channels-last in an ``(N, Hp, Wp, C_in)`` padded
+    scratch and each kernel offset (i, j) is copied as one
+    ``(N, OH, OW, C_in)`` slab, instead of one 6-D strided window copy
+    whose inner loops are ``kw`` elements long.  A 1x1 kernel gathers no
+    window: its columns are the staged input itself (see :meth:`_columns`).
     """
 
     def __init__(
@@ -399,79 +408,137 @@ class Conv2dPlan:
         self.kh, self.kw = kh, kw
         self.oh = _conv_output_size(h, kh, self.sh, self.ph)
         self.ow = _conv_output_size(w, kw, self.sw, self.pw)
-        if self.ph or self.pw:
-            self._padded = np.zeros(
-                (n, c_in, h + 2 * self.ph, w + 2 * self.pw), dtype=dtype
-            )
-        else:
-            self._padded = None
+        self._pointwise = kh == kw == 1
+        hp, wp = h + 2 * self.ph, w + 2 * self.pw
+        # Padded input, staged channels-last for the slab fill (1x1 kernels
+        # keep conv2d's NCHW padding instead); the border is zeroed here
+        # and never written again.
+        self._padded = np.zeros(
+            (n, c_in, hp, wp) if self._pointwise else (n, hp, wp, c_in), dtype=dtype
+        )
         # Column scratch: written as (N, OH, OW, C, kh, kw), fed to the
         # matmul as its flat (N*OH*OW, C*kh*kw) alias.
-        self._cols6d = np.empty(
-            (n, self.oh, self.ow, c_in, kh, kw), dtype=dtype
-        )
-        self._cols = self._cols6d.reshape(n * self.oh * self.ow, c_in * kh * kw)
+        self._cols6d = self._cols = None
+        if not self._pointwise:
+            self._cols6d = np.empty((n, self.oh, self.ow, c_in, kh, kw), dtype=dtype)
+            self._cols = self._cols6d.reshape(n * self.oh * self.ow, c_in * kh * kw)
         self._grad_padded: np.ndarray | None = None
+        # Input rows/columns under kernel offset (i, j), in the (i, j)
+        # order of the Tensor op's col2im scatter.
+        self._offsets = [
+            (
+                i, j,
+                slice(i, i + self.oh * self.sh, self.sh),
+                slice(j, j + self.ow * self.sw, self.sw),
+            )
+            for i in range(kh)
+            for j in range(kw)
+        ]
 
-    def __call__(
-        self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None
-    ) -> np.ndarray:
-        n, _c_in, h, w = self.shape
-        if self._padded is None:
-            padded = x
-        else:
+    def _im2col(self, x: np.ndarray) -> None:
+        """Stage ``x`` and fill the column scratch, one slab per offset."""
+        _n, _c_in, h, w = self.shape
+        if self._pointwise:
             self._padded[:, :, self.ph : self.ph + h, self.pw : self.pw + w] = x
-            padded = self._padded
-        windows = _strided_windows(padded, self.kh, self.kw, self.sh, self.sw)
-        self._cols6d[...] = windows.transpose(0, 2, 3, 1, 4, 5)
-        w_mat = weight.reshape(weight.shape[0], -1)
-        out = self._cols @ w_mat.T
-        if bias is not None:
-            out = out + bias
-        return np.ascontiguousarray(
-            out.reshape(n, self.oh, self.ow, -1).transpose(0, 3, 1, 2)
+            return
+        self._padded[:, self.ph : self.ph + h, self.pw : self.pw + w] = x.transpose(
+            0, 2, 3, 1
         )
+        for i, j, rows, cols in self._offsets:
+            self._cols6d[:, :, :, :, i, j] = self._padded[:, rows, cols]
 
-    def _grad_as_matrix(self, g: np.ndarray) -> np.ndarray:
-        """Output gradient ``(N, C_out, OH, OW)`` as the matmul layout."""
-        return g.transpose(0, 2, 3, 1).reshape(
-            self.shape[0] * self.oh * self.ow, -1
-        )
+    def _columns(self, batch: slice) -> np.ndarray:
+        """Column-matrix rows of the images in ``batch`` (after :meth:`_im2col`).
 
-    def backward_input(self, g: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. the input: the col2im scatter of :func:`conv2d`.
+        A 1x1 kernel has no window to gather, so its columns are built by
+        :func:`conv2d`'s own reshape of the strided, padded NCHW input: a
+        view wherever one exists, possibly transposed or strided.  BLAS
+        (and numpy's GEMV dispatch) then sees the Tensor op's operand
+        layout, which a contiguous copy would not reproduce.
+        """
+        if self._pointwise:
+            _i, _j, rows, cols = self._offsets[0]
+            return (
+                self._padded[batch, :, rows, cols]
+                .transpose(0, 2, 3, 1)
+                .reshape(-1, self.shape[1])
+            )
+        return self._cols[self._rows(batch)]
 
-        Performs the exact arithmetic of the Tensor op's backward closure
-        (grad-column matmul, per-offset strided accumulation, padding
-        crop), reusing a zeroed padded scratch instead of allocating one
-        per call.  The returned array is freshly allocated (safe to
-        retain across reverse time steps).
+    def _rows(self, batch: slice) -> slice:
+        """Rows of the ``(N*OH*OW, ...)`` GEMM matrices owned by ``batch``."""
+        pixels = self.oh * self.ow
+        return slice(batch.start * pixels, batch.stop * pixels)
+
+    def _col2im(self, grad_cols: np.ndarray) -> np.ndarray:
+        """Scatter grad columns ``(N*OH*OW, C*kh*kw)`` onto an NCHW input grad.
+
+        Accumulates the kernel offsets in :func:`conv2d`'s (i, j) order
+        into a zeroed channels-last padded scratch anchored to the *input*
+        dtype, like the closure's ``zeros_like(padded)`` — the strided
+        ``+=`` then downcasts each contribution exactly as the Tensor path
+        does.  The returned array is freshly allocated (safe to retain
+        across reverse time steps).
         """
         n, c_in, h, w = self.shape
-        g_mat = self._grad_as_matrix(g)
-        w_mat = weight.reshape(weight.shape[0], -1)
-        grad_cols = g_mat @ w_mat  # (N*OH*OW, C*kh*kw)
-        grad_windows = grad_cols.reshape(
-            n, self.oh, self.ow, c_in, self.kh, self.kw
-        ).transpose(0, 3, 1, 2, 4, 5)
-        # Anchored to the *input* dtype, like the closure's zeros_like(padded):
-        # the strided += then downcasts each contribution exactly as the
-        # Tensor path does.
+        grad_cols = grad_cols.reshape(n, self.oh, self.ow, c_in, self.kh, self.kw)
         scratch = self._grad_padded
         if scratch is None:
             scratch = np.zeros(
-                (n, c_in, h + 2 * self.ph, w + 2 * self.pw), dtype=self.dtype
+                (n, h + 2 * self.ph, w + 2 * self.pw, c_in), dtype=self.dtype
             )
             self._grad_padded = scratch
         else:
             scratch.fill(0.0)
-        for i in range(self.kh):
-            for j in range(self.kw):
-                scratch[
-                    :, :, i : i + self.oh * self.sh : self.sh,
-                    j : j + self.ow * self.sw : self.sw,
-                ] += grad_windows[:, :, :, :, i, j]
-        return scratch[:, :, self.ph : self.ph + h, self.pw : self.pw + w].copy()
+        for i, j, rows, cols in self._offsets:
+            scratch[:, rows, cols] += grad_cols[:, :, :, :, i, j]
+        return np.ascontiguousarray(
+            scratch[:, self.ph : self.ph + h, self.pw : self.pw + w].transpose(
+                0, 3, 1, 2
+            )
+        )
+
+    def _to_nchw(
+        self, out: np.ndarray, bias: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``(N*OH*OW, C_out)`` GEMM output (plus ``bias``) as a fresh NCHW array.
+
+        Adding the bias after the transpose is the same elementwise sum as
+        :func:`conv2d`'s ``out + bias``, but runs along whole channel
+        planes instead of ``C_out``-long rows.
+        """
+        nchw = np.ascontiguousarray(
+            out.reshape(self.shape[0], self.oh, self.ow, -1).transpose(0, 3, 1, 2)
+        )
+        if bias is None:
+            return nchw
+        bias = bias.reshape(-1, 1, 1)
+        if np.result_type(nchw, bias) != nchw.dtype:
+            return nchw + bias  # a wider bias promotes, as in conv2d
+        nchw += bias
+        return nchw
+
+    @staticmethod
+    def _grad_as_matrix(g: np.ndarray) -> np.ndarray:
+        """Output gradient ``(N, C_out, OH, OW)`` as the matmul layout."""
+        return g.transpose(0, 2, 3, 1).reshape(-1, g.shape[1])
+
+    def __call__(
+        self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None
+    ) -> np.ndarray:
+        self._im2col(x)
+        cols = self._columns(slice(0, self.shape[0]))
+        return self._to_nchw(cols @ weight.reshape(weight.shape[0], -1).T, bias)
+
+    def backward_input(self, g: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. the input: the col2im scatter of :func:`conv2d`.
+
+        Performs the closure's grad-column matmul, per-offset strided
+        accumulation and padding crop, reusing a zeroed padded scratch
+        instead of allocating one per call.
+        """
+        w_mat = weight.reshape(weight.shape[0], -1)
+        return self._col2im(self._grad_as_matrix(g) @ w_mat)
 
     def backward_weight(
         self, g: np.ndarray, x: np.ndarray, weight_shape: tuple[int, ...]
@@ -483,16 +550,9 @@ class Conv2dPlan:
         autograd closure exactly.  Reuses the plan's column scratch — call
         only after the forward pass is complete.
         """
-        n, _c_in, h, w = self.shape
-        if self._padded is None:
-            padded = x
-        else:
-            self._padded[:, :, self.ph : self.ph + h, self.pw : self.pw + w] = x
-            padded = self._padded
-        windows = _strided_windows(padded, self.kh, self.kw, self.sh, self.sw)
-        self._cols6d[...] = windows.transpose(0, 2, 3, 1, 4, 5)
-        g_mat = self._grad_as_matrix(g)
-        return (g_mat.T @ self._cols).reshape(weight_shape)
+        self._im2col(x)
+        cols = self._columns(slice(0, self.shape[0]))
+        return (self._grad_as_matrix(g).T @ cols).reshape(weight_shape)
 
     @staticmethod
     def backward_bias(g: np.ndarray) -> np.ndarray:
@@ -503,12 +563,15 @@ class Conv2dPlan:
     #
     # A variant stack (repro.snn.stack) folds K same-architecture models on
     # the batch axis: a plan built for the folded shape ``(K*N, C, H, W)``
-    # serves all K variants with ONE im2col pass, while the GEMMs run per
-    # variant on the contiguous row block of the column matrix that belongs
-    # to that variant's lanes.  Each per-variant GEMM therefore has exactly
-    # the shape, strides and contiguity of the unstacked plan's GEMM for a
-    # batch of N — the same BLAS kernel runs on the same operand layout —
-    # which is what keeps stacked results bitwise identical per variant.
+    # serves all K variants with ONE staging copy and ONE im2col fill,
+    # while the GEMMs run per variant on the contiguous row block of the
+    # column matrix that belongs to that variant's lanes.  Each variant's
+    # output gradient is laid out from its own batch slice, exactly as the
+    # unstacked plan lays out a batch of N (for N == 1 that layout is a
+    # transposed view, not a copy).  Each per-variant GEMM therefore has
+    # the shape, strides and contiguity of the unstacked plan's GEMM — the
+    # same BLAS kernel runs on the same operand layout — which is what
+    # keeps stacked results bitwise identical per variant.
 
     def lane_rows(self, lanes: int) -> int:
         """Column-matrix rows per variant when the batch folds ``lanes`` ways."""
@@ -518,6 +581,11 @@ class Conv2dPlan:
                 f"folded batch {n} does not divide into {lanes} variant lanes"
             )
         return (n // lanes) * self.oh * self.ow
+
+    def _lane_batches(self, lanes: int) -> list[slice]:
+        """Batch slice of each variant when the batch folds ``lanes`` ways."""
+        n = self.lane_rows(lanes) // (self.oh * self.ow)
+        return [slice(lane * n, (lane + 1) * n) for lane in range(lanes)]
 
     def stacked(
         self,
@@ -533,30 +601,20 @@ class Conv2dPlan:
         values are structurally unused, but must stay finite so they
         cannot leak NaNs into the folded elementwise stages).
         """
-        n, _c_in, h, w = self.shape
-        k = len(weights)
-        rows = self.lane_rows(k)
-        if self._padded is None:
-            padded = x
-        else:
-            self._padded[:, :, self.ph : self.ph + h, self.pw : self.pw + w] = x
-            padded = self._padded
-        windows = _strided_windows(padded, self.kh, self.kw, self.sh, self.sw)
-        self._cols6d[...] = windows.transpose(0, 2, 3, 1, 4, 5)
-        out = np.empty((n * self.oh * self.ow, weights[0].shape[0]), dtype=self.dtype)
-        for lane in range(k):
-            block = slice(lane * rows, (lane + 1) * rows)
+        self._im2col(x)
+        rows = self.shape[0] * self.oh * self.ow
+        out = np.empty((rows, weights[0].shape[0]), dtype=self.dtype)
+        for lane, batch in enumerate(self._lane_batches(len(weights))):
+            block = self._rows(batch)
             if alive is not None and not alive[lane]:
                 out[block] = 0.0
                 continue
             w_mat = weights[lane].reshape(weights[lane].shape[0], -1)
-            lane_out = self._cols[block] @ w_mat.T
+            lane_out = self._columns(batch) @ w_mat.T
             if biases[lane] is not None:
                 lane_out = lane_out + biases[lane]
             out[block] = lane_out
-        return np.ascontiguousarray(
-            out.reshape(n, self.oh, self.ow, -1).transpose(0, 3, 1, 2)
-        )
+        return self._to_nchw(out)
 
     def stacked_backward_input(
         self,
@@ -569,38 +627,18 @@ class Conv2dPlan:
         Per-variant grad-column GEMMs feed one fold-wide col2im scatter
         (the scatter is lane-local data movement, so folding it is exact).
         """
-        n, c_in, h, w = self.shape
-        k = len(weights)
-        rows = self.lane_rows(k)
-        g_mat = self._grad_as_matrix(g)
+        rows = self.shape[0] * self.oh * self.ow
         grad_cols = np.empty(
-            (n * self.oh * self.ow, c_in * self.kh * self.kw), dtype=self.dtype
+            (rows, self.shape[1] * self.kh * self.kw), dtype=self.dtype
         )
-        for lane in range(k):
-            block = slice(lane * rows, (lane + 1) * rows)
+        for lane, batch in enumerate(self._lane_batches(len(weights))):
+            block = self._rows(batch)
             if alive is not None and not alive[lane]:
                 grad_cols[block] = 0.0
                 continue
             w_mat = weights[lane].reshape(weights[lane].shape[0], -1)
-            grad_cols[block] = g_mat[block] @ w_mat
-        grad_windows = grad_cols.reshape(
-            n, self.oh, self.ow, c_in, self.kh, self.kw
-        ).transpose(0, 3, 1, 2, 4, 5)
-        scratch = self._grad_padded
-        if scratch is None:
-            scratch = np.zeros(
-                (n, c_in, h + 2 * self.ph, w + 2 * self.pw), dtype=self.dtype
-            )
-            self._grad_padded = scratch
-        else:
-            scratch.fill(0.0)
-        for i in range(self.kh):
-            for j in range(self.kw):
-                scratch[
-                    :, :, i : i + self.oh * self.sh : self.sh,
-                    j : j + self.ow * self.sw : self.sw,
-                ] += grad_windows[:, :, :, :, i, j]
-        return scratch[:, :, self.ph : self.ph + h, self.pw : self.pw + w].copy()
+            grad_cols[block] = self._grad_as_matrix(g[batch]) @ w_mat
+        return self._col2im(grad_cols)
 
     def stacked_backward_weights(
         self,
@@ -616,24 +654,14 @@ class Conv2dPlan:
         parameters are structurally dead at this step (``None`` entries
         keep the autograd path's grad-never-touched semantics).
         """
-        n, _c_in, h, w = self.shape
-        k = len(wanted)
-        rows = self.lane_rows(k)
-        if self._padded is None:
-            padded = x
-        else:
-            self._padded[:, :, self.ph : self.ph + h, self.pw : self.pw + w] = x
-            padded = self._padded
-        windows = _strided_windows(padded, self.kh, self.kw, self.sh, self.sw)
-        self._cols6d[...] = windows.transpose(0, 2, 3, 1, 4, 5)
-        g_mat = self._grad_as_matrix(g)
+        self._im2col(x)
         grads: list[np.ndarray | None] = []
-        for lane in range(k):
+        for lane, batch in enumerate(self._lane_batches(len(wanted))):
             if not wanted[lane]:
                 grads.append(None)
                 continue
-            block = slice(lane * rows, (lane + 1) * rows)
-            grads.append((g_mat[block].T @ self._cols[block]).reshape(weight_shape))
+            g_mat = self._grad_as_matrix(g[batch])
+            grads.append((g_mat.T @ self._columns(batch)).reshape(weight_shape))
         return grads
 
 

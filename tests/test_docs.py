@@ -1,4 +1,4 @@
-"""The documentation stays consistent with the code (links + CLI flags).
+"""The documentation stays consistent with the code (links, CLI flags, citations).
 
 Runs ``scripts/check_docs.py`` — the same check CI's docs job executes —
 so a flag added to argparse without a docs/cli.md entry (or vice versa)
@@ -7,6 +7,7 @@ fails the tier-1 suite, not just CI.
 
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,28 @@ def test_check_docs_passes():
 def test_docs_exist():
     for name in ("architecture.md", "cli.md", "reproducing.md"):
         assert (REPO_ROOT / "docs" / name).is_file(), f"docs/{name} missing"
+
+
+def _check_docs_module():
+    spec = importlib.util.spec_from_file_location(
+        "check_docs", REPO_ROOT / "scripts" / "check_docs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_docstring_citations_flag_missing_markdown(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "present.md").write_text("# present\n")
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        '"""Module.\n\nSee docs/present.md and DESIGN.md.\n"""\n\n\n'
+        'def f():\n    """Cites docs/absent.md §2."""\n'
+    )
+    errors = _check_docs_module().check_docstring_citations(tmp_path)
+    assert errors == [
+        f"{Path('src/pkg/mod.py')}:3: docstring cites DESIGN.md, which does not exist",
+        f"{Path('src/pkg/mod.py')}:8: docstring cites docs/absent.md, which does not exist",
+    ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import nn
 from repro.attacks import (
@@ -30,6 +31,7 @@ from repro.data.dataset import ArrayDataset
 from repro.models import build_model
 from repro.robustness.security import robustness_curve
 from repro.snn.network import _transform_fused_ready
+from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, no_grad
 
 SPIKING_MODELS = ["snn_lenet_mini", "snn_lenet5", "snn_cnn5"]
@@ -116,6 +118,122 @@ class TestModuleTwins:
         # Both dtypes coexist as separate plans.
         np.testing.assert_array_equal(conv.forward_numpy(x32), conv(Tensor(x32)).data)
         assert len(conv._plans) == 2
+
+
+@st.composite
+def conv_plan_cases(draw):
+    """A conv geometry, dtype and K-lane fold with its liveness masks."""
+    kernel = draw(st.sampled_from([1, 3, 5, (2, 3)]))
+    stride = draw(st.sampled_from([1, 2, (1, 2)]))
+    padding = draw(st.sampled_from([0, 1, 2, (2, 1)]))
+    (kh, kw), (ph, pw) = F._pair(kernel), F._pair(padding)
+    lanes = draw(st.integers(1, 4))
+    return {
+        "lanes": lanes,
+        # The folded batch stays within 1-40 images.
+        "n": draw(st.integers(1, 40 // lanes)),
+        "c_in": draw(st.sampled_from([1, 2, 3, 6, 8, 16])),
+        "c_out": draw(st.sampled_from([1, 2, 5, 8, 16])),
+        "h": draw(st.integers(max(1, kh - 2 * ph), 20)),
+        "w": draw(st.integers(max(1, kw - 2 * pw), 20)),
+        "kernel": (kh, kw),
+        "stride": stride,
+        "padding": padding,
+        "dtype": draw(st.sampled_from([np.float32, np.float64])),
+        "bias": draw(st.lists(st.booleans(), min_size=lanes, max_size=lanes)),
+        "alive": draw(st.lists(st.booleans(), min_size=lanes, max_size=lanes)),
+        "wanted": draw(st.lists(st.booleans(), min_size=lanes, max_size=lanes)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _case(lanes=1, **geometry):
+    """An explicit :func:`conv_plan_cases` draw: every lane live, with bias."""
+    flags = [True] * lanes
+    return {
+        "lanes": lanes, "dtype": np.float32, "seed": 0,
+        "bias": flags, "alive": flags, "wanted": flags, **geometry,
+    }
+
+
+def _assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype
+    np.testing.assert_array_equal(actual, expected)
+
+
+class TestConv2dPlanParity:
+    """Every Conv2dPlan entry point is bitwise equal to F.conv2d.
+
+    The plan reuses conv2d's arithmetic but not its im2col code, and the
+    stacked methods hand BLAS sub-blocks of a folded column matrix; both
+    only stay exact while each GEMM sees the Tensor op's operand layout,
+    which varies with the geometry (1x1 kernels and single-image batches
+    produce transposed or strided views).  Checked over random shapes on
+    whatever BLAS the interpreter links.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=conv_plan_cases())
+    # One image per lane: each lane's output gradient is a transposed view.
+    @example(case=_case(
+        lanes=2, n=1, c_in=3, c_out=3, h=20, w=13,
+        kernel=(2, 3), stride=(1, 2), padding=0,
+    ))
+    # 1x1, one channel: conv2d's column is a stride-2 view (GEMV incx 2).
+    @example(case=_case(
+        n=22, c_in=1, c_out=16, h=11, w=14, kernel=(1, 1), stride=(1, 2), padding=1,
+    ))
+    # 1x1, one image: conv2d's columns are a transposed view of the input.
+    @example(case=_case(
+        n=1, c_in=16, c_out=1, h=6, w=10, kernel=(1, 1), stride=1, padding=1,
+        dtype=np.float64,
+    ))
+    def test_plan_matches_tensor_op(self, case):
+        rng = np.random.default_rng(case["seed"])
+        n, lanes, dtype = case["n"], case["lanes"], case["dtype"]
+        stride, padding = case["stride"], case["padding"]
+        x_shape = (n, case["c_in"], case["h"], case["w"])
+        w_shape = (case["c_out"], case["c_in"], *case["kernel"])
+        xs = [rng.standard_normal(x_shape).astype(dtype) for _ in range(lanes)]
+        weights = [rng.standard_normal(w_shape).astype(dtype) for _ in range(lanes)]
+        biases = [
+            rng.standard_normal(case["c_out"]).astype(dtype) if has_bias else None
+            for has_bias in case["bias"]
+        ]
+
+        plan = F.Conv2dPlan(x_shape, dtype, w_shape, stride, padding)
+        grads, expected = [], []
+        for x, weight, bias in zip(xs, weights, biases):
+            x_t = Tensor(x, requires_grad=True)
+            w_t = Tensor(weight, requires_grad=True)
+            b_t = None if bias is None else Tensor(bias, requires_grad=True)
+            out_t = F.conv2d(x_t, w_t, b_t, stride=stride, padding=padding)
+            g = rng.standard_normal(out_t.shape).astype(dtype)
+            out_t.backward(g)
+            grads.append(g)
+            expected.append((out_t.data, x_t.grad, w_t.grad))
+
+            _assert_bitwise(plan(x, weight, bias), out_t.data)
+            _assert_bitwise(plan.backward_input(g, weight), x_t.grad)
+            _assert_bitwise(plan.backward_weight(g, x, w_shape), w_t.grad)
+
+        folded = F.Conv2dPlan((lanes * n, *x_shape[1:]), dtype, w_shape, stride, padding)
+        x_fold, g_fold = np.concatenate(xs), np.concatenate(grads)
+        alive, wanted = case["alive"], case["wanted"]
+        out = folded.stacked(x_fold, weights, biases, alive)
+        grad_x = folded.stacked_backward_input(g_fold, weights, alive)
+        grad_w = folded.stacked_backward_weights(g_fold, x_fold, w_shape, wanted)
+        for lane, (ref_out, ref_gx, ref_gw) in enumerate(expected):
+            block = slice(lane * n, (lane + 1) * n)
+            if alive[lane]:
+                _assert_bitwise(out[block], ref_out)
+                _assert_bitwise(grad_x[block], ref_gx)
+            else:
+                assert not out[block].any() and not grad_x[block].any()
+            if wanted[lane]:
+                _assert_bitwise(grad_w[lane], ref_gw)
+            else:
+                assert grad_w[lane] is None
 
 
 class TestFusedPlanPath:
