@@ -654,43 +654,59 @@ def check_metrics_overhead(report: dict, limit: float) -> list[str]:
     return errors
 
 
+# Each check: (label, (section, ratio key, numerator key, denominator key)),
+# where ratio = numerator seconds / denominator seconds (baseline path
+# over the fast path).
 FORWARD_CHECKS = (
     (
         "planned-fused forward speedup vs PR1 fused loop",
-        ("forward", "plan_speedup_vs_unplanned"),
+        ("forward", "plan_speedup_vs_unplanned", "fused_unplanned_s", "fused_planned_s"),
     ),
     (
         "fused forward speedup vs autograd",
-        ("forward", "fused_speedup_vs_autograd"),
+        ("forward", "fused_speedup_vs_autograd", "autograd_s", "fused_planned_s"),
     ),
     (
         f"K={len(EPSILONS)} FGSM sweep speedup vs per-epsilon loop",
-        ("fgsm_curve", "speedup"),
+        ("fgsm_curve", "speedup", "per_epsilon_s", "sweep_s"),
     ),
 )
 
 GRADIENT_CHECKS = (
     (
         "fused input_gradient speedup vs autograd",
-        ("input_gradient", "speedup"),
+        ("input_gradient", "speedup", "autograd_s", "fused_s"),
     ),
     (
         f"K={len(EPSILONS)} PGD-{PGD_STEPS} curve speedup vs autograd path",
-        ("pgd10_curve", "speedup"),
+        ("pgd10_curve", "speedup", "autograd_s", "fused_s"),
     ),
 )
 
 STACKED_CHECKS = (
-    ("K=5 stacked grid speedup vs per-cell", ("stacked_grid_smoke", "speedup")),
-    ("K=2 stacked grid speedup vs per-cell", ("stacked_grid_micro", "speedup")),
+    (
+        "K=5 stacked grid speedup vs per-cell",
+        ("stacked_grid_smoke", "speedup", "per_cell_s", "stacked_s"),
+    ),
+    (
+        "K=2 stacked grid speedup vs per-cell",
+        ("stacked_grid_micro", "speedup", "per_cell_s", "stacked_s"),
+    ),
 )
 
 SEARCH_CHECKS = (
     (
         "guided search train-seconds speedup vs exhaustive grid",
-        ("search_grid", "train_seconds_speedup"),
+        ("search_grid", "train_seconds_speedup", "exhaustive_train_s", "search_train_s"),
     ),
 )
+
+
+def _ratio_base(values: dict, numerator: str, denominator: str) -> str:
+    """``numerator / denominator`` seconds behind a ratio, for the log."""
+    return " / ".join(
+        f"{key} {values.get(key, math.nan):.3f}s" for key in (numerator, denominator)
+    )
 
 
 def check_regression(
@@ -701,31 +717,33 @@ def check_regression(
     A ratio may drift with load, so only a drop beyond ``tolerance``
     (relative) fails; improvements always pass.  Absolute timings are
     deliberately ignored — they compare this machine to the baseline
-    machine, which is noise, not signal.
+    machine, which is noise, not signal — but each ok/FAIL line prints
+    the seconds behind both ratios, so a re-based baseline can be audited
+    from the log.
     """
     try:
         baseline = json.loads(baseline_path.read_text())
     except (OSError, ValueError) as error:
         return [f"cannot read baseline {baseline_path}: {error}"]
     errors: list[str] = []
-    for label, (section, key) in checks:
-        expected = baseline.get(section, {}).get(key)
+    for label, (section, key, numerator, denominator) in checks:
+        base_section = baseline.get(section, {})
+        expected = base_section.get(key)
         if expected is None:
             errors.append(f"baseline {baseline_path} lacks {section}.{key}")
             continue
         measured = report[section][key]
         floor = expected * (1.0 - tolerance)
+        detail = (
+            f"{measured:.2f}x ({_ratio_base(report[section], numerator, denominator)})"
+            f" vs baseline {expected:.2f}x "
+            f"({_ratio_base(base_section, numerator, denominator)}), "
+            f"floor {floor:.2f}x at {tolerance:.0%} tolerance"
+        )
         if measured < floor:
-            errors.append(
-                f"{label} regressed: {measured:.2f}x vs baseline "
-                f"{expected:.2f}x (floor {floor:.2f}x at "
-                f"{tolerance:.0%} tolerance)"
-            )
+            errors.append(f"{label} regressed: {detail}")
         else:
-            print(
-                f"ok: {label}: {measured:.2f}x (baseline {expected:.2f}x, "
-                f"floor {floor:.2f}x)"
-            )
+            print(f"ok: {label}: {detail}")
     return errors
 
 

@@ -116,6 +116,15 @@ class ChaosFailure(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _private_tmp(path: Path) -> Path:
+    """A temp name beside ``path`` that no other process *or thread* uses.
+
+    Queue workers may run as threads of one process (tests do), so the
+    pid alone would let two claims of the same lease share a temp file.
+    """
+    return path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+
+
 def write_json_exclusive(path: Path, payload: dict) -> bool:
     """Atomically create ``path`` with ``payload`` iff it does not exist.
 
@@ -124,7 +133,7 @@ def write_json_exclusive(path: Path, payload: dict) -> bool:
     can never observe a partially written file.  Returns ``False`` when
     the path already exists (someone else won the race).
     """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = _private_tmp(path)
     tmp.write_text(json.dumps(payload, sort_keys=True))
     try:
         os.link(tmp, path)
@@ -137,7 +146,7 @@ def write_json_exclusive(path: Path, payload: dict) -> bool:
 
 def replace_json(path: Path, payload: dict) -> None:
     """Atomic full rewrite (same temp + ``os.replace`` recipe as caches)."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = _private_tmp(path)
     tmp.write_text(json.dumps(payload, sort_keys=True))
     os.replace(tmp, path)
 

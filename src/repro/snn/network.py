@@ -140,9 +140,11 @@ class SpikingNetwork(Module):
         self.decoder = decoder or MaxMembraneDecoder()
         self.vary_encoder_threshold = vary_encoder_threshold
         self.use_synapse_plans = True
-        """Route trusted synaptic transforms through their compiled numpy
-        plans on the fused path (disable to benchmark the per-step Tensor
-        transform baseline; results are bitwise identical either way)."""
+        """Route trusted synaptic transforms through their module-cached
+        numpy plans on the fused path.  Disabled, each layer runs its
+        Tensor transform per step; the conv and pooling Tensor ops build a
+        one-shot plan per call, so this measures plan caching plus Tensor
+        wrapping.  Results are bitwise identical either way."""
         self.fused_forward_count = 0
         """Number of forwards served by :meth:`_forward_inference` — the
         observability hook the fused-path smoke guards assert on."""

@@ -198,17 +198,6 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def _strided_windows(
-    padded: np.ndarray, kh: int, kw: int, sh: int, sw: int
-) -> np.ndarray:
-    """All (kh, kw) windows of ``padded`` at stride (sh, sw).
-
-    Returns a view of shape ``(N, C, OH, OW, kh, kw)``.
-    """
-    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    return windows[:, :, ::sh, ::sw]
-
-
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -218,8 +207,10 @@ def conv2d(
 ) -> Tensor:
     """2-D cross-correlation (the deep-learning "convolution").
 
-    Implemented with im2col + BLAS matmul for the forward pass and a
-    vectorised col2im scatter for the input gradient.
+    A one-shot :class:`Conv2dPlan`: im2col + BLAS matmul forward; the
+    backward closure runs the plan's col2im input gradient, the weight
+    GEMM on the columns the forward filled, and the bias channel-sum.
+    Gradients of parents that do not require grad are skipped.
 
     Parameters
     ----------
@@ -228,49 +219,24 @@ def conv2d(
     bias: optional ``(C_out,)``.
     stride, padding: int or (height, width) pairs.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d expects (N, C, H, W) input, got {x.shape}")
-    if weight.ndim != 4:
-        raise ShapeError(f"conv2d expects (O, I, KH, KW) weight, got {weight.shape}")
-    if x.shape[1] != weight.shape[1]:
-        raise ShapeError(
-            f"input channels {x.shape[1]} do not match weight channels {weight.shape[1]}"
-        )
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    n, c_in, h, w = x.shape
-    c_out, _, kh, kw = weight.shape
-    oh = _conv_output_size(h, kh, sh, ph)
-    ow = _conv_output_size(w, kw, sw, pw)
-
-    padded = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = _strided_windows(padded, kh, kw, sh, sw)  # (N, C, OH, OW, kh, kw)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c_in * kh * kw)
-    w_mat = weight.data.reshape(c_out, -1)
-    out_data = cols @ w_mat.T
-    if bias is not None:
-        out_data = out_data + bias.data
-    out_data = out_data.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
-
+    # A fresh plan per call: the closure keeps its column scratch for the
+    # weight gradient, which a plan shared by unrolled steps would overwrite.
+    plan = Conv2dPlan(x.shape, x.dtype, weight.shape, stride, padding)
+    w_data = weight.data
+    out_data = plan(x.data, w_data, None if bias is None else bias.data)
     parents: tuple[Tensor, ...] = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        g_mat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, c_out)
-        grad_w = (g_mat.T @ cols).reshape(weight.shape)
-        grad_cols = g_mat @ w_mat  # (N*OH*OW, C*kh*kw)
-        grad_windows = grad_cols.reshape(n, oh, ow, c_in, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        grad_padded = np.zeros_like(padded)
-        for i in range(kh):
-            for j in range(kw):
-                grad_padded[:, :, i : i + oh * sh : sh, j : j + ow * sw : sw] += grad_windows[
-                    :, :, :, :, i, j
-                ]
-        grad_x = grad_padded[:, :, ph : ph + h, pw : pw + w]
+        grad_x = grad_w = None
+        if x.requires_grad:
+            grad_x = plan.backward_input(g, w_data)
+        if weight.requires_grad:
+            grad_w = plan.backward_weight(g, None, w_data.shape)
         if bias is None:
             return grad_x, grad_w
-        return grad_x, grad_w, g.sum(axis=(0, 2, 3))
+        return grad_x, grad_w, plan.backward_bias(g)
 
-    return apply_op(np.ascontiguousarray(out_data), parents, backward, "conv2d")
+    return apply_op(out_data, parents, backward, "conv2d")
 
 
 def max_pool2d(
@@ -280,40 +246,18 @@ def max_pool2d(
 ) -> Tensor:
     """Max pooling over ``(kh, kw)`` windows (stride defaults to kernel).
 
-    Gradient flows to the argmax element of each window (first index wins
-    ties, matching PyTorch).
+    A one-shot :class:`MaxPool2dPlan` (pairwise maximum over the window
+    offsets).  Gradient flows to the argmax element of each window (first
+    index wins ties, matching PyTorch), routed by :meth:`MaxPool2dPlan.backward`.
     """
-    kh, kw = _pair(kernel_size)
-    sh, sw = _pair(stride) if stride is not None else (kh, kw)
-    if x.ndim != 4:
-        raise ShapeError(f"max_pool2d expects (N, C, H, W) input, got {x.shape}")
-    n, c, h, w = x.shape
-    oh = _conv_output_size(h, kh, sh, 0)
-    ow = _conv_output_size(w, kw, sw, 0)
-
-    windows = _strided_windows(x.data, kh, kw, sh, sw)  # (N, C, OH, OW, kh, kw)
-    flat = windows.reshape(n, c, oh, ow, kh * kw)
-    arg = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    plan = MaxPool2dPlan(x.shape, kernel_size, stride)
+    x_data = x.data
+    out_data = plan(x_data)
 
     def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        # Scatter-accumulate via a flat bincount: much faster than the
-        # equivalent np.add.at on fancy indices.  Overlapping windows can
-        # route several contributions to one pixel; bincount sums them in
-        # float64 before the single cast back to the input dtype.
-        ki, kj = np.divmod(arg, kw)  # (N, C, OH, OW) window-local coordinates
-        rows = np.arange(oh).reshape(1, 1, oh, 1) * sh + ki
-        cols = np.arange(ow).reshape(1, 1, 1, ow) * sw + kj
-        plane = (
-            np.arange(n).reshape(n, 1, 1, 1) * c + np.arange(c).reshape(1, c, 1, 1)
-        ) * (h * w)
-        flat = plane + rows * w + cols
-        grad_x = np.bincount(
-            flat.ravel(), weights=g.ravel(), minlength=n * c * h * w
-        )
-        return (grad_x.reshape(n, c, h, w).astype(x.dtype, copy=False),)
+        return (plan.backward(g, x_data, out_data),)
 
-    return apply_op(np.ascontiguousarray(out_data), (x,), backward, "max_pool2d")
+    return apply_op(out_data, (x,), backward, "max_pool2d")
 
 
 def avg_pool2d(
@@ -321,28 +265,17 @@ def avg_pool2d(
     kernel_size: int | tuple[int, int],
     stride: int | tuple[int, int] | None = None,
 ) -> Tensor:
-    """Average pooling over ``(kh, kw)`` windows (stride defaults to kernel)."""
-    kh, kw = _pair(kernel_size)
-    sh, sw = _pair(stride) if stride is not None else (kh, kw)
-    if x.ndim != 4:
-        raise ShapeError(f"avg_pool2d expects (N, C, H, W) input, got {x.shape}")
-    n, c, h, w = x.shape
-    oh = _conv_output_size(h, kh, sh, 0)
-    ow = _conv_output_size(w, kw, sw, 0)
+    """Average pooling over ``(kh, kw)`` windows (stride defaults to kernel).
 
-    windows = _strided_windows(x.data, kh, kw, sh, sw)
-    out_data = windows.mean(axis=(-2, -1))
-    scale = 1.0 / (kh * kw)
+    A one-shot :class:`AvgPool2dPlan`.
+    """
+    plan = AvgPool2dPlan(x.shape, kernel_size, stride)
+    dtype = x.dtype
 
     def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        grad_x = np.zeros_like(x.data)
-        contribution = g * scale
-        for i in range(kh):
-            for j in range(kw):
-                grad_x[:, :, i : i + oh * sh : sh, j : j + ow * sw : sw] += contribution
-        return (grad_x,)
+        return (plan.backward(g, dtype),)
 
-    return apply_op(np.ascontiguousarray(out_data), (x,), backward, "avg_pool2d")
+    return apply_op(plan(x.data), (x,), backward, "avg_pool2d")
 
 
 # --------------------------------------------------------------------------
@@ -351,38 +284,42 @@ def avg_pool2d(
 #
 # A *plan* freezes everything about conv2d/pooling that depends only on the
 # input shape — output geometry, kernel-offset slices, padded and column
-# scratch buffers — so the fused SNN inference loop pays the shape analysis
-# once instead of at every one of T time steps.  Plans perform the exact
-# float operations (same order, same promotions) as the Tensor ops above,
-# so their outputs stay bitwise identical to the autograd path; parity is
-# enforced by tests/test_fused_plans.py.
+# scratch buffers — and carries both halves of its op: the forward and the
+# backward twin, on raw arrays.  It is the only implementation of that
+# arithmetic:
 #
-# Each plan also carries the *backward* half of its op: the same arithmetic
-# the Tensor op's backward closure performs, applied to raw arrays.  The
-# fused BPTT path (repro.snn.backward) replays these per reverse time step
-# instead of building an autograd graph; parity with the closures is
-# enforced by tests/test_fused_backward.py.
+# * the Tensor ops above build a fresh plan per call and wrap it in an
+#   autograd node (the closure keeps the plan, and with it the forward's
+#   columns, alive until the backward sweep passes the node);
+# * the fused SNN inference and BPTT paths (repro.snn.backward) cache one
+#   plan per input shape on the module and reuse it at every time step;
+# * a variant stack (repro.snn.stack) runs the K-lane methods below.
+#
+# tests/reference_ops.py keeps an independent copy of the original
+# window-materialising Tensor ops; tests/test_fused_plans.py and
+# tests/test_fused_backward.py hold every entry point bitwise equal to it.
 #
 # Plans return freshly allocated outputs (safe to retain), but their
 # internal scratch buffers are reused across calls — one plan instance must
-# not be shared between concurrently running forwards (or backwards).
+# not be shared between concurrently running forwards (or backwards), nor
+# between autograd nodes that are still waiting for their backward.
 
 
 class Conv2dPlan:
     """im2col geometry + scratch buffers for one (input shape, conv spec).
 
-    ``__call__(x, weight, bias)`` computes the same cross-correlation as
-    :func:`conv2d`'s forward, skipping Tensor construction, the backward
-    closure, and the per-call ``np.pad``/column allocations.
+    ``__call__(x, weight, bias)`` is the cross-correlation behind
+    :func:`conv2d`; called directly it skips Tensor construction and, when
+    the plan is cached, the per-call scratch allocations.
 
-    The column matrix keeps :func:`conv2d`'s row-major layout — one row
-    per output pixel, ``(C_in, kh, kw)`` along a row — so every GEMM is
-    issued on the Tensor op's operand layout.  Only the fill differs: the
-    input is staged channels-last in an ``(N, Hp, Wp, C_in)`` padded
-    scratch and each kernel offset (i, j) is copied as one
-    ``(N, OH, OW, C_in)`` slab, instead of one 6-D strided window copy
-    whose inner loops are ``kw`` elements long.  A 1x1 kernel gathers no
-    window: its columns are the staged input itself (see :meth:`_columns`).
+    The column matrix is row-major — one row per output pixel,
+    ``(C_in, kh, kw)`` along a row — the operand layout the GEMMs have
+    always been issued on (a channel-major layout changes which BLAS
+    kernel runs, and with it the summation order).  The input is staged
+    channels-last in an ``(N, Hp, Wp, C_in)`` padded scratch and each
+    kernel offset (i, j) is copied as one ``(N, OH, OW, C_in)`` slab.  A
+    1x1 kernel gathers no window: its columns are the staged input itself
+    (see :meth:`_columns`).
     """
 
     def __init__(
@@ -395,6 +332,8 @@ class Conv2dPlan:
     ) -> None:
         if len(shape) != 4:
             raise ShapeError(f"conv2d expects (N, C, H, W) input, got {shape}")
+        if len(weight_shape) != 4:
+            raise ShapeError(f"conv2d expects (O, I, KH, KW) weight, got {weight_shape}")
         if shape[1] != weight_shape[1]:
             raise ShapeError(
                 f"input channels {shape[1]} do not match weight channels {weight_shape[1]}"
@@ -424,7 +363,7 @@ class Conv2dPlan:
             self._cols = self._cols6d.reshape(n * self.oh * self.ow, c_in * kh * kw)
         self._grad_padded: np.ndarray | None = None
         # Input rows/columns under kernel offset (i, j), in the (i, j)
-        # order of the Tensor op's col2im scatter.
+        # order of the col2im scatter.
         self._offsets = [
             (
                 i, j,
@@ -450,11 +389,11 @@ class Conv2dPlan:
     def _columns(self, batch: slice) -> np.ndarray:
         """Column-matrix rows of the images in ``batch`` (after :meth:`_im2col`).
 
-        A 1x1 kernel has no window to gather, so its columns are built by
-        :func:`conv2d`'s own reshape of the strided, padded NCHW input: a
-        view wherever one exists, possibly transposed or strided.  BLAS
-        (and numpy's GEMV dispatch) then sees the Tensor op's operand
-        layout, which a contiguous copy would not reproduce.
+        A 1x1 kernel has no window to gather, so its columns are a reshape
+        of the strided, padded NCHW input: a view wherever one exists,
+        possibly transposed or strided.  BLAS (and numpy's GEMV dispatch)
+        then sees the operand layout of the original window-copy op, which
+        a contiguous copy would not reproduce.
         """
         if self._pointwise:
             _i, _j, rows, cols = self._offsets[0]
@@ -473,12 +412,11 @@ class Conv2dPlan:
     def _col2im(self, grad_cols: np.ndarray) -> np.ndarray:
         """Scatter grad columns ``(N*OH*OW, C*kh*kw)`` onto an NCHW input grad.
 
-        Accumulates the kernel offsets in :func:`conv2d`'s (i, j) order
-        into a zeroed channels-last padded scratch anchored to the *input*
-        dtype, like the closure's ``zeros_like(padded)`` — the strided
-        ``+=`` then downcasts each contribution exactly as the Tensor path
-        does.  The returned array is freshly allocated (safe to retain
-        across reverse time steps).
+        Accumulates the kernel offsets in (i, j) order into a zeroed
+        channels-last padded scratch anchored to the *input* dtype — the
+        strided ``+=`` downcasts each contribution to it.  The returned
+        array is freshly allocated (safe to retain across reverse time
+        steps).
         """
         n, c_in, h, w = self.shape
         grad_cols = grad_cols.reshape(n, self.oh, self.ow, c_in, self.kh, self.kw)
@@ -504,7 +442,7 @@ class Conv2dPlan:
         """``(N*OH*OW, C_out)`` GEMM output (plus ``bias``) as a fresh NCHW array.
 
         Adding the bias after the transpose is the same elementwise sum as
-        :func:`conv2d`'s ``out + bias``, but runs along whole channel
+        ``out + bias`` on the GEMM rows, but runs along whole channel
         planes instead of ``C_out``-long rows.
         """
         nchw = np.ascontiguousarray(
@@ -531,32 +469,33 @@ class Conv2dPlan:
         return self._to_nchw(cols @ weight.reshape(weight.shape[0], -1).T, bias)
 
     def backward_input(self, g: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. the input: the col2im scatter of :func:`conv2d`.
+        """Gradient w.r.t. the input: grad-column matmul, col2im scatter.
 
-        Performs the closure's grad-column matmul, per-offset strided
-        accumulation and padding crop, reusing a zeroed padded scratch
-        instead of allocating one per call.
+        Runs the per-offset strided accumulation and padding crop in a
+        zeroed padded scratch that a cached plan reuses across calls.
         """
         w_mat = weight.reshape(weight.shape[0], -1)
         return self._col2im(self._grad_as_matrix(g) @ w_mat)
 
     def backward_weight(
-        self, g: np.ndarray, x: np.ndarray, weight_shape: tuple[int, ...]
+        self, g: np.ndarray, x: np.ndarray | None, weight_shape: tuple[int, ...]
     ) -> np.ndarray:
-        """Gradient w.r.t. the filters, recomputing im2col from ``x``.
+        """Gradient w.r.t. the filters: ``g_mat.T @ cols``.
 
-        The im2col pass is pure data movement, so the recomputed columns
-        equal the forward's bit for bit and ``g_mat.T @ cols`` matches the
-        autograd closure exactly.  Reuses the plan's column scratch — call
-        only after the forward pass is complete.
+        ``x`` refills the column scratch first (a cached plan has since
+        run other steps' forwards); the im2col pass is pure data movement,
+        so the recomputed columns equal the forward's bit for bit.
+        ``x=None`` uses the columns still in the scratch from this plan's
+        last forward — the one-shot plan of :func:`conv2d` skips the refill.
         """
-        self._im2col(x)
+        if x is not None:
+            self._im2col(x)
         cols = self._columns(slice(0, self.shape[0]))
         return (self._grad_as_matrix(g).T @ cols).reshape(weight_shape)
 
     @staticmethod
     def backward_bias(g: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. the bias (the closure's channel-sum)."""
+        """Gradient w.r.t. the bias (the channel-sum of ``g``)."""
         return g.sum(axis=(0, 2, 3))
 
     # -- K-stacked execution ---------------------------------------------------
@@ -666,7 +605,7 @@ class Conv2dPlan:
 
 
 class _Pool2dPlan:
-    """Shared window geometry of the pooling plans."""
+    """Shared window geometry of the pooling plans (``_op`` names the op)."""
 
     def __init__(
         self,
@@ -675,7 +614,7 @@ class _Pool2dPlan:
         stride: int | tuple[int, int] | None,
     ) -> None:
         if len(shape) != 4:
-            raise ShapeError(f"pool2d expects (N, C, H, W) input, got {shape}")
+            raise ShapeError(f"{self._op} expects (N, C, H, W) input, got {shape}")
         self.shape = shape
         self.kh, self.kw = _pair(kernel_size)
         self.sh, self.sw = (
@@ -685,19 +624,23 @@ class _Pool2dPlan:
         self.ow = _conv_output_size(shape[3], self.kw, self.sw, 0)
 
     def _windows(self, x: np.ndarray) -> np.ndarray:
-        return _strided_windows(x, self.kh, self.kw, self.sh, self.sw)
+        """All windows of ``x`` as a ``(N, C, OH, OW, kh, kw)`` view."""
+        windows = sliding_window_view(x, (self.kh, self.kw), axis=(2, 3))
+        return windows[:, :, :: self.sh, :: self.sw]
 
 
 class MaxPool2dPlan(_Pool2dPlan):
-    """Shape-compiled twin of :func:`max_pool2d`'s forward.
+    """Max pooling behind :func:`max_pool2d`, forward and backward.
 
     Computes the window maximum as a pairwise :func:`numpy.maximum` over
     the ``kh * kw`` strided offset slices — far cheaper than materialising
-    the im2col window copy the argmax-based Tensor op needs for its
-    backward.  The maximum of a window is order-independent, so values
-    match the Tensor path exactly (NaNs propagate identically; only the
-    sign bit of a ±0.0 tie may differ, which value comparisons ignore).
+    the window copy an argmax needs.  The maximum of a window is
+    order-independent, so values match an argmax gather exactly (NaNs
+    propagate identically; only the sign bit of a ±0.0 tie may differ,
+    which value comparisons ignore).
     """
+
+    _op = "max_pool2d"
 
     def __init__(
         self,
@@ -718,7 +661,7 @@ class MaxPool2dPlan(_Pool2dPlan):
     def __call__(self, x: np.ndarray) -> np.ndarray:
         first, *rest = self._slices
         if not rest:
-            return np.ascontiguousarray(x[:, :, first[0], first[1]])
+            return x[:, :, first[0], first[1]].copy()
         out = np.maximum(x[:, :, first[0], first[1]], x[:, :, rest[0][0], rest[0][1]])
         for rows, cols in rest[1:]:
             np.maximum(out, x[:, :, rows, cols], out=out)
@@ -731,16 +674,17 @@ class MaxPool2dPlan(_Pool2dPlan):
 
         The plan's pairwise-max forward never materialises argmax indices,
         so the backward reconstructs the routing from the recorded input —
-        first window index wins ties, exactly like :func:`max_pool2d`'s
-        argmax (PyTorch convention).  When the windows do not overlap
+        first window index wins ties, exactly like an argmax over the
+        flattened window (PyTorch convention).  When the windows do not overlap
         (stride >= kernel) and the forward output ``out`` is supplied,
         each input pixel receives at most one contribution and the routing
         is a first-claim sweep over the window offsets against ``out`` —
         no window materialisation, argmax or bincount needed; values are
-        identical (a pixel's single contribution survives the closure's
-        float64 bincount round-trip bit for bit).  Overlapping windows
-        replay the closure's argmax/bincount arithmetic verbatim.  As with
-        the forward, NaN inputs are outside the parity contract.
+        identical (a pixel's single contribution survives the float64
+        bincount round-trip bit for bit).  Overlapping windows route by
+        argmax and sum with a float64 bincount, cast once to the input
+        dtype.  As with the forward, NaN inputs are outside the parity
+        contract.
         """
         n, c, h, w = self.shape
         if out is not None and self.sh >= self.kh and self.sw >= self.kw:
@@ -776,13 +720,15 @@ class MaxPool2dPlan(_Pool2dPlan):
 
 
 class AvgPool2dPlan(_Pool2dPlan):
-    """Shape-compiled twin of :func:`avg_pool2d`'s forward and backward."""
+    """Average pooling behind :func:`avg_pool2d`, forward and backward."""
+
+    _op = "avg_pool2d"
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self._windows(x).mean(axis=(-2, -1))
 
     def backward(self, g: np.ndarray, dtype: np.dtype) -> np.ndarray:
-        """Gradient w.r.t. the input (the closure's uniform spread)."""
+        """Gradient w.r.t. the input (a uniform spread over each window)."""
         grad_x = np.zeros(self.shape, dtype=dtype)
         contribution = g * (1.0 / (self.kh * self.kw))
         for i in range(self.kh):

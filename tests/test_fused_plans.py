@@ -33,6 +33,7 @@ from repro.robustness.security import robustness_curve
 from repro.snn.network import _transform_fused_ready
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, no_grad
+from tests import reference_ops
 
 SPIKING_MODELS = ["snn_lenet_mini", "snn_lenet5", "snn_cnn5"]
 
@@ -42,15 +43,26 @@ def _input_size(name: str) -> int:
     return 28 if name == "snn_lenet5" else 16
 
 
+def _reference_conv(conv, x):
+    """``conv``'s forward through the independent reference op."""
+    return reference_ops.conv2d(
+        Tensor(x), conv.weight, conv.bias, stride=conv.stride, padding=conv.padding
+    ).data
+
+
 class TestModuleTwins:
-    """forward_numpy must equal the Tensor forward, value for value."""
+    """forward_numpy must equal the reference forward, value for value.
+
+    The conv and pooling Tensor ops run on the same plans, so the conv and
+    pooling twins are held to ``tests/reference_ops.py`` instead.
+    """
 
     @pytest.mark.parametrize("stride", [1, 2, (1, 2)])
     @pytest.mark.parametrize("padding", [0, 1, (2, 1)])
     def test_conv2d_twin(self, rng, stride, padding):
         conv = nn.Conv2d(3, 5, 3, stride=stride, padding=padding, rng=0)
         x = rng.standard_normal((4, 3, 11, 9)).astype(np.float32)
-        reference = conv(Tensor(x)).data
+        reference = _reference_conv(conv, x)
         np.testing.assert_array_equal(conv.forward_numpy(x), reference)
         # Second call exercises the cached plan (and its scratch reuse).
         np.testing.assert_array_equal(conv.forward_numpy(x), reference)
@@ -60,7 +72,7 @@ class TestModuleTwins:
         for batch in (2, 5):
             x = rng.standard_normal((batch, 2, 8, 8)).astype(np.float32)
             np.testing.assert_array_equal(
-                conv.forward_numpy(x), conv(Tensor(x)).data
+                conv.forward_numpy(x), _reference_conv(conv, x)
             )
         assert len(conv._plans) == 2
 
@@ -69,7 +81,7 @@ class TestModuleTwins:
         x = rng.standard_normal((1, 1, 6, 6)).astype(np.float32)
         conv.forward_numpy(x)  # compile the plan at the old weights
         conv.weight.data = conv.weight.data * 2.0
-        np.testing.assert_array_equal(conv.forward_numpy(x), conv(Tensor(x)).data)
+        np.testing.assert_array_equal(conv.forward_numpy(x), _reference_conv(conv, x))
 
     def test_linear_twin(self, rng):
         linear = nn.Linear(7, 4, rng=0)
@@ -87,13 +99,15 @@ class TestModuleTwins:
     def test_max_pool_twin(self, rng, kernel, stride):
         pool = nn.MaxPool2d(kernel, stride)
         x = rng.standard_normal((3, 4, 9, 9)).astype(np.float32)
-        np.testing.assert_array_equal(pool.forward_numpy(x), pool(Tensor(x)).data)
+        reference = reference_ops.max_pool2d(Tensor(x), kernel, stride).data
+        np.testing.assert_array_equal(pool.forward_numpy(x), reference)
 
     @pytest.mark.parametrize("kernel,stride", [(2, None), (3, 2)])
     def test_avg_pool_twin(self, rng, kernel, stride):
         pool = nn.AvgPool2d(kernel, stride)
         x = rng.standard_normal((3, 4, 9, 9)).astype(np.float32)
-        np.testing.assert_array_equal(pool.forward_numpy(x), pool(Tensor(x)).data)
+        reference = reference_ops.avg_pool2d(Tensor(x), kernel, stride).data
+        np.testing.assert_array_equal(pool.forward_numpy(x), reference)
 
     def test_flatten_twin(self, rng):
         flatten = nn.Flatten()
@@ -114,9 +128,9 @@ class TestModuleTwins:
         conv = nn.Conv2d(1, 2, 3, padding=1, rng=0)
         x32 = rng.standard_normal((2, 1, 6, 6)).astype(np.float32)
         x64 = x32.astype(np.float64)
-        np.testing.assert_array_equal(conv.forward_numpy(x64), conv(Tensor(x64)).data)
+        np.testing.assert_array_equal(conv.forward_numpy(x64), _reference_conv(conv, x64))
         # Both dtypes coexist as separate plans.
-        np.testing.assert_array_equal(conv.forward_numpy(x32), conv(Tensor(x32)).data)
+        np.testing.assert_array_equal(conv.forward_numpy(x32), _reference_conv(conv, x32))
         assert len(conv._plans) == 2
 
 
@@ -162,14 +176,14 @@ def _assert_bitwise(actual, expected):
 
 
 class TestConv2dPlanParity:
-    """Every Conv2dPlan entry point is bitwise equal to F.conv2d.
+    """Every Conv2dPlan entry point is bitwise equal to the reference conv2d.
 
-    The plan reuses conv2d's arithmetic but not its im2col code, and the
-    stacked methods hand BLAS sub-blocks of a folded column matrix; both
-    only stay exact while each GEMM sees the Tensor op's operand layout,
-    which varies with the geometry (1x1 kernels and single-image batches
-    produce transposed or strided views).  Checked over random shapes on
-    whatever BLAS the interpreter links.
+    The plan keeps the reference's arithmetic but not its im2col code, and
+    the stacked methods hand BLAS sub-blocks of a folded column matrix;
+    both only stay exact while each GEMM sees the reference's operand
+    layout, which varies with the geometry (1x1 kernels and single-image
+    batches produce transposed or strided views).  Checked over random
+    shapes on whatever BLAS the interpreter links.
     """
 
     @settings(max_examples=100, deadline=None)
@@ -179,11 +193,11 @@ class TestConv2dPlanParity:
         lanes=2, n=1, c_in=3, c_out=3, h=20, w=13,
         kernel=(2, 3), stride=(1, 2), padding=0,
     ))
-    # 1x1, one channel: conv2d's column is a stride-2 view (GEMV incx 2).
+    # 1x1, one channel: the reference's column is a stride-2 view (GEMV incx 2).
     @example(case=_case(
         n=22, c_in=1, c_out=16, h=11, w=14, kernel=(1, 1), stride=(1, 2), padding=1,
     ))
-    # 1x1, one image: conv2d's columns are a transposed view of the input.
+    # 1x1, one image: the reference's columns are a transposed view of the input.
     @example(case=_case(
         n=1, c_in=16, c_out=1, h=6, w=10, kernel=(1, 1), stride=1, padding=1,
         dtype=np.float64,
@@ -207,7 +221,7 @@ class TestConv2dPlanParity:
             x_t = Tensor(x, requires_grad=True)
             w_t = Tensor(weight, requires_grad=True)
             b_t = None if bias is None else Tensor(bias, requires_grad=True)
-            out_t = F.conv2d(x_t, w_t, b_t, stride=stride, padding=padding)
+            out_t = reference_ops.conv2d(x_t, w_t, b_t, stride=stride, padding=padding)
             g = rng.standard_normal(out_t.shape).astype(dtype)
             out_t.backward(g)
             grads.append(g)
@@ -234,6 +248,139 @@ class TestConv2dPlanParity:
                 _assert_bitwise(grad_w[lane], ref_gw)
             else:
                 assert grad_w[lane] is None
+
+
+FLOATS = [np.float32, np.float64]
+
+
+@st.composite
+def tensor_op_cases(draw):
+    """One conv/pooling call: geometry, input kind and per-operand dtypes."""
+    op = draw(st.sampled_from(["conv2d", "max_pool2d", "avg_pool2d"]))
+    if op == "conv2d":
+        kernel = draw(st.sampled_from([1, 3, (2, 3)]))
+        stride = draw(st.sampled_from([1, 2, (1, 2)]))
+        padding = draw(st.sampled_from([0, 1, (2, 1)]))
+    else:
+        kernel = draw(st.sampled_from([2, 3, (2, 3)]))
+        stride = draw(st.sampled_from([None, 1, 2, (1, 2)]))
+        padding = 0
+    (kh, kw), (ph, pw) = F._pair(kernel), F._pair(padding)
+    return {
+        "op": op,
+        "kernel": kernel,
+        "stride": stride,
+        "padding": padding,
+        "n": draw(st.integers(1, 6)),
+        "c_in": draw(st.sampled_from([1, 2, 3])),
+        "c_out": draw(st.sampled_from([1, 2, 5])),
+        "h": draw(st.integers(max(1, kh - 2 * ph), 12)),
+        "w": draw(st.integers(max(1, kw - 2 * pw), 12)),
+        "spikes": draw(st.booleans()),
+        "bias": draw(st.booleans()),
+        # A conv's input may be a leaf that needs no gradient (the encoder
+        # spikes of a network); pooling always needs one to backpropagate.
+        "input_grad": op != "conv2d" or draw(st.booleans()),
+        # Input, weight, bias and upstream-gradient dtypes.
+        "dtypes": draw(st.lists(st.sampled_from(FLOATS), min_size=4, max_size=4)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _op_case(**fields):
+    """An explicit :func:`tensor_op_cases` draw (float32, spikes, bias)."""
+    return {
+        "kernel": 3, "stride": None, "padding": 0, "n": 2, "c_in": 2, "c_out": 2,
+        "h": 7, "w": 7, "spikes": True, "bias": True, "input_grad": True,
+        "dtypes": [np.float32] * 4, "seed": 0, **fields,
+    }
+
+
+def _run_op(ops, case):
+    """Forward and backward of one drawn case through ``ops``' Tensor ops.
+
+    Returns the output and the gradients of the input and parameters.
+    """
+    rng = np.random.default_rng(case["seed"])
+    x_dtype, w_dtype, b_dtype, g_dtype = case["dtypes"]
+    shape = (case["n"], case["c_in"], case["h"], case["w"])
+    x = (rng.random(shape) > 0.5) if case["spikes"] else rng.standard_normal(shape)
+    x_t = Tensor(x.astype(x_dtype), requires_grad=case["input_grad"])
+    leaves = [x_t]
+    if case["op"] == "conv2d":
+        kh, kw = F._pair(case["kernel"])
+        w_shape = (case["c_out"], case["c_in"], kh, kw)
+        w_t = Tensor(rng.standard_normal(w_shape).astype(w_dtype), requires_grad=True)
+        b_t = None
+        if case["bias"]:
+            b_t = Tensor(
+                rng.standard_normal(case["c_out"]).astype(b_dtype), requires_grad=True
+            )
+        leaves += [w_t] if b_t is None else [w_t, b_t]
+        out = ops.conv2d(x_t, w_t, b_t, stride=case["stride"], padding=case["padding"])
+    else:
+        out = getattr(ops, case["op"])(x_t, case["kernel"], case["stride"])
+    # Multiplying by a wider upstream gradient hands the op a float64 g.
+    g = rng.standard_normal(out.shape).astype(g_dtype)
+    (out * Tensor(g)).sum().backward()
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+class TestTensorOpsMatchReference:
+    """F.conv2d / max_pool2d / avg_pool2d (plan-backed) == the reference ops.
+
+    Forward values and every gradient, dtype included, in grad mode: the
+    path every autograd training step takes.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=tensor_op_cases())
+    # Spikes tie in every window; 3x3 windows at stride 2 overlap.
+    @example(case=_op_case(op="max_pool2d", stride=2))
+    @example(case=_op_case(op="avg_pool2d", kernel=(2, 3), stride=(1, 2), spikes=False))
+    # 1x1 kernel over a padded spike input; float32 input, float64 weight.
+    @example(case=_op_case(
+        op="conv2d", kernel=1, stride=(1, 2), padding=1,
+        dtypes=[np.float32, np.float64, np.float32, np.float32],
+    ))
+    # Padded 3x3 conv, float64 input under float32 parameters and gradient.
+    @example(case=_op_case(
+        op="conv2d", stride=1, padding=(2, 1), spikes=False, input_grad=False,
+        dtypes=[np.float64, np.float32, np.float32, np.float32],
+    ))
+    def test_grad_mode_matches_reference(self, case):
+        out, grads = _run_op(F, case)
+        ref_out, ref_grads = _run_op(reference_ops, case)
+        _assert_bitwise(out, ref_out)
+        for grad, ref_grad in zip(grads, ref_grads):
+            if ref_grad is None:
+                assert grad is None
+            else:
+                _assert_bitwise(grad, ref_grad)
+
+    @staticmethod
+    def _unrolled(ops):
+        """conv2d -> max_pool2d over 3 steps sharing one weight; one backward."""
+        rng = np.random.default_rng(3)
+        weight = Tensor(rng.standard_normal((4, 2, 3, 3)).astype(np.float32), requires_grad=True)
+        bias = Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 2, 8, 8)).astype(np.float32), requires_grad=True)
+        loss = None
+        for _step in range(3):
+            spikes = Tensor((rng.random(x.shape) > 0.5).astype(np.float32))
+            pooled = ops.max_pool2d(ops.conv2d(x + spikes, weight, bias, padding=1), 2)
+            g = Tensor(rng.standard_normal(pooled.shape).astype(np.float32))
+            term = (pooled * g).sum()
+            loss = term if loss is None else loss + term
+        loss.backward()
+        return [loss.data, x.grad, weight.grad, bias.grad]
+
+    def test_unrolled_steps_keep_their_own_columns(self):
+        # Each step's conv node holds its own im2col columns until the one
+        # backward sweep reaches it; ops sharing a plan across calls would
+        # feed the last step's columns to every step's weight GEMM.
+        for actual, expected in zip(self._unrolled(F), self._unrolled(reference_ops)):
+            _assert_bitwise(actual, expected)
 
 
 class TestFusedPlanPath:

@@ -15,6 +15,7 @@ protocol itself is in ``tests/test_queue.py``.
 from __future__ import annotations
 
 import json
+import os
 import signal
 import threading
 import time
@@ -45,6 +46,7 @@ from repro.engine.resilience import (
     attempt_records,
     handoff_records,
     quarantined_indices,
+    write_json_exclusive,
 )
 from repro.robustness import ExplorationConfig, RobustnessExplorer
 from repro.training.trainer import TrainingConfig
@@ -114,6 +116,38 @@ class TestResilienceConfig:
             ResilienceConfig(watchdog_multiplier=-1.0)
         with pytest.raises(ValueError, match="watchdog_floor"):
             ResilienceConfig(watchdog_floor=-1.0)
+
+
+class TestAtomicJson:
+    def test_threads_racing_for_one_file_use_separate_temp_files(
+        self, tmp_path, monkeypatch
+    ):
+        # Queue workers may be threads of one process.  The second writer
+        # must not clobber (and then unlink) the first one's temp file
+        # while the first is between writing it and linking it in place.
+        path = tmp_path / "lease_0.json"
+        linking, release = threading.Event(), threading.Event()
+        link = os.link
+
+        def paused_link(src, dst):
+            if threading.current_thread() is not threading.main_thread():
+                linking.set()
+                release.wait(5.0)
+            return link(src, dst)
+
+        monkeypatch.setattr(os, "link", paused_link)
+        won: dict[str, bool] = {}
+        worker = threading.Thread(
+            target=lambda: won.update(worker=write_json_exclusive(path, {"by": "worker"}))
+        )
+        worker.start()
+        assert linking.wait(5.0)
+        won["main"] = write_json_exclusive(path, {"by": "main"})
+        release.set()
+        worker.join()
+        assert won == {"main": True, "worker": False}
+        assert json.loads(path.read_text()) == {"by": "main"}
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestAttemptLedger:
