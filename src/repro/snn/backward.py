@@ -1,35 +1,67 @@
-"""Graph-free backpropagation-through-time for spiking networks.
+"""The fused time loops of spiking networks: inference and BPTT.
 
-The fused inference path (:meth:`repro.snn.network.SpikingNetwork.
-_forward_inference`) removed Tensor/graph overhead from the *forward*
-simulation; this module is its backward mirror.  A recording forward
-(:func:`record_forward`) runs the same compiled-plan time loop while
-keeping the minimal per-step state BPTT needs — synaptic-transform inputs,
-surrogate pre-activations, encoder contexts, the readout membrane trace —
-and :func:`backward_pass` replays the loop in reverse, producing input
-(and optionally parameter) gradients without constructing a single
-autograd node in the hot loop.
+Every graph-free execution of a :class:`~repro.snn.network.SpikingNetwork`
+runs through the loops in this module: no-grad inference
+(:func:`run_trace`, then :func:`decode_logits`), the recording forward of
+backpropagation through time (:func:`record_forward`), the autograd
+decode/loss heads (:func:`decode_heads`) and the reverse-time sweep
+(:func:`backward_pass`).  Each is written once, over a *lane set*: K
+networks of one architecture whose batches are folded on the batch axis
+(lane ``k`` owns rows ``[k*N, (k+1)*N)`` of every folded array).
+
+* A single network is the one-lane set
+  :class:`~repro.snn.network.NetworkLanes`, built from its own modules:
+  each stage keeps its trusted-twin gate and falls back to the Tensor API
+  on its own.
+* A :class:`~repro.snn.stack.VariantStack` is a K-lane set of stacked
+  stages: per-lane constant columns for the cells, per-lane GEMMs for
+  the transforms.
+
+The loops only sequence stages; the arithmetic lives in the stages (the
+LIF/LI functions of :mod:`repro.snn.neuron`, the transform plans of
+:mod:`repro.tensor.functional`).
+
+Lane sets
+---------
+A lane set exposes ``members`` (the networks, read for their decoders and
+``time_steps``), ``k``, per-lane ``time_steps``, ``max_steps`` and its
+stages:
+
+* ``encoder`` — ``step_numpy(image, state, alive)``,
+  ``step_record_numpy(image, state, alive)`` (returning ``(spikes,
+  state, ctx)``) and ``step_backward_numpy(g, g_state, ctx)``;
+* ``layer_ops[i]`` and ``readout_op`` — synaptic transforms with
+  ``forward(x, alive)``, ``record(x, alive)`` (returning ``(out, ctx)``)
+  and ``backward(g, ctx, sinks, alive)``, where ``sinks`` holds one
+  parameter-gradient list per lane, ``None`` for a lane that collects
+  none;
+* ``layer_cells[i]`` and ``readout_cell`` — the LIF/LI numpy twins.
+
+``alive[k]`` tells a stage whether lane ``k`` is inside its window.
+Ragged time windows pad to ``max_steps``: a lane past its own ``T`` has
+its GEMMs skipped and its rows pinned to exact zeros, so its state stays
+finite and its gradients stay exactly zero.
 
 Exactness contract
 ------------------
-Every backward step performs the same float arithmetic, with the same
-promoted constants and the same accumulation association, as the Tensor
-path's backward closures, so the gradients are bitwise identical to
-``loss.backward()`` through the unrolled graph (asserted by
-tests/test_fused_backward.py).  Three pieces make that hold:
+Every step performs the same float arithmetic, with the same promoted
+constants and the same accumulation association, as the Tensor path's
+forward ops and backward closures, so logits and gradients are bitwise
+identical to the autograd path (asserted by tests/test_fused_backward.py
+and, per lane, by tests/test_stacked.py).  Three pieces make that hold:
 
 * transforms either honour the record/backward twin contract
   (``forward_record_numpy``/``backward_numpy``, checked per layer via
-  :func:`~repro.utils.dispatch.has_trusted_twin`) or fall back to a
-  per-step Tensor mini-graph — one leaf, one transform application, one
-  local ``backward()`` — which *is* the autograd closure;
+  :func:`transform_bptt_ready`) or fall back to a per-step Tensor
+  mini-graph — one leaf, one transform application, one local
+  ``backward()`` — which *is* the autograd closure;
 * neuron cells expose ``step_record_numpy``/``step_backward_numpy``
   twins mirroring their ``step`` dynamics (cells without them disqualify
   the whole fused backward — state couples time, so there is no local
   fallback);
-* the decoder and loss run as a real (tiny) autograd graph over the
-  recorded membrane trace, so any decoder works unchanged and the head
-  gradient delivered to each time step equals the full graph's.
+* the decoder and loss run as a real (tiny) autograd graph per lane over
+  that lane's recorded membrane trace, so any decoder works unchanged and
+  the head gradient delivered to each time step equals the full graph's.
 
 Memory is the usual BPTT trade: roughly one activation set per time step
 — far less than the autograd path retains, since per-op closures and
@@ -38,7 +70,7 @@ intermediates are never created.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +78,19 @@ import numpy as np
 from repro.nn.container import Sequential
 from repro.nn.module import Module
 from repro.nn.parameter import accumulate_grad
-from repro.tensor.tensor import Tensor
+from repro.tensor import functional as F
+from repro.tensor.tensor import Tensor, no_grad
 from repro.utils.dispatch import has_trusted_twin
 
-__all__ = ["BPTTTape", "backward_pass", "record_forward", "transform_bptt_ready"]
+__all__ = [
+    "BPTTTape",
+    "backward_pass",
+    "decode_heads",
+    "decode_logits",
+    "record_forward",
+    "run_trace",
+    "transform_bptt_ready",
+]
 
 
 def transform_bptt_ready(transform: Module) -> bool:
@@ -59,7 +100,7 @@ def transform_bptt_ready(transform: Module) -> bool:
     below) the class defining ``forward``, recursing into
     :class:`~repro.nn.container.Sequential` members.  Untrusted transforms
     do not disqualify the fused backward — they run per-step Tensor
-    mini-graphs instead (see :func:`_fallback_op`).
+    mini-graphs instead.
     """
     if not (
         has_trusted_twin(transform, "forward", "forward_record_numpy")
@@ -72,83 +113,23 @@ def transform_bptt_ready(transform: Module) -> bool:
 
 
 @dataclass
-class _TransformOp:
-    """Resolved record/backward pair of one synaptic transform."""
-
-    record: Callable[[np.ndarray], tuple[np.ndarray, object]]
-    backward: Callable[[np.ndarray, object, bool], np.ndarray]
-    planned: bool
-    """Whether the twin path (rather than the mini-graph fallback) runs."""
-
-
-def _fallback_op(transform: Module) -> _TransformOp:
-    """Per-step Tensor mini-graph fallback for an untrusted transform.
-
-    Each time step builds a one-transform graph on a fresh leaf and
-    backpropagates through it locally — exactly the closure the full
-    autograd path would have recorded for that step, so input gradients
-    match bitwise.  Parameter gradients are harvested out of the local
-    graph into the caller's sink (and ``param.grad`` restored), so the
-    fused backward accumulates them in its controlled order and attack
-    crafting stays free of parameter side effects.
-    """
-    parameters = list(transform.parameters())
-
-    def record(x: np.ndarray) -> tuple[np.ndarray, object]:
-        leaf = Tensor(x, requires_grad=True)
-        out = transform(leaf)
-        return out.data, (leaf, out)
-
-    def backward(g: np.ndarray, ctx: object, param_sink: list | None) -> np.ndarray:
-        leaf, out = ctx
-        saved = [(parameter, parameter.grad) for parameter in parameters]
-        for parameter in parameters:
-            parameter.grad = None
-        try:
-            out.backward(g)
-            if param_sink is not None:
-                for parameter in parameters:
-                    if parameter.grad is not None:
-                        param_sink.append((parameter, parameter.grad))
-        finally:
-            for parameter, grad in saved:
-                parameter.grad = grad
-        grad = leaf.grad
-        return grad if grad is not None else np.zeros_like(leaf.data)
-
-    return _TransformOp(record, backward, planned=False)
-
-
-def _resolve_op(transform: Module, use_plans: bool) -> _TransformOp:
-    """Resolve one transform's BPTT callables (once per recorded forward)."""
-    if use_plans and transform_bptt_ready(transform):
-        return _TransformOp(
-            transform.forward_record_numpy, transform.backward_numpy, planned=True
-        )
-    return _fallback_op(transform)
-
-
-@dataclass
 class BPTTTape:
     """Everything :func:`backward_pass` needs from one recorded forward."""
 
-    trace: list[np.ndarray]
-    """Per-step readout membranes ``(N, C)`` — input of the decode head."""
+    trace: list[np.ndarray] = field(default_factory=list)
+    """Per-step folded readout membranes — input of the decode heads."""
 
-    encoder_ctxs: list[object]
+    encoder_ctxs: list[object] = field(default_factory=list)
     """Per-step encoder backward contexts."""
 
-    layer_transform_ctxs: list[list[object]]
+    layer_transform_ctxs: list[list[object]] = field(default_factory=list)
     """``[layer][t]`` backward contexts of the synaptic transforms."""
 
-    layer_cell_ctxs: list[list[object]]
+    layer_cell_ctxs: list[list[object]] = field(default_factory=list)
     """``[layer][t]`` backward contexts of the LIF populations."""
 
-    readout_ctxs: list[object]
+    readout_ctxs: list[object] = field(default_factory=list)
     """Per-step backward contexts of the readout transform."""
-
-    layer_ops: list[_TransformOp] = field(default_factory=list)
-    readout_op: _TransformOp | None = None
 
     encoder_stateful: bool = True
     """Whether the encoder threads recurrent state (ConstantCurrentLIF)
@@ -156,88 +137,174 @@ class BPTTTape:
     encoder adds one state-update of latency, shifting the structural
     aliveness window of its input-gradient pieces by one step."""
 
-    @property
-    def planned_transforms(self) -> tuple[int, int]:
-        """``(transforms on the twin path, total transforms)`` incl. readout."""
-        ops = [*self.layer_ops, self.readout_op]
-        return sum(1 for op in ops if op.planned), len(ops)
+
+def _lane_slices(lanes, folded: np.ndarray) -> list[slice]:
+    n = folded.shape[0] // lanes.k
+    return [slice(lane * n, (lane + 1) * n) for lane in range(lanes.k)]
 
 
-def record_forward(network, image: np.ndarray) -> BPTTTape:
+def run_trace(lanes, image: np.ndarray) -> list[np.ndarray]:
+    """Fused no-grad time loop; returns the folded readout membrane trace.
+
+    LIF/LI state updates run directly on arrays (skipping surrogate
+    derivatives and per-op Tensor bookkeeping); each stage object was
+    resolved once per pass, not once per time step.
+    """
+    depth = len(lanes.layer_ops)
+    encoder_state = None
+    layer_states: list = [None] * depth
+    readout_state = None
+    trace: list[np.ndarray] = []
+    for t in range(lanes.max_steps):
+        alive = [t < steps for steps in lanes.time_steps]
+        spikes, encoder_state = lanes.encoder.step_numpy(image, encoder_state, alive)
+        for index, op in enumerate(lanes.layer_ops):
+            spikes, layer_states[index] = lanes.layer_cells[index].step_numpy(
+                op.forward(spikes, alive), layer_states[index]
+            )
+        membrane, readout_state = lanes.readout_cell.step_numpy(
+            lanes.readout_op.forward(spikes, alive), readout_state
+        )
+        trace.append(membrane)
+    return trace
+
+
+def decode_logits(lanes, trace: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-lane logits ``(N, C)`` of a :func:`run_trace` trace.
+
+    Each lane decodes its own trace prefix (its first ``T_k`` steps)
+    through its own decoder — the ``decode_numpy`` twin when trusted,
+    otherwise the decoder itself on graph-free Tensors.
+    """
+    logits: list[np.ndarray] = []
+    for member, rows in zip(lanes.members, _lane_slices(lanes, trace[0])):
+        lane_trace = [trace[t][rows] for t in range(member.time_steps)]
+        if has_trusted_twin(member.decoder, "forward", "decode_numpy"):
+            logits.append(member.decoder.decode_numpy(lane_trace))
+        else:
+            with no_grad():
+                decoded = member.decoder([Tensor(step) for step in lane_trace])
+            logits.append(decoded.data)
+    return logits
+
+
+def record_forward(lanes, image: np.ndarray) -> BPTTTape:
     """Fused time loop that records the minimal per-step state BPTT needs.
 
-    ``network`` is a :class:`~repro.snn.network.SpikingNetwork` whose
-    :meth:`~repro.snn.network.SpikingNetwork.backward_ready` check passed.
-    Spikes, membranes and transform outputs equal the autograd forward's
-    bit for bit (the same plan/twin arithmetic as ``_forward_inference``).
+    Spikes, membranes and transform outputs equal :func:`run_trace`'s bit
+    for bit (and therefore the autograd forward's).  For a single network
+    ``lanes`` is a :class:`~repro.snn.network.NetworkLanes` whose network
+    passed :meth:`~repro.snn.network.SpikingNetwork.backward_ready`.
     """
-    layer_ops = [
-        _resolve_op(layer.transform, network.use_synapse_plans)
-        for layer in network.layers
-    ]
-    readout_op = _resolve_op(network.readout.transform, network.use_synapse_plans)
-    cells = [layer.cell for layer in network.layers]
-    steps = network.time_steps
+    depth = len(lanes.layer_ops)
     tape = BPTTTape(
-        trace=[],
-        encoder_ctxs=[],
-        layer_transform_ctxs=[[] for _ in cells],
-        layer_cell_ctxs=[[] for _ in cells],
-        readout_ctxs=[],
-        layer_ops=layer_ops,
-        readout_op=readout_op,
+        layer_transform_ctxs=[[] for _ in range(depth)],
+        layer_cell_ctxs=[[] for _ in range(depth)],
     )
     encoder_state = None
-    layer_states: list = [None] * len(cells)
+    layer_states: list = [None] * depth
     readout_state = None
-    for _ in range(steps):
-        spikes, encoder_state, encoder_ctx = network.encoder.step_record_numpy(
-            image, encoder_state
+    for t in range(lanes.max_steps):
+        alive = [t < steps for steps in lanes.time_steps]
+        spikes, encoder_state, encoder_ctx = lanes.encoder.step_record_numpy(
+            image, encoder_state, alive
         )
         tape.encoder_ctxs.append(encoder_ctx)
-        for index, op in enumerate(layer_ops):
-            current, transform_ctx = op.record(spikes)
-            spikes, layer_states[index], cell_ctx = cells[index].step_record_numpy(
-                current, layer_states[index]
-            )
+        for index, op in enumerate(lanes.layer_ops):
+            current, transform_ctx = op.record(spikes, alive)
+            spikes, layer_states[index], cell_ctx = lanes.layer_cells[
+                index
+            ].step_record_numpy(current, layer_states[index])
             tape.layer_transform_ctxs[index].append(transform_ctx)
             tape.layer_cell_ctxs[index].append(cell_ctx)
-        current, readout_ctx = readout_op.record(spikes)
-        membrane, readout_state = network.readout.cell.step_numpy(
-            current, readout_state
-        )
+        current, readout_ctx = lanes.readout_op.record(spikes, alive)
+        membrane, readout_state = lanes.readout_cell.step_numpy(current, readout_state)
         tape.readout_ctxs.append(readout_ctx)
         tape.trace.append(membrane)
     tape.encoder_stateful = encoder_state is not None
     return tape
 
 
+def decode_heads(lanes, tape: BPTTTape, labels: Sequence[np.ndarray]):
+    """Per-lane decode + loss as (tiny) autograd graphs over the trace.
+
+    Returns ``(losses, logits, g_trace, t_heads)``.  Running each lane's
+    real decoder and :func:`repro.tensor.functional.cross_entropy` over
+    leaf tensors of its trace prefix reproduces the full graph's head
+    exactly, so the per-step trace gradients match what ``loss.backward()``
+    would deliver to each readout membrane — for *any* decoder, with no
+    twin required.  Folding the loss itself would change the mean
+    reduction's seed from ``1/N`` to ``1/(K*N)``, hence one head per lane;
+    its leaf gradients are scattered into folded per-step arrays.
+
+    A leaf left without a gradient is *disconnected* from the loss (e.g.
+    all but the last step under ``LastMembraneDecoder``): its ``g_trace``
+    rows stay zero (the entry is ``None`` when no lane consumed the step),
+    and each lane's ``t_head`` — its last consumed step, ``-1`` if none —
+    anchors the structural-aliveness windows of :func:`backward_pass`.
+    """
+    g_trace: list[np.ndarray | None] = [None] * len(tape.trace)
+    losses: list[Tensor] = []
+    logits_list: list[Tensor] = []
+    t_heads: list[int] = []
+    for lane, (member, rows) in enumerate(
+        zip(lanes.members, _lane_slices(lanes, tape.trace[0]))
+    ):
+        leaves = [
+            Tensor(tape.trace[t][rows], requires_grad=True)
+            for t in range(member.time_steps)
+        ]
+        logits = member.decoder(leaves)
+        loss = F.cross_entropy(logits, labels[lane])
+        loss.backward()
+        t_head = -1
+        for t, leaf in enumerate(leaves):
+            if leaf.grad is None:
+                continue
+            t_head = t
+            if g_trace[t] is None:
+                g_trace[t] = np.zeros_like(tape.trace[t], dtype=leaf.grad.dtype)
+            g_trace[t][rows] = leaf.grad
+        t_heads.append(t_head)
+        losses.append(loss)
+        logits_list.append(logits)
+    return losses, logits_list, g_trace, t_heads
+
+
+def _gate(sinks: list | None, alive: list[bool]) -> list | None:
+    """Per-lane sinks masked by a stage's per-lane aliveness window."""
+    if sinks is None:
+        return None
+    return [sink if alive[lane] else None for lane, sink in enumerate(sinks)]
+
+
 def backward_pass(
-    network,
+    lanes,
     tape: BPTTTape,
-    g_trace: list[np.ndarray],
-    want_param_grads: bool = False,
+    g_trace: list[np.ndarray | None],
+    t_heads: list[int],
+    param_lanes: list[bool] | None = None,
     want_input_grad: bool = True,
 ) -> np.ndarray | None:
     """Reverse-time sweep over a recorded forward; no graph is built.
 
     Parameters
     ----------
-    network:
-        The network :func:`record_forward` ran on (unchanged since).
+    lanes:
+        The lane set :func:`record_forward` ran on (unchanged since).
     tape:
         The recorded forward.
-    g_trace:
-        Per-step loss gradients w.r.t. the readout membranes, as produced
-        by the decode/loss head (``SpikingNetwork._decode_head``).  A
-        ``None`` entry marks a membrane the head never consumed; the last
-        non-``None`` index anchors the structural-aliveness windows below.
-    want_param_grads:
-        Accumulate parameter gradients into ``param.grad`` (training);
-        off for attack crafting, which skips every weight-gradient GEMM.
+    g_trace, t_heads:
+        The per-step folded trace gradients and per-lane last consumed
+        steps of :func:`decode_heads`.
+    param_lanes:
+        Per lane, whether to accumulate its parameter gradients into
+        ``param.grad`` (training); ``None`` for attack crafting, which
+        skips every weight-gradient GEMM.
     want_input_grad:
-        Accumulate and return the input-pixel gradient; ``None`` is
-        returned when disabled (pure training updates).
+        Accumulate and return the folded input-pixel gradient; ``None``
+        is returned when disabled, or when no lane's gradient reaches the
+        input.
 
     The reverse loop visits time steps in descending order and, within a
     step, the readout first and then the spiking layers deepest-first —
@@ -251,31 +318,36 @@ def backward_pass(
     Structural aliveness
     --------------------
     Each stage adds one state-update of input-to-output latency, so the
-    synaptic current of stage ``s`` at step ``t`` reaches the loss only
-    when enough steps remain (``t + stages-to-readout <= t_head``, with
-    ``t_head`` the last head-consumed trace index).  The autograd engine
-    never *visits* the dead ops — their parameters keep ``grad = None``
-    (optimizers skip them) and dead image pieces are never added.  The
-    fused sweep reproduces that by dropping dead steps' sink/piece
-    contributions, which is what makes gradient None-ness — not just
-    values — match the Tensor path.
+    synaptic current of stage ``s`` at step ``t`` reaches a lane's loss
+    only when enough steps remain (``t + stages-to-readout <= t_head``).
+    The autograd engine never *visits* the dead ops — their parameters
+    keep ``grad = None`` (optimizers skip them) and dead image pieces are
+    never added.  The sweep runs a stage while *any* lane is inside its
+    window (anchored at ``max(t_heads)``); per-lane windows gate each
+    lane's GEMMs, parameter sinks and image pieces.  A lane outside its
+    window carries exact-zero gradients through the folded elementwise
+    stages, so running them fold-wide is value-identical to skipping
+    them, and gradient None-ness — not just values — matches the Tensor
+    path per lane.
     """
-    cells = [layer.cell for layer in network.layers]
-    readout_cell = network.readout.cell
     steps = len(tape.trace)
-    t_head = max(
-        (t for t, g in enumerate(g_trace) if g is not None), default=-1
-    )
-    depth = len(cells)
+    t_head = max(t_heads, default=-1)
+    depth = len(lanes.layer_ops)
+    collect = param_lanes is not None and any(param_lanes)
     cell_state_grads: list = [None] * depth
     encoder_state_grad = None
     readout_gi: np.ndarray | None = None
     readout_gv_direct: np.ndarray | None = None
     readout_gv_leak: np.ndarray | None = None
-    image_pieces: list[np.ndarray] = []
-    param_pieces: list[list[tuple]] = []
+    image_pieces: list[list[np.ndarray]] = [[] for _ in range(lanes.k)]
+    param_pieces: list[list[list | None]] = []
+    rows = _lane_slices(lanes, tape.trace[0])
     for t in reversed(range(min(steps, t_head + 1))):
-        param_sink: list[tuple] | None = [] if want_param_grads else None
+        step_sinks: list[list | None] | None = (
+            [[] if selected else None for selected in param_lanes]  # type: ignore[union-attr]
+            if collect
+            else None
+        )
         g_head = g_trace[t]
         if g_head is None:
             g_head = np.zeros_like(tape.trace[t])
@@ -284,7 +356,7 @@ def backward_pass(
         else:
             g_membrane = (g_head + readout_gv_direct) + readout_gv_leak
         g_current, (readout_gi, readout_gv_direct, readout_gv_leak) = (
-            readout_cell.step_backward_numpy(g_membrane, readout_gi)
+            lanes.readout_cell.step_backward_numpy(g_membrane, readout_gi)
         )
         # Every stage below runs only inside its structural-aliveness
         # window ``t + stages-to-readout <= t_head`` — outside it the
@@ -292,40 +364,65 @@ def backward_pass(
         # never visits, so skipping reproduces its work (and None-grads)
         # precisely while saving the whole dead wavefront.
         if t <= t_head - 1:
-            g = tape.readout_op.backward(g_current, tape.readout_ctxs[t], param_sink)
+            alive = [t <= lane_head - 1 for lane_head in t_heads]
+            g = lanes.readout_op.backward(
+                g_current, tape.readout_ctxs[t], _gate(step_sinks, alive), alive
+            )
             for index in reversed(range(depth)):
                 remaining = depth - index
                 if t > t_head - remaining:
                     break
-                g_current, cell_state_grads[index] = cells[index].step_backward_numpy(
+                g_current, cell_state_grads[index] = lanes.layer_cells[
+                    index
+                ].step_backward_numpy(
                     g, cell_state_grads[index], tape.layer_cell_ctxs[index][t]
                 )
                 if t > t_head - 1 - remaining:
                     break
-                g = tape.layer_ops[index].backward(
-                    g_current, tape.layer_transform_ctxs[index][t], param_sink
+                alive = [t <= lane_head - 1 - remaining for lane_head in t_heads]
+                g = lanes.layer_ops[index].backward(
+                    g_current,
+                    tape.layer_transform_ctxs[index][t],
+                    _gate(step_sinks, alive),
+                    alive,
                 )
             else:
                 # Reached only when every stage above ran, i.e. the
                 # encoder's spike gradient is structurally alive at t.
                 if want_input_grad:
-                    piece, encoder_state_grad = network.encoder.step_backward_numpy(
+                    piece, encoder_state_grad = lanes.encoder.step_backward_numpy(
                         g, encoder_state_grad, tape.encoder_ctxs[t]
                     )
                     # A stateful encoder's piece lags one state hop behind
                     # its spike gradient (the boundary step only seeds the
                     # recurrent state grads); a stateless encoder's piece
                     # is alive whenever its spikes are.
-                    if not tape.encoder_stateful or t <= t_head - 2 - depth:
-                        image_pieces.append(piece)
-        if param_sink:
-            param_pieces.append(param_sink)
+                    lag = 2 if tape.encoder_stateful else 1
+                    for lane, lane_head in enumerate(t_heads):
+                        if t <= lane_head - lag - depth:
+                            image_pieces[lane].append(piece[rows[lane]])
+        if step_sinks is not None and any(step_sinks):
+            param_pieces.append(step_sinks)
     # Ascending-time folds (pieces were collected in descending order).
-    if want_param_grads:
-        for sink in reversed(param_pieces):
-            for parameter, grad in sink:
+    for step_sinks in reversed(param_pieces):
+        for sink in step_sinks:
+            for parameter, grad in sink or ():
                 accumulate_grad(parameter, grad)
-    g_image: np.ndarray | None = None
-    for piece in reversed(image_pieces):
-        g_image = piece if g_image is None else g_image + piece
-    return g_image
+    if not want_input_grad:
+        return None
+    lane_grads: list[np.ndarray | None] = []
+    for pieces in image_pieces:
+        lane_grad: np.ndarray | None = None
+        for piece in reversed(pieces):
+            lane_grad = piece if lane_grad is None else lane_grad + piece
+        lane_grads.append(lane_grad)
+    if lanes.k == 1 or all(grad is None for grad in lane_grads):
+        return lane_grads[0]
+    reference = next(grad for grad in lane_grads if grad is not None)
+    folded = np.zeros(
+        (tape.trace[0].shape[0],) + reference.shape[1:], dtype=reference.dtype
+    )
+    for lane_rows, lane_grad in zip(rows, lane_grads):
+        if lane_grad is not None:
+            folded[lane_rows] = lane_grad
+    return folded

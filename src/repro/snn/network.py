@@ -17,6 +17,7 @@ The class exposes the paper's two structural parameters directly:
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -25,12 +26,11 @@ from repro.nn.module import Module
 from repro.snn import backward as bptt
 from repro.snn.decoding import MaxMembraneDecoder
 from repro.snn.encoding import ConstantCurrentLIFEncoder
-from repro.snn.neuron import LICell, LIFCell, LIFParameters
-from repro.tensor import functional as F
+from repro.snn.neuron import LICell, LIFCell
 from repro.tensor.tensor import Tensor, is_grad_enabled
 from repro.utils.dispatch import has_trusted_twin
 
-__all__ = ["SpikingLayer", "SpikingNetwork", "SpikingReadout"]
+__all__ = ["NetworkLanes", "SpikingLayer", "SpikingNetwork", "SpikingReadout"]
 
 
 def _has_numpy_twin(obj: object, primary: str, twin: str) -> bool:
@@ -57,6 +57,120 @@ def _transform_fused_ready(transform: Module) -> bool:
     if isinstance(transform, Sequential):
         return all(_transform_fused_ready(member) for member in transform)
     return True
+
+
+class _EncoderStage:
+    """A network's own encoder as the encoder stage of its one-lane set.
+
+    No-grad steps run the trusted ``step_numpy`` twin, or else the Tensor
+    ``step`` (graph-free under ``no_grad()``, just slower).  The BPTT
+    twins are called directly: :meth:`SpikingNetwork.backward_ready` has
+    already vetted them.
+    """
+
+    def __init__(self, encoder: Module) -> None:
+        self.encoder = encoder
+        self.fused = _has_numpy_twin(encoder, "step", "step_numpy")
+
+    def step_numpy(self, image, state, alive):
+        if self.fused:
+            return self.encoder.step_numpy(image, state)
+        spikes, state = self.encoder.step(Tensor(image), state)
+        return spikes.data, state
+
+    def step_record_numpy(self, image, state, alive):
+        return self.encoder.step_record_numpy(image, state)
+
+    def step_backward_numpy(self, g_spikes, g_state, ctx):
+        return self.encoder.step_backward_numpy(g_spikes, g_state, ctx)
+
+
+class _TransformStage:
+    """A network's own synaptic transform as a stage of its one-lane set.
+
+    Trusted transforms run their compiled-plan twins (``forward_numpy``
+    for inference, ``forward_record_numpy``/``backward_numpy`` for BPTT).
+    Anything else falls back per time step to the Tensor API: inference
+    applies the transform to a Tensor (no graph under ``no_grad()``), and
+    BPTT builds a one-transform graph on a fresh leaf and backpropagates
+    it locally — exactly the closure the full autograd path would have
+    recorded for that step, so input gradients match bitwise.  The
+    fallback harvests parameter gradients out of the local graph into the
+    caller's sink (and restores ``param.grad``), so the fused backward
+    accumulates them in its controlled order and attack crafting stays
+    free of parameter side effects.
+    """
+
+    def __init__(self, transform: Module, use_plans: bool) -> None:
+        self.transform = transform
+        self.use_plans = use_plans
+
+    # Resolved on first use, once per pass: an inference pass never pays
+    # for the BPTT trust checks, nor a BPTT pass for the inference ones.
+    @cached_property
+    def fused(self) -> bool:
+        return self.use_plans and _transform_fused_ready(self.transform)
+
+    @cached_property
+    def bptt_twins(self) -> bool:
+        return self.use_plans and bptt.transform_bptt_ready(self.transform)
+
+    def forward(self, x: np.ndarray, alive) -> np.ndarray:
+        if self.fused:
+            return self.transform.forward_numpy(x)
+        return self.transform(Tensor(x)).data
+
+    def record(self, x: np.ndarray, alive):
+        if self.bptt_twins:
+            return self.transform.forward_record_numpy(x)
+        leaf = Tensor(x, requires_grad=True)
+        out = self.transform(leaf)
+        return out.data, (leaf, out)
+
+    def backward(self, g: np.ndarray, ctx, sinks, alive) -> np.ndarray:
+        sink = None if sinks is None else sinks[0]
+        if self.bptt_twins:
+            return self.transform.backward_numpy(g, ctx, sink)
+        leaf, out = ctx
+        parameters = list(self.transform.parameters())
+        saved = [(parameter, parameter.grad) for parameter in parameters]
+        for parameter in parameters:
+            parameter.grad = None
+        try:
+            out.backward(g)
+            if sink is not None:
+                for parameter in parameters:
+                    if parameter.grad is not None:
+                        sink.append((parameter, parameter.grad))
+        finally:
+            for parameter, grad in saved:
+                parameter.grad = grad
+        grad = leaf.grad
+        return grad if grad is not None else np.zeros_like(leaf.data)
+
+
+class NetworkLanes:
+    """One network as the one-lane set the loops of :mod:`repro.snn.backward` run.
+
+    Built from the network's own modules per pass: the cells are the
+    network's cells, and the encoder and transforms are wrapped in stages
+    that keep each module's trusted-twin gate and Tensor fallback.
+    """
+
+    k = 1
+
+    def __init__(self, network: SpikingNetwork) -> None:
+        plans = network.use_synapse_plans
+        self.members = [network]
+        self.time_steps = (network.time_steps,)
+        self.max_steps = network.time_steps
+        self.encoder = _EncoderStage(network.encoder)
+        self.layer_ops = [
+            _TransformStage(layer.transform, plans) for layer in network.layers
+        ]
+        self.layer_cells = [layer.cell for layer in network.layers]
+        self.readout_op = _TransformStage(network.readout.transform, plans)
+        self.readout_cell = network.readout.cell
 
 
 class SpikingLayer(Module):
@@ -234,88 +348,32 @@ class SpikingNetwork(Module):
             return False
         return _has_numpy_twin(self.readout.cell, "step", "step_numpy")
 
-    def _synapse_op(self, transform: Module):
-        """Resolve one transform's fused-path callable (once per forward).
-
-        Trusted transforms run their compiled-plan ``forward_numpy`` twin;
-        anything else falls back to the Tensor API per time step, which
-        records no graph under ``no_grad()`` — identical results, slower.
-        """
-        if self._plan_eligible(transform):
-            return transform.forward_numpy
-
-        def tensor_fallback(array: np.ndarray) -> np.ndarray:
-            return transform(Tensor(array)).data
-
-        return tensor_fallback
-
-    def _plan_eligible(self, transform: Module) -> bool:
-        """The single dispatch predicate of the compiled-plan path.
-
-        Shared by :meth:`_synapse_op` (actual dispatch) and
-        :meth:`synapse_plan_coverage` (the smoke-guard metric) so the
-        reported coverage can never diverge from what the hot loop runs.
-        """
-        return self.use_synapse_plans and _transform_fused_ready(transform)
-
     def synapse_plan_coverage(self) -> tuple[int, int]:
         """``(transforms on the plan path, total transforms)`` incl. readout.
 
         Used by the fused-path smoke guards: the standard registry models
         must report full coverage, or a refactor silently pushed the hot
-        loop back onto the per-step Tensor path.
+        loop back onto the per-step Tensor path.  Read off the stages the
+        fused loop itself runs, so it can never diverge from them.
         """
-        transforms = [layer.transform for layer in self.layers]
-        transforms.append(self.readout.transform)
-        planned = sum(1 for transform in transforms if self._plan_eligible(transform))
-        return planned, len(transforms)
+        lanes = NetworkLanes(self)
+        stages = [*lanes.layer_ops, lanes.readout_op]
+        return sum(1 for stage in stages if stage.fused), len(stages)
 
     def _forward_inference(self, image: np.ndarray) -> Tensor:
-        """Fused no-grad time loop over raw numpy arrays.
+        """Fused no-grad forward: the shared time loop on the one-lane set.
 
         LIF/LI state updates and the trace decode run directly on arrays
-        (skipping surrogate-derivative evaluation and per-op Tensor
-        bookkeeping).  Synaptic transforms resolve to their compiled
-        numpy plans once per forward — not once per time step — with a
-        per-transform fallback to the Tensor API for stages without a
-        trustworthy twin.  Encoders or decoders without a twin fall back
-        the same way.
+        (:func:`repro.snn.backward.run_trace`).  Synaptic transforms
+        resolve to their compiled numpy plans once per forward — not once
+        per time step — with a per-transform fallback to the Tensor API
+        for stages without a trustworthy twin.  Encoders or decoders
+        without a twin fall back the same way.
         """
         self.fused_forward_count += 1
-        encoder_step = (
-            self.encoder.step_numpy
-            if _has_numpy_twin(self.encoder, "step", "step_numpy")
-            else None
-        )
-        decode = (
-            self.decoder.decode_numpy
-            if _has_numpy_twin(self.decoder, "forward", "decode_numpy")
-            else None
-        )
-        layer_ops = [self._synapse_op(layer.transform) for layer in self.layers]
-        cells = [layer.cell for layer in self.layers]
-        readout_op = self._synapse_op(self.readout.transform)
-        encoder_state = None
-        layer_states: list = [None] * len(self.layers)
-        readout_state = None
-        trace: list[np.ndarray] = []
-        for _ in range(self.time_steps):
-            if encoder_step is not None:
-                spikes, encoder_state = encoder_step(image, encoder_state)
-            else:
-                out, encoder_state = self.encoder.step(Tensor(image), encoder_state)
-                spikes = out.data
-            for index, op in enumerate(layer_ops):
-                spikes, layer_states[index] = cells[index].step_numpy(
-                    op(spikes), layer_states[index]
-                )
-            membrane, readout_state = self.readout.cell.step_numpy(
-                readout_op(spikes), readout_state
-            )
-            trace.append(membrane)
-        if decode is not None:
-            return Tensor(decode(trace))
-        return self.decoder([Tensor(step) for step in trace])
+        lanes = NetworkLanes(self)
+        (logits,) = bptt.decode_logits(lanes, bptt.run_trace(lanes, image))
+        return Tensor(logits)
 
     # -- fused backward (graph-free BPTT) -------------------------------------
 
@@ -358,25 +416,6 @@ class SpikingNetwork(Module):
             _has_numpy_twin(self.encoder, "step", "step_backward_numpy")
         )
 
-    def _decode_head(self, trace: list[np.ndarray], labels: np.ndarray):
-        """Decode + loss as a (tiny) autograd graph over the recorded trace.
-
-        Returns ``(loss, logits, g_trace)``.  Running the real decoder and
-        :func:`repro.tensor.functional.cross_entropy` over leaf tensors
-        reproduces the full graph's head exactly, so the per-step trace
-        gradients match what ``loss.backward()`` would deliver to each
-        readout membrane — for *any* decoder, with no twin required.
-        """
-        leaves = [Tensor(membrane, requires_grad=True) for membrane in trace]
-        logits = self.decoder(leaves)
-        loss = F.cross_entropy(logits, labels)
-        loss.backward()
-        # A leaf left without a gradient is *disconnected* from the loss in
-        # the head (e.g. all but the last step under LastMembraneDecoder);
-        # backward_pass uses that to reproduce the autograd path's
-        # None-vs-zero gradient distinction for structurally dead stages.
-        return loss, logits, [leaf.grad for leaf in leaves]
-
     def fused_input_gradient(self, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Gradient of the cross-entropy loss w.r.t. the input pixels,
         computed by the graph-free BPTT path.
@@ -394,11 +433,10 @@ class SpikingNetwork(Module):
         the autograd path otherwise.
         """
         images = np.asarray(images)
-        tape = bptt.record_forward(self, images)
-        _loss, _logits, g_trace = self._decode_head(tape.trace, labels)
-        gradient = bptt.backward_pass(
-            self, tape, g_trace, want_param_grads=False, want_input_grad=True
-        )
+        lanes = NetworkLanes(self)
+        tape = bptt.record_forward(lanes, images)
+        _losses, _logits, g_trace, t_heads = bptt.decode_heads(lanes, tape, [labels])
+        gradient = bptt.backward_pass(lanes, tape, g_trace, t_heads, param_lanes=None)
         self.fused_backward_count += 1
         return gradient if gradient is not None else np.zeros_like(images)
 
@@ -414,13 +452,14 @@ class SpikingNetwork(Module):
         :class:`repro.training.trainer.Trainer` when its config opts in.
         """
         images = np.asarray(images)
-        tape = bptt.record_forward(self, images)
-        loss, logits, g_trace = self._decode_head(tape.trace, labels)
+        lanes = NetworkLanes(self)
+        tape = bptt.record_forward(lanes, images)
+        losses, logits, g_trace, t_heads = bptt.decode_heads(lanes, tape, [labels])
         bptt.backward_pass(
-            self, tape, g_trace, want_param_grads=True, want_input_grad=False
+            lanes, tape, g_trace, t_heads, param_lanes=[True], want_input_grad=False
         )
         self.fused_backward_count += 1
-        return float(loss.data), logits.data
+        return float(losses[0].data), logits[0].data
 
     def spike_counts(self, image: Tensor) -> list[Tensor]:
         """Diagnostic: per-layer total spike counts for one forward pass.
@@ -450,18 +489,3 @@ class SpikingNetwork(Module):
             f"SpikingNetwork(T={self.time_steps}, v_th={self.v_th}, "
             f"layers={len(self.layers)})"
         )
-
-
-def default_lif_parameters(
-    v_th: float = 1.0,
-    surrogate: str = "superspike",
-    surrogate_alpha: float = 100.0,
-    reset_mode: str = "hard",
-) -> LIFParameters:
-    """LIF parameters used by the reproduction's standard models."""
-    return LIFParameters(
-        v_th=v_th,
-        surrogate=surrogate,
-        surrogate_alpha=surrogate_alpha,
-        reset_mode=reset_mode,
-    )

@@ -17,6 +17,14 @@ Two reset conventions are provided:
 
 The readout :class:`LICell` integrates without spiking and exposes its
 membrane trace, which the decoders turn into class scores.
+
+The graph-free numpy arithmetic of both populations lives in four
+functions — :func:`lif_step_record`, :func:`lif_step_backward`,
+:func:`li_step` and :func:`li_step_backward` — shared by every fused path:
+the cells' numpy twins call them with 0-d promoted scalars, and the
+stacked populations of :mod:`repro.snn.stack` with per-lane constant
+columns.  The autograd ``step`` methods stay separate: they are the
+independent oracle the fused paths are tested against.
 """
 
 from __future__ import annotations
@@ -30,42 +38,175 @@ from repro.nn.module import Module
 from repro.snn.surrogate import available_surrogates, spike_function, surrogate_derivative
 from repro.tensor.tensor import Tensor, promote_scalar
 
-__all__ = ["LICell", "LIFCell", "LIFParameters", "LIFState", "LIState", "NumpyState"]
+__all__ = [
+    "LICell",
+    "LIFCell",
+    "LIFParameters",
+    "LIFState",
+    "LIState",
+    "NumpyState",
+    "li_step",
+    "li_step_backward",
+    "lif_constants",
+    "lif_step_backward",
+    "lif_step_record",
+]
 
 NumpyState = tuple[np.ndarray, np.ndarray]
 """Graph-free recurrent state ``(i, v)`` used by the fused inference path."""
 
 
-def _promote_params(params: LIFParameters) -> tuple[np.ndarray, ...]:
-    """Pre-promote the parameter scalars used by the fused numpy steps.
+def lif_constants(params: LIFParameters) -> tuple[float, ...]:
+    """The constants of the numpy dynamics, in the order they unpack.
 
-    Returns ``(leak_scale, v_leak, v_th, one, v_reset, reset_drop,
-    synaptic_decay)``.  The values are invariant for a given (frozen)
-    params object, so the cells cache them identity-keyed instead of
-    re-promoting on every time step.
+    ``(leak_scale, v_leak, v_th, one, v_reset, reset_drop,
+    synaptic_decay)`` as python floats.  Promoted (:func:`~repro.tensor.
+    tensor.promote_scalar`) they are the ``constants`` argument of the
+    step functions below: 0-d scalars for one cell, or per-lane columns
+    for a stack of cells.
     """
     return (
-        promote_scalar(params.dt * params.tau_mem_inv),
-        promote_scalar(params.v_leak),
-        promote_scalar(params.v_th),
-        promote_scalar(1.0),
-        promote_scalar(params.v_reset),
-        promote_scalar(params.v_th - params.v_reset),
-        promote_scalar(params.synaptic_decay),
+        params.dt * params.tau_mem_inv,
+        params.v_leak,
+        params.v_th,
+        1.0,
+        params.v_reset,
+        params.v_th - params.v_reset,
+        params.synaptic_decay,
     )
 
 
 def _promoted_constants(cell) -> tuple[np.ndarray, ...]:
-    """Promoted parameter scalars of a cell, cached per params identity.
+    """Promoted :func:`lif_constants` of a cell, cached per params identity.
 
     ``LIFParameters`` is frozen and always swapped wholesale (e.g.
     ``set_v_th`` assigns a fresh object), so object identity is a sound
     cache key."""
     cached = getattr(cell, "_promoted_cache", None)
     if cached is None or cached[0] is not cell.params:
-        cached = (cell.params, _promote_params(cell.params))
+        promoted = tuple(promote_scalar(value) for value in lif_constants(cell.params))
+        cached = (cell.params, promoted)
         cell._promoted_cache = cached
     return cached[1]
+
+
+def lif_step_record(
+    input_current: np.ndarray,
+    state: NumpyState | None,
+    constants: tuple[np.ndarray, ...],
+    reset_mode: str,
+) -> tuple[np.ndarray, NumpyState, tuple]:
+    """One graph-free LIF step plus its BPTT backward context.
+
+    The same float arithmetic as :meth:`LIFCell.step` (so spikes and state
+    are bitwise those of the autograd path), staged through reused scratch
+    (``out=``) so a T-step loop allocates as few arrays as the state it
+    must keep.  The context holds the surrogate pre-activation
+    ``v_decayed - v_th`` and, for hard resets, the decayed membrane the
+    reset gate's gradient needs.  Returns ``(spikes, (i, v), ctx)``.
+    """
+    if state is None:
+        state = (np.zeros_like(input_current), np.zeros_like(input_current))
+    i_prev, v_prev = state
+    scale, v_leak, v_th, one, v_reset, reset_drop, decay = constants
+    dv = v_leak - v_prev
+    dv += i_prev
+    dv *= scale
+    v_decayed = v_prev + dv
+    x = v_decayed - v_th
+    fired = x > 0
+    spikes = fired.astype(x.dtype)
+    if reset_mode == "hard":
+        v_new = np.subtract(one, fired, dtype=x.dtype)
+        v_new *= v_decayed
+        if v_reset != 0.0:
+            v_new += v_reset * spikes
+        ctx = (x, v_decayed)
+    else:
+        v_new = v_decayed - spikes * reset_drop
+        ctx = (x, None)
+    i_new = i_prev * decay
+    i_new += input_current
+    return spikes, (i_new, v_new), ctx
+
+
+def lif_step_backward(
+    g_spikes: np.ndarray,
+    g_state: NumpyState | None,
+    ctx: tuple,
+    constants: tuple[np.ndarray, ...],
+    reset_mode: str,
+    derivative: np.ndarray,
+) -> tuple[np.ndarray, NumpyState]:
+    """Reverse one :func:`lif_step_record` step without an autograd graph.
+
+    ``g_state`` is the gradient on the new state ``(i, v)`` from the next
+    step (``None`` at the last one); ``derivative`` is the surrogate
+    derivative at ``ctx``'s pre-activation.  Returns ``(g_input_current,
+    (g_i_prev, g_v_prev))``.
+
+    The expressions perform the autograd closures' arithmetic with
+    ``a + -(b)`` chains fused into ``a - b``, exact-zero products
+    (``v_reset = 0``) dropped and temporaries reused in place — all
+    IEEE-identical rewrites.  Where three gradients meet on the spikes of
+    a hard reset, they are summed in the order the autograd engine visits
+    their consumers: the downstream transform, then the ``1 - z`` gate,
+    then the ``v_reset * z`` term.
+    """
+    x, v_decayed = ctx
+    if g_state is None:
+        g_state = (np.zeros_like(x), np.zeros_like(x))
+    gi, gv = g_state
+    scale, _v_leak, _v_th, one, v_reset, reset_drop, decay = constants
+    if reset_mode == "hard":
+        g_x = gv * v_decayed
+        np.subtract(g_spikes, g_x, out=g_x)
+        if v_reset != 0.0:
+            g_x += gv * v_reset
+        g_x *= derivative
+        g_vd = np.subtract(one, x > 0, dtype=x.dtype)
+        g_vd *= gv
+        g_vd += g_x
+    else:
+        g_x = gv * reset_drop
+        np.subtract(g_spikes, g_x, out=g_x)
+        g_x *= derivative
+        g_vd = gv + g_x
+    g_add1 = g_vd * scale
+    g_v_prev = np.subtract(g_vd, g_add1, out=g_vd)
+    g_i_prev = gi * decay
+    g_i_prev += g_add1
+    return gi, (g_i_prev, g_v_prev)
+
+
+def li_step(
+    input_current: np.ndarray,
+    state: NumpyState | None,
+    constants: tuple[np.ndarray, ...],
+) -> tuple[np.ndarray, NumpyState]:
+    """One graph-free leaky-integrator step; returns ``(v, (i, v))``."""
+    if state is None:
+        state = (np.zeros_like(input_current), np.zeros_like(input_current))
+    i_prev, v_prev = state
+    scale, v_leak, _v_th, _one, _v_reset, _drop, decay = constants
+    dv = scale * ((v_leak - v_prev) + i_prev)
+    v_new = v_prev + dv
+    i_new = i_prev * decay + input_current
+    return v_new, (i_new, v_new)
+
+
+def li_step_backward(
+    g_membrane: np.ndarray,
+    g_i: np.ndarray | None,
+    constants: tuple[np.ndarray, ...],
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Reverse one :func:`li_step`; see :meth:`LICell.step_backward_numpy`."""
+    if g_i is None:
+        g_i = np.zeros_like(g_membrane)
+    scale, _v_leak, _v_th, _one, _v_reset, _drop, decay = constants
+    g_add1 = g_membrane * scale
+    g_i_prev = g_add1 + g_i * decay
+    return g_i, (g_i_prev, g_membrane, -g_add1)
 
 
 @dataclass(frozen=True)
@@ -208,69 +349,30 @@ class LIFCell(Module):
     ) -> tuple[np.ndarray, NumpyState]:
         """Graph-free twin of :meth:`step` operating on raw arrays.
 
-        Performs the exact same float arithmetic as :meth:`step` (so logits
-        stay bitwise identical to the autograd path) but skips Tensor
-        allocation and the surrogate-derivative evaluation — the hot path
-        for ``no_grad()`` inference.  Subclasses that change the dynamics
-        of :meth:`step` must override this method to match.
+        :meth:`step_record_numpy` without the context: the same float
+        arithmetic as :meth:`step` (so logits stay bitwise identical to
+        the autograd path), skipping Tensor allocation and the
+        surrogate-derivative evaluation — the hot path for ``no_grad()``
+        inference.  Subclasses that change the dynamics of :meth:`step`
+        must override this method to match.
         """
-        if state is None:
-            i_prev = np.zeros_like(input_current)
-            v_prev = np.zeros_like(input_current)
-        else:
-            i_prev, v_prev = state
-        scale, v_leak, v_th, one, v_reset, reset_drop, decay = _promoted_constants(self)
-        dv = scale * ((v_leak - v_prev) + i_prev)
-        v_decayed = v_prev + dv
-        x = v_decayed - v_th
-        spikes = (x > 0).astype(x.dtype)
-        if self.params.reset_mode == "hard":
-            v_new = v_decayed * (one - spikes) + v_reset * spikes
-        else:
-            v_new = v_decayed - spikes * reset_drop
-        i_new = i_prev * decay + input_current
-        return spikes, (i_new, v_new)
+        spikes, new_state, _ctx = lif_step_record(
+            input_current, state, _promoted_constants(self), self.params.reset_mode
+        )
+        return spikes, new_state
 
     def step_record_numpy(
         self, input_current: np.ndarray, state: NumpyState | None = None
     ) -> tuple[np.ndarray, NumpyState, tuple]:
         """:meth:`step_numpy` that also returns the BPTT backward context.
 
-        The context holds the surrogate pre-activation ``v_decayed - v_th``
-        and, for hard resets, the decayed membrane itself (the reset gate's
-        gradient needs it) — the minimal state :meth:`step_backward_numpy`
-        needs to replay this step in reverse.  Subclasses overriding
-        :meth:`step` must override this and :meth:`step_backward_numpy` to
-        match, or the fused BPTT path will refuse to run them.
+        See :func:`lif_step_record`.  Subclasses overriding :meth:`step`
+        must override this and :meth:`step_backward_numpy` to match, or
+        the fused BPTT path will refuse to run them.
         """
-        if state is None:
-            i_prev = np.zeros_like(input_current)
-            v_prev = np.zeros_like(input_current)
-        else:
-            i_prev, v_prev = state
-        scale, v_leak, v_th, one, v_reset, reset_drop, decay = _promoted_constants(self)
-        # Same arithmetic as :meth:`step_numpy`, staged through reused
-        # scratch (`out=`) so the T-step recording loop allocates as few
-        # arrays as the state it must keep.
-        dv = v_leak - v_prev
-        dv += i_prev
-        dv *= scale
-        v_decayed = v_prev + dv
-        x = v_decayed - v_th
-        fired = x > 0
-        spikes = fired.astype(x.dtype)
-        if self.params.reset_mode == "hard":
-            v_new = np.subtract(one, fired, dtype=x.dtype)
-            v_new *= v_decayed
-            if v_reset != 0.0:
-                v_new += v_reset * spikes
-            ctx = (x, v_decayed)
-        else:
-            v_new = v_decayed - spikes * reset_drop
-            ctx = (x, None)
-        i_new = i_prev * decay
-        i_new += input_current
-        return spikes, (i_new, v_new), ctx
+        return lif_step_record(
+            input_current, state, _promoted_constants(self), self.params.reset_mode
+        )
 
     def step_backward_numpy(
         self,
@@ -293,45 +395,16 @@ class LIFCell(Module):
             The context recorded by :meth:`step_record_numpy`.
 
         Returns ``(g_input_current, (g_i_prev, g_v_prev))`` — the gradient
-        w.r.t. this step's synaptic input and w.r.t. the previous state.
-        The arithmetic mirrors the autograd closures of :meth:`step` term
-        for term (same promoted constants, same accumulation association),
-        so gradients stay bitwise identical to the Tensor path.
+        w.r.t. this step's synaptic input and w.r.t. the previous state,
+        bitwise those of the Tensor path (see :func:`lif_step_backward`).
         """
-        x, v_decayed = ctx
-        if g_state is None:
-            gi = np.zeros_like(x)
-            gv = np.zeros_like(x)
-        else:
-            gi, gv = g_state
-        scale, _v_leak, _v_th, one, v_reset, reset_drop, decay = _promoted_constants(self)
         p = self.params
-        derivative = surrogate_derivative(x, method=p.surrogate, alpha=p.surrogate_alpha)
-        # The expressions below perform the Tensor closures' arithmetic with
-        # ``a + -(b)`` chains fused into ``a - b``, exact-zero products
-        # (v_reset=0) dropped, and temporaries reused in place — all
-        # IEEE-identical transformations, so gradients match the autograd
-        # path value for value.
-        if p.reset_mode == "hard":
-            g_x = gv * v_decayed
-            if v_reset != 0.0:
-                np.subtract(g_spikes + gv * v_reset, g_x, out=g_x)
-            else:
-                np.subtract(g_spikes, g_x, out=g_x)
-            g_x *= derivative
-            g_vd = np.subtract(one, x > 0, dtype=x.dtype)
-            g_vd *= gv
-            g_vd += g_x
-        else:
-            g_x = gv * reset_drop
-            np.subtract(g_spikes, g_x, out=g_x)
-            g_x *= derivative
-            g_vd = gv + g_x
-        g_add1 = g_vd * scale
-        g_v_prev = np.subtract(g_vd, g_add1, out=g_vd)
-        g_i_prev = gi * decay
-        g_i_prev += g_add1
-        return gi, (g_i_prev, g_v_prev)
+        derivative = surrogate_derivative(
+            ctx[0], method=p.surrogate, alpha=p.surrogate_alpha
+        )
+        return lif_step_backward(
+            g_spikes, g_state, ctx, _promoted_constants(self), p.reset_mode, derivative
+        )
 
     def forward(self, input_current: Tensor, state: LIFState | None = None):
         return self.step(input_current, state)
@@ -377,16 +450,7 @@ class LICell(Module):
         self, input_current: np.ndarray, state: NumpyState | None = None
     ) -> tuple[np.ndarray, NumpyState]:
         """Graph-free twin of :meth:`step` operating on raw arrays."""
-        if state is None:
-            i_prev = np.zeros_like(input_current)
-            v_prev = np.zeros_like(input_current)
-        else:
-            i_prev, v_prev = state
-        scale, v_leak, _v_th, _one, _v_reset, _drop, decay = _promoted_constants(self)
-        dv = scale * ((v_leak - v_prev) + i_prev)
-        v_new = v_prev + dv
-        i_new = i_prev * decay + input_current
-        return v_new, (i_new, v_new)
+        return li_step(input_current, state, _promoted_constants(self))
 
     def step_backward_numpy(
         self, g_membrane: np.ndarray, g_i: np.ndarray | None
@@ -406,12 +470,7 @@ class LICell(Module):
         the caller must interleave the decoder's trace contribution
         between them to preserve the Tensor path's accumulation order.
         """
-        if g_i is None:
-            g_i = np.zeros_like(g_membrane)
-        scale, _v_leak, _v_th, _one, _v_reset, _drop, decay = _promoted_constants(self)
-        g_add1 = g_membrane * scale
-        g_i_prev = g_add1 + g_i * decay
-        return g_i, (g_i_prev, g_membrane, -g_add1)
+        return li_step_backward(g_membrane, g_i, _promoted_constants(self))
 
     def forward(self, input_current: Tensor, state: LIState | None = None):
         return self.step(input_current, state)

@@ -8,11 +8,18 @@ the batch axis (``(K*N, ...)``), elementwise neuron dynamics run fold-wide
 with per-variant constants broadcast per lane, and every parameterised
 GEMM runs per variant on the contiguous row block belonging to its lanes.
 
+A stack is a K-lane set of :mod:`repro.snn.backward`: the time loops,
+the decode/loss heads, ragged-``T`` padding and the per-lane
+structural-aliveness windows are the ones every single network runs
+(as a one-lane :class:`~repro.snn.network.NetworkLanes`).  This module
+contributes only the stacked *stage objects* those loops drive.
+
 Exactness contract
 ------------------
 Per-variant results are bitwise identical to running each member through
 the unstacked fused paths (and therefore to the autograd path, by the
-fused paths' own contracts).  Three properties make that hold:
+fused paths' own contracts).  The loop is shared, so the contract rests
+on the stages:
 
 * elementwise ops, pooling and im2col/col2im are *lane-local*: folding
   batches changes neither the values nor the reduction association of
@@ -20,18 +27,15 @@ fused paths' own contracts).  Three properties make that hold:
 * per-variant GEMMs run on contiguous row slices with exactly the
   shapes, strides and contiguity of the unstacked problem, so the same
   BLAS kernel produces the same bits;
-* constants that vary across variants (``v_th``, the leak scale, decay,
-  surrogate alpha, encoder rate) broadcast as per-lane columns of the
-  same promoted dtype, which is elementwise-identical to the unstacked
-  scalar op; constants the twins *branch* on (``reset_mode``,
-  ``v_reset``) are required to agree across a stack.
-
-Ragged time windows are handled by padding to the longest member's ``T``
-and masking the dead wavefront: a variant past its own ``T`` has its
-GEMMs skipped and its rows pinned to exact zeros, so dead-lane state
-stays finite and its gradients stay exactly zero — while the per-variant
-``t_head`` windows reproduce the unstacked backward's structural
-aliveness (including gradient *None-ness* on parameters) per lane.
+* the stacked cells run the LIF/LI functions of
+  :mod:`repro.snn.neuron` that the unstacked cells run; constants that
+  vary across variants (``v_th``, the leak scale, decay, surrogate alpha,
+  encoder rate) broadcast as per-lane columns of the same promoted dtype,
+  which is elementwise-identical to the unstacked scalar op; constants
+  the arithmetic *branches* on (``reset_mode``, ``v_reset``) are required
+  to agree across a stack;
+* per-variant Poisson encoders draw only while their lane is alive, so
+  each member's generator advances exactly as it would unstacked.
 
 Variants that cannot honour this contract (custom cells or transforms,
 unsupported encoders, mismatched reset semantics) are rejected by
@@ -42,7 +46,6 @@ is the trusted-twin fallback generalised to stacks.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,65 +55,75 @@ from repro.nn.conv import Conv2d
 from repro.nn.flatten import Flatten
 from repro.nn.linear import Linear
 from repro.nn.module import Module
-from repro.nn.parameter import accumulate_grad
 from repro.nn.pooling import AvgPool2d, MaxPool2d
+from repro.snn import backward as bptt
 from repro.snn.encoding import ConstantCurrentLIFEncoder, PoissonEncoder
 from repro.snn.network import SpikingNetwork
-from repro.snn.neuron import LICell, LIFCell
+from repro.snn.neuron import (
+    LICell,
+    LIFCell,
+    li_step,
+    li_step_backward,
+    lif_constants,
+    lif_step_backward,
+    lif_step_record,
+)
 from repro.snn.surrogate import surrogate_derivative
-from repro.tensor import functional as F
-from repro.tensor.tensor import Tensor, no_grad, promote_scalar
-from repro.utils.dispatch import has_trusted_twin
+from repro.tensor.tensor import promote_scalar
 
 __all__ = [
     "StackedLICell",
     "StackedLIFCell",
-    "StackedTape",
     "VariantStack",
     "stack_compatibility",
 ]
 
 
-class _LaneScalars:
-    """One per-variant constant, promoted for broadcasting over folded arrays.
+class _LaneConstants:
+    """Per-variant constants, promoted for broadcasting over folded arrays.
 
-    When every variant shares the value this degrades to the exact 0-d
-    promoted scalar the unstacked twins use.  Otherwise the values become
-    a ``(K*N, 1, ..., 1)`` column (cached per ``(N, ndim)``) whose
-    broadcast multiplies each lane by its own variant's constant —
-    elementwise-identical to the unstacked scalar op per lane.
+    Built from one row of constants per lane.  A constant every variant
+    shares degrades to the exact 0-d promoted scalar the unstacked twins
+    use; one that varies becomes a ``(K*N, 1, ..., 1)`` column whose
+    broadcast multiplies each lane by its own variant's value —
+    elementwise-identical to the unstacked scalar op per lane.  The
+    promoted tuple is cached per ``(N, ndim)``.
     """
 
-    def __init__(self, values: Sequence[float]) -> None:
-        self.values = tuple(float(value) for value in values)
-        self.uniform = all(value == self.values[0] for value in self.values)
-        self._scalar = promote_scalar(self.values[0])
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
+    def __init__(self, rows: Sequence[Sequence[float]]) -> None:
+        self.k = len(rows)
+        self._columns = [tuple(float(v) for v in column) for column in zip(*rows)]
+        self._cache: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
-    def for_array(self, reference: np.ndarray) -> np.ndarray:
-        """The constant shaped to broadcast over ``reference``'s lanes."""
-        if self.uniform:
-            return self._scalar
-        lanes = len(self.values)
-        n = reference.shape[0] // lanes
+    def for_array(self, reference: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The constants shaped to broadcast over ``reference``'s lanes."""
+        n = reference.shape[0] // self.k
         key = (n, reference.ndim)
-        column = self._cache.get(key)
-        if column is None:
-            promoted = np.asarray(self.values, dtype=self._scalar.dtype)
-            column = np.repeat(promoted, n).reshape(
-                (lanes * n,) + (1,) * (reference.ndim - 1)
+        constants = self._cache.get(key)
+        if constants is None:
+            constants = tuple(
+                self._promote(column, n, reference.ndim) for column in self._columns
             )
-            self._cache[key] = column
-        return column
+            self._cache[key] = constants
+        return constants
+
+    def _promote(self, column: tuple[float, ...], n: int, ndim: int) -> np.ndarray:
+        scalar = promote_scalar(column[0])
+        if all(value == column[0] for value in column):
+            return scalar
+        promoted = np.asarray(column, dtype=scalar.dtype)
+        return np.repeat(promoted, n).reshape((self.k * n,) + (1,) * (ndim - 1))
 
 
 class StackedLIFCell:
     """K-variant LIF population over a lane-folded batch.
 
-    Mirrors :class:`repro.snn.neuron.LIFCell`'s numpy twins term for term
-    with per-variant constants broadcast per lane.  ``reset_mode`` and
-    ``v_reset`` must agree across the stack — the twins *branch* on them,
-    and a branch cannot broadcast.
+    Runs :func:`~repro.snn.neuron.lif_step_record`/:func:`~repro.snn.
+    neuron.lif_step_backward` — the functions behind
+    :class:`~repro.snn.neuron.LIFCell`'s numpy twins — with per-lane
+    constant columns.  ``reset_mode`` and ``v_reset`` must agree across
+    the stack: the arithmetic *branches* on them, and a branch cannot
+    broadcast.
     """
 
     def __init__(self, cells: Sequence[LIFCell]) -> None:
@@ -122,14 +135,7 @@ class StackedLIFCell:
             raise ValueError("stacked LIF populations must share v_reset")
         self.k = len(cells)
         self.reset_mode = first.reset_mode
-        self.one = promote_scalar(1.0)
-        self.v_reset = promote_scalar(first.v_reset)
-        self._v_reset_value = float(first.v_reset)
-        self.scale = _LaneScalars([p.dt * p.tau_mem_inv for p in params])
-        self.v_leak = _LaneScalars([p.v_leak for p in params])
-        self.v_th = _LaneScalars([p.v_th for p in params])
-        self.reset_drop = _LaneScalars([p.v_th - p.v_reset for p in params])
-        self.decay = _LaneScalars([p.synaptic_decay for p in params])
+        self.constants = _LaneConstants([lif_constants(p) for p in params])
         self.surrogates = [(p.surrogate, p.surrogate_alpha) for p in params]
         self._uniform_surrogate = all(
             pair == self.surrogates[0] for pair in self.surrogates
@@ -149,131 +155,39 @@ class StackedLIFCell:
 
     def step_numpy(self, input_current, state=None):
         """Stacked twin of :meth:`LIFCell.step_numpy`."""
-        if state is None:
-            i_prev = np.zeros_like(input_current)
-            v_prev = np.zeros_like(input_current)
-        else:
-            i_prev, v_prev = state
-        scale = self.scale.for_array(input_current)
-        v_leak = self.v_leak.for_array(input_current)
-        v_th = self.v_th.for_array(input_current)
-        dv = scale * ((v_leak - v_prev) + i_prev)
-        v_decayed = v_prev + dv
-        x = v_decayed - v_th
-        spikes = (x > 0).astype(x.dtype)
-        if self.reset_mode == "hard":
-            v_new = v_decayed * (self.one - spikes) + self.v_reset * spikes
-        else:
-            v_new = v_decayed - spikes * self.reset_drop.for_array(input_current)
-        i_new = i_prev * self.decay.for_array(input_current) + input_current
-        return spikes, (i_new, v_new)
+        spikes, new_state, _ctx = self.step_record_numpy(input_current, state)
+        return spikes, new_state
 
     def step_record_numpy(self, input_current, state=None):
         """Stacked twin of :meth:`LIFCell.step_record_numpy`."""
-        if state is None:
-            i_prev = np.zeros_like(input_current)
-            v_prev = np.zeros_like(input_current)
-        else:
-            i_prev, v_prev = state
-        scale = self.scale.for_array(input_current)
-        v_leak = self.v_leak.for_array(input_current)
-        v_th = self.v_th.for_array(input_current)
-        dv = v_leak - v_prev
-        dv += i_prev
-        dv *= scale
-        v_decayed = v_prev + dv
-        x = v_decayed - v_th
-        fired = x > 0
-        spikes = fired.astype(x.dtype)
-        if self.reset_mode == "hard":
-            v_new = np.subtract(self.one, fired, dtype=x.dtype)
-            v_new *= v_decayed
-            if self._v_reset_value != 0.0:
-                v_new += self.v_reset * spikes
-            ctx = (x, v_decayed)
-        else:
-            v_new = v_decayed - spikes * self.reset_drop.for_array(input_current)
-            ctx = (x, None)
-        i_new = i_prev * self.decay.for_array(input_current)
-        i_new += input_current
-        return spikes, (i_new, v_new), ctx
+        constants = self.constants.for_array(input_current)
+        return lif_step_record(input_current, state, constants, self.reset_mode)
 
     def step_backward_numpy(self, g_spikes, g_state, ctx):
         """Stacked twin of :meth:`LIFCell.step_backward_numpy`."""
-        x, v_decayed = ctx
-        if g_state is None:
-            gi = np.zeros_like(x)
-            gv = np.zeros_like(x)
-        else:
-            gi, gv = g_state
-        scale = self.scale.for_array(x)
-        decay = self.decay.for_array(x)
-        derivative = self._derivative(x)
-        if self.reset_mode == "hard":
-            g_x = gv * v_decayed
-            if self._v_reset_value != 0.0:
-                np.subtract(g_spikes + gv * self.v_reset, g_x, out=g_x)
-            else:
-                np.subtract(g_spikes, g_x, out=g_x)
-            g_x *= derivative
-            g_vd = np.subtract(self.one, x > 0, dtype=x.dtype)
-            g_vd *= gv
-            g_vd += g_x
-        else:
-            g_x = gv * self.reset_drop.for_array(x)
-            np.subtract(g_spikes, g_x, out=g_x)
-            g_x *= derivative
-            g_vd = gv + g_x
-        g_add1 = g_vd * scale
-        g_v_prev = np.subtract(g_vd, g_add1, out=g_vd)
-        g_i_prev = gi * decay
-        g_i_prev += g_add1
-        return gi, (g_i_prev, g_v_prev)
+        x = ctx[0]
+        constants = self.constants.for_array(x)
+        return lif_step_backward(
+            g_spikes, g_state, ctx, constants, self.reset_mode, self._derivative(x)
+        )
 
 
 class StackedLICell:
     """K-variant leaky-integrator readout over a lane-folded batch."""
 
     def __init__(self, cells: Sequence[LICell]) -> None:
-        params = [cell.params for cell in cells]
-        self.k = len(cells)
-        self.scale = _LaneScalars([p.dt * p.tau_mem_inv for p in params])
-        self.v_leak = _LaneScalars([p.v_leak for p in params])
-        self.decay = _LaneScalars([p.synaptic_decay for p in params])
+        self.constants = _LaneConstants([lif_constants(cell.params) for cell in cells])
 
     def step_numpy(self, input_current, state=None):
         """Stacked twin of :meth:`LICell.step_numpy`."""
-        if state is None:
-            i_prev = np.zeros_like(input_current)
-            v_prev = np.zeros_like(input_current)
-        else:
-            i_prev, v_prev = state
-        scale = self.scale.for_array(input_current)
-        v_leak = self.v_leak.for_array(input_current)
-        dv = scale * ((v_leak - v_prev) + i_prev)
-        v_new = v_prev + dv
-        i_new = i_prev * self.decay.for_array(input_current) + input_current
-        return v_new, (i_new, v_new)
+        return li_step(input_current, state, self.constants.for_array(input_current))
 
     def step_backward_numpy(self, g_membrane, g_i):
         """Stacked twin of :meth:`LICell.step_backward_numpy`."""
-        if g_i is None:
-            g_i = np.zeros_like(g_membrane)
-        scale = self.scale.for_array(g_membrane)
-        decay = self.decay.for_array(g_membrane)
-        g_add1 = g_membrane * scale
-        g_i_prev = g_add1 + g_i * decay
-        return g_i, (g_i_prev, g_membrane, -g_add1)
+        return li_step_backward(g_membrane, g_i, self.constants.for_array(g_membrane))
 
 
 # -- stacked synaptic transforms ----------------------------------------------
-
-
-def _gate(sinks: list | None, alive: list[bool]) -> list | None:
-    """Per-lane sinks masked by a stage's per-lane aliveness window."""
-    if sinks is None:
-        return None
-    return [sink if alive[lane] else None for lane, sink in enumerate(sinks)]
 
 
 class _StackedConv:
@@ -470,23 +384,22 @@ def _build_stacked_transform(transforms: Sequence[Module]):
 class _StackedConstantCurrentEncoder:
     """K constant-current LIF encoders with per-variant injection scale."""
 
-    stateful = True
-
     def __init__(self, encoders: Sequence[ConstantCurrentLIFEncoder]) -> None:
         self.cell = StackedLIFCell([encoder.cell for encoder in encoders])
-        self.scale = _LaneScalars(
-            [encoder.input_scale for encoder in encoders]
-        )
+        self.scale = _LaneConstants([(encoder.input_scale,) for encoder in encoders])
 
     def step_numpy(self, image, state, alive):
-        return self.cell.step_numpy(image * self.scale.for_array(image), state)
+        (scale,) = self.scale.for_array(image)
+        return self.cell.step_numpy(image * scale, state)
 
     def step_record_numpy(self, image, state, alive):
-        return self.cell.step_record_numpy(image * self.scale.for_array(image), state)
+        (scale,) = self.scale.for_array(image)
+        return self.cell.step_record_numpy(image * scale, state)
 
     def step_backward_numpy(self, g_spikes, g_state, ctx):
         g_current, g_prev = self.cell.step_backward_numpy(g_spikes, g_state, ctx)
-        return g_current * self.scale.for_array(g_current), g_prev
+        (scale,) = self.scale.for_array(g_current)
+        return g_current * scale, g_prev
 
 
 class _StackedPoissonEncoder:
@@ -497,8 +410,6 @@ class _StackedPoissonEncoder:
     while that variant is alive, so a ragged stack never over-consumes a
     shorter variant's generator on padded steps.
     """
-
-    stateful = False
 
     def __init__(self, encoders: Sequence[PoissonEncoder]) -> None:
         self.encoders = list(encoders)
@@ -603,19 +514,11 @@ def stack_compatibility(members: Sequence[SpikingNetwork]) -> str | None:
 # -- the stack ----------------------------------------------------------------
 
 
-@dataclass
-class StackedTape:
-    """Everything the stacked backward needs from one recorded forward."""
-
-    trace: list[np.ndarray] = field(default_factory=list)
-    encoder_ctxs: list[object] = field(default_factory=list)
-    layer_transform_ctxs: list[list[object]] = field(default_factory=list)
-    layer_cell_ctxs: list[list[object]] = field(default_factory=list)
-    readout_ctxs: list[object] = field(default_factory=list)
-
-
 class VariantStack:
     """K same-architecture spiking networks executed as one folded pass.
+
+    The stack is the K-lane set the loops of :mod:`repro.snn.backward`
+    run: ``members``, per-lane ``time_steps`` and the stacked stages.
 
     Construction raises ``ValueError`` with the :func:`stack_compatibility`
     reason when the members cannot be stacked; the engine treats that as
@@ -637,19 +540,15 @@ class VariantStack:
         self.k = len(self.members)
         self.time_steps = tuple(member.time_steps for member in self.members)
         self.max_steps = max(self.time_steps)
-        self.depth = len(self.members[0].layers)
+        layers = [list(member.layers) for member in self.members]
         encoder_stack = _ENCODER_STACKS[type(self.members[0].encoder)]
         self.encoder = encoder_stack([member.encoder for member in self.members])
-        self.encoder_stateful = self.encoder.stateful
         self.layer_ops = [
-            _build_stacked_transform(
-                [member.layers[index].transform for member in self.members]
-            )
-            for index in range(self.depth)
+            _build_stacked_transform([layer.transform for layer in stage])
+            for stage in zip(*layers)
         ]
         self.layer_cells = [
-            StackedLIFCell([member.layers[index].cell for member in self.members])
-            for index in range(self.depth)
+            StackedLIFCell([layer.cell for layer in stage]) for stage in zip(*layers)
         ]
         self.readout_op = _build_stacked_transform(
             [member.readout.transform for member in self.members]
@@ -673,10 +572,6 @@ class VariantStack:
             )
         return n
 
-    def lane_rows(self, lane: int, n: int) -> slice:
-        """Row slice of variant ``lane`` in a folded array of lane batch ``n``."""
-        return slice(lane * n, (lane + 1) * n)
-
     def fold(self, batches: Sequence[np.ndarray]) -> np.ndarray:
         """Concatenate per-variant batches (equal shapes) on the batch axis."""
         if len(batches) != self.k:
@@ -685,36 +580,7 @@ class VariantStack:
             raise ShapeError("lane batches must share a shape to fold")
         return np.concatenate(list(batches), axis=0)
 
-    def split(self, folded: np.ndarray) -> list[np.ndarray]:
-        """Per-variant views of a folded array."""
-        n = self._lane_batch(folded)
-        return [folded[self.lane_rows(lane, n)] for lane in range(self.k)]
-
-    # -- forward --------------------------------------------------------------
-
-    def _alive(self, t: int) -> list[bool]:
-        return [t < steps for steps in self.time_steps]
-
-    def _run_trace(self, image: np.ndarray) -> list[np.ndarray]:
-        """Fused inference time loop; returns the folded membrane trace."""
-        encoder_state = None
-        layer_states: list = [None] * self.depth
-        readout_state = None
-        trace: list[np.ndarray] = []
-        for t in range(self.max_steps):
-            alive = self._alive(t)
-            spikes, encoder_state = self.encoder.step_numpy(
-                image, encoder_state, alive
-            )
-            for index, op in enumerate(self.layer_ops):
-                spikes, layer_states[index] = self.layer_cells[index].step_numpy(
-                    op.forward(spikes, alive), layer_states[index]
-                )
-            membrane, readout_state = self.readout_cell.step_numpy(
-                self.readout_op.forward(spikes, alive), readout_state
-            )
-            trace.append(membrane)
-        return trace
+    # -- the shared time loops of repro.snn.backward ----------------------------
 
     def forward_logits(self, image: np.ndarray) -> list[np.ndarray]:
         """Per-variant logits ``(N, C)`` for a lane-folded batch.
@@ -724,207 +590,30 @@ class VariantStack:
         inference path.
         """
         self.stacked_forward_count += 1
-        n = self._lane_batch(image)
-        trace = self._run_trace(image)
-        logits: list[np.ndarray] = []
-        for lane, member in enumerate(self.members):
-            rows = self.lane_rows(lane, n)
-            lane_trace = [trace[t][rows] for t in range(member.time_steps)]
-            if has_trusted_twin(member.decoder, "forward", "decode_numpy"):
-                logits.append(member.decoder.decode_numpy(lane_trace))
-            else:
-                with no_grad():
-                    decoded = member.decoder([Tensor(step) for step in lane_trace])
-                logits.append(decoded.data)
-        return logits
+        self._lane_batch(image)
+        return bptt.decode_logits(self, bptt.run_trace(self, image))
 
-    def record_forward(self, image: np.ndarray) -> StackedTape:
-        """Recording twin of :meth:`_run_trace` for the stacked backward."""
-        tape = StackedTape(
-            layer_transform_ctxs=[[] for _ in range(self.depth)],
-            layer_cell_ctxs=[[] for _ in range(self.depth)],
-        )
-        encoder_state = None
-        layer_states: list = [None] * self.depth
-        readout_state = None
-        for t in range(self.max_steps):
-            alive = self._alive(t)
-            spikes, encoder_state, encoder_ctx = self.encoder.step_record_numpy(
-                image, encoder_state, alive
-            )
-            tape.encoder_ctxs.append(encoder_ctx)
-            for index, op in enumerate(self.layer_ops):
-                current, transform_ctx = op.record(spikes, alive)
-                spikes, layer_states[index], cell_ctx = self.layer_cells[
-                    index
-                ].step_record_numpy(current, layer_states[index])
-                tape.layer_transform_ctxs[index].append(transform_ctx)
-                tape.layer_cell_ctxs[index].append(cell_ctx)
-            current, readout_ctx = self.readout_op.record(spikes, alive)
-            membrane, readout_state = self.readout_cell.step_numpy(
-                current, readout_state
-            )
-            tape.readout_ctxs.append(readout_ctx)
-            tape.trace.append(membrane)
-        return tape
-
-    # -- backward -------------------------------------------------------------
-
-    def _decode_heads(self, tape: StackedTape, labels: Sequence[np.ndarray]):
-        """Per-variant decode/loss heads over each lane's trace prefix.
-
-        Folding the loss itself would change the mean-reduction seed from
-        ``1/N`` to ``1/(K*N)``, so each variant runs its own (tiny)
-        autograd head — identical to the unstacked ``_decode_head`` —
-        and its leaf gradients are scattered into folded per-step arrays.
-        Returns ``(losses, logits, g_trace, t_heads)`` with per-lane
-        ``t_heads`` anchoring the structural-aliveness windows.
-        """
-        n = self._lane_batch(tape.trace[0])
-        losses: list[Tensor] = []
-        logits_list: list[Tensor] = []
-        g_trace: list[np.ndarray | None] = [None] * len(tape.trace)
-        t_heads: list[int] = []
-        for lane, member in enumerate(self.members):
-            rows = self.lane_rows(lane, n)
-            leaves = [
-                Tensor(tape.trace[t][rows], requires_grad=True)
-                for t in range(member.time_steps)
-            ]
-            logits = member.decoder(leaves)
-            loss = F.cross_entropy(logits, labels[lane])
-            loss.backward()
-            t_head = -1
-            for t, leaf in enumerate(leaves):
-                if leaf.grad is None:
-                    continue
-                t_head = t
-                if g_trace[t] is None:
-                    g_trace[t] = np.zeros_like(tape.trace[t])
-                g_trace[t][rows] = leaf.grad
-            t_heads.append(t_head)
-            losses.append(loss)
-            logits_list.append(logits)
-        return losses, logits_list, g_trace, t_heads
+    def record_forward(self, image: np.ndarray) -> bptt.BPTTTape:
+        """:func:`repro.snn.backward.record_forward` over the stack's lanes."""
+        return bptt.record_forward(self, image)
 
     def backward_pass(
         self,
-        tape: StackedTape,
+        tape: bptt.BPTTTape,
         g_trace: list[np.ndarray | None],
         t_heads: list[int],
         param_lanes: list[bool] | None = None,
         want_input_grad: bool = True,
     ) -> np.ndarray | None:
-        """Stacked mirror of :func:`repro.snn.backward.backward_pass`.
+        """:func:`repro.snn.backward.backward_pass` over the stack's lanes.
 
-        One reverse-time sweep serves every variant: a stage runs when
-        *any* lane is inside its structural-aliveness window (anchored at
-        ``max(t_heads)``), while per-lane windows gate each lane's GEMMs,
-        parameter sinks and image pieces — a lane outside its window
-        carries exact-zero gradients through the folded elementwise
-        stages, so running them fold-wide is value-identical to the
-        unstacked path skipping them.  ``param_lanes`` selects the lanes
-        whose parameter gradients are accumulated (``None`` for attack
-        crafting, which skips every weight-gradient GEMM).
+        ``param_lanes`` selects the lanes whose parameter gradients are
+        accumulated (``None`` for attack crafting, which skips every
+        weight-gradient GEMM).
         """
-        steps = len(tape.trace)
-        t_head = max(t_heads, default=-1)
-        depth = self.depth
-        n = self._lane_batch(tape.trace[0]) if tape.trace else 0
-        collect = param_lanes is not None and any(param_lanes)
-        cell_state_grads: list = [None] * depth
-        encoder_state_grad = None
-        readout_gi: np.ndarray | None = None
-        readout_gv_direct: np.ndarray | None = None
-        readout_gv_leak: np.ndarray | None = None
-        image_pieces: list[list[np.ndarray]] = [[] for _ in range(self.k)]
-        param_pieces: list[list[list | None]] = []
-        for t in reversed(range(min(steps, t_head + 1))):
-            step_sinks: list[list | None] | None = (
-                [
-                    [] if param_lanes[lane] else None  # type: ignore[index]
-                    for lane in range(self.k)
-                ]
-                if collect
-                else None
-            )
-            g_head = g_trace[t]
-            if g_head is None:
-                g_head = np.zeros_like(tape.trace[t])
-            if readout_gv_direct is None:
-                g_membrane = g_head
-            else:
-                g_membrane = (g_head + readout_gv_direct) + readout_gv_leak
-            g_current, (readout_gi, readout_gv_direct, readout_gv_leak) = (
-                self.readout_cell.step_backward_numpy(g_membrane, readout_gi)
-            )
-            if t <= t_head - 1:
-                alive = [t <= lane_head - 1 for lane_head in t_heads]
-                g = self.readout_op.backward(
-                    g_current,
-                    tape.readout_ctxs[t],
-                    _gate(step_sinks, alive),
-                    alive,
-                )
-                for index in reversed(range(depth)):
-                    remaining = depth - index
-                    if t > t_head - remaining:
-                        break
-                    g_current, cell_state_grads[index] = self.layer_cells[
-                        index
-                    ].step_backward_numpy(
-                        g, cell_state_grads[index], tape.layer_cell_ctxs[index][t]
-                    )
-                    if t > t_head - 1 - remaining:
-                        break
-                    alive = [
-                        t <= lane_head - 1 - remaining for lane_head in t_heads
-                    ]
-                    g = self.layer_ops[index].backward(
-                        g_current,
-                        tape.layer_transform_ctxs[index][t],
-                        _gate(step_sinks, alive),
-                        alive,
-                    )
-                else:
-                    if want_input_grad:
-                        piece, encoder_state_grad = self.encoder.step_backward_numpy(
-                            g, encoder_state_grad, tape.encoder_ctxs[t]
-                        )
-                        for lane, lane_head in enumerate(t_heads):
-                            limit = (
-                                lane_head - 2 - depth
-                                if self.encoder_stateful
-                                else lane_head - 1 - depth
-                            )
-                            if t <= limit:
-                                image_pieces[lane].append(
-                                    piece[self.lane_rows(lane, n)]
-                                )
-            if step_sinks is not None and any(step_sinks):
-                param_pieces.append(step_sinks)
-        if collect:
-            for step_sinks in reversed(param_pieces):
-                for sink in step_sinks:
-                    if not sink:
-                        continue
-                    for parameter, grad in sink:
-                        accumulate_grad(parameter, grad)
-        if not want_input_grad:
-            return None
-        folded: np.ndarray | None = None
-        for lane in range(self.k):
-            lane_grad: np.ndarray | None = None
-            for piece in reversed(image_pieces[lane]):
-                lane_grad = piece if lane_grad is None else lane_grad + piece
-            if lane_grad is None:
-                continue
-            if folded is None:
-                folded = np.zeros(
-                    (self.k * n,) + lane_grad.shape[1:], dtype=lane_grad.dtype
-                )
-            folded[self.lane_rows(lane, n)] = lane_grad
-        return folded
+        return bptt.backward_pass(
+            self, tape, g_trace, t_heads, param_lanes, want_input_grad
+        )
 
     # -- public fused entry points --------------------------------------------
 
@@ -934,11 +623,10 @@ class VariantStack:
         """Folded input-pixel gradient; per-lane bitwise equal to the
         members' own :meth:`SpikingNetwork.fused_input_gradient`."""
         images = np.asarray(images)
+        self._lane_batch(images)
         tape = self.record_forward(images)
-        _losses, _logits, g_trace, t_heads = self._decode_heads(tape, labels)
-        gradient = self.backward_pass(
-            tape, g_trace, t_heads, param_lanes=None, want_input_grad=True
-        )
+        _losses, _logits, g_trace, t_heads = bptt.decode_heads(self, tape, labels)
+        gradient = self.backward_pass(tape, g_trace, t_heads)
         self.stacked_backward_count += 1
         return gradient if gradient is not None else np.zeros_like(images)
 
@@ -956,10 +644,11 @@ class VariantStack:
         ``(loss_value, logits)`` pairs for bookkeeping.
         """
         images = np.asarray(images)
+        self._lane_batch(images)
         if param_lanes is None:
             param_lanes = [True] * self.k
         tape = self.record_forward(images)
-        losses, logits_list, g_trace, t_heads = self._decode_heads(tape, labels)
+        losses, logits_list, g_trace, t_heads = bptt.decode_heads(self, tape, labels)
         self.backward_pass(
             tape, g_trace, t_heads, param_lanes=param_lanes, want_input_grad=False
         )

@@ -17,6 +17,8 @@ from differentiating the unrolled autograd graph, at every level:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from repro.models.spiking_lenet import build_spiking_lenet_mini
 from repro.nn.module import Module
 from repro.snn.encoding import PoissonEncoder
 from repro.snn.neuron import LICell, LIFCell, LIFParameters
+from repro.snn.stack import VariantStack
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 from repro.training import Trainer, TrainingConfig
@@ -47,6 +50,13 @@ def _autograd_input_gradient(model, images, labels):
     loss = F.cross_entropy(model(x), labels)
     loss.backward()
     return x.grad if x.grad is not None else np.zeros_like(images)
+
+
+def _param_grads(model):
+    return {
+        name: None if param.grad is None else param.grad.copy()
+        for name, param in model.named_parameters()
+    }
 
 
 def _numerical_input_gradient(forward, x, g, eps=1e-6):
@@ -306,15 +316,47 @@ class TestEndToEndParity:
             model.fused_input_gradient(images, labels), reference
         )
 
-    @pytest.mark.parametrize("reset_mode", ["hard", "soft"])
-    def test_reset_modes(self, rng, reset_mode):
-        model = build_spiking_lenet_mini(
-            time_steps=10, lif_params=LIFParameters(reset_mode=reset_mode), rng=0
-        )
+    # A non-zero v_reset makes three gradients meet on the spikes of a hard
+    # reset, so their summation order must be the autograd engine's.  At the
+    # default threshold these inputs round the same in either order; at
+    # v_th=0.1 they do not.
+    @pytest.mark.parametrize(
+        "reset_mode,v_reset,v_th",
+        [
+            pytest.param("hard", 0.0, 1.0, id="hard"),
+            pytest.param("soft", 0.0, 1.0, id="soft"),
+            pytest.param("hard", -0.3, 0.1, id="hard-v_reset"),
+            pytest.param("soft", -0.3, 0.1, id="soft-v_reset"),
+        ],
+    )
+    def test_reset_modes(self, rng, reset_mode, v_reset, v_th):
+        params = LIFParameters(reset_mode=reset_mode, v_reset=v_reset, v_th=v_th)
+        model = build_spiking_lenet_mini(time_steps=10, lif_params=params, rng=0)
         images, labels = self._data(rng, 16)
         reference = _autograd_input_gradient(model, images, labels)
+        ref_params = _param_grads(model)
+        model.zero_grad()
         np.testing.assert_array_equal(
             model.fused_input_gradient(images, labels), reference
+        )
+        model.fused_loss_backward(images, labels)
+        for name, grad in _param_grads(model).items():
+            assert (grad is None) == (ref_params[name] is None), name
+            if grad is not None:
+                np.testing.assert_array_equal(grad, ref_params[name])
+        # A 2-lane stack drives the same reset arithmetic with per-lane
+        # constants (the lanes differ in v_th and T).
+        other = build_spiking_lenet_mini(
+            time_steps=7, lif_params=replace(params, v_th=v_th + 0.3), rng=1
+        )
+        stack = VariantStack([model, other])
+        folded = stack.fused_input_gradient(
+            stack.fold([images, images]), [labels, labels]
+        )
+        n = len(images)
+        np.testing.assert_array_equal(folded[:n], reference)
+        np.testing.assert_array_equal(
+            folded[n:], _autograd_input_gradient(other, images, labels)
         )
 
     def test_poisson_encoder(self, rng):

@@ -218,7 +218,7 @@ class TestVariantStackParity:
                 expected = member(Tensor(x)).data
             np.testing.assert_array_equal(lane_logits, expected)
 
-    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("k", [1, 2, 5])
     def test_fused_input_gradient_bitwise(self, rng, k):
         members = [
             _mini(v, t, seed, alpha) for v, t, seed, alpha in _variant_specs(k)
@@ -232,19 +232,29 @@ class TestVariantStackParity:
             np.testing.assert_array_equal(_lane(folded_grad, lane, 3), expected)
 
     def test_fused_loss_backward_bitwise(self, rng):
-        specs = _variant_specs(3)
+        self._check_fused_loss_backward(rng, 3)
+
+    def test_fused_loss_backward_one_lane_bitwise(self, rng):
+        # A one-lane stack runs the shared loop with stacked stage
+        # objects; the member's own path runs it with its module twins.
+        self._check_fused_loss_backward(rng, 1)
+
+    def _check_fused_loss_backward(self, rng, k):
+        specs = _variant_specs(k)
         members = [_mini(v, t, seed, alpha) for v, t, seed, alpha in specs]
         twins = [_mini(v, t, seed, alpha) for v, t, seed, alpha in specs]
         stack = VariantStack(members)
         x = rng.random((4, 1, 8, 8)).astype(np.float32)
-        labels = [rng.integers(0, 4, 4) for _ in range(3)]
-        pairs = stack.fused_loss_backward(stack.fold([x] * 3), labels)
+        labels = [rng.integers(0, 4, 4) for _ in range(k)]
+        pairs = stack.fused_loss_backward(stack.fold([x] * k), labels)
         for lane, (member, twin) in enumerate(zip(members, twins)):
             loss, logits = twin.fused_loss_backward(x, labels[lane])
             assert pairs[lane][0] == loss
             np.testing.assert_array_equal(pairs[lane][1], logits)
             for got, want in zip(member.parameters(), twin.parameters()):
-                np.testing.assert_array_equal(got.grad, want.grad)
+                assert (got.grad is None) == (want.grad is None)
+                if want.grad is not None:
+                    np.testing.assert_array_equal(got.grad, want.grad)
 
     def test_param_lanes_gate_accumulation(self, rng):
         specs = _variant_specs(2)
