@@ -32,8 +32,9 @@ Forward/sweep timings go to ``BENCH_pr3.json``, gradient timings to
 guided-search timings to ``BENCH_pr8.json`` (repo root by default).  ``--check-fused`` skips the
 timing and only runs the smoke guards: the profile's default spiking
 model must take the fused plan path end to end (full synapse-plan
-coverage, forward *and* backward counters advancing) — the CI job runs
-this to catch silent fallback regressions.
+coverage, forward *and* backward counters advancing, for attack
+crafting and for a training step) — the CI job runs this to catch
+silent fallback regressions.
 
 ``--check-regression`` measures fresh and compares the *speedup ratios*
 against the committed baseline reports: the planned-fused forward, the
@@ -75,6 +76,7 @@ from repro.experiments.profiles import get_profile  # noqa: E402
 from repro.models import build_model  # noqa: E402
 from repro.robustness.config import ExplorationConfig  # noqa: E402
 from repro.snn.neuron import LIFParameters  # noqa: E402
+from repro.tensor import functional as F  # noqa: E402
 from repro.tensor.tensor import Tensor, no_grad  # noqa: E402
 from repro.training.trainer import TrainingConfig  # noqa: E402
 
@@ -133,6 +135,14 @@ def check_fused(profile) -> list[str]:
                 f"{profile.snn_model}: input_gradient did not take the fused "
                 f"BPTT path (fused_backward_count={model.fused_backward_count})"
             )
+        # Training: a grad-mode forward plus loss backward.
+        F.cross_entropy(model(x), labels).backward()
+        if model.fused_backward_count != 2:
+            errors.append(
+                f"{profile.snn_model}: grad-mode forward + backward did not take "
+                f"the fused BPTT path (fused_backward_count="
+                f"{model.fused_backward_count}, expected 2)"
+            )
     return errors
 
 
@@ -150,6 +160,9 @@ def run_benchmarks(profile, time_steps: int, samples: int, repeats: int) -> dict
     with no_grad():
         unplanned = model(x).data
     model.use_synapse_plans = True
+    # A grad-mode forward runs the fused BPTT recording by default; the
+    # autograd baseline is the unrolled loop.
+    model.use_fused_backward = False
     autograd_logits = model(x).data
     forward_parity = bool(
         np.array_equal(reference, unplanned)
@@ -157,6 +170,7 @@ def run_benchmarks(profile, time_steps: int, samples: int, repeats: int) -> dict
     )
 
     autograd_s = _best_of(repeats, lambda: model(x))
+    model.use_fused_backward = True
 
     def fused():
         with no_grad():

@@ -5,7 +5,10 @@ runs through the loops in this module: no-grad inference
 (:func:`run_trace`, then :func:`decode_logits`), the recording forward of
 backpropagation through time (:func:`record_forward`), the autograd
 decode/loss heads (:func:`decode_heads`) and the reverse-time sweep
-(:func:`backward_pass`).  Each is written once, over a *lane set*: K
+(:func:`backward_pass`).  A grad-mode forward (training) records the same
+way but lets the caller's own decoder and loss graph play the head (see
+:meth:`~repro.snn.network.SpikingNetwork.forward`).  Each loop is written
+once, over a *lane set*: K
 networks of one architecture whose batches are folded on the batch axis
 (lane ``k`` owns rows ``[k*N, (k+1)*N)`` of every folded array).
 
@@ -296,11 +299,13 @@ def backward_pass(
         The recorded forward.
     g_trace, t_heads:
         The per-step folded trace gradients and per-lane last consumed
-        steps of :func:`decode_heads`.
+        steps of the decode heads (:func:`decode_heads`, or the caller's
+        graph for a grad-mode forward).
     param_lanes:
         Per lane, whether to accumulate its parameter gradients into
-        ``param.grad`` (training); ``None`` for attack crafting, which
-        skips every weight-gradient GEMM.
+        ``param.grad`` (training; frozen parameters are skipped);
+        ``None`` for attack crafting, which skips every weight-gradient
+        GEMM.
     want_input_grad:
         Accumulate and return the folded input-pixel gradient; ``None``
         is returned when disabled, or when no lane's gradient reaches the
@@ -404,10 +409,12 @@ def backward_pass(
         if step_sinks is not None and any(step_sinks):
             param_pieces.append(step_sinks)
     # Ascending-time folds (pieces were collected in descending order).
+    # Frozen parameters keep ``grad = None``, as on the unrolled graph.
     for step_sinks in reversed(param_pieces):
         for sink in step_sinks:
             for parameter, grad in sink or ():
-                accumulate_grad(parameter, grad)
+                if parameter.requires_grad:
+                    accumulate_grad(parameter, grad)
     if not want_input_grad:
         return None
     lane_grads: list[np.ndarray | None] = []

@@ -27,7 +27,8 @@ from repro.snn import backward as bptt
 from repro.snn.decoding import MaxMembraneDecoder
 from repro.snn.encoding import ConstantCurrentLIFEncoder
 from repro.snn.neuron import LICell, LIFCell
-from repro.tensor.tensor import Tensor, is_grad_enabled
+from repro.tensor import functional as F
+from repro.tensor.tensor import Tensor, apply_op, is_grad_enabled
 from repro.utils.dispatch import has_trusted_twin
 
 __all__ = ["NetworkLanes", "SpikingLayer", "SpikingNetwork", "SpikingReadout"]
@@ -263,9 +264,12 @@ class SpikingNetwork(Module):
         """Number of forwards served by :meth:`_forward_inference` — the
         observability hook the fused-path smoke guards assert on."""
         self.use_fused_backward = True
-        """Route :func:`repro.attacks.base.input_gradient` through the
-        graph-free BPTT path when :meth:`backward_ready` holds (disable to
-        benchmark the autograd baseline; gradients are identical)."""
+        """Run every gradient through the graph-free BPTT path when
+        :meth:`backward_ready` holds: grad-mode :meth:`forward` (training)
+        and :func:`repro.attacks.base.input_gradient` (attack crafting).
+        Disabled, both differentiate the unrolled autograd graph — the
+        fallback, and the independent oracle of the parity tests.
+        Gradients, and thus trained weights, are identical either way."""
         self.fused_backward_count = 0
         """Number of backward passes served by the fused BPTT path — the
         observability hook of the gradient-path smoke guards."""
@@ -302,14 +306,23 @@ class SpikingNetwork(Module):
     def forward(self, image: Tensor) -> Tensor:
         """Simulate ``time_steps`` steps and decode logits ``(N, C)``.
 
-        When gradients are globally disabled (``with no_grad():``) the
-        simulation switches to :meth:`_forward_inference` — a fused time
-        loop on raw numpy arrays that produces bitwise-identical logits
-        without Tensor/graph overhead.
+        The simulation takes one of three paths, all bitwise identical in
+        logits and gradients:
+
+        * no grad (``with no_grad():``) — :meth:`_forward_inference`, a
+          fused time loop on raw numpy arrays, when :meth:`_fused_ready`;
+        * grad mode — :meth:`_forward_bptt`, the recorded fused forward
+          whose backward is the graph-free BPTT sweep, when
+          ``use_fused_backward`` and :meth:`backward_ready` hold;
+        * otherwise the unrolled autograd loop over the Tensor ``step``
+          methods (graph-free under ``no_grad()``, just slower).
         """
         image = self._as_tensor(image)
-        if not is_grad_enabled() and self._fused_ready():
-            return self._forward_inference(image.data)
+        if not is_grad_enabled():
+            if self._fused_ready():
+                return self._forward_inference(image.data)
+        elif self.use_fused_backward and self.backward_ready():
+            return self.decoder(self._forward_bptt(image))
         encoder_state = None
         layer_states: list = [None] * len(self.layers)
         readout_state = None
@@ -376,6 +389,51 @@ class SpikingNetwork(Module):
         return Tensor(logits)
 
     # -- fused backward (graph-free BPTT) -------------------------------------
+
+    def _forward_bptt(self, image: Tensor) -> list[Tensor]:
+        """Recorded fused forward; returns the readout trace as Tensors.
+
+        The per-step membrane Tensors hang off a single autograd node, so
+        the caller's decoder and loss stay a real autograd graph.  When
+        ``backward()`` reaches the node it runs one
+        :func:`repro.snn.backward.backward_pass` over the recorded tape:
+        the step gradients the loss delivered (``None`` for steps it never
+        reached, exactly as :func:`~repro.snn.backward.decode_heads`
+        leaves them) seed the sweep, parameter gradients accumulate into
+        ``param.grad`` and the input gradient flows on to ``image``.
+        Frozen parameters (``requires_grad=False``) stay untouched, as on
+        the unrolled graph.
+        """
+        lanes = NetworkLanes(self)
+        tape = bptt.record_forward(lanes, image.data)
+        params = [param for param in self.parameters() if param.requires_grad]
+        g_trace: list[np.ndarray | None] = [None] * len(tape.trace)
+
+        def backward(_g):
+            t_head = max(
+                (t for t, g in enumerate(g_trace) if g is not None), default=-1
+            )
+            gradient = bptt.backward_pass(
+                lanes,
+                tape,
+                g_trace,
+                [t_head],
+                param_lanes=[bool(params)],
+                want_input_grad=image.requires_grad,
+            )
+            self.fused_backward_count += 1
+            return (gradient, *[None] * len(params))
+
+        node = apply_op(np.zeros(()), (image, *params), backward, "snn.bptt")
+
+        def step(t: int) -> Tensor:
+            def collect(g):
+                g_trace[t] = g
+                return (np.zeros(()),)
+
+            return apply_op(tape.trace[t], (node,), collect, "snn.bptt.step")
+
+        return [step(t) for t in range(len(tape.trace))]
 
     def backward_ready(self) -> bool:
         """Whether the stack honours the fused-BPTT contract.
@@ -445,21 +503,17 @@ class SpikingNetwork(Module):
     ) -> tuple[float, np.ndarray]:
         """One graph-free training backward: loss value, logits, param grads.
 
-        Accumulates parameter gradients into ``param.grad`` (identically
-        to ``loss.backward()`` on the unrolled graph) and returns
-        ``(loss_value, logits)`` for bookkeeping.  The input-pixel
-        gradient is skipped — optimizer updates never need it.  Used by
-        :class:`repro.training.trainer.Trainer` when its config opts in.
+        A grad-mode :meth:`forward` on the fused path plus
+        ``cross_entropy(...).backward()``: accumulates parameter gradients
+        into ``param.grad`` (identically to ``loss.backward()`` on the
+        unrolled graph) and returns ``(loss_value, logits)`` for
+        bookkeeping.  The input-pixel gradient is skipped — optimizer
+        updates never need it.
         """
-        images = np.asarray(images)
-        lanes = NetworkLanes(self)
-        tape = bptt.record_forward(lanes, images)
-        losses, logits, g_trace, t_heads = bptt.decode_heads(lanes, tape, [labels])
-        bptt.backward_pass(
-            lanes, tape, g_trace, t_heads, param_lanes=[True], want_input_grad=False
-        )
-        self.fused_backward_count += 1
-        return float(losses[0].data), logits[0].data
+        logits = self.decoder(self._forward_bptt(Tensor(np.asarray(images))))
+        loss = F.cross_entropy(logits, labels)
+        loss.backward()
+        return float(loss.data), logits.data
 
     def spike_counts(self, image: Tensor) -> list[Tensor]:
         """Diagnostic: per-layer total spike counts for one forward pass.

@@ -14,6 +14,8 @@ Shapes follow the PyTorch convention:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -305,6 +307,33 @@ def avg_pool2d(
 # between autograd nodes that are still waiting for their backward.
 
 
+def _window_columns(
+    padded: np.ndarray, kh: int, kw: int, sh: int, sw: int
+) -> np.ndarray:
+    """The column matrix as a reshape of the padded NCHW input's windows.
+
+    A view wherever numpy can express one (a 1x1 kernel, or windows that
+    span the whole padded row), possibly with strides no BLAS call
+    accepts; numpy's matmul then runs its own loop, with its own
+    summation order.  Elsewhere the reshape copies into the row-major
+    layout the slab fill of :class:`Conv2dPlan` produces.
+    """
+    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(-1, padded.shape[1] * kh * kw)
+
+
+@lru_cache(maxsize=256)
+def _columns_alias_input(
+    c_in: int, hp: int, wp: int, kh: int, kw: int, sh: int, sw: int
+) -> bool:
+    """Whether one image's :func:`_window_columns` are a view of its input.
+
+    If one image's columns need a copy, so do a batch's.
+    """
+    padded = np.zeros((1, c_in, hp, wp), dtype=np.float32)
+    return np.may_share_memory(_window_columns(padded, kh, kw, sh, sw), padded)
+
+
 class Conv2dPlan:
     """im2col geometry + scratch buffers for one (input shape, conv spec).
 
@@ -317,9 +346,10 @@ class Conv2dPlan:
     always been issued on (a channel-major layout changes which BLAS
     kernel runs, and with it the summation order).  The input is staged
     channels-last in an ``(N, Hp, Wp, C_in)`` padded scratch and each
-    kernel offset (i, j) is copied as one ``(N, OH, OW, C_in)`` slab.  A
-    1x1 kernel gathers no window: its columns are the staged input itself
-    (see :meth:`_columns`).
+    kernel offset (i, j) is copied as one ``(N, OH, OW, C_in)`` slab.
+    Geometries whose columns are a view of the input (a 1x1 kernel, or
+    windows spanning the padded width) gather no window: their columns
+    are that view of the staged NCHW input (see :meth:`_columns`).
     """
 
     def __init__(
@@ -347,18 +377,18 @@ class Conv2dPlan:
         self.kh, self.kw = kh, kw
         self.oh = _conv_output_size(h, kh, self.sh, self.ph)
         self.ow = _conv_output_size(w, kw, self.sw, self.pw)
-        self._pointwise = kh == kw == 1
         hp, wp = h + 2 * self.ph, w + 2 * self.pw
-        # Padded input, staged channels-last for the slab fill (1x1 kernels
-        # keep conv2d's NCHW padding instead); the border is zeroed here
-        # and never written again.
+        self._windowed = _columns_alias_input(c_in, hp, wp, kh, kw, self.sh, self.sw)
+        # Padded input, staged channels-last for the slab fill (windowed
+        # geometries keep conv2d's NCHW padding instead); the border is
+        # zeroed here and never written again.
         self._padded = np.zeros(
-            (n, c_in, hp, wp) if self._pointwise else (n, hp, wp, c_in), dtype=dtype
+            (n, c_in, hp, wp) if self._windowed else (n, hp, wp, c_in), dtype=dtype
         )
         # Column scratch: written as (N, OH, OW, C, kh, kw), fed to the
         # matmul as its flat (N*OH*OW, C*kh*kw) alias.
         self._cols6d = self._cols = None
-        if not self._pointwise:
+        if not self._windowed:
             self._cols6d = np.empty((n, self.oh, self.ow, c_in, kh, kw), dtype=dtype)
             self._cols = self._cols6d.reshape(n * self.oh * self.ow, c_in * kh * kw)
         self._grad_padded: np.ndarray | None = None
@@ -377,7 +407,7 @@ class Conv2dPlan:
     def _im2col(self, x: np.ndarray) -> None:
         """Stage ``x`` and fill the column scratch, one slab per offset."""
         _n, _c_in, h, w = self.shape
-        if self._pointwise:
+        if self._windowed:
             self._padded[:, :, self.ph : self.ph + h, self.pw : self.pw + w] = x
             return
         self._padded[:, self.ph : self.ph + h, self.pw : self.pw + w] = x.transpose(
@@ -389,19 +419,14 @@ class Conv2dPlan:
     def _columns(self, batch: slice) -> np.ndarray:
         """Column-matrix rows of the images in ``batch`` (after :meth:`_im2col`).
 
-        A 1x1 kernel has no window to gather, so its columns are a reshape
-        of the strided, padded NCHW input: a view wherever one exists,
-        possibly transposed or strided.  BLAS (and numpy's GEMV dispatch)
-        then sees the operand layout of the original window-copy op, which
-        a contiguous copy would not reproduce.
+        Windowed geometries reshape the padded NCHW input's windows (see
+        :func:`_window_columns`): a view wherever one exists, possibly
+        transposed, strided or with overlapping rows.  BLAS (or numpy's
+        own matmul loop) then sees the operand layout of the original
+        window-copy op, which a contiguous copy would not reproduce.
         """
-        if self._pointwise:
-            _i, _j, rows, cols = self._offsets[0]
-            return (
-                self._padded[batch, :, rows, cols]
-                .transpose(0, 2, 3, 1)
-                .reshape(-1, self.shape[1])
-            )
+        if self._windowed:
+            return _window_columns(self._padded[batch], self.kh, self.kw, self.sh, self.sw)
         return self._cols[self._rows(batch)]
 
     def _rows(self, batch: slice) -> slice:

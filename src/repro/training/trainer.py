@@ -1,8 +1,13 @@
 """Generic supervised training loop.
 
 Used for both the CNN baselines and the spiking networks — the only
-contract is ``model(Tensor(batch)) -> logits``.  The robustness-exploration
-pipeline (Algorithm 1, line 3 "Train(Sij)") delegates here.
+contract is ``model(Tensor(batch)) -> logits``.  The Trainer never picks
+an execution path: a spiking network's grad-mode forward already runs the
+graph-free BPTT when it can (see
+:meth:`repro.snn.network.SpikingNetwork.forward`), and
+``loss.backward()`` reaches its sweep through the ordinary graph of the
+decoder and loss.  The robustness-exploration pipeline (Algorithm 1,
+line 3 "Train(Sij)") delegates here.
 """
 
 from __future__ import annotations
@@ -52,14 +57,6 @@ class TrainingConfig:
 
     max_grad_norm: float | None = None
     """Optional global gradient-norm clip."""
-
-    fused_backward: bool = False
-    """Opt-in: run training backwards through the model's graph-free BPTT
-    path (``fused_loss_backward``) when it offers one and its
-    ``backward_ready`` contract holds.  Parameter gradients — and thus the
-    trained weights — are identical to the autograd path; the unrolled
-    graph is simply never built.  Off by default so checkpoint
-    fingerprints and historical training traces stay byte-stable."""
 
     def validate(self) -> None:
         """Raise ``ValueError`` on out-of-range fields."""
@@ -163,42 +160,25 @@ class Trainer:
                 )
         return self.history
 
-    def _use_fused_backward(self) -> bool:
-        """Whether epochs may ride the model's graph-free BPTT path."""
-        return (
-            self.config.fused_backward
-            and hasattr(self.model, "fused_loss_backward")
-            and getattr(self.model, "use_fused_backward", False)
-            and self.model.backward_ready()
-        )
-
     def _run_epoch(self, loader: DataLoader) -> tuple[float, float]:
         self.model.train()
-        fused = self._use_fused_backward()
         total_loss = 0.0
         total_correct = 0
         total_seen = 0
         for images, labels in loader:
-            if fused:
-                self.optimizer.zero_grad()
-                loss_value, logits_data = self.model.fused_loss_backward(images, labels)
-                if not np.isfinite(loss_value):
-                    raise TrainingError(f"loss diverged to {loss_value}")
-            else:
-                logits = self.model(Tensor(images))
-                loss = F.cross_entropy(logits, labels)
-                loss_value = float(loss.data)
-                if not np.isfinite(loss_value):
-                    raise TrainingError(f"loss diverged to {loss_value}")
-                self.optimizer.zero_grad()
-                loss.backward()
-                logits_data = logits.data
+            logits = self.model(Tensor(images))
+            loss = F.cross_entropy(logits, labels)
+            loss_value = float(loss.data)
+            if not np.isfinite(loss_value):
+                raise TrainingError(f"loss diverged to {loss_value}")
+            self.optimizer.zero_grad()
+            loss.backward()
             if self.config.max_grad_norm is not None:
                 self._clip_gradients(self.config.max_grad_norm)
             self.optimizer.step()
             batch = len(labels)
             total_loss += loss_value * batch
-            total_correct += int((logits_data.argmax(axis=1) == labels).sum())
+            total_correct += int((logits.data.argmax(axis=1) == labels).sum())
             total_seen += batch
         return total_loss / total_seen, total_correct / total_seen
 

@@ -9,10 +9,17 @@ argmax/``take_along_axis`` max pooling with a ``bincount`` backward —
 forward and backward closures alike, as the reference the parity tests
 hold every plan entry point and every Tensor op to, bit for bit.
 
+:func:`unrolled_graph` does the same for whole spiking networks: a
+grad-mode forward runs the fused BPTT by default, so a reference leg must
+pin the network to its unrolled autograd loop.
+
 Test-only: nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
+
+import contextlib
+from collections.abc import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -168,3 +175,20 @@ def avg_pool2d(
         return (grad_x,)
 
     return apply_op(np.ascontiguousarray(out_data), (x,), backward, "avg_pool2d")
+
+
+@contextlib.contextmanager
+def unrolled_graph(*models) -> Iterator[None]:
+    """Run grad-mode forwards of ``models`` on the unrolled autograd loop.
+
+    Sets ``use_fused_backward = False`` for the ``with`` block and then
+    restores each model's own setting.
+    """
+    saved = [model.use_fused_backward for model in models]
+    for model in models:
+        model.use_fused_backward = False
+    try:
+        yield
+    finally:
+        for model, flag in zip(models, saved):
+            model.use_fused_backward = flag

@@ -9,10 +9,14 @@ from differentiating the unrolled autograd graph, at every level:
 * **Cell backward steps** — ``step_backward_numpy`` must match one
   autograd step of the LIF/LI dynamics exactly.
 * **End to end** — ``fused_input_gradient`` / ``fused_loss_backward``
-  must equal ``loss.backward()`` through the full unrolled graph
-  (including the None-vs-zero gradient distinction for structurally dead
-  stages), and gradient-based attacks must produce identical outcomes on
-  either path.
+  and the default grad-mode forward must equal ``loss.backward()``
+  through the full unrolled graph (including the None-vs-zero gradient
+  distinction for structurally dead stages), Trainer runs must train
+  identical weights, and gradient-based attacks must produce identical
+  outcomes on either path.
+
+Every reference leg runs under :func:`tests.reference_ops.unrolled_graph`,
+so the oracle is the autograd loop and never the fused path it checks.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 from repro.training import Trainer, TrainingConfig
 from tests import reference_ops
+from tests.reference_ops import unrolled_graph
 
 SPIKING_MODELS = ["snn_lenet_mini", "snn_lenet5", "snn_cnn5"]
 
@@ -47,9 +52,23 @@ def _input_size(name: str) -> int:
 def _autograd_input_gradient(model, images, labels):
     """The reference path: differentiate the unrolled graph."""
     x = Tensor(images.copy(), requires_grad=True)
-    loss = F.cross_entropy(model(x), labels)
+    with unrolled_graph(model):
+        loss = F.cross_entropy(model(x), labels)
     loss.backward()
     return x.grad if x.grad is not None else np.zeros_like(images)
+
+
+def _forward_backward(model, images, labels):
+    """One grad-mode forward + loss backward; returns ``(logits, x.grad)``."""
+    x = Tensor(images.copy(), requires_grad=True)
+    logits = model(x)
+    F.cross_entropy(logits, labels).backward()
+    return logits.data, x.grad
+
+
+def _graph_ops(tensor):
+    """Op names of every node of the autograd graph behind ``tensor``."""
+    return [node._op for node in tensor._topological_order()]
 
 
 def _param_grads(model):
@@ -458,6 +477,77 @@ class TestEndToEndParity:
         gradient = input_gradient(model, images, labels)
         assert gradient.shape == images.shape
 
+    def test_reference_builds_the_unrolled_graph_and_default_does_not(self, rng):
+        model = build_model("snn_lenet_mini", input_size=16, time_steps=6, rng=0)
+        images, _labels = self._data(rng, 16)
+        with unrolled_graph(model):
+            reference = model(Tensor(images))
+        fused = model(Tensor(images))
+        np.testing.assert_array_equal(fused.data, reference.data)
+        unrolled_ops = _graph_ops(reference)
+        fused_ops = _graph_ops(fused)
+        assert any(op.startswith("spike[") for op in unrolled_ops)
+        assert "snn.bptt" not in unrolled_ops
+        # One BPTT node, one Tensor per readout step, the decoder head.
+        assert fused_ops.count("snn.bptt") == 1
+        assert fused_ops.count("snn.bptt.step") == 6
+        assert not any(op.startswith("spike[") for op in fused_ops)
+        assert len(fused_ops) < len(unrolled_ops) // 10
+
+    @pytest.mark.parametrize("time_steps", [2, 3, 6, 12])
+    @pytest.mark.parametrize("decoder", ["max", "mean", "last"])
+    def test_grad_mode_forward_matches_unrolled_graph(self, rng, time_steps, decoder):
+        # Below T = 6 no gradient reaches the input, and below T = 5 the
+        # earliest parameters keep grad=None.
+        model = build_spiking_lenet_mini(
+            time_steps=time_steps, decoder=decoder, rng=0
+        )
+        images, labels = self._data(rng, 16)
+        with unrolled_graph(model):
+            ref_logits, ref_input = _forward_backward(model, images, labels)
+        ref_params = _param_grads(model)
+        model.zero_grad()
+        logits, grad_input = _forward_backward(model, images, labels)
+        assert model.fused_backward_count == 1
+        np.testing.assert_array_equal(logits, ref_logits)
+        assert (grad_input is None) == (ref_input is None)
+        if ref_input is not None:
+            np.testing.assert_array_equal(grad_input, ref_input)
+        for name, grad in _param_grads(model).items():
+            assert (grad is None) == (ref_params[name] is None), name
+            if grad is not None:
+                np.testing.assert_array_equal(grad, ref_params[name])
+
+    def test_input_without_requires_grad_gets_no_gradient(self, rng):
+        model = build_model("snn_lenet_mini", input_size=16, time_steps=8, rng=0)
+        images, labels = self._data(rng, 16)
+        x = Tensor(images)
+        F.cross_entropy(model(x), labels).backward()
+        assert x.grad is None
+        assert model.fused_backward_count == 1
+
+    def test_frozen_parameters_keep_no_gradient(self, rng):
+        model = build_model("snn_lenet_mini", input_size=16, time_steps=8, rng=0)
+        frozen = [model.layers[0].transform.weight, model.readout.transform.bias]
+        for param in frozen:
+            param.requires_grad = False
+        images, labels = self._data(rng, 16)
+        with unrolled_graph(model):
+            _forward_backward(model, images, labels)
+        reference = _param_grads(model)
+        assert all(param.grad is None for param in frozen)
+        for entry in ("fused_loss_backward", "forward"):
+            model.zero_grad()
+            if entry == "forward":
+                _forward_backward(model, images, labels)
+            else:
+                model.fused_loss_backward(images, labels)
+            assert all(param.grad is None for param in frozen), entry
+            for name, grad in _param_grads(model).items():
+                assert (grad is None) == (reference[name] is None), (entry, name)
+                if grad is not None:
+                    np.testing.assert_array_equal(grad, reference[name])
+
 
 class TestAttackOutcomeParity:
     """Fused vs autograd gradients must craft identical attacks."""
@@ -566,26 +656,56 @@ class TestEvalModeRestoration:
 
 
 class TestFusedTraining:
-    """Trainer epochs on the fused backward must train identically."""
+    """Trainer runs on the fused backward must train identically."""
 
-    def test_fused_epochs_match_autograd_epochs(self):
+    def _dataset(self):
         data_rng = np.random.default_rng(2)
         images = data_rng.random((24, 1, 16, 16)).astype(np.float32)
         labels = (np.arange(24) % 10).astype(np.int64)
-        dataset = ArrayDataset(images, labels)
+        return ArrayDataset(images, labels)
 
-        histories = []
-        states = []
-        for fused in (False, True):
-            model = build_model("snn_lenet_mini", input_size=16, time_steps=6, rng=0)
-            config = TrainingConfig(
-                epochs=2, batch_size=8, seed=3, fused_backward=fused
+    def _train(self, model, config, fused):
+        model.use_fused_backward = fused
+        history = Trainer(model, config).fit(self._dataset())
+        return history, model.state_dict()
+
+    def _assert_same_run(self, time_steps, config):
+        # snn_lenet_mini has five stateful stages (encoder, three layers,
+        # readout): at T = 3 the earliest parameters get no gradient, at
+        # T = 5 every parameter does but the input still gets none.
+        runs = []
+        for fused in (True, False):
+            model = build_model(
+                "snn_lenet_mini", input_size=16, time_steps=time_steps, rng=0
             )
-            trainer = Trainer(model, config)
-            assert trainer._use_fused_backward() == fused
-            histories.append(trainer.fit(dataset))
-            states.append(model.state_dict())
-        assert histories[0].train_loss == histories[1].train_loss
-        assert histories[0].train_accuracy == histories[1].train_accuracy
-        for name in states[0]:
-            np.testing.assert_array_equal(states[0][name], states[1][name])
+            runs.append(self._train(model, config, fused))
+            assert (model.fused_backward_count > 0) == fused
+        (fused_history, fused_state), (graph_history, graph_state) = runs
+        assert fused_history.train_loss == graph_history.train_loss
+        assert fused_history.train_accuracy == graph_history.train_accuracy
+        for name in graph_state:
+            np.testing.assert_array_equal(fused_state[name], graph_state[name])
+
+    def test_fused_epochs_match_autograd_epochs(self):
+        config = TrainingConfig(epochs=2, batch_size=8, seed=3)
+        for time_steps in (3, 5, 12):
+            self._assert_same_run(time_steps, config)
+
+    def test_fused_epochs_match_with_gradient_clipping(self):
+        self._assert_same_run(
+            12, TrainingConfig(epochs=2, batch_size=8, seed=3, max_grad_norm=0.05)
+        )
+
+    def test_model_failing_backward_ready_trains_on_the_graph(self):
+        class CustomCell(LIFCell):
+            def step(self, input_current, state=None):
+                return super().step(input_current, state)
+
+        model = build_model("snn_lenet_mini", input_size=16, time_steps=6, rng=0)
+        model.layers[0].cell = CustomCell(model.layers[0].cell.params)
+        assert not model.backward_ready()
+        before = {name: value.copy() for name, value in model.state_dict().items()}
+        history, after = self._train(model, TrainingConfig(epochs=1, batch_size=8), True)
+        assert model.fused_backward_count == 0
+        assert np.isfinite(history.train_loss[0])
+        assert any(not np.array_equal(before[name], after[name]) for name in before)

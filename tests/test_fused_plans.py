@@ -348,6 +348,12 @@ class TestTensorOpsMatchReference:
         op="conv2d", stride=1, padding=(2, 1), spikes=False, input_grad=False,
         dtypes=[np.float64, np.float32, np.float32, np.float32],
     ))
+    # 3x3 windows spanning a 3-wide single-channel input: the window
+    # columns are an overlapping-row view that numpy multiplies without BLAS.
+    @example(case=_op_case(
+        op="conv2d", stride=1, n=1, c_in=1, c_out=1, h=4, w=3, spikes=False,
+        bias=False, input_grad=False,
+    ))
     def test_grad_mode_matches_reference(self, case):
         out, grads = _run_op(F, case)
         ref_out, ref_grads = _run_op(reference_ops, case)

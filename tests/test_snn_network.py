@@ -21,6 +21,7 @@ from repro.snn import (
     SpikingReadout,
 )
 from repro.tensor import Tensor
+from tests.reference_ops import unrolled_graph
 
 
 def _tiny_network(time_steps=4, v_th=1.0, vary_encoder=True) -> SpikingNetwork:
@@ -177,7 +178,11 @@ class TestBuilderOptions:
 
 
 class TestFusedInferencePath:
-    """The no_grad fast path must be bitwise identical to the autograd path."""
+    """The no_grad fast path must be bitwise identical to the autograd path.
+
+    Each grad-mode reference runs under ``unrolled_graph``: the default
+    grad-mode forward is itself a fused path.
+    """
 
     @pytest.mark.parametrize("reset_mode", ["hard", "soft"])
     @pytest.mark.parametrize("decoder", ["max", "mean", "last"])
@@ -193,7 +198,8 @@ class TestFusedInferencePath:
             rng=0,
         )
         x = Tensor(np.random.default_rng(3).random((4, 1, 12, 12)).astype(np.float32))
-        reference = model(x)
+        with unrolled_graph(model):
+            reference = model(x)
         with no_grad():
             fused = model(x)
         np.testing.assert_array_equal(fused.data, reference.data)
@@ -219,7 +225,8 @@ class TestFusedInferencePath:
 
         model = _tiny_network(time_steps=5)
         x = Tensor(np.random.default_rng(5).random((2, 8)).astype(np.float64))
-        reference = model(x)
+        with unrolled_graph(model):
+            reference = model(x)
         with no_grad():
             fused = model(x)
         np.testing.assert_array_equal(fused.data, reference.data)
@@ -233,7 +240,8 @@ class TestFusedInferencePath:
         graph_model.encoder = PoissonEncoder(scale=0.5, rng=123)
         fused_model.encoder = PoissonEncoder(scale=0.5, rng=123)
         x = Tensor(np.random.default_rng(6).random((2, 8)).astype(np.float32))
-        reference = graph_model(x)
+        with unrolled_graph(graph_model):
+            reference = graph_model(x)
         with no_grad():
             fused = fused_model(x)
         np.testing.assert_array_equal(fused.data, reference.data)
@@ -269,7 +277,8 @@ class TestFusedInferencePath:
         model = build()
         assert not model._fused_ready()
         x = Tensor(np.random.default_rng(9).random((2, 8)).astype(np.float32))
-        reference = model(x)
+        with unrolled_graph(model):
+            reference = model(x)
         with no_grad():
             fallback = model(x)
         np.testing.assert_array_equal(fallback.data, reference.data)
@@ -301,7 +310,8 @@ class TestFusedInferencePath:
         model.encoder.cell = DoubledLIFCell(LIFParameters(surrogate_alpha=5.0))
         assert not model._fused_ready()
         x = Tensor(np.random.default_rng(12).random((2, 8)).astype(np.float32))
-        reference = model(x)
+        with unrolled_graph(model):
+            reference = model(x)
         with no_grad():
             fallback = model(x)
         np.testing.assert_array_equal(fallback.data, reference.data)
@@ -342,7 +352,8 @@ class TestFusedInferencePath:
         with no_grad():
             model(x)  # warm the caches at v_th=1.0
         model.set_v_th(0.25)
-        reference = model(x)
+        with unrolled_graph(model):
+            reference = model(x)
         with no_grad():
             fused = model(x)
         np.testing.assert_array_equal(fused.data, reference.data)

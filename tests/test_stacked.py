@@ -332,12 +332,25 @@ def _grid_fixture():
     return factory, train, test, config
 
 
+def _unrolled_graph_factory(factory):
+    """The unstacked reference: models train and craft on the autograd loop."""
+
+    def build(v_th, time_window, seed):
+        model = factory(v_th, time_window, seed)
+        model.use_fused_backward = False
+        return model
+
+    return build
+
+
 class TestStackedEngine:
     def test_stacked_schedule_matches_unstacked_bitwise(self, tmp_path):
         factory, train, test, config = _grid_fixture()
         tasks = build_cell_tasks(config)
 
-        ctx_a = ExplorationJobContext(factory, train, test, config)
+        ctx_a = ExplorationJobContext(
+            _unrolled_graph_factory(factory), train, test, config
+        )
         ctx_a.weight_cache = WeightCache(
             tmp_path / "a", training_fingerprint(train, config.training)
         )
@@ -386,7 +399,9 @@ class TestStackedEngine:
                 model.use_fused_backward = False
             return model
 
-        ctx_a = ExplorationJobContext(suspicious_factory, train, test, config)
+        ctx_a = ExplorationJobContext(
+            _unrolled_graph_factory(factory), train, test, config
+        )
         base, _stats = run_cell_tasks(ctx_a, tasks)
         ctx_b = ExplorationJobContext(suspicious_factory, train, test, config)
         stacked, _stats = run_cell_tasks(ctx_b, tasks, stack=4)
