@@ -97,13 +97,19 @@ class Sequential(Module):
             contexts.append(ctx)
         return x, contexts
 
-    def backward_numpy(self, g, ctx, param_sink: list | None = None):
+    def backward_numpy(
+        self, g, ctx, param_sink: list | None = None, *, want_input_grad: bool = True
+    ):
         """Graph-free backward twin: chain the members' backwards in reverse.
 
         Members append their ``(param, grad)`` pairs to the shared
         ``param_sink`` deepest-first — the order the autograd engine
         processes them within one application of the pipeline.
+        ``want_input_grad`` reaches the first member only: every other
+        member's input gradient feeds the member before it.
         """
-        for layer, member_ctx in zip(reversed(list(self.layers)), reversed(ctx)):
-            g = layer.backward_numpy(g, member_ctx, param_sink)
+        for index in reversed(range(len(self.layers))):
+            g = self.layers[index].backward_numpy(
+                g, ctx[index], param_sink, want_input_grad=want_input_grad or index > 0
+            )
         return g

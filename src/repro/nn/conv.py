@@ -101,25 +101,37 @@ class Conv2d(Module):
         return plan(x, self.weight.data, bias), (x, plan)
 
     def backward_numpy(
-        self, g: np.ndarray, ctx: object, param_sink: list | None = None
-    ) -> np.ndarray:
+        self,
+        g: np.ndarray,
+        ctx: object,
+        param_sink: list | None = None,
+        *,
+        want_input_grad: bool = True,
+    ) -> np.ndarray | None:
         """Graph-free backward twin: plan-backed col2im input gradient.
 
         Mirrors :func:`repro.tensor.functional.conv2d`'s backward closure
-        exactly.  Weight/bias gradients (recomputed-im2col matmul, channel
-        sum) are only paid for when ``param_sink`` is given — attack
-        crafting needs input gradients alone, which skips both parameter
-        GEMMs per time step; the sink lets the caller fold contributions
-        in the autograd path's accumulation order.
+        exactly, both GEMMs sharing one :meth:`~repro.tensor.functional.
+        Conv2dPlan.grad_matrix` layout of ``g``.  Weight/bias gradients
+        (recomputed-im2col matmul, channel sum) are only paid for when
+        ``param_sink`` is given — attack crafting needs input gradients
+        alone, which skips both parameter GEMMs per time step; the sink
+        lets the caller fold contributions in the autograd path's
+        accumulation order.  ``want_input_grad=False`` (a first layer in
+        training, whose input is the encoder's spikes) skips the input
+        GEMM and col2im and returns ``None``.
         """
         x, plan = ctx
+        g_mat = plan.grad_matrix(g)
         if param_sink is not None:
             param_sink.append(
-                (self.weight, plan.backward_weight(g, x, self.weight.shape))
+                (self.weight, plan.backward_weight(g_mat, x, self.weight.shape))
             )
             if self.bias is not None:
                 param_sink.append((self.bias, plan.backward_bias(g)))
-        return plan.backward_input(g, self.weight.data)
+        if not want_input_grad:
+            return None
+        return plan.backward_input(g_mat, self.weight.data)
 
     def __repr__(self) -> str:
         return (

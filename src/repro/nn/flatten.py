@@ -27,10 +27,15 @@ class Flatten(Module):
         return self.forward_numpy(x), x.shape
 
     def backward_numpy(
-        self, g: np.ndarray, ctx: object, param_sink: list | None = None
-    ) -> np.ndarray:
+        self,
+        g: np.ndarray,
+        ctx: object,
+        param_sink: list | None = None,
+        *,
+        want_input_grad: bool = True,
+    ) -> np.ndarray | None:
         """Graph-free backward twin (reshape back to the recorded shape)."""
-        return g.reshape(ctx)
+        return g.reshape(ctx) if want_input_grad else None
 
     def __repr__(self) -> str:
         return f"Flatten(start_dim={self.start_dim})"

@@ -95,8 +95,13 @@ class Linear(Module):
         return self.forward_numpy(x), x
 
     def backward_numpy(
-        self, g: np.ndarray, ctx: object, param_sink: list | None = None
-    ) -> np.ndarray:
+        self,
+        g: np.ndarray,
+        ctx: object,
+        param_sink: list | None = None,
+        *,
+        want_input_grad: bool = True,
+    ) -> np.ndarray | None:
         """Graph-free backward twin: input (and optionally weight) gradients.
 
         Performs the exact arithmetic the autograd path's matmul/add
@@ -105,13 +110,16 @@ class Linear(Module):
         bitwise identical.  With ``param_sink``, ``(param, grad)`` pairs
         are appended for the caller to fold in the autograd path's
         accumulation order (see :mod:`repro.snn.backward`); without it the
-        weight-gradient GEMM is skipped entirely.
+        weight-gradient GEMM is skipped entirely.  ``want_input_grad=False``
+        skips the input GEMM and returns ``None``.
         """
         x: np.ndarray = ctx
         if param_sink is not None:
             param_sink.append((self.weight, (x.T @ g).transpose()))
             if self.bias is not None:
                 param_sink.append((self.bias, g.sum(axis=0)))
+        if not want_input_grad:
+            return None
         return g @ self.weight.data
 
     def __repr__(self) -> str:

@@ -39,20 +39,27 @@ class MaxPool2d(Module):
     def forward_record_numpy(self, x: np.ndarray) -> tuple[np.ndarray, object]:
         """:meth:`forward_numpy` plus the context :meth:`backward_numpy` needs.
 
-        Records the raw input *and* the pooled output — the plan's
-        pairwise-max forward never materialises argmax indices, so the
-        backward reconstructs the routing from these instead.
+        The context holds the plan's max routing instead of the input:
+        for non-overlapping windows a one-byte offset code per output
+        (see :meth:`~repro.tensor.functional.MaxPool2dPlan.route`).
         """
         plan = self._plan_for(x)
         out = plan(x)
-        return out, (x, out, plan)
+        return out, (plan, plan.route(x, out), x.dtype)
 
     def backward_numpy(
-        self, g: np.ndarray, ctx: object, param_sink: list | None = None
-    ) -> np.ndarray:
+        self,
+        g: np.ndarray,
+        ctx: object,
+        param_sink: list | None = None,
+        *,
+        want_input_grad: bool = True,
+    ) -> np.ndarray | None:
         """Graph-free backward twin (first-claim max routing)."""
-        x, out, plan = ctx
-        return plan.backward(g, x, out)
+        if not want_input_grad:
+            return None
+        plan, route, dtype = ctx
+        return plan.backward(g, route, dtype)
 
     def __repr__(self) -> str:
         return f"MaxPool2d(kernel={self.kernel_size}, stride={self.stride})"
@@ -91,9 +98,16 @@ class AvgPool2d(Module):
         return plan(x), (plan, x.dtype)
 
     def backward_numpy(
-        self, g: np.ndarray, ctx: object, param_sink: list | None = None
-    ) -> np.ndarray:
+        self,
+        g: np.ndarray,
+        ctx: object,
+        param_sink: list | None = None,
+        *,
+        want_input_grad: bool = True,
+    ) -> np.ndarray | None:
         """Graph-free backward twin (uniform window spread)."""
+        if not want_input_grad:
+            return None
         plan, dtype = ctx
         return plan.backward(g, dtype)
 

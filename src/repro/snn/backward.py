@@ -35,9 +35,10 @@ stages:
   state, ctx)``) and ``step_backward_numpy(g, g_state, ctx)``;
 * ``layer_ops[i]`` and ``readout_op`` — synaptic transforms with
   ``forward(x, alive)``, ``record(x, alive)`` (returning ``(out, ctx)``)
-  and ``backward(g, ctx, sinks, alive)``, where ``sinks`` holds one
-  parameter-gradient list per lane, ``None`` for a lane that collects
-  none;
+  and ``backward(g, ctx, sinks, alive, *, want_input_grad=True)``, where
+  ``sinks`` holds one parameter-gradient list per lane, ``None`` for a
+  lane that collects none; with ``want_input_grad=False`` a stage may
+  skip its input gradient and return ``None``;
 * ``layer_cells[i]`` and ``readout_cell`` — the LIF/LI numpy twins.
 
 ``alive[k]`` tells a stage whether lane ``k`` is inside its window.
@@ -66,9 +67,21 @@ and, per lane, by tests/test_stacked.py).  Three pieces make that hold:
   that lane's recorded membrane trace, so any decoder works unchanged and
   the head gradient delivered to each time step equals the full graph's.
 
-Memory is the usual BPTT trade: roughly one activation set per time step
-— far less than the autograd path retains, since per-op closures and
-intermediates are never created.
+Memory
+------
+The usual BPTT trade, one activation set per time step, kept to what the
+backward reads — far less than the autograd path retains, since per-op
+closures and intermediates are never created.  Per step the tape holds:
+
+* per LIF population (encoder included), the decayed membrane alone —
+  the backward recomputes the surrogate pre-activation from it
+  (:func:`~repro.snn.neuron.lif_step_record`);
+* per conv or linear transform, its input and (conv) its cached plan;
+* per max pool with non-overlapping windows, a one-byte routing code per
+  output (:meth:`~repro.tensor.functional.MaxPool2dPlan.route`); with
+  overlapping windows, its input;
+* per average pool or flatten, a shape or dtype;
+* the readout membrane (the trace the decode heads read).
 """
 
 from __future__ import annotations
@@ -103,7 +116,9 @@ def transform_bptt_ready(transform: Module) -> bool:
     below) the class defining ``forward``, recursing into
     :class:`~repro.nn.container.Sequential` members.  Untrusted transforms
     do not disqualify the fused backward — they run per-step Tensor
-    mini-graphs instead.
+    mini-graphs instead.  A trusted ``backward_numpy(g, ctx, param_sink,
+    *, want_input_grad)`` may return ``None`` when ``want_input_grad`` is
+    false.
     """
     if not (
         has_trusted_twin(transform, "forward", "forward_record_numpy")
@@ -385,11 +400,13 @@ def backward_pass(
                 if t > t_head - 1 - remaining:
                     break
                 alive = [t <= lane_head - 1 - remaining for lane_head in t_heads]
+                # Only the encoder reads layer 0's input gradient.
                 g = lanes.layer_ops[index].backward(
                     g_current,
                     tape.layer_transform_ctxs[index][t],
                     _gate(step_sinks, alive),
                     alive,
+                    want_input_grad=want_input_grad or index > 0,
                 )
             else:
                 # Reached only when every stage above ran, i.e. the

@@ -128,10 +128,14 @@ class _TransformStage:
         out = self.transform(leaf)
         return out.data, (leaf, out)
 
-    def backward(self, g: np.ndarray, ctx, sinks, alive) -> np.ndarray:
+    def backward(
+        self, g: np.ndarray, ctx, sinks, alive, *, want_input_grad: bool = True
+    ) -> np.ndarray | None:
         sink = None if sinks is None else sinks[0]
         if self.bptt_twins:
-            return self.transform.backward_numpy(g, ctx, sink)
+            return self.transform.backward_numpy(
+                g, ctx, sink, want_input_grad=want_input_grad
+            )
         leaf, out = ctx
         parameters = list(self.transform.parameters())
         saved = [(parameter, parameter.grad) for parameter in parameters]

@@ -29,7 +29,9 @@ independent oracle the fused paths are tested against.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -95,15 +97,18 @@ def lif_step_record(
     state: NumpyState | None,
     constants: tuple[np.ndarray, ...],
     reset_mode: str,
-) -> tuple[np.ndarray, NumpyState, tuple]:
+) -> tuple[np.ndarray, NumpyState, np.ndarray]:
     """One graph-free LIF step plus its BPTT backward context.
 
     The same float arithmetic as :meth:`LIFCell.step` (so spikes and state
     are bitwise those of the autograd path), staged through reused scratch
     (``out=``) so a T-step loop allocates as few arrays as the state it
-    must keep.  The context holds the surrogate pre-activation
-    ``v_decayed - v_th`` and, for hard resets, the decayed membrane the
-    reset gate's gradient needs.  Returns ``(spikes, (i, v), ctx)``.
+    must keep.  The spike test compares ``v_decayed > v_th`` directly: with
+    gradual underflow ``a - b > 0`` holds exactly when ``a > b`` (both are
+    false on NaN), so the pre-activation ``v_decayed - v_th`` is never
+    formed here.  The context is the decayed membrane alone;
+    :func:`lif_step_backward` recomputes the pre-activation from it.
+    Returns ``(spikes, (i, v), v_decayed)``.
     """
     if state is None:
         state = (np.zeros_like(input_current), np.zeros_like(input_current))
@@ -113,37 +118,38 @@ def lif_step_record(
     dv += i_prev
     dv *= scale
     v_decayed = v_prev + dv
-    x = v_decayed - v_th
-    fired = x > 0
-    spikes = fired.astype(x.dtype)
+    # The dtype ``v_decayed - v_th`` would have had.
+    dtype = np.result_type(v_decayed, v_th)
+    fired = v_decayed > v_th
+    spikes = fired.astype(dtype)
     if reset_mode == "hard":
-        v_new = np.subtract(one, fired, dtype=x.dtype)
+        v_new = np.subtract(one, fired, dtype=dtype)
         v_new *= v_decayed
         if v_reset != 0.0:
             v_new += v_reset * spikes
-        ctx = (x, v_decayed)
     else:
         v_new = v_decayed - spikes * reset_drop
-        ctx = (x, None)
     i_new = i_prev * decay
     i_new += input_current
-    return spikes, (i_new, v_new), ctx
+    return spikes, (i_new, v_new), v_decayed
 
 
 def lif_step_backward(
     g_spikes: np.ndarray,
     g_state: NumpyState | None,
-    ctx: tuple,
+    v_decayed: np.ndarray,
     constants: tuple[np.ndarray, ...],
     reset_mode: str,
-    derivative: np.ndarray,
+    derivative: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, NumpyState]:
     """Reverse one :func:`lif_step_record` step without an autograd graph.
 
     ``g_state`` is the gradient on the new state ``(i, v)`` from the next
-    step (``None`` at the last one); ``derivative`` is the surrogate
-    derivative at ``ctx``'s pre-activation.  Returns ``(g_input_current,
-    (g_i_prev, g_v_prev))``.
+    step (``None`` at the last one); ``v_decayed`` is the recorded context;
+    ``derivative`` maps the surrogate pre-activation ``v_decayed - v_th``
+    (recomputed here, once, with the forward's subtraction) to the
+    surrogate derivative.  Returns ``(g_input_current, (g_i_prev,
+    g_v_prev))``.
 
     The expressions perform the autograd closures' arithmetic with
     ``a + -(b)`` chains fused into ``a - b``, exact-zero products
@@ -153,24 +159,24 @@ def lif_step_backward(
     their consumers: the downstream transform, then the ``1 - z`` gate,
     then the ``v_reset * z`` term.
     """
-    x, v_decayed = ctx
+    scale, _v_leak, v_th, one, v_reset, reset_drop, decay = constants
+    x = v_decayed - v_th
     if g_state is None:
         g_state = (np.zeros_like(x), np.zeros_like(x))
     gi, gv = g_state
-    scale, _v_leak, _v_th, one, v_reset, reset_drop, decay = constants
     if reset_mode == "hard":
         g_x = gv * v_decayed
         np.subtract(g_spikes, g_x, out=g_x)
         if v_reset != 0.0:
             g_x += gv * v_reset
-        g_x *= derivative
+        g_x *= derivative(x)
         g_vd = np.subtract(one, x > 0, dtype=x.dtype)
         g_vd *= gv
         g_vd += g_x
     else:
         g_x = gv * reset_drop
         np.subtract(g_spikes, g_x, out=g_x)
-        g_x *= derivative
+        g_x *= derivative(x)
         g_vd = gv + g_x
     g_add1 = g_vd * scale
     g_v_prev = np.subtract(g_vd, g_add1, out=g_vd)
@@ -363,7 +369,7 @@ class LIFCell(Module):
 
     def step_record_numpy(
         self, input_current: np.ndarray, state: NumpyState | None = None
-    ) -> tuple[np.ndarray, NumpyState, tuple]:
+    ) -> tuple[np.ndarray, NumpyState, np.ndarray]:
         """:meth:`step_numpy` that also returns the BPTT backward context.
 
         See :func:`lif_step_record`.  Subclasses overriding :meth:`step`
@@ -378,7 +384,7 @@ class LIFCell(Module):
         self,
         g_spikes: np.ndarray,
         g_state: NumpyState | None,
-        ctx: tuple,
+        ctx: np.ndarray,
     ) -> tuple[np.ndarray, NumpyState]:
         """Reverse one time step of :meth:`step` without an autograd graph.
 
@@ -399,8 +405,8 @@ class LIFCell(Module):
         bitwise those of the Tensor path (see :func:`lif_step_backward`).
         """
         p = self.params
-        derivative = surrogate_derivative(
-            ctx[0], method=p.surrogate, alpha=p.surrogate_alpha
+        derivative = partial(
+            surrogate_derivative, method=p.surrogate, alpha=p.surrogate_alpha
         )
         return lif_step_backward(
             g_spikes, g_state, ctx, _promoted_constants(self), p.reset_mode, derivative

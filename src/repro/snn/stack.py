@@ -165,10 +165,9 @@ class StackedLIFCell:
 
     def step_backward_numpy(self, g_spikes, g_state, ctx):
         """Stacked twin of :meth:`LIFCell.step_backward_numpy`."""
-        x = ctx[0]
-        constants = self.constants.for_array(x)
+        constants = self.constants.for_array(ctx)
         return lif_step_backward(
-            g_spikes, g_state, ctx, constants, self.reset_mode, self._derivative(x)
+            g_spikes, g_state, ctx, constants, self.reset_mode, self._derivative
         )
 
 
@@ -212,12 +211,15 @@ class _StackedConv:
         plan = self.convs[0]._plan_for(x)
         return plan.stacked(x, self._weights(), self._biases(), alive), (x, plan)
 
-    def backward(self, g, ctx, sinks, alive):
+    def backward(self, g, ctx, sinks, alive, *, want_input_grad=True):
         x, plan = ctx
+        # A lane collects parameter gradients only while alive (the sinks
+        # are gated by the same window), so ``alive`` covers both GEMMs.
+        g_mats = plan.lane_grad_matrices(g, alive)
         if sinks is not None and any(sink is not None for sink in sinks):
             wanted = [sink is not None for sink in sinks]
             grads = plan.stacked_backward_weights(
-                g, x, self.convs[0].weight.shape, wanted
+                g_mats, x, self.convs[0].weight.shape, wanted
             )
             n = g.shape[0] // len(self.convs)
             for lane, conv in enumerate(self.convs):
@@ -228,7 +230,9 @@ class _StackedConv:
                 if conv.bias is not None:
                     block = g[lane * n : (lane + 1) * n]
                     sink.append((conv.bias, block.sum(axis=(0, 2, 3))))
-        return plan.stacked_backward_input(g, self._weights(), alive)
+        if not want_input_grad:
+            return None
+        return plan.stacked_backward_input(g_mats, self._weights(), alive)
 
 
 class _StackedLinear:
@@ -257,13 +261,15 @@ class _StackedLinear:
     def record(self, x, alive):
         return self.forward(x, alive), x
 
-    def backward(self, g, ctx, sinks, alive):
+    def backward(self, g, ctx, sinks, alive, *, want_input_grad=True):
         x = ctx
         k = len(self.linears)
         n = g.shape[0] // k
-        g_in = np.empty(
-            (g.shape[0], self.linears[0].weight.data.shape[1]), dtype=g.dtype
-        )
+        g_in = None
+        if want_input_grad:
+            g_in = np.empty(
+                (g.shape[0], self.linears[0].weight.data.shape[1]), dtype=g.dtype
+            )
         for lane, linear in enumerate(self.linears):
             rows = slice(lane * n, (lane + 1) * n)
             sink = sinks[lane] if sinks is not None else None
@@ -271,6 +277,8 @@ class _StackedLinear:
                 sink.append((linear.weight, (x[rows].T @ g[rows]).transpose()))
                 if linear.bias is not None:
                     sink.append((linear.bias, g[rows].sum(axis=0)))
+            if g_in is None:
+                continue
             if alive is not None and not alive[lane]:
                 g_in[rows] = 0.0
                 continue
@@ -295,8 +303,10 @@ class _StackedLaneLocal:
     def record(self, x, alive):
         return self.module.forward_record_numpy(x)
 
-    def backward(self, g, ctx, sinks, alive):
-        return self.module.backward_numpy(g, ctx, None)
+    def backward(self, g, ctx, sinks, alive, *, want_input_grad=True):
+        return self.module.backward_numpy(
+            g, ctx, None, want_input_grad=want_input_grad
+        )
 
 
 class _StackedSequential:
@@ -317,9 +327,11 @@ class _StackedSequential:
             contexts.append(ctx)
         return x, contexts
 
-    def backward(self, g, ctx, sinks, alive):
-        for stage, stage_ctx in zip(reversed(self.stages), reversed(ctx)):
-            g = stage.backward(g, stage_ctx, sinks, alive)
+    def backward(self, g, ctx, sinks, alive, *, want_input_grad=True):
+        for index in reversed(range(len(self.stages))):
+            g = self.stages[index].backward(
+                g, ctx[index], sinks, alive, want_input_grad=want_input_grad or index > 0
+            )
         return g
 
 

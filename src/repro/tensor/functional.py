@@ -230,10 +230,11 @@ def conv2d(
 
     def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
         grad_x = grad_w = None
+        g_mat = plan.grad_matrix(g)
         if x.requires_grad:
-            grad_x = plan.backward_input(g, w_data)
+            grad_x = plan.backward_input(g_mat, w_data)
         if weight.requires_grad:
-            grad_w = plan.backward_weight(g, None, w_data.shape)
+            grad_w = plan.backward_weight(g_mat, None, w_data.shape)
         if bias is None:
             return grad_x, grad_w
         return grad_x, grad_w, plan.backward_bias(g)
@@ -250,14 +251,15 @@ def max_pool2d(
 
     A one-shot :class:`MaxPool2dPlan` (pairwise maximum over the window
     offsets).  Gradient flows to the argmax element of each window (first
-    index wins ties, matching PyTorch), routed by :meth:`MaxPool2dPlan.backward`.
+    index wins ties, matching PyTorch), routed by the plan's
+    :meth:`~MaxPool2dPlan.route` and :meth:`~MaxPool2dPlan.backward`.
     """
     plan = MaxPool2dPlan(x.shape, kernel_size, stride)
     x_data = x.data
     out_data = plan(x_data)
 
     def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        return (plan.backward(g, x_data, out_data),)
+        return (plan.backward(g, plan.route(x_data, out_data), x_data.dtype),)
 
     return apply_op(out_data, (x,), backward, "max_pool2d")
 
@@ -482,8 +484,12 @@ class Conv2dPlan:
         return nchw
 
     @staticmethod
-    def _grad_as_matrix(g: np.ndarray) -> np.ndarray:
-        """Output gradient ``(N, C_out, OH, OW)`` as the matmul layout."""
+    def grad_matrix(g: np.ndarray) -> np.ndarray:
+        """Output gradient ``(N, C_out, OH, OW)`` as the matmul layout.
+
+        A copy for N > 1: laid out once per backward, it is the ``g_mat``
+        operand of both :meth:`backward_input` and :meth:`backward_weight`.
+        """
         return g.transpose(0, 2, 3, 1).reshape(-1, g.shape[1])
 
     def __call__(
@@ -493,17 +499,18 @@ class Conv2dPlan:
         cols = self._columns(slice(0, self.shape[0]))
         return self._to_nchw(cols @ weight.reshape(weight.shape[0], -1).T, bias)
 
-    def backward_input(self, g: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    def backward_input(self, g_mat: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. the input: grad-column matmul, col2im scatter.
 
-        Runs the per-offset strided accumulation and padding crop in a
-        zeroed padded scratch that a cached plan reuses across calls.
+        ``g_mat`` is the output gradient as :meth:`grad_matrix` lays it
+        out.  Runs the per-offset strided accumulation and padding crop in
+        a zeroed padded scratch that a cached plan reuses across calls.
         """
         w_mat = weight.reshape(weight.shape[0], -1)
-        return self._col2im(self._grad_as_matrix(g) @ w_mat)
+        return self._col2im(g_mat @ w_mat)
 
     def backward_weight(
-        self, g: np.ndarray, x: np.ndarray | None, weight_shape: tuple[int, ...]
+        self, g_mat: np.ndarray, x: np.ndarray | None, weight_shape: tuple[int, ...]
     ) -> np.ndarray:
         """Gradient w.r.t. the filters: ``g_mat.T @ cols``.
 
@@ -516,7 +523,7 @@ class Conv2dPlan:
         if x is not None:
             self._im2col(x)
         cols = self._columns(slice(0, self.shape[0]))
-        return (self._grad_as_matrix(g).T @ cols).reshape(weight_shape)
+        return (g_mat.T @ cols).reshape(weight_shape)
 
     @staticmethod
     def backward_bias(g: np.ndarray) -> np.ndarray:
@@ -551,6 +558,20 @@ class Conv2dPlan:
         n = self.lane_rows(lanes) // (self.oh * self.ow)
         return [slice(lane * n, (lane + 1) * n) for lane in range(lanes)]
 
+    def lane_grad_matrices(
+        self, g: np.ndarray, needed: list[bool]
+    ) -> list[np.ndarray | None]:
+        """Per-variant :meth:`grad_matrix` of a lane-folded output gradient.
+
+        Each lane's matrix is laid out from its own batch slice (``None``
+        where ``needed`` is false) and serves both of that lane's GEMMs in
+        :meth:`stacked_backward_input` and :meth:`stacked_backward_weights`.
+        """
+        return [
+            self.grad_matrix(g[batch]) if wanted else None
+            for batch, wanted in zip(self._lane_batches(len(needed)), needed)
+        ]
+
     def stacked(
         self,
         x: np.ndarray,
@@ -582,14 +603,16 @@ class Conv2dPlan:
 
     def stacked_backward_input(
         self,
-        g: np.ndarray,
+        g_mats: list[np.ndarray | None],
         weights: list[np.ndarray],
         alive: list[bool] | None = None,
     ) -> np.ndarray:
         """Input gradient for K weight sets over a lane-folded batch.
 
-        Per-variant grad-column GEMMs feed one fold-wide col2im scatter
-        (the scatter is lane-local data movement, so folding it is exact).
+        ``g_mats`` are the :meth:`lane_grad_matrices` of the output
+        gradient.  Per-variant grad-column GEMMs feed one fold-wide col2im
+        scatter (the scatter is lane-local data movement, so folding it
+        is exact).
         """
         rows = self.shape[0] * self.oh * self.ow
         grad_cols = np.empty(
@@ -601,12 +624,12 @@ class Conv2dPlan:
                 grad_cols[block] = 0.0
                 continue
             w_mat = weights[lane].reshape(weights[lane].shape[0], -1)
-            grad_cols[block] = self._grad_as_matrix(g[batch]) @ w_mat
+            grad_cols[block] = g_mats[lane] @ w_mat
         return self._col2im(grad_cols)
 
     def stacked_backward_weights(
         self,
-        g: np.ndarray,
+        g_mats: list[np.ndarray | None],
         x: np.ndarray,
         weight_shape: tuple[int, ...],
         wanted: list[bool],
@@ -614,7 +637,7 @@ class Conv2dPlan:
         """Per-variant filter gradients over a lane-folded batch.
 
         One im2col refill from the recorded folded input serves every
-        variant's ``g.T @ cols`` GEMM; ``wanted[lane]`` gates lanes whose
+        variant's ``g_mat.T @ cols`` GEMM; ``wanted[lane]`` gates lanes whose
         parameters are structurally dead at this step (``None`` entries
         keep the autograd path's grad-never-touched semantics).
         """
@@ -624,8 +647,7 @@ class Conv2dPlan:
             if not wanted[lane]:
                 grads.append(None)
                 continue
-            g_mat = self._grad_as_matrix(g[batch])
-            grads.append((g_mat.T @ self._columns(batch)).reshape(weight_shape))
+            grads.append((g_mats[lane].T @ self._columns(batch)).reshape(weight_shape))
         return grads
 
 
@@ -663,6 +685,18 @@ class MaxPool2dPlan(_Pool2dPlan):
     order-independent, so values match an argmax gather exactly (NaNs
     propagate identically; only the sign bit of a ±0.0 tie may differ,
     which value comparisons ignore).
+
+    The backward routes each output gradient to the first window offset
+    holding the maximum (PyTorch's argmax convention).  :meth:`route`
+    returns that routing in the form :meth:`backward` consumes:
+
+    * non-overlapping windows (stride >= kernel) — a per-output *code*,
+      the first offset ``k`` whose element equals the output, as the
+      smallest unsigned dtype that also holds the sentinel ``kh * kw``
+      (no offset claims a NaN window, as no element compares equal to
+      it): ``uint8`` up to 255 offsets;
+    * overlapping windows — the input itself, for an argmax and a float64
+      bincount in the backward.
     """
 
     _op = "max_pool2d"
@@ -682,6 +716,9 @@ class MaxPool2dPlan(_Pool2dPlan):
             for i in range(self.kh)
             for j in range(self.kw)
         ]
+        # Every input pixel lies in at most one window.
+        self._disjoint = self.sh >= self.kh and self.sw >= self.kw
+        self._code_dtype = np.min_scalar_type(len(self._slices))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         first, *rest = self._slices
@@ -692,46 +729,50 @@ class MaxPool2dPlan(_Pool2dPlan):
             np.maximum(out, x[:, :, rows, cols], out=out)
         return out
 
-    def backward(
-        self, g: np.ndarray, x: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Gradient w.r.t. the input, replaying the window argmax on ``x``.
+    def route(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The routing :meth:`backward` needs, from the input and the output.
 
-        The plan's pairwise-max forward never materialises argmax indices,
-        so the backward reconstructs the routing from the recorded input —
-        first window index wins ties, exactly like an argmax over the
-        flattened window (PyTorch convention).  When the windows do not overlap
-        (stride >= kernel) and the forward output ``out`` is supplied,
-        each input pixel receives at most one contribution and the routing
-        is a first-claim sweep over the window offsets against ``out`` —
-        no window materialisation, argmax or bincount needed; values are
-        identical (a pixel's single contribution survives the float64
-        bincount round-trip bit for bit).  Overlapping windows route by
-        argmax and sum with a float64 bincount, cast once to the input
-        dtype.  As with the forward, NaN inputs are outside the parity
-        contract.
+        For non-overlapping windows, the first-claim code: the number of
+        leading offsets whose element differs from the maximum, counted
+        in one pass per offset.
+        """
+        if not self._disjoint:
+            return x
+        (rows, cols), *rest = self._slices
+        unclaimed = x[:, :, rows, cols] != out
+        code = unclaimed.astype(self._code_dtype)
+        for rows, cols in rest:
+            unclaimed &= x[:, :, rows, cols] != out
+            code += unclaimed
+        return code
+
+    def backward(
+        self, g: np.ndarray, route: np.ndarray, dtype: np.dtype
+    ) -> np.ndarray:
+        """Gradient w.r.t. the input (of ``dtype``), routed by :meth:`route`.
+
+        Non-overlapping windows give each input pixel at most one
+        contribution, the output gradient masked by its offset's claim
+        (``g * (code == k)``); values are those of the argmax route (a
+        pixel's single contribution survives the float64 bincount
+        round-trip bit for bit).  Overlapping windows route by argmax and
+        sum with a float64 bincount, cast once to ``dtype``.  As with the
+        forward, NaN inputs are outside the parity contract.
         """
         n, c, h, w = self.shape
-        if out is not None and self.sh >= self.kh and self.sw >= self.kw:
+        if self._disjoint:
             if self.oh * self.sh == h and self.ow * self.sw == w and (
                 self.sh == self.kh and self.sw == self.kw
             ):
                 # Every input pixel belongs to exactly one window, so each
                 # is written exactly once below — no zero-fill needed.
-                grad_x = np.empty(self.shape, dtype=x.dtype)
+                grad_x = np.empty(self.shape, dtype=dtype)
             else:
-                grad_x = np.zeros(self.shape, dtype=x.dtype)
-            claimed = np.empty(out.shape, dtype=bool)
+                grad_x = np.zeros(self.shape, dtype=dtype)
             for k, (rows, cols) in enumerate(self._slices):
-                is_max = x[:, :, rows, cols] == out
-                if k:
-                    is_max &= ~claimed
-                    claimed |= is_max
-                else:
-                    np.copyto(claimed, is_max)
-                grad_x[:, :, rows, cols] = g * is_max
+                np.multiply(g, route == k, out=grad_x[:, :, rows, cols])
             return grad_x
-        windows = self._windows(x)
+        windows = self._windows(route)
         arg = windows.reshape(n, c, self.oh, self.ow, self.kh * self.kw).argmax(axis=-1)
         ki, kj = np.divmod(arg, self.kw)
         rows = np.arange(self.oh).reshape(1, 1, self.oh, 1) * self.sh + ki
@@ -741,7 +782,7 @@ class MaxPool2dPlan(_Pool2dPlan):
         ) * (h * w)
         flat = plane + rows * w + cols
         grad_x = np.bincount(flat.ravel(), weights=g.ravel(), minlength=n * c * h * w)
-        return grad_x.reshape(n, c, h, w).astype(x.dtype, copy=False)
+        return grad_x.reshape(n, c, h, w).astype(dtype, copy=False)
 
 
 class AvgPool2dPlan(_Pool2dPlan):

@@ -76,7 +76,10 @@ def _spawn_worker(
 
 
 def _wait_for_lease(
-    grid_dir: Path, timeout: float = 120.0, held_for: float = 0.0
+    grid_dir: Path,
+    workers: dict[str, subprocess.Popen],
+    timeout: float = 120.0,
+    held_for: float = 0.0,
 ) -> tuple[int, str]:
     """Poll until some worker holds a parseable lease; return (task, owner).
 
@@ -86,9 +89,15 @@ def _wait_for_lease(
     (owner and acquisition time) to survive that many seconds, filtering
     out the millisecond-lived leases of chaos-failed first attempts so
     graceful retirement interrupts a worker genuinely inside its phase.
+
+    Fails at once when every worker has exited without a lease in sight,
+    with each worker's exit code and the tail of its output.
     """
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
+        # Checked before the scan: a lease a worker wrote before exiting
+        # is still found below.
+        exited = all(process.poll() is not None for process in workers.values())
         for path in sorted(grid_dir.glob("lease_*.json")):
             try:
                 payload = json.loads(path.read_text())
@@ -107,8 +116,21 @@ def _wait_for_lease(
                         or check.get("acquired") != payload.get("acquired")):
                     continue
             return int(path.stem.removeprefix("lease_")), owner
+        if exited:
+            pytest.fail(
+                "every worker exited without holding a lease:\n"
+                + "\n".join(_exit_report(worker_id, process)
+                            for worker_id, process in workers.items())
+            )
         time.sleep(0.02)
     pytest.fail("no worker ever claimed a lease")
+
+
+def _exit_report(worker_id: str, process: subprocess.Popen, lines: int = 20) -> str:
+    """A worker's exit code and the last ``lines`` lines of its output."""
+    out, _ = process.communicate()
+    tail = "\n".join((out or "").splitlines()[-lines:])
+    return f"--- {worker_id} exited {process.returncode}:\n{tail}"
 
 
 def _drain(workers: dict[str, subprocess.Popen], timeout: float = 240.0) -> None:
@@ -137,7 +159,7 @@ class TestSigkillMidLease:
             for worker_id in worker_ids
         }
         try:
-            orphan_task, victim_id = _wait_for_lease(grid_dir)
+            orphan_task, victim_id = _wait_for_lease(grid_dir, workers)
             victim = workers.pop(victim_id, None)
             assert victim is not None, f"lease owner {victim_id!r} is not ours"
             victim.kill()  # SIGKILL: no release, no heartbeat, no goodbye
@@ -242,7 +264,7 @@ class TestSigtermRetirement:
             # Interrupt a worker that is genuinely inside a phase (a lease
             # held >= 0.35s outlives any chaos-failed claim), so the drain
             # handler fires mid-task and must hand the lease off.
-            _, victim_id = _wait_for_lease(grid_dir, held_for=0.35)
+            _, victim_id = _wait_for_lease(grid_dir, workers, held_for=0.35)
             victim = workers.pop(victim_id, None)
             assert victim is not None, f"lease owner {victim_id!r} is not ours"
             victim.send_signal(signal.SIGTERM)
@@ -367,7 +389,7 @@ class TestRaggedFleet:
         early = _spawn_worker(queue_dir, "ragged-early", cwd=tmp_path)
         workers = {"ragged-early": early}
         try:
-            _wait_for_lease(grid_dir)  # the early worker is committed now
+            _wait_for_lease(grid_dir, workers)  # the early worker is committed now
             workers["ragged-late"] = _spawn_worker(
                 queue_dir, "ragged-late", cwd=tmp_path
             )

@@ -14,6 +14,9 @@ from differentiating the unrolled autograd graph, at every level:
   distinction for structurally dead stages), Trainer runs must train
   identical weights, and gradient-based attacks must produce identical
   outcomes on either path.
+* **The tape** — the recorded forward keeps only what the backward reads
+  (one membrane per LIF step, a one-byte max-pool routing code), and
+  training never forms the first layer's unread input gradient.
 
 Every reference leg runs under :func:`tests.reference_ops.unrolled_graph`,
 so the oracle is the autograd loop and never the fused path it checks.
@@ -33,7 +36,9 @@ from repro.data.dataset import ArrayDataset
 from repro.models import build_model
 from repro.models.spiking_lenet import build_spiking_lenet_mini
 from repro.nn.module import Module
-from repro.snn.encoding import PoissonEncoder
+from repro.snn import backward as bptt
+from repro.snn.encoding import ConstantCurrentLIFEncoder, PoissonEncoder
+from repro.snn.network import NetworkLanes, SpikingLayer, SpikingNetwork, SpikingReadout
 from repro.snn.neuron import LICell, LIFCell, LIFParameters
 from repro.snn.stack import VariantStack
 from repro.tensor import functional as F
@@ -709,3 +714,243 @@ class TestFusedTraining:
         assert model.fused_backward_count == 0
         assert np.isfinite(history.train_loss[0])
         assert any(not np.array_equal(before[name], after[name]) for name in before)
+
+
+def _dyadic_network(v_th, v_reset=0.0, reset_mode="hard", dtype=np.float32):
+    """Encoder -> Linear -> LIF -> Linear -> LI on exactly representable values.
+
+    ``dt * tau_inv = 0.5`` and parameters on a 1/8 grid keep the membrane
+    arithmetic exact, so membranes land where a test puts them: a pixel
+    ``p`` drives the encoder's decayed membrane at step 1 to exactly ``p``
+    (when the encoder did not fire at step 0).
+    """
+    params = LIFParameters(
+        v_th=v_th, v_reset=v_reset, reset_mode=reset_mode, dt=1.0 / 1024,
+        tau_mem_inv=512.0, tau_syn_inv=512.0, surrogate_alpha=5.0,
+    )
+    hidden, readout = nn.Linear(8, 6, rng=0), nn.Linear(6, 3, rng=1)
+    for param in (*hidden.parameters(), *readout.parameters()):
+        param.data = (np.round(param.data * 8) / 8).astype(dtype)
+    return SpikingNetwork(
+        ConstantCurrentLIFEncoder(params),
+        [SpikingLayer(hidden, LIFCell(params))],
+        SpikingReadout(readout, LICell(params)),
+        time_steps=6,
+    )
+
+
+def _dyadic_images(pixel, dtype=np.float32):
+    """Four images on a 1/8 grid whose first pixel is ``pixel``."""
+    images = np.random.default_rng(4).integers(0, 9, size=(4, 8)) / 8
+    images = images.astype(dtype)
+    images[:, 0] = pixel
+    return images
+
+
+TINY = float(np.finfo(np.float32).tiny)
+
+
+class TestLIFContextEdgeCases:
+    """The one-array LIF context (``v_decayed``) where ``x = v_decayed - v_th``
+    is exactly zero, subnormal or signed zero: fused == the unrolled graph."""
+
+    LABELS = np.array([0, 1, 2, 0])
+
+    @pytest.mark.parametrize(
+        "v_th,v_reset,reset_mode,pixel",
+        [
+            pytest.param(0.25, 0.0, "hard", 0.25, id="v_decayed==v_th"),
+            pytest.param(
+                TINY, 0.0, "hard", np.nextafter(np.float32(TINY), np.float32(1)),
+                id="subnormal-gap",
+            ),
+            pytest.param(0.25, -0.5, "hard", 0.25, id="v_reset<0<v_th"),
+            pytest.param(0.0, -0.5, "hard", 0.0, id="v_reset<v_th==0"),
+            pytest.param(-0.25, -0.5, "hard", 0.5, id="v_reset<v_th<0"),
+            pytest.param(-0.0, -0.5, "hard", 0.0, id="v_reset<v_th==-0"),
+            pytest.param(0.25, 0.0, "soft", 0.25, id="soft"),
+            pytest.param(0.25, -0.5, "soft", 0.25, id="soft-v_reset"),
+        ],
+    )
+    def test_matches_unrolled_graph(self, v_th, v_reset, reset_mode, pixel):
+        model = _dyadic_network(v_th, v_reset, reset_mode)
+        self._assert_parity(model, _dyadic_images(pixel))
+        if v_th > 0:
+            # The edge case really occurs: the encoder's recorded membrane
+            # at step 1 is the pixel, exactly at (or a subnormal above) v_th.
+            tape = bptt.record_forward(NetworkLanes(model), _dyadic_images(pixel))
+            gap = tape.encoder_ctxs[1][:, 0] - np.float32(v_th)
+            assert np.all(gap == np.float32(pixel) - np.float32(v_th))
+            assert np.all((gap == 0) | ((gap > 0) & (gap < TINY)))
+
+    def test_float64_model(self):
+        model = _dyadic_network(0.25, dtype=np.float64)
+        self._assert_parity(model, _dyadic_images(0.25, dtype=np.float64))
+
+    def test_float64_threshold_on_float32_model(self):
+        # A numpy float64 constant promotes the float32 membrane arithmetic
+        # to float64, spikes and all, on either path.
+        model = _dyadic_network(np.float64(0.25))
+        logits = self._assert_parity(model, _dyadic_images(0.25))
+        assert logits.dtype == np.float64
+
+    def test_stacked_lanes_match_unrolled_graph(self):
+        # Per-lane threshold columns, one lane sitting on the tie.
+        members = [_dyadic_network(0.25), _dyadic_network(0.375)]
+        images = _dyadic_images(0.25)
+        stack = VariantStack(members)
+        folded = stack.fused_input_gradient(
+            stack.fold([images, images]), [self.LABELS, self.LABELS]
+        )
+        for lane, member in enumerate(members):
+            np.testing.assert_array_equal(
+                folded[lane * 4 : (lane + 1) * 4],
+                _autograd_input_gradient(member, images, self.LABELS),
+            )
+
+    def _assert_parity(self, model, images):
+        with unrolled_graph(model):
+            ref_logits, ref_input = _forward_backward(model, images, self.LABELS)
+        ref_params = _param_grads(model)
+        model.zero_grad()
+        logits, grad_input = _forward_backward(model, images, self.LABELS)
+        assert model.fused_backward_count == 1
+        assert logits.dtype == ref_logits.dtype
+        np.testing.assert_array_equal(logits, ref_logits)
+        assert ref_input is not None and ref_input.any()
+        assert grad_input.dtype == ref_input.dtype
+        np.testing.assert_array_equal(grad_input, ref_input)
+        for name, grad in _param_grads(model).items():
+            assert (grad is None) == (ref_params[name] is None), name
+            if grad is not None:
+                np.testing.assert_array_equal(grad, ref_params[name])
+        return logits
+
+
+def _unique_arrays(obj, found: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """Every array reachable through lists and tuples, keyed by owning buffer."""
+    if isinstance(obj, np.ndarray):
+        base = obj
+        while isinstance(base.base, np.ndarray):
+            base = base.base
+        found[id(base)] = base
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _unique_arrays(item, found)
+    return found
+
+
+class TestTapeFootprint:
+    """record_forward keeps what backward_pass reads, and nothing else."""
+
+    def test_snn_lenet_mini_tape(self):
+        model = build_model("snn_lenet_mini", input_size=16, time_steps=16, rng=0)
+        images = np.random.default_rng(0).random((32, 1, 16, 16)).astype(np.float32)
+        tape = bptt.record_forward(NetworkLanes(model), images)
+
+        # One state-sized membrane per LIF step: encoder, then each layer.
+        state_shapes = [(32, 1, 16, 16), (32, 8, 16, 16), (32, 16, 8, 8), (32, 64)]
+        for ctxs, shape in zip([tape.encoder_ctxs, *tape.layer_cell_ctxs], state_shapes):
+            assert len(ctxs) == 16
+            for ctx in ctxs:
+                assert isinstance(ctx, np.ndarray) and ctx.shape == shape
+
+        # Max-pool contexts hold a one-byte routing code, never the input.
+        pools = []
+        for ctxs in tape.layer_transform_ctxs[1:]:
+            for members in ctxs:
+                pools += [ctx for ctx in members if isinstance(ctx[0], F.MaxPool2dPlan)]
+        assert len(pools) == 2 * 16
+        for plan, route, _dtype in pools:
+            assert route.dtype == np.uint8
+            assert route.shape == (plan.shape[0], plan.shape[1], plan.oh, plan.ow)
+        input_shapes = {plan.shape for plan, _route, _dtype in pools}
+        for array in _unique_arrays(pools, {}).values():
+            assert not (
+                np.issubdtype(array.dtype, np.floating) and array.shape in input_shapes
+            )
+
+        # 9.1 MiB.  Also recording the surrogate pre-activation, or the
+        # pooling input and output, breaks the bound (21.4 MiB with both).
+        tape_bytes = sum(
+            array.nbytes
+            for array in _unique_arrays(
+                [tape.trace, tape.encoder_ctxs, tape.layer_transform_ctxs,
+                 tape.layer_cell_ctxs, tape.readout_ctxs],
+                {},
+            ).values()
+        )
+        assert tape_bytes < 10 * 2**20
+
+
+class TestFirstLayerInputGradient:
+    """Training skips layer 0's input gradient; attack crafting forms it."""
+
+    @pytest.fixture
+    def input_grad_plans(self, monkeypatch):
+        """The plans every Conv2dPlan input-gradient call ran on, in order."""
+        plans = []
+        for name in ("backward_input", "stacked_backward_input"):
+            original = getattr(F.Conv2dPlan, name)
+
+            def spy(plan, *args, _original=original, **kwargs):
+                plans.append(plan)
+                return _original(plan, *args, **kwargs)
+
+            monkeypatch.setattr(F.Conv2dPlan, name, spy)
+        return plans
+
+    @staticmethod
+    def _count(plans, conv):
+        own = {id(plan) for plan in conv._plans.values()}
+        return sum(id(plan) in own for plan in plans)
+
+    def _dataset(self):
+        data_rng = np.random.default_rng(2)
+        images = data_rng.random((16, 1, 16, 16)).astype(np.float32)
+        return ArrayDataset(images, (np.arange(16) % 10).astype(np.int64))
+
+    def test_single_network(self, input_grad_plans):
+        config = TrainingConfig(epochs=1, batch_size=8, seed=3)
+        models = []
+        for fused in (True, False):
+            model = build_model("snn_lenet_mini", input_size=16, time_steps=8, rng=0)
+            model.use_fused_backward = fused
+            Trainer(model, config).fit(self._dataset())
+            models.append(model)
+        fused_model, graph_model = models
+        graph_state, fused_state = graph_model.state_dict(), fused_model.state_dict()
+        for name in graph_state:
+            np.testing.assert_array_equal(fused_state[name], graph_state[name])
+        first = fused_model.layers[0].transform
+        assert self._count(input_grad_plans, first) == 0
+        assert self._count(input_grad_plans, fused_model.layers[1].transform[1]) > 0
+
+        data = self._dataset()
+        fused_model.fused_input_gradient(data.images[:4], data.labels[:4])
+        assert self._count(input_grad_plans, first) > 0
+
+    def test_variant_stack(self, input_grad_plans):
+        members = [
+            build_model("snn_lenet_mini", input_size=16, time_steps=steps, rng=0)
+            for steps in (8, 6)
+        ]
+        stack = VariantStack(members)
+        data = self._dataset()
+        images, labels = data.images[:4], data.labels[:4]
+        folded = stack.fold([images, images])
+        stack.fused_loss_backward(folded, [labels, labels])
+        first = members[0].layers[0].transform
+        assert self._count(input_grad_plans, first) == 0
+        assert self._count(input_grad_plans, members[0].layers[1].transform[1]) > 0
+        for member in members:
+            stacked = _param_grads(member)
+            member.zero_grad()
+            with unrolled_graph(member):
+                F.cross_entropy(member(Tensor(images)), labels).backward()
+            for name, grad in _param_grads(member).items():
+                assert (grad is None) == (stacked[name] is None), name
+                if grad is not None:
+                    np.testing.assert_array_equal(stacked[name], grad)
+        stack.fused_input_gradient(folded, [labels, labels])
+        assert self._count(input_grad_plans, first) > 0

@@ -228,15 +228,19 @@ class TestConv2dPlanParity:
             expected.append((out_t.data, x_t.grad, w_t.grad))
 
             _assert_bitwise(plan(x, weight, bias), out_t.data)
-            _assert_bitwise(plan.backward_input(g, weight), x_t.grad)
-            _assert_bitwise(plan.backward_weight(g, x, w_shape), w_t.grad)
+            g_mat = plan.grad_matrix(g)
+            _assert_bitwise(plan.backward_input(g_mat, weight), x_t.grad)
+            _assert_bitwise(plan.backward_weight(g_mat, x, w_shape), w_t.grad)
 
         folded = F.Conv2dPlan((lanes * n, *x_shape[1:]), dtype, w_shape, stride, padding)
         x_fold, g_fold = np.concatenate(xs), np.concatenate(grads)
         alive, wanted = case["alive"], case["wanted"]
         out = folded.stacked(x_fold, weights, biases, alive)
-        grad_x = folded.stacked_backward_input(g_fold, weights, alive)
-        grad_w = folded.stacked_backward_weights(g_fold, x_fold, w_shape, wanted)
+        g_mats = folded.lane_grad_matrices(
+            g_fold, [a or w for a, w in zip(alive, wanted)]
+        )
+        grad_x = folded.stacked_backward_input(g_mats, weights, alive)
+        grad_w = folded.stacked_backward_weights(g_mats, x_fold, w_shape, wanted)
         for lane, (ref_out, ref_gx, ref_gw) in enumerate(expected):
             block = slice(lane * n, (lane + 1) * n)
             if alive[lane]:
@@ -248,6 +252,80 @@ class TestConv2dPlanParity:
                 _assert_bitwise(grad_w[lane], ref_gw)
             else:
                 assert grad_w[lane] is None
+
+
+@st.composite
+def max_pool_cases(draw):
+    """A max-pool geometry over a (mostly) tie-heavy input.
+
+    Strides below, at and above the kernel give overlapping windows,
+    exact tilings and skipped pixels; heights and widths run past whole
+    windows to leave remainder rows and columns.
+    """
+    kh, kw = draw(st.sampled_from([(1, 1), (2, 2), (3, 3), (2, 3), (3, 2)]))
+    return {
+        "kernel": (kh, kw),
+        "stride": (draw(st.integers(1, kh + 2)), draw(st.integers(1, kw + 2))),
+        "n": draw(st.integers(1, 4)),
+        "c": draw(st.integers(1, 3)),
+        "h": draw(st.integers(kh, 13)),
+        "w": draw(st.integers(kw, 13)),
+        # Share of ones in a binary input (0 and 1: every window ties
+        # throughout); None draws standard normals instead.
+        "density": draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0, None])),
+        "dtype": draw(st.sampled_from([np.float32, np.float64])),
+        "g_dtype": draw(st.sampled_from([np.float32, np.float64])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _pool_case(**fields):
+    """An explicit :func:`max_pool_cases` draw (float32, half-ones spikes)."""
+    return {
+        "n": 2, "c": 3, "density": 0.5, "dtype": np.float32,
+        "g_dtype": np.float32, "seed": 0, **fields,
+    }
+
+
+class TestMaxPool2dPlanParity:
+    """The recorded max-pool routing == the reference argmax, bit for bit.
+
+    Runs the module twins (``forward_record_numpy``/``backward_numpy``)
+    the fused BPTT path records and replays.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=max_pool_cases())
+    @example(case=_pool_case(kernel=(2, 2), stride=(2, 2), h=8, w=8))  # exact tiling
+    @example(case=_pool_case(kernel=(2, 2), stride=(2, 2), h=7, w=9))  # remainders
+    @example(case=_pool_case(kernel=(2, 2), stride=(3, 4), h=11, w=12))  # stride > kernel
+    @example(case=_pool_case(kernel=(3, 3), stride=(3, 3), h=9, w=10, density=1.0))
+    @example(case=_pool_case(kernel=(3, 3), stride=(2, 2), h=9, w=9))  # overlapping
+    def test_module_twin_matches_reference(self, case):
+        rng = np.random.default_rng(case["seed"])
+        shape = (case["n"], case["c"], case["h"], case["w"])
+        if case["density"] is None:
+            x = rng.standard_normal(shape)
+        else:
+            x = rng.random(shape) < case["density"]
+        x = x.astype(case["dtype"])
+        kernel, stride = case["kernel"], case["stride"]
+        pool = nn.MaxPool2d(kernel, stride)
+        out, ctx = pool.forward_record_numpy(x)
+        g = rng.standard_normal(out.shape).astype(case["g_dtype"])
+
+        x_t = Tensor(x.copy(), requires_grad=True)
+        reference = reference_ops.max_pool2d(x_t, kernel, stride)
+        # As in _run_op: the product hands the op ``g`` in its own dtype.
+        (reference * Tensor(g)).sum().backward()
+        _assert_bitwise(out, reference.data)
+        _assert_bitwise(pool.backward_numpy(g, ctx), x_t.grad)
+
+        plan, route, _dtype = ctx
+        if stride[0] >= kernel[0] and stride[1] >= kernel[1]:
+            assert route.dtype == np.uint8 and route.shape == out.shape
+        else:
+            assert route is x
 
 
 FLOATS = [np.float32, np.float64]
