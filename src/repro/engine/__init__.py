@@ -13,7 +13,8 @@ turns that observation into infrastructure, split into three layers:
 * **scheduler** (:mod:`repro.engine.scheduler`) — :func:`run_tasks`,
   executing any task list serially, on a fork pool, or on a spawn pool
   that rebuilds the context from a :class:`ContextSpec`, with identical
-  results in every mode;
+  results in every mode — and every experiment's one dispatch call,
+  serving a ``shard`` slice or joining a ``queue_dir`` fleet too;
 * **caches** (:mod:`repro.engine.cache`) — :class:`CellCache` /
   :class:`SweepCache` atomic JSON result checkpoints and the
   :class:`WeightCache` of trained ``state_dict`` archives, all keyed by

@@ -202,8 +202,12 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """One bundle of supervision knobs, threaded from the CLI down to
-    :func:`repro.engine.queue.run_queued_tasks`.
+    """One bundle of supervision knobs for queue workers.
+
+    Threaded from the CLI through each runner's one dispatch call,
+    :func:`repro.engine.scheduler.run_tasks`, to
+    :func:`repro.engine.queue.run_queued_tasks` — for the exhaustive
+    grid, the sweeps and every halving-search rung alike.
 
     ``watchdog_multiplier`` and ``watchdog_floor`` price the per-task
     deadline from the cost model (``multiplier ×`` predicted phase

@@ -34,6 +34,12 @@ dispatching work.
 
 With ``stack=K`` the in-process loop runs the units of
 :func:`repro.engine.stacking.plan_units`: K grid cells per fused pass.
+
+:func:`run_tasks` is also the single dispatch call of every experiment:
+it checks the mode flags once, serves a ``shard`` slice locally, hands a
+``queue_dir`` run to :func:`repro.engine.queue.run_queued_tasks`, and
+certifies the cache directory's shard manifest whenever a ``cache_dir``
+is given.
 """
 
 from __future__ import annotations
@@ -43,7 +49,11 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from importlib import import_module
 
-from repro.engine.costs import cached_cell_costs, order_cell_tasks
+from repro.engine.costs import (
+    cached_cell_costs,
+    cell_deadline_estimator,
+    order_cell_tasks,
+)
 from repro.engine.job import ExplorationJobContext, run_cell_task
 from repro.engine.metrics import (
     configure_metrics,
@@ -52,7 +62,8 @@ from repro.engine.metrics import (
     record_task,
     reset_metrics,
 )
-from repro.engine.shard import ShardSpec
+from repro.engine.resilience import ResilienceConfig
+from repro.engine.shard import ShardSpec, record_durable_manifest
 from repro.engine.stacking import plan_units
 from repro.utils.logging import get_logger
 
@@ -221,6 +232,13 @@ def run_tasks(
     shard: ShardSpec | None = None,
     pending_order: Callable[[list], list] | None = None,
     stack: int = 1,
+    *,
+    queue_dir=None,
+    lease_ttl: float | None = None,
+    resilience: ResilienceConfig | None = None,
+    task_deadline: Callable | None = None,
+    experiment: str = "",
+    cache_dir=None,
 ) -> tuple[list, ScheduleStats]:
     """Execute ``tasks`` and return ``(results, stats)`` in task order.
 
@@ -229,6 +247,19 @@ def run_tasks(
     computing — and ``results`` covers exactly that slice, in task
     order.  The partition depends only on task indices, so it is stable
     across hosts and across ``--resume``.
+
+    With ``queue_dir`` set, the run joins that work queue as one worker
+    of a dynamic fleet instead: :func:`repro.engine.queue.run_queued_tasks`
+    serves it as ``experiment`` with ``lease_ttl``, ``resilience`` and
+    ``task_deadline`` (``None`` keeps the queue's defaults), and
+    ``results`` is the worker's :class:`~repro.engine.queue.QueueRunResult`.
+    The queue has its own commit policy and certifies its own manifest.
+
+    With ``cache_dir`` set, the local run certifies ``cache``'s durable
+    checkpoints in that directory's shard manifest under ``experiment``
+    (:func:`~repro.engine.shard.record_durable_manifest`) — in a
+    ``finally``, so an interrupted run leaves an accurate completion
+    record for ``cache verify``.
 
     Parameters
     ----------
@@ -253,7 +284,8 @@ def run_tasks(
     resume:
         Serve already-checkpointed tasks from ``cache`` instead of
         recomputing them.  Requires ``cache`` — resuming without a
-        checkpoint store would silently recompute everything.
+        checkpoint store would silently recompute everything.  In queue
+        mode, serve them straight into commit markers.
     progress:
         Parent-side callback per completed task (logging, UIs).
     start_method:
@@ -278,6 +310,7 @@ def run_tasks(
         :func:`~repro.engine.stacking.plan_units` — up to ``stack`` grid
         cells per fused pass, bitwise identical per cell.  The fold
         replaces worker parallelism, so it conflicts with ``jobs > 1``.
+        A queue worker claims up to ``stack`` cells per round.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -285,6 +318,32 @@ def run_tasks(
         raise ValueError(f"stack must be >= 1, got {stack}")
     if stack > 1 and jobs > 1:
         raise ValueError(f"stack={stack} is in-process and conflicts with jobs={jobs}")
+    if resume and cache is None:
+        raise ValueError(
+            "resume=True requires a checkpoint cache (cache_dir) to resume from"
+        )
+    if queue_dir is not None:
+        if shard is not None:
+            raise ValueError("queue_dir (dynamic fleet) conflicts with shard (static)")
+        # Imported here: the queue module builds on this one's ScheduleStats.
+        from repro.engine.queue import DEFAULT_LEASE_TTL, run_queued_tasks
+
+        return run_queued_tasks(
+            context,
+            tasks,
+            run_fn,
+            cache,
+            queue_dir,
+            experiment=experiment,
+            cache_dir=cache_dir,
+            resume=resume,
+            progress=progress,
+            lease_ttl=DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,
+            pending_order=pending_order,
+            stack=stack,
+            resilience=resilience,
+            task_deadline=task_deadline,
+        )
     if start_method not in _START_METHODS:
         raise ValueError(
             f"unknown start_method {start_method!r}; choose from {_START_METHODS}"
@@ -298,8 +357,21 @@ def run_tasks(
             "cannot inherit the in-memory job context and must rebuild it "
             "from a module-level builder"
         )
-    if resume and cache is None:
-        raise ValueError("resume=True requires a cache to resume from")
+    try:
+        return _run_local(
+            context, tasks, run_fn, jobs, cache, resume, progress,
+            start_method, context_spec, shard, pending_order, stack,
+        )
+    finally:
+        if cache is not None and cache_dir is not None:
+            record_durable_manifest(cache_dir, cache, experiment, tasks, shard)
+
+
+def _run_local(
+    context, tasks, run_fn, jobs, cache, resume, progress,
+    start_method, context_spec, shard, pending_order, stack,
+) -> tuple[list, ScheduleStats]:
+    """The in-process, pool or stack loop behind :func:`run_tasks`."""
     start = time.perf_counter()
     if shard is not None:
         # Partition before anything else (cache lookups included): a
@@ -435,20 +507,18 @@ def run_tasks(
 def run_cell_tasks(
     context: ExplorationJobContext,
     tasks: Sequence,
-    jobs: int = 1,
     cache=None,
-    resume: bool = False,
-    progress: ProgressCallback | None = None,
-    start_method: str = "auto",
-    context_spec: ContextSpec | None = None,
-    shard: ShardSpec | None = None,
-    stack: int = 1,
+    resilience: ResilienceConfig | None = None,
+    **options,
 ) -> tuple[list, ScheduleStats]:
     """Grid-cell convenience wrapper: :func:`run_tasks` with
     :func:`~repro.engine.job.run_cell_task` as the job function.
 
-    Pending cells run longest-first by the timings recorded in ``cache``'s
-    directory (:func:`~repro.engine.costs.order_cell_tasks`).
+    The cell cost model prices the run from the timings recorded in
+    ``cache``'s directory (:mod:`repro.engine.costs`): pending cells run
+    longest-first, and queued cells get a watchdog deadline of
+    ``resilience``'s multiple of their predicted cost.  Every other
+    keyword is :func:`run_tasks`'s.
 
     Example::
 
@@ -456,17 +526,18 @@ def run_cell_tasks(
                                       jobs=4, cache=cache, resume=True)
     """
     costs = cached_cell_costs(cache.directory) if cache is not None else None
+    supervision = resilience if resilience is not None else ResilienceConfig()
     return run_tasks(
         context,
         tasks,
         run_cell_task,
-        jobs=jobs,
         cache=cache,
-        resume=resume,
-        progress=progress,
-        start_method=start_method,
-        context_spec=context_spec,
-        shard=shard,
         pending_order=lambda pending: order_cell_tasks(pending, costs),
-        stack=stack,
+        resilience=supervision,
+        task_deadline=cell_deadline_estimator(
+            costs,
+            multiplier=supervision.watchdog_multiplier,
+            floor=supervision.watchdog_floor,
+        ),
+        **options,
     )

@@ -64,7 +64,6 @@ from repro.engine.cache import (
     nearest_weight_entry,
     training_fingerprint,
 )
-from repro.engine.costs import cached_cell_costs, order_cell_tasks
 from repro.engine.metrics import (
     flush_metrics,
     record_search_promotion,
@@ -78,13 +77,15 @@ from repro.engine.job import (
     build_cell_tasks,
     run_cell_task,
 )
-from repro.engine.queue import DEFAULT_LEASE_TTL, run_queued_tasks
+from repro.engine.queue import DEFAULT_LEASE_TTL
+from repro.engine.resilience import ResilienceConfig
 from repro.engine.scheduler import run_cell_tasks
 from repro.errors import ExplorationError
 from repro.robustness.results import CellResult, ExplorationResult
 from repro.utils.logging import get_logger
 
 __all__ = [
+    "RungQuarantined",
     "RungReport",
     "SearchConfig",
     "SearchResult",
@@ -94,6 +95,10 @@ __all__ = [
 ]
 
 _logger = get_logger("engine.search")
+
+
+class RungQuarantined(ExplorationError):
+    """A queued rung quarantined candidates, so its promotions are undecidable."""
 
 
 @dataclass(frozen=True)
@@ -609,71 +614,41 @@ def _run_rung(
     context: ExplorationJobContext,
     tasks: list[CellTask],
     cell_cache: CellCache,
-    cache_dir: str | Path,
     *,
-    jobs: int,
-    stack: int,
-    start_method: str,
-    resume: bool,
     queue_dir: Path | None,
-    lease_ttl: float,
-    experiment: str,
-    progress: Callable | None,
+    **dispatch,
 ):
     """Serve one rung's candidates through the requested execution mode.
 
-    Plain engine dispatch — rung tasks are ordinary cell tasks.  In queue
-    mode, :func:`run_queued_tasks` returns once *every* candidate has a
-    commit marker (whichever worker computed it), after which the results
-    are read back from the shared checkpoint cache so all workers leave
-    the rung holding the identical result list.
+    One engine dispatch call — rung tasks are ordinary cell tasks.  In
+    queue mode it returns once *every* candidate is resolved (whichever
+    worker computed it), after which the results are read back from the
+    shared checkpoint cache so all workers leave the rung holding the
+    identical result list.
     """
-    if queue_dir is not None:
-        costs = cached_cell_costs(cache_dir)
-        _queue_result, stats = run_queued_tasks(
-            context,
-            tasks,
-            run_cell_task,
-            cell_cache,
-            queue_dir,
-            experiment=experiment,
-            cache_dir=cache_dir,
-            resume=resume,
-            progress=progress,
-            lease_ttl=lease_ttl,
-            pending_order=lambda pending: order_cell_tasks(pending, costs),
-            stack=stack,
-        )
-        if _queue_result.quarantined:
-            # A promotion decision needs every candidate's score; a
-            # quarantined cell means the rung is unmeasurable, so fail
-            # loudly instead of silently pruning the poisoned cell.
-            raise ExplorationError(
-                f"queue rung quarantined task(s) "
-                f"{list(_queue_result.quarantined)} after exhausting their "
-                "attempt budget; the halving promotion cannot be decided "
-                "without every candidate"
-            )
-        results = [cell_cache.get(task) for task in tasks]
-        missing = [task.index for task, cell in zip(tasks, results) if cell is None]
-        if missing:
-            raise ExplorationError(
-                f"queue rung committed every task but {len(missing)} "
-                f"checkpoint(s) are unreadable (indices {missing[:8]}); "
-                f"the shared cache directory may have been pruned mid-run"
-            )
-        return results, stats
-    return run_cell_tasks(
-        context,
-        tasks,
-        jobs=jobs,
-        cache=cell_cache,
-        resume=resume,
-        progress=progress,
-        start_method=start_method,
-        context_spec=None,
-        stack=stack,
+    results, stats = run_cell_tasks(
+        context, tasks, cache=cell_cache, queue_dir=queue_dir, **dispatch
     )
+    if queue_dir is None:
+        return results, stats
+    if results.quarantined:
+        # A promotion decision needs every candidate's score; a
+        # quarantined cell means the rung is unmeasurable, so fail
+        # loudly instead of silently pruning the poisoned cell.
+        raise RungQuarantined(
+            f"queue rung quarantined task(s) {list(results.quarantined)} "
+            "after exhausting their attempt budget; the halving promotion "
+            "cannot be decided without every candidate"
+        )
+    results = [cell_cache.get(task) for task in tasks]
+    missing = [task.index for task, cell in zip(tasks, results) if cell is None]
+    if missing:
+        raise ExplorationError(
+            f"queue rung committed every task but {len(missing)} "
+            f"checkpoint(s) are unreadable (indices {missing[:8]}); "
+            f"the shared cache directory may have been pruned mid-run"
+        )
+    return results, stats
 
 
 def _exhaustive_estimate(
@@ -718,6 +693,7 @@ def run_halving_search(
     resume: bool = False,
     queue_dir: str | Path | None = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
+    resilience: ResilienceConfig | None = None,
     experiment: str = "grid",
     progress: Callable | None = None,
 ) -> SearchResult:
@@ -742,6 +718,12 @@ def run_halving_search(
     exhaustive ones.  Static ``--shard`` partitioning is unsupported by
     design — promotions need *every* cell of a rung, which is what the
     dynamic queue provides across hosts.
+
+    ``resilience`` supervises queued rungs like the exhaustive queue:
+    attempt budget, backoff and watchdog deadlines.  A rung that
+    quarantines a candidate raises :class:`RungQuarantined`.  Local rungs
+    certify their checkpoints in ``cache_dir``'s shard manifest, as
+    queued rungs do.
     """
     start = time.perf_counter()
     if cache_dir is None:
@@ -807,13 +789,14 @@ def run_halving_search(
             rung_context,
             candidates,
             cell_cache,
-            cache_dir,
+            cache_dir=cache_dir,
             jobs=jobs,
             stack=stack,
             start_method=start_method,
             resume=resume,
             queue_dir=None if queue_dir is None else Path(queue_dir) / f"rung{rung_index}",
             lease_ttl=lease_ttl,
+            resilience=resilience,
             experiment=f"{experiment}-search",
             progress=progress,
         )

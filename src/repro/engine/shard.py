@@ -49,8 +49,10 @@ __all__ = [
     "ShardRunResult",
     "ShardSpec",
     "load_manifests",
+    "manifest_path",
     "record_durable_manifest",
     "save_manifests",
+    "shard_run_result",
     "update_manifest",
 ]
 
@@ -392,6 +394,14 @@ def record_durable_manifest(
     return str(Path(cache_dir) / MANIFEST_NAME)
 
 
+def manifest_path(cache_dir: str | Path | None) -> str | None:
+    """Path of ``cache_dir``'s shard manifest, or ``None`` when it has none."""
+    if cache_dir is None:
+        return None
+    path = Path(cache_dir) / MANIFEST_NAME
+    return str(path) if path.is_file() else None
+
+
 @dataclass(frozen=True)
 class ShardRunResult:
     """What one shard of an experiment produced (instead of a figure).
@@ -444,3 +454,26 @@ class ShardRunResult:
             "manifest_path": self.manifest_path,
             "metadata": dict(self.metadata),
         }
+
+
+def shard_run_result(
+    experiment: str,
+    shard: ShardSpec,
+    tasks: list,
+    cache_dir: str | Path | None,
+    metadata: dict,
+) -> ShardRunResult:
+    """The summary a sharded runner returns instead of its figure.
+
+    Reaching this point means the shard's dispatch returned, i.e. every
+    owned task completed — the owned slice *is* the completed set.  The
+    manifest is the one the dispatch certified in ``cache_dir``.
+    """
+    return ShardRunResult(
+        experiment=experiment,
+        shard=shard,
+        task_count=len(tasks),
+        completed=tuple(task.index for task in shard.partition(tasks)),
+        manifest_path=manifest_path(cache_dir),
+        metadata=metadata,
+    )

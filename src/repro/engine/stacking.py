@@ -1,8 +1,9 @@
 """K-stacked cell execution: one fused pass trains and attacks K grid cells.
 
-:func:`plan_units` is the stack-packing step both executors share —
-:func:`repro.engine.scheduler.run_tasks` (``stack=K``) and
-:func:`repro.engine.queue.run_queued_tasks` run whatever units it plans.
+:func:`plan_units` is the stack-packing step both execution loops share:
+the in-process loop of :func:`repro.engine.scheduler.run_tasks`
+(``stack=K``) and the queue loop it hands ``queue_dir`` runs to,
+:func:`repro.engine.queue.run_queued_tasks`, run whatever units it plans.
 It packs compatible grid cells into :class:`~repro.snn.stack.VariantStack`
 groups, and :func:`run_stacked_group` drives each group through *stacked
 mirrors* of the phases of :func:`repro.engine.job.run_cell_task` — one

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from repro.engine.queue import DEFAULT_LEASE_TTL, QueueRunResult
 from repro.engine.resilience import ResilienceConfig
-from repro.engine.shard import ShardRunResult, ShardSpec
+from repro.engine.shard import ShardRunResult, ShardSpec, shard_run_result
 from repro.engine.sweep import SweepResult, SweepTask
 from repro.experiments.profiles import ExperimentProfile, get_profile
 from repro.experiments.sweeps import (
@@ -35,7 +35,6 @@ from repro.experiments.sweeps import (
     build_ablation_context,
     build_ablation_tasks,
     run_sweep_schedule,
-    shard_run_result,
 )
 from repro.robustness.report import render_curve_table
 
@@ -198,7 +197,7 @@ def run_ablation_suite(
     if queue_dir is not None:
         return results  # the worker's QueueRunResult; no tables yet
     if shard is not None:
-        return shard_run_result("ablation", shard, tasks, metadata)
+        return shard_run_result("ablation", shard, tasks, cache_dir, metadata)
     return _group_by_factor(tasks, results, metadata)
 
 

@@ -11,37 +11,21 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.engine import CellCache, context_fingerprint
-from repro.engine.costs import (
-    cached_cell_costs,
-    cell_deadline_estimator,
-    order_cell_tasks,
-)
-from repro.engine.job import run_cell_task
-from repro.engine.queue import (
-    DEFAULT_LEASE_TTL,
-    QueueRunResult,
-    run_queued_tasks,
-)
+from repro.engine import CellCache, context_fingerprint, scheduler
+from repro.engine.queue import DEFAULT_LEASE_TTL, QueueRunResult
 from repro.engine.resilience import ResilienceConfig
-from repro.engine.scheduler import run_cell_tasks
 from repro.engine.search import (
     SearchConfig,
     SearchResult,
     derive_schedule,
     run_halving_search,
 )
-from repro.engine.shard import (
-    ShardRunResult,
-    ShardSpec,
-    record_durable_manifest,
-)
+from repro.engine.shard import ShardRunResult, ShardSpec, shard_run_result
 from repro.experiments.profiles import ExperimentProfile, get_profile
 from repro.experiments.sweeps import build_grid_context, spawn_spec_for
-from repro.robustness.exploration import RobustnessExplorer
+from repro.robustness.exploration import RobustnessExplorer, cell_progress
 from repro.robustness.report import render_heatmap
 from repro.robustness.results import ExplorationResult
-from repro.utils.logging import get_logger
 
 __all__ = [
     "fig6_table",
@@ -51,130 +35,6 @@ __all__ = [
     "run_grid_exploration",
     "run_grid_search",
 ]
-
-_logger = get_logger("experiments.grid")
-
-
-def _run_grid_shard(
-    explorer: RobustnessExplorer,
-    context,
-    cache: CellCache | None,
-    cache_dir: str | Path | None,
-    shard: ShardSpec,
-    profile: ExperimentProfile,
-    verbose: bool,
-    jobs: int,
-    resume: bool,
-    start_method: str,
-    spec,
-    stack: int = 1,
-) -> ShardRunResult:
-    """One shard's slice of the grid: compute + checkpoint, no figure.
-
-    The full heat maps need every cell; a shard only owns ``index mod
-    count`` of them, so it returns a completion summary and relies on
-    ``cache merge`` + an unsharded ``--resume`` run for rendering.
-    """
-    tasks = explorer.tasks()
-    owned = len(shard.partition(tasks))
-    completed: list[int] = []
-
-    def progress(task, cell, from_cache: bool) -> None:
-        completed.append(task.index)
-        if verbose:
-            _logger.info(
-                "[%d/%d] Vth=%g T=%d acc=%.3f%s",
-                len(completed), owned, task.v_th, task.time_window,
-                cell.clean_accuracy, " (cached)" if from_cache else "",
-            )
-
-    manifest_path = None
-    try:
-        _cells, stats = run_cell_tasks(
-            context,
-            tasks,
-            jobs=jobs,
-            cache=cache,
-            resume=resume,
-            progress=progress,
-            start_method=start_method,
-            context_spec=spec,
-            shard=shard,
-            stack=stack,
-        )
-    finally:
-        # Even an interrupted shard leaves an accurate completion record
-        # for the coordinator's `cache verify`.
-        if cache is not None:
-            manifest_path = record_durable_manifest(
-                cache_dir, cache, "grid", tasks, shard
-            )
-    return ShardRunResult(
-        experiment="grid",
-        shard=shard,
-        task_count=len(tasks),
-        completed=tuple(completed),
-        manifest_path=manifest_path,
-        metadata={"profile": profile.name, "engine": stats.as_dict()},
-    )
-
-
-def _run_grid_queue(
-    explorer: RobustnessExplorer,
-    context,
-    cache: CellCache,
-    cache_dir: str | Path,
-    queue_dir: Path,
-    lease_ttl: float,
-    profile: ExperimentProfile,
-    verbose: bool,
-    resume: bool,
-    stack: int,
-    resilience: ResilienceConfig | None = None,
-) -> QueueRunResult:
-    """One worker of a dynamic grid fleet: claim, compute, commit.
-
-    The queue sibling of :func:`_run_grid_shard` — the figure is
-    rendered later by a ``--resume`` run against the shared cache, once
-    ``cache watch`` (or ``cache verify``) says the queue is complete.
-    """
-    tasks = explorer.tasks()
-    served = 0
-
-    def progress(task, cell, from_cache: bool) -> None:
-        nonlocal served
-        served += 1
-        if verbose:
-            _logger.info(
-                "[queue %d] Vth=%g T=%d acc=%.3f%s",
-                served, task.v_th, task.time_window,
-                cell.clean_accuracy, " (cached)" if from_cache else "",
-            )
-
-    costs = cached_cell_costs(cache.directory)
-    supervision = resilience if resilience is not None else ResilienceConfig()
-    result, _stats = run_queued_tasks(
-        context,
-        tasks,
-        run_cell_task,
-        cache,
-        queue_dir,
-        experiment="grid",
-        cache_dir=cache_dir,
-        resume=resume,
-        progress=progress,
-        lease_ttl=lease_ttl,
-        pending_order=lambda pending: order_cell_tasks(pending, costs),
-        stack=stack,
-        resilience=supervision,
-        task_deadline=cell_deadline_estimator(
-            costs,
-            multiplier=supervision.watchdog_multiplier,
-            floor=supervision.watchdog_floor,
-        ),
-    )
-    result.metadata["profile"] = profile.name
-    return result
 
 
 def run_grid_exploration(
@@ -245,13 +105,6 @@ def run_grid_exploration(
         quarantine, backoff shape, watchdog deadline pricing); defaults
         to :class:`~repro.engine.resilience.ResilienceConfig`'s.
     """
-    if resume and cache_dir is None:
-        raise ValueError("resume=True requires cache_dir to resume from")
-    if queue_dir is not None and shard is not None:
-        raise ValueError("queue_dir (dynamic fleet) conflicts with shard (static)")
-    if queue_dir is not None and cache_dir is None:
-        raise ValueError("queue_dir requires cache_dir: the shared checkpoint "
-                         "directory is how queue workers exchange results")
     if isinstance(profile, str):
         profile = get_profile(profile)
     context = build_grid_context(profile, cache_dir=cache_dir, reuse_weights=resume)
@@ -261,41 +114,44 @@ def run_grid_exploration(
         test_set=context.test_set,
         config=context.config,
     )
+    tasks = explorer.tasks()
     cache = None
     if cache_dir is not None:
         # The factory cannot be hashed; tags pin everything it derives from.
-        fingerprint = context_fingerprint(
-            explorer.context, tags=grid_search_tags(profile)
-        )
+        fingerprint = context_fingerprint(context, tags=grid_search_tags(profile))
         cache = CellCache(cache_dir, fingerprint)
+    total = None if queue_dir is not None else len(
+        tasks if shard is None else shard.partition(tasks)
+    )
+    # Looked up on the module at call time (as RobustnessExplorer.run
+    # imports it), so wrappers installed on scheduler.run_cell_tasks —
+    # gridbench's tracer — see every grid run.
+    outcome, stats = scheduler.run_cell_tasks(
+        context,
+        tasks,
+        jobs=jobs,
+        cache=cache,
+        resume=resume,
+        progress=cell_progress(verbose, total),
+        start_method=start_method,
+        context_spec=spawn_spec_for("build_grid_context", profile, cache_dir, resume),
+        shard=shard,
+        stack=stack,
+        queue_dir=None if queue_dir is None else Path(queue_dir) / "grid",
+        lease_ttl=lease_ttl,
+        resilience=resilience,
+        experiment="grid",
+        cache_dir=cache_dir,
+    )
     if queue_dir is not None:
-        return _run_grid_queue(
-            explorer, context, cache, cache_dir, Path(queue_dir) / "grid",
-            lease_ttl, profile, verbose, resume, stack,
-            resilience=resilience,
-        )
-    spec = spawn_spec_for("build_grid_context", profile, cache_dir, resume)
+        outcome.metadata["profile"] = profile.name
+        return outcome
     if shard is not None:
-        return _run_grid_shard(
-            explorer, context, cache, cache_dir, shard, profile,
-            verbose, jobs, resume, start_method, spec, stack=stack,
+        return shard_run_result(
+            "grid", shard, tasks, cache_dir,
+            {"profile": profile.name, "engine": stats.as_dict()},
         )
-    try:
-        result = explorer.run(
-            verbose=verbose,
-            jobs=jobs,
-            cache=cache,
-            resume=resume,
-            start_method=start_method,
-            context_spec=spec,
-            weight_cache=context.weight_cache,
-            stack=stack,
-        )
-    finally:
-        if cache is not None:
-            # Unsharded runs, interrupted ones too, record the degenerate
-            # 0/1 shard, so any cache directory answers `cache verify`.
-            record_durable_manifest(cache_dir, cache, "grid", explorer.tasks(), None)
+    result = explorer.result(outcome, stats)
     result.metadata["profile"] = profile.name
     return result
 
@@ -328,6 +184,7 @@ def run_grid_search(
     stack: int = 1,
     queue_dir: str | Path | None = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
+    resilience: ResilienceConfig | None = None,
 ) -> SearchResult:
     """Guided (successive-halving) replacement for the exhaustive grid.
 
@@ -340,6 +197,8 @@ def run_grid_search(
     (the search queue roots at ``<queue_dir>/grid-search`` so a guided
     fleet never crosses wires with an exhaustive one).  Static sharding
     is deliberately unsupported: promotions need every cell of a rung.
+    ``resilience`` governs queued rungs exactly as it governs the
+    exhaustive queue (attempt budget, watchdog deadlines).
 
     Returns a :class:`~repro.engine.search.SearchResult`; its
     ``exploration()`` view renders through the usual Fig. 6-8 tables
@@ -352,18 +211,6 @@ def run_grid_search(
             schedule=derive_schedule(profile.training_config().epochs)
         )
     context = build_grid_context(profile, cache_dir=None, reuse_weights=False)
-    served = 0
-
-    def progress(task, cell, from_cache: bool) -> None:
-        nonlocal served
-        served += 1
-        if verbose:
-            _logger.info(
-                "[search %d] Vth=%g T=%d acc=%.3f%s",
-                served, task.v_th, task.time_window,
-                cell.clean_accuracy, " (cached)" if from_cache else "",
-            )
-
     result = run_halving_search(
         context,
         search,
@@ -375,8 +222,9 @@ def run_grid_search(
         resume=resume,
         queue_dir=None if queue_dir is None else Path(queue_dir) / "grid-search",
         lease_ttl=lease_ttl,
+        resilience=resilience,
         experiment="grid",
-        progress=progress,
+        progress=cell_progress(verbose),
     )
     result.metadata["profile"] = profile.name
     return result

@@ -26,14 +26,13 @@ from pathlib import Path
 
 from repro.engine.queue import DEFAULT_LEASE_TTL, QueueRunResult
 from repro.engine.resilience import ResilienceConfig
-from repro.engine.shard import ShardRunResult, ShardSpec
+from repro.engine.shard import ShardRunResult, ShardSpec, shard_run_result
 from repro.engine.sweep import SweepResult, SweepTask
 from repro.experiments.profiles import ExperimentProfile, get_profile
 from repro.experiments.sweeps import (
     build_fig9_context,
     build_fig9_tasks,
     run_sweep_schedule,
-    shard_run_result,
 )
 from repro.robustness.report import render_curve_table
 from repro.robustness.security import RobustnessCurve
@@ -167,7 +166,7 @@ def run_fig9(
     if queue_dir is not None:
         return results  # the worker's QueueRunResult; no figure yet
     if shard is not None:
-        return shard_run_result("fig9", shard, tasks, metadata)
+        return shard_run_result("fig9", shard, tasks, cache_dir, metadata)
 
     clean: dict[str, float] = {}
     snn_curves: dict[tuple[float, int], RobustnessCurve] = {}

@@ -66,7 +66,12 @@ from repro.engine.resilience import (
     QUARANTINE_EXIT_CODE,
     ResilienceConfig,
 )
-from repro.engine.search import SearchConfig, derive_schedule, parse_budget_schedule
+from repro.engine.search import (
+    RungQuarantined,
+    SearchConfig,
+    derive_schedule,
+    parse_budget_schedule,
+)
 from repro.engine.shard import ShardRunResult, ShardSpec
 from repro.experiments.ablations import run_ablation_suite
 from repro.experiments.fig1_motivation import run_fig1
@@ -453,44 +458,30 @@ def _print_engine_summary(metadata: dict) -> None:
     print(line)
 
 
-def _emit_shard_result(
-    result: ShardRunResult, out_dir: Path | None, profile_name: str
-) -> None:
-    """Render and persist one shard's completion summary.
+def _emit_summary(result, out_dir: Path | None, profile_name: str) -> int | None:
+    """Render and persist a shard's or queue worker's completion summary.
 
+    Returns the exit code the run deserves — ``QUARANTINE_EXIT_CODE``
+    when a queue task exhausted its attempt budget, 0 otherwise — or
+    ``None`` when ``result`` is a full figure for the caller to render.
     Artifacts are suffixed with the shard slice (``..._shard0of3.json``)
-    so several shards can share an ``--out`` directory without clobbering
-    each other or the eventual full-figure artifact.
+    or the worker id (``..._queue-host-123.json``), so shards and fleet
+    workers can share an ``--out`` directory without clobbering each
+    other or the eventual full-figure artifact.
     """
-    print(result.render())
-    _print_engine_summary(result.metadata)
-    suffix = f"shard{result.shard.index}of{result.shard.count}"
-    _write_json(
-        out_dir,
-        f"{result.experiment}_{profile_name}_{suffix}",
-        result.as_dict(),
-    )
-
-
-def _emit_queue_result(
-    result: QueueRunResult, out_dir: Path | None, profile_name: str
-) -> int:
-    """Render and persist one queue worker's completion summary.
-
-    Artifacts are suffixed with the worker id (``..._queue-host-123.json``)
-    so a whole fleet can share an ``--out`` directory without clobbering
-    each other or the eventual full-figure artifact.  Returns the exit
-    code the run deserves: ``QUARANTINE_EXIT_CODE`` when any task
-    exhausted its attempt budget, 0 otherwise.
-    """
+    if isinstance(result, ShardRunResult):
+        suffix, code = f"shard{result.shard.index}of{result.shard.count}", 0
+    elif isinstance(result, QueueRunResult):
+        suffix = f"queue-{result.worker}"
+        code = QUARANTINE_EXIT_CODE if result.quarantined else 0
+    else:
+        return None
     print(result.render())
     _print_engine_summary(result.metadata)
     _write_json(
-        out_dir,
-        f"{result.experiment}_{profile_name}_queue-{result.worker}",
-        result.as_dict(),
+        out_dir, f"{result.experiment}_{profile_name}_{suffix}", result.as_dict()
     )
-    return QUARANTINE_EXIT_CODE if result.quarantined else 0
+    return code
 
 
 def _run_fig1(profile, out_dir: Path | None) -> int:
@@ -531,40 +522,14 @@ def _run_fig1_queued(
     return 0
 
 
-def _run_grid(
-    profile,
-    out_dir: Path | None,
-    jobs: int = 1,
-    cache_dir: Path | None = None,
-    resume: bool = False,
-    start_method: str = "auto",
-    shard: ShardSpec | None = None,
-    stack: int = 1,
-    queue_dir: Path | None = None,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
-    resilience: ResilienceConfig | None = None,
-) -> int:
+def _run_grid(profile, out_dir: Path | None, **engine_kwargs) -> int:
     from repro.errors import ExplorationError
     from repro.robustness import select_sweet_spots
 
-    result = run_grid_exploration(
-        profile,
-        verbose=True,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        start_method=start_method,
-        shard=shard,
-        stack=stack,
-        queue_dir=queue_dir,
-        lease_ttl=lease_ttl,
-        resilience=resilience,
-    )
-    if isinstance(result, QueueRunResult):
-        return _emit_queue_result(result, out_dir, profile.name)
-    if isinstance(result, ShardRunResult):
-        _emit_shard_result(result, out_dir, profile.name)
-        return 0
+    result = run_grid_exploration(profile, verbose=True, **engine_kwargs)
+    code = _emit_summary(result, out_dir, profile.name)
+    if code is not None:
+        return code
     print(fig6_table(result))
     print()
     print(fig7_table(result))
@@ -584,36 +549,21 @@ def _run_grid(
 
 
 def _run_grid_search(
-    profile,
-    out_dir: Path | None,
-    search: SearchConfig,
-    jobs: int = 1,
-    cache_dir: Path | None = None,
-    resume: bool = False,
-    start_method: str = "auto",
-    stack: int = 1,
-    queue_dir: Path | None = None,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
+    profile, out_dir: Path | None, search: SearchConfig, **engine_kwargs
 ) -> int:
     """``grid --search halving``: guided exploration instead of the sweep.
 
     Unlike the exhaustive queue mode, every fleet worker blocks per rung
     until the rung completes, so each one independently derives the full
     :class:`~repro.engine.search.SearchResult` — the report below is
-    printed (identically) by every worker.
+    printed (identically) by every worker.  A queued rung that
+    quarantines a candidate ends the run with ``QUARANTINE_EXIT_CODE``.
     """
-    result = run_grid_search(
-        profile,
-        search=search,
-        verbose=True,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        start_method=start_method,
-        stack=stack,
-        queue_dir=queue_dir,
-        lease_ttl=lease_ttl,
-    )
+    try:
+        result = run_grid_search(profile, search=search, verbose=True, **engine_kwargs)
+    except RungQuarantined as error:
+        print(f"[quarantined] grid search: {error}", file=sys.stderr)
+        return QUARANTINE_EXIT_CODE
     exploration = result.exploration()
     print(fig6_table(exploration))
     print()
@@ -626,37 +576,11 @@ def _run_grid_search(
     return 0
 
 
-def _run_fig9(
-    profile,
-    out_dir: Path | None,
-    jobs: int = 1,
-    cache_dir: Path | None = None,
-    resume: bool = False,
-    start_method: str = "auto",
-    epsilons: tuple[float, ...] | None = None,
-    shard: ShardSpec | None = None,
-    queue_dir: Path | None = None,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
-    resilience: ResilienceConfig | None = None,
-) -> int:
-    result = run_fig9(
-        profile,
-        verbose=True,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        start_method=start_method,
-        epsilons=epsilons,
-        shard=shard,
-        queue_dir=queue_dir,
-        lease_ttl=lease_ttl,
-        resilience=resilience,
-    )
-    if isinstance(result, QueueRunResult):
-        return _emit_queue_result(result, out_dir, profile.name)
-    if isinstance(result, ShardRunResult):
-        _emit_shard_result(result, out_dir, profile.name)
-        return 0
+def _run_fig9(profile, out_dir: Path | None, **engine_kwargs) -> int:
+    result = run_fig9(profile, verbose=True, **engine_kwargs)
+    code = _emit_summary(result, out_dir, profile.name)
+    if code is not None:
+        return code
     print(result.render())
     _print_engine_summary(result.metadata)
     _write_json(out_dir, f"fig9_{profile.name}", result.as_dict())
@@ -667,35 +591,12 @@ def _run_ablation(
     profile,
     out_dir: Path | None,
     factors: tuple[str, ...] = ABLATION_FACTORS,
-    jobs: int = 1,
-    cache_dir: Path | None = None,
-    resume: bool = False,
-    start_method: str = "auto",
-    epsilons: tuple[float, ...] | None = None,
-    shard: ShardSpec | None = None,
-    queue_dir: Path | None = None,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
-    resilience: ResilienceConfig | None = None,
+    **engine_kwargs,
 ) -> int:
-    suite = run_ablation_suite(
-        profile,
-        factors=factors,
-        verbose=True,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        resume=resume,
-        start_method=start_method,
-        epsilons=epsilons,
-        shard=shard,
-        queue_dir=queue_dir,
-        lease_ttl=lease_ttl,
-        resilience=resilience,
-    )
-    if isinstance(suite, QueueRunResult):
-        return _emit_queue_result(suite, out_dir, profile.name)
-    if isinstance(suite, ShardRunResult):
-        _emit_shard_result(suite, out_dir, profile.name)
-        return 0
+    suite = run_ablation_suite(profile, factors=factors, verbose=True, **engine_kwargs)
+    code = _emit_summary(suite, out_dir, profile.name)
+    if code is not None:
+        return code
     for factor in factors:
         result = suite[factor]
         print(result.render())
@@ -1287,20 +1188,13 @@ def main(argv: list[str] | None = None) -> int:
                 search_config.validate(full_epochs)
             except ValueError as error:
                 parser.error(str(error))
+            # The parser rejected --shard with --search halving.
+            search_kwargs = {k: v for k, v in engine_kwargs.items() if k != "shard"}
             planned.append(
                 (
                     "grid",
                     lambda: _run_grid_search(
-                        profile,
-                        args.out,
-                        search_config,
-                        jobs=args.jobs,
-                        cache_dir=cache_dir,
-                        resume=args.resume,
-                        start_method=args.start_method,
-                        stack=stack,
-                        queue_dir=args.queue,
-                        lease_ttl=args.lease_ttl,
+                        profile, args.out, search_config, stack=stack, **search_kwargs
                     ),
                 )
             )

@@ -14,10 +14,12 @@ pieces:
 * a **task builder** — ``build_*_tasks(profile, ...)`` expanding the
   profile into deterministically-seeded picklable tasks.
 
-The experiment runners in :mod:`repro.experiments.fig9_sweetspots`,
-:mod:`repro.experiments.ablations` and
-:mod:`repro.experiments.fig678_grid` consume both and feed them to
-:func:`repro.engine.scheduler.run_tasks`.
+The sweep runners in :mod:`repro.experiments.fig9_sweetspots` and
+:mod:`repro.experiments.ablations` hand both to :func:`run_sweep_schedule`,
+whose one :func:`repro.engine.scheduler.run_tasks` call serves every
+mode: local, ``shard`` or ``queue_dir``.  The grid runners in
+:mod:`repro.experiments.fig678_grid` dispatch :func:`build_grid_context`'s
+cells through :func:`repro.engine.scheduler.run_cell_tasks` the same way.
 """
 
 from __future__ import annotations
@@ -32,18 +34,10 @@ from repro.engine.costs import (
     sweep_deadline_estimator,
 )
 from repro.engine.job import ExplorationJobContext
-from repro.engine.queue import (
-    DEFAULT_LEASE_TTL,
-    QueueRunResult,
-    run_queued_tasks,
-)
+from repro.engine.queue import DEFAULT_LEASE_TTL, QueueRunResult
 from repro.engine.resilience import ResilienceConfig
 from repro.engine.scheduler import ContextSpec, run_tasks
-from repro.engine.shard import (
-    ShardRunResult,
-    ShardSpec,
-    record_durable_manifest,
-)
+from repro.engine.shard import ShardSpec, manifest_path
 from repro.engine.sweep import (
     SweepJobContext,
     SweepResult,
@@ -74,7 +68,6 @@ __all__ = [
     "build_fig9_tasks",
     "build_grid_context",
     "run_sweep_schedule",
-    "shard_run_result",
     "spawn_spec_for",
 ]
 
@@ -140,30 +133,22 @@ def run_sweep_schedule(
 
     Builds the context via ``context_builder`` (one of this module's
     ``build_*_context`` functions — its name doubles as the spawn spec
-    target), wires up the result cache, progress logging and the spawn
-    spec, runs the schedule, and returns ``(results, metadata)`` where
-    metadata carries the engine stats and the weight-reuse count.
+    target), wires up the result cache, progress logging, the sweep cost
+    model and the spawn spec, makes the one engine dispatch call
+    (:func:`repro.engine.scheduler.run_tasks`), and returns ``(results,
+    metadata)`` where metadata carries the engine stats and the
+    weight-reuse count.
 
     With ``shard`` set, only the shard's slice of ``tasks`` is served and
-    ``results`` covers exactly that slice.  Whenever a cache directory is
-    in play, the run folds its completed task ids into the directory's
-    shard manifest (``shard.json``) — written in a ``finally`` so even an
-    interrupted run leaves an accurate completion record for
-    ``cache verify`` / :func:`repro.engine.merge.verify_cache_dir`.
-
-    With ``queue_dir`` set, the run instead joins the dynamic work queue
-    under ``<queue_dir>/<experiment>`` as one worker of an elastic fleet
-    (see :mod:`repro.engine.queue`) and ``results`` is the worker's
+    ``results`` covers exactly that slice.  With ``queue_dir`` set, the
+    run joins the dynamic work queue under ``<queue_dir>/<experiment>``
+    as one worker of an elastic fleet and ``results`` is the worker's
     :class:`~repro.engine.queue.QueueRunResult` — the figure is rendered
     later, by a ``--resume`` run against the shared cache directory.
+    Whenever a cache directory is in play, the engine certifies the
+    completed task ids in the directory's shard manifest
+    (``shard.json``), and ``metadata["manifest_path"]`` names it.
     """
-    if resume and cache_dir is None:
-        raise ValueError("resume=True requires cache_dir to resume from")
-    if queue_dir is not None and shard is not None:
-        raise ValueError("queue_dir (dynamic fleet) conflicts with shard (static)")
-    if queue_dir is not None and cache_dir is None:
-        raise ValueError("queue_dir requires cache_dir: the shared checkpoint "
-                         "directory is how queue workers exchange results")
     context = context_builder(profile, cache_dir=cache_dir, reuse_weights=resume)
     cache = None
     if cache_dir is not None:
@@ -174,7 +159,6 @@ def run_sweep_schedule(
         cache = SweepCache(
             cache_dir, sweep_fingerprint(context, tags=_model_tags(profile, experiment))
         )
-    spec = spawn_spec_for(context_builder.__name__, profile, cache_dir, resume)
     logger = get_logger(f"experiments.{experiment}")
     total = len(tasks) if shard is None else len(shard.partition(tasks))
     done = 0
@@ -200,87 +184,47 @@ def run_sweep_schedule(
     # Longest-first dispatch keeps the final worker busy with short tasks
     # instead of idling behind one long straggler; costs come from prior
     # runs' cached phase timings, falling back to a T-descending estimate.
+    # The same costs price the queue's watchdog deadlines.
     costs = cached_sweep_costs(cache_dir) if cache_dir is not None else None
-
+    supervision = resilience if resilience is not None else ResilienceConfig()
+    results, stats = run_tasks(
+        context,
+        tasks,
+        run_sweep_task,
+        jobs=jobs,
+        cache=cache,
+        resume=resume,
+        progress=progress,
+        start_method=start_method,
+        context_spec=spawn_spec_for(
+            context_builder.__name__, profile, cache_dir, resume
+        ),
+        shard=shard,
+        pending_order=lambda pending: order_sweep_tasks(pending, costs),
+        queue_dir=None if queue_dir is None else Path(queue_dir) / experiment,
+        lease_ttl=lease_ttl,
+        resilience=supervision,
+        task_deadline=sweep_deadline_estimator(
+            costs,
+            multiplier=supervision.watchdog_multiplier,
+            floor=supervision.watchdog_floor,
+        ),
+        experiment=experiment,
+        cache_dir=cache_dir,
+    )
     if queue_dir is not None:
-        supervision = resilience if resilience is not None else ResilienceConfig()
-        queue_result, stats = run_queued_tasks(
-            context,
-            tasks,
-            run_sweep_task,
-            cache,
-            Path(queue_dir) / experiment,
-            experiment=experiment,
-            cache_dir=cache_dir,
-            resume=resume,
-            progress=progress,
-            lease_ttl=lease_ttl,
-            pending_order=lambda pending: order_sweep_tasks(pending, costs),
-            resilience=supervision,
-            task_deadline=sweep_deadline_estimator(
-                costs,
-                multiplier=supervision.watchdog_multiplier,
-                floor=supervision.watchdog_floor,
-            ),
-        )
-        queue_result.metadata.update(
-            profile=profile.name, weights_reused=weights_reused
-        )
-        metadata = dict(queue_result.metadata)
-        if queue_result.manifest_path is not None:
-            metadata["manifest_path"] = queue_result.manifest_path
-        return queue_result, metadata
-
-    manifest_path: str | None = None
-    try:
-        results, stats = run_tasks(
-            context,
-            tasks,
-            run_sweep_task,
-            jobs=jobs,
-            cache=cache,
-            resume=resume,
-            progress=progress,
-            start_method=start_method,
-            context_spec=spec,
-            shard=shard,
-            pending_order=lambda pending: order_sweep_tasks(pending, costs),
-        )
-    finally:
-        if cache is not None:
-            manifest_path = record_durable_manifest(
-                cache_dir, cache, experiment, tasks, shard
-            )
+        # The worker's summary is the result and carries the metadata.
+        results.metadata.update(profile=profile.name, weights_reused=weights_reused)
+        return results, results.metadata
     metadata = {
         "profile": profile.name,
         "engine": stats.as_dict(),
         "weights_reused": weights_reused,
     }
-    if manifest_path is not None:
-        metadata["manifest_path"] = manifest_path
+    certified = manifest_path(cache_dir)
+    if certified is not None:
+        metadata["manifest_path"] = certified
     return results, metadata
-
-
-def shard_run_result(
-    experiment: str,
-    shard: ShardSpec,
-    tasks: list[SweepTask],
-    metadata: dict,
-) -> ShardRunResult:
-    """The summary a sharded sweep runner returns instead of its figure.
-
-    Reaching this point means :func:`run_sweep_schedule` returned, i.e.
-    every owned task completed — the owned slice *is* the completed set.
-    """
-    owned = shard.partition(tasks)
-    return ShardRunResult(
-        experiment=experiment,
-        shard=shard,
-        task_count=len(tasks),
-        completed=tuple(task.index for task in owned),
-        manifest_path=metadata.get("manifest_path"),
-        metadata=metadata,
-    )
 
 
 # -- Figs. 6-8 grid ------------------------------------------------------------

@@ -40,12 +40,43 @@ if TYPE_CHECKING:  # imported lazily at runtime: engine.job imports this package
     from repro.engine.cache import CellCache
     from repro.engine.job import CellTask, ExplorationJobContext
 
-__all__ = ["RobustnessExplorer"]
+__all__ = ["RobustnessExplorer", "cell_progress"]
 
 _logger = get_logger("robustness")
 
 ModelFactory = Callable[[float, int, int], Module]
 """``(v_th, time_window, seed) -> model`` builder used per grid cell."""
+
+
+def cell_progress(verbose: bool, total: int | None = None):
+    """Engine progress callback logging one line per completed grid cell.
+
+    Returns ``None`` (no callback) unless ``verbose``.  Lines count as
+    ``[done/total]``; a queue worker or search rung, which cannot know
+    its share of the cells in advance, passes no ``total`` and counts
+    ``[done]``.
+    """
+    if not verbose:
+        return None
+    done = 0
+
+    def progress(task: "CellTask", cell: CellResult, from_cache: bool) -> None:
+        nonlocal done
+        done += 1
+        status = "learnable" if cell.learnable else "rejected"
+        if from_cache:
+            status += " (cached)"
+        _logger.info(
+            "[%s] Vth=%g T=%d acc=%.3f %s %s",
+            done if total is None else f"{done}/{total}",
+            task.v_th,
+            task.time_window,
+            cell.clean_accuracy,
+            status,
+            {e: round(r, 3) for e, r in cell.robustness.items()},
+        )
+
+    return progress
 
 
 class RobustnessExplorer:
@@ -157,28 +188,6 @@ class RobustnessExplorer:
         from repro.engine.scheduler import run_cell_tasks
 
         tasks = self.tasks()
-        total = len(tasks)
-        done = 0
-
-        def progress(task: "CellTask", cell: CellResult, from_cache: bool) -> None:
-            nonlocal done
-            done += 1
-            if not verbose:
-                return
-            status = "learnable" if cell.learnable else "rejected"
-            if from_cache:
-                status += " (cached)"
-            _logger.info(
-                "[%d/%d] Vth=%g T=%d acc=%.3f %s %s",
-                done,
-                total,
-                task.v_th,
-                task.time_window,
-                cell.clean_accuracy,
-                status,
-                {e: round(r, 3) for e, r in cell.robustness.items()},
-            )
-
         context = self.context
         context.weight_cache = weight_cache
         context.reuse_weights = weight_cache is not None and resume
@@ -188,11 +197,15 @@ class RobustnessExplorer:
             jobs=jobs,
             cache=cache,
             resume=resume,
-            progress=progress,
+            progress=cell_progress(verbose, len(tasks)),
             start_method=start_method,
             context_spec=context_spec,
             stack=stack,
         )
+        return self.result(cells, stats)
+
+    def result(self, cells: "list[CellResult]", stats) -> ExplorationResult:
+        """Wrap the engine's cells and schedule stats as the grid result."""
         return ExplorationResult(
             v_thresholds=self.config.v_thresholds,
             time_windows=self.config.time_windows,

@@ -16,6 +16,7 @@ import pytest
 
 from repro.engine import (
     ContextSpec,
+    ShardSpec,
     SweepCache,
     WeightCache,
     run_sweep_task,
@@ -156,6 +157,36 @@ class TestSpawnBackend:
             ContextSpec("not-a-target").resolve()
 
 
+class TestRunnerFlagConflicts:
+    """The engine checks the mode flags once, for every runner."""
+
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            ({"resume": True}, "cache_dir"),
+            ({"queue_dir": "q"}, "requires a cache"),
+            (
+                {"queue_dir": "q", "cache_dir": "c", "shard": ShardSpec(0, 2)},
+                "conflicts with shard",
+            ),
+        ],
+        ids=["resume_without_cache_dir", "queue_without_cache_dir", "queue_with_shard"],
+    )
+    @pytest.mark.parametrize(
+        "runner",
+        [run_grid_exploration, run_fig9, run_ablation_suite],
+        ids=["grid", "fig9", "ablation"],
+    )
+    def test_rejected(self, runner, options, message, tmp_path):
+        options = {
+            key: tmp_path / value if key.endswith("_dir") else value
+            for key, value in options.items()
+        }
+        with pytest.raises(ValueError, match=message):
+            runner("micro", **options)
+        assert not (tmp_path / "q").exists()
+
+
 class TestFig9Engine:
     def test_parallel_identical_to_serial(self):
         serial = run_fig9("micro")
@@ -194,10 +225,6 @@ class TestFig9Engine:
         assert resweep.metadata["engine"]["computed_cells"] == 3
         # Clean accuracies come from the archives, not from retraining.
         assert resweep.clean_accuracies == baseline.clean_accuracies
-
-    def test_resume_without_cache_dir_rejected(self):
-        with pytest.raises(ValueError, match="cache_dir"):
-            run_fig9("micro", resume=True)
 
     def test_result_cache_pins_model_identity(self, tmp_path):
         # Same datasets + training but a different model registry name

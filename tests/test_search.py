@@ -32,6 +32,7 @@ from repro.engine import (
     run_cell_tasks,
 )
 from repro.engine.cache import split_optimizer_arrays
+from repro.engine.resilience import QUARANTINE_EXIT_CODE, ResilienceConfig
 from repro.engine.job import ExplorationJobContext, WarmStartRef, build_cell_tasks
 from repro.engine.search import (
     SearchConfig,
@@ -40,6 +41,7 @@ from repro.engine.search import (
     parse_budget_schedule,
     run_halving_search,
 )
+from repro.errors import ExplorationError
 from repro.experiments.runner import main
 from repro.robustness import ExplorationConfig
 from repro.training.trainer import TrainingConfig
@@ -452,6 +454,23 @@ class TestHalvingSearch:
         assert canonical(stacked) == reference
         assert canonical(queued) == reference
 
+    def test_queued_rung_honours_the_attempt_budget(self, tmp_path, monkeypatch):
+        # Task 0 fails on every attempt; with a one-attempt budget the
+        # rung quarantines it after its first failure and the search
+        # refuses to promote without it.
+        monkeypatch.setenv("REPRO_CHAOS_POISON_TASKS", "0")
+        with pytest.raises(ExplorationError, match="quarantined"):
+            run_halving_search(
+                _context(),
+                _search_config(),
+                tmp_path / "cache",
+                queue_dir=tmp_path / "q",
+                lease_ttl=30.0,
+                resilience=ResilienceConfig(max_attempts=1),
+            )
+        attempts = [path.name for path in (tmp_path / "q").rglob("attempt_0_*.json")]
+        assert attempts == ["attempt_0_1.json"]
+
     def test_resume_replays_rungs_from_checkpoints(self, tmp_path):
         first = run_halving_search(
             _context(), _search_config(), tmp_path / "cache"
@@ -522,3 +541,13 @@ class TestSearchCLI:
             main(["grid", "--profile", "micro", "--search", "halving",
                   "--bias-tolerance", "-1"])
         assert "--bias-tolerance" in capsys.readouterr().err
+
+    def test_queued_search_quarantine_exits_with_quarantine_code(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_CHAOS_POISON_TASKS", "0")
+        code = main(["grid", "--profile", "micro", "--search", "halving",
+                     "--queue", str(tmp_path / "q"), "--max-attempts", "1"])
+        assert code == QUARANTINE_EXIT_CODE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "quarantined" in err[0]
