@@ -17,8 +17,9 @@ disagree about wall-clock or worker counts.
 
 Each sharded run records a **manifest** (``shard.json`` in its cache
 directory): which experiment and context fingerprint it served, how many
-tasks the full (unsharded) list has, and which task ids this shard
-completed or failed.  Merging cache directories also merges their
+tasks the full (unsharded) list has (and their ids, when they are not
+``range(task_count)``), and which task ids this shard completed or
+failed.  Merging cache directories also merges their
 manifests, so a coordinator can ask "is the merged grid complete?"
 (:meth:`ShardManifest.is_complete`) before rendering figures — the CI
 fan-in job does exactly this via ``cache verify``.
@@ -147,6 +148,10 @@ class ShardManifest:
     shards: list[dict] = field(default_factory=list)
     """Per-shard records: ``{"index", "count", "completed", "failed"}``."""
 
+    task_ids: tuple[int, ...] | None = None
+    """The full list's ids; ``None`` means ``range(task_count)``.  A
+    search's promotion rung keeps its candidates' grid indices."""
+
     @property
     def key(self) -> str:
         """Identity under which the manifest is stored in ``shard.json``."""
@@ -168,7 +173,8 @@ class ShardManifest:
 
     def missing_ids(self) -> list[int]:
         """Task ids no contributing shard has completed, ascending."""
-        return sorted(set(range(self.task_count)) - self.completed_ids())
+        expected = range(self.task_count) if self.task_ids is None else self.task_ids
+        return sorted(set(expected) - self.completed_ids())
 
     def is_complete(self) -> bool:
         """Whether every task id is completed and none is failed."""
@@ -217,11 +223,11 @@ class ShardManifest:
                 f"cannot merge manifests of different grids: "
                 f"{self.key} vs {other.key}"
             )
-        if self.task_count != other.task_count:
+        if (self.task_count, self.task_ids) != (other.task_count, other.task_ids):
             raise ValueError(
-                f"manifests for {self.key} disagree on the task count "
-                f"({self.task_count} vs {other.task_count}); they describe "
-                "different task lists and must not be merged"
+                f"manifests for {self.key} disagree on the task count or ids "
+                f"({self.task_count} vs {other.task_count} tasks); they "
+                "describe different task lists and must not be merged"
             )
         for record in other.shards:
             self.record(
@@ -232,7 +238,7 @@ class ShardManifest:
 
     def as_dict(self) -> dict:
         """JSON-friendly representation."""
-        return {
+        payload = {
             "experiment": self.experiment,
             "fingerprint": self.fingerprint,
             "task_count": self.task_count,
@@ -242,14 +248,19 @@ class ShardManifest:
             "failed": sorted(self.failed_ids()),
             "complete": self.is_complete(),
         }
+        if self.task_ids is not None:
+            payload["task_ids"] = list(self.task_ids)
+        return payload
 
     @staticmethod
     def from_dict(payload: dict) -> "ShardManifest":
         """Inverse of :meth:`as_dict` (derived fields are recomputed)."""
+        task_ids = payload.get("task_ids")
         manifest = ShardManifest(
             experiment=str(payload["experiment"]),
             fingerprint=str(payload["fingerprint"]),
             task_count=int(payload["task_count"]),
+            task_ids=None if task_ids is None else tuple(int(i) for i in task_ids),
         )
         for record in payload.get("shards", ()):
             manifest.record(
@@ -320,6 +331,7 @@ def update_manifest(
     spec: ShardSpec,
     completed: set[int] | list[int] | tuple[int, ...],
     failed: set[int] | list[int] | tuple[int, ...] = (),
+    task_ids: tuple[int, ...] | None = None,
 ) -> ShardManifest | None:
     """Fold one run's outcome into the directory's ``shard.json``.
 
@@ -329,27 +341,25 @@ def update_manifest(
     """
     try:
         manifests = load_manifests(directory)
-        manifest = manifests.get(f"{experiment}:{fingerprint[:12]}")
+        fresh = ShardManifest(
+            experiment=experiment,
+            fingerprint=fingerprint,
+            task_count=task_count,
+            task_ids=task_ids,
+        )
+        manifest = manifests.get(fresh.key)
         if manifest is None:
-            manifest = ShardManifest(
-                experiment=experiment,
-                fingerprint=fingerprint,
-                task_count=task_count,
-            )
-        elif manifest.task_count != task_count:
+            manifest = fresh
+        elif (manifest.task_count, manifest.task_ids) != (task_count, task_ids):
             # A changed task list under an unchanged fingerprint would be
             # a caller bug (ε lists and grids are fingerprinted); start a
             # fresh manifest rather than merging incompatible records.
             _logger.warning(
-                "shard manifest for %s had task_count=%d, run has %d; "
-                "resetting the manifest",
+                "shard manifest for %s described a different task list "
+                "(%d tasks, run has %d); resetting the manifest",
                 manifest.key, manifest.task_count, task_count,
             )
-            manifest = ShardManifest(
-                experiment=experiment,
-                fingerprint=fingerprint,
-                task_count=task_count,
-            )
+            manifest = fresh
         manifest.record(spec, completed, failed)
         manifests[manifest.key] = manifest
         save_manifests(directory, manifests)
@@ -381,6 +391,7 @@ def record_durable_manifest(
     """
     relevant = tasks if shard is None else shard.partition(list(tasks))
     durable = [task.index for task in relevant if cache.path_for(task).is_file()]
+    ids = tuple(sorted(task.index for task in tasks))
     manifest = update_manifest(
         cache_dir,
         experiment,
@@ -388,6 +399,7 @@ def record_durable_manifest(
         len(tasks),
         shard or ShardSpec(0, 1),
         durable,
+        task_ids=None if ids == tuple(range(len(tasks))) else ids,
     )
     if manifest is None:
         return None

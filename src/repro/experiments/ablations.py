@@ -25,7 +25,7 @@ from pathlib import Path
 
 from repro.engine.queue import DEFAULT_LEASE_TTL, QueueRunResult
 from repro.engine.resilience import ResilienceConfig
-from repro.engine.shard import ShardRunResult, ShardSpec, shard_run_result
+from repro.engine.shard import ShardRunResult, ShardSpec
 from repro.engine.sweep import SweepResult, SweepTask
 from repro.experiments.profiles import ExperimentProfile, get_profile
 from repro.experiments.sweeps import (
@@ -194,10 +194,8 @@ def run_ablation_suite(
         lease_ttl=lease_ttl,
         resilience=resilience,
     )
-    if queue_dir is not None:
-        return results  # the worker's QueueRunResult; no tables yet
-    if shard is not None:
-        return shard_run_result("ablation", shard, tasks, cache_dir, metadata)
+    if not isinstance(results, list):
+        return results  # a shard's or queue worker's summary; no tables yet
     return _group_by_factor(tasks, results, metadata)
 
 

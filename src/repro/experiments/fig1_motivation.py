@@ -11,21 +11,23 @@ budgets, and tracks the accuracy of both.  The paper's claims:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from pathlib import Path
 
-from repro.attacks.metrics import evaluate_clean_accuracy
+from repro.engine.queue import DEFAULT_LEASE_TTL, QueueRunResult
+from repro.engine.resilience import ResilienceConfig
+from repro.engine.shard import ShardRunResult, ShardSpec
 from repro.experiments.profiles import ExperimentProfile, get_profile
-from repro.experiments.workloads import load_profile_data, make_profile_attack_builder
-from repro.models.registry import build_model
+from repro.experiments.sweeps import (
+    build_fig1_context,
+    build_fig1_tasks,
+    run_sweep_schedule,
+    sweep_curve,
+)
 from repro.robustness.report import render_curve_table
-from repro.robustness.security import RobustnessCurve, robustness_curve
-from repro.training.trainer import Trainer
-from repro.utils.logging import get_logger
-from repro.utils.seeding import SeedSequence
+from repro.robustness.security import RobustnessCurve
 
 __all__ = ["Fig1Result", "run_fig1"]
-
-_logger = get_logger("experiments.fig1")
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,8 @@ class Fig1Result:
     snn_curve: RobustnessCurve
     cnn_clean_accuracy: float
     snn_clean_accuracy: float
+    metadata: dict = field(default_factory=dict)
+    """Engine accounting (schedule stats, weight-cache reuse counts)."""
 
     @property
     def turnaround_epsilon(self) -> float | None:
@@ -80,49 +84,55 @@ class Fig1Result:
             "snn_clean_accuracy": self.snn_clean_accuracy,
             "turnaround_epsilon": self.turnaround_epsilon,
             "max_gap": self.max_gap,
+            "metadata": dict(self.metadata),
         }
 
 
-def run_fig1(profile: ExperimentProfile | str = "smoke", verbose: bool = False) -> Fig1Result:
-    """Reproduce the Figure-1 sweep under the given profile."""
+def run_fig1(
+    profile: ExperimentProfile | str = "smoke",
+    verbose: bool = False,
+    jobs: int = 1,
+    cache_dir: str | Path | None = None,
+    resume: bool = False,
+    start_method: str = "auto",
+    shard: ShardSpec | None = None,
+    queue_dir: str | Path | None = None,
+    lease_ttl: float = DEFAULT_LEASE_TTL,
+    resilience: ResilienceConfig | None = None,
+) -> Fig1Result | ShardRunResult | QueueRunResult:
+    """Reproduce the Figure-1 sweep under ``profile``.
+
+    The CNN and the SNN are two sweep tasks of one engine dispatch; the
+    engine parameters mean what they mean for
+    :func:`~repro.experiments.fig9_sweetspots.run_fig9`, and the
+    defaults run serial and uncached.
+    """
     if isinstance(profile, str):
         profile = get_profile(profile)
-    seeds = SeedSequence(profile.seed)
-    train, test, _bounds = load_profile_data(profile)
-    attack_subset = test.take(profile.attack_subset)
-
-    cnn = build_model(
-        profile.fig1_cnn_model,
-        input_size=profile.image_size,
-        rng=seeds.child_seed("fig1", "cnn"),
+    tasks = build_fig1_tasks(profile)
+    results, metadata = run_sweep_schedule(
+        profile,
+        build_fig1_context,
+        tasks,
+        "fig1",
+        verbose=verbose,
+        jobs=jobs,
+        cache_dir=cache_dir,
+        resume=resume,
+        start_method=start_method,
+        shard=shard,
+        queue_dir=queue_dir,
+        lease_ttl=lease_ttl,
+        resilience=resilience,
     )
-    snn = build_model(
-        profile.fig1_snn_model,
-        input_size=profile.image_size,
-        time_steps=profile.time_steps_default,
-        input_scale=profile.input_scale,
-        rng=seeds.child_seed("fig1", "snn"),
-    )
-
-    training = profile.training_config()
-    if verbose:
-        _logger.info("training CNN (%s)", profile.fig1_cnn_model)
-    Trainer(cnn, training).fit(train)
-    if verbose:
-        _logger.info("training SNN (%s, T=%d)", profile.fig1_snn_model, profile.time_steps_default)
-    Trainer(snn, training).fit(train)
-
-    attack_builder = make_profile_attack_builder(profile)
-    cnn_curve = robustness_curve(
-        cnn, attack_subset, profile.curve_epsilons, attack_builder, label="cnn"
-    )
-    snn_curve = robustness_curve(
-        snn, attack_subset, profile.curve_epsilons, attack_builder, label="snn"
-    )
+    if not isinstance(results, list):
+        return results  # a shard's or queue worker's summary; no figure yet
+    cnn, snn = results
     return Fig1Result(
-        epsilons=tuple(profile.curve_epsilons),
-        cnn_curve=cnn_curve,
-        snn_curve=snn_curve,
-        cnn_clean_accuracy=evaluate_clean_accuracy(cnn, test),
-        snn_clean_accuracy=evaluate_clean_accuracy(snn, test),
+        epsilons=tasks[0].epsilons,
+        cnn_curve=sweep_curve(tasks[0], cnn),
+        snn_curve=sweep_curve(tasks[1], snn),
+        cnn_clean_accuracy=cnn.clean_accuracy,
+        snn_clean_accuracy=snn.clean_accuracy,
+        metadata=metadata,
     )

@@ -26,13 +26,13 @@ from pathlib import Path
 
 from repro.engine.queue import DEFAULT_LEASE_TTL, QueueRunResult
 from repro.engine.resilience import ResilienceConfig
-from repro.engine.shard import ShardRunResult, ShardSpec, shard_run_result
-from repro.engine.sweep import SweepResult, SweepTask
+from repro.engine.shard import ShardRunResult, ShardSpec
 from repro.experiments.profiles import ExperimentProfile, get_profile
 from repro.experiments.sweeps import (
     build_fig9_context,
     build_fig9_tasks,
     run_sweep_schedule,
+    sweep_curve,
 )
 from repro.robustness.report import render_curve_table
 from repro.robustness.security import RobustnessCurve
@@ -85,16 +85,6 @@ class Fig9Result:
             "clean_accuracies": dict(self.clean_accuracies),
             "metadata": dict(self.metadata),
         }
-
-
-def _curve(task: SweepTask, result: SweepResult) -> RobustnessCurve:
-    robustness = tuple(result.curves["pgd"][eps] for eps in task.epsilons)
-    return RobustnessCurve(
-        label=result.key,
-        epsilons=task.epsilons,
-        robustness=robustness,
-        evaluations=(),
-    )
 
 
 def run_fig9(
@@ -163,26 +153,18 @@ def run_fig9(
         lease_ttl=lease_ttl,
         resilience=resilience,
     )
-    if queue_dir is not None:
-        return results  # the worker's QueueRunResult; no figure yet
-    if shard is not None:
-        return shard_run_result("fig9", shard, tasks, cache_dir, metadata)
+    if not isinstance(results, list):
+        return results  # a shard's or queue worker's summary; no figure yet
 
-    clean: dict[str, float] = {}
-    snn_curves: dict[tuple[float, int], RobustnessCurve] = {}
-    cnn_curve: RobustnessCurve | None = None
-    for task, result in zip(tasks, results):
-        clean[result.key] = result.clean_accuracy
-        if task.kind == "fig9_cnn":
-            cnn_curve = _curve(task, result)
-        else:
-            combo = (float(task.param("v_th")), int(task.param("time_window")))
-            snn_curves[combo] = _curve(task, result)
-    assert cnn_curve is not None, "fig9 task list lost its CNN comparator"
+    # build_fig9_tasks puts the comparator CNN first.
     return Fig9Result(
         epsilons=tasks[0].epsilons,
-        snn_curves=snn_curves,
-        cnn_curve=cnn_curve,
-        clean_accuracies=clean,
+        snn_curves={
+            (float(task.param("v_th")), int(task.param("time_window"))):
+                sweep_curve(task, result)
+            for task, result in zip(tasks[1:], results[1:])
+        },
+        cnn_curve=sweep_curve(tasks[0], results[0]),
+        clean_accuracies={result.key: result.clean_accuracy for result in results},
         metadata=metadata,
     )

@@ -55,12 +55,7 @@ from repro.engine.metrics import (
     read_metrics_dir,
     render_snapshot_text,
 )
-from repro.engine.queue import (
-    DEFAULT_LEASE_TTL,
-    QueueRunResult,
-    WorkQueue,
-    queue_status,
-)
+from repro.engine.queue import DEFAULT_LEASE_TTL, QueueRunResult, queue_status
 from repro.engine.resilience import (
     DEFAULT_MAX_ATTEMPTS,
     QUARANTINE_EXIT_CODE,
@@ -484,42 +479,20 @@ def _emit_summary(result, out_dir: Path | None, profile_name: str) -> int | None
     return code
 
 
-def _run_fig1(profile, out_dir: Path | None) -> int:
-    result = run_fig1(profile, verbose=True)
+def _render_figure(result, name: str, out_dir: Path | None, profile_name: str) -> int:
+    """Print and persist a curve figure (fig1, fig9) or its run summary."""
+    code = _emit_summary(result, out_dir, profile_name)
+    if code is not None:
+        return code
     print(result.render())
-    _write_json(out_dir, f"fig1_{profile.name}", result.as_dict())
+    _print_engine_summary(result.metadata)
+    _write_json(out_dir, f"{name}_{profile_name}", result.as_dict())
     return 0
 
 
-def _run_fig1_queued(
-    profile, out_dir: Path | None, queue_dir: Path, lease_ttl: float
-) -> int:
-    """fig1's slot in a queued ``all`` run: exactly one worker computes it.
-
-    fig1 has no engine port (it is serial and uncached), so a fleet
-    arbitrates it through a one-task queue in ``<queue_dir>/fig1``: the
-    worker that wins the lease runs the figure, everyone else skips it —
-    and if the winner dies mid-figure, a later worker steals the expired
-    lease exactly like any grid cell.
-    """
-    queue = WorkQueue(
-        queue_dir / "fig1",
-        experiment="fig1",
-        fingerprint=f"fig1:{profile.name}",
-        task_count=1,
-        lease_ttl=lease_ttl,
-    )
-    acquired, _stolen = queue.acquire(0)
-    if not acquired:
-        state = "already done" if queue.is_done(0) else "another worker has it"
-        print(f"[queue] skipping fig1: {state}")
-        return 0
-    try:
-        _run_fig1(profile, out_dir)
-        queue.commit(0, fingerprint=f"fig1_{profile.name}")
-    finally:
-        queue.release(0)
-    return 0
+def _run_fig1(profile, out_dir: Path | None, **engine_kwargs) -> int:
+    result = run_fig1(profile, verbose=True, **engine_kwargs)
+    return _render_figure(result, "fig1", out_dir, profile.name)
 
 
 def _run_grid(profile, out_dir: Path | None, **engine_kwargs) -> int:
@@ -578,13 +551,7 @@ def _run_grid_search(
 
 def _run_fig9(profile, out_dir: Path | None, **engine_kwargs) -> int:
     result = run_fig9(profile, verbose=True, **engine_kwargs)
-    code = _emit_summary(result, out_dir, profile.name)
-    if code is not None:
-        return code
-    print(result.render())
-    _print_engine_summary(result.metadata)
-    _write_json(out_dir, f"fig9_{profile.name}", result.as_dict())
-    return 0
+    return _render_figure(result, "fig9", out_dir, profile.name)
 
 
 def _run_ablation(
@@ -1020,8 +987,7 @@ def main(argv: list[str] | None = None) -> int:
 
     profile = get_profile(args.profile)
     if args.command == "fig1":
-        _run_fig1(profile, args.out)
-        return 0
+        return _run_fig1(profile, args.out)
 
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -1144,28 +1110,10 @@ def main(argv: list[str] | None = None) -> int:
     factors = tuple(dict.fromkeys(getattr(args, "factor", None) or ABLATION_FACTORS))
 
     planned: list[tuple[str, Callable[[], int]]] = []
-    if args.command in ("fig1", "all"):
-        # fig1 is still serial (no engine port yet), so a sharded `all`
-        # assigns it — like any task — to exactly one shard: the owner of
-        # task index 0.  Every other shard skips it instead of all N
-        # hosts redundantly recomputing the same figure.  A queued `all`
-        # arbitrates the same way, through a one-task claim queue.
-        if args.command == "all" and args.queue is not None:
-            planned.append(
-                (
-                    "fig1",
-                    lambda: _run_fig1_queued(
-                        profile, args.out, args.queue, args.lease_ttl
-                    ),
-                )
-            )
-        elif args.shard is None or args.shard.owns(0):
-            planned.append(("fig1", lambda: _run_fig1(profile, args.out)))
-        else:
-            print(
-                f"[shard {args.shard}] skipping fig1: the serial experiment "
-                "belongs to shard 0"
-            )
+    if args.command == "all":
+        planned.append(
+            ("fig1", lambda: _run_fig1(profile, args.out, **engine_kwargs))
+        )
     if args.command in ("grid", "all"):
         if search_mode == "halving":
             full_epochs = profile.training_config().epochs

@@ -1,8 +1,8 @@
-"""Spawn-safe job-context builders and task lists for the engine-ported experiments.
+"""Spawn-safe job-context builders and task lists for the engine experiments.
 
-Every engine-backed experiment (the Figs. 6-8 grid, the Fig. 9 sweet-spot
-tracking, the ablation suite) is expressed here as two module-level
-pieces:
+Every experiment (the Fig. 1 CNN-vs-SNN motivation, the Figs. 6-8 grid,
+the Fig. 9 sweet-spot tracking, the ablation suite) is expressed here as
+two module-level pieces:
 
 * a **context builder** — ``build_*_context(profile, cache_dir,
   reuse_weights)`` returning the full job context (datasets, model
@@ -14,7 +14,8 @@ pieces:
 * a **task builder** — ``build_*_tasks(profile, ...)`` expanding the
   profile into deterministically-seeded picklable tasks.
 
-The sweep runners in :mod:`repro.experiments.fig9_sweetspots` and
+The sweep runners in :mod:`repro.experiments.fig1_motivation`,
+:mod:`repro.experiments.fig9_sweetspots` and
 :mod:`repro.experiments.ablations` hand both to :func:`run_sweep_schedule`,
 whose one :func:`repro.engine.scheduler.run_tasks` call serves every
 mode: local, ``shard`` or ``queue_dir``.  The grid runners in
@@ -37,7 +38,12 @@ from repro.engine.job import ExplorationJobContext
 from repro.engine.queue import DEFAULT_LEASE_TTL, QueueRunResult
 from repro.engine.resilience import ResilienceConfig
 from repro.engine.scheduler import ContextSpec, run_tasks
-from repro.engine.shard import ShardSpec, manifest_path
+from repro.engine.shard import (
+    ShardRunResult,
+    ShardSpec,
+    manifest_path,
+    shard_run_result,
+)
 from repro.engine.sweep import (
     SweepJobContext,
     SweepResult,
@@ -53,6 +59,7 @@ from repro.experiments.profiles import (
 from repro.experiments.workloads import build_grid_model_factory, load_profile_data
 from repro.models.registry import build_model
 from repro.robustness.config import ExplorationConfig
+from repro.robustness.security import RobustnessCurve
 from repro.snn.encoding import PoissonEncoder
 from repro.snn.neuron import LIFParameters
 from repro.utils.logging import get_logger
@@ -64,11 +71,14 @@ __all__ = [
     "DEFAULT_SURROGATE_FAMILIES",
     "build_ablation_context",
     "build_ablation_tasks",
+    "build_fig1_context",
+    "build_fig1_tasks",
     "build_fig9_context",
     "build_fig9_tasks",
     "build_grid_context",
     "run_sweep_schedule",
     "spawn_spec_for",
+    "sweep_curve",
 ]
 
 ABLATION_FACTORS = ("surrogate", "encoding", "reset", "attack")
@@ -128,7 +138,7 @@ def run_sweep_schedule(
     queue_dir: str | Path | None = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     resilience: ResilienceConfig | None = None,
-) -> tuple[list[SweepResult] | QueueRunResult, dict]:
+) -> tuple[list[SweepResult] | ShardRunResult | QueueRunResult, dict]:
     """Shared scheduling scaffold of the engine-ported sweep experiments.
 
     Builds the context via ``context_builder`` (one of this module's
@@ -140,11 +150,12 @@ def run_sweep_schedule(
     weight-reuse count.
 
     With ``shard`` set, only the shard's slice of ``tasks`` is served and
-    ``results`` covers exactly that slice.  With ``queue_dir`` set, the
-    run joins the dynamic work queue under ``<queue_dir>/<experiment>``
-    as one worker of an elastic fleet and ``results`` is the worker's
-    :class:`~repro.engine.queue.QueueRunResult` — the figure is rendered
-    later, by a ``--resume`` run against the shared cache directory.
+    ``results`` is its :class:`~repro.engine.shard.ShardRunResult`.  With
+    ``queue_dir`` set, the run joins the dynamic work queue under
+    ``<queue_dir>/<experiment>`` as one worker of an elastic fleet and
+    ``results`` is the worker's :class:`~repro.engine.queue.QueueRunResult`.
+    Either summary is returned as the caller's result; the figure is
+    rendered later, by a ``--resume`` run against the cache directory.
     Whenever a cache directory is in play, the engine certifies the
     completed task ids in the directory's shard manifest
     (``shard.json``), and ``metadata["manifest_path"]`` names it.
@@ -224,7 +235,19 @@ def run_sweep_schedule(
     certified = manifest_path(cache_dir)
     if certified is not None:
         metadata["manifest_path"] = certified
+    if shard is not None:
+        return shard_run_result(experiment, shard, tasks, cache_dir, metadata), metadata
     return results, metadata
+
+
+def sweep_curve(task: SweepTask, result: SweepResult) -> RobustnessCurve:
+    """A task's PGD curve, in the task's ε order, as a figure series."""
+    return RobustnessCurve(
+        label=result.key,
+        epsilons=task.epsilons,
+        robustness=tuple(result.curves["pgd"][eps] for eps in task.epsilons),
+        evaluations=(),
+    )
 
 
 # -- Figs. 6-8 grid ------------------------------------------------------------
@@ -275,57 +298,61 @@ def build_grid_context(
     return context
 
 
-# -- Fig. 9 sweet spots --------------------------------------------------------
+# -- Fig. 1 motivation and Fig. 9 sweet spots ---------------------------------
 
 
 def _model_tags(profile: ExperimentProfile, experiment: str) -> dict:
     """Weight-fingerprint tags pinning what the factories derive from."""
+    fig1 = experiment == "fig1"
     return {
         "experiment": experiment,
         "profile": profile.name,
-        "snn_model": profile.snn_model,
-        "cnn_model": profile.cnn_model,
+        "snn_model": profile.fig1_snn_model if fig1 else profile.snn_model,
+        "cnn_model": profile.fig1_cnn_model if fig1 else profile.cnn_model,
         "image_size": profile.image_size,
         "input_scale": profile.input_scale,
         "time_steps_default": profile.time_steps_default,
     }
 
 
-def _fig9_model_builder(profile: ExperimentProfile):
+def _curve_model_builder(profile: ExperimentProfile, tags: dict):
+    """``task -> model`` building the CNN or SNN that ``tags`` names."""
+
     def build(task: SweepTask):
-        if task.kind == "fig9_cnn":
+        rng = int(task.param("init_seed", task.train_seed))
+        if task.kind.endswith("_cnn"):
             return build_model(
-                profile.cnn_model,
-                input_size=profile.image_size,
-                rng=task.train_seed,
+                tags["cnn_model"], input_size=profile.image_size, rng=rng
             )
         return build_model(
-            profile.snn_model,
+            tags["snn_model"],
             input_size=profile.image_size,
-            time_steps=int(task.param("time_window")),
-            lif_params=LIFParameters(v_th=float(task.param("v_th"))),
+            time_steps=int(task.param("time_window", profile.time_steps_default)),
+            lif_params=LIFParameters(v_th=float(task.param("v_th", 1.0))),
             input_scale=profile.input_scale,
-            rng=task.train_seed,
+            rng=rng,
         )
 
     return build
 
 
-def build_fig9_context(
+def _curve_context(
     profile: ExperimentProfile | str,
-    cache_dir: str | Path | None = None,
-    reuse_weights: bool = False,
+    cache_dir: str | Path | None,
+    reuse_weights: bool,
+    experiment: str,
 ) -> SweepJobContext:
-    """Job context of the Fig. 9 sweet-spot tracking.
+    """Job context of a CNN-vs-SNN curve figure (Fig. 1 or Fig. 9).
 
     Clean accuracy is scored on the full test set (as in the paper's
     figure annotations); attacks run on the profile's test subset.
     """
     profile = _as_profile(profile)
+    tags = _model_tags(profile, experiment)
     train, test, (clip_min, clip_max) = load_profile_data(profile)
     attack_subset = test.take(profile.attack_subset)
     context = SweepJobContext(
-        model_builder=_fig9_model_builder(profile),
+        model_builder=_curve_model_builder(profile, tags),
         train_set=train,
         clean_eval_set=test,
         attack_set=attack_subset,
@@ -339,11 +366,50 @@ def build_fig9_context(
             train,
             context.training,
             eval_sets=(test, attack_subset),
-            tags=_model_tags(profile, "fig9"),
+            tags=tags,
         )
         context.weight_cache = WeightCache(cache_dir, fingerprint)
         context.reuse_weights = bool(reuse_weights)
     return context
+
+
+def build_fig1_context(
+    profile: ExperimentProfile | str,
+    cache_dir: str | Path | None = None,
+    reuse_weights: bool = False,
+) -> SweepJobContext:
+    """Job context of the Fig. 1 CNN-vs-SNN motivation."""
+    return _curve_context(profile, cache_dir, reuse_weights, "fig1")
+
+
+def build_fig1_tasks(profile: ExperimentProfile) -> list[SweepTask]:
+    """The CNN and the equal-topology SNN, one task each.  Seeds are
+    Fig. 1's own — init ``child_seed("fig1", model)``, train and attack
+    ``profile.seed`` — so the tasks are not made by :func:`make_sweep_task`."""
+    seeds = SeedSequence(profile.seed)
+    epsilons = tuple(float(e) for e in profile.curve_epsilons)
+    return [
+        SweepTask(
+            index=index,
+            key=model,
+            kind=f"fig1_{model}",
+            params=(("init_seed", seeds.child_seed("fig1", model)),),
+            attacks=("pgd",),
+            epsilons=epsilons,
+            train_seed=profile.seed,
+            attack_seed=profile.seed,
+        )
+        for index, model in enumerate(("cnn", "snn"))
+    ]
+
+
+def build_fig9_context(
+    profile: ExperimentProfile | str,
+    cache_dir: str | Path | None = None,
+    reuse_weights: bool = False,
+) -> SweepJobContext:
+    """Job context of the Fig. 9 sweet-spot tracking."""
+    return _curve_context(profile, cache_dir, reuse_weights, "fig9")
 
 
 def build_fig9_tasks(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.pgd import PGD
 from repro.data.dataset import ArrayDataset
 from repro.data.synth_mnist import SynthConfig, SyntheticMNIST
 from repro.data.transforms import MNIST_MEAN, MNIST_STD, Normalize, normalized_bounds
@@ -22,7 +21,6 @@ from repro.snn.neuron import LIFParameters
 __all__ = [
     "build_grid_model_factory",
     "load_profile_data",
-    "make_profile_attack_builder",
 ]
 
 
@@ -43,22 +41,6 @@ def load_profile_data(
     train = ArrayDataset(normalize(train.images).astype(np.float32), train.labels)
     test = ArrayDataset(normalize(test.images).astype(np.float32), test.labels)
     return train, test, normalized_bounds()
-
-
-def make_profile_attack_builder(profile: ExperimentProfile, seed: int | None = None):
-    """Return ``attack_builder(eps) -> PGD`` bound to the profile settings."""
-    clip_min, clip_max = normalized_bounds()
-
-    def build(epsilon: float) -> PGD:
-        return PGD(
-            epsilon,
-            steps=profile.pgd_steps,
-            clip_min=clip_min,
-            clip_max=clip_max,
-            rng=profile.seed if seed is None else seed,
-        )
-
-    return build
 
 
 def build_grid_model_factory(profile: ExperimentProfile):

@@ -1,16 +1,23 @@
-"""Engine-ported fig9/ablation paths: sweep jobs, spawn backend, weight cache.
+"""Engine sweep paths (fig1/fig9/ablation): sweep jobs, spawn backend, weight cache.
 
 Everything runs at micro scale (or smaller) so the whole file stays in
 the tens of seconds: spawn-vs-serial equivalence, resume-after-interrupt
-for fig9 and the ablation suite, weight-cache hits on security-only
-re-sweeps (retraining is *forbidden* via a poisoned Trainer), and the
-``cache`` subcommand's stats/inspect/clear/gc actions.
+for fig1, fig9 and the ablation suite, a short-lease fig1 fleet, weight-cache
+hits on security-only re-sweeps (retraining is *forbidden* via a
+poisoned Trainer), and the ``cache`` subcommand's
+stats/inspect/clear/gc actions.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import subprocess
+import sys
+import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +26,7 @@ from repro.engine import (
     ShardSpec,
     SweepCache,
     WeightCache,
+    merge_event_logs,
     run_sweep_task,
     run_tasks,
     sweep_fingerprint,
@@ -27,6 +35,7 @@ from repro.engine import (
 from repro.experiments import (
     get_profile,
     run_ablation_suite,
+    run_fig1,
     run_fig9,
     run_grid_exploration,
 )
@@ -35,6 +44,8 @@ from repro.experiments.sweeps import (
     _model_tags,
     build_ablation_context,
     build_ablation_tasks,
+    build_fig1_context,
+    build_fig1_tasks,
     build_fig9_context,
     build_fig9_tasks,
 )
@@ -185,6 +196,92 @@ class TestRunnerFlagConflicts:
         with pytest.raises(ValueError, match=message):
             runner("micro", **options)
         assert not (tmp_path / "q").exists()
+
+
+def _fig1_science(result) -> dict:
+    payload = result.as_dict()
+    payload.pop("metadata")
+    return payload
+
+
+class TestFig1Engine:
+    def test_parallel_and_resumed_identical_to_serial(self, tmp_path):
+        serial = run_fig1("micro")
+        assert run_fig1("micro", jobs=2).as_dict()["cnn"] == serial.as_dict()["cnn"]
+        first = run_fig1("micro", cache_dir=tmp_path)
+        assert _fig1_science(first) == _fig1_science(serial)
+        profile = get_profile("micro")
+        context = build_fig1_context(profile, cache_dir=tmp_path)
+        cache = SweepCache(
+            tmp_path, sweep_fingerprint(context, tags=_model_tags(profile, "fig1"))
+        )
+        tasks = build_fig1_tasks(profile)
+        cache.path_for(tasks[1]).unlink()
+        resumed = run_fig1("micro", cache_dir=tmp_path, resume=True)
+        assert resumed.metadata["engine"]["cached_cells"] == 1
+        assert resumed.metadata["weights_reused"] == 1
+        assert _fig1_science(resumed) == _fig1_science(serial)
+
+    def test_result_cache_pins_fig1_models(self):
+        profile = get_profile("micro")
+        tags = _model_tags(profile, "fig1")
+        assert tags["cnn_model"] == profile.fig1_cnn_model
+        assert tags["snn_model"] == profile.fig1_snn_model
+        other = dataclasses.replace(profile, fig1_snn_model="snn_lenet5")
+        assert _model_tags(other, "fig1") != tags
+        # fig9's tags do not see the fig1 models.
+        assert _model_tags(other, "fig9") == _model_tags(profile, "fig9")
+
+    def test_short_lease_fleet_computes_each_task_once(self, tmp_path):
+        # A late worker joining while the first one is mid-task must wait
+        # for the heartbeating lease, not steal it and recompute fig1.
+        # Every task is padded to >= 4 lease TTLs, so only the heartbeat
+        # keeps a lease alive.
+        lease_ttl = 0.25
+        script = (
+            "import sys, time\n"
+            "from repro.experiments import run_fig1, sweeps\n"
+            "inner = sweeps.run_sweep_task\n"
+            "def padded(context, task):\n"
+            "    time.sleep(4 * float(sys.argv[2]))\n"
+            "    return inner(context, task)\n"
+            "sweeps.run_sweep_task = padded\n"
+            "root = sys.argv[1]\n"
+            "run_fig1('micro', cache_dir=root + '/cache', queue_dir=root,"
+            " lease_ttl=float(sys.argv[2]))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        workers = []
+        for index in range(2):
+            env["REPRO_QUEUE_WORKER"] = f"fig1-{index}"
+            workers.append(subprocess.Popen(
+                [sys.executable, "-c", script, str(tmp_path), str(lease_ttl)],
+                env=dict(env), stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                text=True,
+            ))
+            if index == 0:
+                deadline = time.monotonic() + 120.0
+                while not list((tmp_path / "fig1").glob("lease_*.json")):
+                    assert workers[0].poll() is None, workers[0].communicate()[0]
+                    assert time.monotonic() < deadline, "no fig1 lease taken"
+                    time.sleep(0.02)
+                time.sleep(2 * lease_ttl)
+        for process in workers:
+            out, _ = process.communicate(timeout=240)
+            assert process.returncode == 0, out
+        events = merge_event_logs(tmp_path / "fig1")
+        commits = {e["task"]: e for e in events if e["event"] == "commit"}
+        assert Counter(e["task"] for e in events if e["event"] == "commit") == (
+            Counter({0: 1, 1: 1})
+        )
+        assert [e for e in events if e["event"] == "steal"] == []
+        for claim in (e for e in events if e["event"] == "claim"):
+            held = commits[claim["task"]]["time"] - claim["time"]
+            assert held > 4 * lease_ttl  # the lease outlived several TTLs
 
 
 class TestFig9Engine:

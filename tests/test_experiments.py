@@ -20,7 +20,7 @@ from repro.experiments import (
     run_grid_exploration,
 )
 from repro.experiments.runner import main
-from repro.experiments.workloads import build_grid_model_factory, make_profile_attack_builder
+from repro.experiments.workloads import build_grid_model_factory
 from repro.data import normalized_bounds
 
 
@@ -62,16 +62,6 @@ class TestWorkloads:
         assert bounds == normalized_bounds()
         # normalized data extends below zero (background pixels)
         assert train.images.min() < 0.0
-
-    def test_attack_builder_binds_profile(self):
-        profile = get_profile("micro")
-        builder = make_profile_attack_builder(profile)
-        attack = builder(1.0)
-        assert attack.epsilon == 1.0
-        assert attack.steps == profile.pgd_steps
-        lo, hi = normalized_bounds()
-        assert attack.clip_min == pytest.approx(lo)
-        assert attack.clip_max == pytest.approx(hi)
 
     def test_model_factory_sets_structural_parameters(self):
         profile = get_profile("micro")
@@ -135,6 +125,15 @@ class TestFig1Experiment:
             assert 0.0 <= value <= 1.0
         for value in micro_fig1_result.snn_curve.robustness:
             assert 0.0 <= value <= 1.0
+
+    def test_micro_numbers_pinned(self, micro_fig1_result):
+        # Exact values of the serial two-model driver, kept bitwise by
+        # the engine port: seeds, training and PGD must not move.
+        assert micro_fig1_result.cnn_curve.robustness == (0.25, 0.05)
+        assert micro_fig1_result.snn_curve.robustness == (0.15, 0.15)
+        assert micro_fig1_result.cnn_clean_accuracy == 0.275
+        assert micro_fig1_result.snn_clean_accuracy == 0.1
+        assert micro_fig1_result.turnaround_epsilon == 1.0
 
 
 class TestFig9Experiment:

@@ -454,6 +454,20 @@ class TestHalvingSearch:
         assert canonical(stacked) == reference
         assert canonical(queued) == reference
 
+    @pytest.mark.parametrize("queued", [False, True], ids=["local", "queue"])
+    def test_complete_search_cache_verifies(self, tmp_path, queued, capsys):
+        # The promotion rung's candidates keep their grid indices; the
+        # manifest must expect exactly those ids, not range(candidates).
+        queue = {"queue_dir": tmp_path / "q", "lease_ttl": 30.0} if queued else {}
+        result = run_halving_search(
+            _context(), _search_config(), tmp_path / "cache", **queue
+        )
+        promoted = [(c.v_th, c.time_window) for c in result.rungs[1].cells]
+        assert promoted == [(0.5, 2), (0.5, 4), (1.0, 4)]  # grid ids 0, 1, 3
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path / "cache")]) == 0
+        out = capsys.readouterr().out
+        assert "INCOMPLETE" not in out and "3/3 tasks — complete" in out
+
     def test_queued_rung_honours_the_attempt_budget(self, tmp_path, monkeypatch):
         # Task 0 fails on every attempt; with a one-attempt budget the
         # rung quarantines it after its first failure and the search

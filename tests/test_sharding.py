@@ -8,7 +8,9 @@ full result set — identical to a single-process run.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -501,20 +503,54 @@ class TestShardCLI:
             assert kwargs["start_method"] == "fork"
             assert kwargs["shard"] == ShardSpec(1, 3)
 
-    def test_sharded_all_runs_fig1_only_on_shard_zero(self, monkeypatch, tmp_path, capsys):
-        ran: list[str] = []
-        monkeypatch.setattr(
-            runner_module, "_run_fig1", lambda *a, **k: ran.append("fig1")
-        )
+    def test_sharded_all_serves_fig1_on_every_shard(self, monkeypatch, tmp_path, capsys):
+        from repro.engine import ShardRunResult
+
+        shards: list[ShardSpec] = []
+
+        def fake_fig1(profile, verbose=False, **kwargs):
+            shards.append(kwargs["shard"])
+            return ShardRunResult(
+                experiment="fig1",
+                shard=kwargs["shard"],
+                task_count=2,
+                completed=tuple(i for i in range(2) if kwargs["shard"].owns(i)),
+                manifest_path=None,
+            )
+
+        monkeypatch.setattr(runner_module, "run_fig1", fake_fig1)
         for name in ("_run_grid", "_run_fig9", "_run_ablation"):
             monkeypatch.setattr(runner_module, name, lambda *a, **k: None)
-        main(["all", "--profile", "micro", "--cache-dir", str(tmp_path),
-              "--shard", "1/3"])
-        assert ran == []
-        assert "skipping fig1" in capsys.readouterr().out
-        main(["all", "--profile", "micro", "--cache-dir", str(tmp_path),
-              "--shard", "0/3"])
-        assert ran == ["fig1"]
+        for index in range(3):
+            assert main(["all", "--profile", "micro", "--cache-dir",
+                         str(tmp_path), "--shard", f"{index}/3"]) == 0
+        assert shards == [ShardSpec(0, 3), ShardSpec(1, 3), ShardSpec(2, 3)]
+        out = capsys.readouterr().out
+        assert "skipping fig1" not in out
+        assert "shard 2/3 of experiment 'fig1': 0/0 owned tasks" in out
+
+    def test_sharded_fig1_merges_to_the_unsharded_figure(self, monkeypatch, tmp_path):
+        for name in ("_run_grid", "_run_fig9", "_run_ablation"):
+            monkeypatch.setattr(runner_module, name, lambda *a, **k: None)
+        assert main(["fig1", "--profile", "micro", "--out", str(tmp_path / "ref")]) == 0
+        for index in range(2):
+            assert main(["all", "--profile", "micro", "--shard", f"{index}/2",
+                         "--cache-dir", str(tmp_path / f"c{index}"),
+                         "--out", str(tmp_path / "shards")]) == 0
+            assert (tmp_path / "shards" / f"fig1_micro_shard{index}of2.json").is_file()
+        assert main(["cache", "merge", str(tmp_path / "c0"), str(tmp_path / "c1"),
+                     "--into", str(tmp_path / "merged")]) == 0
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path / "merged")]) == 0
+        assert main(["all", "--profile", "micro", "--resume", "--cache-dir",
+                     str(tmp_path / "merged"), "--out", str(tmp_path / "out")]) == 0
+        replay = json.loads((tmp_path / "out" / "fig1_micro.json").read_text())
+        assert replay["metadata"]["engine"]["cached_cells"] == 2
+        script = Path(__file__).resolve().parents[1] / "scripts" / "compare_results.py"
+        spec = importlib.util.spec_from_file_location("compare_results", script)
+        compare = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(compare)
+        assert compare.main([str(tmp_path / "ref" / "fig1_micro.json"),
+                             str(tmp_path / "out" / "fig1_micro.json")]) == 0
 
     def test_bad_shard_specs_rejected(self):
         for bad in ("3/3", "x/2", "1", "1/0"):
