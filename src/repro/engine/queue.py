@@ -76,7 +76,6 @@ from pathlib import Path
 from repro.engine.metrics import (
     flush_metrics,
     record_queue_event,
-    record_task,
     record_task_attempts,
     set_queue_depth,
 )
@@ -95,8 +94,6 @@ from repro.engine.resilience import (
     replace_json as _replace_json,
     write_json_exclusive as _write_json_exclusive,
 )
-from repro.engine.scheduler import ScheduleStats
-from repro.engine.shard import record_durable_manifest
 from repro.engine.stacking import plan_units
 from repro.errors import ReproError
 from repro.utils.logging import get_logger
@@ -598,7 +595,8 @@ class QueueRunResult:
     """How many of those came from stealing an expired lease."""
 
     manifest_path: str | None
-    """Where the completion manifest was recorded (for ``cache verify``)."""
+    """Where :func:`~repro.engine.scheduler.run_tasks` certified the
+    completion manifest (for ``cache verify``)."""
 
     events_path: str
     """This worker's JSONL event stream."""
@@ -612,7 +610,9 @@ class QueueRunResult:
     """Leases this worker handed off while retiring gracefully."""
 
     metadata: dict = field(default_factory=dict)
-    """Engine accounting, same shape as the full-run results carry."""
+    """``queue_complete`` (and ``retired``), plus the engine accounting
+    that :func:`~repro.engine.scheduler.run_tasks` adds under ``engine``,
+    the same shape as the full-run results carry."""
 
     @property
     def complete(self) -> bool:
@@ -694,27 +694,27 @@ def run_queued_tasks(
     queue_dir: str | Path,
     *,
     experiment: str,
-    cache_dir: str | Path | None = None,
     resume: bool = False,
-    progress: Callable | None = None,
+    record: Callable | None = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
-    pending_order: Callable[[list], list] | None = None,
     worker: str | None = None,
     stack: int = 1,
     poll_interval: float | None = None,
     resilience: ResilienceConfig | None = None,
     task_deadline: Callable | None = None,
-) -> tuple[QueueRunResult, ScheduleStats]:
+) -> QueueRunResult:
     """Serve a task list as one worker of a dynamic fleet.
 
-    The queue sibling of :func:`repro.engine.scheduler.run_tasks`: same
-    job functions, same caches, same progress callback — but instead of
-    a pre-partitioned slice, the worker repeatedly scans the queue
-    directory, claims (or steals) the most expensive claimable task, runs
-    it, and commits the checkpoint plus an event-log line.  It returns
-    when every task in the list is *resolved* — committed, or quarantined
-    after exhausting its attempt budget — however many other workers
-    contributed.
+    The queue backend of :func:`repro.engine.scheduler.run_tasks`, which
+    plans the run, certifies the manifest and passes its recorder as
+    ``record``.  The worker repeatedly scans the queue directory, claims
+    (or steals) the first claimable tasks in list order (the plan's cost
+    order), runs them, and commits each checkpoint plus an event-log
+    line, calling ``record(task, result, cached)`` only for the commit
+    markers it created — a completion that lost the marker race is a
+    ``duplicate`` event.  It returns when every task is *resolved* —
+    committed, or quarantined after exhausting its attempt budget —
+    however many other workers contributed.
 
     ``cache`` is mandatory: in queue mode the checkpoint directory *is*
     the result transport between workers, so a failed cache write is a
@@ -722,13 +722,12 @@ def run_queued_tasks(
     warning of the local scheduler; every computed checkpoint is also
     re-read and decode-verified before its commit marker is created, so
     a corrupt write becomes a retry instead of a poisoned merge.
-    ``pending_order`` prices the claim order (the runners pass the cost
-    model's longest-first ordering); ``stack > 1`` claims up to that
-    many cells per round and runs them as the units of
-    :func:`~repro.engine.stacking.plan_units` — compatible ones fold
-    through one variant-stack pass, bitwise identical per cell.
-    ``resume`` serves already-checkpointed tasks straight into commit
-    markers, which makes a replay over a finished queue a no-op.
+    ``stack > 1`` claims up to that many cells per round and runs them
+    as the units of :func:`~repro.engine.stacking.plan_units` —
+    compatible ones fold through one variant-stack pass, bitwise
+    identical per cell.  ``resume`` serves already-checkpointed tasks
+    straight into commit markers, which makes a replay over a finished
+    queue a no-op.
 
     ``resilience`` bundles the supervision knobs (attempt budget,
     backoff shape, watchdog pricing); ``task_deadline`` maps a task to
@@ -741,21 +740,16 @@ def run_queued_tasks(
     the grid completes without the cell.  SIGTERM/SIGINT (main thread
     only) drains the worker: the in-flight phase aborts with
     :class:`~repro.engine.resilience.WorkerRetired`, its lease is handed
-    off via ``handoff_<i>.json`` for immediate reclaim, metrics are
-    flushed and the manifest certified on the way out.
+    off via ``handoff_<i>.json`` for immediate reclaim, and metrics are
+    flushed on the way out.
     """
     if cache is None:
         raise ValueError(
             "queue mode requires a cache: the checkpoint directory is how "
             "workers exchange results"
         )
-    if stack < 1:
-        raise ValueError(f"stack must be >= 1, got {stack}")
     tasks = list(tasks)
     by_index = {task.index: task for task in tasks}
-    if len(by_index) != len(tasks):
-        raise ValueError("task indices must be unique")
-    start = time.perf_counter()
     queue = WorkQueue(
         queue_dir,
         experiment=experiment,
@@ -772,7 +766,6 @@ def run_queued_tasks(
     ledger = AttemptLedger(queue.directory, clock=queue.clock)
     chaos = ChaosConfig.from_env()
     committed: list[int] = []
-    cached_served = 0
     stolen = 0
     handoffs = 0
     retired: str | None = None
@@ -817,7 +810,6 @@ def run_queued_tasks(
         return digest
 
     def commit(task, result, *, cached: bool, attempt: int | None = None) -> None:
-        nonlocal cached_served
         digest: str | None = None
         if not cached:
             digest = put_checkpoint(task, result, attempt or 1)
@@ -830,21 +822,17 @@ def run_queued_tasks(
             phase_seconds=getattr(result, "phase_seconds", None),
             cached=cached,
         )
-        if created:
-            committed.append(task.index)
-            if cached:
-                cached_served += 1
-            # Queue mode bypasses run_tasks, so the task counter and
-            # phase histograms are recorded here, on the exactly-once
-            # commit (duplicate completions show up only in
-            # repro_queue_events_total{event="duplicate"}).
-            record_task(result, cached=cached)
-            if attempt is not None:
-                # Attempts-to-resolution histogram: computed commits
-                # only — a cache-served replay spent no attempt.
-                record_task_attempts("committed", attempt)
-        if progress is not None:
-            progress(task, result, cached)
+        if not created:
+            # A peer committed first: counted only as
+            # repro_queue_events_total{event="duplicate"}, never recorded.
+            return
+        committed.append(task.index)
+        if attempt is not None:
+            # Attempts-to-resolution histogram: computed commits
+            # only — a cache-served replay spent no attempt.
+            record_task_attempts("committed", attempt)
+        if record is not None:
+            record(task, result, cached)
 
     def dispose_failure(task, attempt: int, kind: str, error: str,
                         traceback_text: str = "") -> None:
@@ -945,7 +933,6 @@ def run_queued_tasks(
                     f"{type(error).__name__}: {error}", traceback_text,
                 )
 
-    manifest_path: str | None = None
     heartbeat = _HeartbeatThread(queue)
     heartbeat.start()
     try:
@@ -978,8 +965,6 @@ def run_queued_tasks(
                 if task.index not in state.active
                 and ledger.ready(task.index, now)
             ]
-            if pending_order is not None and claimable:
-                claimable = list(pending_order(claimable))
             held: list = []
             for task in claimable:
                 if len(held) >= stack:
@@ -1002,7 +987,7 @@ def run_queued_tasks(
                 # Graceful retirement: hand off every unfinished held
                 # lease so peers reclaim it immediately (no TTL wait),
                 # then leave through the normal shutdown path — flushed
-                # metrics, certified manifest and all.
+                # metrics and all.
                 signal_name = drain.signal_name or "SIGTERM"
                 for task in held:
                     if queue.is_done(task.index):
@@ -1033,33 +1018,16 @@ def run_queued_tasks(
         if watchdog is not None:
             watchdog.stop()
         drain.uninstall()
-        if cache_dir is not None:
-            # Certify whatever checkpoints are durable, exactly like the
-            # static shard runners: the last worker out sees everything,
-            # so `cache verify` can vouch for the shared directory.
-            manifest_path = record_durable_manifest(
-                cache_dir, cache, experiment, tasks, None
-            )
         flush_metrics()
-    stats = ScheduleStats(
-        jobs=1,
-        total_cells=len(tasks),
-        cached_cells=cached_served,
-        computed_cells=len(committed) - cached_served,
-        elapsed_seconds=time.perf_counter() - start,
-        workers=[queue.worker],
-        start_method="queue",
-        shard="",
-    )
     done_now = queue.done_indices()
     quarantined_now = tuple(sorted(
         index for index in ledger.quarantined_indices()
         if index in by_index and index not in done_now
     ))
-    metadata = {"engine": stats.as_dict(), "queue_complete": queue.complete}
+    metadata = {"queue_complete": queue.complete}
     if retired is not None:
         metadata["retired"] = retired
-    result = QueueRunResult(
+    return QueueRunResult(
         experiment=experiment,
         worker=queue.worker,
         queue_dir=str(queue.directory),
@@ -1068,11 +1036,10 @@ def run_queued_tasks(
         stolen=stolen,
         quarantined=quarantined_now,
         handoffs=handoffs,
-        manifest_path=manifest_path,
+        manifest_path=None,
         events_path=str(queue.events_path),
         metadata=metadata,
     )
-    return result, stats
 
 
 def queue_status(directory: str | Path, now: float | None = None) -> dict:

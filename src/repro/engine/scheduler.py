@@ -1,12 +1,23 @@
-"""Serial / multi-process scheduler for experiment jobs.
+"""The engine's one dispatch pipeline: plan, execute, record.
 
 :func:`run_tasks` drives any list of picklable tasks (grid
 :class:`~repro.engine.job.CellTask` jobs, variant
 :class:`~repro.engine.sweep.SweepTask` jobs, future sweep families)
-through a pure job function, either in-process (``jobs=1``) or on a
-``multiprocessing`` pool (``jobs>1``).  Because every task carries its
-own derived seeds, all modes produce identical results — parallelism only
-changes wall-clock, never science.
+through a pure job function in three stages:
+
+* **plan** — check the mode flags, keep the ``shard``'s slice, check
+  that task indices are unique, and cost-order the tasks once;
+* **execute** — run the units of :func:`repro.engine.stacking.plan_units`
+  (up to ``stack`` grid cells per fused pass) in-process, on a
+  ``multiprocessing`` pool (``jobs>1``, one unit per submission), or
+  through a work queue's lease loop (``queue_dir``,
+  :func:`repro.engine.queue.run_queued_tasks`);
+* **record** — one recorder keeps the results by index and feeds the
+  metrics, ``progress`` and :class:`ScheduleStats`; the cache
+  directory's shard manifest is certified on the way out.
+
+Because every task carries its own derived seeds, all modes produce
+identical results — parallelism only changes wall-clock, never science.
 
 Two pool backends are available, selected via ``start_method``:
 
@@ -27,26 +38,16 @@ Example — the same tasks through both backends::
     same, _ = run_tasks(context, tasks, run_sweep_task, jobs=4,
                         start_method="spawn", context_spec=spec)
 
-Cache integration happens here, in the parent process: completed tasks
-are checkpointed as they arrive (so an interrupted parallel run still
-resumes), and with ``resume=True`` cached results are served without
-dispatching work.
-
-With ``stack=K`` the in-process loop runs the units of
-:func:`repro.engine.stacking.plan_units`: K grid cells per fused pass.
-
-:func:`run_tasks` is also the single dispatch call of every experiment:
-it checks the mode flags once, serves a ``shard`` slice locally, hands a
-``queue_dir`` run to :func:`repro.engine.queue.run_queued_tasks`, and
-certifies the cache directory's shard manifest whenever a ``cache_dir``
-is given.
+Completed tasks are checkpointed in the parent as they arrive (so an
+interrupted parallel run still resumes), and with ``resume=True``
+cached results are served without dispatching work.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import import_module
 
 from repro.engine.costs import (
@@ -62,6 +63,7 @@ from repro.engine.metrics import (
     record_task,
     reset_metrics,
 )
+from repro.engine.queue import DEFAULT_LEASE_TTL, run_queued_tasks
 from repro.engine.resilience import ResilienceConfig
 from repro.engine.shard import ShardSpec, record_durable_manifest
 from repro.engine.stacking import plan_units
@@ -135,14 +137,26 @@ def _init_worker(context_or_spec, run_fn: Callable, metrics_directory=None) -> N
         reset_metrics(keep_dir=True)
 
 
-def _run_in_worker(task) -> tuple[int, object]:
+def _run_in_worker(unit_tasks: list) -> list[tuple[int, object]]:
+    """Run one unit of the parent's plan; returns ``(index, result)`` pairs.
+
+    Only the unit's tasks cross the process boundary.  Re-planning them
+    here rebuilds the parent's group: its cells were packed together in
+    this order, so they pack together again.
+    """
     assert _WORKER_RUN is not None, "worker pool initialized without a job function"
-    result = task.index, _WORKER_RUN(_WORKER_CONTEXT, task)
+    results = [
+        (task.index, result)
+        for tasks, run in plan_units(
+            _WORKER_CONTEXT, unit_tasks, _WORKER_RUN, len(unit_tasks)
+        )
+        for task, result in zip(tasks, run())
+    ]
     # Worker-side counters (weight-cache hits inside the job function)
-    # are flushed per task, so a crashed worker still leaves its last
+    # are flushed per unit, so a crashed worker still leaves its last
     # consistent snapshot behind.
     flush_metrics()
-    return result
+    return results
 
 
 @dataclass
@@ -161,10 +175,12 @@ class ScheduleStats:
     """Parent-side wall clock for the whole schedule."""
 
     workers: list[str] = field(default_factory=list)
-    """Distinct process names that computed at least one task."""
+    """Distinct process names that computed at least one task (a queue
+    run names its worker id instead)."""
 
     start_method: str = "serial"
-    """Backend actually used: ``serial``, ``stacked``, ``fork`` or ``spawn``."""
+    """Backend actually used: ``serial``, ``stacked``, ``fork``, ``spawn``
+    or ``queue``."""
 
     shard: str = ""
     """Shard slice this schedule served (``"1/3"``; empty = unsharded)."""
@@ -183,40 +199,62 @@ class ScheduleStats:
         }
 
 
-def _select_backend(start_method: str, context, context_spec: ContextSpec | None):
-    """Pick ``(mp_context, worker_init_arg, method_name)`` for the pool.
+class _Recorder:
+    """The record stage of :func:`run_tasks`, shared by every backend:
+    results by task index, task metrics, ``progress``, the worker set.
+    Each task is recorded once — locally after its checkpoint write, by
+    the queue only on commits this worker created."""
 
-    Returns ``(None, None, "serial")`` when no usable backend exists — the
-    scheduler then degrades to in-process execution rather than failing,
-    except for an explicit ``spawn`` request without the spec it needs
-    (a programming error worth surfacing).
-    """
+    def __init__(self, progress: ProgressCallback | None) -> None:
+        self.start = time.perf_counter()
+        self.results: dict[int, object] = {}
+        self.cached = 0
+        self.workers: set[str] = set()
+        self._progress = progress
+
+    def record(self, task, result, cached: bool) -> None:
+        self.results[task.index] = result
+        record_task(result, cached=cached)
+        if cached:
+            self.cached += 1
+        elif getattr(result, "worker", ""):
+            self.workers.add(result.worker)
+        if self._progress is not None:
+            self._progress(task, result, cached)
+
+    def stats(self, total: int, jobs: int, start_method: str, shard: str = "",
+              workers: Sequence[str] | None = None) -> ScheduleStats:
+        flush_metrics()
+        return ScheduleStats(
+            jobs=jobs,
+            total_cells=total,
+            cached_cells=self.cached,
+            computed_cells=len(self.results) - self.cached,
+            elapsed_seconds=time.perf_counter() - self.start,
+            workers=sorted(self.workers if workers is None else workers),
+            start_method=start_method,
+            shard=shard,
+        )
+
+
+def _select_backend(start_method: str, context, context_spec: ContextSpec | None):
+    """Pick ``(mp_context, worker_init_arg)`` for the pool, or ``None`` —
+    the scheduler then degrades to in-process execution with a warning
+    rather than failing."""
     import multiprocessing
 
     available = multiprocessing.get_all_start_methods()
     if start_method in ("auto", "fork") and "fork" in available:
-        return multiprocessing.get_context("fork"), context, "fork"
-    if start_method == "fork":
-        _logger.warning(
-            "multiprocessing 'fork' start method unavailable; "
-            "falling back to serial execution"
-        )
-        return None, None, "serial"
-    if context_spec is None:
-        # Explicit spawn without a spec was already rejected up front in
-        # run_tasks; reaching here means start_method == "auto".
-        _logger.warning(
-            "no 'fork' start method and no context_spec for 'spawn'; "
-            "falling back to serial execution"
-        )
-        return None, None, "serial"
-    if "spawn" not in available:
-        _logger.warning(
-            "multiprocessing 'spawn' start method unavailable; "
-            "falling back to serial execution"
-        )
-        return None, None, "serial"
-    return multiprocessing.get_context("spawn"), context_spec, "spawn"
+        return multiprocessing.get_context("fork"), context
+    if start_method != "fork" and context_spec is not None and "spawn" in available:
+        return multiprocessing.get_context("spawn"), context_spec
+    _logger.warning(
+        "no usable pool backend for start_method=%r (fork unavailable; spawn "
+        "needs platform support and a context_spec); falling back to serial "
+        "execution",
+        start_method,
+    )
+    return None
 
 
 def run_tasks(
@@ -234,7 +272,7 @@ def run_tasks(
     stack: int = 1,
     *,
     queue_dir=None,
-    lease_ttl: float | None = None,
+    lease_ttl: float = DEFAULT_LEASE_TTL,
     resilience: ResilienceConfig | None = None,
     task_deadline: Callable | None = None,
     experiment: str = "",
@@ -251,11 +289,12 @@ def run_tasks(
     With ``queue_dir`` set, the run joins that work queue as one worker
     of a dynamic fleet instead: :func:`repro.engine.queue.run_queued_tasks`
     serves it as ``experiment`` with ``lease_ttl``, ``resilience`` and
-    ``task_deadline`` (``None`` keeps the queue's defaults), and
-    ``results`` is the worker's :class:`~repro.engine.queue.QueueRunResult`.
-    The queue has its own commit policy and certifies its own manifest.
+    ``task_deadline`` (``None`` keeps the queue's default), and
+    ``results`` is the worker's :class:`~repro.engine.queue.QueueRunResult`
+    with this schedule's stats under ``metadata["engine"]``.  A queue
+    worker is one process: ``jobs > 1`` is rejected.
 
-    With ``cache_dir`` set, the local run certifies ``cache``'s durable
+    With ``cache_dir`` set, every mode certifies ``cache``'s durable
     checkpoints in that directory's shard manifest under ``experiment``
     (:func:`~repro.engine.shard.record_durable_manifest`) — in a
     ``finally``, so an interrupted run leaves an accurate completion
@@ -275,7 +314,7 @@ def run_tasks(
         pickle it by reference.
     jobs:
         Worker processes; ``1`` runs in-process.  Capped at the number of
-        pending tasks.
+        pending execution units.
     cache:
         Optional checkpoint store (:class:`~repro.engine.cache.CellCache`
         or :class:`~repro.engine.cache.SweepCache`).  Completed tasks are
@@ -287,7 +326,9 @@ def run_tasks(
         checkpoint store would silently recompute everything.  In queue
         mode, serve them straight into commit markers.
     progress:
-        Parent-side callback per completed task (logging, UIs).
+        Parent-side callback per task this run served or computed
+        (logging, UIs); a queue worker calls it only for the commits it
+        created.
     start_method:
         ``auto`` (prefer fork, else spawn-with-spec, else serial),
         ``fork`` or ``spawn``.
@@ -299,56 +340,38 @@ def run_tasks(
         invocation to its deterministic slice of the task list
         (multi-host runs: one shard per host, caches merged afterwards).
     pending_order:
-        Optional reordering of the to-be-computed tasks before dispatch
-        (e.g. :func:`repro.engine.costs.order_cell_tasks` for
-        longest-first scheduling).  Execution order only: results are
-        still returned — and checkpointed — in declared task order, and
-        every task carries its own seeds, so reordering moves wall-clock,
-        never science.
+        Optional execution order (e.g. longest-first,
+        :func:`repro.engine.costs.order_cell_tasks`), applied once to the
+        served tasks at plan time.  A pure key sort, so any slice of the
+        ordered list — the pending tasks, the queue's claimable ones — is
+        still in order.  Results keep the declared task order.
     stack:
-        Run pending tasks in-process as the units of
+        Run pending tasks as the units of
         :func:`~repro.engine.stacking.plan_units` — up to ``stack`` grid
-        cells per fused pass, bitwise identical per cell.  The fold
-        replaces worker parallelism, so it conflicts with ``jobs > 1``.
-        A queue worker claims up to ``stack`` cells per round.
+        cells per fused pass, bitwise identical per cell — on every
+        backend: a pool worker runs one unit per submission, a queue
+        worker claims up to ``stack`` cells per round.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if stack < 1:
         raise ValueError(f"stack must be >= 1, got {stack}")
-    if stack > 1 and jobs > 1:
-        raise ValueError(f"stack={stack} is in-process and conflicts with jobs={jobs}")
     if resume and cache is None:
         raise ValueError(
             "resume=True requires a checkpoint cache (cache_dir) to resume from"
-        )
-    if queue_dir is not None:
-        if shard is not None:
-            raise ValueError("queue_dir (dynamic fleet) conflicts with shard (static)")
-        # Imported here: the queue module builds on this one's ScheduleStats.
-        from repro.engine.queue import DEFAULT_LEASE_TTL, run_queued_tasks
-
-        return run_queued_tasks(
-            context,
-            tasks,
-            run_fn,
-            cache,
-            queue_dir,
-            experiment=experiment,
-            cache_dir=cache_dir,
-            resume=resume,
-            progress=progress,
-            lease_ttl=DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl,
-            pending_order=pending_order,
-            stack=stack,
-            resilience=resilience,
-            task_deadline=task_deadline,
         )
     if start_method not in _START_METHODS:
         raise ValueError(
             f"unknown start_method {start_method!r}; choose from {_START_METHODS}"
         )
-    if start_method == "spawn" and context_spec is None:
+    if queue_dir is not None and shard is not None:
+        raise ValueError("queue_dir (dynamic fleet) conflicts with shard (static)")
+    if queue_dir is not None and jobs > 1:
+        raise ValueError(
+            f"queue workers are single-process; jobs={jobs} conflicts with "
+            "queue_dir (start more workers instead)"
+        )
+    if queue_dir is None and start_method == "spawn" and context_spec is None:
         # Validated up front, not at pool creation: a warm cache can leave
         # too few pending tasks for a pool, and this programming error
         # must not pass or fail depending on cache state.
@@ -357,45 +380,69 @@ def run_tasks(
             "cannot inherit the in-memory job context and must rebuild it "
             "from a module-level builder"
         )
+    declared = list(tasks)
+    # Partition before anything else (cache lookups included): a shard
+    # must neither compute nor serve tasks it does not own, or two hosts
+    # would disagree about who completed what.
+    owned = declared if shard is None else shard.partition(declared)
+    if len({task.index for task in owned}) != len(owned):
+        raise ValueError("task indices must be unique")
+    ordered = owned
+    if pending_order is not None:
+        ordered = list(pending_order(list(owned)))
+        if sorted(task.index for task in ordered) != sorted(
+            task.index for task in owned
+        ):
+            raise ValueError("pending_order must permute the tasks")
+    recorder = _Recorder(progress)
+    certified = None
     try:
-        return _run_local(
-            context, tasks, run_fn, jobs, cache, resume, progress,
-            start_method, context_spec, shard, pending_order, stack,
-        )
+        if queue_dir is None:
+            used_jobs, method = _run_local(
+                context, owned, ordered, run_fn, jobs, cache, resume,
+                start_method, context_spec, stack, recorder,
+            )
+            outcome = [recorder.results[task.index] for task in owned]
+            stats = recorder.stats(
+                len(owned), used_jobs, method, "" if shard is None else str(shard)
+            )
+        else:
+            outcome = run_queued_tasks(
+                context, ordered, run_fn, cache, queue_dir,
+                experiment=experiment, resume=resume, record=recorder.record,
+                lease_ttl=lease_ttl, stack=stack, resilience=resilience,
+                task_deadline=task_deadline,
+            )
+            stats = recorder.stats(len(ordered), 1, "queue", workers=[outcome.worker])
     finally:
         if cache is not None and cache_dir is not None:
-            record_durable_manifest(cache_dir, cache, experiment, tasks, shard)
+            certified = record_durable_manifest(
+                cache_dir, cache, experiment, declared, shard
+            )
+    if queue_dir is not None:
+        outcome = replace(
+            outcome,
+            manifest_path=certified,
+            metadata={"engine": stats.as_dict(), **outcome.metadata},
+        )
+    return outcome, stats
 
 
 def _run_local(
-    context, tasks, run_fn, jobs, cache, resume, progress,
-    start_method, context_spec, shard, pending_order, stack,
-) -> tuple[list, ScheduleStats]:
-    """The in-process, pool or stack loop behind :func:`run_tasks`."""
-    start = time.perf_counter()
-    if shard is not None:
-        # Partition before anything else (cache lookups included): a
-        # shard must neither compute nor serve tasks it does not own, or
-        # two hosts would disagree about who completed what.
-        tasks = shard.partition(list(tasks))
-    results: dict[int, object] = {}
-    by_index = {task.index: task for task in tasks}
-    if len(by_index) != len(tasks):
-        raise ValueError("task indices must be unique")
+    context, owned, ordered, run_fn, jobs, cache, resume,
+    start_method, context_spec, stack, recorder,
+) -> tuple[int, str]:
+    """The inline and pool backends of :func:`run_tasks`.
 
-    pending: list = []
-    cached = 0
-    for task in tasks:
-        result = cache.get(task) if (cache is not None and resume) else None
-        if result is not None:
-            results[task.index] = result
-            cached += 1
-            record_task(result, cached=True)
-            if progress is not None:
-                progress(task, result, True)
-        else:
-            pending.append(task)
-    if resume and cached == 0 and tasks:
+    Records every owned task through ``recorder`` and returns ``(jobs
+    used, start method)``.
+    """
+    if resume:
+        for task in owned:
+            result = cache.get(task)
+            if result is not None:
+                recorder.record(task, result, cached=True)
+    if resume and recorder.cached == 0 and owned:
         if getattr(cache, "any_entries", lambda: False)():
             # Checkpoints exist but none match: a mispointed cache
             # directory or a changed config/fingerprint — the cases where
@@ -404,7 +451,7 @@ def _run_local(
                 "resume requested but none of the existing checkpoints "
                 "match this configuration; computing all %d tasks from "
                 "scratch",
-                len(tasks),
+                len(owned),
             )
         else:
             # Interrupted before the first task completed: nothing to
@@ -412,27 +459,13 @@ def _run_local(
             _logger.info(
                 "resume requested but no checkpoints exist yet; "
                 "computing all %d tasks",
-                len(tasks),
+                len(owned),
             )
-
-    if pending_order is not None:
-        reordered = pending_order(list(pending))
-        if sorted(task.index for task in reordered) != sorted(
-            task.index for task in pending
-        ):
-            raise ValueError("pending_order must permute the pending tasks")
-        pending = reordered
-
-    computed_workers: set[str] = set()
+    pending = [task for task in ordered if task.index not in recorder.results]
     cache_write_failed = False
 
-    def record(task, result) -> None:
+    def checkpoint(task, result) -> None:
         nonlocal cache_write_failed
-        results[task.index] = result
-        record_task(result, cached=False)
-        worker = getattr(result, "worker", "")
-        if worker:
-            computed_workers.add(worker)
         if cache is not None and not cache_write_failed:
             # Checkpointing is a convenience; an unwritable cache directory
             # (read-only cwd, full disk) must not abort the computation.
@@ -455,53 +488,37 @@ def _run_local(
                         "cache write failed again (%s)",
                         error,
                     )
-        if progress is not None:
-            progress(task, result, False)
+        recorder.record(task, result, cached=False)
 
-    effective_jobs = min(jobs, len(pending)) if pending else 1
-    method_used = "serial"
-    if effective_jobs > 1:
-        mp_context, init_arg, method_used = _select_backend(
-            start_method, context, context_spec
-        )
-        if mp_context is None:
-            effective_jobs = 1
-    if effective_jobs > 1:
-        # ProcessPoolExecutor rather than multiprocessing.Pool: a worker
-        # dying hard (OOM kill, segfault) raises BrokenProcessPool here
-        # instead of hanging imap forever.  Completed tasks were already
-        # checkpointed via record(), so --resume picks up after the crash.
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        with ProcessPoolExecutor(
-            max_workers=effective_jobs,
-            mp_context=mp_context,
-            initializer=_init_worker,
-            initargs=(init_arg, run_fn, metrics_dir()),
-        ) as pool:
-            futures = [pool.submit(_run_in_worker, task) for task in pending]
-            for future in as_completed(futures):
-                index, result = future.result()
-                record(by_index[index], result)
-    else:
-        method_used = "stacked" if stack > 1 else "serial"
-        for unit_tasks, run in plan_units(context, pending, run_fn, stack):
+    units = plan_units(context, pending, run_fn, stack)
+    backend = None
+    if min(jobs, len(units)) > 1:
+        backend = _select_backend(start_method, context, context_spec)
+    if backend is None:
+        for unit_tasks, run in units:
             for task, result in zip(unit_tasks, run()):
-                record(task, result)
+                checkpoint(task, result)
+        return 1, "stacked" if stack > 1 else "serial"
+    # ProcessPoolExecutor rather than multiprocessing.Pool: a worker
+    # dying hard (OOM kill, segfault) raises BrokenProcessPool here
+    # instead of hanging imap forever.  Completed tasks were already
+    # checkpointed, so --resume picks up after the crash.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    ordered = [results[task.index] for task in tasks]
-    stats = ScheduleStats(
-        jobs=effective_jobs,
-        total_cells=len(tasks),
-        cached_cells=cached,
-        computed_cells=len(pending),
-        elapsed_seconds=time.perf_counter() - start,
-        workers=sorted(computed_workers),
-        start_method=method_used,
-        shard="" if shard is None else str(shard),
-    )
-    flush_metrics()
-    return ordered, stats
+    mp_context, init_arg = backend
+    by_index = {task.index: task for task in pending}
+    workers = min(jobs, len(units))
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=mp_context,
+        initializer=_init_worker,
+        initargs=(init_arg, run_fn, metrics_dir()),
+    ) as pool:
+        futures = [pool.submit(_run_in_worker, unit_tasks) for unit_tasks, _ in units]
+        for future in as_completed(futures):
+            for index, result in future.result():
+                checkpoint(by_index[index], result)
+    return workers, mp_context.get_start_method()
 
 
 def run_cell_tasks(

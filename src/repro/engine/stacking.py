@@ -1,10 +1,10 @@
 """K-stacked cell execution: one fused pass trains and attacks K grid cells.
 
-:func:`plan_units` is the stack-packing step both execution loops share:
-the in-process loop of :func:`repro.engine.scheduler.run_tasks`
-(``stack=K``) and the queue loop it hands ``queue_dir`` runs to,
-:func:`repro.engine.queue.run_queued_tasks`, run whatever units it plans.
-It packs compatible grid cells into :class:`~repro.snn.stack.VariantStack`
+:func:`plan_units` is the stack-packing step every backend of
+:func:`repro.engine.scheduler.run_tasks` shares: the inline loop, the
+pool (one unit per worker submission) and the queue's lease loop
+(:func:`repro.engine.queue.run_queued_tasks`) run whatever units it
+plans.  It packs compatible grid cells into :class:`~repro.snn.stack.VariantStack`
 groups, and :func:`run_stacked_group` drives each group through *stacked
 mirrors* of the phases of :func:`repro.engine.job.run_cell_task` — one
 folded forward/backward per training batch instead of K, one folded PGD

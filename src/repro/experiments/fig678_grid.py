@@ -84,9 +84,9 @@ def run_grid_exploration(
         Pack up to ``stack`` compatible grid cells into one
         :class:`~repro.snn.stack.VariantStack` fused pass — bitwise
         identical per-cell results, sublinear wall-clock in the cell
-        count.  Stacked execution is in-process, so ``stack > 1``
-        conflicts with ``jobs > 1``; it composes with ``shard`` (the
-        shard's slice is packed) and with ``cache_dir``/``resume``
+        count.  It composes with ``jobs`` (each pool worker runs whole
+        stacks), with ``shard`` (the shard's slice is packed) and with
+        ``cache_dir``/``resume``
         (checkpoints and weight archives stay per-cell and
         fingerprint-identical to the unstacked path).
     queue_dir:

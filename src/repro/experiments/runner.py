@@ -187,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="K",
         help="pack up to K compatible grid cells into one fused "
-        "VariantStack pass (default: 1, unstacked; stacked runs are "
-        "in-process and bitwise identical per cell).  Grid only — the "
-        "sweep experiments fall back to unstacked execution",
+        "VariantStack pass (default: 1, unstacked; bitwise identical per "
+        "cell, and composes with --jobs: each worker runs whole stacks).  "
+        "Grid only — the sweep experiments fall back to unstacked execution",
     )
     engine.add_argument(
         "--shard",
@@ -993,11 +993,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--jobs must be >= 1")
     if args.stack < 1:
         parser.error("--stack must be >= 1")
-    if args.stack > 1 and args.jobs > 1:
-        parser.error(
-            "--stack runs in-process (the fold replaces worker parallelism); "
-            "it conflicts with --jobs"
-        )
     if args.resume and args.no_cache:
         parser.error("--resume needs checkpoints; drop --no-cache")
     if args.cache_dir is not None and args.no_cache:

@@ -7,7 +7,9 @@ well under a second per run.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from repro.experiments import runner as runner_module
 from repro.experiments.runner import main
 from repro.robustness import CellResult, ExplorationConfig, ExplorationResult, RobustnessExplorer
 from repro.training.trainer import TrainingConfig
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _tiny_sets() -> tuple[ArrayDataset, ArrayDataset]:
@@ -185,10 +189,9 @@ class TestSchedulerUnits:
         with pytest.raises(ValueError):
             run_cell_tasks(explorer.context, [task, task])
 
-    @pytest.mark.parametrize("jobs,stack", [(1, 0), (2, 2)])
+    @pytest.mark.parametrize("jobs,stack", [(1, 0)])
     def test_invalid_stack_rejected(self, explorer, jobs, stack):
-        # stack < 1 is meaningless; stack > 1 runs in-process, so a pool
-        # request alongside it would be silently dropped.
+        # stack < 1 is meaningless.
         with pytest.raises(ValueError, match="stack"):
             run_cell_tasks(explorer.context, explorer.tasks(), jobs=jobs, stack=stack)
 
@@ -331,10 +334,24 @@ class TestRunnerCLIFlags:
         with pytest.raises(SystemExit):
             main(["grid", "--profile", "micro", "--jobs", "0"])
 
-    def test_stack_conflicts_with_jobs(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["grid", "--profile", "micro", "--stack", "2", "--jobs", "2"])
-        assert "conflicts with --jobs" in capsys.readouterr().err
+    def test_stack_composes_with_jobs(self, tmp_path):
+        # The pool runs whole stacked units: --stack 2 --jobs 2 renders
+        # the grid --stack 1 renders, under the CI comparison gate.
+        pooled, reference = tmp_path / "pooled", tmp_path / "reference"
+        assert main(["grid", "--profile", "micro", "--stack", "2", "--jobs", "2",
+                     "--no-cache", "--out", str(pooled)]) == 0
+        assert main(["grid", "--profile", "micro", "--stack", "1",
+                     "--no-cache", "--out", str(reference)]) == 0
+        engine = json.loads((pooled / "grid_micro.json").read_text())["metadata"]["engine"]
+        assert (engine["jobs"], engine["start_method"]) == (2, "fork")
+        spec = importlib.util.spec_from_file_location(
+            "compare_results", REPO_ROOT / "scripts" / "compare_results.py"
+        )
+        compare_results = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(compare_results)
+        assert compare_results.main([
+            str(reference / "grid_micro.json"), str(pooled / "grid_micro.json"),
+        ]) == 0
 
     def test_unknown_ablation_factor_rejected(self):
         with pytest.raises(SystemExit):

@@ -180,8 +180,19 @@ class TestRunnerFlagConflicts:
                 {"queue_dir": "q", "cache_dir": "c", "shard": ShardSpec(0, 2)},
                 "conflicts with shard",
             ),
+            ({"queue_dir": "q", "cache_dir": "c", "jobs": 3}, "single-process"),
+            (
+                {"queue_dir": "q", "cache_dir": "c", "start_method": "bogus"},
+                "unknown start_method",
+            ),
         ],
-        ids=["resume_without_cache_dir", "queue_without_cache_dir", "queue_with_shard"],
+        ids=[
+            "resume_without_cache_dir",
+            "queue_without_cache_dir",
+            "queue_with_shard",
+            "queue_with_jobs",
+            "queue_with_unknown_start_method",
+        ],
     )
     @pytest.mark.parametrize(
         "runner",

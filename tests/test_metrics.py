@@ -31,7 +31,6 @@ from repro.engine import (
     CellCache,
     WorkQueue,
     context_fingerprint,
-    run_queued_tasks,
     run_tasks,
 )
 from repro.engine.job import run_cell_task
@@ -446,10 +445,10 @@ class TestEngineIntegration:
         configure_metrics(metrics_dir)
         tasks = explorer.tasks()
         cache = CellCache(tmp_path / "cache", context_fingerprint(explorer.context))
-        result, _ = run_queued_tasks(
-            explorer.context, tasks, run_cell_task, cache, tmp_path / "q",
-            experiment="grid", cache_dir=tmp_path / "cache",
-            lease_ttl=30.0, worker="solo",
+        result, _ = run_tasks(
+            explorer.context, tasks, run_cell_task, cache=cache,
+            queue_dir=tmp_path / "q", experiment="grid",
+            cache_dir=tmp_path / "cache", lease_ttl=30.0,
         )
         assert result.complete
         merged = merge_snapshots(read_metrics_dir(metrics_dir))

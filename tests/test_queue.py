@@ -46,6 +46,7 @@ from repro.engine import (
     run_cell_task,
     run_cell_tasks,
     run_queued_tasks,
+    run_tasks,
     verify_cache_dir,
 )
 from repro.experiments.runner import main
@@ -448,13 +449,16 @@ class TestRunQueuedTasks:
     def _cache(self, explorer, directory) -> CellCache:
         return CellCache(directory, context_fingerprint(explorer.context))
 
-    def test_single_worker_serves_the_whole_grid(self, explorer, tmp_path):
+    def test_single_worker_serves_the_whole_grid(
+        self, explorer, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_QUEUE_WORKER", "solo")
         tasks = explorer.tasks()
         cache = self._cache(explorer, tmp_path / "cache")
-        result, stats = run_queued_tasks(
-            explorer.context, tasks, run_cell_task, cache, tmp_path / "q",
-            experiment="grid", cache_dir=tmp_path / "cache",
-            lease_ttl=30.0, worker="solo",
+        result, stats = run_tasks(
+            explorer.context, tasks, run_cell_task, cache=cache,
+            queue_dir=tmp_path / "q", experiment="grid",
+            cache_dir=tmp_path / "cache", lease_ttl=30.0,
         )
         assert sorted(result.committed) == [t.index for t in tasks]
         assert result.complete
@@ -474,16 +478,18 @@ class TestRunQueuedTasks:
                 assert path.is_file()
                 assert len(event["checksum"]) == 64
 
-    def test_replay_over_a_finished_queue_is_a_noop(self, explorer, tmp_path):
+    def test_replay_over_a_finished_queue_is_a_noop(
+        self, explorer, tmp_path, monkeypatch
+    ):
         tasks = explorer.tasks()
         cache = self._cache(explorer, tmp_path / "cache")
-        common = dict(experiment="grid", cache_dir=tmp_path / "cache",
-                      lease_ttl=30.0)
-        run_queued_tasks(explorer.context, tasks, run_cell_task, cache,
-                         tmp_path / "q", worker="first", **common)
-        replay, stats = run_queued_tasks(
-            explorer.context, tasks, run_cell_task, cache, tmp_path / "q",
-            worker="second", resume=True, **common,
+        common = dict(cache=cache, queue_dir=tmp_path / "q", experiment="grid",
+                      cache_dir=tmp_path / "cache", lease_ttl=30.0)
+        monkeypatch.setenv("REPRO_QUEUE_WORKER", "first")
+        run_tasks(explorer.context, tasks, run_cell_task, **common)
+        monkeypatch.setenv("REPRO_QUEUE_WORKER", "second")
+        replay, stats = run_tasks(
+            explorer.context, tasks, run_cell_task, resume=True, **common
         )
         assert replay.committed == ()
         assert stats.computed_cells == 0
@@ -491,25 +497,55 @@ class TestRunQueuedTasks:
         # The replaying worker logged nothing: no claims, no commits.
         assert read_events(replay.events_path) == []
 
-    def test_resume_streams_warm_checkpoints_into_commits(self, explorer, tmp_path):
+    def test_resume_streams_warm_checkpoints_into_commits(
+        self, explorer, tmp_path, monkeypatch
+    ):
         # A queue restarted after a wipe of its markers (but with the
         # checkpoint directory intact) must serve cache hits straight
         # into commit markers without recomputing or leasing anything.
         tasks = explorer.tasks()
         cache = self._cache(explorer, tmp_path / "cache")
-        common = dict(experiment="grid", cache_dir=tmp_path / "cache",
-                      lease_ttl=30.0)
-        run_queued_tasks(explorer.context, tasks, run_cell_task, cache,
-                         tmp_path / "q1", worker="first", **common)
-        warm, stats = run_queued_tasks(
-            explorer.context, tasks, run_cell_task, cache, tmp_path / "q2",
-            worker="warm", resume=True, **common,
+        common = dict(cache=cache, experiment="grid",
+                      cache_dir=tmp_path / "cache", lease_ttl=30.0)
+        monkeypatch.setenv("REPRO_QUEUE_WORKER", "first")
+        run_tasks(explorer.context, tasks, run_cell_task,
+                  queue_dir=tmp_path / "q1", **common)
+        monkeypatch.setenv("REPRO_QUEUE_WORKER", "warm")
+        warm, stats = run_tasks(
+            explorer.context, tasks, run_cell_task, queue_dir=tmp_path / "q2",
+            resume=True, **common,
         )
         assert sorted(warm.committed) == [t.index for t in tasks]
         assert stats.cached_cells == len(tasks)
         assert stats.computed_cells == 0
         events = read_events(warm.events_path)
         assert {e["event"] for e in events} == {"cached"}
+
+    def test_progress_fires_only_on_commits_this_worker_created(
+        self, explorer, tmp_path
+    ):
+        # A completion that loses the done_ marker race to a peer is a
+        # duplicate: it must reach neither progress nor the stats.
+        tasks = explorer.tasks()
+        cache = self._cache(explorer, tmp_path / "cache")
+        queue_dir = tmp_path / "q"
+
+        def peer_commits_first(context, task):
+            result = run_cell_task(context, task)
+            (queue_dir / f"done_{task.index}.json").write_text("{}")
+            return result
+
+        seen: list[int] = []
+        result, stats = run_tasks(
+            explorer.context, tasks, peer_commits_first, cache=cache,
+            queue_dir=queue_dir, experiment="grid", lease_ttl=30.0,
+            progress=lambda task, cell, cached: seen.append(task.index),
+        )
+        assert result.committed == ()
+        assert seen == []
+        assert (stats.computed_cells, stats.cached_cells) == (0, 0)
+        kinds = Counter(e["event"] for e in read_events(result.events_path))
+        assert kinds["duplicate"] == len(tasks)
 
     def test_queue_requires_a_cache(self, explorer, tmp_path):
         with pytest.raises(ValueError, match="requires a cache"):
@@ -559,10 +595,10 @@ class TestRunQueuedTasks:
 
         monkeypatch.setattr(CellCache, "put", flaky_put)
         tasks = explorer.tasks()
-        result, _ = run_queued_tasks(
+        result = run_queued_tasks(
             explorer.context, tasks, run_cell_task, cache, tmp_path / "q",
-            experiment="grid", cache_dir=tmp_path / "cache",
-            lease_ttl=30.0, worker="flaky", resilience=FAST_RETRIES,
+            experiment="grid", lease_ttl=30.0, worker="flaky",
+            resilience=FAST_RETRIES,
         )
         assert sorted(result.committed) == [t.index for t in tasks]
         assert result.quarantined == ()
@@ -584,7 +620,7 @@ class TestRunQueuedTasks:
         supervision = ResilienceConfig(
             max_attempts=2, backoff_base=0.01, backoff_cap=0.02, jitter=0.0
         )
-        result, stats = run_queued_tasks(
+        result = run_queued_tasks(
             explorer.context, tasks, explode, cache, tmp_path / "q",
             experiment="grid", lease_ttl=30.0, worker="doomed",
             resilience=supervision, poll_interval=0.01,
@@ -626,11 +662,10 @@ class TestRunQueuedTasks:
 
         def serve(worker: str, delay: float) -> None:
             time.sleep(delay)
-            outcomes[worker], _ = run_queued_tasks(
+            outcomes[worker] = run_queued_tasks(
                 explorer.context, tasks, fail_once, cache, tmp_path / "q",
-                experiment="grid", cache_dir=tmp_path / "cache",
-                lease_ttl=30.0, worker=worker, poll_interval=0.01,
-                resilience=FAST_RETRIES,
+                experiment="grid", lease_ttl=30.0, worker=worker,
+                poll_interval=0.01, resilience=FAST_RETRIES,
             )
 
         threads = [
@@ -670,10 +705,10 @@ class TestRunQueuedTasks:
 
         def serve(worker: str, delay: float) -> None:
             time.sleep(delay)
-            outcomes[worker], _ = run_queued_tasks(
+            outcomes[worker] = run_queued_tasks(
                 explorer.context, tasks, slow_cell, cache, tmp_path / "q",
-                experiment="grid", cache_dir=tmp_path / "cache",
-                lease_ttl=30.0, worker=worker, poll_interval=0.02,
+                experiment="grid", lease_ttl=30.0, worker=worker,
+                poll_interval=0.02,
             )
 
         threads = [
@@ -711,8 +746,7 @@ class TestQueueParity:
         queue_cache = CellCache(tmp_path / "qcache", fingerprint)
         run_queued_tasks(
             explorer.context, tasks, run_cell_task, queue_cache,
-            tmp_path / "q", experiment="grid",
-            cache_dir=tmp_path / "qcache", lease_ttl=30.0, worker="solo",
+            tmp_path / "q", experiment="grid", lease_ttl=30.0, worker="solo",
         )
 
         for task, reference in zip(tasks, serial):
@@ -739,11 +773,10 @@ class TestQueueParity:
         supervision = ResilienceConfig(
             max_attempts=2, backoff_base=0.01, backoff_cap=0.02, jitter=0.0
         )
-        result, _ = run_queued_tasks(
+        result = run_queued_tasks(
             explorer.context, tasks, poison_one, cache, tmp_path / "q",
-            experiment="grid", cache_dir=tmp_path / "cache",
-            lease_ttl=30.0, worker="solo", resilience=supervision,
-            poll_interval=0.01,
+            experiment="grid", lease_ttl=30.0, worker="solo",
+            resilience=supervision, poll_interval=0.01,
         )
         assert result.quarantined == (poisoned,)
         assert sorted(result.committed) == [
@@ -755,15 +788,16 @@ class TestQueueParity:
             else:
                 assert cache.get(task) == reference
 
-    def test_stacked_queue_leg_matches_serial(self, explorer, tmp_path):
+    def test_stacked_queue_leg_matches_serial(self, explorer, tmp_path, monkeypatch):
         # --stack 2 through the queue: cells are folded into fused
         # multi-variant passes but must stay bitwise identical per cell.
+        monkeypatch.setenv("REPRO_QUEUE_WORKER", "stacker")
         tasks = explorer.tasks()
         cache = CellCache(tmp_path / "cache", context_fingerprint(explorer.context))
-        result, stats = run_queued_tasks(
-            explorer.context, tasks, run_cell_task, cache, tmp_path / "q",
-            experiment="grid", cache_dir=tmp_path / "cache",
-            lease_ttl=30.0, worker="stacker", stack=2,
+        result, stats = run_tasks(
+            explorer.context, tasks, run_cell_task, cache=cache,
+            queue_dir=tmp_path / "q", experiment="grid",
+            cache_dir=tmp_path / "cache", lease_ttl=30.0, stack=2,
         )
         assert sorted(result.committed) == [t.index for t in tasks]
         assert stats.computed_cells == len(tasks)

@@ -440,7 +440,7 @@ class TestSupervisedQueueRuns:
                     pass  # hung phase: the watchdog must shoot it
             return run_cell_task(context, task)
 
-        result, stats = run_queued_tasks(
+        result = run_queued_tasks(
             explorer.context, tasks, hang_once, cache, tmp_path / "q",
             experiment="grid", lease_ttl=30.0, worker="sleepy",
             resilience=FAST_RETRIES, poll_interval=0.01,
@@ -472,7 +472,7 @@ class TestSupervisedQueueRuns:
         monkeypatch.delenv("REPRO_CHAOS_POISON_TASKS", raising=False)
         tasks = explorer.tasks()
         cache = self._cache(explorer, tmp_path / "cache")
-        result, stats = run_queued_tasks(
+        result = run_queued_tasks(
             explorer.context, tasks, run_cell_task, cache, tmp_path / "q",
             experiment="grid", lease_ttl=30.0, worker="victim",
             resilience=FAST_RETRIES, poll_interval=0.01,

@@ -32,8 +32,9 @@ from repro.engine.costs import (
     order_sweep_tasks,
 )
 from repro.engine.job import ExplorationJobContext, build_cell_tasks
-from repro.engine.scheduler import run_cell_tasks, run_tasks
+from repro.engine.scheduler import ContextSpec, run_cell_tasks, run_tasks
 from repro.engine.stacking import pack_stacks
+from repro.experiments.sweeps import build_grid_context
 from repro.models.spiking_lenet import build_spiking_lenet_mini
 from repro.robustness.config import ExplorationConfig
 from repro.snn.encoding import PoissonEncoder
@@ -387,6 +388,25 @@ class TestStackedEngine:
         )
         assert served == stacked
         assert resume_stats.cached_cells == len(tasks)
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pooled_stacks_match_serial_bitwise(self, start_method):
+        # --stack composes with --jobs: each pool worker runs whole
+        # stacked units, and every cell stays bitwise serial.
+        context = build_grid_context("micro")
+        tasks = build_cell_tasks(context.config)
+        serial, _stats = run_cell_tasks(context, tasks)
+        spec = ContextSpec("repro.experiments.sweeps:build_grid_context",
+                           {"profile": "micro"})
+        pooled, stats = run_cell_tasks(
+            context, tasks, jobs=2, stack=2, start_method=start_method,
+            context_spec=spec,
+        )
+        assert (stats.jobs, stats.start_method) == (2, start_method)
+        assert [cell.stack_size for cell in pooled] == [2] * len(tasks)
+        for expected, got in zip(serial, pooled):
+            assert expected == got  # dataclass equality: the science fields
+            assert expected.robustness == got.robustness
 
     def test_trusted_twin_fallback_is_per_cell(self):
         """One untrusted variant disqualifies only its own cell."""
