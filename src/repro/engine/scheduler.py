@@ -449,8 +449,9 @@ def _run_local(
             # "resume" would otherwise silently recompute everything.
             _logger.warning(
                 "resume requested but none of the existing checkpoints "
-                "match this configuration; computing all %d tasks from "
-                "scratch",
+                "match this configuration; recomputing all %d task "
+                "checkpoints (trained weights that still match are reused "
+                "from the weight cache)",
                 len(owned),
             )
         else:

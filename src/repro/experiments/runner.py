@@ -1056,6 +1056,11 @@ def main(argv: list[str] | None = None) -> int:
                 "--search halving conflicts with --shard: promotions need "
                 "every cell of a rung; use --queue for a multi-host search"
             )
+        if args.start_method == "spawn" and args.queue is None:
+            parser.error(
+                "--search halving conflicts with --start-method spawn: spawn "
+                "workers cannot rebuild a rung's context; use fork or auto"
+            )
         if getattr(args, "halving_eta", None) is not None and args.halving_eta <= 1:
             parser.error("--halving-eta must be > 1")
         if (

@@ -78,11 +78,10 @@ class Conv2d(Module):
         Backed by a :class:`~repro.tensor.functional.Conv2dPlan` compiled
         once per ``(shape, dtype)`` — bitwise-identical output, no Tensor
         or autograd overhead.  Weights are read at call time, so training
-        or ``load_state_dict`` never invalidates a plan.
+        or ``load_state_dict`` never invalidates a plan.  A silent (all-zero)
+        input skips im2col and GEMM (``Conv2dPlan.silent``).
         """
-        plan = self._plan_for(x)
-        bias = self.bias.data if self.bias is not None else None
-        return plan(x, self.weight.data, bias)
+        return self.forward_record_numpy(x)[0]
 
     def _plan_for(self, x: np.ndarray) -> F.Conv2dPlan:
         key = (x.shape, x.dtype.str)
@@ -95,9 +94,12 @@ class Conv2d(Module):
         return plan
 
     def forward_record_numpy(self, x: np.ndarray) -> tuple[np.ndarray, object]:
-        """:meth:`forward_numpy` plus the context :meth:`backward_numpy` needs."""
+        """:meth:`forward_numpy` plus the context ``(x, plan)``; a silent
+        step records ``None`` for ``x``."""
         plan = self._plan_for(x)
         bias = self.bias.data if self.bias is not None else None
+        if not x.any():
+            return plan.silent(self.weight.data, bias), (None, plan)
         return plan(x, self.weight.data, bias), (x, plan)
 
     def backward_numpy(
@@ -124,9 +126,11 @@ class Conv2d(Module):
         x, plan = ctx
         g_mat = plan.grad_matrix(g)
         if param_sink is not None:
-            param_sink.append(
-                (self.weight, plan.backward_weight(g_mat, x, self.weight.shape))
-            )
+            if x is None:  # a silent step: no im2col refill, no GEMM
+                grad_w = plan.silent_backward_weight(g_mat, self.weight.shape)
+            else:
+                grad_w = plan.backward_weight(g_mat, x, self.weight.shape)
+            param_sink.append((self.weight, grad_w))
             if self.bias is not None:
                 param_sink.append((self.bias, plan.backward_bias(g)))
         if not want_input_grad:

@@ -10,6 +10,7 @@ from repro.errors import ShapeError
 from repro.nn import init
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
+from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 from repro.utils.seeding import new_rng
 
@@ -76,7 +77,8 @@ class Linear(Module):
         The affine map needs no precomputed plan (the transposed weight is
         a view), so this only skips the shape check after the first call
         per input shape and the Tensor machinery — output stays bitwise
-        identical to the autograd path.
+        identical to the autograd path.  An all-zero (silent) input skips
+        the GEMM (:func:`~repro.tensor.functional.spike_matmul`).
         """
         if x.shape not in self._checked_shapes:
             if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -85,14 +87,15 @@ class Linear(Module):
                     f"shape {x.shape}"
                 )
             self._checked_shapes.add(x.shape)
-        out = x @ self.weight.data.T
+        out = F.spike_matmul(x, self.weight.data.T)
         if self.bias is not None:
             out = out + self.bias.data
         return out
 
     def forward_record_numpy(self, x: np.ndarray) -> tuple[np.ndarray, object]:
-        """:meth:`forward_numpy` plus the context :meth:`backward_numpy` needs."""
-        return self.forward_numpy(x), x
+        """:meth:`forward_numpy` plus the context ``(x, dtype)``; a silent
+        step records ``None`` for ``x``."""
+        return self.forward_numpy(x), (x if x.any() else None, x.dtype)
 
     def backward_numpy(
         self,
@@ -113,9 +116,13 @@ class Linear(Module):
         weight-gradient GEMM is skipped entirely.  ``want_input_grad=False``
         skips the input GEMM and returns ``None``.
         """
-        x: np.ndarray = ctx
+        x, dtype = ctx
         if param_sink is not None:
-            param_sink.append((self.weight, (x.T @ g).transpose()))
+            if x is None:  # a silent step
+                x_t_g = F.silent_matmul((self.in_features, g.shape[0]), dtype, g)
+            else:
+                x_t_g = x.T @ g
+            param_sink.append((self.weight, x_t_g.transpose()))
             if self.bias is not None:
                 param_sink.append((self.bias, g.sum(axis=0)))
         if not want_input_grad:

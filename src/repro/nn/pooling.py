@@ -27,7 +27,8 @@ class MaxPool2d(Module):
 
     def forward_numpy(self, x: np.ndarray) -> np.ndarray:
         """Graph-free twin of :meth:`forward` on raw arrays (plan-cached)."""
-        return self._plan_for(x)(x)
+        plan = self._plan_for(x)
+        return plan(x) if x.any() else plan.silent(x)[0]
 
     def _plan_for(self, x: np.ndarray) -> F.MaxPool2dPlan:
         plan = self._plans.get(x.shape)
@@ -44,8 +45,11 @@ class MaxPool2d(Module):
         (see :meth:`~repro.tensor.functional.MaxPool2dPlan.route`).
         """
         plan = self._plan_for(x)
-        out = plan(x)
-        return out, (plan, plan.route(x, out), x.dtype)
+        if x.any():
+            out = plan(x)
+            return out, (plan, plan.route(x, out), x.dtype)
+        out, route = plan.silent(x)
+        return out, (plan, route, x.dtype)
 
     def backward_numpy(
         self,

@@ -181,9 +181,9 @@ class RobustnessExplorer:
             Pack up to ``stack`` compatible cells into one
             :class:`~repro.snn.stack.VariantStack` fused pass
             (:func:`~repro.engine.stacking.plan_units`).  Stacked
-            execution is in-process and per-cell bitwise identical to
-            the unstacked path, so ``stack > 1`` conflicts with
-            ``jobs > 1``; ``1`` (the default) runs cell by cell.
+            execution is per-cell bitwise identical to the unstacked
+            path and composes with ``jobs`` (each pool worker runs whole
+            stacks); ``1`` (the default) runs cell by cell.
         """
         from repro.engine.scheduler import run_cell_tasks
 

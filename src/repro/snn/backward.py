@@ -76,7 +76,8 @@ closures and intermediates are never created.  Per step the tape holds:
 * per LIF population (encoder included), the decayed membrane alone —
   the backward recomputes the surrogate pre-activation from it
   (:func:`~repro.snn.neuron.lif_step_record`);
-* per conv or linear transform, its input and (conv) its cached plan;
+* per conv or linear transform, its input (``None`` on a *silent*, all-zero
+  step, whose weight gradient needs none) and (conv) its cached plan;
 * per max pool with non-overlapping windows, a one-byte routing code per
   output (:meth:`~repro.tensor.functional.MaxPool2dPlan.route`); with
   overlapping windows, its input;

@@ -69,6 +69,7 @@ from repro.snn.neuron import (
     lif_step_record,
 )
 from repro.snn.surrogate import surrogate_derivative
+from repro.tensor.functional import spike_matmul
 from repro.tensor.tensor import promote_scalar
 
 __all__ = [
@@ -252,7 +253,7 @@ class _StackedLinear:
             if alive is not None and not alive[lane]:
                 out[rows] = 0.0
                 continue
-            lane_out = x[rows] @ linear.weight.data.T
+            lane_out = spike_matmul(x[rows], linear.weight.data.T)
             if linear.bias is not None:
                 lane_out = lane_out + linear.bias.data
             out[rows] = lane_out
@@ -274,7 +275,7 @@ class _StackedLinear:
             rows = slice(lane * n, (lane + 1) * n)
             sink = sinks[lane] if sinks is not None else None
             if sink is not None:
-                sink.append((linear.weight, (x[rows].T @ g[rows]).transpose()))
+                sink.append((linear.weight, spike_matmul(x[rows].T, g[rows]).transpose()))
                 if linear.bias is not None:
                     sink.append((linear.bias, g[rows].sum(axis=0)))
             if g_in is None:

@@ -35,7 +35,9 @@ __all__ = [
     "mse_loss",
     "nll_loss",
     "one_hot",
+    "silent_matmul",
     "softmax",
+    "spike_matmul",
 ]
 
 
@@ -336,6 +338,19 @@ def _columns_alias_input(
     return np.may_share_memory(_window_columns(padded, kh, kw, sh, sw), padded)
 
 
+def silent_matmul(shape: tuple[int, int], dtype: np.dtype, mat: np.ndarray) -> np.ndarray:
+    """``np.zeros(shape, dtype) @ mat`` for a *silent* (all-zero) input: every
+    row is the same sum of ``0 * m`` products, so one row's product, repeated,
+    is the full product bit for bit (a NaN from a non-finite ``m`` included)."""
+    row = np.zeros((1, shape[1]), dtype=dtype) @ mat
+    return np.repeat(row, shape[0], axis=0)
+
+
+def spike_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, without the GEMM when ``a`` is all zero (:func:`silent_matmul`)."""
+    return a @ b if a.any() else silent_matmul(a.shape, a.dtype, b)
+
+
 class Conv2dPlan:
     """im2col geometry + scratch buffers for one (input shape, conv spec).
 
@@ -499,6 +514,19 @@ class Conv2dPlan:
         cols = self._columns(slice(0, self.shape[0]))
         return self._to_nchw(cols @ weight.reshape(weight.shape[0], -1).T, bias)
 
+    def silent(self, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+        """:meth:`__call__` of an all-zero input, without im2col (see
+        :func:`silent_matmul`); the module twins take it, :func:`conv2d` never."""
+        w_mat = weight.reshape(weight.shape[0], -1)
+        rows = self.shape[0] * self.oh * self.ow
+        return self._to_nchw(silent_matmul((rows, w_mat.shape[1]), self.dtype, w_mat.T), bias)
+
+    def silent_backward_weight(self, g_mat: np.ndarray, weight_shape: tuple) -> np.ndarray:
+        """:meth:`backward_weight` of an all-zero input, without im2col."""
+        taps = int(np.prod(weight_shape[1:]))
+        grad_t = silent_matmul((taps, g_mat.shape[0]), self.dtype, g_mat)
+        return grad_t.T.reshape(weight_shape)  # g_mat.T @ cols, cols all zero
+
     def backward_input(self, g_mat: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. the input: grad-column matmul, col2im scatter.
 
@@ -584,18 +612,26 @@ class Conv2dPlan:
         ``alive`` masks the dead wavefront of a ragged-T stack: a dead
         variant's GEMM is skipped and its output rows zero-filled (the
         values are structurally unused, but must stay finite so they
-        cannot leak NaNs into the folded elementwise stages).
+        cannot leak NaNs into the folded elementwise stages).  A
+        ``silent`` lane (all-zero input) gets its :meth:`silent` rows; the
+        im2col runs only if a live lane fires.
         """
-        self._im2col(x)
+        alive = alive or [True] * len(weights)
+        silent = [not x[batch].any() for batch in self._lane_batches(len(weights))]
+        if any(a and not s for a, s in zip(alive, silent)):
+            self._im2col(x)
         rows = self.shape[0] * self.oh * self.ow
         out = np.empty((rows, weights[0].shape[0]), dtype=self.dtype)
         for lane, batch in enumerate(self._lane_batches(len(weights))):
             block = self._rows(batch)
-            if alive is not None and not alive[lane]:
+            if not alive[lane]:
                 out[block] = 0.0
                 continue
             w_mat = weights[lane].reshape(weights[lane].shape[0], -1)
-            lane_out = self._columns(batch) @ w_mat.T
+            if silent[lane]:  # one row, broadcast into the block
+                lane_out = silent_matmul((1, w_mat.shape[1]), self.dtype, w_mat.T)
+            else:
+                lane_out = self._columns(batch) @ w_mat.T
             if biases[lane] is not None:
                 lane_out = lane_out + biases[lane]
             out[block] = lane_out
@@ -639,15 +675,20 @@ class Conv2dPlan:
         One im2col refill from the recorded folded input serves every
         variant's ``g_mat.T @ cols`` GEMM; ``wanted[lane]`` gates lanes whose
         parameters are structurally dead at this step (``None`` entries
-        keep the autograd path's grad-never-touched semantics).
+        keep the autograd path's grad-never-touched semantics).  A
+        silent lane takes :meth:`silent_backward_weight`.
         """
-        self._im2col(x)
+        silent = [not x[batch].any() for batch in self._lane_batches(len(wanted))]
+        if any(w and not s for w, s in zip(wanted, silent)):
+            self._im2col(x)
         grads: list[np.ndarray | None] = []
         for lane, batch in enumerate(self._lane_batches(len(wanted))):
             if not wanted[lane]:
                 grads.append(None)
-                continue
-            grads.append((g_mats[lane].T @ self._columns(batch)).reshape(weight_shape))
+            elif silent[lane]:
+                grads.append(self.silent_backward_weight(g_mats[lane], weight_shape))
+            else:
+                grads.append((g_mats[lane].T @ self._columns(batch)).reshape(weight_shape))
         return grads
 
 
@@ -745,6 +786,14 @@ class MaxPool2dPlan(_Pool2dPlan):
             unclaimed &= x[:, :, rows, cols] != out
             code += unclaimed
         return code
+
+    def silent(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`__call__` and :meth:`route` of an all-zero ``x``: all ties, so
+        every window routes to offset 0 (a ``-0.0`` in ``x`` is pooled as
+        usual: which zero a tie keeps is numpy's choice)."""
+        shape = (*self.shape[:2], self.oh, self.ow)
+        out = self(x) if np.signbit(x).any() else np.zeros(shape, x.dtype)
+        return out, np.zeros(shape, self._code_dtype) if self._disjoint else x
 
     def backward(
         self, g: np.ndarray, route: np.ndarray, dtype: np.dtype

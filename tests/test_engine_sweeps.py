@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -322,12 +323,21 @@ class TestFig9Engine:
         assert resumed.as_dict()["snn"] == first.as_dict()["snn"]
         assert resumed.as_dict()["cnn"] == first.as_dict()["cnn"]
 
-    def test_security_only_resweep_skips_training(self, tmp_path, monkeypatch):
+    def test_security_only_resweep_skips_training(
+        self, tmp_path, monkeypatch, caplog
+    ):
         baseline = run_fig9("micro", cache_dir=tmp_path)
         _forbid_training(monkeypatch)
-        resweep = run_fig9(
-            "micro", cache_dir=tmp_path, resume=True, epsilons=(0.0, 0.5)
-        )
+        with caplog.at_level(logging.WARNING, logger="repro.engine"):
+            resweep = run_fig9(
+                "micro", cache_dir=tmp_path, resume=True, epsilons=(0.0, 0.5)
+            )
+        # The cell checkpoints are recomputed; the weights are not retrained.
+        assert [r.getMessage() for r in caplog.records] == [
+            "resume requested but none of the existing checkpoints match this "
+            "configuration; recomputing all 3 task checkpoints (trained weights "
+            "that still match are reused from the weight cache)"
+        ]
         assert resweep.epsilons == (0.0, 0.5)
         assert resweep.metadata["weights_reused"] == 3
         assert resweep.metadata["engine"]["computed_cells"] == 3

@@ -538,6 +538,17 @@ class TestSearchCLI:
                   "--shard", "0/2"])
         assert "use --queue" in capsys.readouterr().err
 
+    def test_halving_conflicts_with_spawn(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit) as exited:
+            main(["grid", "--profile", "micro", "--search", "halving",
+                  "--jobs", "2", "--start-method", "spawn",
+                  "--cache-dir", str(cache)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert "conflicts with --start-method spawn" in err[-1]
+        assert not cache.exists()
+
     def test_bad_eta_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["grid", "--profile", "micro", "--search", "halving",
