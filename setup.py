@@ -1,12 +1,19 @@
-"""Setup shim.
+"""Package metadata for ``repro``, the numpy-only reproduction library.
 
-The execution environment is offline and lacks the ``wheel`` package, so
-PEP 517 editable installs cannot build. This shim lets
-``pip install -e . --no-use-pep517 --no-build-isolation`` fall back to
-``setup.py develop``, which needs no wheel. All metadata lives in
-``pyproject.toml``.
+Install from a checkout with ``pip install -e .``.  Where the ``wheel``
+package is missing (an offline environment), pip can build no editable
+install; ``python setup.py develop --no-deps`` installs the same source
+tree without it.  Test and lint tools are pinned in
+``requirements-ci.txt``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

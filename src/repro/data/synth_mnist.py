@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
+from repro.data import _ndimage
 from repro.data.dataset import ArrayDataset
 from repro.data.glyphs import NUM_CLASSES, all_glyphs
 from repro.errors import ConfigurationError
@@ -103,7 +103,7 @@ class SyntheticMNIST:
         self.config = config or SynthConfig()
         self.config.validate()
         self._seeds = SeedSequence(seed)
-        self._glyphs = all_glyphs()
+        self._canvases = [self._place_glyph(glyph) for glyph in all_glyphs()]
 
     def generate(self, num_samples: int, split: str = "train") -> ArrayDataset:
         """Render ``num_samples`` images for ``split`` ("train"/"test"/...).
@@ -128,11 +128,10 @@ class SyntheticMNIST:
 
     def _render(self, digit: int, rng: np.random.Generator) -> np.ndarray:
         cfg = self.config
-        canvas = self._place_glyph(digit)
-        canvas = self._random_thickness(canvas, rng)
+        canvas = self._random_thickness(self._canvases[digit], rng)
         canvas = self._random_affine(canvas, rng)
         sigma = rng.uniform(*cfg.blur_sigma_range)
-        canvas = ndimage.gaussian_filter(canvas, sigma=sigma)
+        canvas = _ndimage.gaussian_filter(canvas, sigma)
         peak = canvas.max()
         if peak > 0:
             canvas = canvas / peak
@@ -141,13 +140,12 @@ class SyntheticMNIST:
             canvas = canvas + rng.normal(0.0, cfg.noise_std, size=canvas.shape)
         return np.clip(canvas, 0.0, 1.0).astype(np.float32)
 
-    def _place_glyph(self, digit: int) -> np.ndarray:
-        """Zoom the 5x7 glyph onto the centre of the canvas."""
+    def _place_glyph(self, glyph: np.ndarray) -> np.ndarray:
+        """Zoom a 5x7 glyph onto the centre of the canvas (once per digit:
+        the placement depends only on the digit and the config)."""
         cfg = self.config
-        glyph = self._glyphs[digit]
         target_h = max(6, int(round(cfg.image_size * cfg.glyph_fill)))
-        zoom_factor = target_h / glyph.shape[0]
-        scaled = ndimage.zoom(glyph, zoom_factor, order=1, grid_mode=True, mode="grid-constant")
+        scaled = _ndimage.zoom(glyph, target_h / glyph.shape[0])
         scaled = np.clip(scaled, 0.0, 1.0)
         canvas = np.zeros((cfg.image_size, cfg.image_size), dtype=np.float64)
         gh, gw = scaled.shape
@@ -157,15 +155,16 @@ class SyntheticMNIST:
         top = (cfg.image_size - gh) // 2
         left = (cfg.image_size - gw) // 2
         canvas[top : top + gh, left : left + gw] = scaled
+        canvas.flags.writeable = False  # shared by every render
         return canvas
 
     def _random_thickness(self, canvas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         cfg = self.config
         roll = rng.random()
         if roll < cfg.thicken_prob:
-            return ndimage.grey_dilation(canvas, size=(2, 2))
+            return _ndimage.grey_dilation(canvas)
         if roll < cfg.thicken_prob + cfg.thin_prob:
-            return ndimage.grey_erosion(canvas, size=(2, 1))
+            return _ndimage.grey_erosion(canvas)
         return canvas
 
     def _random_affine(self, canvas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -187,9 +186,7 @@ class SyntheticMNIST:
         # affine_transform maps output coords o to input coords M @ o + offset;
         # we want in = inverse @ (o - centre - translate) + centre.
         offset = centre - inverse @ (centre + translate)
-        return ndimage.affine_transform(
-            canvas, inverse, offset=offset, order=1, mode="constant", cval=0.0
-        )
+        return _ndimage.affine_transform(canvas, inverse, offset)
 
 
 def load_synthetic_mnist(

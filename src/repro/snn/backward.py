@@ -79,8 +79,9 @@ closures and intermediates are never created.  Per step the tape holds:
 * per conv or linear transform, its input (``None`` on a *silent*, all-zero
   step, whose weight gradient needs none) and (conv) its cached plan;
 * per max pool with non-overlapping windows, a one-byte routing code per
-  output (:meth:`~repro.tensor.functional.MaxPool2dPlan.route`); with
-  overlapping windows, its input;
+  output (:meth:`~repro.tensor.functional.MaxPool2dPlan.route`; on a
+  silent step, one code broadcast to every output); with overlapping
+  windows, its input;
 * per average pool or flatten, a shape or dtype;
 * the readout membrane (the trace the decode heads read).
 """

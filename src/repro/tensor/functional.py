@@ -760,6 +760,10 @@ class MaxPool2dPlan(_Pool2dPlan):
         # Every input pixel lies in at most one window.
         self._disjoint = self.sh >= self.kh and self.sw >= self.kw
         self._code_dtype = np.min_scalar_type(len(self._slices))
+        # Every silent step's route: code 0 broadcast to every window.
+        self._silent_code = np.broadcast_to(
+            np.zeros((), self._code_dtype), (*self.shape[:2], self.oh, self.ow)
+        )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         first, *rest = self._slices
@@ -790,10 +794,13 @@ class MaxPool2dPlan(_Pool2dPlan):
     def silent(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`__call__` and :meth:`route` of an all-zero ``x``: all ties, so
         every window routes to offset 0 (a ``-0.0`` in ``x`` is pooled as
-        usual: which zero a tie keeps is numpy's choice)."""
+        usual: which zero a tie keeps is numpy's choice).  For non-overlapping
+        windows the route is the plan's *silent code*, a read-only code 0
+        broadcast to every window, which :meth:`backward` sends down
+        :meth:`_silent_backward`."""
         shape = (*self.shape[:2], self.oh, self.ow)
         out = self(x) if np.signbit(x).any() else np.zeros(shape, x.dtype)
-        return out, np.zeros(shape, self._code_dtype) if self._disjoint else x
+        return out, self._silent_code if self._disjoint else x
 
     def backward(
         self, g: np.ndarray, route: np.ndarray, dtype: np.dtype
@@ -818,6 +825,8 @@ class MaxPool2dPlan(_Pool2dPlan):
                 grad_x = np.empty(self.shape, dtype=dtype)
             else:
                 grad_x = np.zeros(self.shape, dtype=dtype)
+            if route is self._silent_code:
+                return self._silent_backward(g, grad_x)
             for k, (rows, cols) in enumerate(self._slices):
                 np.multiply(g, route == k, out=grad_x[:, :, rows, cols])
             return grad_x
@@ -832,6 +841,16 @@ class MaxPool2dPlan(_Pool2dPlan):
         flat = plane + rows * w + cols
         grad_x = np.bincount(flat.ravel(), weights=g.ravel(), minlength=n * c * h * w)
         return grad_x.reshape(n, c, h, w).astype(dtype, copy=False)
+
+    def _silent_backward(self, g: np.ndarray, grad_x: np.ndarray) -> np.ndarray:
+        """:meth:`backward` of the silent code, no compares: offset 0 takes
+        ``g``, the others ``g * 0`` (the full route's ``g * False``, keeping
+        its ``-0.0`` and NaNs)."""
+        (rows, cols), *rest = self._slices
+        grad_x[:, :, rows, cols] = g
+        for rows, cols in rest:
+            np.multiply(g, 0, out=grad_x[:, :, rows, cols])
+        return grad_x
 
 
 class AvgPool2dPlan(_Pool2dPlan):

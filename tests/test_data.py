@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -108,6 +113,29 @@ class TestSyntheticMNIST:
         gen = SyntheticMNIST(SynthConfig(image_size=28), seed=0)
         data = gen.generate(10)
         assert data.images.shape == (10, 1, 28, 28)
+
+    def test_experiment_data_imports_no_scipy(self):
+        # The library is numpy-only: the CLI's module and a profile's data
+        # load must not pull scipy into a fresh interpreter.
+        script = (
+            "import sys\n"
+            "import repro.experiments.runner\n"
+            "from repro.experiments.profiles import get_profile\n"
+            "from repro.experiments.workloads import load_profile_data\n"
+            "load_profile_data(get_profile('micro'))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestPatterns:

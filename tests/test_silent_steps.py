@@ -117,7 +117,7 @@ class TestModuleTwins:
         # The layout of the firing twin's ``(x.T @ g).T``, not just its values.
         assert grads[0].strides == (x.T @ g).T.strides
 
-    @pytest.mark.parametrize("kernel,stride", [(2, None), (3, 2), (2, 1)])
+    @pytest.mark.parametrize("kernel,stride", [(2, None), (3, 2), (2, 1), (3, 3), (2, 3)])
     @pytest.mark.parametrize("zero", [0.0, -0.0, "mixed"])
     def test_max_pool(self, rng, kernel, stride, zero):
         pool = nn.MaxPool2d(kernel, stride)
@@ -127,15 +127,21 @@ class TestModuleTwins:
             x = np.full((2, 3, 8, 8), zero, dtype=np.float32)
         out, ctx = pool.forward_record_numpy(x)
         g = rng.standard_normal(out.shape).astype(np.float32)
+        g.reshape(-1)[:4] = [np.nan, np.inf, -np.inf, -0.0]
         x_t = Tensor(x.copy(), requires_grad=True)
-        ref = F.max_pool2d(x_t, kernel, stride)
-        ref.backward(g)
+        with np.errstate(invalid="ignore"):  # inf * 0
+            ref = F.max_pool2d(x_t, kernel, stride)
+            ref.backward(g)
+            grad_x = pool.backward_numpy(g, ctx)
         _same_bytes(out, ref.data)
         _same_bytes(pool.forward_numpy(x), ref.data)
-        _same_bytes(pool.backward_numpy(g, ctx), x_t.grad)
+        _same_bytes(grad_x, x_t.grad)
         plan, route, _dtype = ctx
         if plan._disjoint:
             assert route.dtype == np.uint8 and not route.any()
+            # g's NaN at every offset of its window; each inf at offset 0
+            # and inf * 0 = NaN at the others.
+            assert np.isnan(grad_x).sum() == kernel**2 + 2 * (kernel**2 - 1)
 
 
 @pytest.fixture
@@ -152,7 +158,37 @@ def im2col_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def silent_pool_backwards(monkeypatch):
+    """The number of MaxPool2dPlan silent-code backwards since set-up."""
+    calls = []
+    original = F.MaxPool2dPlan._silent_backward
+
+    def spy(plan, g, grad_x):
+        calls.append(plan)
+        return original(plan, g, grad_x)
+
+    monkeypatch.setattr(F.MaxPool2dPlan, "_silent_backward", spy)
+    return calls
+
+
 class TestFastPathFires:
+    def test_silent_max_pool_backward_skips_the_compares(self, silent_pool_backwards):
+        pool = nn.MaxPool2d(2)
+        silent = np.zeros((2, 3, 6, 6), dtype=np.float32)
+        out, ctx = pool.forward_record_numpy(silent)
+        assert ctx[1].strides == (0, 0, 0, 0)  # no byte per window
+        pool.backward_numpy(np.ones_like(out), ctx)
+        assert len(silent_pool_backwards) == 1
+        firing = silent.copy()
+        firing[1, 0, 2, 2] = 1.0
+        out, ctx = pool.forward_record_numpy(firing)
+        pool.backward_numpy(np.ones_like(out), ctx)
+        overlapping = nn.MaxPool2d(3, 2)
+        out, ctx = overlapping.forward_record_numpy(silent)
+        overlapping.backward_numpy(np.ones_like(out), ctx)
+        assert len(silent_pool_backwards) == 1
+
     def test_silent_conv_skips_im2col(self, im2col_calls):
         conv = nn.Conv2d(2, 3, 3, padding=1, rng=0)
         silent = np.zeros((2, 2, 6, 6), dtype=np.float32)
