@@ -83,12 +83,11 @@ def run_grid_exploration(
     stack:
         Pack up to ``stack`` compatible grid cells into one
         :class:`~repro.snn.stack.VariantStack` fused pass — bitwise
-        identical per-cell results, sublinear wall-clock in the cell
-        count.  It composes with ``jobs`` (each pool worker runs whole
-        stacks), with ``shard`` (the shard's slice is packed) and with
-        ``cache_dir``/``resume``
-        (checkpoints and weight archives stay per-cell and
-        fingerprint-identical to the unstacked path).
+        identical per-cell results (``docs/cli.md`` gives its measured
+        wall clock).  It composes with ``jobs`` (each pool worker runs
+        whole stacks), with ``shard`` (the shard's slice is packed) and
+        with ``cache_dir``/``resume`` (checkpoints and weight archives
+        stay per-cell and fingerprint-identical to the unstacked path).
     queue_dir:
         Join the dynamic work queue rooted at this directory (the grid
         queue lives in its ``grid/`` subdirectory) as one worker of an

@@ -21,10 +21,12 @@ the unstacked fused paths (and therefore to the autograd path, by the
 fused paths' own contracts).  The loop is shared, so the contract rests
 on the stages:
 
-* elementwise ops, pooling and im2col/col2im are *lane-local*: folding
-  batches changes neither the values nor the reduction association of
-  any lane's elements;
-* per-variant GEMMs run on contiguous row slices with exactly the
+* elementwise ops and pooling are *lane-local*: folding batches changes
+  neither the values nor the reduction association of any lane's
+  elements;
+* each conv lane runs, on its own batch slice, the plan an unstacked
+  member builds (silent test, im2col, GEMMs, col2im, bias), and each
+  linear lane's GEMM runs on a contiguous row slice with exactly the
   shapes, strides and contiguity of the unstacked problem, so the same
   BLAS kernel produces the same bits;
 * the stacked cells run the LIF/LI functions of
@@ -191,7 +193,7 @@ class StackedLICell:
 
 
 class _StackedConv:
-    """K Conv2d modules sharing one folded im2col, per-lane GEMMs."""
+    """K Conv2d modules; each lane runs its unstacked conv plan on its slice."""
 
     def __init__(self, convs: Sequence[Conv2d]) -> None:
         self.convs = list(convs)

@@ -305,10 +305,10 @@ def avg_pool2d(
 # window-materialising Tensor ops; tests/test_fused_plans.py and
 # tests/test_fused_backward.py hold every entry point bitwise equal to it.
 #
-# Plans return freshly allocated outputs (safe to retain), but their
-# internal scratch buffers are reused across calls — one plan instance must
-# not be shared between concurrently running forwards (or backwards), nor
-# between autograd nodes that are still waiting for their backward.
+# Plans return freshly allocated outputs (safe to retain) unless handed an
+# ``out``, but their scratch buffers are reused across calls — one plan
+# instance must not be shared between concurrently running forwards (or
+# backwards), nor between autograd nodes still waiting for their backward.
 
 
 def _window_columns(
@@ -367,6 +367,8 @@ class Conv2dPlan:
     Geometries whose columns are a view of the input (a 1x1 kernel, or
     windows spanning the padded width) gather no window: their columns
     are that view of the staged NCHW input (see :meth:`_columns`).
+    Scratch is allocated on first use, so a plan that only runs the K-lane
+    methods (a folded plan) holds geometry alone.
     """
 
     def __init__(
@@ -387,28 +389,22 @@ class Conv2dPlan:
             )
         self.shape = shape
         self.dtype = dtype
-        n, c_in, h, w = shape
+        self.weight_shape = weight_shape
+        _n, c_in, h, w = shape
         _c_out, _, kh, kw = weight_shape
         self.sh, self.sw = _pair(stride)
         self.ph, self.pw = _pair(padding)
         self.kh, self.kw = kh, kw
         self.oh = _conv_output_size(h, kh, self.sh, self.ph)
         self.ow = _conv_output_size(w, kw, self.sw, self.pw)
-        hp, wp = h + 2 * self.ph, w + 2 * self.pw
-        self._windowed = _columns_alias_input(c_in, hp, wp, kh, kw, self.sh, self.sw)
-        # Padded input, staged channels-last for the slab fill (windowed
-        # geometries keep conv2d's NCHW padding instead); the border is
-        # zeroed here and never written again.
-        self._padded = np.zeros(
-            (n, c_in, hp, wp) if self._windowed else (n, hp, wp, c_in), dtype=dtype
-        )
-        # Column scratch: written as (N, OH, OW, C, kh, kw), fed to the
-        # matmul as its flat (N*OH*OW, C*kh*kw) alias.
-        self._cols6d = self._cols = None
-        if not self._windowed:
-            self._cols6d = np.empty((n, self.oh, self.ow, c_in, kh, kw), dtype=dtype)
-            self._cols = self._cols6d.reshape(n * self.oh * self.ow, c_in * kh * kw)
+        self.hp, self.wp = h + 2 * self.ph, w + 2 * self.pw
+        self._windowed = _columns_alias_input(c_in, self.hp, self.wp, kh, kw, self.sh, self.sw)
+        # Scratch, allocated by the first im2col (see _im2col) or col2im.
+        self._padded: np.ndarray | None = None
+        self._cols6d: np.ndarray | None = None
         self._grad_padded: np.ndarray | None = None
+        # One variant's plan per lane count K (see _lanes).
+        self._lane_plans: dict[int, Conv2dPlan] = {}
         # Input rows/columns under kernel offset (i, j), in the (i, j)
         # order of the col2im scatter.
         self._offsets = [
@@ -423,7 +419,22 @@ class Conv2dPlan:
 
     def _im2col(self, x: np.ndarray) -> None:
         """Stage ``x`` and fill the column scratch, one slab per offset."""
-        _n, _c_in, h, w = self.shape
+        n, c_in, h, w = self.shape
+        if self._padded is None:
+            # Padded input, staged channels-last for the slab fill
+            # (windowed geometries keep conv2d's NCHW padding instead);
+            # the border is zeroed here and never written again.  The
+            # columns are written as (N, OH, OW, C, kh, kw) and fed to the
+            # matmul as their flat (N*OH*OW, C*kh*kw) alias.
+            self._padded = np.zeros(
+                (n, c_in, self.hp, self.wp) if self._windowed
+                else (n, self.hp, self.wp, c_in),
+                dtype=self.dtype,
+            )
+            if not self._windowed:
+                self._cols6d = np.empty(
+                    (n, self.oh, self.ow, c_in, self.kh, self.kw), dtype=self.dtype
+                )
         if self._windowed:
             self._padded[:, :, self.ph : self.ph + h, self.pw : self.pw + w] = x
             return
@@ -433,8 +444,8 @@ class Conv2dPlan:
         for i, j, rows, cols in self._offsets:
             self._cols6d[:, :, :, :, i, j] = self._padded[:, rows, cols]
 
-    def _columns(self, batch: slice) -> np.ndarray:
-        """Column-matrix rows of the images in ``batch`` (after :meth:`_im2col`).
+    def _columns(self) -> np.ndarray:
+        """The column matrix (after :meth:`_im2col`).
 
         Windowed geometries reshape the padded NCHW input's windows (see
         :func:`_window_columns`): a view wherever one exists, possibly
@@ -443,60 +454,52 @@ class Conv2dPlan:
         window-copy op, which a contiguous copy would not reproduce.
         """
         if self._windowed:
-            return _window_columns(self._padded[batch], self.kh, self.kw, self.sh, self.sw)
-        return self._cols[self._rows(batch)]
+            return _window_columns(self._padded, self.kh, self.kw, self.sh, self.sw)
+        return self._cols6d.reshape(-1, self.shape[1] * self.kh * self.kw)
 
-    def _rows(self, batch: slice) -> slice:
-        """Rows of the ``(N*OH*OW, ...)`` GEMM matrices owned by ``batch``."""
-        pixels = self.oh * self.ow
-        return slice(batch.start * pixels, batch.stop * pixels)
-
-    def _col2im(self, grad_cols: np.ndarray) -> np.ndarray:
+    def _col2im(self, grad_cols: np.ndarray, out=None) -> np.ndarray:
         """Scatter grad columns ``(N*OH*OW, C*kh*kw)`` onto an NCHW input grad.
 
         Accumulates the kernel offsets in (i, j) order into a zeroed
         channels-last padded scratch anchored to the *input* dtype — the
-        strided ``+=`` downcasts each contribution to it.  The returned
-        array is freshly allocated (safe to retain across reverse time
-        steps).
+        strided ``+=`` downcasts each contribution to it.  The cropped
+        result is copied into ``out``, or else into a fresh array (safe to
+        retain across reverse time steps).
         """
         n, c_in, h, w = self.shape
         grad_cols = grad_cols.reshape(n, self.oh, self.ow, c_in, self.kh, self.kw)
         scratch = self._grad_padded
         if scratch is None:
-            scratch = np.zeros(
-                (n, h + 2 * self.ph, w + 2 * self.pw, c_in), dtype=self.dtype
-            )
+            scratch = np.zeros((n, self.hp, self.wp, c_in), dtype=self.dtype)
             self._grad_padded = scratch
         else:
             scratch.fill(0.0)
         for i, j, rows, cols in self._offsets:
             scratch[:, rows, cols] += grad_cols[:, :, :, :, i, j]
-        return np.ascontiguousarray(
-            scratch[:, self.ph : self.ph + h, self.pw : self.pw + w].transpose(
-                0, 3, 1, 2
-            )
-        )
+        crop = scratch[:, self.ph : self.ph + h, self.pw : self.pw + w].transpose(0, 3, 1, 2)
+        if out is None:
+            return np.ascontiguousarray(crop)
+        out[...] = crop
+        return out
 
-    def _to_nchw(
-        self, out: np.ndarray, bias: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``(N*OH*OW, C_out)`` GEMM output (plus ``bias``) as a fresh NCHW array.
+    def _to_nchw(self, gemm: np.ndarray, bias: np.ndarray | None, out=None) -> np.ndarray:
+        """``(N*OH*OW, C_out)`` GEMM output (plus ``bias``) in NCHW layout.
 
-        Adding the bias after the transpose is the same elementwise sum as
-        ``out + bias`` on the GEMM rows, but runs along whole channel
+        Written into ``out`` if given, else into a fresh array.  Adding
+        the bias after the transpose is the same elementwise sum as
+        ``gemm + bias`` on the GEMM rows, but runs along whole channel
         planes instead of ``C_out``-long rows.
         """
-        nchw = np.ascontiguousarray(
-            out.reshape(self.shape[0], self.oh, self.ow, -1).transpose(0, 3, 1, 2)
-        )
-        if bias is None:
-            return nchw
-        bias = bias.reshape(-1, 1, 1)
-        if np.result_type(nchw, bias) != nchw.dtype:
-            return nchw + bias  # a wider bias promotes, as in conv2d
-        nchw += bias
-        return nchw
+        nchw = gemm.reshape(self.shape[0], self.oh, self.ow, -1).transpose(0, 3, 1, 2)
+        if out is None:
+            out = np.ascontiguousarray(nchw)
+            if bias is not None and np.result_type(out, bias) != out.dtype:
+                return out + bias.reshape(-1, 1, 1)  # a wider bias promotes, as in conv2d
+        else:
+            out[...] = nchw
+        if bias is not None:
+            out += bias.reshape(-1, 1, 1)
+        return out
 
     @staticmethod
     def grad_matrix(g: np.ndarray) -> np.ndarray:
@@ -508,18 +511,18 @@ class Conv2dPlan:
         return g.transpose(0, 2, 3, 1).reshape(-1, g.shape[1])
 
     def __call__(
-        self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None
+        self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, out=None
     ) -> np.ndarray:
         self._im2col(x)
-        cols = self._columns(slice(0, self.shape[0]))
-        return self._to_nchw(cols @ weight.reshape(weight.shape[0], -1).T, bias)
+        return self._to_nchw(self._columns() @ weight.reshape(weight.shape[0], -1).T, bias, out)
 
-    def silent(self, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    def silent(self, weight: np.ndarray, bias: np.ndarray | None, out=None) -> np.ndarray:
         """:meth:`__call__` of an all-zero input, without im2col (see
         :func:`silent_matmul`); the module twins take it, :func:`conv2d` never."""
         w_mat = weight.reshape(weight.shape[0], -1)
         rows = self.shape[0] * self.oh * self.ow
-        return self._to_nchw(silent_matmul((rows, w_mat.shape[1]), self.dtype, w_mat.T), bias)
+        gemm = silent_matmul((rows, w_mat.shape[1]), self.dtype, w_mat.T)
+        return self._to_nchw(gemm, bias, out)
 
     def silent_backward_weight(self, g_mat: np.ndarray, weight_shape: tuple) -> np.ndarray:
         """:meth:`backward_weight` of an all-zero input, without im2col."""
@@ -527,7 +530,7 @@ class Conv2dPlan:
         grad_t = silent_matmul((taps, g_mat.shape[0]), self.dtype, g_mat)
         return grad_t.T.reshape(weight_shape)  # g_mat.T @ cols, cols all zero
 
-    def backward_input(self, g_mat: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    def backward_input(self, g_mat: np.ndarray, weight: np.ndarray, out=None) -> np.ndarray:
         """Gradient w.r.t. the input: grad-column matmul, col2im scatter.
 
         ``g_mat`` is the output gradient as :meth:`grad_matrix` lays it
@@ -535,7 +538,7 @@ class Conv2dPlan:
         a zeroed padded scratch that a cached plan reuses across calls.
         """
         w_mat = weight.reshape(weight.shape[0], -1)
-        return self._col2im(g_mat @ w_mat)
+        return self._col2im(g_mat @ w_mat, out)
 
     def backward_weight(
         self, g_mat: np.ndarray, x: np.ndarray | None, weight_shape: tuple[int, ...]
@@ -550,8 +553,7 @@ class Conv2dPlan:
         """
         if x is not None:
             self._im2col(x)
-        cols = self._columns(slice(0, self.shape[0]))
-        return (g_mat.T @ cols).reshape(weight_shape)
+        return (g_mat.T @ self._columns()).reshape(weight_shape)
 
     @staticmethod
     def backward_bias(g: np.ndarray) -> np.ndarray:
@@ -561,16 +563,17 @@ class Conv2dPlan:
     # -- K-stacked execution ---------------------------------------------------
     #
     # A variant stack (repro.snn.stack) folds K same-architecture models on
-    # the batch axis: a plan built for the folded shape ``(K*N, C, H, W)``
-    # serves all K variants with ONE staging copy and ONE im2col fill,
-    # while the GEMMs run per variant on the contiguous row block of the
-    # column matrix that belongs to that variant's lanes.  Each variant's
-    # output gradient is laid out from its own batch slice, exactly as the
-    # unstacked plan lays out a batch of N (for N == 1 that layout is a
-    # transposed view, not a copy).  Each per-variant GEMM therefore has
-    # the shape, strides and contiguity of the unstacked plan's GEMM — the
-    # same BLAS kernel runs on the same operand layout — which is what
-    # keeps stacked results bitwise identical per variant.
+    # the batch axis.  A plan built for the folded shape ``(K*N, C, H, W)``
+    # keeps only its geometry: every live variant runs through one *lane
+    # plan* — the plan an unstacked member with a batch of N builds, cached
+    # per K — on its own batch slice, and writes straight into that
+    # variant's rows of the folded result.  Each variant's output gradient
+    # is laid out from its own batch slice too, exactly as the unstacked
+    # plan lays out a batch of N (for N == 1 that layout is a transposed
+    # view, not a copy).  A lane therefore runs the unstacked plan's exact
+    # operations — silent test, im2col, GEMMs, col2im, bias — on the same
+    # operand layouts, which keeps stacked results bitwise identical per
+    # variant, and its scratch stays one variant's batch large.
 
     def lane_rows(self, lanes: int) -> int:
         """Column-matrix rows per variant when the batch folds ``lanes`` ways."""
@@ -581,10 +584,15 @@ class Conv2dPlan:
             )
         return (n // lanes) * self.oh * self.ow
 
-    def _lane_batches(self, lanes: int) -> list[slice]:
-        """Batch slice of each variant when the batch folds ``lanes`` ways."""
+    def _lanes(self, lanes: int) -> tuple[Conv2dPlan, list[slice]]:
+        """The lane plan and each variant's batch slice, ``lanes`` variants folded."""
         n = self.lane_rows(lanes) // (self.oh * self.ow)
-        return [slice(lane * n, (lane + 1) * n) for lane in range(lanes)]
+        if lanes not in self._lane_plans:
+            self._lane_plans[lanes] = Conv2dPlan(
+                (n, *self.shape[1:]), self.dtype, self.weight_shape,
+                (self.sh, self.sw), (self.ph, self.pw),
+            )
+        return self._lane_plans[lanes], [slice(i * n, (i + 1) * n) for i in range(lanes)]
 
     def lane_grad_matrices(
         self, g: np.ndarray, needed: list[bool]
@@ -597,7 +605,7 @@ class Conv2dPlan:
         """
         return [
             self.grad_matrix(g[batch]) if wanted else None
-            for batch, wanted in zip(self._lane_batches(len(needed)), needed)
+            for batch, wanted in zip(self._lanes(len(needed))[1], needed)
         ]
 
     def stacked(
@@ -610,32 +618,22 @@ class Conv2dPlan:
         """Forward for K weight sets over a lane-folded batch.
 
         ``alive`` masks the dead wavefront of a ragged-T stack: a dead
-        variant's GEMM is skipped and its output rows zero-filled (the
-        values are structurally unused, but must stay finite so they
-        cannot leak NaNs into the folded elementwise stages).  A
-        ``silent`` lane (all-zero input) gets its :meth:`silent` rows; the
-        im2col runs only if a live lane fires.
+        variant's rows are zero-filled (the values are structurally
+        unused, but must stay finite so they cannot leak NaNs into the
+        folded elementwise stages).  A live lane takes the lane plan's
+        :meth:`silent` when its input is all zero, :meth:`__call__`
+        otherwise.
         """
-        alive = alive or [True] * len(weights)
-        silent = [not x[batch].any() for batch in self._lane_batches(len(weights))]
-        if any(a and not s for a, s in zip(alive, silent)):
-            self._im2col(x)
-        rows = self.shape[0] * self.oh * self.ow
-        out = np.empty((rows, weights[0].shape[0]), dtype=self.dtype)
-        for lane, batch in enumerate(self._lane_batches(len(weights))):
-            block = self._rows(batch)
-            if not alive[lane]:
-                out[block] = 0.0
-                continue
-            w_mat = weights[lane].reshape(weights[lane].shape[0], -1)
-            if silent[lane]:  # one row, broadcast into the block
-                lane_out = silent_matmul((1, w_mat.shape[1]), self.dtype, w_mat.T)
+        plan, batches = self._lanes(len(weights))
+        out = np.empty((self.shape[0], weights[0].shape[0], self.oh, self.ow), self.dtype)
+        for lane, batch in enumerate(batches):
+            if alive is not None and not alive[lane]:
+                out[batch] = 0.0
+            elif x[batch].any():
+                plan(x[batch], weights[lane], biases[lane], out[batch])
             else:
-                lane_out = self._columns(batch) @ w_mat.T
-            if biases[lane] is not None:
-                lane_out = lane_out + biases[lane]
-            out[block] = lane_out
-        return self._to_nchw(out)
+                plan.silent(weights[lane], biases[lane], out[batch])
+        return out
 
     def stacked_backward_input(
         self,
@@ -646,22 +644,17 @@ class Conv2dPlan:
         """Input gradient for K weight sets over a lane-folded batch.
 
         ``g_mats`` are the :meth:`lane_grad_matrices` of the output
-        gradient.  Per-variant grad-column GEMMs feed one fold-wide col2im
-        scatter (the scatter is lane-local data movement, so folding it
-        is exact).
+        gradient.  Each live lane runs the lane plan's
+        :meth:`backward_input` into its rows; dead lanes are zero-filled.
         """
-        rows = self.shape[0] * self.oh * self.ow
-        grad_cols = np.empty(
-            (rows, self.shape[1] * self.kh * self.kw), dtype=self.dtype
-        )
-        for lane, batch in enumerate(self._lane_batches(len(weights))):
-            block = self._rows(batch)
+        plan, batches = self._lanes(len(weights))
+        grad = np.empty(self.shape, dtype=self.dtype)
+        for lane, batch in enumerate(batches):
             if alive is not None and not alive[lane]:
-                grad_cols[block] = 0.0
-                continue
-            w_mat = weights[lane].reshape(weights[lane].shape[0], -1)
-            grad_cols[block] = g_mats[lane] @ w_mat
-        return self._col2im(grad_cols)
+                grad[batch] = 0.0
+            else:
+                plan.backward_input(g_mats[lane], weights[lane], grad[batch])
+        return grad
 
     def stacked_backward_weights(
         self,
@@ -672,23 +665,22 @@ class Conv2dPlan:
     ) -> list[np.ndarray | None]:
         """Per-variant filter gradients over a lane-folded batch.
 
-        One im2col refill from the recorded folded input serves every
-        variant's ``g_mat.T @ cols`` GEMM; ``wanted[lane]`` gates lanes whose
-        parameters are structurally dead at this step (``None`` entries
-        keep the autograd path's grad-never-touched semantics).  A
-        silent lane takes :meth:`silent_backward_weight`.
+        Each wanted lane runs the lane plan's :meth:`backward_weight`,
+        which refills its columns from the lane's slice of the recorded
+        folded input, or :meth:`silent_backward_weight` when that slice is
+        all zero.  ``wanted[lane]`` gates lanes whose parameters are
+        structurally dead at this step (``None`` entries keep the autograd
+        path's grad-never-touched semantics).
         """
-        silent = [not x[batch].any() for batch in self._lane_batches(len(wanted))]
-        if any(w and not s for w, s in zip(wanted, silent)):
-            self._im2col(x)
+        plan, batches = self._lanes(len(wanted))
         grads: list[np.ndarray | None] = []
-        for lane, batch in enumerate(self._lane_batches(len(wanted))):
-            if not wanted[lane]:
+        for g_mat, batch, want in zip(g_mats, batches, wanted):
+            if not want:
                 grads.append(None)
-            elif silent[lane]:
-                grads.append(self.silent_backward_weight(g_mats[lane], weight_shape))
+            elif x[batch].any():
+                grads.append(plan.backward_weight(g_mat, x[batch], weight_shape))
             else:
-                grads.append((g_mats[lane].T @ self._columns(batch)).reshape(weight_shape))
+                grads.append(plan.silent_backward_weight(g_mat, weight_shape))
         return grads
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import signal
 
 from repro.errors import ShapeError
 from repro.tensor import Tensor, functional as F, gradcheck
@@ -135,7 +134,8 @@ class TestDropout:
 
 
 def _reference_conv2d(x, w, b, stride, padding):
-    """Direct scipy cross-correlation reference."""
+    """Direct scipy cross-correlation reference (skips without scipy)."""
+    signal = pytest.importorskip("scipy.signal")
     n, c_in, h, width = x.shape
     c_out, _, kh, kw = w.shape
     sh, sw = stride if isinstance(stride, tuple) else (stride, stride)

@@ -254,6 +254,134 @@ class TestConv2dPlanParity:
                 assert grad_w[lane] is None
 
 
+# (kernel, stride, padding) of the stacked-lane cases; the 1x1 kernel's
+# columns are a view of the staged input (the windowed route).
+LANE_GEOMETRIES = {
+    "3x3 pad 1": (3, 1, 1),
+    "5x5 pad 2": (5, 1, 2),
+    "stride 2": (3, 2, 1),
+    "windowed 1x1": (1, 1, 0),
+}
+
+
+@st.composite
+def stacked_lane_cases(draw):
+    """A K-lane fold with silent, dead and unwanted lanes and odd biases."""
+    lanes = draw(st.integers(1, 5))
+
+    def per_lane(values):
+        return draw(st.lists(values, min_size=lanes, max_size=lanes))
+
+    return {
+        "geometry": draw(st.sampled_from(sorted(LANE_GEOMETRIES))),
+        "lanes": lanes,
+        "n": draw(st.integers(1, 3)),
+        "c_in": draw(st.sampled_from([1, 2, 3])),
+        "c_out": draw(st.sampled_from([1, 2, 4])),
+        "size": draw(st.integers(5, 9)),
+        "dtype": draw(st.sampled_from([np.float32, np.float64])),
+        "silent": per_lane(st.booleans()),
+        "alive": per_lane(st.booleans()),
+        "wanted": per_lane(st.booleans()),
+        "bias": per_lane(st.sampled_from(["finite", "nan", None])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestStackedConvLanes:
+    """Each lane of a folded conv plan is the unstacked plan, byte for byte.
+
+    The reference runs every lane through one plan of the unstacked batch
+    shape the way the module twins do (``silent`` for an all-zero input,
+    the silent weight gradient likewise), over two steps so that both
+    sides reuse their scratch.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=stacked_lane_cases())
+    def test_lanes_match_unstacked_plan_calls(self, case):
+        rng = np.random.default_rng(case["seed"])
+        kernel, stride, padding = LANE_GEOMETRIES[case["geometry"]]
+        lanes, n, dtype = case["lanes"], case["n"], case["dtype"]
+        lane_shape = (n, case["c_in"], case["size"], case["size"])
+        w_shape = (case["c_out"], case["c_in"], kernel, kernel)
+        weights = [rng.standard_normal(w_shape).astype(dtype) for _ in range(lanes)]
+        biases = []
+        for kind in case["bias"]:
+            bias = None if kind is None else rng.standard_normal(case["c_out"]).astype(dtype)
+            if kind == "nan":
+                bias[0] = np.nan
+            biases.append(bias)
+        alive, wanted = case["alive"], case["wanted"]
+        reference = F.Conv2dPlan(lane_shape, dtype, w_shape, stride, padding)
+        folded = F.Conv2dPlan((lanes * n, *lane_shape[1:]), dtype, w_shape, stride, padding)
+        if case["geometry"] == "windowed 1x1":
+            assert folded._windowed
+
+        for _step in range(2):
+            xs = [
+                np.zeros(lane_shape, dtype) if silent
+                else (rng.random(lane_shape) < 0.3).astype(dtype)
+                for silent in case["silent"]
+            ]
+            x_fold = np.concatenate(xs)
+            out = folded.stacked(x_fold, weights, biases, alive)
+            g_fold = rng.standard_normal(out.shape).astype(dtype)
+            g_mats = folded.lane_grad_matrices(g_fold, [a or w for a, w in zip(alive, wanted)])
+            grad_x = folded.stacked_backward_input(g_mats, weights, alive)
+            grad_w = folded.stacked_backward_weights(g_mats, x_fold, w_shape, wanted)
+
+            for lane, (x, weight, bias) in enumerate(zip(xs, weights, biases)):
+                block = slice(lane * n, (lane + 1) * n)
+                g_mat = reference.grad_matrix(g_fold[block])
+                if alive[lane]:
+                    ref_out = reference(x, weight, bias) if x.any() else reference.silent(weight, bias)
+                    _same_bytes(out[block], ref_out)
+                    _same_bytes(grad_x[block], reference.backward_input(g_mat, weight))
+                else:
+                    assert not out[block].any() and not grad_x[block].any()
+                if not wanted[lane]:
+                    assert grad_w[lane] is None
+                elif x.any():
+                    _same_bytes(grad_w[lane], reference.backward_weight(g_mat, x, w_shape))
+                else:
+                    _same_bytes(grad_w[lane], reference.silent_backward_weight(g_mat, w_shape))
+
+    @pytest.mark.parametrize("geometry", sorted(LANE_GEOMETRIES))
+    def test_folded_plan_keeps_only_geometry(self, monkeypatch, rng, geometry):
+        ran = []
+        for name in ("_im2col", "_col2im"):
+            original = getattr(F.Conv2dPlan, name)
+
+            def spy(plan, *args, _name=name, _original=original):
+                ran.append((_name, plan))
+                return _original(plan, *args)
+
+            monkeypatch.setattr(F.Conv2dPlan, name, spy)
+        kernel, stride, padding = LANE_GEOMETRIES[geometry]
+        w_shape = (4, 2, kernel, kernel)
+        folded = F.Conv2dPlan((6, 2, 7, 7), np.float32, w_shape, stride, padding)
+        x = (rng.random(folded.shape) < 0.5).astype(np.float32)
+        weights = [rng.standard_normal(w_shape).astype(np.float32) for _ in range(3)]
+        out = folded.stacked(x, weights, [None] * 3, [True] * 3)
+        g_mats = folded.lane_grad_matrices(np.ones_like(out), [True] * 3)
+        folded.stacked_backward_input(g_mats, weights, [True] * 3)
+        folded.stacked_backward_weights(g_mats, x, w_shape, [True] * 3)
+
+        lane_plan = folded._lane_plans[3]
+        assert lane_plan.shape == (2, 2, 7, 7)
+        assert {plan for _name, plan in ran} == {lane_plan}
+        assert sorted({name for name, _plan in ran}) == ["_col2im", "_im2col"]
+        assert folded._padded is None and folded._cols6d is None
+        assert folded._grad_padded is None
+        assert lane_plan._padded.shape[0] == 2
+
+
 @st.composite
 def max_pool_cases(draw):
     """A max-pool geometry over a (mostly) tie-heavy input.
