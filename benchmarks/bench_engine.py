@@ -23,6 +23,7 @@ from repro.snn import LIFCell, LIFParameters
 from repro.tensor import Tensor, functional as F
 from repro.tensor.tensor import no_grad
 from repro.training.trainer import TrainingConfig
+from tests import reference_ops
 
 RNG = np.random.default_rng(0)
 
@@ -52,10 +53,11 @@ def test_conv2d_forward_backward(benchmark, conv_inputs):
 
 
 def test_lif_step(benchmark):
+    """One autograd LIF step (the reference Tensor step)."""
     cell = LIFCell(LIFParameters())
     current = Tensor(RNG.standard_normal((32, 16, 8, 8)).astype(np.float32))
-    state = cell.step(current)[1]
-    benchmark(lambda: cell.step(current, state))
+    state = reference_ops.lif_step(cell, current)[1]
+    benchmark(lambda: reference_ops.lif_step(cell, current, state))
 
 
 def test_snn_forward(benchmark):
@@ -82,7 +84,7 @@ def test_snn_forward_nograd(benchmark):
 
 
 def test_snn_forward_nograd_unplanned(benchmark):
-    """Fused loop with synapse plans disabled (the PR-1 baseline).
+    """Fused loop with per-step Tensor transforms (the PR-1 baseline).
 
     Identical logits to ``test_snn_forward_nograd``; the delta between
     the two is exactly what the compiled numpy synapse plans buy — the
@@ -90,14 +92,8 @@ def test_snn_forward_nograd_unplanned(benchmark):
     analysis of every synaptic transform.
     """
     model = build_model("snn_lenet_mini", input_size=16, time_steps=16, rng=0)
-    model.use_synapse_plans = False
-    x = Tensor(RNG.random((8, 1, 16, 16)).astype(np.float32))
-
-    def run():
-        with no_grad():
-            model(x)
-
-    benchmark(run)
+    x = RNG.random((8, 1, 16, 16)).astype(np.float32)
+    benchmark(lambda: reference_ops.unplanned_logits(model, x))
 
 
 def test_pgd_gradient_step(benchmark):

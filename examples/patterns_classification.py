@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.attacks import evaluate_clean_accuracy
 from repro.data import PatternsConfig, make_patterns
 from repro.models import build_model
-from repro.snn import LIFParameters
+from repro.snn import LIFParameters, spike_activity
 from repro.training import Trainer, TrainingConfig
 
 
@@ -39,10 +39,8 @@ def main() -> None:
             )
             Trainer(model, TrainingConfig(epochs=4, batch_size=32)).fit(train)
             accuracy = evaluate_clean_accuracy(model, test)
-            from repro.tensor import Tensor
-
-            counts = model.spike_counts(Tensor(test.images[:16]))
-            spikes_per_sample = sum(float(c.data) for c in counts) / 16
+            activity = spike_activity(model, test.images[:16])
+            spikes_per_sample = activity.spikes_per_sample
             print(
                 f"{time_steps:>4} {v_th:>5.2f} {accuracy * 100:>8.1f}% "
                 f"{spikes_per_sample:>14.0f}"

@@ -3,17 +3,18 @@
 
 Measures, on the default spiking LeNet of an experiment profile:
 
-1. **Forward paths** — one no-grad batch forward on the autograd loop,
-   the PR-1 fused loop (per-step Tensor transforms), and the compiled
+1. **Forward paths** — one batch forward on the unrolled autograd loop,
+   the PR-1 fused loop (per-step Tensor transforms) and the compiled
    synapse-plan loop, asserting all three produce bitwise-identical
-   logits.
+   logits.  The first two are the reference loops of
+   ``tests/reference_ops.py``; the network itself runs only the third.
 2. **Robustness curve** — a K-epsilon FGSM curve via the historical
    per-ε ``evaluate_attack`` loop vs ``evaluate_attack_sweep``, asserting
    identical results.
 3. **Gradient paths** — ``input_gradient`` through the graph-free BPTT
-   path vs the autograd graph (bitwise-identical gradients asserted),
-   and a K-epsilon PGD-10 robustness curve on both paths (identical
-   attack outcomes asserted).
+   path vs the unrolled autograd graph of ``tests/reference_ops.py``
+   (bitwise-identical gradients asserted), and a K-epsilon PGD-10
+   robustness curve on both paths (identical attack outcomes asserted).
 
 4. **Stacked grid execution** — the same cell task list through the
    per-cell scheduler vs ``run_cell_tasks(stack=K)`` (K-variant
@@ -30,11 +31,11 @@ Measures, on the default spiking LeNet of an experiment profile:
 Forward/sweep timings go to ``BENCH_pr3.json``, gradient timings to
 ``BENCH_pr5.json``, stacked-grid timings to ``BENCH_pr6.json`` and
 guided-search timings to ``BENCH_pr8.json`` (repo root by default).  ``--check-fused`` skips the
-timing and only runs the smoke guards: the profile's default spiking
-model must take the fused plan path end to end (full synapse-plan
-coverage, forward *and* backward counters advancing, for attack
-crafting and for a training step) — the CI job runs this to catch
-silent fallback regressions.
+timing and only runs the smoke guards on the profile's default spiking
+model: its forward and backward counters must advance (no-grad
+inference, attack crafting, a training step), and one batch's input
+gradient must be bitwise equal to the unrolled autograd graph's — the
+CI job runs this to catch regressions of the fused path.
 
 ``--check-regression`` measures fresh and compares the *speedup ratios*
 against the committed baseline reports: the planned-fused forward, the
@@ -59,6 +60,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))  # tests.reference_ops: the loop side of the ratios
 
 import numpy as np  # noqa: E402
 
@@ -79,6 +81,11 @@ from repro.snn.neuron import LIFParameters  # noqa: E402
 from repro.tensor import functional as F  # noqa: E402
 from repro.tensor.tensor import Tensor, no_grad  # noqa: E402
 from repro.training.trainer import TrainingConfig  # noqa: E402
+from tests.reference_ops import (  # noqa: E402
+    unplanned_logits,
+    unrolled_forward,
+    unrolled_graph,
+)
 
 EPSILONS = (0.0, 0.1, 0.25, 0.5, 1.0)
 PGD_STEPS = 10
@@ -103,15 +110,9 @@ def _build(profile, time_steps: int | None = None):
 
 
 def check_fused(profile) -> list[str]:
-    """Smoke guard: the profile's default model must use the plan path."""
+    """Smoke guard: the fused paths run, and their gradient is exact."""
     errors: list[str] = []
     model = _build(profile)
-    planned, total = model.synapse_plan_coverage()
-    if planned != total:
-        errors.append(
-            f"{profile.snn_model}: only {planned}/{total} synaptic transforms "
-            "on the compiled-plan path"
-        )
     x = Tensor(np.random.default_rng(0).random(
         (4, 1, profile.image_size, profile.image_size)
     ).astype(np.float32))
@@ -122,27 +123,28 @@ def check_fused(profile) -> list[str]:
             f"{profile.snn_model}: no-grad forward did not take the fused path "
             f"(fused_forward_count={model.fused_forward_count})"
         )
-    if not model.backward_ready():
+    labels = np.zeros(4, dtype=np.int64)
+    gradient = input_gradient(model, x.data, labels)
+    if model.fused_backward_count != 1:
         errors.append(
-            f"{profile.snn_model}: model does not honour the fused BPTT "
-            "contract (backward_ready() is False)"
+            f"{profile.snn_model}: input_gradient did not take the fused "
+            f"BPTT path (fused_backward_count={model.fused_backward_count})"
         )
-    else:
-        labels = np.zeros(4, dtype=np.int64)
-        input_gradient(model, x.data, labels)
-        if model.fused_backward_count != 1:
-            errors.append(
-                f"{profile.snn_model}: input_gradient did not take the fused "
-                f"BPTT path (fused_backward_count={model.fused_backward_count})"
-            )
-        # Training: a grad-mode forward plus loss backward.
-        F.cross_entropy(model(x), labels).backward()
-        if model.fused_backward_count != 2:
-            errors.append(
-                f"{profile.snn_model}: grad-mode forward + backward did not take "
-                f"the fused BPTT path (fused_backward_count="
-                f"{model.fused_backward_count}, expected 2)"
-            )
+    with unrolled_graph(model):
+        reference = input_gradient(model, x.data, labels)
+    if gradient.dtype != reference.dtype or gradient.tobytes() != reference.tobytes():
+        errors.append(
+            f"{profile.snn_model}: fused input gradient differs from the "
+            "unrolled autograd graph's"
+        )
+    # Training: a grad-mode forward plus loss backward.
+    F.cross_entropy(model(x), labels).backward()
+    if model.fused_backward_count != 2:
+        errors.append(
+            f"{profile.snn_model}: grad-mode forward + backward did not take "
+            f"the fused BPTT path (fused_backward_count="
+            f"{model.fused_backward_count}, expected 2)"
+        )
     return errors
 
 
@@ -156,30 +158,22 @@ def run_benchmarks(profile, time_steps: int, samples: int, repeats: int) -> dict
 
     with no_grad():
         reference = model(x).data
-    model.use_synapse_plans = False
-    with no_grad():
-        unplanned = model(x).data
-    model.use_synapse_plans = True
-    # A grad-mode forward runs the fused BPTT recording by default; the
-    # autograd baseline is the unrolled loop.
-    model.use_fused_backward = False
-    autograd_logits = model(x).data
+    unplanned = unplanned_logits(model, images)
+    # The autograd baseline is the unrolled loop, in grad mode.
+    autograd_logits = unrolled_forward(model, x).data
     forward_parity = bool(
         np.array_equal(reference, unplanned)
         and np.array_equal(reference, autograd_logits)
     )
 
-    autograd_s = _best_of(repeats, lambda: model(x))
-    model.use_fused_backward = True
+    autograd_s = _best_of(repeats, lambda: unrolled_forward(model, x))
 
     def fused():
         with no_grad():
             model(x)
 
     planned_s = _best_of(repeats, fused)
-    model.use_synapse_plans = False
-    unplanned_s = _best_of(repeats, fused)
-    model.use_synapse_plans = True
+    unplanned_s = _best_of(repeats, lambda: unplanned_logits(model, images))
 
     dataset = ArrayDataset(images, labels)
 
@@ -210,7 +204,6 @@ def run_benchmarks(profile, time_steps: int, samples: int, repeats: int) -> dict
     sweep_s = _best_of(max(1, repeats - 1), sweep)
     sweep_fused_s = _best_of(max(1, repeats - 1), sweep_fused)
 
-    planned, total = model.synapse_plan_coverage()
     return {
         "profile": profile.name,
         "model": profile.snn_model,
@@ -230,7 +223,6 @@ def run_benchmarks(profile, time_steps: int, samples: int, repeats: int) -> dict
             "sweep_fused_stack_s": sweep_fused_s,
             "speedup": per_epsilon_s / sweep_s,
         },
-        "fused_plan_coverage": {"planned": planned, "total": total},
         "parity": {
             "forward_bitwise_identical": forward_parity,
             "curve_results_identical": curve_parity,
@@ -264,13 +256,11 @@ def run_gradient_benchmarks(
             batch_size=samples,
         )
 
-    model.use_fused_backward = True
     fused_gradient = input_gradient(model, images, labels)
     fused_curve = pgd_curve()
-    model.use_fused_backward = False
-    autograd_gradient = input_gradient(model, images, labels)
-    autograd_curve = pgd_curve()
-    model.use_fused_backward = True
+    with unrolled_graph(model):
+        autograd_gradient = input_gradient(model, images, labels)
+        autograd_curve = pgd_curve()
     gradient_parity = bool(np.array_equal(fused_gradient, autograd_gradient))
     curve_parity = fused_curve == autograd_curve
 
@@ -278,12 +268,11 @@ def run_gradient_benchmarks(
         repeats, lambda: input_gradient(model, images, labels)
     )
     fused_curve_s = _best_of(max(1, repeats - 1), pgd_curve)
-    model.use_fused_backward = False
-    autograd_gradient_s = _best_of(
-        repeats, lambda: input_gradient(model, images, labels)
-    )
-    autograd_curve_s = _best_of(max(1, repeats - 1), pgd_curve)
-    model.use_fused_backward = True
+    with unrolled_graph(model):
+        autograd_gradient_s = _best_of(
+            repeats, lambda: input_gradient(model, images, labels)
+        )
+        autograd_curve_s = _best_of(max(1, repeats - 1), pgd_curve)
 
     return {
         "profile": profile.name,

@@ -25,11 +25,11 @@ def input_gradient(model: Module, images: np.ndarray, labels: np.ndarray) -> np.
     mode would redraw its mask between PGD iterations and randomize the
     attack direction.
 
-    Models exposing the fused BPTT contract (``fused_input_gradient`` +
-    ``backward_ready``, i.e. :class:`~repro.snn.network.SpikingNetwork`)
-    take the graph-free reverse-time path, which produces bitwise the
-    gradients of the autograd graph at a fraction of the cost; everything
-    else differentiates the unrolled graph.
+    Models with a ``fused_input_gradient`` (i.e.
+    :class:`~repro.snn.network.SpikingNetwork`) take that graph-free
+    reverse-time path, which produces bitwise the gradients of the
+    unrolled autograd graph at a fraction of the cost; everything else
+    differentiates its own autograd graph.
 
     Returns zeros when the loss does not depend on the input at all.
     This is a real phenomenon in SNNs, not an error: each state-coupled
@@ -48,11 +48,7 @@ def input_gradient(model: Module, images: np.ndarray, labels: np.ndarray) -> np.
         model.eval()
     try:
         fused = getattr(model, "fused_input_gradient", None)
-        if (
-            fused is not None
-            and getattr(model, "use_fused_backward", False)
-            and model.backward_ready()
-        ):
+        if fused is not None:
             return fused(images, labels)
         x = Tensor(images.copy(), requires_grad=True)
         logits = model(x)

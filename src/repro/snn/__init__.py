@@ -23,14 +23,10 @@ from repro.snn.decoding import (
     MeanMembraneDecoder,
     SpikeCountDecoder,
 )
-from repro.snn.encoding import (
-    ConstantCurrentLIFEncoder,
-    LatencyEncoder,
-    PoissonEncoder,
-)
+from repro.snn.encoding import ConstantCurrentLIFEncoder, PoissonEncoder
 from repro.snn.network import SpikingLayer, SpikingNetwork, SpikingReadout
-from repro.snn.neuron import LICell, LIFCell, LIFParameters, LIFState, LIState
-from repro.snn.surrogate import available_surrogates, spike_function, surrogate_derivative
+from repro.snn.neuron import LICell, LIFCell, LIFParameters
+from repro.snn.surrogate import available_surrogates, surrogate_derivative
 
 __all__ = [
     "ActivityReport",
@@ -38,10 +34,7 @@ __all__ = [
     "LICell",
     "LIFCell",
     "LIFParameters",
-    "LIFState",
-    "LIState",
     "LastMembraneDecoder",
-    "LatencyEncoder",
     "MaxMembraneDecoder",
     "MeanMembraneDecoder",
     "PoissonEncoder",
@@ -52,7 +45,6 @@ __all__ = [
     "available_surrogates",
     "gradient_connectivity",
     "spike_activity",
-    "spike_function",
     "surrogate_derivative",
     "synaptic_operations",
 ]

@@ -22,8 +22,8 @@ from repro.attacks.base import input_gradient
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.nn.module import Module
-from repro.snn.network import SpikingNetwork
-from repro.tensor.tensor import Tensor, no_grad
+from repro.snn.network import NetworkLanes, SpikingNetwork
+from repro.tensor.tensor import Tensor
 
 __all__ = [
     "ActivityReport",
@@ -85,34 +85,30 @@ class ActivityReport:
 def spike_activity(network: SpikingNetwork, images: Tensor | np.ndarray) -> ActivityReport:
     """Measure per-layer spike counts of ``network`` on a batch.
 
-    Runs the full simulation without building gradients.
+    Runs the network's no-grad time loop on its numpy twins (encoder and
+    hidden layers; the readout emits no spikes).
     """
-    images_t = images if isinstance(images, Tensor) else Tensor(images)
-    num_samples = images_t.shape[0]
-    per_layer: list[float] = []
-    neurons: list[int] = []
-    with no_grad():
-        encoder_state = None
-        layer_states: list = [None] * len(network.layers)
-        totals: list[float] | None = None
-        for _ in range(network.time_steps):
-            spikes, encoder_state = network.encoder.step(images_t, encoder_state)
-            frame_counts = [float(spikes.data.sum())]
-            frame_neurons = [int(np.prod(spikes.shape[1:]))]
-            for index, layer in enumerate(network.layers):
-                spikes, layer_states[index] = layer.step(spikes, layer_states[index])
-                frame_counts.append(float(spikes.data.sum()))
-                frame_neurons.append(int(np.prod(spikes.shape[1:])))
-            if totals is None:
-                totals = frame_counts
-                neurons = frame_neurons
-            else:
-                totals = [a + b for a, b in zip(totals, frame_counts)]
-        per_layer = totals or []
+    image = images.data if isinstance(images, Tensor) else np.asarray(images)
+    lanes = NetworkLanes(network)
+    alive = [True]
+    encoder_state = None
+    layer_states: list = [None] * len(lanes.layer_ops)
+    totals = [0.0] * (1 + len(lanes.layer_ops))
+    neurons = [0] * len(totals)
+    for _ in range(network.time_steps):
+        spikes, encoder_state = lanes.encoder.step_numpy(image, encoder_state, alive)
+        totals[0] += float(spikes.sum())
+        neurons[0] = int(np.prod(spikes.shape[1:]))
+        for index, op in enumerate(lanes.layer_ops):
+            spikes, layer_states[index] = lanes.layer_cells[index].step_numpy(
+                op.forward(spikes, alive), layer_states[index]
+            )
+            totals[index + 1] += float(spikes.sum())
+            neurons[index + 1] = int(np.prod(spikes.shape[1:]))
     return ActivityReport(
-        num_samples=num_samples,
+        num_samples=image.shape[0],
         time_steps=network.time_steps,
-        spikes_per_layer=tuple(per_layer),
+        spikes_per_layer=tuple(totals),
         neurons_per_layer=tuple(neurons),
     )
 

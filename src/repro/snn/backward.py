@@ -13,9 +13,8 @@ networks of one architecture whose batches are folded on the batch axis
 (lane ``k`` owns rows ``[k*N, (k+1)*N)`` of every folded array).
 
 * A single network is the one-lane set
-  :class:`~repro.snn.network.NetworkLanes`, built from its own modules:
-  each stage keeps its trusted-twin gate and falls back to the Tensor API
-  on its own.
+  :class:`~repro.snn.network.NetworkLanes`, built from its own modules'
+  numpy twins (a module without them is rejected there).
 * A :class:`~repro.snn.stack.VariantStack` is a K-lane set of stacked
   stages: per-lane constant columns for the cells, per-lane GEMMs for
   the transforms.
@@ -49,20 +48,16 @@ finite and its gradients stay exactly zero.
 Exactness contract
 ------------------
 Every step performs the same float arithmetic, with the same promoted
-constants and the same accumulation association, as the Tensor path's
-forward ops and backward closures, so logits and gradients are bitwise
-identical to the autograd path (asserted by tests/test_fused_backward.py
-and, per lane, by tests/test_stacked.py).  Three pieces make that hold:
+constants and the same accumulation association, as the autograd ops'
+forwards and backward closures, so logits and gradients are bitwise
+identical to the unrolled autograd loop (the oracle of
+tests/reference_ops.py; asserted by tests/test_fused_backward.py and, per
+lane, by tests/test_stacked.py).  Three pieces make that hold:
 
-* transforms either honour the record/backward twin contract
-  (``forward_record_numpy``/``backward_numpy``, checked per layer via
-  :func:`transform_bptt_ready`) or fall back to a per-step Tensor
-  mini-graph — one leaf, one transform application, one local
-  ``backward()`` — which *is* the autograd closure;
-* neuron cells expose ``step_record_numpy``/``step_backward_numpy``
-  twins mirroring their ``step`` dynamics (cells without them disqualify
-  the whole fused backward — state couples time, so there is no local
-  fallback);
+* transforms' ``forward_record_numpy``/``backward_numpy`` twins replay
+  their Tensor op's forward and backward closure;
+* neuron cells' ``step_record_numpy``/``step_backward_numpy`` twins
+  replay one autograd step of their dynamics;
 * the decoder and loss run as a real (tiny) autograd graph per lane over
   that lane's recorded membrane trace, so any decoder works unchanged and
   the head gradient delivered to each time step equals the full graph's.
@@ -93,8 +88,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn.container import Sequential
-from repro.nn.module import Module
 from repro.nn.parameter import accumulate_grad
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, no_grad
@@ -107,29 +100,7 @@ __all__ = [
     "decode_logits",
     "record_forward",
     "run_trace",
-    "transform_bptt_ready",
 ]
-
-
-def transform_bptt_ready(transform: Module) -> bool:
-    """Whether a synaptic transform is trusted on the plan-backed BPTT path.
-
-    Mirrors the fused-forward contract: both twins must be defined at (or
-    below) the class defining ``forward``, recursing into
-    :class:`~repro.nn.container.Sequential` members.  Untrusted transforms
-    do not disqualify the fused backward — they run per-step Tensor
-    mini-graphs instead.  A trusted ``backward_numpy(g, ctx, param_sink,
-    *, want_input_grad)`` may return ``None`` when ``want_input_grad`` is
-    false.
-    """
-    if not (
-        has_trusted_twin(transform, "forward", "forward_record_numpy")
-        and has_trusted_twin(transform, "forward", "backward_numpy")
-    ):
-        return False
-    if isinstance(transform, Sequential):
-        return all(transform_bptt_ready(member) for member in transform)
-    return True
 
 
 @dataclass
@@ -212,9 +183,7 @@ def record_forward(lanes, image: np.ndarray) -> BPTTTape:
     """Fused time loop that records the minimal per-step state BPTT needs.
 
     Spikes, membranes and transform outputs equal :func:`run_trace`'s bit
-    for bit (and therefore the autograd forward's).  For a single network
-    ``lanes`` is a :class:`~repro.snn.network.NetworkLanes` whose network
-    passed :meth:`~repro.snn.network.SpikingNetwork.backward_ready`.
+    for bit (and therefore the autograd forward's).
     """
     depth = len(lanes.layer_ops)
     tape = BPTTTape(
@@ -335,7 +304,7 @@ def backward_pass(
     sort orders things the *other* way: contributions into the image and
     into parameters land in ascending time order.  The sweep therefore
     collects per-step pieces and folds them ascending afterwards, so
-    every accumulation keeps the Tensor path's association bit for bit.
+    every accumulation keeps the autograd engine's association bit for bit.
 
     Structural aliveness
     --------------------
@@ -349,8 +318,8 @@ def backward_pass(
     lane's GEMMs, parameter sinks and image pieces.  A lane outside its
     window carries exact-zero gradients through the folded elementwise
     stages, so running them fold-wide is value-identical to skipping
-    them, and gradient None-ness — not just values — matches the Tensor
-    path per lane.
+    them, and gradient None-ness — not just values — matches the autograd
+    graph per lane.
     """
     steps = len(tape.trace)
     t_head = max(t_heads, default=-1)

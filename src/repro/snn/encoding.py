@@ -7,13 +7,14 @@ synaptic layer.  This is differentiable end-to-end through the surrogate
 gradient — a requirement of the white-box threat model, where the attacker
 back-propagates to the pixels.
 
-Two alternative encoders are provided for the encoding ablation:
+:class:`PoissonEncoder` is the alternative for the encoding ablation:
+classic rate coding, per-step Bernoulli spikes with probability
+proportional to intensity.  Its backward pass uses the straight-through
+expectation gradient ``dE[z]/dx = scale``.
 
-* :class:`PoissonEncoder` — classic rate coding; per-step Bernoulli spikes
-  with probability proportional to intensity.  The backward pass uses the
-  straight-through expectation gradient ``dE[z]/dx = scale``.
-* :class:`LatencyEncoder` — time-to-first-spike coding; brighter pixels
-  spike earlier, one spike per pixel.
+Like the neuron cells, an encoder is its three numpy twins —
+``step_numpy(image, state)``, ``step_record_numpy(image, state)`` and
+``step_backward_numpy(g_spikes, g_state, ctx)``.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Module
-from repro.snn.neuron import LIFCell, LIFParameters, LIFState
-from repro.tensor.tensor import Tensor, apply_op, promote_scalar
+from repro.snn.neuron import LIFCell, LIFParameters
+from repro.tensor.tensor import promote_scalar
 from repro.utils.seeding import new_rng
 
-__all__ = ["ConstantCurrentLIFEncoder", "LatencyEncoder", "PoissonEncoder"]
+__all__ = ["ConstantCurrentLIFEncoder", "PoissonEncoder"]
 
 
 class ConstantCurrentLIFEncoder(Module):
@@ -54,12 +55,8 @@ class ConstantCurrentLIFEncoder(Module):
         self.input_scale = input_scale
         self._scale_cache: tuple[float, np.ndarray] | None = None
 
-    def step(self, image: Tensor, state: LIFState | None = None) -> tuple[Tensor, LIFState]:
-        """Advance the encoder population one step for (static) ``image``."""
-        return self.cell.step(image * self.input_scale, state)
-
     def step_numpy(self, image, state=None):
-        """Graph-free twin of :meth:`step` on raw arrays (no_grad hot path)."""
+        """Advance the encoder population one step for (static) ``image``."""
         return self.cell.step_numpy(image * self._promoted_scale(), state)
 
     def _promoted_scale(self) -> np.ndarray:
@@ -89,18 +86,6 @@ class ConstantCurrentLIFEncoder(Module):
         g_current, g_prev = self.cell.step_backward_numpy(g_spikes, g_state, ctx)
         return g_current * self._promoted_scale(), g_prev
 
-    def encode(self, image: Tensor, time_steps: int) -> list[Tensor]:
-        """Unroll :meth:`step` for ``time_steps`` and collect spike tensors."""
-        state: LIFState | None = None
-        spikes: list[Tensor] = []
-        for _ in range(time_steps):
-            z, state = self.step(image, state)
-            spikes.append(z)
-        return spikes
-
-    def forward(self, image: Tensor, time_steps: int) -> list[Tensor]:
-        return self.encode(image, time_steps)
-
     def __repr__(self) -> str:
         return (
             f"ConstantCurrentLIFEncoder(v_th={self.cell.params.v_th}, "
@@ -115,6 +100,10 @@ class PoissonEncoder(Module):
     ``clip(scale * x, 0, 1)``.  The backward pass propagates the gradient
     of the *expected* spike count, which is the standard estimator used
     when attacking rate-coded SNNs.
+
+    Both forward twins draw one ``random`` frame per step from the
+    encoder's own generator, so a recorded and an unrecorded pass over the
+    same generator state see the same spike trains.
     """
 
     def __init__(self, scale: float = 0.5, rng: int | np.random.Generator | None = None) -> None:
@@ -124,31 +113,20 @@ class PoissonEncoder(Module):
         self.scale = scale
         self._rng = new_rng(rng)
 
-    def step(self, image: Tensor, state: object | None = None) -> tuple[Tensor, None]:
-        """Draw one Bernoulli spike frame (state is unused; kept for API)."""
-        probability = np.clip(self.scale * image.data, 0.0, 1.0)
-        sample = (self._rng.random(image.shape) < probability).astype(image.dtype)
-        # Straight-through: forward is the random sample, backward is the
-        # derivative of the expectation (scale inside the clip's active region).
-        active = ((self.scale * image.data) > 0.0) & ((self.scale * image.data) < 1.0)
-        derivative = self.scale * active.astype(image.dtype)
-
-        def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-            return (g * derivative,)
-
-        return apply_op(sample, (image,), backward, "poisson_encode"), None
-
-    def step_record_numpy(self, image: np.ndarray, state: object | None = None):
-        """Graph-free recording twin of :meth:`step` for the fused BPTT path.
-
-        Draws from the same generator with the same call pattern as the
-        Tensor path (one ``random`` draw per step), so spike trains —
-        and therefore gradients — are identical for identical rng states.
-        Returns ``(spikes, None, derivative)`` with the straight-through
-        derivative as the backward context.
-        """
+    def step_numpy(self, image: np.ndarray, state: object | None = None):
+        """Draw one Bernoulli spike frame; returns ``(spikes, None)``."""
         probability = np.clip(self.scale * image, 0.0, 1.0)
         sample = (self._rng.random(image.shape) < probability).astype(image.dtype)
+        return sample, None
+
+    def step_record_numpy(self, image: np.ndarray, state: object | None = None):
+        """:meth:`step_numpy` that also records the BPTT backward context.
+
+        Returns ``(spikes, None, derivative)`` with the straight-through
+        derivative (``scale`` inside the clip's active region) as the
+        context.
+        """
+        sample, _state = self.step_numpy(image)
         active = ((self.scale * image) > 0.0) & ((self.scale * image) < 1.0)
         derivative = self.scale * active.astype(image.dtype)
         return sample, None, derivative
@@ -157,53 +135,5 @@ class PoissonEncoder(Module):
         """Reverse one encoder step; returns ``(g_image_piece, None)``."""
         return g_spikes * ctx, None
 
-    def encode(self, image: Tensor, time_steps: int) -> list[Tensor]:
-        """Draw ``time_steps`` independent spike frames."""
-        return [self.step(image)[0] for _ in range(time_steps)]
-
-    def forward(self, image: Tensor, time_steps: int) -> list[Tensor]:
-        return self.encode(image, time_steps)
-
     def __repr__(self) -> str:
         return f"PoissonEncoder(scale={self.scale})"
-
-
-class LatencyEncoder(Module):
-    """Time-to-first-spike coding: pixel ``x`` spikes once at step
-    ``floor((1 - x) * (T - 1))`` (brighter = earlier); pixels below
-    ``threshold`` never spike.
-
-    The straight-through backward pass routes the gradient of each emitted
-    spike back to its pixel, which makes latency-coded models attackable
-    with the same gradient machinery (gradients are sparser than for rate
-    codes, mirroring the robustness observations of Sharmin et al.).
-    """
-
-    def __init__(self, threshold: float = 0.05) -> None:
-        super().__init__()
-        if not 0.0 <= threshold < 1.0:
-            raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-        self.threshold = threshold
-
-    def encode(self, image: Tensor, time_steps: int) -> list[Tensor]:
-        """Emit the full spike train for ``time_steps`` steps."""
-        if time_steps < 1:
-            raise ValueError(f"time_steps must be >= 1, got {time_steps}")
-        x = image.data
-        alive = x >= self.threshold
-        spike_step = np.floor((1.0 - np.clip(x, 0.0, 1.0)) * (time_steps - 1)).astype(np.int64)
-        frames: list[Tensor] = []
-        for t in range(time_steps):
-            mask = (alive & (spike_step == t)).astype(x.dtype)
-
-            def backward(g: np.ndarray, mask: np.ndarray = mask) -> tuple[np.ndarray | None, ...]:
-                return (g * mask,)
-
-            frames.append(apply_op(mask.copy(), (image,), backward, "latency_encode"))
-        return frames
-
-    def forward(self, image: Tensor, time_steps: int) -> list[Tensor]:
-        return self.encode(image, time_steps)
-
-    def __repr__(self) -> str:
-        return f"LatencyEncoder(threshold={self.threshold})"

@@ -23,8 +23,10 @@ functions — :func:`lif_step_record`, :func:`lif_step_backward`,
 :func:`li_step` and :func:`li_step_backward` — shared by every fused path:
 the cells' numpy twins call them with 0-d promoted scalars, and the
 stacked populations of :mod:`repro.snn.stack` with per-lane constant
-columns.  The autograd ``step`` methods stay separate: they are the
-independent oracle the fused paths are tested against.
+columns.  The twins are the cells' whole interface: a network runs
+nothing else.  The autograd transcription of the same dynamics lives in
+``tests/reference_ops.py``, the independent oracle the twins are tested
+against.
 """
 
 from __future__ import annotations
@@ -37,15 +39,13 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.nn.module import Module
-from repro.snn.surrogate import available_surrogates, spike_function, surrogate_derivative
-from repro.tensor.tensor import Tensor, promote_scalar
+from repro.snn.surrogate import available_surrogates, surrogate_derivative
+from repro.tensor.tensor import promote_scalar
 
 __all__ = [
     "LICell",
     "LIFCell",
     "LIFParameters",
-    "LIFState",
-    "LIState",
     "NumpyState",
     "li_step",
     "li_step_backward",
@@ -100,8 +100,8 @@ def lif_step_record(
 ) -> tuple[np.ndarray, NumpyState, np.ndarray]:
     """One graph-free LIF step plus its BPTT backward context.
 
-    The same float arithmetic as :meth:`LIFCell.step` (so spikes and state
-    are bitwise those of the autograd path), staged through reused scratch
+    The same float arithmetic as the autograd LIF step (so spikes and
+    state are bitwise those of the autograd reference), staged through reused scratch
     (``out=``) so a T-step loop allocates as few arrays as the state it
     must keep.  The spike test compares ``v_decayed > v_th`` directly: with
     gradual underflow ``a - b > 0`` holds exactly when ``a > b`` (both are
@@ -297,28 +297,14 @@ class LIFParameters:
         return 1.0 - self.dt * self.tau_syn_inv
 
 
-@dataclass
-class LIFState:
-    """Recurrent state of a :class:`LIFCell` (synaptic current, membrane)."""
-
-    i: Tensor
-    v: Tensor
-
-
-@dataclass
-class LIState:
-    """Recurrent state of a :class:`LICell`."""
-
-    i: Tensor
-    v: Tensor
-
-
 class LIFCell(Module):
     """Feed-forward LIF population applied one time step at a time.
 
     The cell is stateless as a module; callers thread the
-    :class:`LIFState` through the simulation loop, which keeps time
-    unrolling explicit and the autograd graph acyclic.
+    :data:`NumpyState` ``(i, v)`` through the simulation loop.  Its three
+    numpy twins are its interface, and a subclass that changes the
+    dynamics must override all three together (see
+    :class:`~repro.snn.network.NetworkLanes`).
     """
 
     def __init__(self, params: LIFParameters | None = None) -> None:
@@ -326,41 +312,13 @@ class LIFCell(Module):
         self.params = params or LIFParameters()
         self.params.validate()
 
-    def initial_state(self, reference: Tensor) -> LIFState:
-        """Zero state shaped like ``reference`` (one synapse/membrane each)."""
-        zeros_i = Tensor(np.zeros_like(reference.data))
-        zeros_v = Tensor(np.zeros_like(reference.data))
-        return LIFState(i=zeros_i, v=zeros_v)
-
-    def step(self, input_current: Tensor, state: LIFState | None = None) -> tuple[Tensor, LIFState]:
-        """Advance one time step; returns ``(spikes, new_state)``."""
-        p = self.params
-        if state is None:
-            state = self.initial_state(input_current)
-        dv = (p.dt * p.tau_mem_inv) * ((p.v_leak - state.v) + state.i)
-        v_decayed = state.v + dv
-        i_decayed = state.i * p.synaptic_decay
-        spikes = spike_function(
-            v_decayed - p.v_th, method=p.surrogate, alpha=p.surrogate_alpha
-        )
-        if p.reset_mode == "hard":
-            v_new = v_decayed * (1.0 - spikes) + p.v_reset * spikes
-        else:
-            v_new = v_decayed - spikes * (p.v_th - p.v_reset)
-        i_new = i_decayed + input_current
-        return spikes, LIFState(i=i_new, v=v_new)
-
     def step_numpy(
         self, input_current: np.ndarray, state: NumpyState | None = None
     ) -> tuple[np.ndarray, NumpyState]:
-        """Graph-free twin of :meth:`step` operating on raw arrays.
+        """One LIF step on raw arrays; returns ``(spikes, (i, v))``.
 
-        :meth:`step_record_numpy` without the context: the same float
-        arithmetic as :meth:`step` (so logits stay bitwise identical to
-        the autograd path), skipping Tensor allocation and the
-        surrogate-derivative evaluation — the hot path for ``no_grad()``
-        inference.  Subclasses that change the dynamics of :meth:`step`
-        must override this method to match.
+        :meth:`step_record_numpy` without the context — the hot path for
+        ``no_grad()`` inference.
         """
         spikes, new_state, _ctx = lif_step_record(
             input_current, state, _promoted_constants(self), self.params.reset_mode
@@ -372,9 +330,7 @@ class LIFCell(Module):
     ) -> tuple[np.ndarray, NumpyState, np.ndarray]:
         """:meth:`step_numpy` that also returns the BPTT backward context.
 
-        See :func:`lif_step_record`.  Subclasses overriding :meth:`step`
-        must override this and :meth:`step_backward_numpy` to match, or
-        the fused BPTT path will refuse to run them.
+        See :func:`lif_step_record`.
         """
         return lif_step_record(
             input_current, state, _promoted_constants(self), self.params.reset_mode
@@ -386,7 +342,7 @@ class LIFCell(Module):
         g_state: NumpyState | None,
         ctx: np.ndarray,
     ) -> tuple[np.ndarray, NumpyState]:
-        """Reverse one time step of :meth:`step` without an autograd graph.
+        """Reverse one :meth:`step_record_numpy` step without an autograd graph.
 
         Parameters
         ----------
@@ -402,7 +358,8 @@ class LIFCell(Module):
 
         Returns ``(g_input_current, (g_i_prev, g_v_prev))`` — the gradient
         w.r.t. this step's synaptic input and w.r.t. the previous state,
-        bitwise those of the Tensor path (see :func:`lif_step_backward`).
+        bitwise those of the autograd reference (see
+        :func:`lif_step_backward`).
         """
         p = self.params
         derivative = partial(
@@ -411,9 +368,6 @@ class LIFCell(Module):
         return lif_step_backward(
             g_spikes, g_state, ctx, _promoted_constants(self), p.reset_mode, derivative
         )
-
-    def forward(self, input_current: Tensor, state: LIFState | None = None):
-        return self.step(input_current, state)
 
     def __repr__(self) -> str:
         p = self.params
@@ -436,32 +390,16 @@ class LICell(Module):
         self.params = params or LIFParameters()
         self.params.validate()
 
-    def initial_state(self, reference: Tensor) -> LIState:
-        """Zero state shaped like ``reference``."""
-        zeros_i = Tensor(np.zeros_like(reference.data))
-        zeros_v = Tensor(np.zeros_like(reference.data))
-        return LIState(i=zeros_i, v=zeros_v)
-
-    def step(self, input_current: Tensor, state: LIState | None = None) -> tuple[Tensor, LIState]:
-        """Advance one step; returns ``(membrane, new_state)``."""
-        p = self.params
-        if state is None:
-            state = self.initial_state(input_current)
-        dv = (p.dt * p.tau_mem_inv) * ((p.v_leak - state.v) + state.i)
-        v_new = state.v + dv
-        i_new = state.i * p.synaptic_decay + input_current
-        return v_new, LIState(i=i_new, v=v_new)
-
     def step_numpy(
         self, input_current: np.ndarray, state: NumpyState | None = None
     ) -> tuple[np.ndarray, NumpyState]:
-        """Graph-free twin of :meth:`step` operating on raw arrays."""
+        """One integrator step on raw arrays; returns ``(v, (i, v))``."""
         return li_step(input_current, state, _promoted_constants(self))
 
     def step_backward_numpy(
         self, g_membrane: np.ndarray, g_i: np.ndarray | None
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Reverse one time step of :meth:`step` without an autograd graph.
+        """Reverse one :meth:`step_numpy` step without an autograd graph.
 
         The integrator is linear, so no forward context is needed.
         ``g_membrane`` must already combine every gradient reaching this
@@ -474,12 +412,9 @@ class LICell(Module):
         The membrane gradient of the *previous* step is delivered as its
         two autograd pieces — the direct carry and the leak term — because
         the caller must interleave the decoder's trace contribution
-        between them to preserve the Tensor path's accumulation order.
+        between them to preserve the autograd accumulation order.
         """
         return li_step_backward(g_membrane, g_i, _promoted_constants(self))
-
-    def forward(self, input_current: Tensor, state: LIState | None = None):
-        return self.step(input_current, state)
 
     def __repr__(self) -> str:
         return f"LICell(tau_mem_inv={self.params.tau_mem_inv})"

@@ -41,8 +41,7 @@ on the stages:
 
 Variants that cannot honour this contract (custom cells or transforms,
 unsupported encoders, mismatched reset semantics) are rejected by
-:func:`stack_compatibility` — the engine then runs them unstacked, which
-is the trusted-twin fallback generalised to stacks.
+:func:`stack_compatibility` — the engine then runs them unstacked.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from repro.nn.module import Module
 from repro.nn.pooling import AvgPool2d, MaxPool2d
 from repro.snn import backward as bptt
 from repro.snn.encoding import ConstantCurrentLIFEncoder, PoissonEncoder
-from repro.snn.network import SpikingNetwork
+from repro.snn.network import SpikingNetwork, _TransformStage
 from repro.snn.neuron import (
     LICell,
     LIFCell,
@@ -289,29 +288,6 @@ class _StackedLinear:
         return g_in
 
 
-class _StackedLaneLocal:
-    """Parameterless lane-local transform (pooling, flatten), run fold-wide.
-
-    The member modules are configuration-identical and stateless, so one
-    of them serves the whole fold — its plan cache simply gains the
-    folded-shape entry alongside any unstacked ones.
-    """
-
-    def __init__(self, module: Module) -> None:
-        self.module = module
-
-    def forward(self, x, alive):
-        return self.module.forward_numpy(x)
-
-    def record(self, x, alive):
-        return self.module.forward_record_numpy(x)
-
-    def backward(self, g, ctx, sinks, alive, *, want_input_grad=True):
-        return self.module.backward_numpy(
-            g, ctx, None, want_input_grad=want_input_grad
-        )
-
-
 class _StackedSequential:
     """Composition of stacked stages, chained like ``Sequential``'s twins."""
 
@@ -341,9 +317,8 @@ class _StackedSequential:
 def _build_stacked_transform(transforms: Sequence[Module]):
     """Lift K configuration-compatible transforms into one stacked stage.
 
-    Exact-type matching plays the role :func:`~repro.utils.dispatch.
-    has_trusted_twin` plays on the unstacked fast paths: a subclass may
-    have changed the semantics its stacked mirror assumes, so anything
+    Matching is by exact type: a subclass may have changed the semantics
+    its stacked mirror assumes, so anything
     but the known module types (or a ``Sequential`` of them) returns
     ``None`` and the variant set is rejected from stacking.
     """
@@ -385,11 +360,11 @@ def _build_stacked_transform(transforms: Sequence[Module]):
             for t in transforms[1:]
         ):
             return None
-        return _StackedLaneLocal(first)
+        return _TransformStage(first)
     if type(first) is Flatten:
         if any(t.start_dim != first.start_dim for t in transforms[1:]):
             return None
-        return _StackedLaneLocal(first)
+        return _TransformStage(first)
     return None
 
 
@@ -438,14 +413,12 @@ class _StackedPoissonEncoder:
             if alive is not None and not alive[lane]:
                 continue
             rows = slice(lane * n, (lane + 1) * n)
-            img = image[rows]
-            probability = np.clip(encoder.scale * img, 0.0, 1.0)
-            sample[rows] = (encoder._rng.random(img.shape) < probability).astype(
-                img.dtype
-            )
             if with_derivative:
-                active = ((encoder.scale * img) > 0.0) & ((encoder.scale * img) < 1.0)
-                derivative[rows] = encoder.scale * active.astype(img.dtype)
+                sample[rows], _state, derivative[rows] = encoder.step_record_numpy(
+                    image[rows]
+                )
+            else:
+                sample[rows], _state = encoder.step_numpy(image[rows])
         return sample, None, derivative
 
     def step_numpy(self, image, state, alive):
@@ -471,13 +444,12 @@ _ENCODER_STACKS = {
 def stack_compatibility(members: Sequence[SpikingNetwork]) -> str | None:
     """Why ``members`` cannot run as one stack; ``None`` when they can.
 
-    The check is the stacked analogue of ``_fused_ready``/
-    ``backward_ready`` plus the structural constraints folding adds:
-    equal depth, exact known cell/encoder/transform types (a subclass may
-    have changed the semantics the stacked mirrors hard-code), matching
-    transform configurations, and reset semantics the twins branch on
-    agreeing across the stack.  Incompatible variants are not an error at
-    the engine level — they simply run unstacked.
+    The constraints folding adds: equal depth, exact known
+    cell/encoder/transform types (a subclass may have changed the
+    semantics the stacked mirrors hard-code), matching transform
+    configurations, and reset semantics the twins branch on agreeing
+    across the stack.  Incompatible variants are not an error at the
+    engine level — they simply run unstacked.
     """
     if not members:
         return "empty stack"
@@ -485,12 +457,6 @@ def stack_compatibility(members: Sequence[SpikingNetwork]) -> str | None:
     for member in members:
         if not isinstance(member, SpikingNetwork):
             return f"not a SpikingNetwork: {type(member).__name__}"
-        if not (member.use_synapse_plans and member.use_fused_backward):
-            return "fused paths disabled on a member"
-        if not member.backward_ready():
-            return "member fails the fused-BPTT contract"
-        if not member._fused_ready():
-            return "member fails the fused-inference contract"
         if len(member.layers) != len(first.layers):
             return "layer depth differs across members"
         if type(member.encoder) is not type(first.encoder):

@@ -26,9 +26,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, apply_op
-
-__all__ = ["available_surrogates", "spike_function", "surrogate_derivative"]
+__all__ = ["available_surrogates", "surrogate_derivative"]
 
 SurrogateFn = Callable[[np.ndarray, float], np.ndarray]
 
@@ -87,29 +85,3 @@ def surrogate_derivative(x: np.ndarray, method: str = "superspike", alpha: float
         raise ValueError(f"surrogate alpha must be positive, got {alpha}")
     return fn(np.asarray(x), alpha)
 
-
-def spike_function(
-    v_minus_th: Tensor,
-    method: str = "superspike",
-    alpha: float = 100.0,
-) -> Tensor:
-    """Heaviside forward / surrogate backward spike non-linearity.
-
-    Parameters
-    ----------
-    v_minus_th:
-        Membrane potential minus threshold, any shape.
-    method, alpha:
-        Surrogate family and sharpness (larger alpha = narrower support).
-
-    Returns the binary spike tensor ``(v_minus_th > 0)`` whose backward
-    pass multiplies incoming gradients by ``h(v - v_th)``.
-    """
-    x = v_minus_th.data
-    spikes = (x > 0).astype(x.dtype)
-    derivative = surrogate_derivative(x, method=method, alpha=alpha)
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        return (g * derivative,)
-
-    return apply_op(spikes, (v_minus_th,), backward, f"spike[{method}]")

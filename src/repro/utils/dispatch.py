@@ -1,13 +1,12 @@
 """MRO-based trust checks for paired fast-path methods.
 
-Several hot paths in the reproduction pair a canonical method with a
-graph-free "twin" that must implement the exact same semantics on raw
-numpy arrays (``step``/``step_numpy`` on neuron cells, ``forward``/
-``forward_numpy`` on synaptic transforms, ``_perturb``/``generate_shared``
-on attacks).  A twin may only be trusted when it was written *for* the
-class whose primary method runs — a subclass overriding the primary
-without overriding the twin would otherwise silently execute mismatched
-base-class semantics on the fast path.
+Some hot paths in the reproduction pair a canonical method with a
+"twin" that must implement the exact same semantics on a faster path
+(``forward``/``decode_numpy`` on trace decoders, ``_perturb``/
+``generate_shared`` on attacks).  A twin may only be trusted when it was
+written *for* the class whose primary method runs — a subclass
+overriding the primary without overriding the twin would otherwise
+silently execute mismatched base-class semantics on the fast path.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ def has_trusted_twin(obj: object, primary: str, twin: str) -> bool:
 
     True iff ``twin`` exists and is defined at (or below) the class in the
     MRO that defines ``primary``.  A subclass overriding ``primary`` (e.g.
-    custom ``step`` dynamics) without a matching ``twin`` override must
+    a custom decoder ``forward``) without a matching ``twin`` override must
     fall back to the canonical path instead of silently inheriting a
     mismatched fast-path implementation.
     """

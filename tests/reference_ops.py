@@ -1,4 +1,4 @@
-"""Independent parity oracle for the convolution and pooling Tensor ops.
+"""Independent parity oracles: the Tensor conv/pool ops and the unrolled SNN.
 
 ``repro.tensor.functional.conv2d``, ``max_pool2d`` and ``avg_pool2d`` run
 on the compiled plans (``Conv2dPlan``, ``MaxPool2dPlan``,
@@ -9,23 +9,36 @@ argmax/``take_along_axis`` max pooling with a ``bincount`` backward —
 forward and backward closures alike, as the reference the parity tests
 hold every plan entry point and every Tensor op to, bit for bit.
 
-:func:`unrolled_graph` does the same for whole spiking networks: a
-grad-mode forward runs the fused BPTT by default, so a reference leg must
-pin the network to its unrolled autograd loop.
+:func:`unrolled_forward` does the same for whole spiking networks.  A
+:class:`~repro.snn.network.SpikingNetwork` runs only on the numpy twins of
+its cells, encoder and transforms; this module keeps the autograd
+transcription of those dynamics — the Tensor steps of the LIF and LI
+populations (with :func:`spike_function`, the Heaviside forward /
+surrogate backward), of both encoders, of a spiking layer and of the
+readout — and the unrolled time loop over them, whose graph the autograd
+engine differentiates.  :func:`unroll` and :func:`unrolled_graph` route a
+network's gradients through that loop, so Trainer runs and attacks can
+serve as reference legs too.
 
-Test-only: nothing under ``src/`` imports it.
+Nothing under ``src/`` imports this module; the benchmark scripts import
+it for the loop side of their fused-vs-loop ratios.
 """
 
 from __future__ import annotations
 
 import contextlib
 from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ShapeError
-from repro.tensor.tensor import Tensor, apply_op
+from repro.snn import backward as bptt
+from repro.snn.encoding import ConstantCurrentLIFEncoder, PoissonEncoder
+from repro.snn.network import NetworkLanes
+from repro.snn.surrogate import surrogate_derivative
+from repro.tensor.tensor import Tensor, apply_op, is_grad_enabled, no_grad
 
 
 def _pair(value: int | tuple[int, int]) -> tuple[int, int]:
@@ -177,18 +190,212 @@ def avg_pool2d(
     return apply_op(np.ascontiguousarray(out_data), (x,), backward, "avg_pool2d")
 
 
-@contextlib.contextmanager
-def unrolled_graph(*models) -> Iterator[None]:
-    """Run grad-mode forwards of ``models`` on the unrolled autograd loop.
+# -- the unrolled spiking network ----------------------------------------------
 
-    Sets ``use_fused_backward = False`` for the ``with`` block and then
-    restores each model's own setting.
+
+def spike_function(
+    v_minus_th: Tensor,
+    method: str = "superspike",
+    alpha: float = 100.0,
+) -> Tensor:
+    """Heaviside forward / surrogate backward spike non-linearity.
+
+    Returns the binary spike tensor ``(v_minus_th > 0)`` whose backward
+    pass multiplies incoming gradients by the surrogate ``h(v - v_th)``
+    of family ``method`` with sharpness ``alpha``.
     """
-    saved = [model.use_fused_backward for model in models]
-    for model in models:
-        model.use_fused_backward = False
+    x = v_minus_th.data
+    spikes = (x > 0).astype(x.dtype)
+    derivative = surrogate_derivative(x, method=method, alpha=alpha)
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
+        return (g * derivative,)
+
+    return apply_op(spikes, (v_minus_th,), backward, f"spike[{method}]")
+
+
+@dataclass
+class LIFState:
+    """Recurrent state of a LIF population (synaptic current, membrane)."""
+
+    i: Tensor
+    v: Tensor
+
+
+@dataclass
+class LIState:
+    """Recurrent state of the readout integrator."""
+
+    i: Tensor
+    v: Tensor
+
+
+def _zero_state(state_cls, reference: Tensor):
+    return state_cls(
+        i=Tensor(np.zeros_like(reference.data)), v=Tensor(np.zeros_like(reference.data))
+    )
+
+
+def lif_step(cell, input_current: Tensor, state: LIFState | None = None):
+    """One autograd step of a ``LIFCell``; returns ``(spikes, new_state)``."""
+    p = cell.params
+    if state is None:
+        state = _zero_state(LIFState, input_current)
+    dv = (p.dt * p.tau_mem_inv) * ((p.v_leak - state.v) + state.i)
+    v_decayed = state.v + dv
+    i_decayed = state.i * p.synaptic_decay
+    spikes = spike_function(
+        v_decayed - p.v_th, method=p.surrogate, alpha=p.surrogate_alpha
+    )
+    if p.reset_mode == "hard":
+        v_new = v_decayed * (1.0 - spikes) + p.v_reset * spikes
+    else:
+        v_new = v_decayed - spikes * (p.v_th - p.v_reset)
+    i_new = i_decayed + input_current
+    return spikes, LIFState(i=i_new, v=v_new)
+
+
+def li_step(cell, input_current: Tensor, state: LIState | None = None):
+    """One autograd step of a ``LICell``; returns ``(membrane, new_state)``."""
+    p = cell.params
+    if state is None:
+        state = _zero_state(LIState, input_current)
+    dv = (p.dt * p.tau_mem_inv) * ((p.v_leak - state.v) + state.i)
+    v_new = state.v + dv
+    i_new = state.i * p.synaptic_decay + input_current
+    return v_new, LIState(i=i_new, v=v_new)
+
+
+def encoder_step(encoder, image: Tensor, state=None):
+    """One autograd step of an encoder; returns ``(spikes, new_state)``.
+
+    A Poisson encoder draws from its own generator exactly as its numpy
+    twins do (one ``random`` frame per step).
+    """
+    if isinstance(encoder, ConstantCurrentLIFEncoder):
+        return lif_step(encoder.cell, image * encoder.input_scale, state)
+    if isinstance(encoder, PoissonEncoder):
+        probability = np.clip(encoder.scale * image.data, 0.0, 1.0)
+        sample = (encoder._rng.random(image.shape) < probability).astype(image.dtype)
+        # Straight-through: forward is the random sample, backward is the
+        # derivative of the expectation (scale inside the clip's active region).
+        scaled = encoder.scale * image.data
+        derivative = encoder.scale * ((scaled > 0.0) & (scaled < 1.0)).astype(image.dtype)
+
+        def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
+            return (g * derivative,)
+
+        return apply_op(sample, (image,), backward, "poisson_encode"), None
+    raise TypeError(f"no reference step for {type(encoder).__name__}")
+
+
+def encode(encoder, image: Tensor, time_steps: int) -> list[Tensor]:
+    """Unroll :func:`encoder_step` for ``time_steps`` and collect the frames."""
+    state = None
+    frames: list[Tensor] = []
+    for _ in range(time_steps):
+        spikes, state = encoder_step(encoder, image, state)
+        frames.append(spikes)
+    return frames
+
+
+def unrolled_forward(network, image: Tensor) -> Tensor:
+    """The unrolled autograd loop of a ``SpikingNetwork``: decoded logits.
+
+    Under ``no_grad()`` it builds no graph, just runs slower than the
+    fused loop.
+    """
+    image = image if isinstance(image, Tensor) else Tensor(image)
+    encoder_state = None
+    layer_states: list = [None] * len(network.layers)
+    readout_state = None
+    trace: list[Tensor] = []
+    for _ in range(network.time_steps):
+        spikes, encoder_state = encoder_step(network.encoder, image, encoder_state)
+        for index, layer in enumerate(network.layers):
+            spikes, layer_states[index] = lif_step(
+                layer.cell, layer.transform(spikes), layer_states[index]
+            )
+        membrane, readout_state = li_step(
+            network.readout.cell, network.readout.transform(spikes), readout_state
+        )
+        trace.append(membrane)
+    return network.decoder(trace)
+
+
+def unrolled_spike_counts(network, image: Tensor) -> list[float]:
+    """Per-population spike totals of one unrolled pass (encoder first)."""
+    image = image if isinstance(image, Tensor) else Tensor(image)
+    encoder_state = None
+    layer_states: list = [None] * len(network.layers)
+    totals = [0.0] * (1 + len(network.layers))
+    with no_grad():
+        for _ in range(network.time_steps):
+            spikes, encoder_state = encoder_step(network.encoder, image, encoder_state)
+            totals[0] += float(spikes.data.sum())
+            for index, layer in enumerate(network.layers):
+                spikes, layer_states[index] = lif_step(
+                    layer.cell, layer.transform(spikes), layer_states[index]
+                )
+                totals[index + 1] += float(spikes.data.sum())
+    return totals
+
+
+def unroll(network):
+    """Differentiate ``network`` through :func:`unrolled_forward`; returns it.
+
+    A grad-mode call runs the unrolled loop, and
+    :func:`repro.attacks.base.input_gradient` differentiates that graph
+    instead of calling ``fused_input_gradient``, so Trainer runs and
+    attack crafting take the reference gradients.  No-grad calls keep the
+    fused inference, whose logits the parity suites check against
+    :func:`unrolled_forward` directly.
+    """
+    fused_forward = network.forward
+
+    def forward(image):
+        if is_grad_enabled():
+            return unrolled_forward(network, image)
+        return fused_forward(image)
+
+    network.forward = forward
+    network.fused_input_gradient = None
+    return network
+
+
+@contextlib.contextmanager
+def unrolled_graph(*networks) -> Iterator[None]:
+    """:func:`unroll` ``networks`` for the ``with`` block, then restore them."""
+    for network in networks:
+        unroll(network)
     try:
         yield
     finally:
-        for model, flag in zip(models, saved):
-            model.use_fused_backward = flag
+        for network in networks:
+            del network.forward, network.fused_input_gradient
+
+
+class _TensorTransformStage:
+    """A synaptic transform applied through its Tensor ``forward``."""
+
+    def __init__(self, transform) -> None:
+        self.transform = transform
+
+    def forward(self, x: np.ndarray, alive) -> np.ndarray:
+        return self.transform(Tensor(x)).data
+
+
+def unplanned_logits(network, image: np.ndarray) -> np.ndarray:
+    """No-grad fused loop with per-step Tensor transforms; logits ``(N, C)``.
+
+    The cells run their numpy twins, but every synaptic transform wraps
+    its input in a Tensor and runs its Tensor op, which builds a one-shot
+    conv or pooling plan per call — the loop before module-cached synapse
+    plans, kept as the baseline of the plan-cache speedup.
+    """
+    lanes = NetworkLanes(network)
+    lanes.layer_ops = [_TensorTransformStage(layer.transform) for layer in network.layers]
+    lanes.readout_op = _TensorTransformStage(network.readout.transform)
+    with no_grad():
+        (logits,) = bptt.decode_logits(lanes, bptt.run_trace(lanes, image))
+    return logits

@@ -19,11 +19,13 @@ from differentiating the unrolled autograd graph, at every level:
   training never forms the first layer's unread input gradient.
 
 Every reference leg runs under :func:`tests.reference_ops.unrolled_graph`,
-so the oracle is the autograd loop and never the fused path it checks.
+so the oracle is the unrolled autograd loop of ``tests/reference_ops.py``
+and never the fused path it checks.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +37,6 @@ from repro.attacks.base import input_gradient
 from repro.data.dataset import ArrayDataset
 from repro.models import build_model
 from repro.models.spiking_lenet import build_spiking_lenet_mini
-from repro.nn.module import Module
 from repro.snn import backward as bptt
 from repro.snn.encoding import ConstantCurrentLIFEncoder, PoissonEncoder
 from repro.snn.network import NetworkLanes, SpikingLayer, SpikingNetwork, SpikingReadout
@@ -61,6 +62,11 @@ def _autograd_input_gradient(model, images, labels):
         loss = F.cross_entropy(model(x), labels)
     loss.backward()
     return x.grad if x.grad is not None else np.zeros_like(images)
+
+
+def _path(model, fused):
+    """The default fused path, or the oracle's unrolled graph."""
+    return contextlib.nullcontext() if fused else unrolled_graph(model)
 
 
 def _forward_backward(model, images, labels):
@@ -231,8 +237,11 @@ class TestCellBackwardSteps:
         current_t = Tensor(current.copy(), requires_grad=True)
         i_t = Tensor(i_prev.copy(), requires_grad=True)
         v_t = Tensor(v_prev.copy(), requires_grad=True)
-        state_cls = type(cell.initial_state(current_t))
-        out, state = cell.step(current_t, state_cls(i=i_t, v=v_t))
+        if isinstance(cell, LIFCell):
+            step, state_cls = reference_ops.lif_step, reference_ops.LIFState
+        else:
+            step, state_cls = reference_ops.li_step, reference_ops.LIState
+        out, state = step(cell, current_t, state_cls(i=i_t, v=v_t))
         total = (
             (out * Tensor(g_out)).sum()
             + (state.i * Tensor(g_i)).sum()
@@ -313,7 +322,6 @@ class TestEndToEndParity:
         model = build_model(name, input_size=size, time_steps=10, rng=0)
         images, labels = self._data(rng, size)
         reference = _autograd_input_gradient(model, images, labels)
-        assert model.backward_ready()
         fused = model.fused_input_gradient(images, labels)
         assert fused.dtype == reference.dtype
         np.testing.assert_array_equal(fused, reference)
@@ -389,7 +397,6 @@ class TestEndToEndParity:
         model.encoder = PoissonEncoder(scale=0.5, rng=7)
         reference = _autograd_input_gradient(model, images, labels)
         model.encoder = PoissonEncoder(scale=0.5, rng=7)
-        assert model.backward_ready()
         np.testing.assert_array_equal(
             model.fused_input_gradient(images, labels), reference
         )
@@ -416,65 +423,15 @@ class TestEndToEndParity:
             else:
                 np.testing.assert_array_equal(param.grad, reference[name])
 
-    def test_untrusted_transform_falls_back_per_layer(self, rng):
-        class Wrapped(Module):
-            def __init__(self, inner):
-                super().__init__()
-                self.inner = inner
-
-            def forward(self, x):
-                return self.inner(x)
-
-        model = build_model("snn_lenet_mini", input_size=16, time_steps=10, rng=0)
-        model.layers[1].transform = Wrapped(model.layers[1].transform)
-        images, labels = self._data(rng, 16)
-        reference = _autograd_input_gradient(model, images, labels)
-        ref_params = {
-            name: None if param.grad is None else param.grad.copy()
-            for name, param in model.named_parameters()
-        }
-        model.zero_grad()
-        # Still backward-ready: untrusted transforms run per-step Tensor
-        # mini-graphs inside the fused loop.
-        assert model.backward_ready()
-        np.testing.assert_array_equal(
-            model.fused_input_gradient(images, labels), reference
-        )
-        # ...without leaking parameter gradients (the autograd path does;
-        # the fused path keeps attack crafting side-effect free).
-        assert all(param.grad is None for param in model.parameters())
-        model.fused_loss_backward(images, labels)
-        for name, param in model.named_parameters():
-            if ref_params[name] is None:
-                assert param.grad is None, name
-            else:
-                np.testing.assert_array_equal(param.grad, ref_params[name])
-
-    def test_custom_cell_disqualifies_fused_backward(self, rng):
-        model = build_model("snn_lenet_mini", input_size=16, time_steps=6, rng=0)
-
-        class CustomCell(LIFCell):
-            def step(self, input_current, state=None):
-                return super().step(input_current, state)
-
-        model.layers[0].cell = CustomCell(model.layers[0].cell.params)
-        assert not model.backward_ready()
-        images, labels = self._data(rng, 16)
-        # input_gradient must silently use the autograd path.
-        gradient = input_gradient(model, images, labels)
-        assert model.fused_backward_count == 0
-        np.testing.assert_array_equal(
-            gradient, _autograd_input_gradient(model, images, labels)
-        )
-
-    def test_use_fused_backward_toggle_and_counter(self, rng):
+    def test_input_gradient_advances_the_backward_counter(self, rng):
         model = build_model("snn_lenet_mini", input_size=16, time_steps=6, rng=0)
         images, labels = self._data(rng, 16)
         input_gradient(model, images, labels)
-        assert model.fused_backward_count == 1
-        model.use_fused_backward = False
         input_gradient(model, images, labels)
-        assert model.fused_backward_count == 1
+        assert model.fused_backward_count == 2
+        with unrolled_graph(model):
+            input_gradient(model, images, labels)
+        assert model.fused_backward_count == 2
 
     def test_non_spiking_model_uses_autograd(self, rng):
         model = build_model("lenet_mini", input_size=16, rng=0)
@@ -578,30 +535,22 @@ class TestAttackOutcomeParity:
     def test_sweep_outcomes_identical(self, setup, family):
         model, dataset = setup
         epsilons = (0.0, 0.2, 0.6)
-        model.use_fused_backward = True
         fused = evaluate_attack_sweep(model, family, epsilons, dataset, batch_size=6)
-        model.use_fused_backward = False
-        try:
+        with unrolled_graph(model):
             autograd = evaluate_attack_sweep(
                 model, family, epsilons, dataset, batch_size=6
             )
-        finally:
-            model.use_fused_backward = True
         assert fused == autograd
 
     def test_pgd_adversarial_examples_identical(self, setup):
         model, dataset = setup
-        model.use_fused_backward = True
         adv_fused = PGD(0.3, steps=5, rng=11).generate(
             model, dataset.images, dataset.labels
         )
-        model.use_fused_backward = False
-        try:
+        with unrolled_graph(model):
             adv_autograd = PGD(0.3, steps=5, rng=11).generate(
                 model, dataset.images, dataset.labels
             )
-        finally:
-            model.use_fused_backward = True
         np.testing.assert_array_equal(adv_fused, adv_autograd)
 
 
@@ -670,8 +619,8 @@ class TestFusedTraining:
         return ArrayDataset(images, labels)
 
     def _train(self, model, config, fused):
-        model.use_fused_backward = fused
-        history = Trainer(model, config).fit(self._dataset())
+        with _path(model, fused):
+            history = Trainer(model, config).fit(self._dataset())
         return history, model.state_dict()
 
     def _assert_same_run(self, time_steps, config):
@@ -700,20 +649,6 @@ class TestFusedTraining:
         self._assert_same_run(
             12, TrainingConfig(epochs=2, batch_size=8, seed=3, max_grad_norm=0.05)
         )
-
-    def test_model_failing_backward_ready_trains_on_the_graph(self):
-        class CustomCell(LIFCell):
-            def step(self, input_current, state=None):
-                return super().step(input_current, state)
-
-        model = build_model("snn_lenet_mini", input_size=16, time_steps=6, rng=0)
-        model.layers[0].cell = CustomCell(model.layers[0].cell.params)
-        assert not model.backward_ready()
-        before = {name: value.copy() for name, value in model.state_dict().items()}
-        history, after = self._train(model, TrainingConfig(epochs=1, batch_size=8), True)
-        assert model.fused_backward_count == 0
-        assert np.isfinite(history.train_loss[0])
-        assert any(not np.array_equal(before[name], after[name]) for name in before)
 
 
 def _dyadic_network(v_th, v_reset=0.0, reset_mode="hard", dtype=np.float32):
@@ -915,8 +850,8 @@ class TestFirstLayerInputGradient:
         models = []
         for fused in (True, False):
             model = build_model("snn_lenet_mini", input_size=16, time_steps=8, rng=0)
-            model.use_fused_backward = fused
-            Trainer(model, config).fit(self._dataset())
+            with _path(model, fused):
+                Trainer(model, config).fit(self._dataset())
             models.append(model)
         fused_model, graph_model = models
         graph_state, fused_state = graph_model.state_dict(), fused_model.state_dict()

@@ -30,7 +30,6 @@ from repro.attacks import (
 from repro.data.dataset import ArrayDataset
 from repro.models import build_model
 from repro.robustness.security import robustness_curve
-from repro.snn.network import _transform_fused_ready
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, no_grad
 from tests import reference_ops
@@ -596,29 +595,38 @@ class TestTensorOpsMatchReference:
 
 
 class TestFusedPlanPath:
-    """The network-level contract: plans on, plans off, fallback, coverage."""
+    """The network-level contract: plans vs the oracle loops, coverage."""
 
     @pytest.mark.parametrize("name", SPIKING_MODELS)
     def test_registry_models_bitwise_identical(self, name):
         size = _input_size(name)
         model = build_model(name, input_size=size, time_steps=5, rng=0)
         x = Tensor(np.random.default_rng(3).random((3, 1, size, size)).astype(np.float32))
-        reference = model(x)
+        reference = reference_ops.unrolled_forward(model, x)
         with no_grad():
             planned = model(x)
-        model.use_synapse_plans = False
-        with no_grad():
-            unplanned = model(x)
+        unplanned = reference_ops.unplanned_logits(model, x.data)
         np.testing.assert_array_equal(planned.data, reference.data)
-        np.testing.assert_array_equal(unplanned.data, reference.data)
+        np.testing.assert_array_equal(unplanned, reference.data)
 
     @pytest.mark.parametrize("name", SPIKING_MODELS)
-    def test_registry_models_full_plan_coverage(self, name):
+    def test_registry_models_full_plan_coverage(self, name, monkeypatch):
+        # Every synaptic transform runs its compiled plan twins: neither a
+        # no-grad nor a training pass ever calls a Tensor forward.
         size = _input_size(name)
-        model = build_model(name, input_size=size, time_steps=3, rng=0)
-        planned, total = model.synapse_plan_coverage()
-        assert planned == total > 0
-        assert model._fused_ready()
+        model = build_model(name, input_size=size, time_steps=6, rng=0)
+        x = Tensor(np.random.default_rng(3).random((2, 1, size, size)).astype(np.float32))
+
+        def tensor_forward(module, *args):
+            raise AssertionError(f"{type(module).__name__} ran its Tensor forward")
+
+        for cls in (nn.Conv2d, nn.Linear, nn.MaxPool2d, nn.AvgPool2d, nn.Flatten,
+                    nn.Sequential):
+            monkeypatch.setattr(cls, "forward", tensor_forward)
+        with no_grad():
+            model(x)
+        F.cross_entropy(model(x), np.array([0, 1])).backward()
+        assert model.fused_forward_count == model.fused_backward_count == 1
 
     def test_fused_forward_counter_advances(self):
         # The smoke guard scripts/bench_report.py --check-fused relies on
@@ -630,47 +638,8 @@ class TestFusedPlanPath:
             model(x)
             model(x)
         assert model.fused_forward_count == 2
-        model(x)  # autograd path must not count
+        model(x)  # a grad-mode forward records the BPTT tape instead
         assert model.fused_forward_count == 2
-
-    def test_untwinned_transform_falls_back_per_layer(self):
-        # A custom transform without forward_numpy must not disqualify the
-        # fused loop — only its own layer drops to the Tensor API.
-        class Scaler(nn.Module):
-            def forward(self, x):
-                return x * 0.5
-
-        from repro.snn.encoding import ConstantCurrentLIFEncoder
-        from repro.snn.network import (
-            SpikingLayer,
-            SpikingNetwork,
-            SpikingReadout,
-        )
-        from repro.snn.neuron import LICell, LIFCell, LIFParameters
-
-        params = LIFParameters(surrogate_alpha=5.0)
-        layers = [
-            SpikingLayer(nn.Sequential(Scaler(), nn.Linear(8, 6, rng=0)), LIFCell(params)),
-            SpikingLayer(nn.Linear(6, 5, rng=1), LIFCell(params)),
-        ]
-        readout = SpikingReadout(nn.Linear(5, 3, rng=2), LICell(params))
-        model = SpikingNetwork(
-            ConstantCurrentLIFEncoder(params), layers, readout, time_steps=4
-        )
-        assert not _transform_fused_ready(layers[0].transform)
-        assert _transform_fused_ready(layers[1].transform)
-        assert model.synapse_plan_coverage() == (2, 3)
-        x = Tensor(np.random.default_rng(5).random((2, 8)).astype(np.float32))
-        reference = model(x)
-        with no_grad():
-            fused = model(x)
-        np.testing.assert_array_equal(fused.data, reference.data)
-        assert model.fused_forward_count == 1
-
-    def test_use_synapse_plans_false_reports_zero_coverage(self):
-        model = build_model("snn_lenet_mini", input_size=12, time_steps=3, rng=0)
-        model.use_synapse_plans = False
-        assert model.synapse_plan_coverage() == (0, 4)
 
 
 class TestEpsilonSharedSweep:

@@ -9,7 +9,7 @@ from repro.attacks import PGD, evaluate_attack, evaluate_clean_accuracy
 from repro.data import load_synthetic_mnist
 from repro.models import build_model
 from repro.robustness import ExplorationConfig, RobustnessExplorer
-from repro.snn import LIFParameters
+from repro.snn import LIFParameters, spike_activity
 from repro.tensor import Tensor
 from repro.training import Trainer, TrainingConfig
 from repro.utils import load_npz, save_npz
@@ -83,8 +83,8 @@ class TestStructuralParameterPipeline:
             "snn_lenet_mini", input_size=12, time_steps=8,
             lif_params=LIFParameters(v_th=2.25), rng=0,
         )
-        low_spikes = float(low.spike_counts(x)[0].data)
-        high_spikes = float(high.spike_counts(x)[0].data)
+        low_spikes = spike_activity(low, x).spikes_per_layer[0]
+        high_spikes = spike_activity(high, x).spikes_per_layer[0]
         assert low_spikes > high_spikes
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
+from repro.models.spiking_lenet import build_spiking_lenet_mini
+from repro.snn import backward as bptt
 from repro.snn import (
     ActivityReport,
     LIFParameters,
@@ -13,7 +15,9 @@ from repro.snn import (
     spike_activity,
     synaptic_operations,
 )
+from repro.snn.network import NetworkLanes
 from repro.tensor import Tensor
+from tests.reference_ops import unrolled_spike_counts
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +47,19 @@ class TestSpikeActivity:
 
     def test_counts_match_spike_counts_diagnostic(self, network, batch):
         report = spike_activity(network, batch)
-        reference = network.spike_counts(Tensor(batch))
-        for measured, expected in zip(report.spikes_per_layer, reference):
-            assert measured == pytest.approx(float(expected.data))
+        assert list(report.spikes_per_layer) == unrolled_spike_counts(network, batch)
+
+    def test_counts_equal_the_oracle_on_silent_steps(self):
+        # Bright images: every population fires, but the second conv
+        # layer sees no spike at its first step.
+        images = 6.0 * np.random.default_rng(0).random((4, 1, 16, 16))
+        images = images.astype(np.float32)
+        model = build_spiking_lenet_mini(time_steps=8, rng=0)
+        tape = bptt.record_forward(NetworkLanes(model), images)
+        assert tape.layer_transform_ctxs[1][0][1][0] is None
+        report = spike_activity(model, images)
+        assert list(report.spikes_per_layer) == unrolled_spike_counts(model, images)
+        assert all(count > 0 for count in report.spikes_per_layer[:3])
 
     def test_firing_rates_bounded(self, network, batch):
         rates = spike_activity(network, batch).firing_rates()

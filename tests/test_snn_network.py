@@ -20,7 +20,12 @@ from repro.snn import (
     SpikingNetwork,
     SpikingReadout,
 )
+from repro.errors import ConfigurationError
+from repro.snn.analysis import spike_activity
+from repro.snn.encoding import PoissonEncoder
 from repro.tensor import Tensor
+from repro.tensor.tensor import no_grad
+from tests import reference_ops
 from tests.reference_ops import unrolled_graph
 
 
@@ -85,27 +90,28 @@ class TestStructure:
 
     def test_spike_counts_diagnostic(self):
         net = _tiny_network()
-        counts = net.spike_counts(Tensor(np.full((2, 8), 0.9)))
+        counts = spike_activity(net, np.full((2, 8), 0.9)).spikes_per_layer
         assert len(counts) == 3  # encoder + 2 layers
-        assert all(float(c.data) >= 0 for c in counts)
+        assert all(count >= 0 for count in counts)
+
+
+def _encoder_spikes(net, x) -> float:
+    return spike_activity(net, x).spikes_per_layer[0]
 
 
 class TestStructuralParameterEffects:
     def test_lower_threshold_more_spikes(self):
         dense = _tiny_network(time_steps=20, v_th=0.25)
         sparse = _tiny_network(time_steps=20, v_th=2.0)
-        x = Tensor(np.full((2, 8), 0.9))
-        dense_count = float(dense.spike_counts(x)[0].data)
-        sparse_count = float(sparse.spike_counts(x)[0].data)
-        assert dense_count > sparse_count
+        x = np.full((2, 8), 0.9)
+        assert _encoder_spikes(dense, x) > _encoder_spikes(sparse, x)
 
     def test_longer_window_more_spikes(self):
         net = _tiny_network(time_steps=5)
-        x = Tensor(np.full((1, 8), 0.9))
-        short = float(net.spike_counts(x)[0].data)
+        x = np.full((1, 8), 0.9)
+        short = _encoder_spikes(net, x)
         net.set_time_steps(40)
-        long = float(net.spike_counts(x)[0].data)
-        assert long > short
+        assert _encoder_spikes(net, x) > short
 
     def test_input_gradient_exists_when_window_covers_depth(self):
         net = _tiny_network(time_steps=12)
@@ -209,9 +215,12 @@ class TestFusedInferencePath:
         rng = np.random.default_rng(11)
         current0 = rng.standard_normal((3, 7)).astype(np.float32)
         current1 = rng.standard_normal((3, 7)).astype(np.float32)
-        for cell in (LIFCell(LIFParameters()), LICell(LIFParameters())):
-            out_t, state_t = cell.step(Tensor(current0))
-            out_t2, state_t2 = cell.step(Tensor(current1), state_t)
+        for cell, step in (
+            (LIFCell(LIFParameters()), reference_ops.lif_step),
+            (LICell(LIFParameters()), reference_ops.li_step),
+        ):
+            out_t, state_t = step(cell, Tensor(current0))
+            out_t2, state_t2 = step(cell, Tensor(current1), state_t)
             out_n, state_n = cell.step_numpy(current0)
             out_n2, state_n2 = cell.step_numpy(current1, state_n)
             np.testing.assert_array_equal(out_t2.data, out_n2)
@@ -231,20 +240,32 @@ class TestFusedInferencePath:
             fused = model(x)
         np.testing.assert_array_equal(fused.data, reference.data)
 
-    def test_fallback_for_encoder_without_numpy_twin(self):
-        from repro.snn.encoding import PoissonEncoder
-        from repro.tensor.tensor import no_grad
-
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_poisson_encoder_step_numpy_matches_oracle(self, dtype):
+        # The twin itself: frame for frame, and the generator it leaves.
+        x = np.random.default_rng(6).random((2, 8)).astype(dtype)
+        fused_encoder = PoissonEncoder(scale=0.5, rng=123)
+        oracle_encoder = PoissonEncoder(scale=0.5, rng=123)
+        state = None
+        for frame in reference_ops.encode(oracle_encoder, Tensor(x), 4):
+            spikes, state = fused_encoder.step_numpy(x, state)
+            assert state is None
+            assert spikes.dtype == frame.data.dtype
+            assert spikes.tobytes() == frame.data.tobytes()
+        # A Poisson-encoded network's no-grad logits, as the ablation runs it.
         graph_model = _tiny_network(time_steps=4)
         fused_model = _tiny_network(time_steps=4)
         graph_model.encoder = PoissonEncoder(scale=0.5, rng=123)
         fused_model.encoder = PoissonEncoder(scale=0.5, rng=123)
-        x = Tensor(np.random.default_rng(6).random((2, 8)).astype(np.float32))
         with unrolled_graph(graph_model):
-            reference = graph_model(x)
+            reference = graph_model(Tensor(x))
         with no_grad():
-            fused = fused_model(x)
-        np.testing.assert_array_equal(fused.data, reference.data)
+            fused = fused_model(Tensor(x))
+        assert fused_model.fused_forward_count == 1
+        assert fused.data.dtype == reference.data.dtype
+        assert fused.data.tobytes() == reference.data.tobytes()
+        for a, b in ((fused_encoder, oracle_encoder), (fused_model.encoder, graph_model.encoder)):
+            assert a._rng.bit_generator.state == b._rng.bit_generator.state
 
     def test_predict_batched_uses_identical_logits(self):
         from repro.attacks.base import predict_batched
@@ -257,64 +278,31 @@ class TestFusedInferencePath:
             reference = model(Tensor(x)).data.argmax(axis=1)
         np.testing.assert_array_equal(predictions, reference)
 
-    def test_custom_cell_without_numpy_twin_falls_back(self):
-        # A cell overriding step() without step_numpy() must not silently
-        # run the inherited base dynamics on the fused path.
-        from repro.tensor.tensor import no_grad
+    def test_consistent_cell_override_keeps_fused_path(self):
+        class PairedCell(LIFCell):
+            def step_numpy(self, input_current, state=None):
+                return super().step_numpy(input_current, state)
 
-        class DoubledLIFCell(LIFCell):
-            def step(self, input_current, state=None):
-                return super().step(input_current * 2.0, state)
+            def step_record_numpy(self, input_current, state=None):
+                return super().step_record_numpy(input_current, state)
+
+            def step_backward_numpy(self, g_spikes, g_state, ctx):
+                return super().step_backward_numpy(g_spikes, g_state, ctx)
 
         params = LIFParameters(surrogate_alpha=5.0)
-        def build():
-            layers = [SpikingLayer(nn.Linear(8, 6, rng=0), DoubledLIFCell(params))]
+
+        def build(cell_cls):
+            layers = [SpikingLayer(nn.Linear(8, 6, rng=0), cell_cls(params))]
             readout = SpikingReadout(nn.Linear(6, 3, rng=1), LICell(params))
             return SpikingNetwork(
                 ConstantCurrentLIFEncoder(params), layers, readout, time_steps=4
             )
 
-        model = build()
-        assert not model._fused_ready()
         x = Tensor(np.random.default_rng(9).random((2, 8)).astype(np.float32))
-        with unrolled_graph(model):
-            reference = model(x)
         with no_grad():
-            fallback = model(x)
-        np.testing.assert_array_equal(fallback.data, reference.data)
-
-    def test_consistent_cell_override_keeps_fused_path(self):
-        class PairedCell(LIFCell):
-            def step(self, input_current, state=None):
-                return super().step(input_current, state)
-
-            def step_numpy(self, input_current, state=None):
-                return super().step_numpy(input_current, state)
-
-        params = LIFParameters(surrogate_alpha=5.0)
-        layers = [SpikingLayer(nn.Linear(8, 6, rng=0), PairedCell(params))]
-        readout = SpikingReadout(nn.Linear(6, 3, rng=1), LICell(params))
-        model = SpikingNetwork(
-            ConstantCurrentLIFEncoder(params), layers, readout, time_steps=4
-        )
-        assert model._fused_ready()
-
-    def test_custom_encoder_cell_disqualifies_fused_path(self):
-        from repro.tensor.tensor import no_grad
-
-        class DoubledLIFCell(LIFCell):
-            def step(self, input_current, state=None):
-                return super().step(input_current * 2.0, state)
-
-        model = _tiny_network(time_steps=4)
-        model.encoder.cell = DoubledLIFCell(LIFParameters(surrogate_alpha=5.0))
-        assert not model._fused_ready()
-        x = Tensor(np.random.default_rng(12).random((2, 8)).astype(np.float32))
-        with unrolled_graph(model):
-            reference = model(x)
-        with no_grad():
-            fallback = model(x)
-        np.testing.assert_array_equal(fallback.data, reference.data)
+            paired = build(PairedCell)(x)
+            plain = build(LIFCell)(x)
+        np.testing.assert_array_equal(paired.data, plain.data)
 
     def test_promote_scalar_matches_tensor_promotion(self):
         # promote_scalar must coerce scalars exactly as Tensor ops do:
@@ -357,3 +345,92 @@ class TestFusedInferencePath:
         with no_grad():
             fused = model(x)
         np.testing.assert_array_equal(fused.data, reference.data)
+
+
+class TestTwinContract:
+    """A network runs only on numpy twins; a module without them is rejected.
+
+    Each rejection names the module by its path in the network.
+    """
+
+    class DoubledLIFCell(LIFCell):
+        """Overrides one twin but not its partners."""
+
+        def step_numpy(self, input_current, state=None):
+            return super().step_numpy(input_current * 2.0, state)
+
+    class TensorOnlyEncoder(nn.Module):
+        """An encoder with a Tensor step and no numpy twins."""
+
+        def step(self, image, state=None):
+            return image, state
+
+    class NoBackwardScaler(nn.Module):
+        """A transform with forward twins but no ``backward_numpy``."""
+
+        def forward(self, x):
+            return x * 0.5
+
+        def forward_numpy(self, x):
+            return x * 0.5
+
+        def forward_record_numpy(self, x):
+            return x * 0.5, None
+
+    @staticmethod
+    def _build(cell=None, transform=None):
+        params = LIFParameters(surrogate_alpha=5.0)
+        hidden = nn.Linear(8, 6, rng=0)
+        layers = [
+            SpikingLayer(
+                hidden if transform is None else nn.Sequential(transform, hidden),
+                cell if cell is not None else LIFCell(params),
+            )
+        ]
+        readout = SpikingReadout(nn.Linear(6, 3, rng=1), LICell(params))
+        return SpikingNetwork(
+            ConstantCurrentLIFEncoder(params), layers, readout, time_steps=4
+        )
+
+    def test_cell_missing_step_record_numpy_is_rejected(self):
+        # The readout integrator records no BPTT context, so it cannot be
+        # a hidden population.
+        with pytest.raises(ConfigurationError, match=r"layers\.0\.cell \(LICell\)"):
+            self._build(cell=LICell(LIFParameters()))
+
+    def test_cell_overriding_step_numpy_alone_is_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"layers\.0\.cell \(DoubledLIFCell\)"):
+            self._build(cell=self.DoubledLIFCell(LIFParameters()))
+
+    def test_transform_with_only_a_tensor_forward_is_rejected(self):
+        class Halve(nn.Module):
+            def forward(self, x):
+                return x * 0.5
+
+        with pytest.raises(ConfigurationError, match=r"layers\.0\.transform\.0 \(Halve\)"):
+            self._build(transform=Halve())
+
+    def test_transform_without_backward_numpy_is_rejected(self):
+        with pytest.raises(
+            ConfigurationError, match=r"layers\.0\.transform\.0 \(NoBackwardScaler\)"
+        ):
+            self._build(transform=self.NoBackwardScaler())
+
+    def test_swapped_in_encoder_without_twins_is_rejected(self):
+        from repro.attacks.base import input_gradient
+
+        model = _tiny_network(time_steps=4)
+        model.encoder = self.TensorOnlyEncoder()
+        x = np.random.default_rng(12).random((2, 8)).astype(np.float32)
+        with pytest.raises(ConfigurationError, match=r"encoder \(TensorOnlyEncoder\)"):
+            with no_grad():
+                model(Tensor(x))
+        with pytest.raises(ConfigurationError, match=r"encoder \(TensorOnlyEncoder\)"):
+            input_gradient(model, x, np.array([0, 1]))
+
+    def test_swapped_in_encoder_cell_overriding_one_twin_is_rejected(self):
+        model = _tiny_network(time_steps=4)
+        model.encoder.cell = self.DoubledLIFCell(LIFParameters(surrogate_alpha=5.0))
+        x = Tensor(np.random.default_rng(12).random((2, 8)).astype(np.float32))
+        with pytest.raises(ConfigurationError, match=r"encoder\.cell \(DoubledLIFCell\)"):
+            model(x)

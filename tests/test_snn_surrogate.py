@@ -1,12 +1,13 @@
-"""Surrogate gradients and the spike function."""
+"""Surrogate gradients, and the reference spike function built on them."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.snn import available_surrogates, spike_function, surrogate_derivative
+from repro.snn import available_surrogates, surrogate_derivative
 from repro.tensor import Tensor
+from tests.reference_ops import spike_function
 
 
 class TestSurrogateDerivatives:

@@ -47,6 +47,7 @@ from repro.snn.stack import (
 )
 from repro.tensor.tensor import Tensor, no_grad
 from repro.training.trainer import TrainingConfig
+from tests.reference_ops import unroll
 
 
 def _fold(batches):
@@ -151,6 +152,14 @@ class TestStackedCells:
             StackedLIFCell(cells)
 
 
+class _UnknownLIFCell(LIFCell):
+    """A LIF population of a type the stacked mirrors do not know."""
+
+
+class _UnknownLICell(LICell):
+    """A readout integrator of a type the stacked mirrors do not know."""
+
+
 def _lane_state(state, lane, n):
     return tuple(_lane(array, lane, n) for array in state)
 
@@ -163,10 +172,10 @@ class TestStackCompatibility:
         members = [_mini(v_th=0.5, time_steps=3, seed=0), _mini(1.5, 5, 1)]
         assert stack_compatibility(members) is None
 
-    def test_disabled_fused_paths_reject(self):
+    def test_custom_cell_type_rejects(self):
         model = _mini()
-        model.use_fused_backward = False
-        assert stack_compatibility([model]) == "fused paths disabled on a member"
+        model.layers[0].cell = _UnknownLIFCell(model.layers[0].cell.params)
+        assert stack_compatibility([model]) == "custom LIF cell _UnknownLIFCell"
 
     def test_reset_mode_mismatch_rejects(self):
         members = [
@@ -183,7 +192,7 @@ class TestStackCompatibility:
 
     def test_variant_stack_raises_with_reason(self):
         model = _mini()
-        model.use_synapse_plans = False
+        model.readout.cell = _UnknownLICell(model.readout.cell.params)
         with pytest.raises(ValueError, match="cannot stack"):
             VariantStack([model])
 
@@ -337,9 +346,7 @@ def _unrolled_graph_factory(factory):
     """The unstacked reference: models train and craft on the autograd loop."""
 
     def build(v_th, time_window, seed):
-        model = factory(v_th, time_window, seed)
-        model.use_fused_backward = False
-        return model
+        return unroll(factory(v_th, time_window, seed))
 
     return build
 
@@ -409,14 +416,14 @@ class TestStackedEngine:
             assert expected.robustness == got.robustness
 
     def test_trusted_twin_fallback_is_per_cell(self):
-        """One untrusted variant disqualifies only its own cell."""
+        """A variant the stacked stages cannot mirror runs unstacked alone."""
         factory, train, test, config = _grid_fixture()
         tasks = build_cell_tasks(config)
 
         def suspicious_factory(v_th, time_window, seed):
             model = factory(v_th, time_window, seed)
             if float(v_th) == 0.5 and int(time_window) == 6:
-                model.use_fused_backward = False
+                model.layers[0].cell = _UnknownLIFCell(model.layers[0].cell.params)
             return model
 
         ctx_a = ExplorationJobContext(
