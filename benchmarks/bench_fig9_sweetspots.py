@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from conftest import record
 
-from repro.experiments import get_profile, run_fig9
+from repro.experiments import run_fig9
 
 
 def test_fig9_sweetspots(benchmark, profile_name):

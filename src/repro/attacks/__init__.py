@@ -12,12 +12,7 @@ Images are assumed to live in ``[0, 1]``; every attack clips its output
 back into that box.
 """
 
-from repro.attacks.base import (
-    Attack,
-    input_gradient,
-    predict_batched,
-    shares_clean_gradient,
-)
+from repro.attacks.base import Attack, input_gradient, predict_batched
 from repro.attacks.fgsm import BIM, FGSM
 from repro.attacks.metrics import (
     AttackEvaluation,
@@ -47,5 +42,4 @@ __all__ = [
     "input_gradient",
     "perturbation_norms",
     "predict_batched",
-    "shares_clean_gradient",
 ]

@@ -7,9 +7,8 @@ import numpy as np
 from repro.nn.module import Module
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, no_grad
-from repro.utils.dispatch import has_trusted_twin
 
-__all__ = ["Attack", "input_gradient", "predict_batched", "shares_clean_gradient"]
+__all__ = ["Attack", "input_gradient", "predict_batched"]
 
 
 def input_gradient(model: Module, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -121,49 +120,57 @@ class Attack:
 
     # -- interface -----------------------------------------------------------
 
-    def generate(self, model: Module, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Return adversarial examples of the same shape as ``images``."""
-        images = np.asarray(images)
-        labels = np.asarray(labels)
-        if len(images) != len(labels):
-            raise ValueError("images and labels must agree on the batch dimension")
-        if self.epsilon == 0.0:
-            return images.copy()
-        adversarial = self._perturb(model, images, labels)
-        return self.project(images, adversarial)
-
-    def _perturb(self, model: Module, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    # -- epsilon-sweep sharing -------------------------------------------------
-
-    @property
-    def reuses_clean_gradient(self) -> bool:
-        """Whether this attack can consume a precomputed clean-input gradient.
-
-        The loss gradient at the *clean* input does not depend on ε, so a
-        K-point sweep can compute it once and hand it to every budget via
-        :meth:`generate_shared`.  Single-step sign attacks (FGSM) are built
-        entirely from it; iterative attacks starting at the clean input
-        (BIM, PGD without random start) reuse it for their first step.
-        """
-        return False
-
-    def generate_shared(
+    def generate(
         self,
         model: Module,
         images: np.ndarray,
         labels: np.ndarray,
         clean_gradient: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Craft adversarial examples, optionally reusing ``clean_gradient``.
+        """Return adversarial examples of the same shape as ``images``.
 
-        The base implementation ignores the gradient and defers to
-        :meth:`generate`, so the default is always correct.  Subclasses
-        that override :meth:`_perturb` must override this too before the
-        sweep machinery will trust it (see :func:`shares_clean_gradient`).
+        ``clean_gradient`` is ``input_gradient(model, images, labels)``
+        when the caller already has it: an ε sweep computes it once per
+        batch for every budget.  It reaches :meth:`_perturb` only when
+        :attr:`reuses_clean_gradient` holds; otherwise ``_perturb`` gets
+        ``None``.
         """
-        return self.generate(model, images, labels)
+        images = np.asarray(images)
+        labels = np.asarray(labels)
+        if len(images) != len(labels):
+            raise ValueError("images and labels must agree on the batch dimension")
+        if self.epsilon == 0.0:
+            return images.copy()
+        if not self.reuses_clean_gradient:
+            clean_gradient = None
+        adversarial = self._perturb(model, images, labels, clean_gradient)
+        return self.project(images, adversarial)
+
+    def _perturb(
+        self,
+        model: Module,
+        images: np.ndarray,
+        labels: np.ndarray,
+        clean_gradient: np.ndarray | None,
+    ) -> np.ndarray:
+        """The attack itself: the crafting hook every subclass implements.
+
+        ``clean_gradient`` is the loss gradient at ``images`` or ``None``
+        (compute it if needed); :meth:`generate` projects the result.
+        """
+        raise NotImplementedError
+
+    @property
+    def reuses_clean_gradient(self) -> bool:
+        """Whether :meth:`_perturb` uses a precomputed clean-input gradient.
+
+        The loss gradient at the *clean* input does not depend on ε, so a
+        K-point sweep can compute it once and hand it to every budget.
+        Single-step sign attacks (FGSM) are built entirely from it;
+        iterative attacks starting at the clean input (BIM, PGD without
+        random start) reuse it for their first step.
+        """
+        return False
 
     # -- helpers ---------------------------------------------------------------
 
@@ -177,21 +184,3 @@ class Attack:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(epsilon={self.epsilon})"
 
-
-def shares_clean_gradient(attack: Attack) -> bool:
-    """Whether a sweep may feed ``attack`` a shared clean-input gradient.
-
-    Mirrors the fused-inference ``_has_numpy_twin`` contract: the
-    ``generate_shared`` override must be defined at (or below) the class
-    defining ``_perturb`` *and* the class defining ``generate`` — a
-    subclass customising either half of the crafting without updating the
-    shared-gradient path falls back to plain :meth:`Attack.generate`.
-    The attack must additionally declare
-    :attr:`Attack.reuses_clean_gradient` (e.g. PGD opts out when its
-    random start moves the first gradient off the clean input).
-    """
-    return (
-        has_trusted_twin(attack, "_perturb", "generate_shared")
-        and has_trusted_twin(attack, "generate", "generate_shared")
-        and attack.reuses_clean_gradient
-    )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attacks.base import Attack, input_gradient
+from repro.attacks.pgd import PGD
 from repro.nn.module import Module
 
 __all__ = ["BIM", "FGSM"]
@@ -23,37 +24,22 @@ class FGSM(Attack):
     def reuses_clean_gradient(self) -> bool:
         return self.epsilon > 0
 
-    def apply_gradient(self, images: np.ndarray, gradient: np.ndarray) -> np.ndarray:
-        """The ε-dependent half of the attack: step along ``sign(gradient)``.
-
-        Factored out of :meth:`_perturb` so an ε sweep can reuse one
-        gradient computation across every budget (the gradient is taken at
-        the clean input, which ε never moves).
-        """
-        return images + self._gradient_sign * self.epsilon * np.sign(gradient)
-
-    def _perturb(self, model: Module, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        return self.apply_gradient(images, input_gradient(model, images, labels))
-
-    def generate_shared(
+    def _perturb(
         self,
         model: Module,
         images: np.ndarray,
         labels: np.ndarray,
-        clean_gradient: np.ndarray | None = None,
+        clean_gradient: np.ndarray | None,
     ) -> np.ndarray:
-        if clean_gradient is None or self.epsilon == 0.0:
-            return self.generate(model, images, labels)
-        images = np.asarray(images)
-        if len(images) != len(np.asarray(labels)):
-            raise ValueError("images and labels must agree on the batch dimension")
-        return self.project(images, self.apply_gradient(images, clean_gradient))
+        if clean_gradient is None:
+            clean_gradient = input_gradient(model, images, labels)
+        return images + self._gradient_sign * self.epsilon * np.sign(clean_gradient)
 
 
-class BIM(Attack):
+class BIM(PGD):
     """Basic Iterative Method (Kurakin et al., 2017): iterated FGSM.
 
-    Deterministic (no random start) PGD with step ``alpha`` defaulting to
+    PGD without random start, with step ``alpha`` defaulting to
     ``epsilon / steps``; kept distinct from :class:`~repro.attacks.pgd.PGD`
     for the attack-family ablation.
     """
@@ -69,49 +55,12 @@ class BIM(Attack):
         clip_max: float = 1.0,
         targeted: bool = False,
     ) -> None:
-        super().__init__(epsilon, clip_min, clip_max, targeted)
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        self.steps = steps
-        self.alpha = float(alpha) if alpha is not None else (epsilon / steps if steps else 0.0)
-
-    @property
-    def reuses_clean_gradient(self) -> bool:
-        # Every budget starts its first iteration at the clean input, so
-        # the first of `steps` gradients is shared across the whole sweep.
-        return self.epsilon > 0
-
-    def _perturb(
-        self,
-        model: Module,
-        images: np.ndarray,
-        labels: np.ndarray,
-        first_gradient: np.ndarray | None = None,
-    ) -> np.ndarray:
-        current = images.copy()
-        for step in range(self.steps):
-            if step == 0 and first_gradient is not None:
-                gradient = first_gradient
-            else:
-                gradient = input_gradient(model, current, labels)
-            current = current + self._gradient_sign * self.alpha * np.sign(gradient)
-            current = self.project(images, current)
-        return current
-
-    def generate_shared(
-        self,
-        model: Module,
-        images: np.ndarray,
-        labels: np.ndarray,
-        clean_gradient: np.ndarray | None = None,
-    ) -> np.ndarray:
-        if clean_gradient is None or self.epsilon == 0.0:
-            return self.generate(model, images, labels)
-        images = np.asarray(images)
-        if len(images) != len(np.asarray(labels)):
-            raise ValueError("images and labels must agree on the batch dimension")
-        adversarial = self._perturb(model, images, labels, first_gradient=clean_gradient)
-        return self.project(images, adversarial)
+        super().__init__(
+            epsilon, steps, alpha, random_start=False,
+            clip_min=clip_min, clip_max=clip_max, targeted=targeted,
+        )
+        if alpha is None:
+            self.alpha = epsilon / steps
 
     def __repr__(self) -> str:
         return f"BIM(epsilon={self.epsilon}, steps={self.steps}, alpha={self.alpha})"

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attacks.base import (
-    Attack,
-    input_gradient,
-    predict_batched,
-    shares_clean_gradient,
-)
+from repro.attacks.base import Attack, input_gradient, predict_batched
 from repro.data.dataset import ArrayDataset
 from repro.nn.module import Module
 
@@ -156,10 +151,11 @@ def evaluate_attack_sweep(
     - clean predictions do not depend on ε — computed once per batch
       instead of once per ``(batch, ε)``;
     - the white-box loss gradient at the clean input does not depend on ε
-      — computed once per batch and fed to every budget of attacks that
-      declare the :func:`~repro.attacks.base.shares_clean_gradient`
-      contract (FGSM builds entirely from it; BIM and non-random-start
-      PGD seed their first iteration with it);
+      — computed once per batch and passed to every budget's
+      :meth:`~repro.attacks.base.Attack.generate`; attacks that declare
+      :attr:`~repro.attacks.base.Attack.reuses_clean_gradient` use it
+      (FGSM builds entirely from it; BIM and non-random-start PGD seed
+      their first iteration with it);
     - per-ε adversarial predictions are independent — the K crafted
       variants of a batch are stacked and predicted in one no-grad pass
       (``fused_batch_size`` sets the forward chunk; the default chunks
@@ -206,7 +202,7 @@ def evaluate_attack_sweep(
         return ()
     images, labels = dataset.images, dataset.labels
     n = len(images)
-    need_gradient = any(shares_clean_gradient(attack) for attack in attacks)
+    need_gradient = any(attack.reuses_clean_gradient for attack in attacks)
     clean_correct = 0
     adv_correct = [0] * len(attacks)
     linf_sums = [0.0] * len(attacks)
@@ -219,10 +215,7 @@ def evaluate_attack_sweep(
         gradient = input_gradient(model, x, y) if need_gradient else None
         adversarial = []
         for index, attack in enumerate(attacks):
-            if gradient is not None and shares_clean_gradient(attack):
-                x_adv = attack.generate_shared(model, x, y, gradient)
-            else:
-                x_adv = attack.generate(model, x, y)
+            x_adv = attack.generate(model, x, y, gradient)
             adversarial.append(x_adv)
             linf, l2 = perturbation_norms(x, x_adv)
             linf_sums[index] += linf * len(x)

@@ -16,47 +16,51 @@ from repro.utils.seeding import new_rng
 __all__ = ["GaussianNoise", "SignNoise", "UniformNoise"]
 
 
-class UniformNoise(Attack):
+class _SeededNoise(Attack):
+    """A gradient-free perturbation drawn from a seeded generator."""
+
+    def __init__(
+        self,
+        epsilon: float,
+        clip_min: float = 0.0,
+        clip_max: float = 1.0,
+        rng: int | np.random.Generator | None = None,
+    ) -> None:
+        super().__init__(epsilon, clip_min, clip_max)
+        self._rng = new_rng(rng)
+
+    def _perturb(
+        self,
+        model: Module,
+        images: np.ndarray,
+        labels: np.ndarray,
+        clean_gradient: np.ndarray | None,
+    ) -> np.ndarray:
+        return images + self._noise(images.shape).astype(images.dtype)
+
+    def _noise(self, shape: tuple[int, ...]) -> np.ndarray:
+        raise NotImplementedError
+
+
+class UniformNoise(_SeededNoise):
     """Uniform perturbation ``U(-ε, ε)`` per pixel."""
 
     name = "uniform_noise"
 
-    def __init__(
-        self,
-        epsilon: float,
-        clip_min: float = 0.0,
-        clip_max: float = 1.0,
-        rng: int | np.random.Generator | None = None,
-    ) -> None:
-        super().__init__(epsilon, clip_min, clip_max)
-        self._rng = new_rng(rng)
-
-    def _perturb(self, model: Module, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        noise = self._rng.uniform(-self.epsilon, self.epsilon, size=images.shape)
-        return images + noise.astype(images.dtype)
+    def _noise(self, shape: tuple[int, ...]) -> np.ndarray:
+        return self._rng.uniform(-self.epsilon, self.epsilon, size=shape)
 
 
-class GaussianNoise(Attack):
+class GaussianNoise(_SeededNoise):
     """Gaussian perturbation ``N(0, (ε/2)²)``, clipped into the ε-ball."""
 
     name = "gaussian_noise"
 
-    def __init__(
-        self,
-        epsilon: float,
-        clip_min: float = 0.0,
-        clip_max: float = 1.0,
-        rng: int | np.random.Generator | None = None,
-    ) -> None:
-        super().__init__(epsilon, clip_min, clip_max)
-        self._rng = new_rng(rng)
-
-    def _perturb(self, model: Module, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        noise = self._rng.normal(0.0, self.epsilon / 2.0, size=images.shape)
-        return images + noise.astype(images.dtype)
+    def _noise(self, shape: tuple[int, ...]) -> np.ndarray:
+        return self._rng.normal(0.0, self.epsilon / 2.0, size=shape)
 
 
-class SignNoise(Attack):
+class SignNoise(_SeededNoise):
     """Random-sign perturbation ``ε · s`` with ``s ∈ {-1, +1}`` uniform.
 
     Matches FGSM's perturbation *magnitude* exactly while removing its
@@ -65,16 +69,6 @@ class SignNoise(Attack):
 
     name = "sign_noise"
 
-    def __init__(
-        self,
-        epsilon: float,
-        clip_min: float = 0.0,
-        clip_max: float = 1.0,
-        rng: int | np.random.Generator | None = None,
-    ) -> None:
-        super().__init__(epsilon, clip_min, clip_max)
-        self._rng = new_rng(rng)
-
-    def _perturb(self, model: Module, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        signs = self._rng.integers(0, 2, size=images.shape) * 2 - 1
-        return images + self.epsilon * signs.astype(images.dtype)
+    def _noise(self, shape: tuple[int, ...]) -> np.ndarray:
+        signs = self._rng.integers(0, 2, size=shape) * 2 - 1
+        return self.epsilon * signs

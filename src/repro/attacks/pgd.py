@@ -13,6 +13,8 @@ L-infinity ε-ball around the clean input and the valid pixel box.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.attacks.base import Attack, input_gradient
@@ -67,42 +69,52 @@ class PGD(Attack):
         # only deterministic PGD can share it across an ε sweep.
         return self.epsilon > 0 and not self.random_start
 
+    def start_point(self, images: np.ndarray) -> np.ndarray:
+        """Where the iteration starts: a uniform draw in the ε-ball
+        (random start, one draw from this attack's rng) or the clean input."""
+        if not self.random_start:
+            return images.copy()
+        noise = self._rng.uniform(-self.epsilon, self.epsilon, size=images.shape)
+        return self.project(images, images + noise.astype(images.dtype))
+
+    def descend(
+        self,
+        reference: np.ndarray,
+        current: np.ndarray,
+        gradient_at: Callable[[np.ndarray], np.ndarray],
+        first_gradient: np.ndarray | None,
+    ) -> np.ndarray:
+        """``steps`` iterations of Eq. 3 from ``current``, projected onto
+        the ε-ball around ``reference``.
+
+        ``gradient_at(x)`` is the loss gradient at ``x``; the first
+        iteration uses ``first_gradient`` instead when it is not ``None``
+        (the clean-input gradient, valid only when ``current`` is the
+        clean input).  The arithmetic is elementwise, so a lane-folded batch
+        iterates bitwise as each lane would on its own.
+        """
+        for step in range(self.steps):
+            if step == 0 and first_gradient is not None:
+                gradient = first_gradient
+            else:
+                gradient = gradient_at(current)
+            current = current + self._gradient_sign * self.alpha * np.sign(gradient)
+            current = self.project(reference, current)
+        return current
+
     def _perturb(
         self,
         model: Module,
         images: np.ndarray,
         labels: np.ndarray,
-        first_gradient: np.ndarray | None = None,
+        clean_gradient: np.ndarray | None,
     ) -> np.ndarray:
-        if self.random_start:
-            noise = self._rng.uniform(-self.epsilon, self.epsilon, size=images.shape)
-            current = self.project(images, images + noise.astype(images.dtype))
-            first_gradient = None
-        else:
-            current = images.copy()
-        for step in range(self.steps):
-            if step == 0 and first_gradient is not None:
-                gradient = first_gradient
-            else:
-                gradient = input_gradient(model, current, labels)
-            current = current + self._gradient_sign * self.alpha * np.sign(gradient)
-            current = self.project(images, current)
-        return current
-
-    def generate_shared(
-        self,
-        model: Module,
-        images: np.ndarray,
-        labels: np.ndarray,
-        clean_gradient: np.ndarray | None = None,
-    ) -> np.ndarray:
-        if clean_gradient is None or not self.reuses_clean_gradient:
-            return self.generate(model, images, labels)
-        images = np.asarray(images)
-        if len(images) != len(np.asarray(labels)):
-            raise ValueError("images and labels must agree on the batch dimension")
-        adversarial = self._perturb(model, images, labels, first_gradient=clean_gradient)
-        return self.project(images, adversarial)
+        return self.descend(
+            images,
+            self.start_point(images),
+            lambda point: input_gradient(model, point, labels),
+            clean_gradient,
+        )
 
     def __repr__(self) -> str:
         return (

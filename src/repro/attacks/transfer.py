@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.attacks.base import Attack, predict_batched
 from repro.data.dataset import ArrayDataset
 from repro.nn.module import Module

@@ -19,7 +19,7 @@ how many samples are requested after it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -51,7 +51,6 @@ from multiprocessing import current_process
 
 import numpy as np
 
-from repro.attacks.base import shares_clean_gradient
 from repro.attacks.pgd import PGD
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.engine.cache import archive_weights
@@ -62,7 +61,7 @@ from repro.robustness.results import CellResult
 from repro.robustness.security import robustness_curve
 from repro.snn.stack import VariantStack, stack_compatibility
 from repro.training.metrics import accuracy
-from repro.training.trainer import TrainingConfig
+from repro.training.trainer import TrainingConfig, clip_gradients
 from repro.utils.logging import get_logger
 
 __all__ = ["pack_stacks", "plan_units", "run_stacked_group"]
@@ -71,18 +70,6 @@ _logger = get_logger("engine")
 
 
 # -- stacked training (mirror of Trainer.fit) ----------------------------------
-
-
-def _clip_lane_gradients(optimizer: Adam, max_norm: float) -> None:
-    """Per-lane twin of ``Trainer._clip_gradients`` (same arithmetic)."""
-    grads = [p.grad for p in optimizer.parameters if p.grad is not None]
-    if not grads:
-        return
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
-    if total > max_norm:
-        scale = max_norm / (total + 1e-12)
-        for grad in grads:
-            grad *= scale
 
 
 def _train_stacked(
@@ -150,7 +137,7 @@ def _train_stacked(
                 if not active[lane]:
                     continue
                 if shared.max_grad_norm is not None:
-                    _clip_lane_gradients(optimizer, shared.max_grad_norm)
+                    clip_gradients(optimizer, shared.max_grad_norm)
                 optimizer.step()
     return diverged, optimizers
 
@@ -223,47 +210,26 @@ def _craft_pgd_stacked(
     labels: Sequence[np.ndarray],
     clean_gradient: np.ndarray | None,
 ) -> np.ndarray:
-    """Folded twin of ``PGD.generate``/``generate_shared`` at one budget.
+    """Folded twin of ``PGD.generate`` at one budget.
 
     ``attacks`` holds one lane's attack per stack lane (equal
-    hyper-parameters, per-lane rngs).  Random-start noise is drawn per
-    lane — in lane order, one draw per batch, exactly as the unstacked
-    sweep consumes each attack's stream — and the step/projection
-    arithmetic then runs fold-wide, which is elementwise and therefore
-    per-lane bitwise identical to the unstacked loop.
+    hyper-parameters, per-lane rngs).  Each lane's attack draws its own
+    start point — in lane order, one draw per batch, exactly as the
+    unstacked sweep consumes each attack's stream — and
+    :meth:`~repro.attacks.pgd.PGD.descend` then iterates fold-wide, which
+    is elementwise and therefore per-lane bitwise identical to the
+    unstacked loop.
     """
     shared = attacks[0]
     if shared.epsilon == 0.0:
         return folded.copy()
-    if shared.random_start:
-        current = stack.fold(
-            [
-                attack.project(
-                    x,
-                    x
-                    + attack._rng.uniform(
-                        -attack.epsilon, attack.epsilon, size=x.shape
-                    ).astype(x.dtype),
-                )
-                for attack in attacks
-            ]
-        )
-        first_gradient = None
-    else:
-        current = folded.copy()
-        first_gradient = (
-            clean_gradient
-            if clean_gradient is not None and shares_clean_gradient(shared)
-            else None
-        )
-    for step in range(shared.steps):
-        if step == 0 and first_gradient is not None:
-            gradient = first_gradient
-        else:
-            gradient = stack.fused_input_gradient(current, labels)
-        current = current + shared._gradient_sign * shared.alpha * np.sign(gradient)
-        current = shared.project(folded, current)
-    # generate()/generate_shared() project once more after _perturb.
+    current = shared.descend(
+        folded,
+        stack.fold([attack.start_point(x) for attack in attacks]),
+        lambda point: stack.fused_input_gradient(point, labels),
+        clean_gradient if shared.reuses_clean_gradient else None,
+    )
+    # generate() projects once more after _perturb.
     return shared.project(folded, current)
 
 
@@ -291,7 +257,7 @@ def _stacked_attack_sweep(
     n = len(images)
     budgets = len(attack_lanes[0])
     need_gradient = any(
-        shares_clean_gradient(attack) for lane in attack_lanes for attack in lane
+        attack.reuses_clean_gradient for lane in attack_lanes for attack in lane
     )
     adv_correct = [[0] * budgets for _ in range(stack.k)]
     for start in range(0, n, batch_size):

@@ -90,8 +90,7 @@ import numpy as np
 
 from repro.nn.parameter import accumulate_grad
 from repro.tensor import functional as F
-from repro.tensor.tensor import Tensor, no_grad
-from repro.utils.dispatch import has_trusted_twin
+from repro.tensor.tensor import Tensor
 
 __all__ = [
     "BPTTTape",
@@ -164,19 +163,12 @@ def decode_logits(lanes, trace: list[np.ndarray]) -> list[np.ndarray]:
     """Per-lane logits ``(N, C)`` of a :func:`run_trace` trace.
 
     Each lane decodes its own trace prefix (its first ``T_k`` steps)
-    through its own decoder — the ``decode_numpy`` twin when trusted,
-    otherwise the decoder itself on graph-free Tensors.
+    through its own decoder's ``decode_numpy`` twin.
     """
-    logits: list[np.ndarray] = []
-    for member, rows in zip(lanes.members, _lane_slices(lanes, trace[0])):
-        lane_trace = [trace[t][rows] for t in range(member.time_steps)]
-        if has_trusted_twin(member.decoder, "forward", "decode_numpy"):
-            logits.append(member.decoder.decode_numpy(lane_trace))
-        else:
-            with no_grad():
-                decoded = member.decoder([Tensor(step) for step in lane_trace])
-            logits.append(decoded.data)
-    return logits
+    return [
+        member.decoder.decode_numpy([trace[t][rows] for t in range(member.time_steps)])
+        for member, rows in zip(lanes.members, _lane_slices(lanes, trace[0]))
+    ]
 
 
 def record_forward(lanes, image: np.ndarray) -> BPTTTape:

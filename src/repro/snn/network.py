@@ -42,6 +42,9 @@ _READOUT_TWINS = ("step_numpy", "step_backward_numpy")
 _TRANSFORM_TWINS = ("forward", "forward_numpy", "forward_record_numpy", "backward_numpy")
 """A synaptic transform's Tensor ``forward`` and the numpy twins that run it."""
 
+_DECODER_TWINS = ("forward", "decode_numpy")
+"""A decoder's Tensor ``forward`` (grad mode) and its no-grad numpy twin."""
+
 
 @cache
 def _twin_owner(cls: type, twins: tuple[str, ...]) -> type | None:
@@ -121,10 +124,10 @@ class NetworkLanes:
 
     Built from the network's own modules per pass, so a module swapped in
     after construction (an ablation's encoder) is run — and checked — like
-    the original.  Every cell, encoder and synaptic transform must carry
-    its numpy twins, all defined by one class; anything else raises
-    :class:`~repro.errors.ConfigurationError` naming the module, since
-    there is no other way to run it.
+    the original.  Every cell, encoder, synaptic transform and the
+    decoder must carry its numpy twins, all defined by one class;
+    anything else raises :class:`~repro.errors.ConfigurationError`
+    naming the module, since there is no other way to run it.
     """
 
     k = 1
@@ -141,6 +144,7 @@ class NetworkLanes:
             _require_twins(layer.cell, _SPIKING_TWINS, f"layers.{index}.cell")
         _require_transform(network.readout.transform, "readout.transform")
         _require_twins(network.readout.cell, _READOUT_TWINS, "readout.cell")
+        _require_twins(network.decoder, _DECODER_TWINS, "decoder")
         self.members = [network]
         self.time_steps = (network.time_steps,)
         self.max_steps = network.time_steps

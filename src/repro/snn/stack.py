@@ -59,7 +59,12 @@ from repro.nn.module import Module
 from repro.nn.pooling import AvgPool2d, MaxPool2d
 from repro.snn import backward as bptt
 from repro.snn.encoding import ConstantCurrentLIFEncoder, PoissonEncoder
-from repro.snn.network import SpikingNetwork, _TransformStage
+from repro.snn.network import (
+    _DECODER_TWINS,
+    SpikingNetwork,
+    _TransformStage,
+    _twin_owner,
+)
 from repro.snn.neuron import (
     LICell,
     LIFCell,
@@ -447,9 +452,11 @@ def stack_compatibility(members: Sequence[SpikingNetwork]) -> str | None:
     The constraints folding adds: equal depth, exact known
     cell/encoder/transform types (a subclass may have changed the
     semantics the stacked mirrors hard-code), matching transform
-    configurations, and reset semantics the twins branch on agreeing
-    across the stack.  Incompatible variants are not an error at the
-    engine level — they simply run unstacked.
+    configurations, reset semantics the twins branch on agreeing across
+    the stack, and decoders whose ``decode_numpy`` twin matches their
+    ``forward`` (the check a single network raises on).  Incompatible
+    variants are not an error at the engine level — they simply run
+    unstacked.
     """
     if not members:
         return "empty stack"
@@ -472,6 +479,8 @@ def stack_compatibility(members: Sequence[SpikingNetwork]) -> str | None:
             type(member.encoder.cell) is not LIFCell
         ):
             return f"custom encoder cell {type(member.encoder.cell).__name__}"
+        if _twin_owner(type(member.decoder), _DECODER_TWINS) is None:
+            return f"decoder {type(member.decoder).__name__} lacks a matching decode_numpy"
     groups = [
         [member.layers[index].cell.params for member in members]
         for index in range(len(first.layers))

@@ -10,13 +10,13 @@ gradient step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.attacks.base import Attack
 from repro.attacks.pgd import PGD
-from repro.data.dataset import ArrayDataset, DataLoader
+from repro.data.dataset import DataLoader
 from repro.errors import TrainingError
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor

@@ -25,9 +25,22 @@ from repro.tensor.tensor import Tensor, no_grad
 from repro.training.metrics import accuracy
 from repro.utils.logging import get_logger
 
-__all__ = ["Trainer", "TrainingConfig", "TrainingHistory"]
+__all__ = ["Trainer", "TrainingConfig", "TrainingHistory", "clip_gradients"]
 
 _logger = get_logger("training")
+
+
+def clip_gradients(optimizer: Adam, max_norm: float) -> None:
+    """Scale ``optimizer``'s gradients in place to a global L2 norm of at
+    most ``max_norm`` (the stacked trainer clips each lane with it too)."""
+    grads = [p.grad for p in optimizer.parameters if p.grad is not None]
+    if not grads:
+        return
+    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+    if total > max_norm:
+        scale = max_norm / (total + 1e-12)
+        for grad in grads:
+            grad *= scale
 
 
 @dataclass(frozen=True)
@@ -174,23 +187,13 @@ class Trainer:
             self.optimizer.zero_grad()
             loss.backward()
             if self.config.max_grad_norm is not None:
-                self._clip_gradients(self.config.max_grad_norm)
+                clip_gradients(self.optimizer, self.config.max_grad_norm)
             self.optimizer.step()
             batch = len(labels)
             total_loss += loss_value * batch
             total_correct += int((logits.data.argmax(axis=1) == labels).sum())
             total_seen += batch
         return total_loss / total_seen, total_correct / total_seen
-
-    def _clip_gradients(self, max_norm: float) -> None:
-        grads = [p.grad for p in self.optimizer.parameters if p.grad is not None]
-        if not grads:
-            return
-        total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
-        if total > max_norm:
-            scale = max_norm / (total + 1e-12)
-            for grad in grads:
-                grad *= scale
 
     def evaluate(self, dataset: ArrayDataset) -> float:
         """Accuracy of the current model on ``dataset`` (eval mode)."""

@@ -1,6 +1,5 @@
-"""Shared utilities: seeding, logging, serialization, timing, dispatch."""
+"""Shared utilities: seeding, logging, serialization, timing."""
 
-from repro.utils.dispatch import has_trusted_twin
 from repro.utils.logging import get_logger
 from repro.utils.seeding import SeedSequence, new_rng, spawn_rngs
 from repro.utils.serialization import load_npz, save_npz
@@ -10,7 +9,6 @@ __all__ = [
     "SeedSequence",
     "Stopwatch",
     "get_logger",
-    "has_trusted_twin",
     "load_npz",
     "new_rng",
     "save_npz",

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.experiments import (
     run_attack_ablation,
     run_encoding_ablation,

@@ -19,7 +19,6 @@ from repro.attacks import (
     perturbation_norms,
     predict_batched,
 )
-from repro.data import ArrayDataset
 from repro.tensor import Tensor, functional as F
 
 

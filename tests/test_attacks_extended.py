@@ -8,7 +8,6 @@ import pytest
 from repro.attacks import (
     FGSM,
     PGD,
-    evaluate_clean_accuracy,
     evaluate_transfer_attack,
     predict_batched,
 )

@@ -25,7 +25,6 @@ from repro.attacks import (
     UniformNoise,
     evaluate_attack,
     evaluate_attack_sweep,
-    shares_clean_gradient,
 )
 from repro.data.dataset import ArrayDataset
 from repro.models import build_model
@@ -35,6 +34,21 @@ from repro.tensor.tensor import Tensor, no_grad
 from tests import reference_ops
 
 SPIKING_MODELS = ["snn_lenet_mini", "snn_lenet5", "snn_cnn5"]
+
+
+class _DoubledFGSM(FGSM):
+    """An FGSM subclass that overrides the crafting hook."""
+
+    def _perturb(self, model, images, labels, clean_gradient):
+        return super()._perturb(model, images, labels, clean_gradient) + 0.01
+
+
+class _QuantizedFGSM(FGSM):
+    """An FGSM subclass that post-processes ``generate``'s output."""
+
+    def generate(self, model, images, labels, clean_gradient=None):
+        out = super().generate(model, images, labels, clean_gradient)
+        return np.round(out * 255.0) / 255.0
 
 
 def _input_size(name: str) -> int:
@@ -667,8 +681,13 @@ class TestEpsilonSharedSweep:
             lambda e: UniformNoise(e, rng=0),
             lambda e: GaussianNoise(e, rng=0),
             lambda e: SignNoise(e, rng=0),
+            lambda e: _DoubledFGSM(e),
+            lambda e: _QuantizedFGSM(e),
         ],
-        ids=["fgsm", "bim", "pgd_random", "pgd_plain", "uniform", "gaussian", "sign"],
+        ids=[
+            "fgsm", "bim", "pgd_random", "pgd_plain", "uniform", "gaussian", "sign",
+            "fgsm_perturb_override", "fgsm_generate_override",
+        ],
     )
     def test_sweep_equals_per_epsilon_loop(self, setup, family):
         model, dataset = setup
@@ -728,64 +747,51 @@ class TestEpsilonSharedSweep:
 
 
 class TestSharedGradientContract:
-    """The MRO trust rule guarding gradient reuse, mirroring _has_numpy_twin."""
+    """``generate`` hands the clean gradient only to attacks that reuse it."""
 
     def test_standard_attacks(self):
-        assert shares_clean_gradient(FGSM(0.1))
-        assert not shares_clean_gradient(FGSM(0.0))  # ε=0 never perturbs
-        assert shares_clean_gradient(BIM(0.1, steps=2))
-        assert shares_clean_gradient(PGD(0.1, steps=2, random_start=False))
-        assert not shares_clean_gradient(PGD(0.1, steps=2, random_start=True))
-        assert not shares_clean_gradient(UniformNoise(0.1))
+        assert FGSM(0.1).reuses_clean_gradient
+        assert not FGSM(0.0).reuses_clean_gradient  # ε=0 never perturbs
+        assert BIM(0.1, steps=2).reuses_clean_gradient
+        assert PGD(0.1, steps=2, random_start=False).reuses_clean_gradient
+        assert not PGD(0.1, steps=2, random_start=True).reuses_clean_gradient
+        for noise in (UniformNoise, GaussianNoise, SignNoise):
+            assert not noise(0.1, rng=0).reuses_clean_gradient
 
-    def test_subclass_overriding_perturb_is_untrusted(self):
-        class FlippedFGSM(FGSM):
-            def _perturb(self, model, images, labels):
-                return images - super()._perturb(model, images, labels)
-
-        attack = FlippedFGSM(0.1)
-        assert not shares_clean_gradient(attack)
-
-    def test_subclass_overriding_generate_is_untrusted(self):
-        # generate_shared bypasses generate(), so a generate() override
-        # (e.g. output post-processing) must also revoke trust.
-        class QuantizedFGSM(FGSM):
-            def generate(self, model, images, labels):
-                out = super().generate(model, images, labels)
-                return np.round(out * 255.0) / 255.0
-
-        assert not shares_clean_gradient(QuantizedFGSM(0.1))
-
-    def test_untrusted_subclass_still_correct_in_sweep(self):
-        # The sweep must route an untrusted subclass through plain
-        # generate(), reproducing the per-ε loop exactly.
-        class DoubledFGSM(FGSM):
-            def _perturb(self, model, images, labels):
-                return super()._perturb(model, images, labels) + 0.01
-
-        rng = np.random.default_rng(1)
-        model = build_model("snn_lenet_mini", input_size=12, time_steps=3, rng=0)
-        dataset = ArrayDataset(
-            rng.random((8, 1, 12, 12)).astype(np.float32), rng.integers(0, 10, 8)
-        )
-        epsilons = (0.05, 0.1)
-        loop = tuple(
-            evaluate_attack(model, DoubledFGSM(float(e)), dataset, batch_size=4)
-            for e in epsilons
-        )
-        sweep = evaluate_attack_sweep(
-            model, lambda e: DoubledFGSM(e), epsilons, dataset, batch_size=4
-        )
-        assert sweep == loop
-
-    def test_generate_shared_default_ignores_gradient(self):
+    @pytest.mark.parametrize("noise", [UniformNoise, GaussianNoise, SignNoise])
+    def test_noise_attack_ignores_a_given_gradient(self, noise):
         rng = np.random.default_rng(2)
-        attack = UniformNoise(0.1, rng=0)
-        reference = UniformNoise(0.1, rng=0)
         images = rng.random((4, 1, 6, 6)).astype(np.float32)
         labels = np.zeros(4, dtype=np.int64)
         model = nn.Sequential(nn.Flatten(), nn.Linear(36, 3, rng=0))
-        out = attack.generate_shared(model, images, labels, np.ones_like(images))
+        out = noise(0.1, rng=0).generate(model, images, labels, np.ones_like(images))
         np.testing.assert_array_equal(
-            out, reference.generate(model, images, labels)
+            out, noise(0.1, rng=0).generate(model, images, labels)
         )
+
+    def test_random_start_pgd_ignores_a_given_gradient(self):
+        # Its first gradient is taken at the random point, not the clean input.
+        rng = np.random.default_rng(4)
+        images = rng.random((4, 1, 6, 6)).astype(np.float32)
+        labels = np.zeros(4, dtype=np.int64)
+        model = nn.Sequential(nn.Flatten(), nn.Linear(36, 3, rng=0))
+        out = PGD(0.1, steps=1, rng=0).generate(
+            model, images, labels, np.ones_like(images)
+        )
+        np.testing.assert_array_equal(
+            out, PGD(0.1, steps=1, rng=0).generate(model, images, labels)
+        )
+
+    def test_bim_is_deterministic_pgd_with_step_epsilon_over_steps(self):
+        rng = np.random.default_rng(3)
+        model = build_model("snn_lenet_mini", input_size=12, time_steps=4, rng=0)
+        images = rng.random((4, 1, 12, 12)).astype(np.float32)
+        labels = rng.integers(0, 10, 4)
+        epsilon, steps = 0.1, 3
+        bim = BIM(epsilon, steps=steps)
+        pgd = PGD(epsilon, steps=steps, alpha=epsilon / steps, random_start=False)
+        np.testing.assert_array_equal(
+            bim.generate(model, images, labels), pgd.generate(model, images, labels)
+        )
+        assert bim.name == "bim"
+        assert repr(bim) == f"BIM(epsilon=0.1, steps=3, alpha={epsilon / steps})"

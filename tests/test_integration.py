@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.attacks import PGD, evaluate_attack, evaluate_clean_accuracy
-from repro.data import load_synthetic_mnist
 from repro.models import build_model
 from repro.robustness import ExplorationConfig, RobustnessExplorer
 from repro.snn import LIFParameters, spike_activity

@@ -29,7 +29,7 @@ class _NullAttack(Attack):
         super().__init__(epsilon, **kwargs)
         self._candidate = candidate
 
-    def _perturb(self, model, images, labels):
+    def _perturb(self, model, images, labels, clean_gradient):
         return self._candidate
 
 

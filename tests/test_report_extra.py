@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.robustness.report import render_heatmap, render_sparkline
 from repro.robustness.results import CellResult, ExplorationResult

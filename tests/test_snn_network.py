@@ -365,6 +365,12 @@ class TestTwinContract:
         def step(self, image, state=None):
             return image, state
 
+    class DoubledMaxDecoder(MaxMembraneDecoder):
+        """Overrides ``forward`` but not its ``decode_numpy`` twin."""
+
+        def forward(self, trace):
+            return super().forward(trace) * 2.0
+
     class NoBackwardScaler(nn.Module):
         """A transform with forward twins but no ``backward_numpy``."""
 
@@ -427,6 +433,17 @@ class TestTwinContract:
                 model(Tensor(x))
         with pytest.raises(ConfigurationError, match=r"encoder \(TensorOnlyEncoder\)"):
             input_gradient(model, x, np.array([0, 1]))
+
+    def test_decoder_overriding_forward_alone_is_rejected(self):
+        model = _tiny_network(time_steps=4)
+        with pytest.raises(ConfigurationError, match=r"decoder \(DoubledMaxDecoder\)"):
+            SpikingNetwork(
+                model.encoder,
+                model.layers,
+                model.readout,
+                time_steps=4,
+                decoder=self.DoubledMaxDecoder(),
+            )
 
     def test_swapped_in_encoder_cell_overriding_one_twin_is_rejected(self):
         model = _tiny_network(time_steps=4)

@@ -37,6 +37,7 @@ from repro.engine.stacking import pack_stacks
 from repro.experiments.sweeps import build_grid_context
 from repro.models.spiking_lenet import build_spiking_lenet_mini
 from repro.robustness.config import ExplorationConfig
+from repro.snn.decoding import MaxMembraneDecoder
 from repro.snn.encoding import PoissonEncoder
 from repro.snn.neuron import LIFCell, LIFParameters, LICell
 from repro.snn.stack import (
@@ -160,6 +161,13 @@ class _UnknownLICell(LICell):
     """A readout integrator of a type the stacked mirrors do not know."""
 
 
+class _DoubledMaxDecoder(MaxMembraneDecoder):
+    """A decoder whose ``forward`` no longer matches its ``decode_numpy``."""
+
+    def forward(self, trace):
+        return super().forward(trace) * 2.0
+
+
 def _lane_state(state, lane, n):
     return tuple(_lane(array, lane, n) for array in state)
 
@@ -176,6 +184,13 @@ class TestStackCompatibility:
         model = _mini()
         model.layers[0].cell = _UnknownLIFCell(model.layers[0].cell.params)
         assert stack_compatibility([model]) == "custom LIF cell _UnknownLIFCell"
+
+    def test_decoder_without_matching_twin_rejects(self):
+        model = _mini()
+        model.decoder = _DoubledMaxDecoder()
+        assert stack_compatibility([model]) == (
+            "decoder _DoubledMaxDecoder lacks a matching decode_numpy"
+        )
 
     def test_reset_mode_mismatch_rejects(self):
         members = [

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.tensor import Tensor, concatenate, functional as F, stack
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import AutogradError, ShapeError
+from repro.errors import ShapeError
 from repro.tensor import Tensor, concatenate, maximum, minimum, stack, where
 
 
