@@ -1077,7 +1077,8 @@ def gc_cache_dir(
     """Garbage-collect entries by age and/or fingerprint; returns count.
 
     At least one criterion is required — a bare GC that deletes everything
-    is spelled :func:`clear_cache_dir`.  With both, entries must match the
+    is spelled :func:`clear_cache_dir` — and an age bound must be ``>= 0``
+    (NaN is rejected too).  With both, entries must match the
     fingerprint *and* exceed the age to be removed.  Orphaned temp files
     are swept under the same criteria (an age bound naturally protects
     writes currently in flight).
@@ -1090,6 +1091,10 @@ def gc_cache_dir(
     """
     if max_age_seconds is None and fingerprint is None:
         raise ValueError("gc needs max_age_seconds and/or fingerprint (use clear to drop everything)")
+    if max_age_seconds is not None and not (max_age_seconds >= 0):
+        # A negative or NaN bound would doom every entry, and the
+        # in-flight temps an age bound exists to protect.
+        raise ValueError(f"max_age_seconds must be >= 0, got {max_age_seconds}")
     removed = 0
     dropped_results: set[str] = set()
     doomed: list[CacheEntry] = []

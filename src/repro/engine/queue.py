@@ -220,8 +220,10 @@ class WorkQueue:
         worker: str | None = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        if lease_ttl <= 0:
-            raise ValueError(f"lease_ttl must be > 0, got {lease_ttl}")
+        # The scheduler owns every run-option rule and imports this module.
+        from repro.engine.scheduler import check_run_options
+
+        check_run_options(lease_ttl=lease_ttl)
         self.directory = Path(directory)
         self.experiment = str(experiment)
         self.fingerprint = str(fingerprint)
@@ -743,11 +745,9 @@ def run_queued_tasks(
     off via ``handoff_<i>.json`` for immediate reclaim, and metrics are
     flushed on the way out.
     """
-    if cache is None:
-        raise ValueError(
-            "queue mode requires a cache: the checkpoint directory is how "
-            "workers exchange results"
-        )
+    from repro.engine.scheduler import check_run_options
+
+    check_run_options(cache=cache, queue_dir=queue_dir)
     tasks = list(tasks)
     by_index = {task.index: task for task in tasks}
     queue = WorkQueue(

@@ -226,9 +226,10 @@ class ResilienceConfig:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.watchdog_multiplier < 0:
+        # Written as not (x >= 0) so NaN fails too.
+        if not (self.watchdog_multiplier >= 0):
             raise ValueError("watchdog_multiplier must be >= 0 (0 disables)")
-        if self.watchdog_floor < 0:
+        if not (self.watchdog_floor >= 0):
             raise ValueError("watchdog_floor must be >= 0 seconds")
 
     def retry_policy(self) -> RetryPolicy:

@@ -5,8 +5,9 @@
 :class:`~repro.engine.sweep.SweepTask` jobs, future sweep families)
 through a pure job function in three stages:
 
-* **plan** — check the mode flags, keep the ``shard``'s slice, check
-  that task indices are unique, and cost-order the tasks once;
+* **plan** — check the mode flags (:func:`check_run_options`), keep
+  the ``shard``'s slice, check that task indices are unique, and
+  cost-order the tasks once;
 * **execute** — run the units of :func:`repro.engine.stacking.plan_units`
   (up to ``stack`` grid cells per fused pass) in-process, on a
   ``multiprocessing`` pool (``jobs>1``, one unit per submission), or
@@ -69,7 +70,13 @@ from repro.engine.shard import ShardSpec, record_durable_manifest
 from repro.engine.stacking import plan_units
 from repro.utils.logging import get_logger
 
-__all__ = ["ContextSpec", "ScheduleStats", "run_cell_tasks", "run_tasks"]
+__all__ = [
+    "ContextSpec",
+    "ScheduleStats",
+    "check_run_options",
+    "run_cell_tasks",
+    "run_tasks",
+]
 
 _logger = get_logger("engine")
 
@@ -257,6 +264,54 @@ def _select_backend(start_method: str, context, context_spec: ContextSpec | None
     return None
 
 
+def check_run_options(
+    jobs: int = 1,
+    stack: int = 1,
+    resume: bool = False,
+    cache=None,
+    shard: ShardSpec | None = None,
+    queue_dir=None,
+    lease_ttl: float = DEFAULT_LEASE_TTL,
+    start_method: str = "auto",
+) -> None:
+    """Raise ``ValueError`` on run options :func:`run_tasks` cannot serve.
+
+    The plan step's mode checks, in one place: :func:`run_tasks`, the
+    queue backend and the CLI (before it dispatches anything) all call
+    it.  ``cache`` is only tested for presence, so a caller that has not
+    opened its checkpoint store yet may pass the cache directory.
+    Bounds are written as ``not (x > bound)`` so NaN fails them too.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if stack < 1:
+        raise ValueError(f"stack must be >= 1, got {stack}")
+    if resume and cache is None:
+        raise ValueError(
+            "resume=True requires a checkpoint cache (cache_dir) to resume from"
+        )
+    if start_method not in _START_METHODS:
+        raise ValueError(
+            f"unknown start_method {start_method!r}; choose from {_START_METHODS}"
+        )
+    if not (lease_ttl > 0):
+        raise ValueError(f"lease_ttl must be > 0, got {lease_ttl}")
+    if queue_dir is None:
+        return
+    if cache is None:
+        raise ValueError(
+            "queue mode requires a cache: the checkpoint directory is how "
+            "workers exchange results"
+        )
+    if shard is not None:
+        raise ValueError("queue_dir (dynamic fleet) conflicts with shard (static)")
+    if jobs > 1:
+        raise ValueError(
+            f"queue workers are single-process; jobs={jobs} conflicts with "
+            "queue_dir (start more workers instead)"
+        )
+
+
 def run_tasks(
     context,
     tasks: Sequence,
@@ -292,7 +347,8 @@ def run_tasks(
     ``task_deadline`` (``None`` keeps the queue's default), and
     ``results`` is the worker's :class:`~repro.engine.queue.QueueRunResult`
     with this schedule's stats under ``metadata["engine"]``.  A queue
-    worker is one process: ``jobs > 1`` is rejected.
+    worker is one process that needs ``cache``: :func:`check_run_options`
+    rejects ``jobs > 1``, ``shard`` and a missing cache before any work.
 
     With ``cache_dir`` set, every mode certifies ``cache``'s durable
     checkpoints in that directory's shard manifest under ``experiment``
@@ -352,25 +408,10 @@ def run_tasks(
         backend: a pool worker runs one unit per submission, a queue
         worker claims up to ``stack`` cells per round.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if stack < 1:
-        raise ValueError(f"stack must be >= 1, got {stack}")
-    if resume and cache is None:
-        raise ValueError(
-            "resume=True requires a checkpoint cache (cache_dir) to resume from"
-        )
-    if start_method not in _START_METHODS:
-        raise ValueError(
-            f"unknown start_method {start_method!r}; choose from {_START_METHODS}"
-        )
-    if queue_dir is not None and shard is not None:
-        raise ValueError("queue_dir (dynamic fleet) conflicts with shard (static)")
-    if queue_dir is not None and jobs > 1:
-        raise ValueError(
-            f"queue workers are single-process; jobs={jobs} conflicts with "
-            "queue_dir (start more workers instead)"
-        )
+    check_run_options(
+        jobs=jobs, stack=stack, resume=resume, cache=cache, shard=shard,
+        queue_dir=queue_dir, lease_ttl=lease_ttl, start_method=start_method,
+    )
     if queue_dir is None and start_method == "spawn" and context_spec is None:
         # Validated up front, not at pool creation: a warm cache can leave
         # too few pending tasks for a pool, and this programming error

@@ -142,9 +142,10 @@ class SearchConfig:
                 f"training budget ({full_epochs} epochs); otherwise the "
                 f"surviving cells are not comparable to an exhaustive run"
             )
-        if self.eta <= 1.0:
+        # Written as not (x > bound) so NaN fails too.
+        if not (self.eta > 1.0):
             raise ValueError(f"eta must be > 1, got {self.eta}")
-        if self.bias_tolerance < 0.0:
+        if not (self.bias_tolerance >= 0.0):
             raise ValueError(
                 f"bias_tolerance must be >= 0, got {self.bias_tolerance}"
             )

@@ -95,7 +95,10 @@ def run_grid_exploration(
         :class:`~repro.engine.queue.QueueRunResult` summary instead of
         the heat maps.  Mutually exclusive with ``shard`` (the static
         pre-partitioned mode) and requires ``cache_dir`` — the shared
-        checkpoint directory is how workers exchange results.
+        checkpoint directory is how workers exchange results.  These and
+        the other mode rules are
+        :func:`~repro.engine.scheduler.check_run_options`'s, checked
+        before any work.
     lease_ttl:
         Queue mode only: seconds without a heartbeat after which another
         worker may steal a task lease from a presumed-dead owner.

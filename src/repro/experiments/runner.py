@@ -61,6 +61,7 @@ from repro.engine.resilience import (
     QUARANTINE_EXIT_CODE,
     ResilienceConfig,
 )
+from repro.engine.scheduler import check_run_options
 from repro.engine.search import (
     RungQuarantined,
     SearchConfig,
@@ -84,16 +85,13 @@ from repro.experiments.sweeps import ABLATION_FACTORS
 __all__ = ["build_parser", "main"]
 
 _START_METHODS = ("auto", "fork", "spawn")
-_CACHE_ACTIONS = (
-    "stats",
-    "inspect",
-    "clear",
-    "gc",
-    "merge",
-    "verify",
-    "watch",
-    "metrics",
-)
+# The halving-only flags by their dests, which are SearchConfig's fields.
+_HALVING_FLAGS = {
+    "schedule": "--budget-schedule",
+    "eta": "--halving-eta",
+    "warm_start": "--warm-start/--no-warm-start",
+    "bias_tolerance": "--bias-tolerance",
+}
 
 _DEFAULT_CACHE_DIR = Path(".repro_cache") / "cells"
 
@@ -182,16 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         "spawn, which rebuilds the job context per worker (default: auto)",
     )
     engine.add_argument(
-        "--stack",
-        type=int,
-        default=1,
-        metavar="K",
-        help="pack up to K compatible grid cells into one fused "
-        "VariantStack pass (default: 1, unstacked; bitwise identical per "
-        "cell, and composes with --jobs: each worker runs whole stacks).  "
-        "Grid only — the sweep experiments fall back to unstacked execution",
-    )
-    engine.add_argument(
         "--shard",
         type=_parse_shard,
         default=None,
@@ -264,6 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
         "snapshots with `cache metrics DIR`",
     )
 
+    stack = argparse.ArgumentParser(add_help=False)
+    stack.add_argument(
+        "--stack",
+        type=int,
+        default=1,
+        metavar="K",
+        help="pack up to K compatible grid cells into one fused "
+        "VariantStack pass (default: 1, unstacked; bitwise identical per "
+        "cell, and composes with --jobs: each worker runs whole stacks)",
+    )
+
     epsilons = argparse.ArgumentParser(add_help=False)
     epsilons.add_argument(
         "--epsilons",
@@ -282,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     grid = subparsers.add_parser(
         "grid",
-        parents=[common, engine],
+        parents=[common, engine, stack],
         help="Figs. 6-8 (Vth, T) grid exploration (Algorithm 1)",
     )
     grid.add_argument(
@@ -297,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     grid.add_argument(
         "--budget-schedule",
+        dest="schedule",
         type=_parse_budget_schedule,
         default=None,
         metavar="E1,E2,...",
@@ -306,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     grid.add_argument(
         "--halving-eta",
+        dest="eta",
         type=float,
         default=None,
         metavar="ETA",
@@ -350,80 +351,118 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers.add_parser(
         "all",
-        parents=[common, engine],
-        help="every experiment in sequence, isolating failures",
+        parents=[common, engine, stack],
+        help="every experiment in sequence, isolating failures (--stack "
+        "applies to the grid step)",
     )
 
     cache = subparsers.add_parser(
         "cache",
         help="inspect, prune or federate checkpoint and weight caches",
+        description="Each action takes only the flags it reads, after the "
+        "action: `cache stats --cache-dir DIR`.",
     )
-    cache.add_argument(
-        "action",
-        choices=_CACHE_ACTIONS,
-        help="stats: aggregate counts/sizes; inspect: list entries; "
-        "clear: delete entries; gc: delete by age and/or fingerprint; "
-        "merge: union shard cache directories into --into; "
-        "verify: check a directory's shard manifest for completeness; "
-        "watch: render a live fleet's merged queue progress; "
-        "metrics: merge per-worker metrics snapshots into one fleet view",
-    )
-    cache.add_argument(
-        "sources",
-        nargs="*",
-        type=Path,
-        metavar="SRC",
-        help="merge: shard cache directories to union; "
-        "metrics: --metrics-dir directories holding metrics_*.json "
-        "snapshots to merge",
-    )
-    cache.add_argument(
-        "--into",
-        type=Path,
-        default=None,
-        metavar="DST",
-        help="merge only: destination directory receiving the union "
-        "(created if missing; may already hold entries)",
-    )
-    cache.add_argument(
+    actions = cache.add_subparsers(dest="action", required=True, metavar="action")
+    cache_dir = argparse.ArgumentParser(add_help=False)
+    cache_dir.add_argument(
         "--cache-dir",
         type=Path,
         default=_DEFAULT_CACHE_DIR,
         help=f"cache directory to operate on (default: {_DEFAULT_CACHE_DIR})",
     )
-    cache.add_argument(
+    fingerprint = argparse.ArgumentParser(add_help=False)
+    fingerprint.add_argument(
         "--fingerprint",
         default=None,
         help="restrict to entries whose context fingerprint starts with "
         "this prefix (as shown by stats/inspect)",
     )
-    cache.add_argument(
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument(
+        "--json", action="store_true", help="emit machine-readable JSON"
+    )
+
+    def action(name, run, parents, summary):
+        sub = actions.add_parser(
+            name, parents=parents, help=summary, description=summary
+        )
+        sub.set_defaults(run=run)
+        return sub
+
+    action(
+        "stats", _run_cache_stats, [cache_dir, fingerprint, as_json],
+        "aggregate entry counts, sizes and phase totals",
+    )
+    action(
+        "inspect", _run_cache_inspect, [cache_dir, fingerprint, as_json],
+        "list entries, newest first",
+    )
+    action(
+        "clear", _run_cache_clear, [cache_dir, fingerprint],
+        "delete every entry, or one fingerprint's",
+    )
+    gc = action(
+        "gc", _run_cache_gc, [cache_dir, fingerprint],
+        "delete entries by age and/or fingerprint",
+    )
+    gc.add_argument(
         "--max-age-days",
         type=float,
         default=None,
-        help="gc only: delete entries last written more than this many "
-        "days ago",
+        help="delete entries last written more than this many days ago",
     )
-    cache.add_argument(
-        "--json",
-        action="store_true",
-        help="stats/inspect/merge/verify/watch/metrics: emit "
-        "machine-readable JSON",
+    merge = action(
+        "merge", _run_cache_merge, [as_json],
+        "union shard cache directories into --into",
     )
-    cache.add_argument(
+    merge.add_argument(
+        "sources",
+        nargs="+",
+        type=Path,
+        metavar="SRC",
+        help="shard cache directories to union",
+    )
+    merge.add_argument(
+        "--into",
+        type=Path,
+        required=True,
+        metavar="DST",
+        help="destination directory receiving the union (created if "
+        "missing; may already hold entries)",
+    )
+    action(
+        "verify", _run_cache_verify, [cache_dir, as_json],
+        "check a directory's shard manifest for completeness",
+    )
+    watch = action(
+        "watch", _run_cache_watch, [as_json],
+        "render a live fleet's merged queue progress",
+    )
+    watch.add_argument(
         "--queue",
         type=Path,
-        default=None,
+        required=True,
         metavar="DIR",
-        help="watch only: the queue directory a fleet shares (the one "
-        "passed to the workers' --queue); experiment queues in its "
-        "subdirectories are aggregated",
+        help="the queue directory a fleet shares (the one passed to the "
+        "workers' --queue); experiment queues in its subdirectories are "
+        "aggregated",
     )
-    cache.add_argument(
+    watch.add_argument(
         "--follow",
         action="store_true",
-        help="watch only: keep re-rendering until the queue completes "
-        "instead of printing one snapshot",
+        help="keep re-rendering until the queue completes instead of "
+        "printing one snapshot",
+    )
+    metrics = action(
+        "metrics", _run_cache_metrics, [as_json],
+        "merge per-worker metrics snapshots into one fleet view",
+    )
+    metrics.add_argument(
+        "directories",
+        nargs="+",
+        type=Path,
+        metavar="DIR",
+        help="--metrics-dir directories holding metrics_*.json snapshots",
     )
     return parser
 
@@ -586,19 +625,6 @@ def _format_size(size: int) -> str:
 
 
 def _run_cache_merge(args) -> int:
-    if not args.sources:
-        print(
-            "cache merge needs at least one SRC directory "
-            "(usage: cache merge SRC... --into DST)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.into is None:
-        print(
-            "cache merge needs --into DST (the directory receiving the union)",
-            file=sys.stderr,
-        )
-        return 2
     try:
         report = merge_cache_dirs(args.sources, args.into)
     except CacheMergeError as error:
@@ -628,25 +654,18 @@ def _run_cache_metrics(args) -> int:
 
     Reads every ``metrics_*.json`` under the given ``--metrics-dir``
     directories and prints the merged fleet view — Prometheus text by
-    default, the snapshot JSON with ``--json``.  Exit 2 on usage errors,
-    1 when no snapshots exist (a run with ``--metrics-dir`` should have
-    left at least one) or the snapshots are incompatible.
+    default, the snapshot JSON with ``--json``.  Exit 2 when a DIR is not
+    a directory, 1 when no snapshots exist (a run with ``--metrics-dir``
+    should have left at least one) or the snapshots are incompatible.
     """
-    if not args.sources:
-        print(
-            "cache metrics needs at least one DIR (the --metrics-dir a "
-            "run wrote its metrics_*.json snapshots into)",
-            file=sys.stderr,
-        )
-        return 2
     snapshots = []
-    for directory in args.sources:
+    for directory in args.directories:
         if not directory.is_dir():
             print(f"cache metrics: {directory} is not a directory", file=sys.stderr)
             return 2
         snapshots.extend(read_metrics_dir(directory))
     if not snapshots:
-        dirs = ", ".join(str(s) for s in args.sources)
+        dirs = ", ".join(str(s) for s in args.directories)
         print(f"no metrics snapshots (metrics_*.json) under {dirs}", file=sys.stderr)
         return 1
     try:
@@ -758,13 +777,6 @@ def _run_cache_watch(args) -> int:
     cells even though the fleet itself ran to completion around them.
     ``--follow`` keeps re-rendering until completion.
     """
-    if args.queue is None:
-        print(
-            "cache watch needs --queue DIR (the directory the fleet's "
-            "workers were pointed at)",
-            file=sys.stderr,
-        )
-        return 2
     while True:
         dirs = _queue_dirs(args.queue)
         if not dirs:
@@ -790,178 +802,106 @@ def _run_cache_watch(args) -> int:
         time.sleep(1.0)
 
 
-def _run_cache(args) -> int:
-    directory: Path = args.cache_dir
-    if args.action != "watch" and (args.queue is not None or args.follow):
-        # The queue lives next to the caches but is not a cache: only the
-        # watch view reads it.  A silently ignored --queue on clear/gc
-        # would delete the wrong directory's entries.
+def _run_cache_stats(args) -> int:
+    stats = cache_stats(args.cache_dir, fingerprint=args.fingerprint)
+    if args.json:
+        print(json.dumps(stats, indent=2, sort_keys=True))
+        return 0
+    print(f"cache directory: {stats['directory']}")
+    print(f"entries: {stats['entries']} ({_format_size(stats['total_bytes'])})")
+    for kind, bucket in sorted(stats["by_kind"].items()):
         print(
-            f"cache {args.action} does not take --queue/--follow; "
-            "use `cache watch --queue DIR` to observe a fleet",
-            file=sys.stderr,
+            f"  {kind}: {bucket['entries']} entries, "
+            f"{_format_size(bucket['bytes'])}"
         )
-        return 2
-    if args.action == "watch":
-        if args.fingerprint is not None:
-            print(
-                "cache watch does not take --fingerprint; it always shows "
-                "the whole queue",
-                file=sys.stderr,
-            )
-            return 2
-        if args.sources or args.into is not None:
-            print(
-                "cache watch does not take SRC directories or --into; "
-                "use `cache watch --queue DIR`",
-                file=sys.stderr,
-            )
-            return 2
-        if args.max_age_days is not None:
-            print(
-                "cache watch does not take --max-age-days",
-                file=sys.stderr,
-            )
-            return 2
-        return _run_cache_watch(args)
-    if args.action not in ("merge", "metrics") and (
-        args.sources or args.into is not None
-    ):
-        # A mistyped action with SRC/--into would otherwise be silently
-        # ignored — and the user clearly meant a merge (or metrics).
+    for fingerprint, count in stats["by_fingerprint"].items():
+        print(f"  fingerprint {fingerprint}: {count} entries")
+    timings = stats.get("timings") or {}
+    if timings.get("timed_entries"):
+        totals = " ".join(
+            f"{key.removesuffix('_s')}={value:.1f}s"
+            for key, value in timings["totals"].items()
+        )
         print(
-            f"cache {args.action} does not take SRC directories or --into; "
-            "use `cache merge SRC... --into DST` to federate caches or "
-            "`cache metrics DIR` to merge metrics snapshots",
-            file=sys.stderr,
+            f"  phase totals over {timings['timed_entries']} "
+            f"timed entr{'y' if timings['timed_entries'] == 1 else 'ies'}: "
+            f"{totals}"
         )
-        return 2
-    if args.action == "metrics" and args.into is not None:
+    provenance = stats.get("provenance") or {}
+    if provenance.get("warm_started"):
+        by_kind = ", ".join(
+            f"{kind}: {count}"
+            for kind, count in provenance["warm_started_by_kind"].items()
+        )
         print(
-            "cache metrics does not take --into; it prints the merged view",
-            file=sys.stderr,
+            f"  warm-started entries: {provenance['warm_started']} "
+            f"({by_kind})"
         )
-        return 2
-    if args.action not in ("gc",) and args.max_age_days is not None:
-        # Silently ignoring an age bound would be harmless on stats/inspect
-        # and catastrophic on clear; reject it uniformly — the user meant
-        # `cache gc --max-age-days N`.
-        print(
-            f"cache {args.action} does not take --max-age-days; "
-            "use `cache gc --max-age-days N` for age-based selection",
-            file=sys.stderr,
-        )
-        return 2
-    if args.action in ("merge", "verify", "metrics") and args.fingerprint is not None:
-        # Merge always federates whole directories and verify always
-        # checks every manifest; a silently ignored filter would let an
-        # incomplete grid masquerade as verified.
-        print(
-            f"cache {args.action} does not take --fingerprint; it always "
-            "covers the whole directory",
-            file=sys.stderr,
-        )
-        return 2
-    if args.action == "merge":
-        return _run_cache_merge(args)
-    if args.action == "metrics":
-        return _run_cache_metrics(args)
-    if args.action == "verify":
-        return _run_cache_verify(args)
-    if args.action == "stats":
-        stats = cache_stats(directory, fingerprint=args.fingerprint)
-        if args.json:
-            print(json.dumps(stats, indent=2, sort_keys=True))
-            return 0
-        print(f"cache directory: {stats['directory']}")
-        print(f"entries: {stats['entries']} ({_format_size(stats['total_bytes'])})")
-        for kind, bucket in sorted(stats["by_kind"].items()):
-            print(
-                f"  {kind}: {bucket['entries']} entries, "
-                f"{_format_size(bucket['bytes'])}"
-            )
-        for fingerprint, count in stats["by_fingerprint"].items():
-            print(f"  fingerprint {fingerprint}: {count} entries")
-        timings = stats.get("timings") or {}
-        if timings.get("timed_entries"):
-            totals = " ".join(
+    return 0
+
+
+def _run_cache_inspect(args) -> int:
+    entries = [
+        e for e in scan_cache_dir(args.cache_dir)
+        if fingerprint_matches(e, args.fingerprint)
+    ]
+    entries.sort(key=lambda e: e.modified, reverse=True)
+    if args.json:
+        print(json.dumps(
+            [
+                {
+                    "path": str(e.path),
+                    "kind": e.kind,
+                    "fingerprint": e.fingerprint,
+                    "size_bytes": e.size_bytes,
+                    "age_seconds": round(e.age_seconds(), 1),
+                    "timings": entry_timings(e),
+                    "provenance": entry_provenance(e),
+                }
+                for e in entries
+            ],
+            indent=2,
+        ))
+        return 0
+    if not entries:
+        print(f"no cache entries under {args.cache_dir}")
+        return 0
+    for entry in entries:
+        age_hours = entry.age_seconds() / 3600
+        timings = entry_timings(entry)
+        # Phase breakdown (train/attack/eval) shows where a cell's
+        # wall time went — the signal BENCH trajectories watch.
+        suffix = ""
+        if timings:
+            suffix = "  " + " ".join(
                 f"{key.removesuffix('_s')}={value:.1f}s"
-                for key, value in timings["totals"].items()
+                for key, value in timings.items()
             )
-            print(
-                f"  phase totals over {timings['timed_entries']} "
-                f"timed entr{'y' if timings['timed_entries'] == 1 else 'ies'}: "
-                f"{totals}"
+        provenance = entry_provenance(entry)
+        warm = (provenance or {}).get("warm_start")
+        if warm:
+            # Warm-start lineage: which archive seeded this one, and
+            # from how far away — the trail `cache gc` keeps alive.
+            suffix += (
+                f"  warm<-{warm.get('source_file', '?')}"
+                f"@{warm.get('source_epochs', '?')}ep"
+                f" d={warm.get('distance', 0.0):.2f}"
             )
-        provenance = stats.get("provenance") or {}
-        if provenance.get("warm_started"):
-            by_kind = ", ".join(
-                f"{kind}: {count}"
-                for kind, count in provenance["warm_started_by_kind"].items()
-            )
-            print(
-                f"  warm-started entries: {provenance['warm_started']} "
-                f"({by_kind})"
-            )
-        return 0
-    if args.action == "inspect":
-        entries = [
-            e for e in scan_cache_dir(directory)
-            if fingerprint_matches(e, args.fingerprint)
-        ]
-        entries.sort(key=lambda e: e.modified, reverse=True)
-        if args.json:
-            print(json.dumps(
-                [
-                    {
-                        "path": str(e.path),
-                        "kind": e.kind,
-                        "fingerprint": e.fingerprint,
-                        "size_bytes": e.size_bytes,
-                        "age_seconds": round(e.age_seconds(), 1),
-                        "timings": entry_timings(e),
-                        "provenance": entry_provenance(e),
-                    }
-                    for e in entries
-                ],
-                indent=2,
-            ))
-            return 0
-        if not entries:
-            print(f"no cache entries under {directory}")
-            return 0
-        for entry in entries:
-            age_hours = entry.age_seconds() / 3600
-            timings = entry_timings(entry)
-            # Phase breakdown (train/attack/eval) shows where a cell's
-            # wall time went — the signal BENCH trajectories watch.
-            suffix = ""
-            if timings:
-                suffix = "  " + " ".join(
-                    f"{key.removesuffix('_s')}={value:.1f}s"
-                    for key, value in timings.items()
-                )
-            provenance = entry_provenance(entry)
-            warm = (provenance or {}).get("warm_start")
-            if warm:
-                # Warm-start lineage: which archive seeded this one, and
-                # from how far away — the trail `cache gc` keeps alive.
-                suffix += (
-                    f"  warm<-{warm.get('source_file', '?')}"
-                    f"@{warm.get('source_epochs', '?')}ep"
-                    f" d={warm.get('distance', 0.0):.2f}"
-                )
-            print(
-                f"{entry.kind:<8} {entry.fingerprint} "
-                f"{_format_size(entry.size_bytes):>10} {age_hours:8.1f}h  "
-                f"{entry.path.name}{suffix}"
-            )
-        return 0
-    if args.action == "clear":
-        removed = clear_cache_dir(directory, fingerprint=args.fingerprint)
-        print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'}")
-        return 0
-    # gc
+        print(
+            f"{entry.kind:<8} {entry.fingerprint} "
+            f"{_format_size(entry.size_bytes):>10} {age_hours:8.1f}h  "
+            f"{entry.path.name}{suffix}"
+        )
+    return 0
+
+
+def _run_cache_clear(args) -> int:
+    removed = clear_cache_dir(args.cache_dir, fingerprint=args.fingerprint)
+    print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'}")
+    return 0
+
+
+def _run_cache_gc(args) -> int:
     if args.max_age_days is None and args.fingerprint is None:
         print(
             "cache gc needs --max-age-days and/or --fingerprint "
@@ -970,104 +910,72 @@ def _run_cache(args) -> int:
         )
         return 2
     max_age = None if args.max_age_days is None else args.max_age_days * 86400.0
-    removed = gc_cache_dir(
-        directory, max_age_seconds=max_age, fingerprint=args.fingerprint
-    )
+    try:
+        removed = gc_cache_dir(
+            args.cache_dir, max_age_seconds=max_age, fingerprint=args.fingerprint
+        )
+    except ValueError as error:
+        print(f"cache gc: {error}", file=sys.stderr)
+        return 2
     print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'}")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    Argparse rejects a flag its command does not take, and the library's
+    own checks (:func:`~repro.engine.scheduler.check_run_options`,
+    :class:`ResilienceConfig`, :meth:`SearchConfig.validate`) reject bad
+    values before anything runs; both exit 2.  The checks written here
+    are the ones the library cannot make: ``--no-cache`` and
+    ``--search`` are CLI concepts.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "cache":
-        return _run_cache(args)
+        return args.run(args)
 
     profile = get_profile(args.profile)
     if args.command == "fig1":
         return _run_fig1(profile, args.out)
 
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if args.stack < 1:
-        parser.error("--stack must be >= 1")
-    if args.resume and args.no_cache:
-        parser.error("--resume needs checkpoints; drop --no-cache")
-    if args.cache_dir is not None and args.no_cache:
-        parser.error("--cache-dir conflicts with --no-cache")
-    if args.shard is not None and args.no_cache:
-        # A shard's entire output *is* its cache directory — running one
-        # without checkpointing would compute results and discard them.
-        parser.error("--shard needs checkpoints to hand to the merge; drop --no-cache")
-    if args.lease_ttl <= 0:
-        parser.error("--lease-ttl must be > 0 seconds")
-    if args.max_attempts < 1:
-        parser.error("--max-attempts must be >= 1")
-    if args.watchdog_mult < 0:
-        parser.error("--watchdog-mult must be >= 0 (0 disables the watchdog)")
-    if args.watchdog_floor < 0:
-        parser.error("--watchdog-floor must be >= 0 seconds")
-    if args.metrics_dir is not None:
-        # Enable before any engine work so the scheduler, caches, queue
-        # and search all record; the directory is created eagerly so a
-        # bad path fails now, not after a long run.
-        try:
-            configure_metrics(args.metrics_dir)
-        except OSError as error:
-            parser.error(f"--metrics-dir {args.metrics_dir}: {error}")
-    if args.queue is not None:
-        if args.shard is not None:
+    halving = getattr(args, "search", "exhaustive") == "halving"
+    for flag, given in (
+        ("--cache-dir", args.cache_dir is not None),
+        ("--resume", args.resume),
+        # A shard's entire output *is* its cache directory.
+        ("--shard", args.shard is not None),
+        # The shared cache directory is how queue workers exchange results.
+        ("--queue", args.queue is not None),
+        # Rung results are the promotion transport and weight archives
+        # the warm-start source.
+        ("--search halving", halving),
+    ):
+        if given and args.no_cache:
             parser.error(
-                "--queue (dynamic fleet) conflicts with --shard (static "
-                "partition); pick one"
+                f"{flag} needs the checkpoints --no-cache disables; drop --no-cache"
             )
-        if args.no_cache:
-            parser.error(
-                "--queue needs checkpoints — the shared cache directory is "
-                "how workers exchange results; drop --no-cache"
-            )
-        if args.jobs > 1:
-            parser.error(
-                "--queue workers are single-process; scale the fleet by "
-                "starting more workers instead of --jobs"
-            )
-    search_mode = getattr(args, "search", "exhaustive")
-    search_flags = {
-        "--budget-schedule": getattr(args, "budget_schedule", None),
-        "--halving-eta": getattr(args, "halving_eta", None),
-        "--warm-start/--no-warm-start": getattr(args, "warm_start", None),
-        "--bias-tolerance": getattr(args, "bias_tolerance", None),
+    # Halving-only flags default to None, so any other value was given.
+    search_fields = {
+        field: getattr(args, field)
+        for field in _HALVING_FLAGS
+        if getattr(args, field, None) is not None
     }
-    if search_mode != "halving":
-        stray = [flag for flag, value in search_flags.items() if value is not None]
-        if stray:
-            parser.error(f"{stray[0]} requires --search halving")
-    else:
-        if args.no_cache:
-            parser.error(
-                "--search halving needs checkpoints — rung results are the "
-                "promotion transport and weight archives the warm-start "
-                "source; drop --no-cache"
-            )
-        if args.shard is not None:
-            parser.error(
-                "--search halving conflicts with --shard: promotions need "
-                "every cell of a rung; use --queue for a multi-host search"
-            )
-        if args.start_method == "spawn" and args.queue is None:
-            parser.error(
-                "--search halving conflicts with --start-method spawn: spawn "
-                "workers cannot rebuild a rung's context; use fork or auto"
-            )
-        if getattr(args, "halving_eta", None) is not None and args.halving_eta <= 1:
-            parser.error("--halving-eta must be > 1")
-        if (
-            getattr(args, "bias_tolerance", None) is not None
-            and args.bias_tolerance < 0
-        ):
-            parser.error("--bias-tolerance must be >= 0")
+    if search_fields and not halving:
+        flag = _HALVING_FLAGS[next(iter(search_fields))]
+        parser.error(f"{flag} requires --search halving")
+    if halving and args.shard is not None:
+        parser.error(
+            "--search halving conflicts with --shard: promotions need "
+            "every cell of a rung; use --queue for a multi-host search"
+        )
+    if halving and args.start_method == "spawn" and args.queue is None:
+        parser.error(
+            "--search halving conflicts with --start-method spawn: spawn "
+            "workers cannot rebuild a rung's context; use fork or auto"
+        )
     cache_dir: Path | None = None
     if not args.no_cache:
         if args.cache_dir is not None:
@@ -1081,11 +989,38 @@ def main(argv: list[str] | None = None) -> int:
             cache_dir = args.out / "cell_cache"
         else:
             cache_dir = _DEFAULT_CACHE_DIR
-    resilience = ResilienceConfig(
-        max_attempts=args.max_attempts,
-        watchdog_multiplier=args.watchdog_mult,
-        watchdog_floor=args.watchdog_floor,
-    )
+    stack = getattr(args, "stack", 1)
+    try:
+        check_run_options(
+            jobs=args.jobs,
+            stack=stack,
+            resume=args.resume,
+            cache=cache_dir,
+            shard=args.shard,
+            queue_dir=args.queue,
+            lease_ttl=args.lease_ttl,
+        )
+        resilience = ResilienceConfig(
+            max_attempts=args.max_attempts,
+            watchdog_multiplier=args.watchdog_mult,
+            watchdog_floor=args.watchdog_floor,
+        )
+        if halving:
+            full_epochs = profile.training_config().epochs
+            search_config = SearchConfig(
+                **{"schedule": derive_schedule(full_epochs), **search_fields}
+            )
+            search_config.validate(full_epochs)
+    except ValueError as error:
+        parser.error(str(error))
+    if args.metrics_dir is not None:
+        # Enable before any engine work so the scheduler, caches, queue
+        # and search all record; the directory is created eagerly so a
+        # bad path fails now, not after a long run.
+        try:
+            configure_metrics(args.metrics_dir)
+        except OSError as error:
+            parser.error(f"--metrics-dir {args.metrics_dir}: {error}")
     engine_kwargs = dict(
         jobs=args.jobs,
         cache_dir=cache_dir,
@@ -1097,15 +1032,6 @@ def main(argv: list[str] | None = None) -> int:
         resilience=resilience,
     )
     epsilons = getattr(args, "epsilons", None)
-    stack = args.stack
-    if stack > 1 and args.command in ("fig9", "ablation"):
-        # The sweep experiments train one model per sweep, not a grid of
-        # stackable variants; silently ignoring the flag would misreport
-        # how the run executed.
-        print(
-            f"[stack] {args.command} runs sweeps, not grid cells; "
-            f"--stack {stack} falls back to unstacked execution"
-        )
     # dict.fromkeys: drop repeated --factor flags while keeping order
     factors = tuple(dict.fromkeys(getattr(args, "factor", None) or ABLATION_FACTORS))
 
@@ -1115,27 +1041,7 @@ def main(argv: list[str] | None = None) -> int:
             ("fig1", lambda: _run_fig1(profile, args.out, **engine_kwargs))
         )
     if args.command in ("grid", "all"):
-        if search_mode == "halving":
-            full_epochs = profile.training_config().epochs
-            schedule = search_flags["--budget-schedule"] or derive_schedule(full_epochs)
-            search_config = SearchConfig(
-                schedule=schedule,
-                eta=search_flags["--halving-eta"] or 2.0,
-                warm_start=(
-                    True
-                    if search_flags["--warm-start/--no-warm-start"] is None
-                    else search_flags["--warm-start/--no-warm-start"]
-                ),
-                bias_tolerance=(
-                    0.1
-                    if search_flags["--bias-tolerance"] is None
-                    else search_flags["--bias-tolerance"]
-                ),
-            )
-            try:
-                search_config.validate(full_epochs)
-            except ValueError as error:
-                parser.error(str(error))
+        if halving:
             # The parser rejected --shard with --search halving.
             search_kwargs = {k: v for k, v in engine_kwargs.items() if k != "shard"}
             planned.append(

@@ -366,11 +366,112 @@ class TestRunnerCLIFlags:
             ["ablation", "--help"],
             ["all", "--help"],
             ["cache", "--help"],
+            *(["cache", action, "--help"] for action in CACHE_ACTIONS),
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 0
             capsys.readouterr()
+
+
+CACHE_ACTIONS = ("stats", "inspect", "clear", "gc", "merge", "verify", "watch", "metrics")
+
+# Every invocation the CLI rejects, including flags it once accepted and
+# ignored (fig9/ablation --stack, clear/gc --json, --cache-dir on
+# merge/metrics/watch) and NaN bounds.  {out}, {cache}, {queue}, {src}
+# and {blocker} (a regular file) are per-test paths; every experiment
+# command also gets --profile micro --out {out}.
+REJECTED = (
+    "grid --jobs 0",
+    "fig9 --jobs 0",
+    "grid --stack 0",
+    "grid --lease-ttl 0",
+    "grid --lease-ttl nan",
+    "grid --max-attempts 0",
+    "grid --watchdog-mult -1",
+    "grid --watchdog-mult nan",
+    "grid --watchdog-floor -1",
+    "grid --watchdog-floor nan",
+    "grid --metrics-dir {blocker}/m",
+    "grid --queue {queue} --shard 0/2",
+    "grid --queue {queue} --jobs 2",
+    "all --queue {queue} --jobs 2",
+    "grid --no-cache --cache-dir {cache}",
+    "grid --no-cache --resume",
+    "ablation --no-cache --resume",
+    "grid --no-cache --shard 0/2",
+    "grid --no-cache --queue {queue}",
+    "grid --budget-schedule 1,2",
+    "grid --halving-eta 2",
+    "grid --no-warm-start",
+    "grid --bias-tolerance 0.1",
+    "grid --search halving --no-cache",
+    "grid --search halving --shard 0/2",
+    "grid --search halving --start-method spawn --jobs 2",
+    "grid --search halving --halving-eta 1",
+    "grid --search halving --halving-eta nan",
+    "grid --search halving --bias-tolerance -1",
+    "grid --search halving --bias-tolerance nan",
+    "grid --search halving --budget-schedule 2,1",
+    "fig9 --stack 2",
+    "ablation --stack 2",
+    "fig1 --jobs 2",
+    "cache stats --cache-dir {cache} --queue {queue}",
+    "cache gc --cache-dir {cache} --fingerprint ab --follow",
+    "cache stats --cache-dir {cache} {src}",
+    "cache inspect --cache-dir {cache} --into {out}",
+    "cache verify --cache-dir {cache} --into {out}",
+    "cache stats --cache-dir {cache} --max-age-days 1",
+    "cache clear --cache-dir {cache} --max-age-days 1",
+    "cache clear --cache-dir {cache} --json",
+    "cache gc --cache-dir {cache} --fingerprint ab --json",
+    "cache gc --cache-dir {cache}",
+    "cache gc --cache-dir {cache} --max-age-days -1",
+    "cache gc --cache-dir {cache} --max-age-days nan",
+    "cache merge --into {out}",
+    "cache merge {src}",
+    "cache merge {src} --into {out} --fingerprint ab",
+    "cache merge {src} --into {out} --cache-dir {cache}",
+    "cache merge {src} {src}/missing --into {out}",
+    "cache verify --cache-dir {cache} --fingerprint ab",
+    "cache metrics",
+    "cache metrics {src} --into {out}",
+    "cache metrics {src} --fingerprint ab",
+    "cache metrics {src} --cache-dir {cache}",
+    "cache watch",
+    "cache watch --queue {queue} --fingerprint ab",
+    "cache watch --queue {queue} --max-age-days 1",
+    "cache watch --queue {queue} {src}",
+    "cache watch --queue {queue} --cache-dir {cache}",
+    "cache --cache-dir {cache} stats",
+)
+
+
+class TestRejectedInvocations:
+    @pytest.mark.parametrize("command", REJECTED)
+    def test_exits_2_before_any_work(self, command, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{command!r} reached an experiment runner")
+
+        for name in ("run_fig1", "run_grid_exploration", "run_grid_search",
+                     "run_fig9", "run_ablation_suite"):
+            monkeypatch.setattr(runner_module, name, unreachable)
+        monkeypatch.chdir(tmp_path)
+        paths = {
+            name: tmp_path / name for name in ("out", "cache", "queue", "src", "blocker")
+        }
+        paths["src"].mkdir()
+        paths["blocker"].write_text("a file, not a directory")
+        argv = command.format(**paths).split()
+        if argv[0] != "cache":
+            argv += ["--profile", "micro", "--out", str(paths["out"])]
+        try:
+            code = main(argv)
+        except SystemExit as exited:
+            code = exited.code
+        assert code == 2, capsys.readouterr()
+        for name in ("out", "cache", "queue"):
+            assert not paths[name].exists(), f"{command!r} created {name}"
 
 
 class TestRunnerAllMode:

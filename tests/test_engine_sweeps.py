@@ -182,6 +182,8 @@ class TestRunnerFlagConflicts:
                 "conflicts with shard",
             ),
             ({"queue_dir": "q", "cache_dir": "c", "jobs": 3}, "single-process"),
+            ({"queue_dir": "q", "cache_dir": "c", "lease_ttl": 0.0}, "lease_ttl"),
+            ({"lease_ttl": float("nan")}, "lease_ttl"),
             (
                 {"queue_dir": "q", "cache_dir": "c", "start_method": "bogus"},
                 "unknown start_method",
@@ -192,6 +194,8 @@ class TestRunnerFlagConflicts:
             "queue_without_cache_dir",
             "queue_with_shard",
             "queue_with_jobs",
+            "queue_with_zero_lease_ttl",
+            "nan_lease_ttl",
             "queue_with_unknown_start_method",
         ],
     )
@@ -552,6 +556,20 @@ class TestCacheFailureTolerance:
         assert not json_orphan.exists()
         assert unrelated.exists()
 
+    @pytest.mark.parametrize("max_age", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_gc_rejects_an_age_bound_below_zero(self, tmp_path, max_age):
+        from repro.engine.cache import gc_cache_dir
+
+        # Every age exceeds a negative bound and none compares with NaN,
+        # so either would delete a fresh entry and an in-flight temp.
+        entry = tmp_path / ("cell_" + "a" * 12 + "_" + "2" * 32 + ".json")
+        entry.write_text("{}")
+        temp = tmp_path / ("cell_" + "b" * 12 + "_deadbeef.json.1234.tmp")
+        temp.write_text("{partial")
+        with pytest.raises(ValueError, match="max_age_seconds"):
+            gc_cache_dir(tmp_path, max_age_seconds=max_age)
+        assert entry.exists() and temp.exists()
+
 
 class TestCacheCLI:
     @pytest.fixture()
@@ -656,6 +674,16 @@ class TestCacheCLI:
         assert f"removed {len(old)}" in out
         assert self._stats(capsys, warm_cache)["entries"] == 6 - len(old)
 
+    @pytest.mark.parametrize("days", ["-1", "nan"])
+    def test_gc_rejects_an_age_bound_below_zero(self, tmp_path, capsys, days):
+        entry = tmp_path / ("cell_" + "a" * 12 + "_" + "2" * 32 + ".json")
+        entry.write_text("{}")
+        assert main(
+            ["cache", "gc", "--cache-dir", str(tmp_path), "--max-age-days", days]
+        ) == 2
+        assert "max_age_seconds must be >= 0" in capsys.readouterr().err
+        assert entry.exists()
+
     def test_gc_without_criteria_fails(self, tmp_path, capsys):
         assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 2
         assert "max-age-days" in capsys.readouterr().err
@@ -664,12 +692,13 @@ class TestCacheCLI:
         # Silently ignoring an age bound would mislead on stats/inspect
         # and delete everything on clear; the user meant `gc`.
         for action in ("stats", "inspect", "clear"):
-            code = main(
-                ["cache", action, "--cache-dir", str(warm_cache),
-                 "--max-age-days", "7"]
-            )
-            assert code == 2
-            assert "cache gc" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exited:
+                main(
+                    ["cache", action, "--cache-dir", str(warm_cache),
+                     "--max-age-days", "7"]
+                )
+            assert exited.value.code == 2
+            assert "unrecognized arguments: --max-age-days" in capsys.readouterr().err
         assert self._stats(capsys, warm_cache)["entries"] == 6
 
     def test_stats_on_missing_directory(self, tmp_path, capsys):

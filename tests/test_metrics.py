@@ -508,7 +508,9 @@ class TestCacheMetricsCLI:
         assert _sample(merged, "repro_cache_requests_total", cache="weights", op="put") == 1.0
 
     def test_no_sources_is_a_usage_error(self, capsys):
-        assert main(["cache", "metrics"]) == 2
+        with pytest.raises(SystemExit) as exited:
+            main(["cache", "metrics"])
+        assert exited.value.code == 2
 
     def test_missing_directory_is_a_usage_error(self, tmp_path, capsys):
         assert main(["cache", "metrics", str(tmp_path / "nope")]) == 2
@@ -520,8 +522,9 @@ class TestCacheMetricsCLI:
 
     def test_into_is_rejected(self, tmp_path, capsys):
         (tmp_path / "m").mkdir()
-        code = main(["cache", "metrics", str(tmp_path / "m"), "--into", str(tmp_path / "x")])
-        assert code == 2
+        with pytest.raises(SystemExit) as exited:
+            main(["cache", "metrics", str(tmp_path / "m"), "--into", str(tmp_path / "x")])
+        assert exited.value.code == 2
 
     def test_metrics_dir_flag_enables_collection(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -851,7 +851,7 @@ class TestQueueCLI:
         with pytest.raises(SystemExit):
             main(["grid", "--profile", "micro", "--queue", "/tmp/q",
                   "--shard", "0/2"])
-        assert "conflicts with --shard" in capsys.readouterr().err
+        assert "conflicts with shard" in capsys.readouterr().err
 
     def test_queue_conflicts_with_no_cache(self, capsys):
         with pytest.raises(SystemExit):
@@ -869,15 +869,19 @@ class TestQueueCLI:
         with pytest.raises(SystemExit):
             main(["grid", "--profile", "micro", "--queue", "/tmp/q",
                   "--lease-ttl", "0"])
-        assert "--lease-ttl" in capsys.readouterr().err
+        assert "lease_ttl must be > 0" in capsys.readouterr().err
 
     def test_watch_requires_queue_flag(self, capsys):
-        assert main(["cache", "watch"]) == 2
-        assert "--queue DIR" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            main(["cache", "watch"])
+        assert exited.value.code == 2
+        assert "required: --queue" in capsys.readouterr().err
 
     def test_watch_flags_rejected_outside_watch(self, tmp_path, capsys):
-        assert main(["cache", "stats", "--queue", str(tmp_path)]) == 2
-        assert "cache watch" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            main(["cache", "stats", "--queue", str(tmp_path)])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --queue" in capsys.readouterr().err
 
     def test_watch_missing_queue_exits_2(self, tmp_path, capsys):
         assert main(["cache", "watch", "--queue", str(tmp_path / "nope")]) == 2

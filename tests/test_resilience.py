@@ -117,6 +117,11 @@ class TestResilienceConfig:
         with pytest.raises(ValueError, match="watchdog_floor"):
             ResilienceConfig(watchdog_floor=-1.0)
 
+    @pytest.mark.parametrize("field", ["watchdog_multiplier", "watchdog_floor"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            ResilienceConfig(**{field: float("nan")})
+
 
 class TestAtomicJson:
     def test_threads_racing_for_one_file_use_separate_temp_files(

@@ -123,6 +123,13 @@ class TestSchedules:
         with pytest.raises(ValueError, match="bias_tolerance"):
             SearchConfig(schedule=(1, 2), bias_tolerance=-0.1).validate(2)
 
+    @pytest.mark.parametrize("field", ["eta", "bias_tolerance"])
+    def test_validate_rejects_nan(self, field):
+        # NaN compares false with every bound; eta=nan used to pass and
+        # die in math.ceil(n / nan) after rung 0 had trained.
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(schedule=(1, 2), **{field: float("nan")}).validate(2)
+
 
 class TestNeighbourIndex:
     def _state(self) -> dict[str, np.ndarray]:
@@ -553,7 +560,7 @@ class TestSearchCLI:
         with pytest.raises(SystemExit):
             main(["grid", "--profile", "micro", "--search", "halving",
                   "--halving-eta", "1.0"])
-        assert "--halving-eta" in capsys.readouterr().err
+        assert "eta must be > 1" in capsys.readouterr().err
 
     def test_bad_budget_schedule_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -565,7 +572,7 @@ class TestSearchCLI:
         with pytest.raises(SystemExit):
             main(["grid", "--profile", "micro", "--search", "halving",
                   "--bias-tolerance", "-1"])
-        assert "--bias-tolerance" in capsys.readouterr().err
+        assert "bias_tolerance must be >= 0" in capsys.readouterr().err
 
     def test_queued_search_quarantine_exits_with_quarantine_code(
         self, tmp_path, monkeypatch, capsys

@@ -580,11 +580,15 @@ class TestShardCLI:
         assert "complete" in capsys.readouterr().out
 
     def test_cache_merge_requires_sources_and_into(self, tmp_path, capsys):
-        assert main(["cache", "merge", "--into", str(tmp_path / "x")]) == 2
-        assert "SRC" in capsys.readouterr().err
         (tmp_path / "src").mkdir()
-        assert main(["cache", "merge", str(tmp_path / "src")]) == 2
-        assert "--into" in capsys.readouterr().err
+        for argv, missing in (
+            (["cache", "merge", "--into", str(tmp_path / "x")], "SRC"),
+            (["cache", "merge", str(tmp_path / "src")], "--into"),
+        ):
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2
+            assert missing in capsys.readouterr().err
         # A nonexistent source is a usage error (2), not a conflict (1).
         assert main(["cache", "merge", str(tmp_path / "nope"),
                      "--into", str(tmp_path / "x")]) == 2
@@ -603,11 +607,14 @@ class TestShardCLI:
         assert "conflict" in capsys.readouterr().err
 
     def test_sources_rejected_outside_merge(self, tmp_path, capsys):
-        assert main(["cache", "stats", str(tmp_path)]) == 2
-        assert "cache merge" in capsys.readouterr().err
-        assert main(["cache", "verify", "--cache-dir", str(tmp_path),
-                     "--into", str(tmp_path)]) == 2
-        assert "cache merge" in capsys.readouterr().err
+        for argv in (
+            ["cache", "stats", str(tmp_path)],
+            ["cache", "verify", "--cache-dir", str(tmp_path), "--into", str(tmp_path)],
+        ):
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_verify_empty_directory_fails(self, tmp_path, capsys):
         assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 1
@@ -621,5 +628,7 @@ class TestShardCLI:
             ["cache", "merge", str(tmp_path / "src"), "--into",
              str(tmp_path / "dst"), "--fingerprint", "abc"],
         ):
-            assert main(argv) == 2
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2
             assert "--fingerprint" in capsys.readouterr().err
