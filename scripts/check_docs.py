@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (run by the CI docs job and the tests).
 
-Four invariants:
+Five invariants:
 
 1. **Links** — every relative markdown link in README.md and docs/*.md
    must point at a file that exists in the repository.
@@ -18,6 +18,9 @@ Four invariants:
 4. **Citations** — every ``*.md`` file a docstring under ``src/`` cites
    (as a path relative to the repository root, e.g. ``docs/cli.md``)
    must exist.
+5. **Names** — every backticked dotted ``repro.…`` name in README.md and
+   docs/*.md (e.g. ``repro.engine.costs``) must resolve by import: a
+   module, or an attribute path inside one.
 
 Exits non-zero with one line per violation.
 """
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -37,9 +41,9 @@ LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_PATTERN = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
-def markdown_files() -> list[Path]:
-    files = [ROOT / "README.md"]
-    files.extend(sorted((ROOT / "docs").glob("*.md")))
+def markdown_files(root: Path = ROOT) -> list[Path]:
+    files = [root / "README.md"]
+    files.extend(sorted((root / "docs").glob("*.md")))
     return [path for path in files if path.is_file()]
 
 
@@ -184,9 +188,47 @@ def check_docstring_citations(root: Path = ROOT) -> list[str]:
     return errors
 
 
+DOTTED_NAME_PATTERN = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
+
+
+def resolves(name: str) -> bool:
+    """Whether ``name`` imports: its longest importable module prefix,
+    then attribute lookups for the rest."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def check_dotted_names(root: Path = ROOT) -> list[str]:
+    """Every backticked ``repro.…`` name in the docs must resolve by import."""
+    errors = []
+    for path in markdown_files(root):
+        for line_number, line in enumerate(path.read_text().splitlines(), 1):
+            for name in DOTTED_NAME_PATTERN.findall(line):
+                if not resolves(name):
+                    errors.append(
+                        f"{path.relative_to(root)}:{line_number}: "
+                        f"`{name}` does not resolve by import"
+                    )
+    return errors
+
+
 def main() -> int:
     errors = (
-        check_links() + check_flags() + check_metrics_docs() + check_docstring_citations()
+        check_links()
+        + check_flags()
+        + check_metrics_docs()
+        + check_docstring_citations()
+        + check_dotted_names()
     )
     for error in errors:
         print(error, file=sys.stderr)

@@ -35,7 +35,7 @@ import os
 import time
 import weakref
 import zipfile
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -57,6 +57,7 @@ if TYPE_CHECKING:  # annotation-only: repro.engine.job imports this module
 __all__ = [
     "CacheEntry",
     "CellCache",
+    "Checkpoint",
     "SweepCache",
     "WeightCache",
     "WeightEntry",
@@ -68,6 +69,7 @@ __all__ = [
     "fingerprint_matches",
     "gc_cache_dir",
     "nearest_weight_entry",
+    "read_checkpoint",
     "scan_cache_dir",
     "split_optimizer_arrays",
     "sweep_fingerprint",
@@ -237,22 +239,22 @@ class _CheckpointCache:
 
     def get(self, task):
         """Load the checkpoint for ``task``; ``None`` on miss or corruption."""
-        result = self._load(task)
-        record_cache(self.kind, "hit" if result is not None else "miss")
-        return result
+        loaded = self._load(task)
+        record_cache(self.kind, "hit" if loaded is not None else "miss")
+        return None if loaded is None else loaded[0]
 
     def _load(self, task):
-        path = self.path_for(task)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
+        """``(result, checkpoint)`` stored for ``task``; ``None`` when the
+        entry is missing, corrupt, of another format version or does not
+        decode."""
+        checkpoint = read_checkpoint(self.path_for(task), self.kind)
+        if checkpoint is None or checkpoint.version != _FORMAT_VERSION:
             return None
-        if not isinstance(payload, dict) or payload.get("version") != _FORMAT_VERSION:
-            return None
         try:
-            return self._decode(payload[self._value_key])
+            result = self._decode(checkpoint.value)
         except (AttributeError, KeyError, TypeError, ValueError):
             return None
+        return None if result is None else (result, checkpoint)
 
     def verify(self, task) -> str | None:
         """Prove the stored checkpoint decodes; its sha256 on success.
@@ -267,23 +269,8 @@ class _CheckpointCache:
         hit/miss metrics are recorded, so verification does not skew
         cache-traffic counters.
         """
-        path = self.path_for(task)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            payload = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return None
-        if not isinstance(payload, dict) or payload.get("version") != _FORMAT_VERSION:
-            return None
-        try:
-            if self._decode(payload[self._value_key]) is None:
-                return None
-        except (AttributeError, KeyError, TypeError, ValueError):
-            return None
-        return hashlib.sha256(data).hexdigest()
+        loaded = self._load(task)
+        return None if loaded is None else hashlib.sha256(loaded[1].data).hexdigest()
 
     def put(self, task, value) -> Path:
         """Atomically checkpoint a completed task; returns its path."""
@@ -372,6 +359,14 @@ class CellCache(_CheckpointCache):
             "attack_seed": task.attack_seed,
         }
 
+    @staticmethod
+    def payload_cost_key(task: dict) -> tuple[tuple[float, int], int]:
+        """``(cost_key, time_steps)`` of a stored task payload, as
+        :attr:`CellTask.cost_key <repro.engine.job.CellTask.cost_key>` and
+        ``time_steps`` give them for the live task."""
+        steps = int(task["time_window"])
+        return (float(task["v_th"]), steps), steps
+
     def _decode(self, payload: dict) -> CellResult:
         return CellResult.from_dict(payload)
 
@@ -417,8 +412,68 @@ class SweepCache(_CheckpointCache):
             "attack_seed": task.attack_seed,
         }
 
+    @staticmethod
+    def payload_cost_key(task: dict) -> tuple[str, int]:
+        """``(cost_key, time_steps)`` of a stored task payload, as
+        :attr:`SweepTask.cost_key <repro.engine.sweep.SweepTask.cost_key>`
+        and ``time_steps`` give them for the live task."""
+        key = task["key"]
+        if not isinstance(key, str):
+            raise TypeError(f"sweep key must be a string, got {key!r}")
+        params = dict(task.get("params", ()))
+        return key, int(params.get("time_window", 0))
+
     def _decode(self, payload: dict) -> SweepResult:
         return SweepResult.from_dict(payload)
+
+
+_CHECKPOINT_STORES = {store.kind: store for store in (CellCache, SweepCache)}
+"""The JSON result stores by filename kind."""
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """One result checkpoint as :func:`read_checkpoint` parsed it."""
+
+    data: bytes
+    """The file's bytes, which commit markers checksum."""
+
+    version: object
+    """The payload's format version."""
+
+    task: dict
+    """The task payload the store wrote; ``{}`` when missing or malformed."""
+
+    value: dict
+    """The stored result under the kind's value key; ``{}`` when missing
+    or malformed."""
+
+
+def read_checkpoint(path: Path, kind: str) -> Checkpoint | None:
+    """Parse the result checkpoint at ``path``, written by the ``kind``
+    store (``cell`` or ``sweep``).
+
+    The one reader of the checkpoint format: the stores' ``get`` and
+    ``verify``, :func:`entry_timings`, :func:`entry_provenance` and the
+    cost model (:mod:`repro.engine.costs`) all go through it.  Returns
+    ``None`` when the file is unreadable, is not JSON or is not an
+    object.
+    """
+    try:
+        data = path.read_bytes()
+        payload = json.loads(data)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(payload, dict):
+        return None
+    task = payload.get("task")
+    value = payload.get(_CHECKPOINT_STORES[kind]._value_key)
+    return Checkpoint(
+        data=data,
+        version=payload.get("version"),
+        task=task if isinstance(task, dict) else {},
+        value=value if isinstance(value, dict) else {},
+    )
 
 
 @dataclass(frozen=True)
@@ -743,19 +798,18 @@ def fingerprint_matches(entry: CacheEntry, fingerprint: str | None) -> bool:
     return fingerprint.startswith(entry.fingerprint)
 
 
-def scan_cache_dir(directory: str | Path) -> list[CacheEntry]:
-    """Enumerate recognised cache files under ``directory`` (non-recursive).
-
-    Unrelated files are ignored; a missing directory yields an empty list.
-    """
+def _scan_entries(
+    directory: str | Path, name_of: Callable[[Path], str | None]
+) -> list[CacheEntry]:
+    """Files under ``directory`` whose ``name_of(path)`` parses as
+    ``<kind>_<fp12>_<key>``; ``name_of`` returns ``None`` to skip a file."""
     directory = Path(directory)
     if not directory.is_dir():
         return []
     entries: list[CacheEntry] = []
     for path in sorted(directory.iterdir()):
-        if not path.is_file() or path.suffix not in (".json", ".npz"):
-            continue
-        parts = path.stem.split("_", 2)
+        name = name_of(path) if path.is_file() else None
+        parts = name.split("_", 2) if name is not None else ()
         if len(parts) != 3 or parts[0] not in _CACHE_KINDS:
             continue
         try:
@@ -774,6 +828,17 @@ def scan_cache_dir(directory: str | Path) -> list[CacheEntry]:
     return entries
 
 
+def scan_cache_dir(directory: str | Path) -> list[CacheEntry]:
+    """Enumerate recognised cache files under ``directory`` (non-recursive).
+
+    Unrelated files are ignored; a missing directory yields an empty list.
+    """
+    return _scan_entries(
+        directory,
+        lambda path: path.stem if path.suffix in (".json", ".npz") else None,
+    )
+
+
 def entry_timings(entry: CacheEntry) -> dict[str, float] | None:
     """Wall-clock breakdown stored inside a result checkpoint, if any.
 
@@ -784,23 +849,21 @@ def entry_timings(entry: CacheEntry) -> dict[str, float] | None:
     ``None`` for weight archives, pre-phase-tracking checkpoints and
     unreadable files.
     """
-    if entry.kind not in ("cell", "sweep"):
+    if entry.kind not in _CHECKPOINT_STORES:
         return None
+    checkpoint = read_checkpoint(entry.path, entry.kind)
+    if checkpoint is None:
+        return None
+    value = checkpoint.value
+    timings: dict[str, float] = {}
     try:
-        payload = json.loads(entry.path.read_text())
-        if not isinstance(payload, dict):
-            return None
-        value = payload.get("cell") or payload.get("result")
-        if not isinstance(value, dict):
-            return None
-        timings: dict[str, float] = {}
         if "elapsed_seconds" in value:
             timings["elapsed_s"] = float(value["elapsed_seconds"])
         phases = value.get("phase_seconds")
         if isinstance(phases, dict):
             for key in sorted(phases):
                 timings[str(key)] = float(phases[key])
-    except (OSError, TypeError, ValueError):
+    except (TypeError, ValueError):
         # One malformed checkpoint must not abort a whole listing.
         return None
     return timings or None
@@ -831,18 +894,12 @@ def entry_provenance(entry: CacheEntry) -> dict | None:
             if name in metadata
         }
         return provenance or None
-    if entry.kind not in ("cell", "sweep"):
+    if entry.kind not in _CHECKPOINT_STORES:
         return None
-    try:
-        payload = json.loads(entry.path.read_text())
-    except (OSError, ValueError):
+    checkpoint = read_checkpoint(entry.path, entry.kind)
+    if checkpoint is None:
         return None
-    if not isinstance(payload, dict):
-        return None
-    task = payload.get("task")
-    value = payload.get("cell") or payload.get("result")
-    task = task if isinstance(task, dict) else {}
-    value = value if isinstance(value, dict) else {}
+    task, value = checkpoint.task, checkpoint.value
     provenance: dict = {}
     if entry.kind == "cell":
         if "v_th" in task and "time_window" in task:
@@ -939,33 +996,12 @@ def _scan_stray_temps(directory: str | Path) -> list[CacheEntry]:
     leaves ``<entry>.json.<pid>.tmp`` / ``.weights_*.<pid>.tmp.npz``
     strays that would otherwise accumulate forever.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        return []
-    strays: list[CacheEntry] = []
-    for path in sorted(directory.iterdir()):
-        if not path.is_file():
-            continue
-        name = path.name
-        if not (name.endswith(".tmp") or name.endswith(".tmp.npz")):
-            continue
-        parts = name.lstrip(".").split("_", 2)
-        if len(parts) != 3 or parts[0] not in _CACHE_KINDS:
-            continue
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        strays.append(
-            CacheEntry(
-                path=path,
-                kind=parts[0],
-                fingerprint=parts[1],
-                size_bytes=stat.st_size,
-                modified=stat.st_mtime,
-            )
-        )
-    return strays
+    return _scan_entries(
+        directory,
+        lambda path: path.name.lstrip(".")
+        if path.name.endswith((".tmp", ".tmp.npz"))
+        else None,
+    )
 
 
 def _invalidate_manifests(directory: str | Path, fingerprints: set[str]) -> None:
@@ -1013,7 +1049,7 @@ def clear_cache_dir(directory: str | Path, fingerprint: str | None = None) -> in
         if fingerprint_matches(entry, fingerprint):
             entry.path.unlink(missing_ok=True)
             removed += 1
-            if entry.kind in ("cell", "sweep"):
+            if entry.kind in _CHECKPOINT_STORES:
                 dropped_results.add(entry.fingerprint)
     for stray in _scan_stray_temps(directory):
         # Temps never completed a write, so sweeping them cannot
@@ -1118,7 +1154,7 @@ def gc_cache_dir(
             continue
         entry.path.unlink(missing_ok=True)
         removed += 1
-        if entry.kind in ("cell", "sweep"):
+        if entry.kind in _CHECKPOINT_STORES:
             dropped_results.add(entry.fingerprint)
     for stray in _scan_stray_temps(directory):
         # Temps never completed a write, so sweeping them cannot

@@ -1,17 +1,19 @@
 """Cost-ordered scheduling: run the longest tasks first.
 
-Grid cells and sweep variants have wildly skewed costs (cell wall time is
+Grid cells and sweep variants have wildly skewed costs (wall time is
 roughly linear in the time window ``T``), so dispatching them in declared
-grid order strands wall-clock at the end of a schedule: a worker — or a
+order strands wall-clock at the end of a schedule: a worker — or a
 variant stack — picks up a ``T=64`` cell last and everyone else idles.
 Longest-first ordering is the classic LPT bound for this.
 
-The cost model is empirical where possible: completed checkpoints in a
-cache directory record per-cell ``elapsed_seconds``/``phase_seconds``, so
-a resumed or re-swept run orders by *measured* cost.  Tasks with no
-history fall back to a seconds-per-timestep rate estimated from whatever
-history exists, and to plain ``T``-descending when the directory is cold
-— the documented fallback, since cost is dominated by the time loop.
+One rule prices every task family.  Completed checkpoints in a cache
+directory record each task's ``elapsed_seconds``/``phase_seconds``, so a
+task with history costs what it cost.  A task without is priced at the
+history's median seconds per time step times its own ``time_steps``, and
+at plain ``time_steps`` when the directory is cold — the documented
+fallback, since cost is dominated by the time loop.  Tasks name their
+history by ``cost_key`` (:attr:`repro.engine.job.CellTask.cost_key`,
+:attr:`repro.engine.sweep.SweepTask.cost_key`).
 
 Execution order never changes results: every task carries its own derived
 seeds and the scheduler returns results in declared task order, so
@@ -20,183 +22,105 @@ reordering here only moves wall-clock, never science.
 
 from __future__ import annotations
 
-import json
-from collections.abc import Sequence
-from pathlib import Path
+from collections.abc import Hashable, Sequence
 
-from repro.engine.cache import scan_cache_dir
+from repro.engine.cache import read_checkpoint, scan_cache_dir
+from repro.engine.resilience import ResilienceConfig
 
 __all__ = [
-    "cached_cell_costs",
-    "cached_sweep_costs",
-    "cell_cost_estimator",
-    "cell_deadline_estimator",
-    "order_cell_tasks",
-    "order_sweep_tasks",
-    "sweep_deadline_estimator",
+    "cached_costs",
+    "cost_estimator",
+    "deadline_estimator",
+    "order_tasks",
 ]
 
-
-def _checkpoint_cost(path: Path, value_key: str) -> tuple[dict, float] | None:
-    """``(task_payload, seconds)`` recorded in one result checkpoint."""
-    try:
-        payload = json.loads(path.read_text())
-        task = payload.get("task")
-        value = payload.get(value_key)
-        if not isinstance(task, dict) or not isinstance(value, dict):
-            return None
-        elapsed = float(value.get("elapsed_seconds", 0.0))
-        if elapsed <= 0.0:
-            phases = value.get("phase_seconds")
-            if isinstance(phases, dict):
-                elapsed = float(sum(float(v) for v in phases.values()))
-        if elapsed <= 0.0:
-            return None
-        return task, elapsed
-    except (OSError, TypeError, ValueError):
-        return None
+Costs = dict[Hashable, tuple[float, int]]
+"""Measured ``(seconds, time_steps)`` per task ``cost_key``."""
 
 
-def cached_cell_costs(directory: str | Path) -> dict[tuple[float, int], float]:
-    """Measured seconds per ``(v_th, time_window)`` from cell checkpoints.
+def _measured_seconds(value: dict) -> float:
+    seconds = float(value.get("elapsed_seconds", 0.0))
+    if seconds <= 0.0:
+        phases = value.get("phase_seconds")
+        if isinstance(phases, dict):
+            seconds = float(sum(float(v) for v in phases.values()))
+    return seconds
+
+
+def cached_costs(cache) -> Costs:
+    """Measured costs from the checkpoints of ``cache``'s kind in its
+    directory.
 
     Entries from any fingerprint count — a cost model does not need the
     exact same config, just the same hardware-and-architecture regime.
-    Newer checkpoints win when several record the same combination.
+    Newer checkpoints win when several record the same ``cost_key``.
     """
-    costs: dict[tuple[float, int], float] = {}
-    entries = [e for e in scan_cache_dir(directory) if e.kind == "cell"]
+    costs: Costs = {}
+    entries = [e for e in scan_cache_dir(cache.directory) if e.kind == cache.kind]
     for entry in sorted(entries, key=lambda e: e.modified):
-        record = _checkpoint_cost(entry.path, "cell")
-        if record is None:
+        checkpoint = read_checkpoint(entry.path, entry.kind)
+        if checkpoint is None:
             continue
-        task, elapsed = record
         try:
-            key = (float(task["v_th"]), int(task["time_window"]))
+            key, steps = cache.payload_cost_key(checkpoint.task)
+            seconds = _measured_seconds(checkpoint.value)
         except (KeyError, TypeError, ValueError):
             continue
-        costs[key] = elapsed
+        if seconds > 0.0:
+            costs[key] = (seconds, steps)
     return costs
 
 
-def cached_sweep_costs(directory: str | Path) -> dict[str, float]:
-    """Measured seconds per variant ``key`` from sweep checkpoints."""
-    costs: dict[str, float] = {}
-    entries = [e for e in scan_cache_dir(directory) if e.kind == "sweep"]
-    for entry in sorted(entries, key=lambda e: e.modified):
-        record = _checkpoint_cost(entry.path, "result")
-        if record is None:
-            continue
-        task, elapsed = record
-        key = task.get("key")
-        if isinstance(key, str):
-            costs[key] = elapsed
-    return costs
-
-
-def cell_cost_estimator(costs: dict[tuple[float, int], float]):
+def cost_estimator(costs: Costs):
     """``task -> estimated seconds`` from measured costs.
 
     A task with history costs what it cost; one without is priced at the
-    median seconds-per-timestep of the history times its own ``T``; with
-    no history at all the estimate is ``T`` itself (pure ``T``-descending
-    ordering).
+    median seconds per time step of the history times its own
+    ``time_steps``; with no history at all the estimate is
+    ``time_steps`` itself (pure ``T``-descending ordering).
     """
-    rates = sorted(
-        seconds / steps for (_v, steps), seconds in costs.items() if steps > 0
-    )
+    rates = sorted(seconds / steps for seconds, steps in costs.values() if steps > 0)
     rate = rates[len(rates) // 2] if rates else None
 
     def estimate(task) -> float:
-        known = costs.get((float(task.v_th), int(task.time_window)))
+        known = costs.get(task.cost_key)
         if known is not None:
-            return known
-        steps = int(task.time_window)
+            return known[0]
+        steps = task.time_steps
         return rate * steps if rate is not None else float(steps)
 
     return estimate
 
 
-def cell_deadline_estimator(
-    costs: dict[tuple[float, int], float] | None,
-    *,
-    multiplier: float = 8.0,
-    floor: float = 600.0,
-):
+def deadline_estimator(costs: Costs, resilience: ResilienceConfig):
     """``task -> watchdog deadline seconds``, or ``None`` when disabled.
 
     The hung-task watchdog prices a phase's abort deadline from the same
-    empirical cost model that orders the claims: ``multiplier ×`` the
-    predicted phase seconds, never below ``floor``.  A cold cache has no
-    *seconds* prediction (the ordering fallback is unitless ``T``), so
-    every cell is priced at the floor alone — generous beats shooting a
-    healthy first epoch.  ``multiplier <= 0`` disables the watchdog.
+    cost model that orders the claims: ``resilience.watchdog_multiplier
+    ×`` the estimate, never below ``watchdog_floor``.  A cold cache has
+    no *seconds* estimate (the ordering fallback is unitless ``T``), so
+    every task is priced at the floor alone — generous beats shooting a
+    healthy first epoch.  A multiplier of 0 disables the watchdog.
     """
+    multiplier = float(resilience.watchdog_multiplier)
+    floor = float(resilience.watchdog_floor)
     if multiplier <= 0:
         return None
-    costs = costs or {}
-    estimate = cell_cost_estimator(costs) if costs else None
+    estimate = cost_estimator(costs) if costs else None
 
     def deadline(task) -> float:
         if estimate is None:
-            return float(floor)
-        return max(float(floor), float(multiplier) * float(estimate(task)))
+            return floor
+        return max(floor, multiplier * float(estimate(task)))
 
     return deadline
 
 
-def sweep_deadline_estimator(
-    costs: dict[str, float] | None,
-    *,
-    multiplier: float = 8.0,
-    floor: float = 600.0,
-):
-    """Sweep-variant sibling of :func:`cell_deadline_estimator`: measured
-    seconds for the variant's ``key`` scale by ``multiplier``, unmeasured
-    variants get the ``floor``; ``multiplier <= 0`` disables."""
-    if multiplier <= 0:
-        return None
-    costs = costs or {}
+def order_tasks(tasks: Sequence, costs: Costs) -> list:
+    """``tasks``, most expensive first (declared index breaks ties).
 
-    def deadline(task) -> float:
-        known = costs.get(task.key)
-        if known is None:
-            return float(floor)
-        return max(float(floor), float(multiplier) * float(known))
-
-    return deadline
-
-
-def order_cell_tasks(
-    tasks: Sequence, costs: dict[tuple[float, int], float] | None
-) -> list:
-    """Grid-cell tasks, most expensive first (deterministic tie-break)."""
-    estimate = cell_cost_estimator(costs or {})
-    return sorted(tasks, key=lambda task: (-estimate(task), task.index))
-
-
-def _sweep_time_steps(task) -> int:
-    for name, value in getattr(task, "params", ()):
-        if name in ("time_steps", "time_window", "T"):
-            try:
-                return int(value)
-            except (TypeError, ValueError):
-                return 0
-    return 0
-
-
-def order_sweep_tasks(tasks: Sequence, costs: dict[str, float] | None) -> list:
-    """Sweep tasks, most expensive first.
-
-    Fallback for unmeasured variants is their ``time_steps`` build
-    parameter (0 when absent), then declared order.
+    A pure key sort over costs fixed for the run, so any slice of the
+    result is in order too.
     """
-    costs = costs or {}
-
-    def estimate(task) -> float:
-        known = costs.get(task.key)
-        if known is not None:
-            return known
-        return float(_sweep_time_steps(task))
-
+    estimate = cost_estimator(costs)
     return sorted(tasks, key=lambda task: (-estimate(task), task.index))

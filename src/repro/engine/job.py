@@ -98,6 +98,17 @@ class CellTask:
         metadata and fed to the neighbour index."""
         return {"v_th": float(self.v_th), "time_window": float(self.time_window)}
 
+    @property
+    def cost_key(self) -> tuple[float, int]:
+        """Name of this cell's timings in the cost model
+        (:mod:`repro.engine.costs`)."""
+        return (float(self.v_th), int(self.time_window))
+
+    @property
+    def time_steps(self) -> int:
+        """Time steps per forward pass, the cost model's fallback price."""
+        return int(self.time_window)
+
 
 @dataclass(frozen=True)
 class WarmStartRef:

@@ -733,9 +733,9 @@ def run_queued_tasks(
 
     ``resilience`` bundles the supervision knobs (attempt budget,
     backoff shape, watchdog pricing); ``task_deadline`` maps a task to
-    its watchdog deadline in seconds (the runners build it from the
-    cost model via :func:`repro.engine.costs.cell_deadline_estimator`) —
-    ``None`` leaves the watchdog off.  A failed attempt records an
+    its watchdog deadline in seconds (``run_tasks`` prices it from the
+    cache's timings via :func:`repro.engine.costs.deadline_estimator`)
+    — ``None`` leaves the watchdog off.  A failed attempt records an
     ``attempt_<i>_<n>.json`` file, releases the lease and re-enqueues
     the task behind a deterministic backoff; the attempt that exhausts
     the budget writes ``quarantined_<i>.json`` instead and the rest of
@@ -798,10 +798,7 @@ def run_queued_tasks(
                 ) from retry_error
         path = cache.path_for(task)
         chaos.maybe_corrupt(path, task.index, attempt)
-        verify = getattr(cache, "verify", None)
-        digest = verify(task) if verify is not None else (
-            _checkpoint_digest(path) or None
-        )
+        digest = cache.verify(task)
         if digest is None:
             # Torn or unreadable on disk: drop it and burn an attempt so
             # the task retries instead of poisoning the merge.

@@ -7,7 +7,8 @@ through a pure job function in three stages:
 
 * **plan** — check the mode flags (:func:`check_run_options`), keep
   the ``shard``'s slice, check that task indices are unique, and
-  cost-order the tasks once;
+  cost-order the tasks once from the ``cache`` directory's timings
+  (:mod:`repro.engine.costs`);
 * **execute** — run the units of :func:`repro.engine.stacking.plan_units`
   (up to ``stack`` grid cells per fused pass) in-process, on a
   ``multiprocessing`` pool (``jobs>1``, one unit per submission), or
@@ -51,11 +52,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from importlib import import_module
 
-from repro.engine.costs import (
-    cached_cell_costs,
-    cell_deadline_estimator,
-    order_cell_tasks,
-)
+from repro.engine.costs import cached_costs, deadline_estimator, order_tasks
 from repro.engine.job import ExplorationJobContext, run_cell_task
 from repro.engine.metrics import (
     configure_metrics,
@@ -323,13 +320,11 @@ def run_tasks(
     start_method: str = "auto",
     context_spec: ContextSpec | None = None,
     shard: ShardSpec | None = None,
-    pending_order: Callable[[list], list] | None = None,
     stack: int = 1,
     *,
     queue_dir=None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     resilience: ResilienceConfig | None = None,
-    task_deadline: Callable | None = None,
     experiment: str = "",
     cache_dir=None,
 ) -> tuple[list, ScheduleStats]:
@@ -341,10 +336,17 @@ def run_tasks(
     order.  The partition depends only on task indices, so it is stable
     across hosts and across ``--resume``.
 
+    Every mode runs the served tasks longest-first by the cost model of
+    :mod:`repro.engine.costs`, priced from the timings recorded in
+    ``cache``'s directory (plain ``T``-descending without a cache or
+    history).  Only execution is reordered: results keep the declared
+    task order.
+
     With ``queue_dir`` set, the run joins that work queue as one worker
     of a dynamic fleet instead: :func:`repro.engine.queue.run_queued_tasks`
-    serves it as ``experiment`` with ``lease_ttl``, ``resilience`` and
-    ``task_deadline`` (``None`` keeps the queue's default), and
+    serves it as ``experiment`` with ``lease_ttl`` and ``resilience``
+    (default :class:`~repro.engine.resilience.ResilienceConfig`), whose
+    watchdog deadlines the same cost model prices, and
     ``results`` is the worker's :class:`~repro.engine.queue.QueueRunResult`
     with this schedule's stats under ``metadata["engine"]``.  A queue
     worker is one process that needs ``cache``: :func:`check_run_options`
@@ -362,7 +364,8 @@ def run_tasks(
         Shared job inputs (factory, datasets, config).  Any object the
         ``run_fn`` understands; must match what ``context_spec`` rebuilds.
     tasks:
-        Jobs to evaluate.  Each needs a unique integer ``.index``.
+        Jobs to evaluate.  Each needs a unique integer ``.index`` and the
+        cost model's ``cost_key`` and ``time_steps``.
     run_fn:
         Pure job function ``(context, task) -> result`` — a *module-level*
         function (e.g. :func:`~repro.engine.job.run_cell_task` or
@@ -395,12 +398,6 @@ def run_tasks(
         Optional :class:`~repro.engine.shard.ShardSpec` restricting this
         invocation to its deterministic slice of the task list
         (multi-host runs: one shard per host, caches merged afterwards).
-    pending_order:
-        Optional execution order (e.g. longest-first,
-        :func:`repro.engine.costs.order_cell_tasks`), applied once to the
-        served tasks at plan time.  A pure key sort, so any slice of the
-        ordered list — the pending tasks, the queue's claimable ones — is
-        still in order.  Results keep the declared task order.
     stack:
         Run pending tasks as the units of
         :func:`~repro.engine.stacking.plan_units` — up to ``stack`` grid
@@ -428,13 +425,10 @@ def run_tasks(
     owned = declared if shard is None else shard.partition(declared)
     if len({task.index for task in owned}) != len(owned):
         raise ValueError("task indices must be unique")
-    ordered = owned
-    if pending_order is not None:
-        ordered = list(pending_order(list(owned)))
-        if sorted(task.index for task in ordered) != sorted(
-            task.index for task in owned
-        ):
-            raise ValueError("pending_order must permute the tasks")
+    # Ordered once, at plan time: a pure key sort, so the pending slice
+    # and the queue's claimable slice each round stay in order too.
+    costs = cached_costs(cache) if cache is not None else {}
+    ordered = order_tasks(owned, costs)
     recorder = _Recorder(progress)
     certified = None
     try:
@@ -448,11 +442,12 @@ def run_tasks(
                 len(owned), used_jobs, method, "" if shard is None else str(shard)
             )
         else:
+            supervision = resilience if resilience is not None else ResilienceConfig()
             outcome = run_queued_tasks(
                 context, ordered, run_fn, cache, queue_dir,
                 experiment=experiment, resume=resume, record=recorder.record,
-                lease_ttl=lease_ttl, stack=stack, resilience=resilience,
-                task_deadline=task_deadline,
+                lease_ttl=lease_ttl, stack=stack, resilience=supervision,
+                task_deadline=deadline_estimator(costs, supervision),
             )
             stats = recorder.stats(len(ordered), 1, "queue", workers=[outcome.worker])
     finally:
@@ -484,7 +479,7 @@ def _run_local(
             if result is not None:
                 recorder.record(task, result, cached=True)
     if resume and recorder.cached == 0 and owned:
-        if getattr(cache, "any_entries", lambda: False)():
+        if cache.any_entries():
             # Checkpoints exist but none match: a mispointed cache
             # directory or a changed config/fingerprint — the cases where
             # "resume" would otherwise silently recompute everything.
@@ -564,19 +559,10 @@ def _run_local(
 
 
 def run_cell_tasks(
-    context: ExplorationJobContext,
-    tasks: Sequence,
-    cache=None,
-    resilience: ResilienceConfig | None = None,
-    **options,
+    context: ExplorationJobContext, tasks: Sequence, **options
 ) -> tuple[list, ScheduleStats]:
     """Grid-cell convenience wrapper: :func:`run_tasks` with
-    :func:`~repro.engine.job.run_cell_task` as the job function.
-
-    The cell cost model prices the run from the timings recorded in
-    ``cache``'s directory (:mod:`repro.engine.costs`): pending cells run
-    longest-first, and queued cells get a watchdog deadline of
-    ``resilience``'s multiple of their predicted cost.  Every other
+    :func:`~repro.engine.job.run_cell_task` as the job function; every
     keyword is :func:`run_tasks`'s.
 
     Example::
@@ -584,19 +570,4 @@ def run_cell_tasks(
         cells, stats = run_cell_tasks(context, build_cell_tasks(config),
                                       jobs=4, cache=cache, resume=True)
     """
-    costs = cached_cell_costs(cache.directory) if cache is not None else None
-    supervision = resilience if resilience is not None else ResilienceConfig()
-    return run_tasks(
-        context,
-        tasks,
-        run_cell_task,
-        cache=cache,
-        pending_order=lambda pending: order_cell_tasks(pending, costs),
-        resilience=supervision,
-        task_deadline=cell_deadline_estimator(
-            costs,
-            multiplier=supervision.watchdog_multiplier,
-            floor=supervision.watchdog_floor,
-        ),
-        **options,
-    )
+    return run_tasks(context, tasks, run_cell_task, **options)

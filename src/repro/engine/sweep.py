@@ -99,6 +99,18 @@ class SweepTask:
                 return value
         return default
 
+    @property
+    def cost_key(self) -> str:
+        """Name of this variant's timings in the cost model
+        (:mod:`repro.engine.costs`)."""
+        return self.key
+
+    @property
+    def time_steps(self) -> int:
+        """The ``time_window`` build parameter (0 for variants without one,
+        such as the CNN), the cost model's fallback price."""
+        return int(self.param("time_window", 0))
+
 
 @dataclass
 class SweepJobContext:

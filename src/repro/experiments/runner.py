@@ -92,6 +92,13 @@ _HALVING_FLAGS = {
     "warm_start": "--warm-start/--no-warm-start",
     "bias_tolerance": "--bias-tolerance",
 }
+# The queue-only flags by their dests: lease_ttl, then ResilienceConfig's fields.
+_QUEUE_FLAGS = {
+    "lease_ttl": "--lease-ttl",
+    "max_attempts": "--max-attempts",
+    "watchdog_multiplier": "--watchdog-mult",
+    "watchdog_floor": "--watchdog-floor",
+}
 
 _DEFAULT_CACHE_DIR = Path(".repro_cache") / "cells"
 
@@ -205,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument(
         "--lease-ttl",
         type=float,
-        default=DEFAULT_LEASE_TTL,
+        default=None,
         metavar="SECONDS",
         help="queue mode only: seconds without a heartbeat after which a "
         f"task lease counts as abandoned and may be stolen (default: "
@@ -214,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument(
         "--max-attempts",
         type=int,
-        default=DEFAULT_MAX_ATTEMPTS,
+        default=None,
         metavar="N",
         help="queue mode only: distinct failures a task may accumulate "
         "(across the whole fleet) before it is quarantined and the rest "
@@ -223,8 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine.add_argument(
         "--watchdog-mult",
+        dest="watchdog_multiplier",
         type=float,
-        default=8.0,
+        default=None,
         metavar="K",
         help="queue mode only: hung-task watchdog deadline as K x the "
         "cost model's predicted task seconds; a timed-out phase is "
@@ -234,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument(
         "--watchdog-floor",
         type=float,
-        default=600.0,
+        default=None,
         metavar="SECONDS",
         help="queue mode only: minimum watchdog deadline, and the flat "
         "deadline when the cache is cold and no cost history exists "
@@ -464,6 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="--metrics-dir directories holding metrics_*.json snapshots",
     )
+    for command_parser in subparsers.choices.values():
+        command_parser.set_defaults(command_parser=command_parser)
     return parser
 
 
@@ -921,6 +931,16 @@ def _run_cache_gc(args) -> int:
     return 0
 
 
+def _given(args, flags: dict[str, str]) -> dict[str, object]:
+    """The values of ``flags`` (dest -> flag) given on the command line;
+    these flags default to ``None``, so any other value was given."""
+    return {
+        dest: getattr(args, dest)
+        for dest in flags
+        if getattr(args, dest, None) is not None
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
@@ -928,14 +948,15 @@ def main(argv: list[str] | None = None) -> int:
     own checks (:func:`~repro.engine.scheduler.check_run_options`,
     :class:`ResilienceConfig`, :meth:`SearchConfig.validate`) reject bad
     values before anything runs; both exit 2.  The checks written here
-    are the ones the library cannot make: ``--no-cache`` and
-    ``--search`` are CLI concepts.
+    are the ones the library cannot make: ``--no-cache``, ``--search``
+    and the flags that only a ``--queue`` run reads are CLI concepts.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+    args = build_parser().parse_args(argv)
     if args.command == "cache":
         return args.run(args)
+    # The checks below report with the subcommand's usage line, as
+    # argparse's own checks of its flags do.
+    parser = args.command_parser
 
     profile = get_profile(args.profile)
     if args.command == "fig1":
@@ -957,15 +978,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(
                 f"{flag} needs the checkpoints --no-cache disables; drop --no-cache"
             )
-    # Halving-only flags default to None, so any other value was given.
-    search_fields = {
-        field: getattr(args, field)
-        for field in _HALVING_FLAGS
-        if getattr(args, field, None) is not None
-    }
+    search_fields = _given(args, _HALVING_FLAGS)
     if search_fields and not halving:
         flag = _HALVING_FLAGS[next(iter(search_fields))]
         parser.error(f"{flag} requires --search halving")
+    queue_fields = _given(args, _QUEUE_FLAGS)
+    if queue_fields and args.queue is None:
+        parser.error(f"{_QUEUE_FLAGS[next(iter(queue_fields))]} requires --queue")
+    lease_ttl = queue_fields.pop("lease_ttl", DEFAULT_LEASE_TTL)
     if halving and args.shard is not None:
         parser.error(
             "--search halving conflicts with --shard: promotions need "
@@ -998,13 +1018,9 @@ def main(argv: list[str] | None = None) -> int:
             cache=cache_dir,
             shard=args.shard,
             queue_dir=args.queue,
-            lease_ttl=args.lease_ttl,
+            lease_ttl=lease_ttl,
         )
-        resilience = ResilienceConfig(
-            max_attempts=args.max_attempts,
-            watchdog_multiplier=args.watchdog_mult,
-            watchdog_floor=args.watchdog_floor,
-        )
+        resilience = ResilienceConfig(**queue_fields)
         if halving:
             full_epochs = profile.training_config().epochs
             search_config = SearchConfig(
@@ -1028,7 +1044,7 @@ def main(argv: list[str] | None = None) -> int:
         start_method=args.start_method,
         shard=args.shard,
         queue_dir=args.queue,
-        lease_ttl=args.lease_ttl,
+        lease_ttl=lease_ttl,
         resilience=resilience,
     )
     epsilons = getattr(args, "epsilons", None)

@@ -29,11 +29,6 @@ from collections.abc import Callable
 from pathlib import Path
 
 from repro.engine.cache import SweepCache, WeightCache, sweep_fingerprint, training_fingerprint
-from repro.engine.costs import (
-    cached_sweep_costs,
-    order_sweep_tasks,
-    sweep_deadline_estimator,
-)
 from repro.engine.job import ExplorationJobContext
 from repro.engine.queue import DEFAULT_LEASE_TTL, QueueRunResult
 from repro.engine.resilience import ResilienceConfig
@@ -143,9 +138,10 @@ def run_sweep_schedule(
 
     Builds the context via ``context_builder`` (one of this module's
     ``build_*_context`` functions — its name doubles as the spawn spec
-    target), wires up the result cache, progress logging, the sweep cost
-    model and the spawn spec, makes the one engine dispatch call
-    (:func:`repro.engine.scheduler.run_tasks`), and returns ``(results,
+    target), wires up the result cache, progress logging and the spawn
+    spec, makes the one engine dispatch call
+    (:func:`repro.engine.scheduler.run_tasks`, which also cost-orders the
+    tasks and prices their watchdog deadlines), and returns ``(results,
     metadata)`` where metadata carries the engine stats and the
     weight-reuse count.
 
@@ -192,12 +188,6 @@ def run_sweep_schedule(
             done, total, task.key, result.clean_accuracy, source,
         )
 
-    # Longest-first dispatch keeps the final worker busy with short tasks
-    # instead of idling behind one long straggler; costs come from prior
-    # runs' cached phase timings, falling back to a T-descending estimate.
-    # The same costs price the queue's watchdog deadlines.
-    costs = cached_sweep_costs(cache_dir) if cache_dir is not None else None
-    supervision = resilience if resilience is not None else ResilienceConfig()
     results, stats = run_tasks(
         context,
         tasks,
@@ -211,15 +201,9 @@ def run_sweep_schedule(
             context_builder.__name__, profile, cache_dir, resume
         ),
         shard=shard,
-        pending_order=lambda pending: order_sweep_tasks(pending, costs),
         queue_dir=None if queue_dir is None else Path(queue_dir) / experiment,
         lease_ttl=lease_ttl,
-        resilience=supervision,
-        task_deadline=sweep_deadline_estimator(
-            costs,
-            multiplier=supervision.watchdog_multiplier,
-            floor=supervision.watchdog_floor,
-        ),
+        resilience=resilience,
         experiment=experiment,
         cache_dir=cache_dir,
     )

@@ -1,4 +1,5 @@
-"""The documentation stays consistent with the code (links, CLI flags, citations).
+"""The documentation stays consistent with the code (links, CLI flags,
+citations, dotted names).
 
 Runs ``scripts/check_docs.py`` — the same check CI's docs job executes —
 so a flag added to argparse without a docs/cli.md entry (or vice versa)
@@ -55,4 +56,21 @@ def test_docstring_citations_flag_missing_markdown(tmp_path):
     assert errors == [
         f"{Path('src/pkg/mod.py')}:3: docstring cites DESIGN.md, which does not exist",
         f"{Path('src/pkg/mod.py')}:8: docstring cites docs/absent.md, which does not exist",
+    ]
+
+
+def test_dotted_names_flag_what_does_not_import(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "README.md").write_text(
+        "Costs live in `repro.engine.costs`; see `repro.engine.costs.order_tasks`.\n"
+        "Run `repro.experiments all` for everything.\n"
+    )
+    (tmp_path / "docs" / "guide.md").write_text(
+        "# Guide\n\n`repro.engine.costs.order_cell_tasks` and `repro.no_such_module`.\n"
+    )
+    errors = _check_docs_module().check_dotted_names(tmp_path)
+    guide = Path("docs/guide.md")
+    assert errors == [
+        f"{guide}:3: `repro.engine.costs.order_cell_tasks` does not resolve by import",
+        f"{guide}:3: `repro.no_such_module` does not resolve by import",
     ]

@@ -385,6 +385,12 @@ REJECTED = (
     "grid --jobs 0",
     "fig9 --jobs 0",
     "grid --stack 0",
+    # Without --queue a queue-only flag is itself the error, whatever its
+    # value; with it, each bad value trips its own check.
+    "grid --lease-ttl 30",
+    "grid --max-attempts 2",
+    "grid --watchdog-mult 4",
+    "fig9 --watchdog-floor 60",
     "grid --lease-ttl 0",
     "grid --lease-ttl nan",
     "grid --max-attempts 0",
@@ -392,6 +398,13 @@ REJECTED = (
     "grid --watchdog-mult nan",
     "grid --watchdog-floor -1",
     "grid --watchdog-floor nan",
+    "grid --queue {queue} --lease-ttl 0",
+    "grid --queue {queue} --lease-ttl nan",
+    "grid --queue {queue} --max-attempts 0",
+    "grid --queue {queue} --watchdog-mult -1",
+    "grid --queue {queue} --watchdog-mult nan",
+    "grid --queue {queue} --watchdog-floor -1",
+    "grid --queue {queue} --watchdog-floor nan",
     "grid --metrics-dir {blocker}/m",
     "grid --queue {queue} --shard 0/2",
     "grid --queue {queue} --jobs 2",
@@ -472,6 +485,15 @@ class TestRejectedInvocations:
         assert code == 2, capsys.readouterr()
         for name in ("out", "cache", "queue"):
             assert not paths[name].exists(), f"{command!r} created {name}"
+
+    def test_errors_print_the_subcommand_usage(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["grid", "--profile", "micro", "--queue", str(tmp_path / "q"),
+                  "--shard", "0/2"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro-experiments grid ")
+        assert "repro-experiments grid: error: queue_dir" in err
 
 
 class TestRunnerAllMode:

@@ -11,32 +11,34 @@ scheduling and cache-timing satellites that ride on the same PR.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from repro.data.dataset import ArrayDataset
+from repro.engine import scheduler
 from repro.engine.cache import (
     CellCache,
+    SweepCache,
     WeightCache,
     cache_stats,
     context_fingerprint,
     training_fingerprint,
 )
 from repro.engine.costs import (
-    cached_cell_costs,
-    cached_sweep_costs,
-    cell_cost_estimator,
-    order_cell_tasks,
-    order_sweep_tasks,
+    cached_costs,
+    cost_estimator,
+    deadline_estimator,
+    order_tasks,
 )
-from repro.engine.job import ExplorationJobContext, build_cell_tasks
+from repro.engine.job import CellTask, ExplorationJobContext, build_cell_tasks
+from repro.engine.resilience import ResilienceConfig
 from repro.engine.scheduler import ContextSpec, run_cell_tasks, run_tasks
 from repro.engine.stacking import pack_stacks
+from repro.engine.sweep import SweepResult, SweepTask
 from repro.experiments.sweeps import build_grid_context
 from repro.models.spiking_lenet import build_spiking_lenet_mini
 from repro.robustness.config import ExplorationConfig
+from repro.robustness.results import CellResult
 from repro.snn.decoding import MaxMembraneDecoder
 from repro.snn.encoding import PoissonEncoder
 from repro.snn.neuron import LIFCell, LIFParameters, LICell
@@ -475,86 +477,192 @@ class TestStackedEngine:
 
 
 def _cell(index, v_th, time_window):
-    return SimpleNamespace(index=index, v_th=v_th, time_window=time_window)
+    return CellTask(index, v_th, time_window, cell_seed=0, attack_seed=0)
+
+
+def _variant(index, key, time_window=None):
+    params = () if time_window is None else (("time_window", time_window),)
+    return SweepTask(index=index, key=key, kind="fig9_snn", params=params)
+
+
+def _cell_result(task, elapsed_seconds=0.0, phase_seconds=None):
+    return CellResult(
+        v_th=task.v_th,
+        time_window=task.time_window,
+        clean_accuracy=0.5,
+        learnable=True,
+        elapsed_seconds=elapsed_seconds,
+        phase_seconds=phase_seconds or {},
+    )
+
+
+def _reference_order_cell_tasks(tasks, costs):
+    """The cell-only ordering rule the shared cost model replaced, over
+    measured seconds keyed by ``(v_th, time_window)``: the oracle the
+    shared rule must reproduce on grid cells."""
+    rates = sorted(
+        seconds / steps for (_v, steps), seconds in costs.items() if steps > 0
+    )
+    rate = rates[len(rates) // 2] if rates else None
+
+    def estimate(task):
+        known = costs.get((float(task.v_th), int(task.time_window)))
+        if known is not None:
+            return known
+        steps = int(task.time_window)
+        return rate * steps if rate is not None else float(steps)
+
+    return sorted(tasks, key=lambda task: (-estimate(task), task.index))
 
 
 class TestCostOrdering:
     def test_cold_cache_orders_by_time_window(self):
         tasks = [_cell(0, 0.5, 4), _cell(1, 1.0, 64), _cell(2, 1.5, 16)]
-        ordered = order_cell_tasks(tasks, None)
+        ordered = order_tasks(tasks, {})
         assert [task.index for task in ordered] == [1, 2, 0]
 
     def test_measured_costs_win_over_t(self):
         tasks = [_cell(0, 0.5, 4), _cell(1, 1.0, 64)]
         # A measured slow T=4 cell outranks an estimated T=64 one.
-        costs = {(0.5, 4): 100.0, (1.0, 64): 1.0}
-        ordered = order_cell_tasks(tasks, costs)
+        costs = {(0.5, 4): (100.0, 4), (1.0, 64): (1.0, 64)}
+        ordered = order_tasks(tasks, costs)
         assert [task.index for task in ordered] == [0, 1]
 
     def test_unmeasured_tasks_priced_by_median_rate(self):
-        estimate = cell_cost_estimator({(0.5, 10): 20.0})  # 2 s per step
+        estimate = cost_estimator({(0.5, 10): (20.0, 10)})  # 2 s per step
         assert estimate(_cell(0, 1.0, 8)) == pytest.approx(16.0)
         assert estimate(_cell(1, 0.5, 10)) == 20.0
 
     def test_order_is_deterministic_on_ties(self):
         tasks = [_cell(2, 0.5, 8), _cell(0, 1.0, 8), _cell(1, 1.5, 8)]
-        assert [t.index for t in order_cell_tasks(tasks, None)] == [0, 1, 2]
+        assert [t.index for t in order_tasks(tasks, {})] == [0, 1, 2]
 
     def test_sweep_tasks_fall_back_to_time_steps_param(self):
-        sweeps = [
-            SimpleNamespace(index=0, key="a", params=(("time_steps", 8),)),
-            SimpleNamespace(index=1, key="b", params=(("time_steps", 32),)),
-            SimpleNamespace(index=2, key="c", params=()),
+        sweeps = [_variant(0, "a", 8), _variant(1, "b", 32), _variant(2, "c")]
+        assert [task.time_steps for task in sweeps] == [8, 32, 0]
+        assert [t.index for t in order_tasks(sweeps, {})] == [1, 0, 2]
+        measured = {"c": (50.0, 0)}
+        assert [t.index for t in order_tasks(sweeps, measured)] == [2, 1, 0]
+
+    @pytest.mark.parametrize("history", ["none", "partial", "full"])
+    def test_grid_order_matches_the_cell_only_rule(self, tmp_path, history):
+        tasks = [
+            _cell(index, v_th, time_window)
+            for index, (v_th, time_window) in enumerate(
+                (v, t) for v in (0.5, 1.0, 1.5) for t in (4, 8, 16, 32)
+            )
         ]
-        assert [t.index for t in order_sweep_tasks(sweeps, None)] == [1, 0, 2]
-        measured = {"c": 50.0}
-        assert [t.index for t in order_sweep_tasks(sweeps, measured)] == [2, 1, 0]
+        rng = np.random.default_rng(3)
+        measured = {"none": [], "partial": tasks[1::3], "full": tasks}[history]
+        cache = CellCache(tmp_path, "f" * 64)
+        for task in measured:
+            cache.put(task, _cell_result(task, float(rng.uniform(0.1, 50.0))))
+        costs = cached_costs(cache)
+        assert len(costs) == len(measured)
+        seconds = {key: value for key, (value, _steps) in costs.items()}
+        for _ in range(5):
+            shuffled = [tasks[i] for i in rng.permutation(len(tasks))]
+            assert order_tasks(shuffled, costs) == _reference_order_cell_tasks(
+                shuffled, seconds
+            )
 
     def test_cached_costs_read_from_checkpoints(self, tmp_path):
         factory, train, test, config = _grid_fixture()
         tasks = build_cell_tasks(config)
         context = ExplorationJobContext(factory, train, test, config)
         cache = CellCache(tmp_path, context_fingerprint(context))
-        from repro.robustness.results import CellResult
-
         cache.put(
             tasks[0],
-            CellResult(
-                v_th=tasks[0].v_th,
-                time_window=tasks[0].time_window,
-                clean_accuracy=0.5,
-                learnable=True,
-                elapsed_seconds=12.5,
-                phase_seconds={"train_s": 10.0, "attack_s": 2.5},
+            _cell_result(
+                tasks[0], 12.5, {"train_s": 10.0, "attack_s": 2.5}
             ),
         )
-        costs = cached_cell_costs(tmp_path)
-        assert costs == {(tasks[0].v_th, tasks[0].time_window): 12.5}
-        assert cached_sweep_costs(tmp_path) == {}
+        costs = cached_costs(cache)
+        assert costs == {
+            (tasks[0].v_th, tasks[0].time_window): (12.5, tasks[0].time_window)
+        }
+        assert tasks[0].cost_key in costs
+        assert cached_costs(SweepCache(tmp_path, "f" * 64)) == {}
 
-    def test_scheduler_rejects_non_permutations(self):
-        tasks = [SimpleNamespace(index=0), SimpleNamespace(index=1)]
-        with pytest.raises(ValueError, match="permute"):
-            run_tasks(
-                None,
-                tasks,
-                lambda context, task: task.index,
-                pending_order=lambda pending: pending[:1],
-            )
-
-    def test_scheduler_returns_declared_order_despite_reordering(self):
-        tasks = [SimpleNamespace(index=i) for i in range(4)]
+    def test_scheduler_returns_declared_order_despite_reordering(self, tmp_path):
+        factory, train, test, config = _grid_fixture()
+        tasks = build_cell_tasks(config)
+        cache = CellCache(tmp_path, "f" * 64)
+        # Measured seconds that disagree with both the declared order
+        # and T-descending: the history alone decides the execution order.
+        seconds = [9.0, 1.0, 5.0, 2.0]
+        for task, elapsed in zip(tasks, seconds):
+            cache.put(task, _cell_result(task, elapsed))
+        assert [t.index for t in order_tasks(tasks, {})] == [1, 3, 0, 2]
         executed: list[int] = []
 
         def run(context, task):
             executed.append(task.index)
-            return task.index * 10
+            return _cell_result(task)
 
-        results, _stats = run_tasks(
-            None, tasks, run, pending_order=lambda pending: list(reversed(pending))
+        results, _stats = run_tasks(None, tasks, run, cache=cache)
+        assert executed == [0, 2, 3, 1]
+        assert [(r.v_th, r.time_window) for r in results] == [
+            (t.v_th, t.time_window) for t in tasks
+        ]
+
+
+class _Dispatched(Exception):
+    """Raised by the queue stand-in once it has seen what run_tasks sent."""
+
+
+class TestSweepPricing:
+    """Sweep variants are priced by the same rule as grid cells."""
+
+    def _history(self, tmp_path, seconds):
+        cache = SweepCache(tmp_path, "f" * 64)
+        measured = _variant(1, "snn_vth1_T64", 64)
+        cache.put(
+            measured,
+            SweepResult(key=measured.key, clean_accuracy=0.5, elapsed_seconds=seconds),
         )
-        assert executed == [3, 2, 1, 0]
-        assert results == [0, 10, 20, 30]
+        return cache, [_variant(0, "snn_vth1_T32", 32), measured]
+
+    def test_unmeasured_variant_priced_by_the_history_rate(self, tmp_path):
+        # 20 s for T=64 is 0.3125 s per step, so T=32 costs 10 s: shorter.
+        cache, tasks = self._history(tmp_path, 20.0)
+        executed: list[str] = []
+
+        def run(context, task):
+            executed.append(task.key)
+            return SweepResult(key=task.key, clean_accuracy=0.5)
+
+        results, _stats = run_tasks(None, tasks, run, cache=cache)
+        assert executed == ["snn_vth1_T64", "snn_vth1_T32"]
+        assert [result.key for result in results] == [task.key for task in tasks]
+
+    def test_unmeasured_variant_gets_the_rate_priced_deadline(
+        self, tmp_path, monkeypatch
+    ):
+        # 200 s for T=64 prices T=32 at 100 s; 8 x 100 s beats the 600 s floor.
+        cache, tasks = self._history(tmp_path, 200.0)
+        seen = {}
+
+        def queue_stand_in(context, tasks, run_fn, cache, queue_dir, **options):
+            seen.update(options, tasks=tasks)
+            raise _Dispatched
+
+        monkeypatch.setattr(scheduler, "run_queued_tasks", queue_stand_in)
+        with pytest.raises(_Dispatched):
+            run_tasks(None, tasks, None, cache=cache, queue_dir=tmp_path / "q")
+        assert [task.key for task in seen["tasks"]] == [
+            "snn_vth1_T64", "snn_vth1_T32",
+        ]
+        deadline = seen["task_deadline"]
+        assert deadline(tasks[0]) == pytest.approx(800.0)
+        assert deadline(tasks[1]) == pytest.approx(1600.0)
+        assert seen["resilience"] == ResilienceConfig()
+
+    def test_cold_cache_deadline_is_the_floor(self, tmp_path):
+        resilience = ResilienceConfig(watchdog_multiplier=8.0, watchdog_floor=30.0)
+        deadline = deadline_estimator({}, resilience)
+        assert deadline(_variant(0, "snn_vth1_T64", 64)) == 30.0
+        assert deadline_estimator({}, ResilienceConfig(watchdog_multiplier=0)) is None
 
 
 # -- cache stats timing totals ------------------------------------------------
@@ -566,8 +674,6 @@ class TestCacheStatsTimings:
         tasks = build_cell_tasks(config)
         context = ExplorationJobContext(factory, train, test, config)
         cache = CellCache(tmp_path, context_fingerprint(context))
-        from repro.robustness.results import CellResult
-
         for task, train_s, attack_s in ((tasks[0], 4.0, 1.0), (tasks[1], 6.0, 3.0)):
             cache.put(
                 task,
