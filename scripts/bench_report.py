@@ -542,7 +542,7 @@ def run_search_benchmarks(profile) -> dict:
 def run_metrics_overhead_bench(profile, repeats: int = 3) -> dict:
     """The cost of running a grid with ``--metrics-dir`` on.
 
-    The metrics registry's contract is "purely observational": recording
+    The metrics store's contract is "purely observational": recording
     must not perturb results (asserted as parity, like every other
     bench) and must cost next to nothing — the gate holds the
     instrumentation overhead of a grid run under 2%.
@@ -612,7 +612,7 @@ def run_metrics_overhead_bench(profile, repeats: int = 3) -> dict:
             )
             # Per-call costs of the two things instrumentation adds to a
             # serial grid run: one record_task per task, one snapshot
-            # flush per schedule.  Microbenched against the registry the
+            # flush per schedule.  Microbenched against the store the
             # runs above populated, so the flush writes realistic files.
             sample = instrumented[0]
             record_cost_s = _best_of(

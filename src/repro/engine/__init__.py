@@ -66,13 +66,8 @@ from repro.engine.job import (
 from repro.engine.metrics import (
     ATTEMPT_BUCKETS,
     CATALOG,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     configure_metrics,
     flush_metrics,
-    get_registry,
     merge_snapshots,
     metrics_enabled,
     read_metrics_dir,
@@ -144,12 +139,8 @@ __all__ = [
     "CellTask",
     "ChaosConfig",
     "ContextSpec",
-    "Counter",
     "ExplorationJobContext",
-    "Gauge",
-    "Histogram",
     "MergeReport",
-    "MetricsRegistry",
     "QUARANTINE_EXIT_CODE",
     "QueueError",
     "QueueRunResult",
@@ -183,7 +174,6 @@ __all__ = [
     "entry_timings",
     "flush_metrics",
     "gc_cache_dir",
-    "get_registry",
     "load_manifests",
     "make_cell_task",
     "make_sweep_task",

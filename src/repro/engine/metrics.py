@@ -1,15 +1,14 @@
-"""Process-local metrics registry with Prometheus-style text export.
+"""Process-local engine metrics with Prometheus-style text export.
 
 The engine's only telemetry used to be per-result ``phase_seconds``.
-This module generalizes it into an aggregate, fleet-mergeable view:
+This module turns it into an aggregate, fleet-mergeable view:
 
-* :class:`MetricsRegistry` — a thread-safe registry of
-  :class:`Counter` / :class:`Gauge` / :class:`Histogram` families,
-  each family keyed by a fixed label-name tuple and holding one child
-  per label-value combination;
-* :meth:`MetricsRegistry.render_text` — the Prometheus text exposition
-  format (``# HELP`` / ``# TYPE`` / samples), so any scrape-side
-  tooling reads the snapshots unchanged;
+* one module-level store, keyed by :data:`CATALOG` name and label
+  values and guarded by one lock, holds every sample already in
+  snapshot form; :func:`snapshot` is a sorted copy of it;
+* :func:`render_snapshot_text` — the Prometheus text exposition format
+  (``# HELP`` / ``# TYPE`` / samples), so any scrape-side tooling reads
+  the snapshots unchanged;
 * :func:`flush_metrics` — an atomic per-worker snapshot writer
   (``metrics_<worker>.prom`` plus a ``.json`` twin) suitable for the
   multi-worker merge performed by ``cache metrics DIR``;
@@ -29,8 +28,9 @@ caches, queue, search, stacking) records through this module, so it
 must sit below all of them in the import graph.
 
 The metric catalogue (:data:`CATALOG`) is the single source of truth
-for names, types, labels and units; ``docs/observability.md`` is
-checked against it by ``scripts/check_docs.py``.
+for names, types, labels, units and histogram buckets; a new metric is
+one catalogue entry plus one recording helper.  ``docs/observability.md``
+is checked against the catalogue by ``scripts/check_docs.py``.
 """
 
 from __future__ import annotations
@@ -39,19 +39,13 @@ import json
 import os
 import socket
 import threading
-from dataclasses import dataclass, field
 
 __all__ = [
     "ATTEMPT_BUCKETS",
     "CATALOG",
     "LATENCY_BUCKETS_MS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "configure_metrics",
     "flush_metrics",
-    "get_registry",
     "load_snapshot",
     "merge_snapshots",
     "metrics_dir",
@@ -67,6 +61,7 @@ __all__ = [
     "render_snapshot_text",
     "reset_metrics",
     "set_queue_depth",
+    "snapshot",
     "snapshot_worker_id",
 ]
 
@@ -221,283 +216,97 @@ def _render_labels(labelnames: tuple[str, ...], labelvalues: tuple[str, ...],
     return "{" + ",".join(pairs) + "}"
 
 
-class _Child:
-    """One label-value combination of a family.  Thread-safe via the
-    registry lock shared by every family and child."""
+# ---------------------------------------------------------------------------
+# The store: one sample per catalogue name and label values, held in the
+# exact form a snapshot carries it, behind one lock.
+# ---------------------------------------------------------------------------
 
-    __slots__ = ("_lock",)
-
-    def __init__(self, lock: threading.RLock):
-        self._lock = lock
-
-
-class Counter(_Child):
-    """Monotonically increasing count.  Merge semantics: sum."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, lock: threading.RLock):
-        super().__init__(lock)
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up, got increment {amount}")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
+_CATALOG_BY_NAME = {entry["name"]: entry for entry in CATALOG}
+_LOCK = threading.Lock()
+_STORE: dict[str, dict[tuple[str, ...], dict]] = {}
 
 
-class Gauge(_Child):
-    """Point-in-time value (queue depth).  Merge semantics: max —
-    summing the same queue's depth observed by N workers would
-    overcount, the fleet-wide maximum is the honest aggregate."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, lock: threading.RLock):
-        super().__init__(lock)
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
+def _buckets(entry: dict) -> tuple[float, ...]:
+    return tuple(entry.get("buckets") or LATENCY_BUCKETS_MS)
 
 
-class Histogram(_Child):
-    """Cumulative-bucket histogram with fixed boundaries.
-
-    ``observe(v)`` increments every bucket whose upper bound is >= v
-    (rendered Prometheus-style with a final ``+Inf`` bucket), plus the
-    running sum and count.  Fixed boundaries make the merge a plain
-    element-wise addition.
-    """
-
-    __slots__ = ("buckets", "_counts", "_sum", "_count")
-
-    def __init__(self, lock: threading.RLock, buckets: tuple[float, ...]):
-        super().__init__(lock)
-        self.buckets = buckets
-        self._counts = [0] * (len(buckets) + 1)  # last slot = +Inf
-        self._sum = 0.0
-        self._count = 0
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self._sum += value
-            self._count += 1
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self._counts[i] += 1
-                    break
-            else:
-                self._counts[-1] += 1
-
-    @property
-    def cumulative_counts(self) -> list[int]:
-        """Per-``le`` cumulative counts, Prometheus exposition order."""
-        with self._lock:
-            total = 0
-            out = []
-            for count in self._counts:
-                total += count
-                out.append(total)
-            return out
-
-    @property
-    def raw_counts(self) -> list[int]:
-        """Non-cumulative per-bucket counts (what snapshots store: they
-        merge by plain addition, cumulative counts would double-count)."""
-        with self._lock:
-            return list(self._counts)
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-
-_KIND_CLASSES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
-@dataclass
-class _Family:
-    name: str
-    kind: str
-    help: str
-    labelnames: tuple[str, ...]
-    buckets: tuple[float, ...] | None
-    lock: threading.RLock
-    children: dict[tuple[str, ...], _Child] = field(default_factory=dict)
-
-    def labels(self, **labelvalues: str) -> _Child:
-        if set(labelvalues) != set(self.labelnames):
-            raise ValueError(
-                f"metric {self.name} takes labels {self.labelnames}, "
-                f"got {tuple(sorted(labelvalues))}"
-            )
-        key = tuple(str(labelvalues[name]) for name in self.labelnames)
-        with self.lock:
-            child = self.children.get(key)
-            if child is None:
-                if self.kind == "histogram":
-                    child = Histogram(self.lock, self.buckets)
-                else:
-                    child = _KIND_CLASSES[self.kind](self.lock)
-                self.children[key] = child
-            return child
-
-
-class MetricsRegistry:
-    """Thread-safe collection of metric families.
-
-    One registry exists per process (the module-level default, reachable
-    via :func:`get_registry`); tests may construct private instances.
-    Family getters are idempotent — asking for an existing name returns
-    the same family, asking with *different* metadata is an error.
-    """
-
-    def __init__(self):
-        self._lock = threading.RLock()
-        self._families: dict[str, _Family] = {}
-
-    def _family(
-        self,
-        name: str,
-        kind: str,
-        help_text: str,
-        labelnames: tuple[str, ...],
-        buckets: tuple[float, ...] | None = None,
-    ) -> _Family:
-        with self._lock:
-            family = self._families.get(name)
-            if family is not None:
-                if family.kind != kind or family.labelnames != tuple(labelnames):
-                    raise ValueError(
-                        f"metric {name} already registered as {family.kind}"
-                        f"{family.labelnames}, cannot re-register as "
-                        f"{kind}{tuple(labelnames)}"
-                    )
-                return family
-            family = _Family(
-                name=name,
-                kind=kind,
-                help=help_text,
-                labelnames=tuple(labelnames),
-                buckets=tuple(buckets) if buckets is not None else None,
-                lock=self._lock,
-            )
-            self._families[name] = family
-            return family
-
-    def counter(self, name: str, help_text: str, labelnames: tuple[str, ...] = ()):
-        """Get or create a counter family; with no labels, returns the
-        single unlabeled child directly."""
-        family = self._family(name, "counter", help_text, tuple(labelnames))
-        return family if labelnames else family.labels()
-
-    def gauge(self, name: str, help_text: str, labelnames: tuple[str, ...] = ()):
-        family = self._family(name, "gauge", help_text, tuple(labelnames))
-        return family if labelnames else family.labels()
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str,
-        labelnames: tuple[str, ...] = (),
-        buckets: tuple[float, ...] = LATENCY_BUCKETS_MS,
-    ):
-        family = self._family(
-            name, "histogram", help_text, tuple(labelnames), tuple(buckets)
-        )
-        return family if labelnames else family.labels()
-
-    def from_catalog(self, entry: dict):
-        """Get or create the family described by a :data:`CATALOG` entry."""
-        labelnames = tuple(entry["labels"])
+def _sample(name: str, labels: dict) -> dict:
+    """Get or create the sample of ``name`` for ``labels``; the caller
+    holds :data:`_LOCK`.  Label values are keyed in catalogue order."""
+    entry = _CATALOG_BY_NAME[name]
+    key = tuple(str(labels[label]) for label in entry["labels"])
+    samples = _STORE.setdefault(name, {})
+    sample = samples.get(key)
+    if sample is None:
+        sample = {"labels": dict(zip(entry["labels"], key))}
         if entry["type"] == "histogram":
-            buckets = tuple(entry.get("buckets") or LATENCY_BUCKETS_MS)
-            return self.histogram(
-                entry["name"], entry["help"], labelnames, buckets=buckets
-            )
-        if entry["type"] == "gauge":
-            return self.gauge(entry["name"], entry["help"], labelnames)
-        return self.counter(entry["name"], entry["help"], labelnames)
+            sample.update(counts=[0] * (len(_buckets(entry)) + 1), sum=0.0, count=0)
+        else:
+            sample["value"] = 0.0
+        samples[key] = sample
+    return sample
 
-    def snapshot(self, worker: str | None = None) -> dict:
-        """JSON-friendly dump of every family and child.
 
-        Histogram bucket counts are stored *non-cumulative* so that
-        merging is element-wise addition; :func:`render_snapshot_text`
-        re-cumulates for the exposition format.
-        """
-        with self._lock:
-            metrics: dict[str, dict] = {}
-            for name in sorted(self._families):
-                family = self._families[name]
-                samples = []
-                for key in sorted(family.children):
-                    child = family.children[key]
-                    labels = dict(zip(family.labelnames, key))
-                    if family.kind == "histogram":
-                        samples.append(
-                            {
-                                "labels": labels,
-                                "counts": child.raw_counts,
-                                "sum": child.sum,
-                                "count": child.count,
-                            }
-                        )
-                    else:
-                        samples.append({"labels": labels, "value": child.value})
-                entry = {
-                    "type": family.kind,
-                    "help": family.help,
-                    "labelnames": list(family.labelnames),
-                    "samples": samples,
-                }
-                if family.kind == "histogram":
-                    entry["buckets"] = list(family.buckets)
-                metrics[name] = entry
-        return {
-            "version": SNAPSHOT_VERSION,
-            "worker": worker if worker is not None else snapshot_worker_id(),
-            "metrics": metrics,
-        }
+def _add(name: str, amount: float = 1.0, **labels: str) -> None:
+    """Increment a counter sample (merge semantics: sum)."""
+    with _LOCK:
+        _sample(name, labels)["value"] += amount
 
-    def render_text(self) -> str:
-        """Prometheus text exposition format for the current state."""
-        return render_snapshot_text(self.snapshot())
 
-    def reset(self) -> None:
-        with self._lock:
-            self._families.clear()
+def _set(name: str, value: float) -> None:
+    """Unlabelled gauge sample (merge semantics: max — N workers
+    observing the same queue's depth would overcount if summed)."""
+    with _LOCK:
+        _sample(name, {})["value"] = float(value)
+
+
+def _observe(name: str, value: float, **labels: str) -> None:
+    """Count ``value`` in the first bucket whose upper bound is >= it
+    (the last slot is ``+Inf``).  Counts stay non-cumulative, so merging
+    is element-wise addition; :func:`render_snapshot_text` re-cumulates
+    them."""
+    with _LOCK:
+        sample = _sample(name, labels)
+        buckets = _buckets(_CATALOG_BY_NAME[name])
+        slot = next((i for i, bound in enumerate(buckets) if value <= bound), len(buckets))
+        sample["counts"][slot] += 1
+        sample["sum"] += value
+        sample["count"] += 1
+
+
+def _copy_sample(sample: dict) -> dict:
+    copy = dict(sample, labels=dict(sample["labels"]))
+    if "counts" in copy:
+        copy["counts"] = list(copy["counts"])
+    return copy
+
+
+def snapshot(worker: str | None = None) -> dict:
+    """JSON-friendly copy of everything recorded in this process:
+    metrics sorted by name, samples by label values."""
+    with _LOCK:
+        metrics: dict[str, dict] = {}
+        for name in sorted(_STORE):
+            entry = _CATALOG_BY_NAME[name]
+            samples = _STORE[name]
+            family = {
+                "type": entry["type"],
+                "help": entry["help"],
+                "labelnames": list(entry["labels"]),
+                "samples": [_copy_sample(samples[key]) for key in sorted(samples)],
+            }
+            if entry["type"] == "histogram":
+                family["buckets"] = list(_buckets(entry))
+            metrics[name] = family
+    return {
+        "version": SNAPSHOT_VERSION,
+        "worker": worker if worker is not None else snapshot_worker_id(),
+        "metrics": metrics,
+    }
 
 
 def render_snapshot_text(snapshot: dict) -> str:
-    """Render a snapshot dict (from :meth:`MetricsRegistry.snapshot` or
+    """Render a snapshot dict (from :func:`snapshot` or
     :func:`merge_snapshots`) in the Prometheus text exposition format."""
     lines: list[str] = []
     for name in sorted(snapshot["metrics"]):
@@ -575,18 +384,7 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
                 key = tuple(sorted(sample["labels"].items()))
                 existing = by_labels.get(key)
                 if existing is None:
-                    if family["type"] == "histogram":
-                        copy = {
-                            "labels": dict(sample["labels"]),
-                            "counts": list(sample["counts"]),
-                            "sum": sample["sum"],
-                            "count": sample["count"],
-                        }
-                    else:
-                        copy = {
-                            "labels": dict(sample["labels"]),
-                            "value": sample["value"],
-                        }
+                    copy = _copy_sample(sample)
                     target["samples"].append(copy)
                     by_labels[key] = copy
                 elif family["type"] == "histogram":
@@ -609,18 +407,12 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Module-level default registry and the engine's recording helpers.
+# Configuration, snapshot files and the engine's recording helpers.
 # ---------------------------------------------------------------------------
 
-_DEFAULT_REGISTRY = MetricsRegistry()
 _METRICS_DIR: str | None = None
 
 _WORKER_ENV = "REPRO_QUEUE_WORKER"  # mirrors repro.engine.queue (no import: cycle)
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry the engine records into."""
-    return _DEFAULT_REGISTRY
 
 
 def configure_metrics(directory: str | os.PathLike) -> None:
@@ -650,7 +442,8 @@ def reset_metrics(keep_dir: bool = False) -> None:
     counts inherited from the parent (flushing them again would
     double-count on merge) while staying configured to flush their own."""
     global _METRICS_DIR
-    _DEFAULT_REGISTRY.reset()
+    with _LOCK:
+        _STORE.clear()
     if not keep_dir:
         _METRICS_DIR = None
 
@@ -685,7 +478,7 @@ def flush_metrics() -> str | None:
     if directory is None:
         return None
     worker = snapshot_worker_id()
-    snap = _DEFAULT_REGISTRY.snapshot(worker=worker)
+    snap = snapshot(worker=worker)
     text = render_snapshot_text(snap)
     prom_path = os.path.join(directory, f"metrics_{worker}.prom")
     json_path = os.path.join(directory, f"metrics_{worker}.json")
@@ -726,13 +519,6 @@ def read_metrics_dir(directory: str | os.PathLike) -> list[dict]:
     return snapshots
 
 
-def _catalog_entry(name: str) -> dict:
-    for entry in CATALOG:
-        if entry["name"] == name:
-            return entry
-    raise KeyError(name)
-
-
 def _job_kind(result) -> str:
     if getattr(result, "stack_size", 1) > 1:
         return "stacked"
@@ -747,19 +533,21 @@ def record_task(result, cached: bool) -> None:
         return
     job = _job_kind(result)
     status = "cached" if cached else "computed"
-    registry = _DEFAULT_REGISTRY
-    registry.from_catalog(_catalog_entry("repro_tasks_total")).labels(
-        job=job, status=status
-    ).inc()
+    _add("repro_tasks_total", job=job, status=status)
     if cached:
         return
     phases = getattr(result, "phase_seconds", None) or {}
-    histogram = registry.from_catalog(_catalog_entry("repro_task_phase_duration_ms"))
+    with _LOCK:
+        # A computed task lists the phase family even when it reports no phase.
+        _STORE.setdefault("repro_task_phase_duration_ms", {})
     for key, seconds in phases.items():
         phase = key[:-2] if key.endswith("_s") else key
         if not isinstance(seconds, (int, float)):
             continue
-        histogram.labels(job=job, phase=phase).observe(float(seconds) * 1000.0)
+        _observe(
+            "repro_task_phase_duration_ms", float(seconds) * 1000.0,
+            job=job, phase=phase,
+        )
 
 
 def record_cache(kind: str, op: str) -> None:
@@ -767,9 +555,7 @@ def record_cache(kind: str, op: str) -> None:
     hit/miss/put."""
     if _METRICS_DIR is None:
         return
-    _DEFAULT_REGISTRY.from_catalog(_catalog_entry("repro_cache_requests_total")).labels(
-        cache=kind, op=op
-    ).inc()
+    _add("repro_cache_requests_total", cache=kind, op=op)
 
 
 def record_queue_event(event: str) -> None:
@@ -779,9 +565,7 @@ def record_queue_event(event: str) -> None:
     metrics and ``cache watch`` always agree."""
     if _METRICS_DIR is None:
         return
-    _DEFAULT_REGISTRY.from_catalog(_catalog_entry("repro_queue_events_total")).labels(
-        event=event
-    ).inc()
+    _add("repro_queue_events_total", event=event)
 
 
 def record_task_attempts(outcome: str, attempts: int) -> None:
@@ -795,31 +579,27 @@ def record_task_attempts(outcome: str, attempts: int) -> None:
     """
     if _METRICS_DIR is None:
         return
-    _DEFAULT_REGISTRY.from_catalog(_catalog_entry("repro_task_attempts")).labels(
-        outcome=outcome
-    ).observe(float(attempts))
+    _observe("repro_task_attempts", float(attempts), outcome=outcome)
 
 
 def set_queue_depth(depth: int) -> None:
     """Sample the number of not-yet-committed tasks in the queue."""
     if _METRICS_DIR is None:
         return
-    _DEFAULT_REGISTRY.from_catalog(_catalog_entry("repro_queue_depth")).set(depth)
+    _set("repro_queue_depth", depth)
 
 
 def record_search_rung() -> None:
     if _METRICS_DIR is None:
         return
-    _DEFAULT_REGISTRY.from_catalog(_catalog_entry("repro_search_rungs_total")).inc()
+    _add("repro_search_rungs_total")
 
 
 def record_search_promotion(outcome: str, count: int = 1) -> None:
     """``outcome`` in promoted/pruned; ``count`` cells at once."""
     if _METRICS_DIR is None or count <= 0:
         return
-    _DEFAULT_REGISTRY.from_catalog(
-        _catalog_entry("repro_search_promotions_total")
-    ).labels(outcome=outcome).inc(count)
+    _add("repro_search_promotions_total", count, outcome=outcome)
 
 
 def record_search_warm_start(source: str) -> None:
@@ -827,6 +607,4 @@ def record_search_warm_start(source: str) -> None:
     or ``neighbor`` (nearest compatible cell's archive)."""
     if _METRICS_DIR is None:
         return
-    _DEFAULT_REGISTRY.from_catalog(
-        _catalog_entry("repro_search_warm_starts_total")
-    ).labels(source=source).inc()
+    _add("repro_search_warm_starts_total", source=source)

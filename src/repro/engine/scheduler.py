@@ -130,7 +130,7 @@ def _init_worker(context_or_spec, run_fn: Callable, metrics_directory=None) -> N
         context_or_spec = context_or_spec.resolve()
     _WORKER_CONTEXT = context_or_spec
     _WORKER_RUN = run_fn
-    # Metrics: a forked worker inherits the parent's registry *counts*;
+    # Metrics: a forked worker inherits the parent's metric *counts*;
     # flushing those again under the worker's own id would double-count
     # on merge, so drop them while keeping (or, for spawn, installing)
     # the snapshot directory.

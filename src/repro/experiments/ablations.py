@@ -6,8 +6,10 @@ implicitly from Norse (surrogate sharpness, input encoding, reset mode)
 and contextualise PGD against weaker attacks and noise controls
 (Marchisio et al.'s comparative-study angle).
 
-Every ablation fixes one reference combination ``(Vth, T)`` (the paper's
-high-robustness sweet spot by default) and varies a single factor.
+Every ablation fixes one reference combination ``(Vth, T)`` — the Vth
+of the profile's first sweet spot and the profile's default time window
+``time_steps_default`` (not that sweet spot's own T) — and varies a
+single factor.
 
 All four factors run as :class:`~repro.engine.sweep.SweepTask` jobs on a
 *shared* job context, so :func:`run_ablation_suite` parallelizes across

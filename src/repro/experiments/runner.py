@@ -951,7 +951,17 @@ def main(argv: list[str] | None = None) -> int:
     are the ones the library cannot make: ``--no-cache``, ``--search``
     and the flags that only a ``--queue`` run reads are CLI concepts.
     """
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    flag = argv[1] if argv[:1] == ["cache"] and len(argv) > 1 else ""
+    if flag.startswith("-") and flag not in ("-h", "--help"):
+        # Left to argparse, a flag's value would be read as the action
+        # ("invalid choice") or the flag rejected as unrecognized.
+        parser.error(
+            f"cache flags follow the action, e.g. `cache stats --cache-dir DIR`; "
+            f"got {flag} before the action"
+        )
+    args = parser.parse_args(argv)
     if args.command == "cache":
         return args.run(args)
     # The checks below report with the subcommand's usage line, as

@@ -311,7 +311,7 @@ def _curve_model_builder(profile: ExperimentProfile, tags: dict):
         return build_model(
             tags["snn_model"],
             input_size=profile.image_size,
-            time_steps=int(task.param("time_window", profile.time_steps_default)),
+            time_steps=int(task.param("time_window")),
             lif_params=LIFParameters(v_th=float(task.param("v_th", 1.0))),
             input_scale=profile.input_scale,
             rng=rng,
@@ -372,12 +372,13 @@ def build_fig1_tasks(profile: ExperimentProfile) -> list[SweepTask]:
     ``profile.seed`` — so the tasks are not made by :func:`make_sweep_task`."""
     seeds = SeedSequence(profile.seed)
     epsilons = tuple(float(e) for e in profile.curve_epsilons)
+    time_window = {"cnn": (), "snn": (("time_window", profile.time_steps_default),)}
     return [
         SweepTask(
             index=index,
             key=model,
             kind=f"fig1_{model}",
-            params=(("init_seed", seeds.child_seed("fig1", model)),),
+            params=(("init_seed", seeds.child_seed("fig1", model)), *time_window[model]),
             attacks=("pgd",),
             epsilons=epsilons,
             train_seed=profile.seed,
@@ -442,7 +443,7 @@ def _ablation_model_builder(profile: ExperimentProfile):
         model = build_model(
             profile.snn_model,
             input_size=profile.image_size,
-            time_steps=profile.time_steps_default,
+            time_steps=int(task.param("time_window")),
             lif_params=LIFParameters(**lif_kwargs),
             input_scale=profile.input_scale,
             rng=task.train_seed,
@@ -532,7 +533,8 @@ def build_ablation_tasks(
         )
     seeds = SeedSequence(profile.seed)
     sweep = tuple(float(e) for e in (epsilons or profile.grid_epsilons))
-    reference_v_th = float(profile.sweet_spots[0][0])
+    v_th = ("v_th", float(profile.sweet_spots[0][0]))
+    time_window = ("time_window", profile.time_steps_default)
     tasks: list[SweepTask] = []
 
     def add(key: str, params: tuple, attacks: tuple[str, ...] = ("pgd",)) -> None:
@@ -545,28 +547,26 @@ def build_ablation_tasks(
     for factor in factors:
         if factor == "surrogate":
             for family in surrogate_families:
-                add(f"surrogate:{family}",
-                    (("surrogate", family), ("v_th", reference_v_th)))
+                add(f"surrogate:{family}", (("surrogate", family), time_window, v_th))
         elif factor == "encoding":
-            add("encoding:constant_current",
-                (("encoder", "constant"), ("v_th", reference_v_th)))
+            add("encoding:constant_current", (("encoder", "constant"), time_window, v_th))
             add(
                 "encoding:poisson_rate",
                 (
                     ("encoder", "poisson"),
                     ("encoder_scale", 0.35),
                     ("encoder_seed", seeds.child_seed("ablation", "poisson")),
-                    ("v_th", reference_v_th),
+                    time_window,
+                    v_th,
                 ),
             )
         elif factor == "reset":
             for mode in ("hard", "soft"):
-                add(f"reset:reset_{mode}",
-                    (("reset_mode", mode), ("v_th", reference_v_th)))
+                add(f"reset:reset_{mode}", (("reset_mode", mode), time_window, v_th))
         elif factor == "attack":
             add(
                 "attack:reference_snn",
-                (("v_th", reference_v_th),),
+                (time_window, v_th),
                 attacks=tuple(attack_families),
             )
     return tasks

@@ -366,6 +366,7 @@ class TestRunnerCLIFlags:
             ["ablation", "--help"],
             ["all", "--help"],
             ["cache", "--help"],
+            ["cache", "-h"],
             *(["cache", action, "--help"] for action in CACHE_ACTIONS),
         ):
             with pytest.raises(SystemExit) as excinfo:

@@ -85,6 +85,24 @@ class TestSweepTasks:
         with pytest.raises(ValueError, match="unknown ablation factors"):
             build_ablation_tasks(profile, factors=("banana",))
 
+    @pytest.mark.parametrize("experiment", ["ablation", "fig1", "fig9"])
+    def test_snn_tasks_carry_the_time_steps_their_model_runs(self, experiment):
+        # The cost model prices a sweep task by its time_steps; a task
+        # reporting 0 would be scheduled last with the bare watchdog floor.
+        profile = get_profile("micro")
+        build_context, build_tasks = {
+            "ablation": (build_ablation_context, build_ablation_tasks),
+            "fig1": (build_fig1_context, build_fig1_tasks),
+            "fig9": (build_fig9_context, build_fig9_tasks),
+        }[experiment]
+        builder = build_context(profile).model_builder
+        snn_tasks = [t for t in build_tasks(profile) if not t.kind.endswith("_cnn")]
+        assert snn_tasks
+        for task in snn_tasks:
+            assert [name for name, _ in task.params] == sorted(name for name, _ in task.params)
+            assert task.time_steps > 0
+            assert task.time_steps == builder(task).time_steps
+
     def test_run_sweep_task_shape(self):
         profile = get_profile("micro")
         context = build_ablation_context(profile)
@@ -683,6 +701,15 @@ class TestCacheCLI:
         ) == 2
         assert "max_age_seconds must be >= 0" in capsys.readouterr().err
         assert entry.exists()
+
+    @pytest.mark.parametrize("flags", [["--cache-dir", "X"], ["--json"]])
+    def test_flags_before_the_action_are_a_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["cache", *flags, "stats"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "flags follow the action" in err
+        assert "cache stats --cache-dir DIR" in err
 
     def test_gc_without_criteria_fails(self, tmp_path, capsys):
         assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 2

@@ -1,25 +1,29 @@
-"""The metrics registry and its engine instrumentation.
+"""The metrics store and its engine instrumentation.
 
 Four layers of proof:
 
-* the registry primitives — counter/gauge/histogram semantics, label
-  validation, bucket boundaries, thread-safety under concurrent
-  recording;
+* the store — golden ``.json``/``.prom`` bytes for a fixed recording
+  sequence through every helper, inclusive bucket bounds and the
+  ``+Inf`` bucket, one sample per label combination, snapshots as
+  copies, and thread-safety under concurrent recording;
 * the exposition pipeline — a golden Prometheus text rendering, label
   escaping, snapshot round-trips, and merge semantics (sum / sum / max)
   including associativity;
 * the engine recording sites — scheduler task counts and phase
   histograms, cache hit/miss/put traffic, queue lifecycle events
-  (commits equal the task count, a steal is counted per kill), and the
-  cardinal invariant: metrics on vs off changes **no** result bytes;
+  (commits equal the task count, a steal is counted per kill), fork-pool
+  workers that never re-flush the parent's counts, and the cardinal
+  invariant: metrics on vs off changes **no** result bytes;
 * the surface — ``cache metrics`` CLI exit codes and output modes, and
   the ``scripts/check_metrics.py`` CI gate.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,21 +39,26 @@ from repro.engine import (
 )
 from repro.engine.job import run_cell_task
 from repro.engine.metrics import (
+    ATTEMPT_BUCKETS,
     CATALOG,
     LATENCY_BUCKETS_MS,
-    MetricsRegistry,
     configure_metrics,
     flush_metrics,
-    get_registry,
     load_snapshot,
     merge_snapshots,
     metrics_enabled,
     read_metrics_dir,
     record_cache,
     record_queue_event,
+    record_search_promotion,
+    record_search_rung,
+    record_search_warm_start,
     record_task,
+    record_task_attempts,
     render_snapshot_text,
     reset_metrics,
+    set_queue_depth,
+    snapshot,
     snapshot_worker_id,
 )
 from repro.experiments.runner import main
@@ -57,6 +66,7 @@ from repro.robustness import ExplorationConfig, RobustnessExplorer
 from repro.training import TrainingConfig
 
 FINGERPRINT = "f" * 64
+GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(autouse=True)
@@ -103,101 +113,166 @@ def _sample(snapshot: dict, name: str, **labels):
     return None
 
 
+def _record_fixed_sequence() -> None:
+    """One pass through every helper, touching all nine catalogue metrics."""
+    SweepResult = type("SweepResult", (), {})
+    cell = SimpleNamespace(phase_seconds={
+        "train_s": 0.25,        # 250 ms: exactly on a latency bound
+        "attack_s": 0.0123,     # a fractional sum
+        "eval_s": 700.0,        # past the last bound: +Inf
+        "note": "skipped",      # not a number: never observed
+    })
+    record_task(cell, cached=False)
+    record_task(cell, cached=True)
+    sweep = SweepResult()
+    sweep.phase_seconds = {"train_s": 1.5, "attack_s": 0.004}
+    record_task(sweep, cached=False)
+    record_task(SimpleNamespace(stack_size=4, phase_seconds={"train_s": 3.0}),
+                cached=False)
+    for kind, op in (("cell", "miss"), ("cell", "put"), ("cell", "hit"),
+                     ("weights", "hit"), ("sweep", "miss"), ("cell", "hit")):
+        record_cache(kind, op)
+    for event in ("claim", "steal", "commit", "claim", "failed", "retry",
+                  "commit", "cached", "quarantine"):
+        record_queue_event(event)
+    record_task_attempts("committed", 1)
+    record_task_attempts("committed", 3)       # exactly on a bound: le=3
+    record_task_attempts("quarantined", 9)     # past the last bound: +Inf
+    set_queue_depth(7)
+    set_queue_depth(2)                         # a gauge keeps the last value
+    record_search_rung()
+    record_search_rung()
+    record_search_promotion("promoted", 3)
+    record_search_promotion("pruned", 2)
+    record_search_promotion("pruned", 0)       # no-op
+    record_search_warm_start("self")
+    record_search_warm_start("neighbor")
+    record_search_warm_start("self")
+
+
+class TestGoldenBytes:
+    def test_flush_writes_the_golden_snapshot_pair(self, tmp_path, monkeypatch):
+        # The golden files pin the bytes `cache metrics`, check_metrics.py
+        # and the bench overhead gate read: key order of the indent-2
+        # JSON, float counter/gauge values, integer histogram counts.
+        monkeypatch.setenv("REPRO_QUEUE_WORKER", "golden")
+        configure_metrics(tmp_path)
+        _record_fixed_sequence()
+        assert flush_metrics() == str(tmp_path / "metrics_golden.prom")
+        assert {e["name"] for e in CATALOG} == set(snapshot()["metrics"])
+        for suffix in ("json", "prom"):
+            written = (tmp_path / f"metrics_golden.{suffix}").read_bytes()
+            assert written == (GOLDEN_DIR / f"metrics_golden.{suffix}").read_bytes()
+
+
 class TestPrimitives:
-    def test_counter_counts_and_rejects_negative(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c_total", "help")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
+    def test_histogram_bucket_boundaries_are_inclusive(self, tmp_path):
+        configure_metrics(tmp_path)
+        for seconds in (0.25, 0.250001, 0.5, 1e6):
+            # 250 ms is exactly on a bound (le=250), 250.001 ms just over
+            # (le=500), 500 ms on the next bound, 1e9 ms past the last: +Inf.
+            record_task(SimpleNamespace(phase_seconds={"train_s": seconds}), cached=False)
+        snap = snapshot()
+        train = _sample(snap, "repro_task_phase_duration_ms", job="cell", phase="train")
+        expected = [0] * (len(LATENCY_BUCKETS_MS) + 1)
+        expected[LATENCY_BUCKETS_MS.index(250.0)] = 1
+        expected[LATENCY_BUCKETS_MS.index(500.0)] = 2
+        expected[-1] = 1
+        assert train["counts"] == expected
+        assert train["count"] == 4
+        assert train["sum"] == pytest.approx(250.0 + 250.001 + 500.0 + 1e9)
+        text = render_snapshot_text(snap)
+        assert 'job="cell",phase="train",le="250"} 1\n' in text
+        assert 'job="cell",phase="train",le="500"} 3\n' in text
+        assert 'job="cell",phase="train",le="600000"} 3\n' in text
+        assert 'job="cell",phase="train",le="+Inf"} 4\n' in text
 
-    def test_gauge_set_inc_dec(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("g", "help")
-        gauge.set(5)
-        gauge.inc(2)
-        gauge.dec()
-        assert gauge.value == 6.0
+    def test_default_buckets_are_the_latency_ladder(self, tmp_path):
+        configure_metrics(tmp_path)
+        record_task(SimpleNamespace(phase_seconds={"train_s": 1.0}), cached=False)
+        record_task_attempts("committed", 1)
+        snap = snapshot()
+        phases = snap["metrics"]["repro_task_phase_duration_ms"]
+        assert phases["buckets"] == list(LATENCY_BUCKETS_MS)
+        assert len(phases["samples"][0]["counts"]) == len(LATENCY_BUCKETS_MS) + 1
+        attempts = snap["metrics"]["repro_task_attempts"]
+        assert attempts["buckets"] == list(ATTEMPT_BUCKETS)
+        assert len(attempts["samples"][0]["counts"]) == len(ATTEMPT_BUCKETS) + 1
 
-    def test_histogram_bucket_boundaries_are_inclusive(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h_ms", "help", buckets=(10.0, 50.0))
-        histogram.observe(10.0)   # exactly on a bound -> that bucket (le=10)
-        histogram.observe(10.001)  # just over -> next bucket (le=50)
-        histogram.observe(50.0)
-        histogram.observe(1e9)     # beyond the last bound -> +Inf
-        assert histogram.raw_counts == [1, 2, 1]
-        assert histogram.cumulative_counts == [1, 3, 4]
-        assert histogram.count == 4
-        assert histogram.sum == pytest.approx(10.0 + 10.001 + 50.0 + 1e9)
+    def test_same_labels_return_the_same_child(self, tmp_path):
+        configure_metrics(tmp_path)
+        record_cache("cell", "hit")
+        record_cache("cell", "hit")
+        samples = snapshot()["metrics"]["repro_cache_requests_total"]["samples"]
+        assert samples == [{"labels": {"cache": "cell", "op": "hit"}, "value": 2.0}]
 
-    def test_default_buckets_are_the_latency_ladder(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h_ms", "help")
-        assert histogram.buckets == LATENCY_BUCKETS_MS
-        assert len(histogram.raw_counts) == len(LATENCY_BUCKETS_MS) + 1
+    def test_computed_task_without_phases_lists_the_phase_family(self, tmp_path):
+        configure_metrics(tmp_path)
+        record_task(SimpleNamespace(phase_seconds={}), cached=False)
+        assert snapshot()["metrics"]["repro_task_phase_duration_ms"]["samples"] == []
 
-    def test_family_getters_are_idempotent_but_reject_redefinition(self):
-        registry = MetricsRegistry()
-        family = registry.counter("c_total", "help", ("op",))
-        assert registry.counter("c_total", "help", ("op",)) is family
-        with pytest.raises(ValueError):
-            registry.gauge("c_total", "help", ("op",))
-        with pytest.raises(ValueError):
-            registry.counter("c_total", "help", ("other",))
+    def test_snapshot_is_a_copy(self, tmp_path):
+        configure_metrics(tmp_path)
+        record_cache("cell", "hit")
+        record_task_attempts("committed", 2)
+        snap = snapshot()
+        snap["metrics"]["repro_cache_requests_total"]["samples"][0]["value"] = 99.0
+        snap["metrics"]["repro_task_attempts"]["samples"][0]["counts"][0] = 99
+        assert snapshot()["metrics"] != snap["metrics"]
+        assert _sample(snapshot(), "repro_cache_requests_total", cache="cell", op="hit") == 1.0
 
-    def test_labels_must_match_the_declared_names(self):
-        registry = MetricsRegistry()
-        family = registry.counter("c_total", "help", ("op",))
-        family.labels(op="hit").inc()
-        with pytest.raises(ValueError):
-            family.labels(kind="hit")
-        with pytest.raises(ValueError):
-            family.labels(op="hit", extra="x")
-
-    def test_same_labels_return_the_same_child(self):
-        registry = MetricsRegistry()
-        family = registry.counter("c_total", "help", ("op",))
-        family.labels(op="hit").inc()
-        family.labels(op="hit").inc()
-        assert family.labels(op="hit").value == 2.0
-
-    def test_concurrent_recording_loses_nothing(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c_total", "help", ("worker",))
-        histogram = registry.histogram("h_ms", "help", buckets=(10.0,))
+    def test_concurrent_recording_loses_nothing(self, tmp_path):
+        configure_metrics(tmp_path)
         rounds, threads = 500, 8
 
         def hammer(worker: int) -> None:
             for i in range(rounds):
-                counter.labels(worker=str(worker % 2)).inc()
-                histogram.observe(float(i % 20))
+                record_cache("cell", ("hit", "miss")[worker % 2])
+                record_task_attempts("committed", i % 10)
 
         pool = [threading.Thread(target=hammer, args=(t,)) for t in range(threads)]
         for thread in pool:
             thread.start()
         for thread in pool:
             thread.join()
-        assert counter.labels(worker="0").value == rounds * threads / 2
-        assert counter.labels(worker="1").value == rounds * threads / 2
-        assert histogram.count == rounds * threads
-        assert sum(histogram.raw_counts) == rounds * threads
+        snap = snapshot()
+        for op in ("hit", "miss"):
+            assert _sample(snap, "repro_cache_requests_total", cache="cell", op=op) == (
+                rounds * threads / 2
+            )
+        attempts = _sample(snap, "repro_task_attempts", outcome="committed")
+        assert attempts["count"] == rounds * threads
+        assert sum(attempts["counts"]) == rounds * threads
+
+
+def _demo_snapshot() -> dict:
+    return {
+        "version": 1,
+        "worker": "w0",
+        "metrics": {
+            "demo_depth": {
+                "type": "gauge", "help": "Queue depth.", "labelnames": [],
+                "samples": [{"labels": {}, "value": 3.0}],
+            },
+            "demo_ms": {
+                "type": "histogram", "help": "Latency.", "labelnames": ["op"],
+                "samples": [
+                    {"labels": {"op": "x"}, "counts": [1, 1, 1], "sum": 11.25, "count": 3},
+                ],
+                "buckets": [1.0, 2.0],
+            },
+            "demo_total": {
+                "type": "counter", "help": "Things counted.", "labelnames": ["kind"],
+                "samples": [
+                    {"labels": {"kind": "a"}, "value": 1.0},
+                    {"labels": {"kind": "b"}, "value": 2.0},
+                ],
+            },
+        },
+    }
 
 
 class TestExposition:
-    def _demo_registry(self) -> MetricsRegistry:
-        registry = MetricsRegistry()
-        counter = registry.counter("demo_total", "Things counted.", ("kind",))
-        counter.labels(kind="a").inc()
-        counter.labels(kind="b").inc(2)
-        registry.gauge("demo_depth", "Queue depth.").set(3)
-        histogram = registry.histogram("demo_ms", "Latency.", ("op",), buckets=(1.0, 2.0))
-        for value in (0.5, 1.5, 9.25):
-            histogram.labels(op="x").observe(value)
-        return registry
-
     def test_golden_text(self):
         expected = (
             "# HELP demo_depth Queue depth.\n"
@@ -215,99 +290,91 @@ class TestExposition:
             'demo_total{kind="a"} 1\n'
             'demo_total{kind="b"} 2\n'
         )
-        assert self._demo_registry().render_text() == expected
+        assert render_snapshot_text(_demo_snapshot()) == expected
 
-    def test_label_values_are_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("c_total", "help", ("k",)).labels(k='a"b\\c\nd').inc()
-        text = registry.render_text()
-        assert 'c_total{k="a\\"b\\\\c\\nd"} 1' in text
+    def test_label_values_are_escaped(self, tmp_path):
+        configure_metrics(tmp_path)
+        record_queue_event('a"b\\c\nd')
+        text = render_snapshot_text(snapshot())
+        assert 'repro_queue_events_total{event="a\\"b\\\\c\\nd"} 1' in text
 
     def test_empty_registry_renders_empty(self):
-        assert MetricsRegistry().render_text() == ""
+        assert snapshot()["metrics"] == {}
+        assert render_snapshot_text(snapshot()) == ""
 
-    def test_snapshot_roundtrips_through_render(self):
-        registry = self._demo_registry()
-        snap = registry.snapshot(worker="w0")
+    def test_snapshot_roundtrips_through_render(self, tmp_path):
+        configure_metrics(tmp_path)
+        _record_fixed_sequence()
+        snap = snapshot(worker="w0")
         assert snap["worker"] == "w0"
-        assert registry.render_text() == render_snapshot_text(snap)
-        # The snapshot is JSON-serializable as-is (the .json twin).
-        assert json.loads(json.dumps(snap)) == snap
+        # The snapshot is JSON-serializable as-is (the .json twin) and
+        # renders the same after the round trip.
+        loaded = json.loads(json.dumps(snap))
+        assert loaded == snap
+        assert render_snapshot_text(loaded) == render_snapshot_text(snap)
 
 
-def _snap(fill) -> dict:
-    registry = MetricsRegistry()
-    fill(registry)
-    return registry.snapshot(worker="w")
-
-
-def _fill(tasks: float, depth: float, observations: tuple[float, ...]):
-    def fill(registry: MetricsRegistry) -> None:
-        registry.counter("t_total", "h", ("job",)).labels(job="cell").inc(tasks)
-        registry.gauge("depth", "h").set(depth)
-        histogram = registry.histogram("lat_ms", "h", buckets=(10.0, 50.0))
-        for value in observations:
-            histogram.observe(value)
-    return fill
+def _snap(tmp_path, commits: int, depth: int, attempts: tuple[int, ...]) -> dict:
+    """One worker's snapshot, recorded through the helpers."""
+    configure_metrics(tmp_path)
+    for _ in range(commits):
+        record_queue_event("commit")
+    set_queue_depth(depth)
+    for count in attempts:
+        record_task_attempts("committed", count)
+    snap = snapshot(worker="w")
+    reset_metrics()
+    return snap
 
 
 class TestMerge:
-    def test_counters_sum_gauges_max_histograms_add(self):
-        a = _snap(_fill(2, 5, (5.0, 500.0)))
-        b = _snap(_fill(3, 1, (40.0,)))
+    def test_counters_sum_gauges_max_histograms_add(self, tmp_path):
+        a = _snap(tmp_path, 2, 5, (1, 9))
+        b = _snap(tmp_path, 3, 1, (2,))
         merged = merge_snapshots([a, b])
-        assert _sample(merged, "t_total", job="cell") == 5.0
-        assert _sample(merged, "depth") == 5.0
-        histogram = _sample(merged, "lat_ms")
-        assert histogram["counts"] == [1, 1, 1]
-        assert histogram["sum"] == pytest.approx(545.0)
+        assert _sample(merged, "repro_queue_events_total", event="commit") == 5.0
+        assert _sample(merged, "repro_queue_depth") == 5.0
+        histogram = _sample(merged, "repro_task_attempts", outcome="committed")
+        assert histogram["counts"] == [1, 1, 0, 0, 0, 1]
+        assert histogram["sum"] == pytest.approx(12.0)
         assert histogram["count"] == 3
 
-    def test_merge_is_associative(self):
-        a = _snap(_fill(1, 3, (5.0,)))
-        b = _snap(_fill(2, 9, (40.0, 40.0)))
-        c = _snap(_fill(4, 1, (999.0,)))
+    def test_merge_is_associative(self, tmp_path):
+        a = _snap(tmp_path, 1, 3, (1,))
+        b = _snap(tmp_path, 2, 9, (4, 4))
+        c = _snap(tmp_path, 4, 1, (99,))
         left = merge_snapshots([merge_snapshots([a, b]), c])
         right = merge_snapshots([a, merge_snapshots([b, c])])
         assert left == right
         assert left == merge_snapshots([a, b, c])
 
-    def test_disjoint_label_sets_union(self):
-        def fill_hit(registry):
-            registry.counter("c_total", "h", ("op",)).labels(op="hit").inc()
+    def test_disjoint_label_sets_union(self, tmp_path):
+        configure_metrics(tmp_path)
+        record_cache("cell", "hit")
+        hit = snapshot(worker="w")
+        reset_metrics(keep_dir=True)
+        record_cache("cell", "miss")
+        record_cache("cell", "miss")
+        merged = merge_snapshots([hit, snapshot(worker="w")])
+        assert _sample(merged, "repro_cache_requests_total", cache="cell", op="hit") == 1.0
+        assert _sample(merged, "repro_cache_requests_total", cache="cell", op="miss") == 2.0
 
-        def fill_miss(registry):
-            registry.counter("c_total", "h", ("op",)).labels(op="miss").inc(2)
-
-        merged = merge_snapshots([_snap(fill_hit), _snap(fill_miss)])
-        assert _sample(merged, "c_total", op="hit") == 1.0
-        assert _sample(merged, "c_total", op="miss") == 2.0
-
-    def test_conflicting_types_refuse_to_merge(self):
-        def as_counter(registry):
-            registry.counter("x", "h").inc()
-
-        def as_gauge(registry):
-            registry.gauge("x", "h").set(1)
-
+    def test_conflicting_types_refuse_to_merge(self, tmp_path):
+        as_counter = _snap(tmp_path, 1, 0, ())
+        as_gauge = copy.deepcopy(as_counter)
+        as_gauge["metrics"]["repro_queue_events_total"]["type"] = "gauge"
         with pytest.raises(ValueError, match="conflicting"):
-            merge_snapshots([_snap(as_counter), _snap(as_gauge)])
+            merge_snapshots([as_counter, as_gauge])
 
-    def test_conflicting_buckets_refuse_to_merge(self):
-        def narrow(registry):
-            registry.histogram("h_ms", "h", buckets=(1.0,)).observe(0.5)
-
-        def wide(registry):
-            registry.histogram("h_ms", "h", buckets=(1.0, 2.0)).observe(0.5)
-
+    def test_conflicting_buckets_refuse_to_merge(self, tmp_path):
+        narrow = _snap(tmp_path, 0, 0, (1,))
+        wide = copy.deepcopy(narrow)
+        wide["metrics"]["repro_task_attempts"]["buckets"].append(13.0)
         with pytest.raises(ValueError, match="bucket"):
-            merge_snapshots([_snap(narrow), _snap(wide)])
+            merge_snapshots([narrow, wide])
 
     def test_merged_worker_names_concatenate(self):
-        registry = MetricsRegistry()
-        merged = merge_snapshots(
-            [registry.snapshot(worker="a"), registry.snapshot(worker="b")]
-        )
+        merged = merge_snapshots([snapshot(worker="a"), snapshot(worker="b")])
         assert merged["worker"] == "a,b"
 
 
@@ -358,7 +425,7 @@ class TestSnapshotFiles:
         record_cache("cell", "hit")
         reset_metrics(keep_dir=True)
         assert metrics_enabled()  # a forked worker still flushes its own
-        assert get_registry().snapshot()["metrics"] == {}
+        assert snapshot()["metrics"] == {}
         reset_metrics()
         assert not metrics_enabled()
 
@@ -367,13 +434,13 @@ class TestRecordingHelpers:
     def test_helpers_are_noops_when_disabled(self):
         record_task(SimpleNamespace(phase_seconds={"train_s": 1.0}), cached=False)
         record_cache("cell", "hit")
-        assert get_registry().snapshot()["metrics"] == {}
+        assert snapshot()["metrics"] == {}
 
     def test_record_task_counts_and_observes_phases(self, tmp_path):
         configure_metrics(tmp_path)
         result = SimpleNamespace(phase_seconds={"train_s": 0.5, "attack_s": 0.02})
         record_task(result, cached=False)
-        snap = get_registry().snapshot()
+        snap = snapshot()
         assert _sample(snap, "repro_tasks_total", job="cell", status="computed") == 1.0
         train = _sample(snap, "repro_task_phase_duration_ms", job="cell", phase="train")
         assert train["count"] == 1 and train["sum"] == pytest.approx(500.0)
@@ -383,7 +450,7 @@ class TestRecordingHelpers:
     def test_cached_tasks_skip_the_phase_histograms(self, tmp_path):
         configure_metrics(tmp_path)
         record_task(SimpleNamespace(phase_seconds={"train_s": 9.0}), cached=True)
-        snap = get_registry().snapshot()
+        snap = snapshot()
         assert _sample(snap, "repro_tasks_total", job="cell", status="cached") == 1.0
         assert "repro_task_phase_duration_ms" not in snap["metrics"]
 
@@ -392,7 +459,7 @@ class TestRecordingHelpers:
         record_task(SimpleNamespace(stack_size=3, phase_seconds={}), cached=False)
         SweepResult = type("SweepResult", (), {"phase_seconds": {}})
         record_task(SweepResult(), cached=False)
-        snap = get_registry().snapshot()
+        snap = snapshot()
         assert _sample(snap, "repro_tasks_total", job="stacked", status="computed") == 1.0
         assert _sample(snap, "repro_tasks_total", job="sweep", status="computed") == 1.0
 
@@ -426,7 +493,7 @@ class TestEngineIntegration:
         tasks = explorer.tasks()
         cache = CellCache(tmp_path / "cache", context_fingerprint(explorer.context))
         run_tasks(explorer.context, tasks, run_cell_task, jobs=1, cache=cache)
-        snap = get_registry().snapshot()
+        snap = snapshot()
         assert _sample(snap, "repro_tasks_total", job="cell", status="computed") == len(tasks)
         assert _sample(snap, "repro_cache_requests_total", cache="cell", op="put") == len(tasks)
         train = _sample(snap, "repro_task_phase_duration_ms", job="cell", phase="train")
@@ -434,10 +501,26 @@ class TestEngineIntegration:
 
         reset_metrics(keep_dir=True)
         run_tasks(explorer.context, tasks, run_cell_task, jobs=1, cache=cache, resume=True)
-        snap = get_registry().snapshot()
+        snap = snapshot()
         assert _sample(snap, "repro_tasks_total", job="cell", status="cached") == len(tasks)
         assert _sample(snap, "repro_cache_requests_total", cache="cell", op="hit") == len(tasks)
         assert "repro_task_phase_duration_ms" not in snap["metrics"]
+
+    def test_fork_pool_workers_do_not_double_count(self, explorer, tmp_path, monkeypatch):
+        # Unpinned, so each pool worker flushes under its own hostname-pid.
+        monkeypatch.delenv("REPRO_QUEUE_WORKER", raising=False)
+        metrics_dir = tmp_path / "m"
+        configure_metrics(metrics_dir)
+        record_search_rung()  # a parent-side record every forked worker inherits
+        tasks = explorer.tasks()
+        _, stats = run_tasks(explorer.context, tasks, run_cell_task, jobs=2)
+        assert stats.start_method == "fork"
+        snapshots = read_metrics_dir(metrics_dir)
+        assert len(snapshots) > 1  # the parent's and the workers'
+        merged = merge_snapshots(snapshots)
+        assert _sample(merged, "repro_search_rungs_total") == 1.0
+        tasks_family = merged["metrics"]["repro_tasks_total"]
+        assert sum(sample["value"] for sample in tasks_family["samples"]) == len(tasks)
 
     def test_queue_drain_commits_once_per_task(self, explorer, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_QUEUE_WORKER", "solo")
@@ -478,7 +561,7 @@ class TestEngineIntegration:
         acquired, stolen = live.acquire(1)
         assert acquired and not stolen
         live.commit(1)
-        snap = get_registry().snapshot()
+        snap = snapshot()
         kills = 1
         assert _sample(snap, "repro_queue_events_total", event="steal") == kills
         assert _sample(snap, "repro_queue_events_total", event="commit") == 2.0
@@ -526,12 +609,11 @@ class TestCacheMetricsCLI:
             main(["cache", "metrics", str(tmp_path / "m"), "--into", str(tmp_path / "x")])
         assert exited.value.code == 2
 
-    def test_metrics_dir_flag_enables_collection(self, tmp_path, capsys):
-        out_dir = tmp_path / "out"
+    def _grid_with_metrics(self, tmp_path, jobs: str) -> None:
         metrics = tmp_path / "m"
         code = main([
-            "grid", "--profile", "micro", "--out", str(out_dir),
-            "--metrics-dir", str(metrics),
+            "grid", "--profile", "micro", "--out", str(tmp_path / "out"),
+            "--metrics-dir", str(metrics), "--jobs", jobs,
         ])
         assert code == 0
         snapshots = read_metrics_dir(metrics)
@@ -541,6 +623,12 @@ class TestCacheMetricsCLI:
         total = sum(sample["value"] for sample in tasks_family["samples"])
         assert total == 4  # the micro grid is 2x2
         assert main(["cache", "metrics", str(metrics)]) == 0
+
+    def test_metrics_dir_flag_enables_collection(self, tmp_path, capsys):
+        self._grid_with_metrics(tmp_path, jobs="1")
+
+    def test_metrics_dir_flag_enables_collection_on_a_fork_pool(self, tmp_path, capsys):
+        self._grid_with_metrics(tmp_path, jobs="2")
 
 
 class TestCheckMetricsScript:
