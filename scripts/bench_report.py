@@ -33,9 +33,11 @@ Forward/sweep timings go to ``BENCH_pr3.json``, gradient timings to
 guided-search timings to ``BENCH_pr8.json`` (repo root by default).  ``--check-fused`` skips the
 timing and only runs the smoke guards on the profile's default spiking
 model: its forward and backward counters must advance (no-grad
-inference, attack crafting, a training step), and one batch's input
-gradient must be bitwise equal to the unrolled autograd graph's — the
-CI job runs this to catch regressions of the fused path.
+inference, attack crafting, a training step), the no-grad pass must run
+layer 0's transform on exactly the steps of its structural window, and
+one batch's input gradient must be bitwise equal to the unrolled
+autograd graph's — the CI job runs this to catch regressions of the
+fused path.
 
 ``--check-regression`` measures fresh and compares the *speedup ratios*
 against the committed baseline reports: the planned-fused forward, the
@@ -110,18 +112,39 @@ def _build(profile, time_steps: int | None = None):
 
 
 def check_fused(profile) -> list[str]:
-    """Smoke guard: the fused paths run, and their gradient is exact."""
+    """Smoke guard: the fused paths run windowed, and their gradient is exact."""
     errors: list[str] = []
     model = _build(profile)
     x = Tensor(np.random.default_rng(0).random(
         (4, 1, profile.image_size, profile.image_size)
     ).astype(np.float32))
-    with no_grad():
-        model(x)
+    # Layer 0's transform is live while its output can still reach the
+    # readout membrane by the last step: T - 1 - depth steps (step 0
+    # always runs).
+    first = model.layers[0].transform
+    window = max(model.time_steps - 1 - len(model.layers), 1)
+    first_calls = []
+
+    def counted(spikes, _forward=first.forward_numpy):
+        first_calls.append(spikes.shape)
+        return _forward(spikes)
+
+    first.forward_numpy = counted
+    try:
+        with no_grad():
+            model(x)
+    finally:
+        del first.forward_numpy
     if model.fused_forward_count != 1:
         errors.append(
             f"{profile.snn_model}: no-grad forward did not take the fused path "
             f"(fused_forward_count={model.fused_forward_count})"
+        )
+    if len(first_calls) != window:
+        errors.append(
+            f"{profile.snn_model}: no-grad forward ran layer 0's transform on "
+            f"{len(first_calls)} of {model.time_steps} steps, not on its "
+            f"{window}-step window"
         )
     labels = np.zeros(4, dtype=np.int64)
     gradient = input_gradient(model, x.data, labels)

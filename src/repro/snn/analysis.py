@@ -85,8 +85,11 @@ class ActivityReport:
 def spike_activity(network: SpikingNetwork, images: Tensor | np.ndarray) -> ActivityReport:
     """Measure per-layer spike counts of ``network`` on a batch.
 
-    Runs the network's no-grad time loop on its numpy twins (encoder and
-    hidden layers; the readout emits no spikes).
+    Runs its own no-grad time loop on the network's numpy twins (encoder
+    and hidden layers; the readout emits no spikes) over all ``T`` steps.
+    It does not read :func:`~repro.snn.backward.run_trace` on purpose:
+    that loop skips each stage's steps past its structural window, whose
+    spikes never reach the decoded membrane but are still activity.
     """
     image = images.data if isinstance(images, Tensor) else np.asarray(images)
     lanes = NetworkLanes(network)

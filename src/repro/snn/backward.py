@@ -45,6 +45,17 @@ Ragged time windows pad to ``max_steps``: a lane past its own ``T`` has
 its GEMMs skipped and its rows pinned to exact zeros, so its state stays
 finite and its gradients stay exactly zero.
 
+Structural windows
+------------------
+Each stage adds one state update of latency on the way to the readout
+membrane, so a stage's output at a late step cannot reach the membrane a
+lane decodes (forward), or the last step its loss reads (backward).
+Every loop runs a stage only inside that window, with the rule kept once
+in :class:`_Windows`: the forward loops anchor it at each lane's last
+step ``T_k - 1``, :func:`backward_pass` at each lane's last consumed
+step.  A stage runs while any lane is inside its window, and the
+per-lane windows are the ``alive`` masks its transforms see.
+
 Exactness contract
 ------------------
 Every step performs the same float arithmetic, with the same promoted
@@ -66,7 +77,10 @@ Memory
 ------
 The usual BPTT trade, one activation set per time step, kept to what the
 backward reads — far less than the autograd path retains, since per-op
-closures and intermediates are never created.  Per step the tape holds:
+closures and intermediates are never created.  Each stage records only
+the steps of its structural window (step 0 always), so the backward
+finds every step it reads and the dead wavefront costs no memory.  Per
+step of its window the tape holds:
 
 * per LIF population (encoder included), the decayed membrane alone —
   the backward recomputes the surrogate pre-activation from it
@@ -133,30 +147,132 @@ def _lane_slices(lanes, folded: np.ndarray) -> list[slice]:
     return [slice(lane * n, (lane + 1) * n) for lane in range(lanes.k)]
 
 
+class _Windows:
+    """The structural-aliveness windows of a lane set's stages.
+
+    A stage's output at step ``t`` reaches the readout membrane ``hops``
+    state updates later, so it reaches a lane's membrane at that lane's
+    *anchor* step only while ``t + hops <= anchor``; at later steps the
+    stage is dead for that lane.  Stages are indexed from the encoder
+    (``-1``) through the spiking layers to the readout (``depth``), each
+    a transform (``op``) feeding a cell.  The readout cell *is* the
+    membrane (0 hops), and a transform adds one update before its cell:
+    the current lands in the cell's synaptic state, which its membrane
+    reads one step later.  So stage ``index``'s cell output has ``depth -
+    index`` hops and its transform output one more.  For the encoder,
+    the cell output is its spikes (layer 0's transform input) and the
+    transform output is a stateful encoder's image current.
+
+    The forward loops anchor each lane at its last step ``T_k - 1``;
+    :func:`backward_pass` anchors it at its last consumed step
+    ``t_head``, which is never later, so the backward reads only steps
+    the forward ran.
+    """
+
+    def __init__(self, anchors: Sequence[int], depth: int) -> None:
+        self.anchors = list(anchors)
+        self.last = max(self.anchors, default=-1)
+        self.depth = depth
+
+    def _hops(self, index: int, op: bool) -> int:
+        return self.depth - index + op
+
+    def end(self, index: int, op: bool = False) -> int:
+        """The last step of the widest lane window of stage ``index``'s
+        cell (or, with ``op``, its transform)."""
+        return self.last - self._hops(index, op)
+
+    def alive(self, t: int, index: int, op: bool = False) -> list[bool]:
+        """Per lane, whether its window of that stage holds step ``t``."""
+        hops = self._hops(index, op)
+        return [t <= anchor - hops for anchor in self.anchors]
+
+
+def _time_loop(lanes, image: np.ndarray, record: bool) -> BPTTTape:
+    """The fused forward time loop of :func:`run_trace` and :func:`record_forward`.
+
+    Each stage runs only inside its structural-aliveness window anchored
+    at ``T_k - 1`` (:class:`_Windows`): a dead stage's output never
+    reaches a membrane its lane decodes, so skipping it leaves every
+    decoded step bit for bit unchanged.  A stack passes each transform
+    its per-lane window as ``alive`` and skips the call when no lane is
+    live.  Three stages keep running outside their windows:
+
+    * the encoder steps every ``t`` (while its lane is inside its own
+      ``T_k``), so a Poisson generator draws exactly its unwindowed
+      stream; with ``record``, it records only inside its window;
+    * at a cell's last live step its transform is already dead: the cell
+      takes a zero current, which only feeds a new state nothing reads;
+    * step 0 runs every stage, so that every state takes its shape (this
+      only matters when ``T <= depth + 1``).
+
+    With ``record``, the tape holds each stage's contexts for the steps it
+    ran — a prefix of the time axis, so ``[t]`` still indexes them.
+    """
+    depth = len(lanes.layer_ops)
+    windows = _Windows([steps - 1 for steps in lanes.time_steps], depth)
+    tape = BPTTTape(
+        layer_transform_ctxs=[[] for _ in range(depth)],
+        layer_cell_ctxs=[[] for _ in range(depth)],
+    )
+    ops = [*lanes.layer_ops, lanes.readout_op]
+    op_ctxs = [*tape.layer_transform_ctxs, tape.readout_ctxs]
+    # Step 0 runs every stage, so that every state takes its shape.
+    cell_ends = [max(windows.end(index), 0) for index in range(depth + 1)]
+    op_ends = [max(windows.end(index, op=True), 0) for index in range(depth + 1)]
+    encoder_state = None
+    states: list = [None] * (depth + 1)
+    for t in range(lanes.max_steps):
+        alive = [t < steps for steps in lanes.time_steps]
+        # The encoder's spikes are read while layer 0's transform is live.
+        if record and t <= op_ends[0]:
+            spikes, encoder_state, ctx = lanes.encoder.step_record_numpy(
+                image, encoder_state, alive
+            )
+            tape.encoder_ctxs.append(ctx)
+        else:
+            spikes, encoder_state = lanes.encoder.step_numpy(image, encoder_state, alive)
+        for index, op in enumerate(ops):
+            if t > cell_ends[index]:
+                continue
+            if t > op_ends[index]:
+                current = np.zeros_like(states[index][0])
+            elif record:
+                current, ctx = op.record(spikes, windows.alive(t, index, op=True))
+                op_ctxs[index].append(ctx)
+            else:
+                current = op.forward(spikes, windows.alive(t, index, op=True))
+            if index == depth:
+                membrane, states[index] = lanes.readout_cell.step_numpy(
+                    current, states[index]
+                )
+                tape.trace.append(membrane)
+            elif record:
+                spikes, states[index], ctx = lanes.layer_cells[index].step_record_numpy(
+                    current, states[index]
+                )
+                tape.layer_cell_ctxs[index].append(ctx)
+            else:
+                spikes, states[index] = lanes.layer_cells[index].step_numpy(
+                    current, states[index]
+                )
+    tape.encoder_stateful = encoder_state is not None
+    return tape
+
+
 def run_trace(lanes, image: np.ndarray) -> list[np.ndarray]:
     """Fused no-grad time loop; returns the folded readout membrane trace.
 
     LIF/LI state updates run directly on arrays (skipping surrogate
     derivatives and per-op Tensor bookkeeping); each stage object was
-    resolved once per pass, not once per time step.
+    resolved once per pass, not once per time step, and runs only inside
+    its window (see :func:`_time_loop`).  Every decoded step is the
+    unwindowed loop's bit for bit; a lane's hidden states past its
+    windows are not, so per-step activity (firing rates) must not be
+    read off this loop — :func:`repro.snn.analysis.spike_activity` runs
+    its own.
     """
-    depth = len(lanes.layer_ops)
-    encoder_state = None
-    layer_states: list = [None] * depth
-    readout_state = None
-    trace: list[np.ndarray] = []
-    for t in range(lanes.max_steps):
-        alive = [t < steps for steps in lanes.time_steps]
-        spikes, encoder_state = lanes.encoder.step_numpy(image, encoder_state, alive)
-        for index, op in enumerate(lanes.layer_ops):
-            spikes, layer_states[index] = lanes.layer_cells[index].step_numpy(
-                op.forward(spikes, alive), layer_states[index]
-            )
-        membrane, readout_state = lanes.readout_cell.step_numpy(
-            lanes.readout_op.forward(spikes, alive), readout_state
-        )
-        trace.append(membrane)
-    return trace
+    return _time_loop(lanes, image, record=False).trace
 
 
 def decode_logits(lanes, trace: list[np.ndarray]) -> list[np.ndarray]:
@@ -175,35 +291,11 @@ def record_forward(lanes, image: np.ndarray) -> BPTTTape:
     """Fused time loop that records the minimal per-step state BPTT needs.
 
     Spikes, membranes and transform outputs equal :func:`run_trace`'s bit
-    for bit (and therefore the autograd forward's).
+    for bit (and therefore, on every step inside a stage's window, the
+    autograd forward's).  Each stage records only the steps of its window
+    (see :func:`_time_loop`), the steps :func:`backward_pass` can read.
     """
-    depth = len(lanes.layer_ops)
-    tape = BPTTTape(
-        layer_transform_ctxs=[[] for _ in range(depth)],
-        layer_cell_ctxs=[[] for _ in range(depth)],
-    )
-    encoder_state = None
-    layer_states: list = [None] * depth
-    readout_state = None
-    for t in range(lanes.max_steps):
-        alive = [t < steps for steps in lanes.time_steps]
-        spikes, encoder_state, encoder_ctx = lanes.encoder.step_record_numpy(
-            image, encoder_state, alive
-        )
-        tape.encoder_ctxs.append(encoder_ctx)
-        for index, op in enumerate(lanes.layer_ops):
-            current, transform_ctx = op.record(spikes, alive)
-            spikes, layer_states[index], cell_ctx = lanes.layer_cells[
-                index
-            ].step_record_numpy(current, layer_states[index])
-            tape.layer_transform_ctxs[index].append(transform_ctx)
-            tape.layer_cell_ctxs[index].append(cell_ctx)
-        current, readout_ctx = lanes.readout_op.record(spikes, alive)
-        membrane, readout_state = lanes.readout_cell.step_numpy(current, readout_state)
-        tape.readout_ctxs.append(readout_ctx)
-        tape.trace.append(membrane)
-    tape.encoder_stateful = encoder_state is not None
-    return tape
+    return _time_loop(lanes, image, record=True)
 
 
 def decode_heads(lanes, tape: BPTTTape, labels: Sequence[np.ndarray]):
@@ -302,8 +394,9 @@ def backward_pass(
     --------------------
     Each stage adds one state-update of input-to-output latency, so the
     synaptic current of stage ``s`` at step ``t`` reaches a lane's loss
-    only when enough steps remain (``t + stages-to-readout <= t_head``).
-    The autograd engine never *visits* the dead ops — their parameters
+    only when enough steps remain (``t + stages-to-readout <= t_head``;
+    :class:`_Windows`, the rule the forward loops share, anchored at each
+    lane's ``t_head``).  The autograd engine never *visits* the dead ops — their parameters
     keep ``grad = None`` (optimizers skip them) and dead image pieces are
     never added.  The sweep runs a stage while *any* lane is inside its
     window (anchored at ``max(t_heads)``); per-lane windows gate each
@@ -314,8 +407,8 @@ def backward_pass(
     graph per lane.
     """
     steps = len(tape.trace)
-    t_head = max(t_heads, default=-1)
     depth = len(lanes.layer_ops)
+    windows = _Windows(t_heads, depth)
     collect = param_lanes is not None and any(param_lanes)
     cell_state_grads: list = [None] * depth
     encoder_state_grad = None
@@ -325,7 +418,7 @@ def backward_pass(
     image_pieces: list[list[np.ndarray]] = [[] for _ in range(lanes.k)]
     param_pieces: list[list[list | None]] = []
     rows = _lane_slices(lanes, tape.trace[0])
-    for t in reversed(range(min(steps, t_head + 1))):
+    for t in reversed(range(min(steps, windows.last + 1))):
         step_sinks: list[list | None] | None = (
             [[] if selected else None for selected in param_lanes]  # type: ignore[union-attr]
             if collect
@@ -342,27 +435,26 @@ def backward_pass(
             lanes.readout_cell.step_backward_numpy(g_membrane, readout_gi)
         )
         # Every stage below runs only inside its structural-aliveness
-        # window ``t + stages-to-readout <= t_head`` — outside it the
-        # incoming gradients are exact-zero arrays the autograd engine
-        # never visits, so skipping reproduces its work (and None-grads)
-        # precisely while saving the whole dead wavefront.
-        if t <= t_head - 1:
-            alive = [t <= lane_head - 1 for lane_head in t_heads]
+        # window — outside it the incoming gradients are exact-zero
+        # arrays the autograd engine never visits, so skipping reproduces
+        # its work (and None-grads) precisely while saving the whole dead
+        # wavefront.
+        if t <= windows.end(depth, op=True):
+            alive = windows.alive(t, depth, op=True)
             g = lanes.readout_op.backward(
                 g_current, tape.readout_ctxs[t], _gate(step_sinks, alive), alive
             )
             for index in reversed(range(depth)):
-                remaining = depth - index
-                if t > t_head - remaining:
+                if t > windows.end(index):
                     break
                 g_current, cell_state_grads[index] = lanes.layer_cells[
                     index
                 ].step_backward_numpy(
                     g, cell_state_grads[index], tape.layer_cell_ctxs[index][t]
                 )
-                if t > t_head - 1 - remaining:
+                if t > windows.end(index, op=True):
                     break
-                alive = [t <= lane_head - 1 - remaining for lane_head in t_heads]
+                alive = windows.alive(t, index, op=True)
                 # Only the encoder reads layer 0's input gradient.
                 g = lanes.layer_ops[index].backward(
                     g_current,
@@ -382,9 +474,9 @@ def backward_pass(
                     # its spike gradient (the boundary step only seeds the
                     # recurrent state grads); a stateless encoder's piece
                     # is alive whenever its spikes are.
-                    lag = 2 if tape.encoder_stateful else 1
-                    for lane, lane_head in enumerate(t_heads):
-                        if t <= lane_head - lag - depth:
+                    pieces_alive = windows.alive(t, -1, op=tape.encoder_stateful)
+                    for lane, live in enumerate(pieces_alive):
+                        if live:
                             image_pieces[lane].append(piece[rows[lane]])
         if step_sinks is not None and any(step_sinks):
             param_pieces.append(step_sinks)

@@ -15,8 +15,12 @@ from differentiating the unrolled autograd graph, at every level:
   identical weights, and gradient-based attacks must produce identical
   outcomes on either path.
 * **The tape** — the recorded forward keeps only what the backward reads
-  (one membrane per LIF step, a one-byte max-pool routing code), and
-  training never forms the first layer's unread input gradient.
+  (one membrane per LIF step of its window, a one-byte max-pool routing
+  code), and training never forms the first layer's unread input gradient.
+* **The forward windows** — both forward loops run each stage only on
+  the steps whose output can still reach the decoded membrane, for a
+  single network and per lane of a ragged stack, with logits, gradients
+  and a Poisson encoder's stream unchanged.
 
 Every reference leg runs under :func:`tests.reference_ops.unrolled_graph`,
 so the oracle is the unrolled autograd loop of ``tests/reference_ops.py``
@@ -43,7 +47,7 @@ from repro.snn.network import NetworkLanes, SpikingLayer, SpikingNetwork, Spikin
 from repro.snn.neuron import LICell, LIFCell, LIFParameters
 from repro.snn.stack import VariantStack
 from repro.tensor import functional as F
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, no_grad
 from repro.training import Trainer, TrainingConfig
 from tests import reference_ops
 from tests.reference_ops import unrolled_graph
@@ -762,6 +766,216 @@ class TestLIFContextEdgeCases:
         return logits
 
 
+class _StageSpy:
+    """A lane-set stage that logs its forward calls with their ``alive``."""
+
+    FORWARDS = ("forward", "record", "step_numpy", "step_record_numpy")
+
+    def __init__(self, stage) -> None:
+        self.stage = stage
+        self.calls: list[tuple[str, list[bool] | None]] = []
+
+    def __getattr__(self, name):
+        attr = getattr(self.stage, name)
+        if name not in self.FORWARDS:
+            return attr
+
+        def spy(*args):
+            alive = args[1] if name in ("forward", "record") else None
+            self.calls.append((name, alive))
+            return attr(*args)
+
+        return spy
+
+
+def _spy_stages(lanes):
+    """Wrap every stage of ``lanes`` in a :class:`_StageSpy`; returns them
+    in loop order: encoder, then each op and cell, readout op and cell."""
+    lanes.encoder = _StageSpy(lanes.encoder)
+    lanes.layer_ops = [_StageSpy(op) for op in lanes.layer_ops]
+    lanes.layer_cells = [_StageSpy(cell) for cell in lanes.layer_cells]
+    lanes.readout_op = _StageSpy(lanes.readout_op)
+    lanes.readout_cell = _StageSpy(lanes.readout_cell)
+    pairs = zip(lanes.layer_ops, lanes.layer_cells)
+    return [
+        lanes.encoder, *[stage for pair in pairs for stage in pair],
+        lanes.readout_op, lanes.readout_cell,
+    ]
+
+
+class TestForwardWindows:
+    """The forward loops run each stage only inside its structural window.
+
+    With ``depth`` spiking layers and a lane of ``T`` steps, layer ``i``'s
+    transform is live for ``T - 1 - (depth - i)`` steps, its cell for
+    one more, the readout transform for ``T - 1`` and the readout cell
+    (and the encoder) for all ``T``; step 0 always runs.  Skipping the
+    rest leaves logits, gradients and gradient ``None``-ness those of the
+    unrolled graph, which runs every step.
+    """
+
+    DEPTH = 3  # snn_lenet_mini
+
+    def _data(self, n=3):
+        data_rng = np.random.default_rng(5)
+        images = data_rng.random((n, 1, 16, 16)).astype(np.float32)
+        return images, (np.arange(n) % 10).astype(np.int64)
+
+    def _windows(self, time_steps):
+        """Expected calls per stage, in :func:`_spy_stages` order."""
+        depth = self.DEPTH
+        windows = [time_steps]
+        for index in range(depth):
+            windows += [time_steps - 1 - (depth - index), time_steps - (depth - index)]
+        windows += [time_steps - 1, time_steps]
+        return [max(steps, 1) for steps in windows]
+
+    @pytest.mark.parametrize("record", [False, True], ids=["no-grad", "recorded"])
+    @pytest.mark.parametrize("time_steps", [2, 4, 5, 6, 16])
+    def test_each_stage_runs_its_window(self, record, time_steps):
+        model = build_model("snn_lenet_mini", input_size=16, time_steps=time_steps, rng=0)
+        lanes = NetworkLanes(model)
+        stages = _spy_stages(lanes)
+        images, _labels = self._data()
+        if record:
+            tape = bptt.record_forward(lanes, images)
+        else:
+            tape = bptt.BPTTTape(trace=bptt.run_trace(lanes, images))
+        assert len(tape.trace) == time_steps
+        assert [len(stage.calls) for stage in stages] == self._windows(time_steps)
+        if time_steps == 16:
+            # conv1 skips its last 4 steps; pool1+conv2 and LIF1 skip 3;
+            # LIF2 and pool2+flatten+linear skip 2; LIF3 and the readout
+            # linear skip 1.
+            assert self._windows(16) == [16, 12, 13, 13, 14, 14, 15, 15, 16]
+        encoder_records = sum(name == "step_record_numpy" for name, _ in stages[0].calls)
+        assert encoder_records == (
+            max(time_steps - 1 - self.DEPTH, 1) if record else 0
+        )
+
+    def test_a_stack_passes_each_window_as_alive(self):
+        steps = (8, 5, 6)
+        members = [
+            build_model("snn_lenet_mini", input_size=16, time_steps=t, rng=lane)
+            for lane, t in enumerate(steps)
+        ]
+        stack = VariantStack(members)
+        stages = _spy_stages(stack)
+        images, _labels = self._data()
+        folded = stack.fold([images] * len(members))
+        for run in (stack.forward_logits, stack.record_forward):
+            for stage in stages:
+                stage.calls.clear()
+            run(folded)
+            assert [len(stage.calls) for stage in stages] == self._windows(max(steps))
+            ops = stages[1:-1:2]
+            for index, op in enumerate(ops):
+                hops = self.DEPTH - index + 1
+                for t, (_name, alive) in enumerate(op.calls):
+                    assert alive == [t <= lane_steps - 1 - hops for lane_steps in steps]
+            # The encoder keeps each lane's own T.
+            assert [call[1] for call in stages[0].calls] == [None] * max(steps)
+
+    @staticmethod
+    def _oracle(model, images, labels):
+        """Logits, input gradient and parameter gradients of the unrolled
+        graph.  At ``T = 1`` no stage reaches the readout membrane, so the
+        loss requires no gradient and nothing gets one."""
+        model.zero_grad()
+        x = Tensor(images.copy(), requires_grad=True)
+        with unrolled_graph(model):
+            logits = model(x)
+        loss = F.cross_entropy(logits, labels)
+        if loss.requires_grad:
+            loss.backward()
+        return logits.data, x.grad, _param_grads(model)
+
+    @staticmethod
+    def _assert_same_params(grads, reference, where):
+        for name, grad in grads.items():
+            assert (grad is None) == (reference[name] is None), (where, name)
+            if grad is not None:
+                np.testing.assert_array_equal(grad, reference[name])
+
+    @pytest.mark.parametrize("time_steps", range(1, DEPTH + 4))
+    def test_single_network_matches_unrolled_graph(self, time_steps):
+        model = build_model("snn_lenet_mini", input_size=16, time_steps=time_steps, rng=0)
+        images, labels = self._data()
+        with no_grad():
+            np.testing.assert_array_equal(
+                model(Tensor(images)).data,
+                reference_ops.unrolled_forward(model, Tensor(images)).data,
+            )
+        ref_logits, ref_input, ref_params = self._oracle(model, images, labels)
+        model.zero_grad()
+        logits, grad_input = _forward_backward(model, images, labels)
+        np.testing.assert_array_equal(logits, ref_logits)
+        assert (grad_input is None) == (ref_input is None)
+        if ref_input is not None:
+            np.testing.assert_array_equal(grad_input, ref_input)
+        self._assert_same_params(_param_grads(model), ref_params, "forward")
+        model.zero_grad()
+        model.fused_loss_backward(images, labels)
+        self._assert_same_params(_param_grads(model), ref_params, "fused_loss_backward")
+        expected = ref_input if ref_input is not None else np.zeros_like(images)
+        np.testing.assert_array_equal(model.fused_input_gradient(images, labels), expected)
+
+    def test_ragged_stack_matches_unrolled_graph(self):
+        steps = (6, 1, 4, 2, 5)
+        members = [
+            build_model(
+                "snn_lenet_mini", input_size=16, time_steps=t, rng=lane,
+                lif_params=LIFParameters(v_th=0.5 + 0.25 * lane),
+            )
+            for lane, t in enumerate(steps)
+        ]
+        stack = VariantStack(members)
+        images, labels = self._data()
+        folded = stack.fold([images] * len(members))
+        n = len(images)
+        logits = stack.forward_logits(folded)
+        gradient = stack.fused_input_gradient(folded, [labels] * len(members))
+        for member in members:
+            member.zero_grad()
+        stack.fused_loss_backward(folded, [labels] * len(members))
+        for lane, member in enumerate(members):
+            stacked = _param_grads(member)
+            with no_grad():
+                np.testing.assert_array_equal(
+                    logits[lane],
+                    reference_ops.unrolled_forward(member, Tensor(images)).data,
+                )
+            _logits, ref_input, ref_params = self._oracle(member, images, labels)
+            expected = ref_input if ref_input is not None else np.zeros_like(images)
+            np.testing.assert_array_equal(gradient[lane * n : (lane + 1) * n], expected)
+            self._assert_same_params(stacked, ref_params, lane)
+        assert gradient[:n].any()
+
+    def test_poisson_stream_is_unchanged(self):
+        # The encoder still draws one frame per step, so the generator
+        # enters the second pass where the unrolled graph's does.
+        images, labels = self._data()
+        model = build_model("snn_lenet_mini", input_size=16, time_steps=8, rng=0)
+        passes = []
+        for fused in (True, False):
+            model.encoder = PoissonEncoder(scale=0.5, rng=7)
+            with no_grad():
+                first = (
+                    model(Tensor(images)).data
+                    if fused
+                    else reference_ops.unrolled_forward(model, Tensor(images)).data
+                )
+            if fused:
+                second = model.fused_input_gradient(images, labels)
+            else:
+                second = _autograd_input_gradient(model, images, labels)
+            passes.append((first, second))
+        (fused_first, fused_second), (ref_first, ref_second) = passes
+        np.testing.assert_array_equal(fused_first, ref_first)
+        assert ref_second.any()
+        np.testing.assert_array_equal(fused_second, ref_second)
+
+
 def _unique_arrays(obj, found: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Every array reachable through lists and tuples, keyed by owning buffer."""
     if isinstance(obj, np.ndarray):
@@ -783,19 +997,27 @@ class TestTapeFootprint:
         images = np.random.default_rng(0).random((32, 1, 16, 16)).astype(np.float32)
         tape = bptt.record_forward(NetworkLanes(model), images)
 
-        # One state-sized membrane per LIF step: encoder, then each layer.
+        # One state-sized membrane per LIF step of the population's
+        # window: the encoder records while layer 0's transform is live
+        # (its last 4 steps are dead), each layer one step longer.
         state_shapes = [(32, 1, 16, 16), (32, 8, 16, 16), (32, 16, 8, 8), (32, 64)]
-        for ctxs, shape in zip([tape.encoder_ctxs, *tape.layer_cell_ctxs], state_shapes):
-            assert len(ctxs) == 16
+        windows = [12, 13, 14, 15]
+        for ctxs, shape, steps in zip(
+            [tape.encoder_ctxs, *tape.layer_cell_ctxs], state_shapes, windows
+        ):
+            assert len(ctxs) == steps
             for ctx in ctxs:
                 assert isinstance(ctx, np.ndarray) and ctx.shape == shape
+        assert [len(ctxs) for ctxs in tape.layer_transform_ctxs] == [12, 13, 14]
+        assert len(tape.readout_ctxs) == 15
+        assert len(tape.trace) == 16
 
         # Max-pool contexts hold a one-byte routing code, never the input.
         pools = []
         for ctxs in tape.layer_transform_ctxs[1:]:
             for members in ctxs:
                 pools += [ctx for ctx in members if isinstance(ctx[0], F.MaxPool2dPlan)]
-        assert len(pools) == 2 * 16
+        assert len(pools) == 13 + 14
         for plan, route, _dtype in pools:
             assert route.dtype == np.uint8
             assert route.shape == (plan.shape[0], plan.shape[1], plan.oh, plan.ow)
@@ -805,8 +1027,9 @@ class TestTapeFootprint:
                 np.issubdtype(array.dtype, np.floating) and array.shape in input_shapes
             )
 
-        # 9.1 MiB.  Also recording the surrogate pre-activation, or the
-        # pooling input and output, breaks the bound (21.4 MiB with both).
+        # 6.5 MiB (8.1 MiB when every stage records all 16 steps).  Also
+        # recording the surrogate pre-activation, or the pooling input and
+        # output, breaks the bound.
         tape_bytes = sum(
             array.nbytes
             for array in _unique_arrays(
@@ -815,7 +1038,7 @@ class TestTapeFootprint:
                 {},
             ).values()
         )
-        assert tape_bytes < 10 * 2**20
+        assert tape_bytes < 6.6 * 2**20
 
 
 class TestFirstLayerInputGradient:
