@@ -18,9 +18,10 @@ fingerprint the full context (:func:`context_fingerprint`,
 only what training depends on (:func:`training_fingerprint`), which is
 exactly what lets a changed ε list still hit the trained weights.
 
-Writes are atomic (temp file + rename), so a run killed mid-write never
-leaves an entry the next run would trip over — unreadable or corrupt
-entries are treated as cache misses.
+Writes go through :func:`repro.utils.atomic.write_atomic` (private temp
+file + rename), so a run killed mid-write never leaves an entry the
+next run would trip over — unreadable or corrupt entries are treated as
+cache misses — and the maintenance helpers sweep the temps it leaves.
 
 The maintenance helpers at the bottom (:func:`scan_cache_dir`,
 :func:`cache_stats`, :func:`clear_cache_dir`, :func:`gc_cache_dir`) back
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
+import re
 import time
 import weakref
 import zipfile
@@ -47,6 +48,7 @@ from repro.engine.metrics import record_cache
 from repro.engine.sweep import SweepResult
 from repro.robustness.results import CellResult
 from repro.training.trainer import TrainingConfig
+from repro.utils.atomic import temp_target, write_atomic
 from repro.utils.logging import get_logger
 from repro.utils.serialization import load_npz, load_npz_metadata, save_npz
 
@@ -281,9 +283,7 @@ class _CheckpointCache:
             "task": self._task_payload(task),
             self._value_key: self._encode(value),
         }
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        os.replace(tmp, path)
+        write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
         record_cache(self.kind, "put")
         return path
 
@@ -988,20 +988,25 @@ def cache_stats(directory: str | Path, fingerprint: str | None = None) -> dict:
     }
 
 
+_LEGACY_TEMP = re.compile(r"(?P<json>[^.].*?)\.\d+(\.merge)?\.tmp|\.(?P<npz>.+)\.\d+\.tmp\.npz")
+
+
 def _scan_stray_temps(directory: str | Path) -> list[CacheEntry]:
     """Orphaned atomic-write temp files left by killed runs.
 
     Excluded from :func:`scan_cache_dir` (stats must not count archives
     mid-write), but the pruning commands sweep them: a power-lost worker
-    leaves ``<entry>.json.<pid>.tmp`` / ``.weights_*.<pid>.tmp.npz``
-    strays that would otherwise accumulate forever.
+    leaves a :mod:`repro.utils.atomic` temp, or in caches written before
+    that module a pid-only ``<entry>.json.<pid>.tmp``,
+    ``<entry>.<pid>.merge.tmp`` or ``.weights_*.<pid>.tmp.npz``, that
+    would otherwise stay forever.
     """
-    return _scan_entries(
-        directory,
-        lambda path: path.name.lstrip(".")
-        if path.name.endswith((".tmp", ".tmp.npz"))
-        else None,
-    )
+
+    def target(path: Path) -> str | None:
+        legacy = _LEGACY_TEMP.fullmatch(path.name)
+        return temp_target(path.name) if legacy is None else legacy["json"] or legacy["npz"]
+
+    return _scan_entries(directory, target)
 
 
 def _invalidate_manifests(directory: str | Path, fingerprints: set[str]) -> None:
@@ -1034,6 +1039,39 @@ def _invalidate_manifests(directory: str | Path, fingerprints: set[str]) -> None
         (Path(directory) / MANIFEST_NAME).unlink(missing_ok=True)
 
 
+def _sweep_cache_dir(
+    directory: str | Path, doomed: Callable[[CacheEntry], bool], shield: bool
+) -> int:
+    """Delete the entries and stray temps ``doomed`` selects; returns count.
+    With ``shield``, warm-start ancestors of surviving archives are kept."""
+    selected: list[CacheEntry] = []
+    kept: list[CacheEntry] = []
+    for entry in scan_cache_dir(directory):
+        (selected if doomed(entry) else kept).append(entry)
+    protected = _protected_ancestors(kept, selected) if shield else set()
+    if protected:
+        _logger.info(
+            "gc shielded %d warm-start ancestor archive(s) still referenced "
+            "by live checkpoints",
+            len(protected),
+        )
+    removed = 0
+    dropped_results: set[str] = set()
+    for entry in selected:
+        if entry.path in protected:
+            continue
+        entry.path.unlink(missing_ok=True)
+        removed += 1
+        if entry.kind in _CHECKPOINT_STORES:
+            dropped_results.add(entry.fingerprint)
+    for stray in _scan_stray_temps(directory):
+        if doomed(stray):
+            stray.path.unlink(missing_ok=True)
+            removed += 1
+    _invalidate_manifests(directory, dropped_results)
+    return removed
+
+
 def clear_cache_dir(directory: str | Path, fingerprint: str | None = None) -> int:
     """Delete cache entries (optionally only one fingerprint's); returns count.
 
@@ -1043,22 +1081,9 @@ def clear_cache_dir(directory: str | Path, fingerprint: str | None = None) -> in
     Shard-manifest records covering deleted result checkpoints are
     dropped too, so ``cache verify`` never vouches for pruned entries.
     """
-    removed = 0
-    dropped_results: set[str] = set()
-    for entry in scan_cache_dir(directory):
-        if fingerprint_matches(entry, fingerprint):
-            entry.path.unlink(missing_ok=True)
-            removed += 1
-            if entry.kind in _CHECKPOINT_STORES:
-                dropped_results.add(entry.fingerprint)
-    for stray in _scan_stray_temps(directory):
-        # Temps never completed a write, so sweeping them cannot
-        # invalidate a completeness claim.
-        if fingerprint_matches(stray, fingerprint):
-            stray.path.unlink(missing_ok=True)
-            removed += 1
-    _invalidate_manifests(directory, dropped_results)
-    return removed
+    return _sweep_cache_dir(
+        directory, lambda entry: fingerprint_matches(entry, fingerprint), shield=False
+    )
 
 
 def _warm_start_source(path: Path) -> str | None:
@@ -1131,39 +1156,10 @@ def gc_cache_dir(
         # A negative or NaN bound would doom every entry, and the
         # in-flight temps an age bound exists to protect.
         raise ValueError(f"max_age_seconds must be >= 0, got {max_age_seconds}")
-    removed = 0
-    dropped_results: set[str] = set()
-    doomed: list[CacheEntry] = []
-    kept: list[CacheEntry] = []
-    for entry in scan_cache_dir(directory):
-        if fingerprint_matches(entry, fingerprint) and not (
+
+    def doomed(entry: CacheEntry) -> bool:
+        return fingerprint_matches(entry, fingerprint) and not (
             max_age_seconds is not None and entry.age_seconds(now) <= max_age_seconds
-        ):
-            doomed.append(entry)
-        else:
-            kept.append(entry)
-    protected = _protected_ancestors(kept, doomed)
-    if protected:
-        _logger.info(
-            "gc shielded %d warm-start ancestor archive(s) still referenced "
-            "by live checkpoints",
-            len(protected),
         )
-    for entry in doomed:
-        if entry.path in protected:
-            continue
-        entry.path.unlink(missing_ok=True)
-        removed += 1
-        if entry.kind in _CHECKPOINT_STORES:
-            dropped_results.add(entry.fingerprint)
-    for stray in _scan_stray_temps(directory):
-        # Temps never completed a write, so sweeping them cannot
-        # invalidate a completeness claim.
-        if not fingerprint_matches(stray, fingerprint):
-            continue
-        if max_age_seconds is not None and stray.age_seconds(now) <= max_age_seconds:
-            continue
-        stray.path.unlink(missing_ok=True)
-        removed += 1
-    _invalidate_manifests(directory, dropped_results)
-    return removed
+
+    return _sweep_cache_dir(directory, doomed, shield=True)

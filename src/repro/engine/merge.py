@@ -22,8 +22,9 @@ directory that a plain ``--resume`` run can serve figures from:
   ``training_fingerprint`` + variant key + seed, so an equal filename
   *is* the identity; byte comparison would false-positive on npz/zip
   timestamps, so the first archive wins.
-* **Atomic** — every copy lands via temp file + ``os.replace``, the same
-  recipe the caches use, so an interrupted merge is re-runnable.
+* **Atomic** — every copy lands via
+  :func:`repro.utils.atomic.write_atomic`, the same recipe the caches
+  use, so an interrupted merge is re-runnable.
 
 Example::
 
@@ -34,13 +35,12 @@ Example::
 
 from __future__ import annotations
 
-import os
-import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.engine.cache import scan_cache_dir
 from repro.engine.shard import ShardManifest, load_manifests, save_manifests
+from repro.utils.atomic import write_atomic
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -100,9 +100,7 @@ class MergeReport:
 
 
 def _atomic_copy(source: Path, destination: Path) -> None:
-    tmp = destination.with_name(f"{destination.name}.{os.getpid()}.merge.tmp")
-    shutil.copyfile(source, tmp)
-    os.replace(tmp, destination)
+    write_atomic(destination, source.read_bytes())
 
 
 def merge_cache_dirs(

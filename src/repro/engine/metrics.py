@@ -23,9 +23,10 @@ module at a snapshot directory, and nothing here touches job results —
 serial, pool, stacked and queue outputs are byte-identical with
 metrics on or off (tested).
 
-Only the standard library is imported: every engine layer (scheduler,
-caches, queue, search, stacking) records through this module, so it
-must sit below all of them in the import graph.
+Only the standard library and the stdlib-only
+:func:`repro.utils.atomic.write_atomic` are imported: every engine layer
+(scheduler, caches, queue, search, stacking) records through this
+module, so it must sit below all of them in the import graph.
 
 The metric catalogue (:data:`CATALOG`) is the single source of truth
 for names, types, labels, units and histogram buckets; a new metric is
@@ -39,6 +40,8 @@ import json
 import os
 import socket
 import threading
+
+from repro.utils.atomic import write_atomic
 
 __all__ = [
     "ATTEMPT_BUCKETS",
@@ -469,7 +472,7 @@ def flush_metrics() -> str | None:
 
     Writes ``metrics_<worker>.prom`` (Prometheus text) and a
     ``metrics_<worker>.json`` twin (the merge input), both via
-    temp-file-plus-:func:`os.replace` so a concurrently running
+    :func:`repro.utils.atomic.write_atomic` so a concurrently running
     ``cache metrics`` never reads a half-written file.  Returns the
     ``.prom`` path, or ``None`` when metrics are disabled.  Safe to call
     repeatedly — each flush replaces the previous snapshot wholesale.
@@ -483,18 +486,11 @@ def flush_metrics() -> str | None:
     prom_path = os.path.join(directory, f"metrics_{worker}.prom")
     json_path = os.path.join(directory, f"metrics_{worker}.json")
     for path, payload in ((json_path, json.dumps(snap, indent=2) + "\n"), (prom_path, text)):
-        tmp = f"{path}.tmp.{os.getpid()}"
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
+            write_atomic(path, payload)
         except OSError:
             # Telemetry must never abort the computation (full disk,
             # directory deleted mid-run): drop the snapshot silently.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return None
     return prom_path
 

@@ -10,16 +10,19 @@ task carries its own derived seeds, the two (and a serial run) produce
 byte-identical results.
 
 The protocol is plain files and three atomic primitives, so it needs no
-server and no locks held across work:
+server and no locks held across work.  Every lease and marker is
+written through :mod:`repro.utils.atomic` and scanned by
+:func:`~repro.engine.resilience.scan_markers`:
 
 * **claim** — a worker creates ``lease_<index>.json`` *exclusively*
-  (hard-link of a private temp file, the portable ``O_CREAT|O_EXCL``
-  with full content): exactly one claimer wins.  The lease records
-  owner, pid, host, acquire time, heartbeat and TTL.
-* **heartbeat** — a daemon thread rewrites each held lease (atomic
-  temp + ``os.replace``) every ``ttl/4`` seconds.  A lease whose
-  heartbeat is older than its TTL is *expired*: its owner is presumed
-  dead (SIGKILL, OOM, unplugged host).
+  (:func:`~repro.utils.atomic.create_exclusive`: hard-link of a private
+  temp file, the portable ``O_CREAT|O_EXCL`` with full content):
+  exactly one claimer wins.  The lease records owner, pid, host,
+  acquire time, heartbeat and TTL.
+* **heartbeat** — a daemon thread rewrites each held lease
+  (:func:`~repro.utils.atomic.write_atomic`) every ``ttl/4`` seconds.
+  A lease whose heartbeat is older than its TTL is *expired*: its
+  owner is presumed dead (SIGKILL, OOM, unplugged host).
 * **steal** — a worker renames an expired lease to a private tombstone
   (``os.rename``: exactly one renamer succeeds) and then claims the
   freed task normally.  Losing either race just means someone else got
@@ -90,12 +93,11 @@ from repro.engine.resilience import (
     attempt_records,
     handoff_records,
     quarantined_indices,
-    read_json as _read_json,
-    replace_json as _replace_json,
-    write_json_exclusive as _write_json_exclusive,
+    scan_markers,
 )
 from repro.engine.stacking import plan_units
 from repro.errors import ReproError
+from repro.utils.atomic import create_exclusive, read_json, write_atomic
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -196,7 +198,86 @@ class QueueSnapshot:
     """Stale leases ripe for stealing: ``index -> lease payload``."""
 
 
-class WorkQueue:
+class _QueueView:
+    """Read-only view of a queue directory's leases and commit markers.
+
+    :class:`WorkQueue` is one worker's view; :func:`queue_status` scans
+    through a bare one, so workers and the coordinator classify leases
+    by one rule.  ``clock`` is injectable so the invariant tests can
+    drive expiry deterministically.
+    """
+
+    def __init__(self, directory: str | Path, *, lease_ttl: float = DEFAULT_LEASE_TTL,
+                 clock: Callable[[], float] = time.time) -> None:
+        self.directory = Path(directory)
+        self.lease_ttl = float(lease_ttl)
+        self.clock = clock
+        # When this view first observed a torn (unparseable) lease per
+        # task — caps the synthetic heartbeat below so a torn lease can
+        # never stall the queue longer than one TTL of observation.
+        self._torn_first_seen: dict[int, float] = {}
+
+    def lease_path(self, index: int) -> Path:
+        return self.directory / f"lease_{int(index)}.json"
+
+    def done_path(self, index: int) -> Path:
+        return self.directory / f"done_{int(index)}.json"
+
+    def read_lease(self, index: int) -> dict | None:
+        """The lease payload, or ``None`` when the task is unleased.
+
+        An unparseable lease (a claimer died inside the claim itself, or
+        the file is mid-``os.replace`` on a non-atomic filesystem) still
+        *blocks* the task — but only for one TTL: the synthetic
+        heartbeat is the *older* of the file's mtime and the moment this
+        worker first observed the torn file, so even a skewed mtime (a
+        writer's clock running ahead) expires the lease one TTL after
+        first sight and it is tombstoned through the normal steal path,
+        exactly like a dead worker's.
+        """
+        path = self.lease_path(index)
+        payload = read_json(path)
+        if payload is not None:
+            self._torn_first_seen.pop(int(index), None)
+            return payload
+        try:
+            mtime = path.stat().st_mtime
+        except OSError:
+            self._torn_first_seen.pop(int(index), None)
+            return None
+        first_seen = self._torn_first_seen.setdefault(int(index), self.clock())
+        return {"task_index": int(index), "owner": "",
+                "heartbeat": min(mtime, first_seen), "ttl": self.lease_ttl}
+
+    def lease_expired(self, lease: dict) -> bool:
+        """Whether a lease payload's heartbeat is older than its TTL."""
+        heartbeat = float(lease.get("heartbeat", 0.0))
+        ttl = float(lease.get("ttl", self.lease_ttl))
+        return self.clock() - heartbeat > ttl
+
+    def is_done(self, index: int) -> bool:
+        return self.done_path(index).exists()
+
+    def done_indices(self) -> set[int]:
+        """Task indices with a commit marker in the queue directory."""
+        return {index for index, _ in scan_markers(self.directory, "done_")}
+
+    def snapshot(self) -> QueueSnapshot:
+        """Scan the directory once: done markers, live and stale leases."""
+        done = self.done_indices()
+        active: dict[int, dict] = {}
+        expired: dict[int, dict] = {}
+        for index, _ in scan_markers(self.directory, "lease_"):
+            if index in done:
+                continue  # post-commit stragglers; nobody waits on these
+            lease = self.read_lease(index)
+            if lease is None:
+                continue
+            (expired if self.lease_expired(lease) else active)[index] = lease
+        return QueueSnapshot(done=frozenset(done), active=active, expired=expired)
+
+
+class WorkQueue(_QueueView):
     """One worker's handle on a shared queue directory.
 
     Opening the handle creates the directory and its identity manifest
@@ -205,8 +286,7 @@ class WorkQueue:
     grid aborts instead of interleaving incompatible results.
 
     The handle owns this worker's event log and lease bookkeeping; the
-    scheduling loop lives in :func:`run_queued_tasks`.  ``clock`` is
-    injectable so the invariant tests can drive expiry deterministically.
+    scheduling loop lives in :func:`run_queued_tasks`.
     """
 
     def __init__(
@@ -224,17 +304,11 @@ class WorkQueue:
         from repro.engine.scheduler import check_run_options
 
         check_run_options(lease_ttl=lease_ttl)
-        self.directory = Path(directory)
+        super().__init__(directory, lease_ttl=lease_ttl, clock=clock)
         self.experiment = str(experiment)
         self.fingerprint = str(fingerprint)
         self.task_count = int(task_count)
-        self.lease_ttl = float(lease_ttl)
         self.worker = _sanitize(worker) if worker else default_worker_id()
-        self.clock = clock
-        # When this worker first observed a torn (unparseable) lease per
-        # task — caps the synthetic heartbeat below so a torn lease can
-        # never stall the queue longer than one TTL of observation.
-        self._torn_first_seen: dict[int, float] = {}
         self.directory.mkdir(parents=True, exist_ok=True)
         self._join()
 
@@ -250,8 +324,8 @@ class WorkQueue:
         path = self.directory / QUEUE_MANIFEST_NAME
         # Concurrent first joiners write identical bytes, so losing the
         # creation race is indistinguishable from arriving second.
-        if not _write_json_exclusive(path, identity):
-            existing = _read_json(path)
+        if not create_exclusive(path, json.dumps(identity, sort_keys=True)):
+            existing = read_json(path)
             if existing is None:
                 raise QueueError(
                     f"queue manifest {path} exists but is unreadable; "
@@ -271,14 +345,6 @@ class WorkQueue:
                     f"queue {self.directory} serves a different task list "
                     f"({detail}); point --queue at a fresh directory"
                 )
-
-    # -- paths -----------------------------------------------------------------
-
-    def lease_path(self, index: int) -> Path:
-        return self.directory / f"lease_{int(index)}.json"
-
-    def done_path(self, index: int) -> Path:
-        return self.directory / f"done_{int(index)}.json"
 
     @property
     def events_path(self) -> Path:
@@ -306,38 +372,6 @@ class WorkQueue:
 
     # -- leases ----------------------------------------------------------------
 
-    def read_lease(self, index: int) -> dict | None:
-        """The lease payload, or ``None`` when the task is unleased.
-
-        An unparseable lease (a claimer died inside the claim itself, or
-        the file is mid-``os.replace`` on a non-atomic filesystem) still
-        *blocks* the task — but only for one TTL: the synthetic
-        heartbeat is the *older* of the file's mtime and the moment this
-        worker first observed the torn file, so even a skewed mtime (a
-        writer's clock running ahead) expires the lease one TTL after
-        first sight and it is tombstoned through the normal steal path,
-        exactly like a dead worker's.
-        """
-        path = self.lease_path(index)
-        payload = _read_json(path)
-        if payload is not None:
-            self._torn_first_seen.pop(int(index), None)
-            return payload
-        try:
-            mtime = path.stat().st_mtime
-        except OSError:
-            self._torn_first_seen.pop(int(index), None)
-            return None
-        first_seen = self._torn_first_seen.setdefault(int(index), self.clock())
-        return {"task_index": int(index), "owner": "",
-                "heartbeat": min(mtime, first_seen), "ttl": self.lease_ttl}
-
-    def lease_expired(self, lease: dict) -> bool:
-        """Whether a lease payload's heartbeat is older than its TTL."""
-        heartbeat = float(lease.get("heartbeat", 0.0))
-        ttl = float(lease.get("ttl", self.lease_ttl))
-        return self.clock() - heartbeat > ttl
-
     def _lease_payload(self, index: int) -> dict:
         now = self.clock()
         return {
@@ -354,7 +388,8 @@ class WorkQueue:
         """Try to lease an unleased task; ``True`` iff this worker won."""
         if self.is_done(index):
             return False
-        return _write_json_exclusive(self.lease_path(index), self._lease_payload(index))
+        return create_exclusive(self.lease_path(index),
+                                json.dumps(self._lease_payload(index), sort_keys=True))
 
     def handed_off(self, index: int, lease: dict) -> bool:
         """Whether ``lease`` was gracefully released by a retired worker.
@@ -366,7 +401,7 @@ class WorkQueue:
         acquire time so a later re-claim by the same worker id is not
         shot down by a stale tombstone.
         """
-        payload = _read_json(self.directory / f"handoff_{int(index)}.json")
+        payload = read_json(self.directory / f"handoff_{int(index)}.json")
         if payload is None:
             return False
         return (
@@ -427,36 +462,23 @@ class WorkQueue:
         and resurrecting the lease would fight it).
         """
         path = self.lease_path(index)
-        lease = _read_json(path)
+        lease = read_json(path)
         if lease is None or lease.get("owner") != self.worker:
             return False
         lease["heartbeat"] = self.clock()
         try:
-            _replace_json(path, lease)
+            write_atomic(path, json.dumps(lease, sort_keys=True))
         except OSError:
             return False
         return True
 
     def release(self, index: int) -> None:
         """Drop this worker's lease (no-op when already gone or stolen)."""
-        lease = _read_json(self.lease_path(index))
+        lease = read_json(self.lease_path(index))
         if lease is not None and lease.get("owner") == self.worker:
             self.lease_path(index).unlink(missing_ok=True)
 
     # -- commits ---------------------------------------------------------------
-
-    def is_done(self, index: int) -> bool:
-        return self.done_path(index).exists()
-
-    def done_indices(self) -> set[int]:
-        """Task indices with a commit marker in the queue directory."""
-        done: set[int] = set()
-        for path in self.directory.glob("done_*.json"):
-            try:
-                done.add(int(path.stem.removeprefix("done_")))
-            except ValueError:
-                continue
-        return done
 
     def commit(
         self,
@@ -489,31 +511,11 @@ class WorkQueue:
             "elapsed_s": None if elapsed is None else round(float(elapsed), 6),
             "phase_seconds": dict(phase_seconds or {}),
         }
-        if _write_json_exclusive(self.done_path(index), marker):
+        if create_exclusive(self.done_path(index), json.dumps(marker, sort_keys=True)):
             self.append_event("cached" if cached else "commit", index, **detail)
             return True
         self.append_event("duplicate", index, **detail)
         return False
-
-    # -- scanning --------------------------------------------------------------
-
-    def snapshot(self) -> QueueSnapshot:
-        """Scan the directory once: done markers, live and stale leases."""
-        done = self.done_indices()
-        active: dict[int, dict] = {}
-        expired: dict[int, dict] = {}
-        for path in self.directory.glob("lease_*.json"):
-            try:
-                index = int(path.stem.removeprefix("lease_"))
-            except ValueError:
-                continue
-            if index in done:
-                continue  # post-commit stragglers; nobody waits on these
-            lease = self.read_lease(index)
-            if lease is None:
-                continue
-            (expired if self.lease_expired(lease) else active)[index] = lease
-        return QueueSnapshot(done=frozenset(done), active=active, expired=expired)
 
     def quarantined_indices(self) -> set[int]:
         """Task indices carrying a quarantine marker (attempt budget spent)."""
@@ -1039,6 +1041,21 @@ def run_queued_tasks(
     )
 
 
+_EVENT_COUNTERS = {
+    "claim": ("claims",),
+    "steal": ("steals", "claims"),  # a steal is a claim too
+    "commit": ("commits",),
+    "cached": ("cached",),
+    "duplicate": ("duplicates",),
+    "failed": ("failed",),
+    "retry": ("retries",),
+    "timeout": ("timeouts",),
+    "handoff": ("handoffs",),
+    "quarantine": ("quarantines",),
+}
+"""Event name -> the per-worker :func:`queue_status` totals it bumps."""
+
+
 def queue_status(directory: str | Path, now: float | None = None) -> dict:
     """Merge a queue directory's protocol state into one coordinator view.
 
@@ -1053,79 +1070,39 @@ def queue_status(directory: str | Path, now: float | None = None) -> dict:
     """
     directory = Path(directory)
     now = time.time() if now is None else now
-    identity = _read_json(directory / QUEUE_MANIFEST_NAME)
+    identity = read_json(directory / QUEUE_MANIFEST_NAME)
     task_count = int(identity.get("task_count", 0)) if identity else 0
 
-    done: set[int] = set()
-    for path in directory.glob("done_*.json"):
-        try:
-            done.add(int(path.stem.removeprefix("done_")))
-        except ValueError:
-            continue
+    state = _QueueView(directory, clock=lambda: now).snapshot()
+    done = state.done
 
-    active: list[dict] = []
-    expired: list[dict] = []
-    for path in directory.glob("lease_*.json"):
-        try:
-            index = int(path.stem.removeprefix("lease_"))
-        except ValueError:
-            continue
-        if index in done:
-            continue
-        lease = _read_json(path)
-        if lease is None:
-            try:
-                lease = {"task_index": index, "owner": "",
-                         "heartbeat": path.stat().st_mtime}
-            except OSError:
-                continue
-        age = max(0.0, now - float(lease.get("heartbeat", now)))
-        entry = {
-            "task": index,
-            "owner": str(lease.get("owner", "")),
-            "heartbeat_age_s": round(age, 3),
-        }
-        ttl = float(lease.get("ttl", DEFAULT_LEASE_TTL))
-        (expired if age > ttl else active).append(entry)
-    active.sort(key=lambda e: e["task"])
-    expired.sort(key=lambda e: e["task"])
+    def lease_rows(leases: dict[int, dict]) -> list[dict]:
+        return [
+            {
+                "task": index,
+                "owner": str(lease.get("owner", "")),
+                "heartbeat_age_s": round(
+                    max(0.0, now - float(lease.get("heartbeat", 0.0))), 3
+                ),
+            }
+            for index, lease in sorted(leases.items())
+        ]
 
+    totals = {counter for counters in _EVENT_COUNTERS.values() for counter in counters}
     workers: dict[str, dict] = {}
     phase_totals: dict[str, float] = {}
     events = merge_event_logs(directory)
     for event in events:
-        name = str(event.get("worker", "?"))
         bucket = workers.setdefault(
-            name,
-            {"claims": 0, "steals": 0, "commits": 0, "cached": 0,
-             "duplicates": 0, "failed": 0, "retries": 0, "timeouts": 0,
-             "handoffs": 0, "quarantines": 0, "elapsed_s": 0.0},
+            str(event.get("worker", "?")), {**dict.fromkeys(totals, 0), "elapsed_s": 0.0}
         )
         kind = event.get("event")
-        if kind == "claim":
-            bucket["claims"] += 1
-        elif kind == "steal":
-            bucket["steals"] += 1
-            bucket["claims"] += 1
-        elif kind == "commit":
-            bucket["commits"] += 1
+        for counter in _EVENT_COUNTERS.get(kind, ()):
+            bucket[counter] += 1
+        if kind == "commit":
             bucket["elapsed_s"] += float(event.get("elapsed_s") or 0.0)
             for phase, value in (event.get("phase_seconds") or {}).items():
                 phase_totals[phase] = phase_totals.get(phase, 0.0) + float(value)
-        elif kind == "cached":
-            bucket["cached"] += 1
-        elif kind == "duplicate":
-            bucket["duplicates"] += 1
-        elif kind == "failed":
-            bucket["failed"] += 1
-        elif kind == "retry":
-            bucket["retries"] += 1
-        elif kind == "timeout":
-            bucket["timeouts"] += 1
-        elif kind == "handoff":
-            bucket["handoffs"] += 1
-        elif kind == "quarantine":
-            bucket["quarantines"] += 1
     for bucket in workers.values():
         bucket["elapsed_s"] = round(bucket["elapsed_s"], 3)
 
@@ -1134,7 +1111,7 @@ def queue_status(directory: str | Path, now: float | None = None) -> dict:
     attempts = attempt_records(directory)
     quarantined = []
     for index in sorted(quarantined_indices(directory) - done):
-        marker = _read_json(directory / f"quarantined_{index}.json") or {}
+        marker = read_json(directory / f"quarantined_{index}.json") or {}
         history = marker.get("attempts") or attempts.get(index, [])
         quarantined.append({
             "task": index,
@@ -1153,8 +1130,8 @@ def queue_status(directory: str | Path, now: float | None = None) -> dict:
             bool(identity)
             and len(done | {entry["task"] for entry in quarantined}) >= task_count
         ),
-        "active_leases": active,
-        "expired_leases": expired,
+        "active_leases": lease_rows(state.active),
+        "expired_leases": lease_rows(state.expired),
         "attempts": sum(len(history) for history in attempts.values()),
         "quarantined": quarantined,
         "handoffs": len(handoff_records(directory)),

@@ -41,8 +41,10 @@ real worker subprocesses without bespoke test builds.  Injected
 transient faults strike only a task's *first* attempt, so chaos alone
 can never quarantine a task — CI gates on exactly that.
 
-Only the standard library is imported; like :mod:`repro.engine.metrics`
-this module sits below every other engine layer.
+Only the standard library and the stdlib-only :mod:`repro.utils.atomic`
+(which writes every record and marker here) are imported; like
+:mod:`repro.engine.metrics` this module sits below every other engine
+layer.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.utils.atomic import create_exclusive, read_json, write_atomic
 
 try:  # CPython-only: the watchdog's abort mechanism.
     import ctypes
@@ -78,9 +82,7 @@ __all__ = [
     "attempt_records",
     "handoff_records",
     "quarantined_indices",
-    "read_json",
-    "replace_json",
-    "write_json_exclusive",
+    "scan_markers",
 ]
 
 DEFAULT_MAX_ATTEMPTS = 3
@@ -109,55 +111,6 @@ class WorkerRetired(Exception):
 
 class ChaosFailure(RuntimeError):
     """A fault injected by :class:`ChaosConfig` (never a real error)."""
-
-
-# ---------------------------------------------------------------------------
-# Atomic JSON file primitives (shared with the queue protocol).
-# ---------------------------------------------------------------------------
-
-
-def _private_tmp(path: Path) -> Path:
-    """A temp name beside ``path`` that no other process *or thread* uses.
-
-    Queue workers may run as threads of one process (tests do), so the
-    pid alone would let two claims of the same lease share a temp file.
-    """
-    return path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-
-
-def write_json_exclusive(path: Path, payload: dict) -> bool:
-    """Atomically create ``path`` with ``payload`` iff it does not exist.
-
-    The portable full-content ``O_CREAT|O_EXCL``: the payload is written
-    to a private temp file first and *linked* into place, so a reader
-    can never observe a partially written file.  Returns ``False`` when
-    the path already exists (someone else won the race).
-    """
-    tmp = _private_tmp(path)
-    tmp.write_text(json.dumps(payload, sort_keys=True))
-    try:
-        os.link(tmp, path)
-    except FileExistsError:
-        return False
-    finally:
-        tmp.unlink(missing_ok=True)
-    return True
-
-
-def replace_json(path: Path, payload: dict) -> None:
-    """Atomic full rewrite (same temp + ``os.replace`` recipe as caches)."""
-    tmp = _private_tmp(path)
-    tmp.write_text(json.dumps(payload, sort_keys=True))
-    os.replace(tmp, path)
-
-
-def read_json(path: Path) -> dict | None:
-    """Parse a protocol file; ``None`` when missing or unreadable."""
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
 
 
 # ---------------------------------------------------------------------------
@@ -246,30 +199,31 @@ class ResilienceConfig:
 # Attempt ledger: the durable per-task failure history in a queue directory.
 # ---------------------------------------------------------------------------
 
-_ATTEMPT_GLOB = "attempt_*.json"
-_QUARANTINE_GLOB = "quarantined_*.json"
-_HANDOFF_GLOB = "handoff_*.json"
 
+def scan_markers(directory: str | Path, prefix: str) -> list[tuple[int, Path]]:
+    """Every ``<prefix><index>[_...].json`` in ``directory`` as ``(index, path)``.
 
-def _index_of(path: Path, prefix: str) -> int | None:
-    stem = path.stem.removeprefix(prefix)
-    try:
-        return int(stem.split("_", 1)[0])
-    except ValueError:
-        return None
+    The one scan behind every protocol marker: leases, commit markers,
+    attempt records, quarantine markers and handoff tombstones.  Temp
+    files start with a dot and never match.
+    """
+    found: list[tuple[int, Path]] = []
+    for path in Path(directory).glob(f"{prefix}*.json"):
+        try:
+            found.append((int(path.stem.removeprefix(prefix).split("_", 1)[0]), path))
+        except ValueError:
+            continue
+    return found
 
 
 def attempt_records(directory: str | Path) -> dict[int, list[dict]]:
     """Every ``attempt_<i>_<n>.json`` in a queue directory, grouped by
     task index and sorted by attempt number."""
-    directory = Path(directory)
     records: dict[int, list[dict]] = {}
-    for path in directory.glob(_ATTEMPT_GLOB):
-        index = _index_of(path, "attempt_")
+    for index, path in scan_markers(directory, "attempt_"):
         payload = read_json(path)
-        if index is None or payload is None:
-            continue
-        records.setdefault(index, []).append(payload)
+        if payload is not None:
+            records.setdefault(index, []).append(payload)
     for history in records.values():
         history.sort(key=lambda record: int(record.get("attempt", 0)))
     return records
@@ -277,21 +231,15 @@ def attempt_records(directory: str | Path) -> dict[int, list[dict]]:
 
 def quarantined_indices(directory: str | Path) -> set[int]:
     """Task indices carrying a ``quarantined_<i>.json`` marker."""
-    found: set[int] = set()
-    for path in Path(directory).glob(_QUARANTINE_GLOB):
-        index = _index_of(path, "quarantined_")
-        if index is not None:
-            found.add(index)
-    return found
+    return {index for index, _ in scan_markers(directory, "quarantined_")}
 
 
 def handoff_records(directory: str | Path) -> dict[int, dict]:
     """``handoff_<i>.json`` tombstones left by gracefully retired workers."""
     records: dict[int, dict] = {}
-    for path in Path(directory).glob(_HANDOFF_GLOB):
-        index = _index_of(path, "handoff_")
+    for index, path in scan_markers(directory, "handoff_"):
         payload = read_json(path)
-        if index is not None and payload is not None:
+        if payload is not None:
             records[index] = payload
     return records
 
@@ -364,7 +312,8 @@ class AttemptLedger:
         attempt = self.attempt_count(index) + 1
         while True:
             payload["attempt"] = attempt
-            if write_json_exclusive(self.attempt_path(index, attempt), payload):
+            if create_exclusive(self.attempt_path(index, attempt),
+                                json.dumps(payload, sort_keys=True)):
                 return payload
             attempt += 1
 
@@ -396,7 +345,8 @@ class AttemptLedger:
             "attempts": history,
             "error": history[-1].get("error", "") if history else "",
         }
-        return write_json_exclusive(self.quarantine_path(index), marker)
+        return create_exclusive(self.quarantine_path(index),
+                                json.dumps(marker, sort_keys=True))
 
     def quarantined_indices(self) -> set[int]:
         return quarantined_indices(self.directory)
@@ -420,7 +370,7 @@ class AttemptLedger:
             "time": self.clock(),
             "signal": str(signal_name),
         }
-        replace_json(self.handoff_path(index), payload)
+        write_atomic(self.handoff_path(index), json.dumps(payload, sort_keys=True))
         return payload
 
 
@@ -664,7 +614,7 @@ class ChaosConfig:
             return False
         try:
             data = path.read_bytes()
-            path.write_bytes(data[: max(1, len(data) // 2)])
+            write_atomic(path, data[: max(1, len(data) // 2)])
         except OSError:
             return False
         return True

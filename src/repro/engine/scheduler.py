@@ -77,7 +77,8 @@ __all__ = [
 
 _logger = get_logger("engine")
 
-_START_METHODS = ("auto", "fork", "spawn")
+START_METHODS = ("auto", "fork", "spawn")
+"""Pool start methods :func:`run_tasks` accepts (the CLI's ``--start-method``)."""
 
 ProgressCallback = Callable[[object, object, bool], None]
 """``(task, result, from_cache)`` invoked in the parent after each task."""
@@ -287,9 +288,9 @@ def check_run_options(
         raise ValueError(
             "resume=True requires a checkpoint cache (cache_dir) to resume from"
         )
-    if start_method not in _START_METHODS:
+    if start_method not in START_METHODS:
         raise ValueError(
-            f"unknown start_method {start_method!r}; choose from {_START_METHODS}"
+            f"unknown start_method {start_method!r}; choose from {START_METHODS}"
         )
     if not (lease_ttl > 0):
         raise ValueError(f"lease_ttl must be > 0, got {lease_ttl}")

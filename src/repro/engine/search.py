@@ -82,6 +82,7 @@ from repro.engine.resilience import ResilienceConfig
 from repro.engine.scheduler import run_cell_tasks
 from repro.errors import ExplorationError
 from repro.robustness.results import CellResult, ExplorationResult
+from repro.utils.atomic import write_atomic
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -406,7 +407,7 @@ class SearchResult:
         if path is not None:
             path = Path(path)
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
+            write_atomic(path, text)
         return text
 
     @staticmethod

@@ -38,10 +38,10 @@ Example — two hosts, one grid::
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.utils.atomic import write_atomic
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -307,7 +307,7 @@ def load_manifests(directory: str | Path) -> dict[str, ShardManifest]:
 def save_manifests(
     directory: str | Path, manifests: dict[str, ShardManifest]
 ) -> Path:
-    """Atomically write ``shard.json`` (same temp+rename recipe as the caches)."""
+    """Atomically write ``shard.json`` (:func:`repro.utils.atomic.write_atomic`)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / MANIFEST_NAME
@@ -317,9 +317,7 @@ def save_manifests(
             manifests[key].as_dict() for key in sorted(manifests)
         ],
     }
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
     return path
 
 

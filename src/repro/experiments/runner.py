@@ -61,7 +61,7 @@ from repro.engine.resilience import (
     QUARANTINE_EXIT_CODE,
     ResilienceConfig,
 )
-from repro.engine.scheduler import check_run_options
+from repro.engine.scheduler import START_METHODS, check_run_options
 from repro.engine.search import (
     RungQuarantined,
     SearchConfig,
@@ -81,10 +81,10 @@ from repro.experiments.fig678_grid import (
 from repro.experiments.fig9_sweetspots import run_fig9
 from repro.experiments.profiles import available_profiles, get_profile
 from repro.experiments.sweeps import ABLATION_FACTORS
+from repro.utils.atomic import write_atomic
 
 __all__ = ["build_parser", "main"]
 
-_START_METHODS = ("auto", "fork", "spawn")
 # The halving-only flags by their dests, which are SearchConfig's fields.
 _HALVING_FLAGS = {
     "schedule": "--budget-schedule",
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine.add_argument(
         "--start-method",
-        choices=_START_METHODS,
+        choices=START_METHODS,
         default="auto",
         help="worker pool backend: auto prefers fork and falls back to "
         "spawn, which rebuilds the job context per worker (default: auto)",
@@ -483,7 +483,7 @@ def _write_json(out_dir: Path | None, name: str, payload: dict | str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.json"
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True)
-    path.write_text(text)
+    write_atomic(path, text)
     print(f"[saved] {path}")
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.utils.atomic import write_atomic
+
 __all__ = ["CellResult", "ExplorationResult"]
 
 
@@ -217,7 +219,7 @@ class ExplorationResult:
         if path is not None:
             path = Path(path)
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
+            write_atomic(path, text)
         return text
 
     @staticmethod

@@ -4,18 +4,21 @@ Model parameters and experiment result grids are persisted as compressed
 ``.npz`` archives of flat ``name -> array`` mappings.  JSON-friendly
 metadata can ride along under a reserved key.
 
-Writes are atomic (temp file + ``os.replace``), so concurrent writers —
-e.g. engine worker processes checkpointing trained weights into a shared
-cache directory — never leave a half-written archive behind.
+Writes are atomic (:func:`repro.utils.atomic.write_atomic`: a private
+temp file + ``os.replace``), so concurrent writers — e.g. engine worker
+processes or threads checkpointing trained weights into a shared cache
+directory — never leave a half-written archive behind.
 """
 
 from __future__ import annotations
 
+import io
 import json
-import os
 from pathlib import Path
 
 import numpy as np
+
+from repro.utils.atomic import write_atomic
 
 _METADATA_KEY = "__repro_metadata__"
 
@@ -34,8 +37,7 @@ def save_npz(
     """
     path = Path(path)
     if path.suffix != ".npz":
-        # numpy appends ".npz" to names missing the suffix, which would
-        # break the temp-file rename below; normalise up front instead.
+        # numpy's own convention for names missing the suffix.
         path = path.with_name(path.name + ".npz")
     if _METADATA_KEY in arrays:
         raise ValueError(f"array name {_METADATA_KEY!r} is reserved")
@@ -44,15 +46,9 @@ def save_npz(
     if metadata is not None:
         encoded = json.dumps(metadata, sort_keys=True)
         payload[_METADATA_KEY] = np.frombuffer(encoded.encode("utf-8"), dtype=np.uint8)
-    # Leading dot: temp files must never match the final-archive naming
-    # scheme, or directory scans (e.g. the engine's cache maintenance)
-    # would count — and could delete — an archive mid-write.
-    tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp.npz")
-    try:
-        np.savez_compressed(tmp, **payload)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    archive = io.BytesIO()
+    np.savez_compressed(archive, **payload)
+    write_atomic(path, archive.getvalue())
     return path
 
 

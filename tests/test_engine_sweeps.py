@@ -556,23 +556,34 @@ class TestCacheFailureTolerance:
 
         # A run killed between write and rename leaves temp files behind.
         # Stats must not count an archive mid-write, but the pruning
-        # commands must sweep strays or they accumulate forever.
-        npz_orphan = tmp_path / (".weights_" + "a" * 12 + "_deadbeef.1234.tmp.npz")
-        npz_orphan.write_bytes(b"partial archive")
-        json_orphan = tmp_path / ("cell_" + "b" * 12 + "_deadbeef.json.1234.tmp")
-        json_orphan.write_text("{partial")
-        unrelated = tmp_path / "notes.txt"
-        unrelated.write_text("keep me")
+        # commands must sweep strays or they accumulate forever: both
+        # today's ``.<name>.<pid>.<thread>.tmp`` and the pid-only names
+        # that caches written before that rule still hold.
+        npz_orphans = [
+            tmp_path / (".weights_" + "a" * 12 + "_deadbeef.1234.tmp.npz"),
+            tmp_path / (".weights_" + "c" * 12 + "_deadbeef.npz.1234.5678.tmp"),
+        ]
+        json_orphans = [
+            tmp_path / ("cell_" + "b" * 12 + "_deadbeef.json.1234.tmp"),
+            tmp_path / ("sweep_" + "b" * 12 + "_deadbeef.json.1234.merge.tmp"),
+            tmp_path / (".cell_" + "d" * 12 + "_deadbeef.json.1234.5678.tmp"),
+        ]
+        for orphan in npz_orphans + json_orphans:
+            orphan.write_bytes(b"{partial")
+        unrelated = [tmp_path / "notes.txt", tmp_path / ".notes.txt.1234.5678.tmp"]
+        for path in unrelated:
+            path.write_text("keep me")
         assert cache_stats(tmp_path)["entries"] == 0
         # gc with an age bound skips fresh (possibly in-flight) temps...
         assert gc_cache_dir(tmp_path, max_age_seconds=3600) == 0
-        os.utime(npz_orphan, (1_000_000, 1_000_000))
-        assert gc_cache_dir(tmp_path, max_age_seconds=3600) == 1
-        assert not npz_orphan.exists()
+        for orphan in npz_orphans:
+            os.utime(orphan, (1_000_000, 1_000_000))
+        assert gc_cache_dir(tmp_path, max_age_seconds=3600) == 2
+        assert not any(orphan.exists() for orphan in npz_orphans)
         # ...while clear sweeps the rest unconditionally.
-        assert clear_cache_dir(tmp_path) == 1
-        assert not json_orphan.exists()
-        assert unrelated.exists()
+        assert clear_cache_dir(tmp_path) == 3
+        assert not any(orphan.exists() for orphan in json_orphans)
+        assert all(path.exists() for path in unrelated)
 
     @pytest.mark.parametrize("max_age", [-1.0, float("nan")], ids=["negative", "nan"])
     def test_gc_rejects_an_age_bound_below_zero(self, tmp_path, max_age):

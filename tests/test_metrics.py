@@ -392,7 +392,10 @@ class TestSnapshotFiles:
         snap = load_snapshot(tmp_path / f"metrics_{worker}.json")
         assert snap["worker"] == worker
         assert render_snapshot_text(snap) == prom
-        assert not list(tmp_path.glob("*.tmp.*"))
+        # Exactly the pair: no temp file is left behind.
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            f"metrics_{worker}.json", f"metrics_{worker}.prom",
+        ]
 
     def test_flush_replaces_the_previous_snapshot(self, tmp_path):
         configure_metrics(tmp_path)

@@ -17,9 +17,12 @@ from __future__ import annotations
 import json
 import os
 import signal
+import sys
 import threading
 import time
+import zipfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,11 +31,14 @@ from repro import nn
 from repro.data import ArrayDataset
 from repro.engine import (
     CellCache,
+    CellTask,
     context_fingerprint,
     read_events,
     run_cell_task,
     run_queued_tasks,
 )
+from repro.engine.merge import _atomic_copy
+from repro.engine.metrics import configure_metrics, flush_metrics, reset_metrics
 from repro.engine.resilience import (
     AttemptLedger,
     ChaosConfig,
@@ -46,10 +52,13 @@ from repro.engine.resilience import (
     attempt_records,
     handoff_records,
     quarantined_indices,
-    write_json_exclusive,
 )
+from repro.engine.shard import ShardManifest, save_manifests
 from repro.robustness import ExplorationConfig, RobustnessExplorer
+from repro.robustness.results import CellResult, ExplorationResult
 from repro.training.trainer import TrainingConfig
+from repro.utils.atomic import create_exclusive, write_atomic
+from repro.utils.serialization import save_npz
 
 
 class FakeClock:
@@ -123,7 +132,139 @@ class TestResilienceConfig:
             ResilienceConfig(**{field: float("nan")})
 
 
+# ---------------------------------------------------------------------------
+# Writers racing for one path: each takes (directory, writer id), writes
+# the writer's own payload (payload sizes differ, so a torn write shows)
+# and returns the path it wrote.
+# ---------------------------------------------------------------------------
+
+
+def _pad(writer: int) -> str:
+    return "x" * (64 * writer + 1)
+
+
+def _checkpoint_put(directory: Path, writer: int) -> Path:
+    task = CellTask(index=0, v_th=1.0, time_window=8, cell_seed=1, attack_seed=2)
+    value = CellResult(1.0, 8, 0.5, True, robustness={1.0: 0.25}, worker=_pad(writer))
+    return CellCache(directory, "f" * 64).put(task, value)
+
+
+def _save_npz(directory: Path, writer: int) -> Path:
+    arrays = {"w": np.full(writer + 1, float(writer))}
+    return save_npz(directory / "weights.npz", arrays, {"writer": _pad(writer)})
+
+
+def _save_manifests(directory: Path, writer: int) -> Path:
+    manifest = ShardManifest("grid", _pad(writer) + "f" * 12, task_count=writer + 1)
+    return save_manifests(directory, {manifest.key: manifest})
+
+
+def _flush_metrics(directory: Path, writer: int) -> Path:
+    configure_metrics(directory)
+    path = flush_metrics()
+    assert path is not None, "flush_metrics dropped its snapshot"
+    return Path(path)
+
+
+def _merge_copy(directory: Path, writer: int) -> Path:
+    source = directory.parent / f"{directory.name}-source-{writer}.json"
+    if not source.exists():
+        source.write_text(json.dumps({"writer": _pad(writer)}))
+    _atomic_copy(source, directory / "cell.json")
+    return directory / "cell.json"
+
+
+def _artifact_to_json(directory: Path, writer: int) -> Path:
+    result = ExplorationResult((1.0,), (8,), [], {"writer": _pad(writer)})
+    result.to_json(directory / "grid.json")
+    return directory / "grid.json"
+
+
+def _write_atomic(directory: Path, writer: int) -> Path:
+    write_atomic(directory / "lease_0.json", json.dumps({"writer": _pad(writer)}))
+    return directory / "lease_0.json"
+
+
+def _create_exclusive(directory: Path, writer: int) -> Path:
+    create_exclusive(directory / "done_0.json", json.dumps({"writer": _pad(writer)}))
+    return directory / "done_0.json"
+
+
+_RACING_WRITERS = {
+    "checkpoint_put": _checkpoint_put,
+    "save_npz": _save_npz,
+    "save_manifests": _save_manifests,
+    "flush_metrics": _flush_metrics,
+    "merge_copy": _merge_copy,
+    "artifact_to_json": _artifact_to_json,
+    "write_atomic": _write_atomic,
+    "create_exclusive": _create_exclusive,
+}
+
+
+def _contents(path: Path):
+    """What a writer's payload amounts to: the bytes, except that npz
+    archives embed zip timestamps and are compared member by member.
+    (Not through ``np.load``: its header parser can raise SystemError
+    under threads on CPython 3.11 at the short switch interval below.)"""
+    if path.suffix != ".npz":
+        return path.read_bytes()
+    with zipfile.ZipFile(path) as archive:
+        return tuple(archive.read(name) for name in sorted(archive.namelist()))
+
+
 class TestAtomicJson:
+    @pytest.mark.parametrize("name", sorted(_RACING_WRITERS))
+    def test_threads_rewriting_one_path_lose_no_write(self, tmp_path, name):
+        # Threads of one process each rewrite one path through the same
+        # writer and read it back.  A temp name private to the process
+        # but not the thread lets one thread's rename carry off (or
+        # truncate) another's temp file, which fails the other's rename;
+        # a write in place lets a reader see a torn file.
+        write, threads, calls = _RACING_WRITERS[name], 4, 100
+        switch = sys.getswitchinterval()
+        try:
+            payloads = set()
+            for writer in range(threads):
+                reference = tmp_path / f"reference-{writer}"
+                reference.mkdir()
+                target = write(reference, writer)
+                payloads.add(_contents(target))
+                names = sorted(path.name for path in reference.iterdir())
+            race = tmp_path / "race"
+            race.mkdir()
+            errors: list[BaseException] = []
+            start = threading.Barrier(threads, timeout=10.0)
+
+            def rewrite(writer: int) -> None:
+                start.wait()
+                for _ in range(calls):
+                    try:
+                        if _contents(write(race, writer)) not in payloads:
+                            raise AssertionError("read back a torn file")
+                    except Exception as error:
+                        errors.append(error)
+
+            workers = [
+                threading.Thread(target=rewrite, args=(writer,))
+                for writer in range(threads)
+            ]
+            sys.setswitchinterval(1e-5)
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+            reset_metrics()
+        assert not errors, (
+            f"{len(errors)} of {threads * calls} writes failed, first: {errors[0]!r}"
+        )
+        assert _contents(race / target.name) in payloads
+        # Exactly the reference's files: no temp file is left behind.
+        assert sorted(path.name for path in race.iterdir()) == names
+
     def test_threads_racing_for_one_file_use_separate_temp_files(
         self, tmp_path, monkeypatch
     ):
@@ -143,11 +284,11 @@ class TestAtomicJson:
         monkeypatch.setattr(os, "link", paused_link)
         won: dict[str, bool] = {}
         worker = threading.Thread(
-            target=lambda: won.update(worker=write_json_exclusive(path, {"by": "worker"}))
+            target=lambda: won.update(worker=create_exclusive(path, '{"by": "worker"}'))
         )
         worker.start()
         assert linking.wait(5.0)
-        won["main"] = write_json_exclusive(path, {"by": "main"})
+        won["main"] = create_exclusive(path, '{"by": "main"}')
         release.set()
         worker.join()
         assert won == {"main": True, "worker": False}
