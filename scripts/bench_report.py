@@ -74,7 +74,7 @@ from repro.attacks.metrics import (  # noqa: E402
 )
 from repro.attacks.pgd import PGD  # noqa: E402
 from repro.data.dataset import ArrayDataset  # noqa: E402
-from repro.engine.job import ExplorationJobContext, build_cell_tasks  # noqa: E402
+from repro.engine.job import JobContext, build_cell_tasks  # noqa: E402
 from repro.engine.scheduler import run_cell_tasks  # noqa: E402
 from repro.experiments.profiles import get_profile  # noqa: E402
 from repro.models import build_model  # noqa: E402
@@ -380,14 +380,14 @@ def _stacked_grid_bench(
 
     per_cell_s = math.inf
     for _ in range(2):
-        context = ExplorationJobContext(factory, train, test, config)
+        context = JobContext.for_grid(config, factory, train, test)
         start = time.perf_counter()
         per_cell, _stats = run_cell_tasks(context, tasks)
         per_cell_s = min(per_cell_s, time.perf_counter() - start)
 
     stacked_s = math.inf
     for _ in range(2):
-        context = ExplorationJobContext(factory, train, test, config)
+        context = JobContext.for_grid(config, factory, train, test)
         start = time.perf_counter()
         stacked, _stats = run_cell_tasks(context, tasks, stack=stack)
         stacked_s = min(stacked_s, time.perf_counter() - start)
@@ -497,7 +497,7 @@ def run_search_benchmarks(profile) -> dict:
     tasks = build_cell_tasks(config)
     epsilon = max(config.epsilons)
 
-    context = ExplorationJobContext(factory, train, test, config)
+    context = JobContext.for_grid(config, factory, train, test)
     start = time.perf_counter()
     exhaustive, _stats = run_cell_tasks(context, tasks)
     exhaustive_wall_s = time.perf_counter() - start
@@ -511,7 +511,8 @@ def run_search_benchmarks(profile) -> dict:
     search_config = SearchConfig(schedule=(1, 6), eta=8.0, warm_start=True)
     with tempfile.TemporaryDirectory() as cache_dir:
         result = run_halving_search(
-            ExplorationJobContext(factory, train, test, config),
+            JobContext.for_grid(config, factory, train, test),
+            tasks,
             search_config,
             cache_dir,
         )
@@ -621,7 +622,7 @@ def run_metrics_overhead_bench(profile, repeats: int = 3) -> dict:
         seed=7,
     )
     tasks = build_cell_tasks(config)
-    context = ExplorationJobContext(factory, train, test, config)
+    context = JobContext.for_grid(config, factory, train, test)
 
     reset_metrics()
     baseline, _stats = run_cell_tasks(context, tasks)

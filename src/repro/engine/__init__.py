@@ -4,22 +4,23 @@ The paper's Algorithm 1 — and every sweep-style workload built on it — is
 embarrassingly parallel at the granularity of one job.  This package
 turns that observation into infrastructure, split into three layers:
 
-* **jobs** (:mod:`repro.engine.job`, :mod:`repro.engine.sweep`) — tiny,
-  picklable task descriptions with deterministically derived seeds, and
-  the pure functions evaluating them: :class:`CellTask` /
-  :func:`run_cell_task` for one ``(Vth, T)`` grid cell, :class:`SweepTask`
-  / :func:`run_sweep_task` for one trained-variant ε-sweep (Fig. 9,
-  ablations);
+* **jobs** (:mod:`repro.engine.job`) — one tiny, picklable task type
+  with deterministically derived seeds, :class:`CellTask`, and the one
+  pure function evaluating it, :func:`run_cell_task`: train (or load) a
+  model, score it and attack it over ε, one curve per attack family.  A
+  ``(Vth, T)`` grid cell is a task whose :class:`JobContext` carries the
+  learnability gate (and, in a search, a warm-start plan); a Fig. 1,
+  Fig. 9 or ablation variant is the same task with no gate;
 * **scheduler** (:mod:`repro.engine.scheduler`) — :func:`run_tasks`,
   executing any task list serially, on a fork pool, or on a spawn pool
   that rebuilds the context from a :class:`ContextSpec`, with identical
   results in every mode — and every experiment's one dispatch call,
   serving a ``shard`` slice or joining a ``queue_dir`` fleet too;
-* **caches** (:mod:`repro.engine.cache`) — :class:`CellCache` /
-  :class:`SweepCache` atomic JSON result checkpoints and the
-  :class:`WeightCache` of trained ``state_dict`` archives, all keyed by
-  context fingerprints, making interrupted runs resumable and
-  security-only re-sweeps retraining-free;
+* **caches** (:mod:`repro.engine.cache`) — the :class:`CellCache` of
+  atomic JSON result checkpoints and the :class:`WeightCache` of trained
+  ``state_dict`` archives, both keyed by context fingerprints, making
+  interrupted runs resumable and security-only re-sweeps
+  retraining-free;
 * **search** (:mod:`repro.engine.search`) — :func:`run_halving_search`,
   a successive-halving scheduler that replaces the exhaustive sweep with
   budgeted rungs, warm-starting promoted cells from the nearest cached
@@ -41,7 +42,6 @@ and ``docs/sharding.md`` for the multi-host workflow.
 from repro.engine.cache import (
     CacheEntry,
     CellCache,
-    SweepCache,
     WeightCache,
     WeightEntry,
     cache_stats,
@@ -52,15 +52,15 @@ from repro.engine.cache import (
     gc_cache_dir,
     nearest_weight_entry,
     scan_cache_dir,
-    sweep_fingerprint,
     training_fingerprint,
 )
 from repro.engine.job import (
     CellTask,
-    ExplorationJobContext,
+    JobContext,
     WarmStartRef,
     build_cell_tasks,
     make_cell_task,
+    make_variant_task,
     run_cell_task,
 )
 from repro.engine.metrics import (
@@ -121,13 +121,6 @@ from repro.engine.shard import (
     record_durable_manifest,
     update_manifest,
 )
-from repro.engine.sweep import (
-    SweepJobContext,
-    SweepResult,
-    SweepTask,
-    make_sweep_task,
-    run_sweep_task,
-)
 
 __all__ = [
     "ATTEMPT_BUCKETS",
@@ -139,7 +132,7 @@ __all__ = [
     "CellTask",
     "ChaosConfig",
     "ContextSpec",
-    "ExplorationJobContext",
+    "JobContext",
     "MergeReport",
     "QUARANTINE_EXIT_CODE",
     "QueueError",
@@ -156,10 +149,6 @@ __all__ = [
     "ShardManifest",
     "ShardRunResult",
     "ShardSpec",
-    "SweepCache",
-    "SweepJobContext",
-    "SweepResult",
-    "SweepTask",
     "WarmStartRef",
     "WeightCache",
     "WeightEntry",
@@ -176,7 +165,7 @@ __all__ = [
     "gc_cache_dir",
     "load_manifests",
     "make_cell_task",
-    "make_sweep_task",
+    "make_variant_task",
     "merge_cache_dirs",
     "merge_event_logs",
     "merge_snapshots",
@@ -193,10 +182,8 @@ __all__ = [
     "run_cell_tasks",
     "run_halving_search",
     "run_queued_tasks",
-    "run_sweep_task",
     "run_tasks",
     "scan_cache_dir",
-    "sweep_fingerprint",
     "training_fingerprint",
     "update_manifest",
     "verify_cache_dir",

@@ -1,22 +1,22 @@
 """Resumable caches: JSON checkpoints for results, npz archives for weights.
 
-Three stores share one directory layout (``<kind>_<fp12>_<key>.<ext>``):
+Two stores share one directory layout (``<kind>_<fp12>_<key>.<ext>``):
 
-* :class:`CellCache` — one JSON file per completed grid cell
-  (:class:`~repro.robustness.results.CellResult`);
-* :class:`SweepCache` — one JSON file per completed variant sweep
-  (:class:`~repro.engine.sweep.SweepResult`);
+* :class:`CellCache` — one JSON file per completed task
+  (:class:`~repro.robustness.results.CellResult`), named ``cell_*`` for
+  a grid cell and ``sweep_*`` for any other variant;
 * :class:`WeightCache` — one compressed ``.npz`` archive per trained
   model (``state_dict`` plus clean-accuracy metadata), so security-only
   re-sweeps (new ε lists, new attack families) skip retraining entirely.
 
 Every filename embeds a *fingerprint* prefix identifying the experiment
-context — config, dataset digests, caller tags — so caches for different
-configurations can share a directory without collisions.  Result caches
-fingerprint the full context (:func:`context_fingerprint`,
-:func:`sweep_fingerprint`); the weight cache deliberately fingerprints
-only what training depends on (:func:`training_fingerprint`), which is
-exactly what lets a changed ε list still hit the trained weights.
+context — dataset digests, training, gate and attack settings, caller
+tags — so caches for different configurations can share a directory
+without collisions.  The result cache fingerprints the full context
+(:func:`context_fingerprint`); the weight cache deliberately
+fingerprints only what training depends on (:func:`training_fingerprint`),
+which is exactly what lets a changed ε list still hit the trained
+weights.
 
 Writes go through :func:`repro.utils.atomic.write_atomic` (private temp
 file + rename), so a run killed mid-write never leaves an entry the
@@ -45,7 +45,6 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.engine.metrics import record_cache
-from repro.engine.sweep import SweepResult
 from repro.robustness.results import CellResult
 from repro.training.trainer import TrainingConfig
 from repro.utils.atomic import temp_target, write_atomic
@@ -53,14 +52,12 @@ from repro.utils.logging import get_logger
 from repro.utils.serialization import load_npz, load_npz_metadata, save_npz
 
 if TYPE_CHECKING:  # annotation-only: repro.engine.job imports this module
-    from repro.engine.job import CellTask, ExplorationJobContext
-    from repro.engine.sweep import SweepJobContext, SweepTask
+    from repro.engine.job import CellTask, JobContext
 
 __all__ = [
     "CacheEntry",
     "CellCache",
     "Checkpoint",
-    "SweepCache",
     "WeightCache",
     "WeightEntry",
     "archive_weights",
@@ -74,15 +71,23 @@ __all__ = [
     "read_checkpoint",
     "scan_cache_dir",
     "split_optimizer_arrays",
-    "sweep_fingerprint",
     "training_fingerprint",
 ]
 
 _logger = get_logger("engine")
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+"""Version of the result checkpoint format (and of its fingerprint);
+version 1 kept grid cells and other variants in two payload shapes."""
 
-_CACHE_KINDS = ("cell", "sweep", "weights")
+_WEIGHTS_VERSION = 1
+"""Version of :func:`training_fingerprint`, and so of every weight
+archive's name: unchanged by the checkpoint format."""
+
+_RESULT_KINDS = ("cell", "sweep")
+"""Filename prefixes of result checkpoints (grid cells, other variants)."""
+
+_CACHE_KINDS = (*_RESULT_KINDS, "weights")
 """Filename prefixes recognised by the maintenance helpers."""
 
 
@@ -120,38 +125,21 @@ def _tag_dict(tags: Mapping[str, object] | None) -> dict[str, str]:
 
 
 def context_fingerprint(
-    context: ExplorationJobContext,
+    context: JobContext,
     tags: Mapping[str, object] | None = None,
 ) -> str:
-    """Stable hash identifying one grid-exploration setup.
+    """Stable hash identifying one experiment's job context.
 
-    Covers the full :class:`~repro.robustness.config.ExplorationConfig`
-    (grid, gate, attack and training settings), the exact train/test data,
-    and any caller-supplied ``tags``.  The model factory itself cannot be
-    hashed reliably — callers that switch factories under an identical
-    config must disambiguate via ``tags`` (the experiment runners tag
-    profile and model names).
-    """
-    payload = {
-        "version": _FORMAT_VERSION,
-        "config": asdict(context.config),
-        "train": _dataset_digest(context.train_set),
-        "test": _dataset_digest(context.test_set),
-        "tags": _tag_dict(tags),
-    }
-    return _payload_fingerprint(payload)
-
-
-def sweep_fingerprint(
-    context: SweepJobContext,
-    tags: Mapping[str, object] | None = None,
-) -> str:
-    """Stable hash identifying one variant-sweep setup.
-
-    Covers the datasets, training hyper-parameters and attack execution
-    settings shared by every task of the sweep.  Per-task settings (the
-    variant parameters, attack families and ε lists) live in the cache
-    *key* instead — see :meth:`SweepCache.path_for`.
+    Covers the datasets, training hyper-parameters, the learnability gate
+    and the attack execution settings shared by every task.  Per-task
+    settings (the variant parameters, attack families, ε lists and
+    seeds) live in the checkpoint *key* instead — see
+    :meth:`CellCache.path_for`.  The gate is part of the hash, so a
+    ``--resume`` with a changed gate misses its checkpoints, reuses the
+    trained weights and gates them again.  The model builder itself
+    cannot be hashed reliably — callers that switch builders under an
+    identical context must disambiguate via ``tags`` (the experiment
+    runners tag profile and model names).
     """
     payload = {
         "version": _FORMAT_VERSION,
@@ -159,9 +147,15 @@ def sweep_fingerprint(
         "clean_eval": _dataset_digest(context.clean_eval_set),
         "attack_set": _dataset_digest(context.attack_set),
         "training": asdict(context.training),
-        "attack_steps": context.attack_steps,
-        "attack_batch_size": context.attack_batch_size,
-        "clip": (repr(context.clip_min), repr(context.clip_max)),
+        "gate": repr(context.accuracy_threshold),
+        "attack": [
+            context.attack_steps,
+            repr(context.attack_alpha),
+            context.attack_random_start,
+            context.attack_batch_size,
+            repr(context.clip_min),
+            repr(context.clip_max),
+        ],
         "tags": _tag_dict(tags),
     }
     return _payload_fingerprint(payload)
@@ -190,7 +184,7 @@ def training_fingerprint(
         weights = WeightCache(cache_dir, fingerprint)
     """
     payload = {
-        "version": _FORMAT_VERSION,
+        "version": _WEIGHTS_VERSION,
         "train": _dataset_digest(train_set),
         "eval": [_dataset_digest(d) for d in eval_sets],
         "training": asdict(training),
@@ -199,66 +193,84 @@ def training_fingerprint(
     return _payload_fingerprint(payload)
 
 
-class _CheckpointCache:
-    """Shared machinery of the per-task JSON checkpoint stores.
+class CellCache:
+    """One JSON checkpoint file per completed task under ``directory``.
 
-    Subclasses define the filename ``kind``, the payload key of the
-    stored value, the task-identity material hashed into filenames, and
-    the encode/decode hooks for the stored value type.
+    The key material covers the task's variant parameters, attack
+    families, ε list and seeds, so a re-run with a different security
+    sweep is a deliberate *miss* here (it must recompute robustness)
+    while still hitting the :class:`WeightCache` for the trained
+    parameters.  Files are named ``cell_*`` for grid cells and
+    ``sweep_*`` for other variants (:attr:`CellTask.family
+    <repro.engine.job.CellTask.family>`).
+
+    Example::
+
+        cache = CellCache(cache_dir, context_fingerprint(context, tags))
+        cache.put(task, result)
+        cache.get(task)            # -> CellResult (or None on a miss)
+
+    Parameters
+    ----------
+    directory:
+        Where checkpoint files live; created lazily on first write.
+    fingerprint:
+        Context fingerprint from :func:`context_fingerprint`; part of
+        every key, so caches for different contexts can share a
+        directory without collisions.
     """
-
-    kind = "job"
-    _value_key = "value"
 
     def __init__(self, directory: str | Path, fingerprint: str) -> None:
         self.directory = Path(directory)
         self.fingerprint = str(fingerprint)
-        # Filenames carry a fingerprint prefix so __len__/clear() can
-        # enumerate this cache's entries even in a shared directory.
-        self._prefix = f"{self.kind}_{self.fingerprint[:12]}"
 
-    # -- subclass hooks --------------------------------------------------------
+    def _files(self):
+        """This cache's checkpoint files on disk (any family)."""
+        if not self.directory.is_dir():
+            return []
+        return [
+            path
+            for kind in _RESULT_KINDS
+            for path in self.directory.glob(f"{kind}_{self.fingerprint[:12]}_*.json")
+        ]
 
-    def _task_material(self, task) -> tuple[str, ...]:
-        raise NotImplementedError
-
-    def _task_payload(self, task) -> dict:
-        raise NotImplementedError
-
-    def _encode(self, value) -> dict:
-        return value.as_dict()
-
-    def _decode(self, payload: dict):
-        raise NotImplementedError
-
-    # -- store -----------------------------------------------------------------
-
-    def path_for(self, task) -> Path:
+    def path_for(self, task: CellTask) -> Path:
         """Checkpoint path of one task (exists only once completed)."""
-        material = ":".join((self.fingerprint, *self._task_material(task)))
+        material = ":".join(
+            (
+                self.fingerprint,
+                task.key,
+                task.kind,
+                repr(task.params),
+                repr(task.attacks),
+                repr(task.epsilons),
+                str(task.train_seed),
+                str(task.attack_seed),
+            )
+        )
         key = hashlib.sha256(material.encode()).hexdigest()[:32]
-        return self.directory / f"{self._prefix}_{key}.json"
+        return self.directory / f"{task.family}_{self.fingerprint[:12]}_{key}.json"
 
-    def get(self, task):
+    def get(self, task: CellTask) -> CellResult | None:
         """Load the checkpoint for ``task``; ``None`` on miss or corruption."""
         loaded = self._load(task)
-        record_cache(self.kind, "hit" if loaded is not None else "miss")
+        record_cache(task.family, "hit" if loaded is not None else "miss")
         return None if loaded is None else loaded[0]
 
-    def _load(self, task):
+    def _load(self, task: CellTask):
         """``(result, checkpoint)`` stored for ``task``; ``None`` when the
         entry is missing, corrupt, of another format version or does not
         decode."""
-        checkpoint = read_checkpoint(self.path_for(task), self.kind)
+        checkpoint = read_checkpoint(self.path_for(task))
         if checkpoint is None or checkpoint.version != _FORMAT_VERSION:
             return None
         try:
-            result = self._decode(checkpoint.value)
+            result = CellResult.from_dict(checkpoint.value, task.attacks)
         except (AttributeError, KeyError, TypeError, ValueError):
             return None
-        return None if result is None else (result, checkpoint)
+        return result, checkpoint
 
-    def verify(self, task) -> str | None:
+    def verify(self, task: CellTask) -> str | None:
         """Prove the stored checkpoint decodes; its sha256 on success.
 
         A pure integrity probe for the queue's post-write verification
@@ -274,34 +286,42 @@ class _CheckpointCache:
         loaded = self._load(task)
         return None if loaded is None else hashlib.sha256(loaded[1].data).hexdigest()
 
-    def put(self, task, value) -> Path:
+    def put(self, task: CellTask, value: CellResult) -> Path:
         """Atomically checkpoint a completed task; returns its path."""
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(task)
         payload = {
             "version": _FORMAT_VERSION,
-            "task": self._task_payload(task),
-            self._value_key: self._encode(value),
+            "task": {
+                "index": task.index,
+                "key": task.key,
+                "kind": task.kind,
+                "params": [list(pair) for pair in task.params],
+                "attacks": list(task.attacks),
+                "epsilons": list(task.epsilons),
+                "train_seed": task.train_seed,
+                "attack_seed": task.attack_seed,
+            },
+            "result": value.as_dict(),
         }
         write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
-        record_cache(self.kind, "put")
+        record_cache(task.family, "put")
         return path
 
     def any_entries(self) -> bool:
-        """Whether the directory holds checkpoints of this kind at all.
+        """Whether the directory holds result checkpoints at all.
 
         Used to distinguish "nothing checkpointed yet" from "checkpoints
         exist but none match this configuration" when resuming.
         """
-        if not self.directory.is_dir():
-            return False
-        return next(iter(self.directory.glob(f"{self.kind}_*.json")), None) is not None
+        return self.directory.is_dir() and any(
+            next(iter(self.directory.glob(f"{kind}_*.json")), None) is not None
+            for kind in _RESULT_KINDS
+        )
 
     def __len__(self) -> int:
         """Number of this cache's checkpoint files currently on disk."""
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob(f"{self._prefix}_*.json"))
+        return len(self._files())
 
     def clear(self) -> int:
         """Delete this cache's checkpoint files; returns how many.
@@ -309,126 +329,13 @@ class _CheckpointCache:
         Entries written under other fingerprints (or kinds) in a shared
         directory are left untouched.
         """
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob(f"{self._prefix}_*.json"):
-                path.unlink(missing_ok=True)
-                removed += 1
-        return removed
+        files = self._files()
+        for path in files:
+            path.unlink(missing_ok=True)
+        return len(files)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({str(self.directory)!r}, entries={len(self)})"
-
-
-class CellCache(_CheckpointCache):
-    """One checkpoint file per completed grid cell under ``directory``.
-
-    Example::
-
-        cache = CellCache(cache_dir, context_fingerprint(explorer.context))
-        cache.put(task, cell_result)
-        cache.get(task)            # -> CellResult (or None on a miss)
-
-    Parameters
-    ----------
-    directory:
-        Where checkpoint files live; created lazily on first write.
-    fingerprint:
-        Context fingerprint from :func:`context_fingerprint`; part of
-        every cell key, so caches for different configs/datasets can
-        share a directory without collisions.
-    """
-
-    kind = "cell"
-    _value_key = "cell"
-
-    def _task_material(self, task: CellTask) -> tuple[str, ...]:
-        return (
-            repr(task.v_th),
-            str(task.time_window),
-            str(task.cell_seed),
-            str(task.attack_seed),
-        )
-
-    def _task_payload(self, task: CellTask) -> dict:
-        return {
-            "index": task.index,
-            "v_th": task.v_th,
-            "time_window": task.time_window,
-            "cell_seed": task.cell_seed,
-            "attack_seed": task.attack_seed,
-        }
-
-    @staticmethod
-    def payload_cost_key(task: dict) -> tuple[tuple[float, int], int]:
-        """``(cost_key, time_steps)`` of a stored task payload, as
-        :attr:`CellTask.cost_key <repro.engine.job.CellTask.cost_key>` and
-        ``time_steps`` give them for the live task."""
-        steps = int(task["time_window"])
-        return (float(task["v_th"]), steps), steps
-
-    def _decode(self, payload: dict) -> CellResult:
-        return CellResult.from_dict(payload)
-
-
-class SweepCache(_CheckpointCache):
-    """One checkpoint file per completed variant sweep under ``directory``.
-
-    The key material includes the attack families and ε list, so a re-run
-    with a different security sweep is a deliberate *miss* here (it must
-    recompute robustness) while still hitting the :class:`WeightCache`
-    for the trained parameters.
-
-    Example::
-
-        cache = SweepCache(cache_dir, sweep_fingerprint(context, tags))
-        cache.put(task, sweep_result)
-        cache.get(task)            # -> SweepResult (or None on a miss)
-    """
-
-    kind = "sweep"
-    _value_key = "result"
-
-    def _task_material(self, task: SweepTask) -> tuple[str, ...]:
-        return (
-            task.key,
-            task.kind,
-            repr(task.params),
-            repr(task.attacks),
-            repr(task.epsilons),
-            str(task.train_seed),
-            str(task.attack_seed),
-        )
-
-    def _task_payload(self, task: SweepTask) -> dict:
-        return {
-            "index": task.index,
-            "key": task.key,
-            "kind": task.kind,
-            "params": [list(pair) for pair in task.params],
-            "attacks": list(task.attacks),
-            "epsilons": list(task.epsilons),
-            "train_seed": task.train_seed,
-            "attack_seed": task.attack_seed,
-        }
-
-    @staticmethod
-    def payload_cost_key(task: dict) -> tuple[str, int]:
-        """``(cost_key, time_steps)`` of a stored task payload, as
-        :attr:`SweepTask.cost_key <repro.engine.sweep.SweepTask.cost_key>`
-        and ``time_steps`` give them for the live task."""
-        key = task["key"]
-        if not isinstance(key, str):
-            raise TypeError(f"sweep key must be a string, got {key!r}")
-        params = dict(task.get("params", ()))
-        return key, int(params.get("time_window", 0))
-
-    def _decode(self, payload: dict) -> SweepResult:
-        return SweepResult.from_dict(payload)
-
-
-_CHECKPOINT_STORES = {store.kind: store for store in (CellCache, SweepCache)}
-"""The JSON result stores by filename kind."""
+        return f"CellCache({str(self.directory)!r}, entries={len(self)})"
 
 
 @dataclass(frozen=True)
@@ -445,19 +352,18 @@ class Checkpoint:
     """The task payload the store wrote; ``{}`` when missing or malformed."""
 
     value: dict
-    """The stored result under the kind's value key; ``{}`` when missing
-    or malformed."""
+    """The stored result; ``{}`` when missing or malformed (as in every
+    checkpoint of an older format version)."""
 
 
-def read_checkpoint(path: Path, kind: str) -> Checkpoint | None:
-    """Parse the result checkpoint at ``path``, written by the ``kind``
-    store (``cell`` or ``sweep``).
+def read_checkpoint(path: Path) -> Checkpoint | None:
+    """Parse the result checkpoint at ``path``.
 
-    The one reader of the checkpoint format: the stores' ``get`` and
-    ``verify``, :func:`entry_timings`, :func:`entry_provenance` and the
-    cost model (:mod:`repro.engine.costs`) all go through it.  Returns
-    ``None`` when the file is unreadable, is not JSON or is not an
-    object.
+    The one reader of the checkpoint format: :class:`CellCache`'s
+    ``get`` and ``verify``, :func:`entry_timings`,
+    :func:`entry_provenance` and the cost model
+    (:mod:`repro.engine.costs`) all go through it.  Returns ``None`` when
+    the file is unreadable, is not JSON or is not an object.
     """
     try:
         data = path.read_bytes()
@@ -467,7 +373,7 @@ def read_checkpoint(path: Path, kind: str) -> Checkpoint | None:
     if not isinstance(payload, dict):
         return None
     task = payload.get("task")
-    value = payload.get(_CHECKPOINT_STORES[kind]._value_key)
+    value = payload.get("result")
     return Checkpoint(
         data=data,
         version=payload.get("version"),
@@ -494,7 +400,7 @@ class WeightEntry:
     """Seed the weights were trained with (``None`` for legacy archives)."""
 
     params: dict[str, float]
-    """Structural parameters of the trained cell (e.g. ``v_th`` /
+    """Numeric build parameters of the trained model (e.g. ``v_th`` /
     ``time_window``); empty for archives written before params metadata."""
 
     epochs: int | None
@@ -652,7 +558,11 @@ class WeightCache:
                 continue
             raw_params = metadata.get("params")
             params = (
-                {str(k): float(v) for k, v in raw_params.items()}
+                {
+                    str(k): float(v)
+                    for k, v in raw_params.items()
+                    if isinstance(v, (int, float))
+                }
                 if isinstance(raw_params, dict)
                 else {}
             )
@@ -843,15 +753,15 @@ def entry_timings(entry: CacheEntry) -> dict[str, float] | None:
     """Wall-clock breakdown stored inside a result checkpoint, if any.
 
     Reads the entry's JSON payload and returns ``elapsed_seconds`` plus
-    the per-phase ``train_s`` / ``attack_s`` / ``eval_s`` keys recorded by
+    the per-phase ``train_s`` / ``attack_s`` keys recorded by
     the job runners (``cache inspect`` surfaces these so BENCH
     trajectories show where cell wall time actually goes).  Returns
     ``None`` for weight archives, pre-phase-tracking checkpoints and
     unreadable files.
     """
-    if entry.kind not in _CHECKPOINT_STORES:
+    if entry.kind not in _RESULT_KINDS:
         return None
-    checkpoint = read_checkpoint(entry.path, entry.kind)
+    checkpoint = read_checkpoint(entry.path)
     if checkpoint is None:
         return None
     value = checkpoint.value
@@ -877,7 +787,7 @@ def entry_provenance(entry: CacheEntry) -> dict | None:
     ``params``, completed ``epochs``, ``train_seed`` and — for
     warm-started cells — the ``warm_start`` lineage (source archive,
     epochs skipped, neighbour distance).  Weight archives read their npz
-    metadata; cell/sweep checkpoints read the task identity and result
+    metadata; result checkpoints read the task identity and result
     payload of their JSON.  Returns ``None`` for metadata-less or
     unreadable entries, matching :func:`entry_timings` miss semantics.
     """
@@ -894,33 +804,24 @@ def entry_provenance(entry: CacheEntry) -> dict | None:
             if name in metadata
         }
         return provenance or None
-    if entry.kind not in _CHECKPOINT_STORES:
+    if entry.kind not in _RESULT_KINDS:
         return None
-    checkpoint = read_checkpoint(entry.path, entry.kind)
+    checkpoint = read_checkpoint(entry.path)
     if checkpoint is None:
         return None
     task, value = checkpoint.task, checkpoint.value
     provenance: dict = {}
-    if entry.kind == "cell":
-        if "v_th" in task and "time_window" in task:
-            provenance["params"] = {
-                "v_th": task["v_th"],
-                "time_window": task["time_window"],
-            }
-        if "cell_seed" in task:
-            provenance["train_seed"] = task["cell_seed"]
-    else:
-        if "key" in task:
-            provenance["key"] = task["key"]
-        params = task.get("params")
-        if isinstance(params, list):
-            provenance["params"] = {
-                str(pair[0]): pair[1]
-                for pair in params
-                if isinstance(pair, (list, tuple)) and len(pair) == 2
-            }
-        if "train_seed" in task:
-            provenance["train_seed"] = task["train_seed"]
+    if "key" in task:
+        provenance["key"] = task["key"]
+    params = task.get("params")
+    if isinstance(params, list):
+        provenance["params"] = {
+            str(pair[0]): pair[1]
+            for pair in params
+            if isinstance(pair, (list, tuple)) and len(pair) == 2
+        }
+    if "train_seed" in task:
+        provenance["train_seed"] = task["train_seed"]
     if value.get("warm_start"):
         provenance["warm_start"] = value["warm_start"]
     return provenance or None
@@ -936,7 +837,7 @@ def cache_stats(directory: str | Path, fingerprint: str | None = None) -> dict:
     ``python -m repro.experiments cache stats --json``.
 
     The ``timings`` section sums the per-phase wall-clock breakdown
-    (``train_s`` / ``attack_s`` / ``eval_s`` / ``elapsed_s``) across all
+    (``train_s`` / ``attack_s`` / ``elapsed_s``) across all
     result checkpoints that recorded one (``timed_entries`` of them) —
     the aggregate the cost-ordered scheduler and the BENCH trajectories
     read to see where a whole cache directory's compute went.
@@ -1062,7 +963,7 @@ def _sweep_cache_dir(
             continue
         entry.path.unlink(missing_ok=True)
         removed += 1
-        if entry.kind in _CHECKPOINT_STORES:
+        if entry.kind in _RESULT_KINDS:
             dropped_results.add(entry.fingerprint)
     for stray in _scan_stray_temps(directory):
         if doomed(stray):

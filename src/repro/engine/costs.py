@@ -1,19 +1,18 @@
 """Cost-ordered scheduling: run the longest tasks first.
 
-Grid cells and sweep variants have wildly skewed costs (wall time is
+Grid cells and other variants have wildly skewed costs (wall time is
 roughly linear in the time window ``T``), so dispatching them in declared
 order strands wall-clock at the end of a schedule: a worker — or a
 variant stack — picks up a ``T=64`` cell last and everyone else idles.
 Longest-first ordering is the classic LPT bound for this.
 
-One rule prices every task family.  Completed checkpoints in a cache
-directory record each task's ``elapsed_seconds``/``phase_seconds``, so a
-task with history costs what it cost.  A task without is priced at the
-history's median seconds per time step times its own ``time_steps``, and
-at plain ``time_steps`` when the directory is cold — the documented
-fallback, since cost is dominated by the time loop.  Tasks name their
-history by ``cost_key`` (:attr:`repro.engine.job.CellTask.cost_key`,
-:attr:`repro.engine.sweep.SweepTask.cost_key`).
+One rule prices every task.  Completed checkpoints in a cache directory
+record each task's ``elapsed_seconds``/``phase_seconds``, so a task with
+history costs what it cost.  A task without is priced at the history's
+median seconds per time step times its own ``time_steps``, and at plain
+``time_steps`` when the directory is cold — the documented fallback,
+since cost is dominated by the time loop.  Tasks name their history by
+``cost_key`` (:attr:`repro.engine.job.CellTask.cost_key`, the task key).
 
 Execution order never changes results: every task carries its own derived
 seeds and the scheduler returns results in declared task order, so
@@ -48,21 +47,23 @@ def _measured_seconds(value: dict) -> float:
 
 
 def cached_costs(cache) -> Costs:
-    """Measured costs from the checkpoints of ``cache``'s kind in its
-    directory.
+    """Measured costs from the result checkpoints in ``cache``'s directory.
 
     Entries from any fingerprint count — a cost model does not need the
     exact same config, just the same hardware-and-architecture regime.
     Newer checkpoints win when several record the same ``cost_key``.
     """
     costs: Costs = {}
-    entries = [e for e in scan_cache_dir(cache.directory) if e.kind == cache.kind]
+    entries = [e for e in scan_cache_dir(cache.directory) if e.kind != "weights"]
     for entry in sorted(entries, key=lambda e: e.modified):
-        checkpoint = read_checkpoint(entry.path, entry.kind)
+        checkpoint = read_checkpoint(entry.path)
         if checkpoint is None:
             continue
         try:
-            key, steps = cache.payload_cost_key(checkpoint.task)
+            key = checkpoint.task["key"]
+            if not isinstance(key, str):
+                raise TypeError(f"task key must be a string, got {key!r}")
+            steps = int(dict(checkpoint.task.get("params", ())).get("time_window", 0))
             seconds = _measured_seconds(checkpoint.value)
         except (KeyError, TypeError, ValueError):
             continue

@@ -1,13 +1,21 @@
-"""The original unit of work of the engine: one grid cell.
+"""The engine's unit of work: one trained variant, optionally gated.
 
-A :class:`CellTask` is a tiny, picklable description of one ``(Vth, T)``
-combination — its grid position plus the child seeds derived from the
-experiment root seed.  :func:`run_cell_task` is the *pure* job function
-(Algorithm 1, lines 3-16, for a single cell): given a task and an
-:class:`ExplorationJobContext` it trains, gates and attacks one model and
-returns a :class:`~repro.robustness.results.CellResult`.
+A :class:`CellTask` is a tiny, picklable description of one model to
+train and attack — its key, build parameters, attack families, ε list
+and the child seeds derived from the experiment root seed.
+:func:`run_cell_task` is the *pure* job function: given a task and a
+:class:`JobContext` it builds the model, trains it (or loads it from the
+weight cache), scores it clean and attacks it over ε, one curve per
+attack family.
 
-Example — evaluating one cell by hand::
+Every experiment is a list of such tasks.  A Figs. 6-8 grid cell
+(Algorithm 1, lines 3-16) is a task whose context carries the
+learnability gate ``accuracy_threshold`` and, in a guided search, a
+warm-start plan; a cell below the gate (a diverged training scores 0)
+is not attacked.  A Fig. 1 or Fig. 9 model or an ablation variant is the
+same task with no gate.
+
+Example — evaluating one grid cell by hand::
 
     tasks = build_cell_tasks(config)            # deterministic seeds
     cell = run_cell_task(context, tasks[0])     # train + gate + attack
@@ -15,10 +23,8 @@ Example — evaluating one cell by hand::
 
 Because seeds are derived in the task (not from execution order), the
 same task produces bitwise-identical results whether it runs serially,
-in a worker process, or in a different position of the grid sweep — the
+in a worker process, or in a different position of the sweep — the
 property the parallel scheduler and the resumable cache both rely on.
-The sibling module :mod:`repro.engine.sweep` applies the same recipe to
-trained-variant ε-sweeps (Fig. 9, ablations).
 """
 
 from __future__ import annotations
@@ -33,13 +39,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.attacks.base import Attack
 from repro.data.dataset import ArrayDataset
 from repro.engine.cache import archive_weights, split_optimizer_arrays
+from repro.errors import TrainingError
 from repro.nn.module import Module
-from repro.robustness.config import ExplorationConfig
+from repro.robustness.config import ExplorationConfig, make_attack
 from repro.robustness.learnability import train_and_score
 from repro.robustness.results import CellResult
 from repro.robustness.security import robustness_curve
+from repro.training.trainer import TrainingConfig
 from repro.utils.logging import get_logger
 from repro.utils.seeding import SeedSequence
 from repro.utils.serialization import load_npz
@@ -49,65 +58,97 @@ if TYPE_CHECKING:  # avoids a runtime cycle: engine.cache imports this module
 
 __all__ = [
     "CellTask",
-    "ExplorationJobContext",
+    "JobContext",
     "WarmStartRef",
     "build_cell_tasks",
     "make_cell_task",
+    "make_variant_task",
     "run_cell_task",
 ]
 
 _logger = get_logger("engine")
 
-ModelFactory = Callable[[float, int, int], Module]
-"""``(v_th, time_window, seed) -> model`` builder used per grid cell."""
+ModelBuilder = Callable[["CellTask"], Module]
+"""``task -> fresh untrained model`` builder used per task."""
 
 
 @dataclass(frozen=True)
 class CellTask:
-    """Identity and derived seeds of one grid cell (picklable, tiny).
+    """Identity, build parameters and derived seeds of one task (picklable).
 
-    Example::
+    ``params`` is a sorted tuple of ``(name, value)`` pairs rather than a
+    dict so tasks stay hashable and their cache-key material is stable.
 
-        CellTask(index=0, v_th=1.0, time_window=48,
-                 cell_seed=1234, attack_seed=5678)
+    Example — the paper's high-robustness sweet spot as a Fig. 9 variant::
+
+        CellTask(index=0, key="snn_vth1_T48", kind="fig9_snn",
+                 params=(("time_window", 48), ("v_th", 1.0)),
+                 attacks=("pgd",), epsilons=(0.0, 0.5, 1.0),
+                 train_seed=123, attack_seed=456)
     """
 
     index: int
-    """Position in the declared grid order (row-major over thresholds)."""
+    """Position in the declared task order."""
 
-    v_th: float
-    """Firing threshold of this cell."""
+    key: str
+    """Stable variant identifier, e.g. ``"cell_vth1_T48"`` or
+    ``"surrogate:arctan"``.  Doubles as the weight-cache key and the cost
+    model's name for the task, so it must be unique per context."""
 
-    time_window: int
-    """Time window of this cell."""
+    kind: str
+    """Builder dispatch tag: ``"cell"`` for a grid cell, else e.g.
+    ``"fig9_cnn"`` or ``"ablation"``."""
 
-    cell_seed: int
+    params: tuple[tuple[str, object], ...] = ()
+    """Variant build parameters as sorted ``(name, value)`` pairs."""
+
+    attacks: tuple[str, ...] = ("pgd",)
+    """Attack families swept against the trained model."""
+
+    epsilons: tuple[float, ...] = ()
+    """Noise budgets evaluated for every attack family."""
+
+    train_seed: int = 0
     """Seed for model initialisation and training shuffling."""
 
-    attack_seed: int
+    attack_seed: int = 0
     """Seed for attack randomness (PGD random starts, noise draws)."""
 
-    @property
-    def weight_key(self) -> str:
-        """Weight-cache key of this cell's trained model."""
-        return f"cell_vth{self.v_th:g}_T{self.time_window}"
+    def param(self, name: str, default: object = None) -> object:
+        """Look up one build parameter by name."""
+        for param_name, value in self.params:
+            if param_name == name:
+                return value
+        return default
 
     @property
-    def params(self) -> dict[str, float]:
-        """Structural parameters of this cell, as archived in weight
-        metadata and fed to the neighbour index."""
-        return {"v_th": float(self.v_th), "time_window": float(self.time_window)}
+    def family(self) -> str:
+        """``cell`` for a grid cell, ``sweep`` for any other variant: the
+        checkpoint filename prefix and the ``cache``/``job`` metric label."""
+        return "cell" if self.kind == "cell" else "sweep"
 
     @property
-    def cost_key(self) -> tuple[float, int]:
-        """Name of this cell's timings in the cost model
+    def v_th(self) -> float | None:
+        """The ``v_th`` build parameter (``None`` for models without one,
+        such as the CNN)."""
+        value = self.param("v_th")
+        return None if value is None else float(value)
+
+    @property
+    def time_window(self) -> int:
+        """The ``time_window`` build parameter (0 for models without one)."""
+        return int(self.param("time_window", 0))
+
+    @property
+    def cost_key(self) -> str:
+        """Name of this task's timings in the cost model
         (:mod:`repro.engine.costs`)."""
-        return (float(self.v_th), int(self.time_window))
+        return self.key
 
     @property
     def time_steps(self) -> int:
         """Time steps per forward pass, the cost model's fallback price."""
-        return int(self.time_window)
+        return self.time_window
 
 
 @dataclass(frozen=True)
@@ -136,28 +177,56 @@ class WarmStartRef:
 
 
 @dataclass
-class ExplorationJobContext:
-    """Everything a worker needs to evaluate any cell of one exploration.
+class JobContext:
+    """Everything a worker needs to evaluate any task of one experiment.
 
     Shipped to worker processes once per pool (via fork inheritance), so
     datasets are not re-pickled per task; spawn workers rebuild it from a
-    :class:`~repro.engine.scheduler.ContextSpec` instead.
+    :class:`~repro.engine.scheduler.ContextSpec` instead (the
+    ``model_builder`` closure is why the context itself is not pickled).
     """
 
-    model_factory: ModelFactory
-    """``(v_th, time_window, seed) -> fresh untrained model``."""
+    model_builder: ModelBuilder
+    """``task -> fresh untrained model`` (typically a profile closure)."""
 
     train_set: ArrayDataset
-    """Training data for Algorithm 1's Train() step."""
+    """Training data for the Train() step."""
 
-    test_set: ArrayDataset
-    """Samples scored for clean accuracy and attacked during the sweep."""
+    clean_eval_set: ArrayDataset
+    """Samples scored for clean accuracy (and the gate)."""
 
-    config: ExplorationConfig
-    """Grid, gate, attack and training settings."""
+    attack_set: ArrayDataset
+    """Samples attacked during the ε sweep.  For a grid it is the same
+    object as ``clean_eval_set``."""
+
+    training: TrainingConfig
+    """Training hyper-parameters; the per-task seed overrides its seed."""
+
+    accuracy_threshold: float | None = None
+    """Learnability gate ``Ath``: a task scoring below it (a diverged
+    training scores 0) is recorded and not attacked.  ``None`` means ungated — every model is
+    attacked and a diverged training raises."""
+
+    attack_steps: int = 10
+    """Iterations of the (iterative) attacks."""
+
+    attack_alpha: float | None = None
+    """Per-step size; ``None`` selects each attack's default heuristic."""
+
+    attack_random_start: bool = True
+    """PGD random start inside the ε-ball."""
+
+    attack_batch_size: int = 32
+    """Batch size used while crafting adversarial examples."""
+
+    clip_min: float = 0.0
+    """Lower bound of the valid pixel box."""
+
+    clip_max: float = 1.0
+    """Upper bound of the valid pixel box."""
 
     weight_cache: "WeightCache | None" = None
-    """Optional store for trained cell parameters; always written when set."""
+    """Optional store for trained parameters; always written when set."""
 
     reuse_weights: bool = False
     """Load cached weights instead of retraining (``--resume`` semantics:
@@ -165,14 +234,71 @@ class ExplorationJobContext:
 
     warm_start: "dict[int, WarmStartRef] | None" = None
     """Per-task warm-start plan (``task.index -> WarmStartRef``), frozen
-    before execution starts.  Cells without an entry — and cells whose
+    before execution starts.  Tasks without an entry — and tasks whose
     source archive turns out unreadable — train cold."""
+
+    attack_prep: Callable[[Module, CellTask], None] | None = None
+    """Optional hook invoked on the trained model right before the attack
+    sweep.  Variants with *stateful* stochastic components (e.g. a Poisson
+    encoder whose rng advanced during training) reset them here from the
+    task's attack seed, so the sweep draws identically whether the model
+    was just trained or loaded from the weight cache."""
+
+    @classmethod
+    def for_grid(
+        cls,
+        config: ExplorationConfig,
+        model_factory: Callable[[float, int, int], Module],
+        train_set: ArrayDataset,
+        test_set: ArrayDataset,
+    ) -> "JobContext":
+        """The gated context of an Algorithm-1 grid: ``test_set`` is both
+        scored and attacked, and ``model_factory(v_th, T, seed)`` builds
+        each cell."""
+        return cls(
+            model_builder=lambda task: model_factory(
+                task.v_th, task.time_window, task.train_seed
+            ),
+            train_set=train_set,
+            clean_eval_set=test_set,
+            attack_set=test_set,
+            training=config.training,
+            accuracy_threshold=config.accuracy_threshold,
+            attack_steps=config.attack_steps,
+            attack_alpha=config.attack_alpha,
+            attack_random_start=config.attack_random_start,
+            attack_batch_size=config.attack_batch_size,
+            clip_min=config.clip_min,
+            clip_max=config.clip_max,
+        )
+
+    def passes_gate(self, clean_accuracy: float) -> bool:
+        """Whether a model scoring ``clean_accuracy`` is attacked."""
+        return self.accuracy_threshold is None or clean_accuracy >= self.accuracy_threshold
+
+    def build_attack(self, name: str, epsilon: float, seed: int) -> Attack:
+        """Instantiate attack family ``name`` at budget ``epsilon``."""
+        return make_attack(
+            name,
+            epsilon,
+            steps=self.attack_steps,
+            alpha=self.attack_alpha,
+            random_start=self.attack_random_start,
+            seed=seed,
+            clip_min=self.clip_min,
+            clip_max=self.clip_max,
+        )
 
 
 def make_cell_task(
-    seeds: SeedSequence, index: int, v_th: float, time_window: int
+    seeds: SeedSequence,
+    index: int,
+    v_th: float,
+    time_window: int,
+    epsilons: tuple[float, ...],
+    attacks: tuple[str, ...] = ("pgd",),
 ) -> CellTask:
-    """The single place a cell's seeds are derived from its identity.
+    """The single place a grid cell's seeds are derived from its identity.
 
     Child seeds are keyed by the *raw* ``(v_th, time_window)`` values,
     matching the historical serial explorer exactly, so results remain
@@ -180,10 +306,40 @@ def make_cell_task(
     """
     return CellTask(
         index=index,
-        v_th=float(v_th),
-        time_window=int(time_window),
-        cell_seed=seeds.child_seed("cell", v_th, time_window),
+        key=f"cell_vth{float(v_th):g}_T{int(time_window)}",
+        kind="cell",
+        params=(("time_window", int(time_window)), ("v_th", float(v_th))),
+        attacks=tuple(attacks),
+        epsilons=tuple(float(e) for e in epsilons),
+        train_seed=seeds.child_seed("cell", v_th, time_window),
         attack_seed=seeds.child_seed("attack", v_th, time_window),
+    )
+
+
+def make_variant_task(
+    seeds: SeedSequence,
+    index: int,
+    key: str,
+    kind: str,
+    params: tuple[tuple[str, object], ...] = (),
+    attacks: tuple[str, ...] = ("pgd",),
+    epsilons: tuple[float, ...] = (),
+) -> CellTask:
+    """Derive a Fig. 9 or ablation variant's seeds from its identity.
+
+    Seeds are keyed by ``(kind, key)`` — not by the attack or ε lists — so
+    a security-only re-sweep (new ε list, new attack families) addresses
+    the *same* trained weights in the weight cache.
+    """
+    return CellTask(
+        index=index,
+        key=str(key),
+        kind=str(kind),
+        params=tuple(params),
+        attacks=tuple(attacks),
+        epsilons=tuple(float(e) for e in epsilons),
+        train_seed=seeds.child_seed("sweep", kind, key),
+        attack_seed=seeds.child_seed("sweep", kind, key, "attack"),
     )
 
 
@@ -199,7 +355,11 @@ def build_cell_tasks(config: ExplorationConfig) -> list[CellTask]:
     tasks: list[CellTask] = []
     for v_th in config.v_thresholds:
         for time_window in config.time_windows:
-            tasks.append(make_cell_task(seeds, len(tasks), v_th, time_window))
+            tasks.append(
+                make_cell_task(
+                    seeds, len(tasks), v_th, time_window, config.epsilons, (config.attack,)
+                )
+            )
     return tasks
 
 
@@ -224,8 +384,8 @@ def _load_warm_state(
     return split_optimizer_arrays(arrays)
 
 
-def run_cell_task(context: ExplorationJobContext, task: CellTask) -> CellResult:
-    """Run learnability + security analysis for one grid cell (pure).
+def run_cell_task(context: JobContext, task: CellTask) -> CellResult:
+    """Train (or load) one model, gate it and attack it (pure).
 
     With a weight cache attached and ``reuse_weights`` set, a cached
     ``state_dict`` replaces training entirely: the stored clean accuracy
@@ -237,25 +397,27 @@ def run_cell_task(context: ExplorationJobContext, task: CellTask) -> CellResult:
     the referenced archive and runs only the remaining epochs past the
     source's completed budget (``start_epoch`` resume); the provenance
     lands in :attr:`CellResult.warm_start` and in the archived metadata.
+
+    A diverged training scores 0 and is not archived: under a gate that
+    score meets the gate like any other; without a gate it raises
+    :class:`~repro.errors.TrainingError`.
     """
     start = time.perf_counter()
     phase_seconds: dict[str, float] = {}
-    config = context.config
-    model = context.model_factory(task.v_th, task.time_window, task.cell_seed)
+    model = context.model_builder(task)
     cached = None
     if context.weight_cache is not None and context.reuse_weights:
-        cached = context.weight_cache.get(task.weight_key, task.cell_seed)
+        cached = context.weight_cache.get(task.key, task.train_seed)
     warm_start: dict | None = None
     if cached is not None:
         state, metadata = cached
         model.load_state_dict(state)
         clean_accuracy = float(metadata["clean_accuracy"])
         diverged = False
-        learnable = clean_accuracy >= config.accuracy_threshold
         raw_warm = metadata.get("warm_start")
         warm_start = dict(raw_warm) if isinstance(raw_warm, dict) else None
     else:
-        training = replace(config.training, seed=task.cell_seed & 0x7FFFFFFF)
+        training = replace(context.training, seed=task.train_seed & 0x7FFFFFFF)
         ref = (context.warm_start or {}).get(task.index)
         loaded = _load_warm_state(ref) if ref is not None else None
         initial_state, initial_optimizer_state = loaded if loaded else (None, None)
@@ -275,48 +437,57 @@ def run_cell_task(context: ExplorationJobContext, task: CellTask) -> CellResult:
         learn = train_and_score(
             model,
             context.train_set,
-            context.test_set,
+            context.clean_eval_set,
             training,
-            config.accuracy_threshold,
+            context.accuracy_threshold or 0.0,
             initial_state=initial_state,
             start_epoch=start_epoch,
             initial_optimizer_state=initial_optimizer_state,
         )
         clean_accuracy = learn.clean_accuracy
         diverged = learn.diverged
-        learnable = learn.learnable
+        if diverged and context.accuracy_threshold is None:
+            raise TrainingError(f"training of {task.key} diverged (non-finite loss)")
         if not diverged:
             # Diverged weights are useless for re-sweeps; don't archive them.
             metadata = {
                 "clean_accuracy": clean_accuracy,
-                "params": task.params,
+                "kind": task.kind,
+                "params": dict(task.params),
                 "epochs": training.epochs,
             }
             if warm_start is not None:
                 metadata["warm_start"] = warm_start
             archive_weights(
                 context.weight_cache,
-                task.weight_key,
-                task.cell_seed,
+                task.key,
+                task.train_seed,
                 model.state_dict(),
                 metadata,
                 optimizer_state=learn.optimizer_state,
             )
-    # train_and_score folds training and the clean-accuracy gate into one
-    # call, so the cell-level breakdown reports them as one train phase.
+    learnable = context.passes_gate(clean_accuracy)
+    # train_and_score folds training and the clean-accuracy score into one
+    # call, so the breakdown reports them (or the cache load) as one phase.
     phase_seconds["train_s"] = time.perf_counter() - start
-    robustness: dict[float, float] = {}
+    curves: dict[str, dict[float, float]] = {}
     if learnable:
+        if context.attack_prep is not None:
+            context.attack_prep(model, task)
         attack_start = time.perf_counter()
-        curve = robustness_curve(
-            model,
-            context.test_set,
-            config.epsilons,
-            lambda eps: config.build_attack(eps, seed=task.attack_seed),
-            label=f"(Vth={task.v_th:g}, T={task.time_window})",
-            batch_size=config.attack_batch_size,
-        )
-        robustness = dict(zip(curve.epsilons, curve.robustness))
+        for name in task.attacks:
+            # One ε-shared sweep per family: clean predictions and (for
+            # single-step attacks) the white-box gradient are computed
+            # once and reused at every budget.
+            curve = robustness_curve(
+                model,
+                context.attack_set,
+                task.epsilons,
+                lambda eps, name=name: context.build_attack(name, eps, task.attack_seed),
+                label=task.key,
+                batch_size=context.attack_batch_size,
+            )
+            curves[name] = dict(zip(curve.epsilons, curve.robustness))
         phase_seconds["attack_s"] = time.perf_counter() - attack_start
     return CellResult(
         v_th=task.v_th,
@@ -324,9 +495,10 @@ def run_cell_task(context: ExplorationJobContext, task: CellTask) -> CellResult:
         clean_accuracy=clean_accuracy,
         learnable=learnable,
         diverged=diverged,
-        robustness=robustness,
+        curves=curves,
         elapsed_seconds=time.perf_counter() - start,
         phase_seconds=phase_seconds,
         worker=current_process().name,
         warm_start=warm_start,
+        weights_from_cache=cached is not None,
     )

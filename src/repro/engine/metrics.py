@@ -515,19 +515,15 @@ def read_metrics_dir(directory: str | os.PathLike) -> list[dict]:
     return snapshots
 
 
-def _job_kind(result) -> str:
-    if getattr(result, "stack_size", 1) > 1:
-        return "stacked"
-    return "sweep" if type(result).__name__ == "SweepResult" else "cell"
-
-
-def record_task(result, cached: bool) -> None:
+def record_task(task, result, cached: bool) -> None:
     """Count one completed task and fold its ``phase_seconds`` telemetry
-    into the latency histograms.  Cached tasks count toward
-    ``repro_tasks_total`` only — their phases were not re-run."""
+    into the latency histograms.  The ``job`` label is the task's family
+    (``cell`` or ``sweep``), or ``stacked`` for a cell of a fused stack.
+    Cached tasks count toward ``repro_tasks_total`` only — their phases
+    were not re-run."""
     if _METRICS_DIR is None:
         return
-    job = _job_kind(result)
+    job = "stacked" if getattr(result, "stack_size", 1) > 1 else task.family
     status = "cached" if cached else "computed"
     _add("repro_tasks_total", job=job, status=status)
     if cached:

@@ -28,8 +28,7 @@ written through :mod:`repro.utils.atomic` and scanned by
   freed task normally.  Losing either race just means someone else got
   there first.
 * **commit** — the task's result checkpoint is written through the
-  existing :class:`~repro.engine.cache.CellCache` /
-  :class:`~repro.engine.cache.SweepCache` atomic writes, then a
+  existing :class:`~repro.engine.cache.CellCache` atomic write, then a
   ``done_<index>.json`` marker is created exclusively.  The marker's
   creator is *the* committer; a second worker finishing the same task
   (possible when a presumed-dead owner was merely slow) records a

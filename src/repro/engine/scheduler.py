@@ -1,9 +1,9 @@
 """The engine's one dispatch pipeline: plan, execute, record.
 
-:func:`run_tasks` drives any list of picklable tasks (grid
-:class:`~repro.engine.job.CellTask` jobs, variant
-:class:`~repro.engine.sweep.SweepTask` jobs, future sweep families)
-through a pure job function in three stages:
+:func:`run_tasks` drives any list of picklable
+:class:`~repro.engine.job.CellTask` s — grid cells and Fig. 1, Fig. 9
+and ablation variants alike — through a pure job function
+(:func:`~repro.engine.job.run_cell_task`) in three stages:
 
 * **plan** — check the mode flags (:func:`check_run_options`), keep
   the ``shard``'s slice, check that task indices are unique, and
@@ -34,10 +34,10 @@ spec is available, and otherwise degrades to serial with a warning.
 
 Example — the same tasks through both backends::
 
-    results, _ = run_tasks(context, tasks, run_sweep_task, jobs=4)
+    results, _ = run_tasks(context, tasks, run_cell_task, jobs=4)
     spec = ContextSpec("repro.experiments.sweeps:build_fig9_context",
                        {"profile": "smoke"})
-    same, _ = run_tasks(context, tasks, run_sweep_task, jobs=4,
+    same, _ = run_tasks(context, tasks, run_cell_task, jobs=4,
                         start_method="spawn", context_spec=spec)
 
 Completed tasks are checkpointed in the parent as they arrive (so an
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field, replace
 from importlib import import_module
 
 from repro.engine.costs import cached_costs, deadline_estimator, order_tasks
-from repro.engine.job import ExplorationJobContext, run_cell_task
+from repro.engine.job import JobContext, run_cell_task
 from repro.engine.metrics import (
     configure_metrics,
     flush_metrics,
@@ -219,7 +219,7 @@ class _Recorder:
 
     def record(self, task, result, cached: bool) -> None:
         self.results[task.index] = result
-        record_task(result, cached=cached)
+        record_task(task, result, cached=cached)
         if cached:
             self.cached += 1
         elif getattr(result, "worker", ""):
@@ -362,24 +362,24 @@ def run_tasks(
     Parameters
     ----------
     context:
-        Shared job inputs (factory, datasets, config).  Any object the
-        ``run_fn`` understands; must match what ``context_spec`` rebuilds.
+        Shared job inputs (a :class:`~repro.engine.job.JobContext`:
+        model builder, datasets, training, gate and attack settings).
+        Any object the ``run_fn`` understands; must match what
+        ``context_spec`` rebuilds.
     tasks:
         Jobs to evaluate.  Each needs a unique integer ``.index`` and the
         cost model's ``cost_key`` and ``time_steps``.
     run_fn:
         Pure job function ``(context, task) -> result`` — a *module-level*
-        function (e.g. :func:`~repro.engine.job.run_cell_task` or
-        :func:`~repro.engine.sweep.run_sweep_task`) so worker pools can
-        pickle it by reference.
+        function (:func:`~repro.engine.job.run_cell_task` for every
+        experiment) so worker pools can pickle it by reference.
     jobs:
         Worker processes; ``1`` runs in-process.  Capped at the number of
         pending execution units.
     cache:
-        Optional checkpoint store (:class:`~repro.engine.cache.CellCache`
-        or :class:`~repro.engine.cache.SweepCache`).  Completed tasks are
-        always checkpointed through it; cached results are *reused* only
-        when ``resume`` is set.
+        Optional checkpoint store (:class:`~repro.engine.cache.CellCache`).
+        Completed tasks are always checkpointed through it; cached
+        results are *reused* only when ``resume`` is set.
     resume:
         Serve already-checkpointed tasks from ``cache`` instead of
         recomputing them.  Requires ``cache`` — resuming without a
@@ -560,9 +560,9 @@ def _run_local(
 
 
 def run_cell_tasks(
-    context: ExplorationJobContext, tasks: Sequence, **options
+    context: JobContext, tasks: Sequence, **options
 ) -> tuple[list, ScheduleStats]:
-    """Grid-cell convenience wrapper: :func:`run_tasks` with
+    """Every experiment's dispatch call: :func:`run_tasks` with
     :func:`~repro.engine.job.run_cell_task` as the job function; every
     keyword is :func:`run_tasks`'s.
 

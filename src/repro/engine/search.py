@@ -70,13 +70,7 @@ from repro.engine.metrics import (
     record_search_rung,
     record_search_warm_start,
 )
-from repro.engine.job import (
-    CellTask,
-    ExplorationJobContext,
-    WarmStartRef,
-    build_cell_tasks,
-    run_cell_task,
-)
+from repro.engine.job import CellTask, JobContext, WarmStartRef, run_cell_task
 from repro.engine.queue import DEFAULT_LEASE_TTL
 from repro.engine.resilience import ResilienceConfig
 from repro.engine.scheduler import run_cell_tasks
@@ -490,7 +484,7 @@ def _build_warm_plan(
         own = [
             entry
             for entry in entries
-            if entry.key == task.weight_key and entry.train_seed == task.cell_seed
+            if entry.key == task.key and entry.train_seed == task.train_seed
         ]
         if own:
             best = max(own, key=lambda entry: (entry.epochs or 0, entry.path.name))
@@ -501,7 +495,7 @@ def _build_warm_plan(
                 distance=0.0,
             )
             continue
-        found = nearest_weight_entry(entries, task.params)
+        found = nearest_weight_entry(entries, dict(task.params))
         if found is None:
             continue
         entry, distance = found
@@ -537,7 +531,7 @@ def _plan_tag(plan: dict[int, WarmStartRef] | None) -> str:
 
 
 def _bias_study(
-    context: ExplorationJobContext,
+    context: JobContext,
     probe_task: CellTask,
     probe_ref: WarmStartRef,
     tolerance: float,
@@ -603,7 +597,7 @@ def _select_probe(
     for task, cell in sorted(pairs, key=lambda p: _rank_key(p[0], p[1], epsilon)):
         if cell.diverged:
             continue
-        path = weight_cache.path_for(task.weight_key, task.cell_seed)
+        path = weight_cache.path_for(task.key, task.train_seed)
         if path.is_file():
             return task, path
     return None
@@ -613,7 +607,7 @@ def _select_probe(
 
 
 def _run_rung(
-    context: ExplorationJobContext,
+    context: JobContext,
     tasks: list[CellTask],
     cell_cache: CellCache,
     *,
@@ -684,7 +678,8 @@ def _exhaustive_estimate(
 
 
 def run_halving_search(
-    context: ExplorationJobContext,
+    context: JobContext,
+    tasks: list[CellTask],
     search: SearchConfig,
     cache_dir: str | Path,
     *,
@@ -699,9 +694,9 @@ def run_halving_search(
     experiment: str = "grid",
     progress: Callable | None = None,
 ) -> SearchResult:
-    """Run a successive-halving search over the context's grid.
+    """Run a successive-halving search over a grid's cell ``tasks``.
 
-    ``context`` is the *full-budget* exploration setup (its training
+    ``context`` is the *full-budget* gated grid context (its training
     config's ``epochs`` is the final rung's budget); per rung, the driver
     derives a budget-qualified copy, freezes the warm-start plan from the
     earlier rungs' weight caches, executes the candidates through the
@@ -733,14 +728,12 @@ def run_halving_search(
             "guided search requires a cache directory: rung checkpoints are "
             "the promotion transport and weight archives the warm-start source"
         )
-    config = context.config
-    full_epochs = int(config.training.epochs)
+    full_epochs = int(context.training.epochs)
     search.validate(full_epochs)
     epsilon = float(
-        search.epsilon if search.epsilon is not None else max(config.epsilons)
+        search.epsilon if search.epsilon is not None else max(tasks[0].epsilons)
     )
     base_tags = {str(k): v for k, v in (tags or {}).items()}
-    tasks = build_cell_tasks(config)
     candidates = list(tasks)
     sources: list[tuple[int, WeightCache]] = []
     rungs: list[RungReport] = []
@@ -749,8 +742,7 @@ def run_halving_search(
     warm_active = warm_requested
     for rung_index, budget in enumerate(search.schedule):
         budget = int(budget)
-        rung_training = replace(config.training, epochs=budget)
-        rung_config = replace(config, training=rung_training)
+        rung_training = replace(context.training, epochs=budget)
         plan: dict[int, WarmStartRef] = {}
         if warm_active and rung_index > 0:
             plan = _build_warm_plan(candidates, sources, budget)
@@ -765,13 +757,13 @@ def run_halving_search(
             training_fingerprint(
                 context.train_set,
                 rung_training,
-                eval_sets=(context.test_set,),
+                eval_sets=(context.clean_eval_set,),
                 tags=rung_tags,
             ),
         )
         rung_context = replace(
             context,
-            config=rung_config,
+            training=rung_training,
             weight_cache=weight_cache,
             reuse_weights=resume,
             warm_start=plan or None,
@@ -812,7 +804,7 @@ def run_halving_search(
                     probe_task,
                     WarmStartRef(
                         path=str(probe_path),
-                        source_key=probe_task.weight_key,
+                        source_key=probe_task.key,
                         source_epochs=budget,
                         distance=0.0,
                     ),
@@ -882,8 +874,8 @@ def run_halving_search(
         warm_start=warm_requested,
         warm_start_active=warm_active,
         bias_tolerance=float(search.bias_tolerance),
-        v_thresholds=config.v_thresholds,
-        time_windows=config.time_windows,
+        v_thresholds=tuple(dict.fromkeys(task.v_th for task in tasks)),
+        time_windows=tuple(dict.fromkeys(task.time_window for task in tasks)),
         rungs=tuple(rungs),
         bias_gate=bias_gate,
         metadata={},

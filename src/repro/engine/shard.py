@@ -1,8 +1,8 @@
 """Multi-host sharding: deterministic task partitioning and shard manifests.
 
 A paper-scale grid is too big for one machine.  Because every engine task
-carries its own derived seeds (see :mod:`repro.engine.job`,
-:mod:`repro.engine.sweep`), the task list can be *partitioned* across
+carries its own derived seeds (see :mod:`repro.engine.job`), the task
+list can be *partitioned* across
 hosts without changing any result: a :class:`ShardSpec` assigns task
 ``i`` to shard ``i mod count``, each host runs only its slice into its
 own ``--cache-dir``, and :mod:`repro.engine.merge` unions the cache

@@ -19,7 +19,7 @@ for operation* per lane:
 
 * training replays :class:`repro.training.trainer.Trainer` exactly: one
   :class:`~repro.data.dataset.DataLoader` per lane seeded with
-  ``cell_seed & 0x7FFFFFFF``, per-lane Adam optimizers stepping on the
+  ``train_seed & 0x7FFFFFFF``, per-lane Adam optimizers stepping on the
   gradients the folded backward accumulated into each member's live
   parameters, per-lane gradient clipping, and the same diverged-loss
   semantics (a non-finite loss stops that lane *before* its optimizer
@@ -54,7 +54,8 @@ import numpy as np
 from repro.attacks.pgd import PGD
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.engine.cache import archive_weights
-from repro.engine.job import CellTask, ExplorationJobContext
+from repro.engine.job import CellTask, JobContext
+from repro.errors import TrainingError
 from repro.nn.module import Module
 from repro.optim.adam import Adam
 from repro.robustness.results import CellResult
@@ -291,7 +292,7 @@ def _stacked_attack_sweep(
 
 
 def run_stacked_group(
-    context: ExplorationJobContext,
+    context: JobContext,
     tasks: Sequence[CellTask],
     models: Sequence[Module],
 ) -> list[CellResult]:
@@ -299,82 +300,90 @@ def run_stacked_group(
 
     The stacked sibling of :func:`repro.engine.job.run_cell_task`: same
     phases, same per-cell values, one folded pass.  ``models`` are the
-    freshly built (untrained) members, one per task.  Group wall clock is
-    split evenly across lanes in the per-cell ``phase_seconds`` — the
-    fused pass genuinely amortises the work, so "this cell's share" is
-    the honest per-cell cost.
+    freshly built (untrained) members, one per task; the tasks share
+    their attack families and ε list (:func:`pack_stacks` groups them
+    so).  Group wall clock is split evenly across lanes in the per-cell
+    ``phase_seconds`` — the fused pass genuinely amortises the work, so
+    "this cell's share" is the honest per-cell cost.
     """
     start = time.perf_counter()
-    config = context.config
     k = len(tasks)
     stack = VariantStack(models)
     trainings = [
-        replace(config.training, seed=task.cell_seed & 0x7FFFFFFF) for task in tasks
+        replace(context.training, seed=task.train_seed & 0x7FFFFFFF) for task in tasks
     ]
     train_diverged, optimizers = _train_stacked(stack, trainings, context.train_set)
     accuracies = _evaluate_stacked(
-        stack, context.test_set, config.training.eval_batch_size
+        stack, context.clean_eval_set, context.training.eval_batch_size
     )
     clean = [
         0.0 if diverged else acc for diverged, acc in zip(train_diverged, accuracies)
     ]
-    learnable = [acc >= config.accuracy_threshold for acc in clean]
+    if context.accuracy_threshold is None and any(train_diverged):
+        raise TrainingError(f"training of {tasks[train_diverged.index(True)].key} diverged")
+    learnable = [context.passes_gate(acc) for acc in clean]
     for lane, task in enumerate(tasks):
         if not train_diverged[lane]:
             # Diverged weights are useless for re-sweeps; don't archive them.
             archive_weights(
                 context.weight_cache,
-                task.weight_key,
-                task.cell_seed,
+                task.key,
+                task.train_seed,
                 models[lane].state_dict(),
                 {
                     "clean_accuracy": clean[lane],
-                    "params": task.params,
-                    "epochs": config.training.epochs,
+                    "kind": task.kind,
+                    "params": dict(task.params),
+                    "epochs": context.training.epochs,
                 },
                 optimizer_state=optimizers[lane].state_dict(),
             )
     train_phase = time.perf_counter() - start
 
     attacked = [lane for lane in range(k) if learnable[lane]]
-    robustness: list[dict[float, float]] = [{} for _ in range(k)]
+    curves: list[dict[str, dict[float, float]]] = [{} for _ in range(k)]
     attack_phase = 0.0
     if attacked:
         attack_start = time.perf_counter()
-        epsilons = [float(epsilon) for epsilon in config.epsilons]
-        attack_lanes = [
-            [
-                config.build_attack(epsilon, seed=tasks[lane].attack_seed)
-                for epsilon in epsilons
+        if context.attack_prep is not None:
+            for lane in attacked:
+                context.attack_prep(models[lane], tasks[lane])
+        epsilons = [float(epsilon) for epsilon in tasks[0].epsilons]
+        for name in tasks[0].attacks:
+            attack_lanes = [
+                [
+                    context.build_attack(name, epsilon, tasks[lane].attack_seed)
+                    for epsilon in epsilons
+                ]
+                for lane in attacked
             ]
-            for lane in attacked
-        ]
-        stacked_attack = len(attacked) > 1 and _pgd_lanes_stackable(attack_lanes)
-        if stacked_attack:
-            try:
-                attack_stack = VariantStack([models[lane] for lane in attacked])
-            except ValueError:
-                stacked_attack = False
-        if stacked_attack:
-            fractions = _stacked_attack_sweep(
-                attack_stack, attack_lanes, context.test_set, config.attack_batch_size
-            )
-            for position, lane in enumerate(attacked):
-                robustness[lane] = dict(zip(epsilons, fractions[position]))
-        else:
+            stacked_attack = len(attacked) > 1 and _pgd_lanes_stackable(attack_lanes)
+            if stacked_attack:
+                try:
+                    attack_stack = VariantStack([models[lane] for lane in attacked])
+                except ValueError:
+                    stacked_attack = False
+            if stacked_attack:
+                fractions = _stacked_attack_sweep(
+                    attack_stack, attack_lanes, context.attack_set,
+                    context.attack_batch_size,
+                )
+                for position, lane in enumerate(attacked):
+                    curves[lane][name] = dict(zip(epsilons, fractions[position]))
+                continue
             for lane in attacked:
                 task = tasks[lane]
                 curve = robustness_curve(
                     models[lane],
-                    context.test_set,
-                    config.epsilons,
-                    lambda eps, seed=task.attack_seed: config.build_attack(
-                        eps, seed=seed
+                    context.attack_set,
+                    task.epsilons,
+                    lambda eps, name=name, seed=task.attack_seed: context.build_attack(
+                        name, eps, seed
                     ),
-                    label=f"(Vth={task.v_th:g}, T={task.time_window})",
-                    batch_size=config.attack_batch_size,
+                    label=task.key,
+                    batch_size=context.attack_batch_size,
                 )
-                robustness[lane] = dict(zip(curve.epsilons, curve.robustness))
+                curves[lane][name] = dict(zip(curve.epsilons, curve.robustness))
         attack_phase = time.perf_counter() - attack_start
 
     results: list[CellResult] = []
@@ -390,7 +399,7 @@ def run_stacked_group(
                 clean_accuracy=clean[lane],
                 learnable=learnable[lane],
                 diverged=train_diverged[lane],
-                robustness=robustness[lane],
+                curves=curves[lane],
                 elapsed_seconds=sum(phase_seconds.values()),
                 phase_seconds=phase_seconds,
                 worker=current_process().name,
@@ -405,7 +414,7 @@ def run_stacked_group(
 
 
 def pack_stacks(
-    context: ExplorationJobContext, tasks: Sequence[CellTask], stack: int
+    context: JobContext, tasks: Sequence[CellTask], stack: int
 ) -> tuple[list[tuple[list[CellTask], list[Module]]], list[CellTask]]:
     """Greedily pack ``tasks`` into compatible groups of at most ``stack``.
 
@@ -414,8 +423,9 @@ def pack_stacks(
     factory's deterministic init rng is consumed exactly once per cell).
     Packing is greedy over the given task order: a seed task opens a
     group, every later task whose model co-stacks with the group joins
-    until the group is full, and rejected candidates are requeued in
-    order for the next group.  Cells whose trained weights are already
+    until the group is full, and rejected candidates (including those
+    sweeping other attack families or budgets) are requeued in order for
+    the next group.  Cells whose trained weights are already
     archived are diverted to ``singles`` — their "training" is a cache
     read the stacked trainer has no business mirroring — as are cells
     named by the context's warm-start plan (the fused trainer always
@@ -431,7 +441,7 @@ def pack_stacks(
     singles: list[CellTask] = []
     queue: deque[CellTask] = deque()
     for task in tasks:
-        if reuse and weight_cache.path_for(task.weight_key, task.cell_seed).is_file():
+        if reuse and weight_cache.path_for(task.key, task.train_seed).is_file():
             singles.append(task)
         elif task.index in warm_plan:
             singles.append(task)
@@ -440,15 +450,10 @@ def pack_stacks(
     groups: list[tuple[list[CellTask], list[Module]]] = []
     while queue:
         task = queue.popleft()
-        model = context.model_factory(task.v_th, task.time_window, task.cell_seed)
+        model = context.model_builder(task)
         reason = stack_compatibility([model])
         if reason is not None:
-            _logger.info(
-                "cell (Vth=%g, T=%d) runs unstacked: %s",
-                task.v_th,
-                task.time_window,
-                reason,
-            )
+            _logger.info("%s runs unstacked: %s", task.key, reason)
             singles.append(task)
             continue
         group_tasks = [task]
@@ -456,9 +461,10 @@ def pack_stacks(
         rejected: list[CellTask] = []
         while queue and len(group_tasks) < stack:
             candidate = queue.popleft()
-            candidate_model = context.model_factory(
-                candidate.v_th, candidate.time_window, candidate.cell_seed
-            )
+            if (candidate.attacks, candidate.epsilons) != (task.attacks, task.epsilons):
+                rejected.append(candidate)
+                continue
+            candidate_model = context.model_builder(candidate)
             if stack_compatibility(group_models + [candidate_model]) is None:
                 group_tasks.append(candidate)
                 group_models.append(candidate_model)
@@ -473,7 +479,7 @@ def pack_stacks(
 
 
 def plan_units(
-    context: ExplorationJobContext,
+    context: JobContext,
     tasks: Sequence,
     run_fn: Callable,
     stack: int,

@@ -11,8 +11,8 @@ of the profile's first sweet spot and the profile's default time window
 ``time_steps_default`` (not that sweet spot's own T) — and varies a
 single factor.
 
-All four factors run as :class:`~repro.engine.sweep.SweepTask` jobs on a
-*shared* job context, so :func:`run_ablation_suite` parallelizes across
+All four factors run as ungated :class:`~repro.engine.job.CellTask` jobs
+on a *shared* job context, so :func:`run_ablation_suite` parallelizes across
 the whole suite at once (``jobs``), checkpoints and resumes every variant
 (``cache_dir``/``resume``), and reuses cached trained weights when only
 the security sweep changed.  The per-factor ``run_*_ablation`` functions
@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.engine.job import CellTask
 from repro.engine.queue import DEFAULT_LEASE_TTL, QueueRunResult
 from repro.engine.resilience import ResilienceConfig
 from repro.engine.shard import ShardRunResult, ShardSpec
-from repro.engine.sweep import SweepResult, SweepTask
 from repro.experiments.profiles import ExperimentProfile, get_profile
 from repro.experiments.sweeps import (
     ABLATION_FACTORS,
@@ -39,6 +39,7 @@ from repro.experiments.sweeps import (
     run_sweep_schedule,
 )
 from repro.robustness.report import render_curve_table
+from repro.robustness.results import CellResult
 
 __all__ = [
     "ABLATION_FACTORS",
@@ -94,8 +95,8 @@ class AblationResult:
 
 
 def _group_by_factor(
-    tasks: list[SweepTask],
-    results: list[SweepResult],
+    tasks: list[CellTask],
+    results: list[CellResult],
     metadata: dict,
 ) -> dict[str, AblationResult]:
     """Regroup the flat engine output into one result per factor."""

@@ -102,7 +102,7 @@ def run_fig1(
 ) -> Fig1Result | ShardRunResult | QueueRunResult:
     """Reproduce the Figure-1 sweep under ``profile``.
 
-    The CNN and the SNN are two sweep tasks of one engine dispatch; the
+    The CNN and the SNN are two ungated tasks of one engine dispatch; the
     engine parameters mean what they mean for
     :func:`~repro.experiments.fig9_sweetspots.run_fig9`, and the
     defaults run serial and uncached.

@@ -12,6 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.engine import CellCache, context_fingerprint, scheduler
+from repro.engine.job import build_cell_tasks
 from repro.engine.queue import DEFAULT_LEASE_TTL, QueueRunResult
 from repro.engine.resilience import ResilienceConfig
 from repro.engine.search import (
@@ -22,7 +23,8 @@ from repro.engine.search import (
 )
 from repro.engine.shard import ShardRunResult, ShardSpec, shard_run_result
 from repro.experiments.profiles import ExperimentProfile, get_profile
-from repro.experiments.sweeps import build_grid_context, spawn_spec_for
+from repro.experiments.sweeps import build_grid_context, grid_config, spawn_spec_for
+from repro.experiments.workloads import build_grid_model_factory
 from repro.robustness.exploration import RobustnessExplorer, cell_progress
 from repro.robustness.report import render_heatmap
 from repro.robustness.results import ExplorationResult
@@ -111,10 +113,10 @@ def run_grid_exploration(
         profile = get_profile(profile)
     context = build_grid_context(profile, cache_dir=cache_dir, reuse_weights=resume)
     explorer = RobustnessExplorer(
-        model_factory=context.model_factory,
+        model_factory=build_grid_model_factory(profile),
         train_set=context.train_set,
-        test_set=context.test_set,
-        config=context.config,
+        test_set=context.clean_eval_set,
+        config=grid_config(profile),
     )
     tasks = explorer.tasks()
     cache = None
@@ -215,6 +217,7 @@ def run_grid_search(
     context = build_grid_context(profile, cache_dir=None, reuse_weights=False)
     result = run_halving_search(
         context,
+        build_cell_tasks(grid_config(profile)),
         search,
         cache_dir,
         tags=grid_search_tags(profile),

@@ -12,7 +12,7 @@ The paper's claims checked here:
   not guarantee robustness;
 * (1, 32) has mediocre clean accuracy yet still beats the CNN for ε > 1.
 
-Each trained variant is one :class:`~repro.engine.sweep.SweepTask`
+Each trained variant is one ungated :class:`~repro.engine.job.CellTask`
 scheduled through :mod:`repro.engine`, so the four trainings parallelize
 (``jobs``), checkpoint and resume (``cache_dir``/``resume``), and —
 because trained weights are cached separately from sweep results — a
@@ -165,6 +165,8 @@ def run_fig9(
             for task, result in zip(tasks[1:], results[1:])
         },
         cnn_curve=sweep_curve(tasks[0], results[0]),
-        clean_accuracies={result.key: result.clean_accuracy for result in results},
+        clean_accuracies={
+            task.key: result.clean_accuracy for task, result in zip(tasks, results)
+        },
         metadata=metadata,
     )

@@ -1,26 +1,29 @@
 """Spawn-safe job-context builders and task lists for the engine experiments.
 
 Every experiment (the Fig. 1 CNN-vs-SNN motivation, the Figs. 6-8 grid,
-the Fig. 9 sweet-spot tracking, the ablation suite) is expressed here as
-two module-level pieces:
+the Fig. 9 sweet-spot tracking, the ablation suite) is one list of
+:class:`~repro.engine.job.CellTask` s run by
+:func:`~repro.engine.job.run_cell_task`, expressed here as two
+module-level pieces:
 
 * a **context builder** — ``build_*_context(profile, cache_dir,
-  reuse_weights)`` returning the full job context (datasets, model
-  builder, training/attack settings, optional weight cache).  Because the
-  builders are importable by name, a
+  reuse_weights)`` returning the full
+  :class:`~repro.engine.job.JobContext` (datasets, model builder,
+  training/attack settings, the gate for the grid, optional weight
+  cache).  Because the builders are importable by name, a
   :class:`~repro.engine.scheduler.ContextSpec` pointing at them lets
   *spawn* workers reconstruct profile, data and model locally instead of
   pickling closures across the process boundary;
 * a **task builder** — ``build_*_tasks(profile, ...)`` expanding the
   profile into deterministically-seeded picklable tasks.
 
-The sweep runners in :mod:`repro.experiments.fig1_motivation`,
+The curve runners in :mod:`repro.experiments.fig1_motivation`,
 :mod:`repro.experiments.fig9_sweetspots` and
 :mod:`repro.experiments.ablations` hand both to :func:`run_sweep_schedule`,
-whose one :func:`repro.engine.scheduler.run_tasks` call serves every
+whose one :func:`repro.engine.scheduler.run_cell_tasks` call serves every
 mode: local, ``shard`` or ``queue_dir``.  The grid runners in
 :mod:`repro.experiments.fig678_grid` dispatch :func:`build_grid_context`'s
-cells through :func:`repro.engine.scheduler.run_cell_tasks` the same way.
+gated cells through the same call.
 """
 
 from __future__ import annotations
@@ -28,23 +31,17 @@ from __future__ import annotations
 from collections.abc import Callable
 from pathlib import Path
 
-from repro.engine.cache import SweepCache, WeightCache, sweep_fingerprint, training_fingerprint
-from repro.engine.job import ExplorationJobContext
+from repro.data.transforms import normalized_bounds
+from repro.engine.cache import CellCache, WeightCache, context_fingerprint, training_fingerprint
+from repro.engine.job import CellTask, JobContext, make_variant_task
 from repro.engine.queue import DEFAULT_LEASE_TTL, QueueRunResult
 from repro.engine.resilience import ResilienceConfig
-from repro.engine.scheduler import ContextSpec, run_tasks
+from repro.engine.scheduler import ContextSpec, run_cell_tasks
 from repro.engine.shard import (
     ShardRunResult,
     ShardSpec,
     manifest_path,
     shard_run_result,
-)
-from repro.engine.sweep import (
-    SweepJobContext,
-    SweepResult,
-    SweepTask,
-    make_sweep_task,
-    run_sweep_task,
 )
 from repro.experiments.profiles import (
     ExperimentProfile,
@@ -54,6 +51,7 @@ from repro.experiments.profiles import (
 from repro.experiments.workloads import build_grid_model_factory, load_profile_data
 from repro.models.registry import build_model
 from repro.robustness.config import ExplorationConfig
+from repro.robustness.results import CellResult
 from repro.robustness.security import RobustnessCurve
 from repro.snn.encoding import PoissonEncoder
 from repro.snn.neuron import LIFParameters
@@ -71,6 +69,7 @@ __all__ = [
     "build_fig9_context",
     "build_fig9_tasks",
     "build_grid_context",
+    "grid_config",
     "run_sweep_schedule",
     "spawn_spec_for",
     "sweep_curve",
@@ -122,7 +121,7 @@ def spawn_spec_for(
 def run_sweep_schedule(
     profile: ExperimentProfile,
     context_builder: Callable,
-    tasks: list[SweepTask],
+    tasks: list[CellTask],
     experiment: str,
     verbose: bool = False,
     jobs: int = 1,
@@ -133,14 +132,14 @@ def run_sweep_schedule(
     queue_dir: str | Path | None = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     resilience: ResilienceConfig | None = None,
-) -> tuple[list[SweepResult] | ShardRunResult | QueueRunResult, dict]:
+) -> tuple[list[CellResult] | ShardRunResult | QueueRunResult, dict]:
     """Shared scheduling scaffold of the engine-ported sweep experiments.
 
     Builds the context via ``context_builder`` (one of this module's
     ``build_*_context`` functions — its name doubles as the spawn spec
     target), wires up the result cache, progress logging and the spawn
     spec, makes the one engine dispatch call
-    (:func:`repro.engine.scheduler.run_tasks`, which also cost-orders the
+    (:func:`repro.engine.scheduler.run_cell_tasks`, which also cost-orders the
     tasks and prices their watchdog deadlines), and returns ``(results,
     metadata)`` where metadata carries the engine stats and the
     weight-reuse count.
@@ -163,15 +162,15 @@ def run_sweep_schedule(
         # everything it derives from (model names, scales) via tags —
         # otherwise a changed model with unchanged data would hit stale
         # sweep checkpoints.
-        cache = SweepCache(
-            cache_dir, sweep_fingerprint(context, tags=_model_tags(profile, experiment))
+        cache = CellCache(
+            cache_dir, context_fingerprint(context, tags=_model_tags(profile, experiment))
         )
     logger = get_logger(f"experiments.{experiment}")
     total = len(tasks) if shard is None else len(shard.partition(tasks))
     done = 0
     weights_reused = 0
 
-    def progress(task: SweepTask, result: SweepResult, from_cache: bool) -> None:
+    def progress(task: CellTask, result: CellResult, from_cache: bool) -> None:
         nonlocal done, weights_reused
         done += 1
         if not from_cache and result.weights_from_cache:
@@ -188,10 +187,9 @@ def run_sweep_schedule(
             done, total, task.key, result.clean_accuracy, source,
         )
 
-    results, stats = run_tasks(
+    results, stats = run_cell_tasks(
         context,
         tasks,
-        run_sweep_task,
         jobs=jobs,
         cache=cache,
         resume=resume,
@@ -224,10 +222,10 @@ def run_sweep_schedule(
     return results, metadata
 
 
-def sweep_curve(task: SweepTask, result: SweepResult) -> RobustnessCurve:
+def sweep_curve(task: CellTask, result: CellResult) -> RobustnessCurve:
     """A task's PGD curve, in the task's ε order, as a figure series."""
     return RobustnessCurve(
-        label=result.key,
+        label=task.key,
         epsilons=task.epsilons,
         robustness=tuple(result.curves["pgd"][eps] for eps in task.epsilons),
         evaluations=(),
@@ -237,22 +235,13 @@ def sweep_curve(task: SweepTask, result: SweepResult) -> RobustnessCurve:
 # -- Figs. 6-8 grid ------------------------------------------------------------
 
 
-def build_grid_context(
-    profile: ExperimentProfile | str,
-    cache_dir: str | Path | None = None,
-    reuse_weights: bool = False,
-) -> ExplorationJobContext:
-    """Job context of the Figs. 6-8 grid exploration (Algorithm 1).
-
-    The single source of truth for how a profile maps onto an
-    :class:`~repro.robustness.config.ExplorationConfig` — the CLI parent
-    process and every spawn worker call this same function, so their
-    contexts agree by construction.
-    """
+def grid_config(profile: ExperimentProfile | str) -> ExplorationConfig:
+    """The single source of truth for how a profile maps onto an
+    :class:`~repro.robustness.config.ExplorationConfig` (Algorithm 1's
+    inputs)."""
     profile = _as_profile(profile)
-    train, test, (clip_min, clip_max) = load_profile_data(profile)
-    attack_subset = test.take(profile.attack_subset)
-    config = ExplorationConfig(
+    clip_min, clip_max = normalized_bounds()
+    return ExplorationConfig(
         v_thresholds=profile.v_thresholds,
         time_windows=profile.time_windows,
         epsilons=profile.grid_epsilons,
@@ -264,11 +253,24 @@ def build_grid_context(
         training=profile.training_config(),
         seed=profile.seed,
     )
-    context = ExplorationJobContext(
-        model_factory=build_grid_model_factory(profile),
-        train_set=train,
-        test_set=attack_subset,
-        config=config,
+
+
+def build_grid_context(
+    profile: ExperimentProfile | str,
+    cache_dir: str | Path | None = None,
+    reuse_weights: bool = False,
+) -> JobContext:
+    """Gated job context of the Figs. 6-8 grid exploration (Algorithm 1).
+
+    The CLI parent process and every spawn worker call this same
+    function, so their contexts agree by construction.
+    """
+    profile = _as_profile(profile)
+    config = grid_config(profile)
+    train, test, _ = load_profile_data(profile)
+    attack_subset = test.take(profile.attack_subset)
+    context = JobContext.for_grid(
+        config, build_grid_model_factory(profile), train, attack_subset
     )
     if cache_dir is not None:
         fingerprint = training_fingerprint(
@@ -302,7 +304,7 @@ def _model_tags(profile: ExperimentProfile, experiment: str) -> dict:
 def _curve_model_builder(profile: ExperimentProfile, tags: dict):
     """``task -> model`` building the CNN or SNN that ``tags`` names."""
 
-    def build(task: SweepTask):
+    def build(task: CellTask):
         rng = int(task.param("init_seed", task.train_seed))
         if task.kind.endswith("_cnn"):
             return build_model(
@@ -325,8 +327,8 @@ def _curve_context(
     cache_dir: str | Path | None,
     reuse_weights: bool,
     experiment: str,
-) -> SweepJobContext:
-    """Job context of a CNN-vs-SNN curve figure (Fig. 1 or Fig. 9).
+) -> JobContext:
+    """Ungated job context of a CNN-vs-SNN curve figure (Fig. 1 or Fig. 9).
 
     Clean accuracy is scored on the full test set (as in the paper's
     figure annotations); attacks run on the profile's test subset.
@@ -335,7 +337,7 @@ def _curve_context(
     tags = _model_tags(profile, experiment)
     train, test, (clip_min, clip_max) = load_profile_data(profile)
     attack_subset = test.take(profile.attack_subset)
-    context = SweepJobContext(
+    context = JobContext(
         model_builder=_curve_model_builder(profile, tags),
         train_set=train,
         clean_eval_set=test,
@@ -361,20 +363,21 @@ def build_fig1_context(
     profile: ExperimentProfile | str,
     cache_dir: str | Path | None = None,
     reuse_weights: bool = False,
-) -> SweepJobContext:
+) -> JobContext:
     """Job context of the Fig. 1 CNN-vs-SNN motivation."""
     return _curve_context(profile, cache_dir, reuse_weights, "fig1")
 
 
-def build_fig1_tasks(profile: ExperimentProfile) -> list[SweepTask]:
+def build_fig1_tasks(profile: ExperimentProfile) -> list[CellTask]:
     """The CNN and the equal-topology SNN, one task each.  Seeds are
     Fig. 1's own — init ``child_seed("fig1", model)``, train and attack
-    ``profile.seed`` — so the tasks are not made by :func:`make_sweep_task`."""
+    ``profile.seed`` — so the tasks are not made by
+    :func:`~repro.engine.job.make_variant_task`."""
     seeds = SeedSequence(profile.seed)
     epsilons = tuple(float(e) for e in profile.curve_epsilons)
     time_window = {"cnn": (), "snn": (("time_window", profile.time_steps_default),)}
     return [
-        SweepTask(
+        CellTask(
             index=index,
             key=model,
             kind=f"fig1_{model}",
@@ -392,7 +395,7 @@ def build_fig9_context(
     profile: ExperimentProfile | str,
     cache_dir: str | Path | None = None,
     reuse_weights: bool = False,
-) -> SweepJobContext:
+) -> JobContext:
     """Job context of the Fig. 9 sweet-spot tracking."""
     return _curve_context(profile, cache_dir, reuse_weights, "fig9")
 
@@ -400,7 +403,7 @@ def build_fig9_context(
 def build_fig9_tasks(
     profile: ExperimentProfile,
     epsilons: tuple[float, ...] | None = None,
-) -> list[SweepTask]:
+) -> list[CellTask]:
     """One task per tracked combination plus the comparator CNN.
 
     ``epsilons`` overrides the profile's curve sweep — the
@@ -411,11 +414,11 @@ def build_fig9_tasks(
     seeds = SeedSequence(profile.seed)
     sweep = tuple(float(e) for e in (epsilons or profile.curve_epsilons))
     tasks = [
-        make_sweep_task(seeds, 0, "cnn", "fig9_cnn", attacks=("pgd",), epsilons=sweep)
+        make_variant_task(seeds, 0, "cnn", "fig9_cnn", attacks=("pgd",), epsilons=sweep)
     ]
     for v_th, time_window in profile.sweet_spots:
         tasks.append(
-            make_sweep_task(
+            make_variant_task(
                 seeds,
                 len(tasks),
                 f"snn_vth{v_th:g}_T{time_window}",
@@ -432,7 +435,7 @@ def build_fig9_tasks(
 
 
 def _ablation_model_builder(profile: ExperimentProfile):
-    def build(task: SweepTask):
+    def build(task: CellTask):
         lif_kwargs = {"v_th": float(task.param("v_th", 1.0))}
         surrogate = task.param("surrogate")
         if surrogate is not None:
@@ -460,7 +463,7 @@ def _ablation_model_builder(profile: ExperimentProfile):
     return build
 
 
-def _ablation_attack_prep(model, task: SweepTask) -> None:
+def _ablation_attack_prep(model, task: CellTask) -> None:
     """Reset stateful encoders before the sweep (both job paths).
 
     The Poisson encoder's rng advances during training, so without this
@@ -480,8 +483,8 @@ def build_ablation_context(
     profile: ExperimentProfile | str,
     cache_dir: str | Path | None = None,
     reuse_weights: bool = False,
-) -> SweepJobContext:
-    """Job context shared by all four ablation factors.
+) -> JobContext:
+    """Ungated job context shared by all four ablation factors.
 
     One context serves every factor — tasks differ only in their build
     parameters and attack lists — so a single scheduler invocation can
@@ -490,7 +493,7 @@ def build_ablation_context(
     profile = _as_profile(profile)
     train, test, (clip_min, clip_max) = load_profile_data(profile)
     attack_subset = test.take(profile.attack_subset)
-    context = SweepJobContext(
+    context = JobContext(
         model_builder=_ablation_model_builder(profile),
         train_set=train,
         clean_eval_set=attack_subset,
@@ -519,7 +522,7 @@ def build_ablation_tasks(
     surrogate_families: tuple[str, ...] = DEFAULT_SURROGATE_FAMILIES,
     attack_families: tuple[str, ...] = DEFAULT_ATTACK_FAMILIES,
     epsilons: tuple[float, ...] | None = None,
-) -> list[SweepTask]:
+) -> list[CellTask]:
     """Expand the requested ablation factors into one flat task list.
 
     Task keys are ``"<factor>:<variant>"`` (e.g. ``"surrogate:arctan"``),
@@ -535,11 +538,11 @@ def build_ablation_tasks(
     sweep = tuple(float(e) for e in (epsilons or profile.grid_epsilons))
     v_th = ("v_th", float(profile.sweet_spots[0][0]))
     time_window = ("time_window", profile.time_steps_default)
-    tasks: list[SweepTask] = []
+    tasks: list[CellTask] = []
 
     def add(key: str, params: tuple, attacks: tuple[str, ...] = ("pgd",)) -> None:
         tasks.append(
-            make_sweep_task(
+            make_variant_task(
                 seeds, len(tasks), key, "ablation", params, attacks, sweep
             )
         )

@@ -136,16 +136,3 @@ class ExplorationConfig:
         if self.clip_min >= self.clip_max:
             raise ConfigurationError("need clip_min < clip_max")
         self.training.validate()
-
-    def build_attack(self, epsilon: float, seed: int | None = None) -> Attack:
-        """Instantiate the configured attack at budget ``epsilon``."""
-        return make_attack(
-            self.attack,
-            epsilon,
-            steps=self.attack_steps,
-            alpha=self.attack_alpha,
-            random_start=self.attack_random_start,
-            seed=seed,
-            clip_min=self.clip_min,
-            clip_max=self.clip_max,
-        )

@@ -7,9 +7,9 @@ Pseudo-code of the paper (Algorithm 1) and its mapping here:
     for i in 1..n:                      # v_thresholds        (cell tasks)
       for j in 1..m:                    # time_windows        (cell tasks)
         Train(Sij)                      # learnability.train_and_score
-        if Accuracy(Sij) >= Ath:        # LearnabilityResult.learnable
+        if Accuracy(Sij) >= Ath:        # JobContext.passes_gate
           for k in 1..p:                # epsilons
-            X* = PGD(Sij, eps_k, Xt)    # attacks.pgd via config.build_attack
+            X* = PGD(Sij, eps_k, Xt)    # attacks.pgd via JobContext.build_attack
             Robustness(eps_k) = 1 - Adv/|D|   # attacks.metrics
 
 Every grid cell derives independent child seeds for model initialisation,
@@ -38,7 +38,7 @@ from repro.utils.seeding import SeedSequence
 
 if TYPE_CHECKING:  # imported lazily at runtime: engine.job imports this package
     from repro.engine.cache import CellCache
-    from repro.engine.job import CellTask, ExplorationJobContext
+    from repro.engine.job import CellTask, JobContext
 
 __all__ = ["RobustnessExplorer", "cell_progress"]
 
@@ -111,15 +111,13 @@ class RobustnessExplorer:
         self._seeds = SeedSequence(self.config.seed)
 
     @property
-    def context(self) -> "ExplorationJobContext":
-        """The engine job context shared by every cell of this exploration."""
-        from repro.engine.job import ExplorationJobContext
+    def context(self) -> "JobContext":
+        """The gated engine job context shared by every cell of this
+        exploration."""
+        from repro.engine.job import JobContext
 
-        return ExplorationJobContext(
-            model_factory=self.model_factory,
-            train_set=self.train_set,
-            test_set=self.test_set,
-            config=self.config,
+        return JobContext.for_grid(
+            self.config, self.model_factory, self.train_set, self.test_set
         )
 
     # -- single cell ------------------------------------------------------------
@@ -134,7 +132,9 @@ class RobustnessExplorer:
         """Run learnability + security analysis for one combination."""
         from repro.engine.job import make_cell_task, run_cell_task
 
-        task = make_cell_task(self._seeds, 0, v_th, time_window)
+        task = make_cell_task(
+            self._seeds, 0, v_th, time_window, self.config.epsilons, (self.config.attack,)
+        )
         return run_cell_task(self.context, task)
 
     # -- full grid -----------------------------------------------------------------

@@ -15,15 +15,23 @@ __all__ = ["CellResult", "ExplorationResult"]
 
 @dataclass(frozen=True)
 class CellResult:
-    """Everything Algorithm 1 records for one ``(Vth, T)`` combination."""
+    """Everything one engine task records: a ``(Vth, T)`` grid cell of
+    Algorithm 1, or a Fig. 1 / Fig. 9 / ablation variant."""
 
-    v_th: float
+    v_th: float | None
+    """Firing threshold of the model (``None`` for the CNN baselines)."""
+
     time_window: int
+    """Time window of the model (``0`` for the CNN baselines)."""
+
     clean_accuracy: float
     learnable: bool
+    """Whether the model cleared the gate (always true for ungated tasks)."""
+
     diverged: bool = False
-    robustness: dict[float, float] = field(default_factory=dict)
-    """Map ``epsilon -> Robustness(epsilon)``; empty for non-learnable cells."""
+    curves: dict[str, dict[float, float]] = field(default_factory=dict)
+    """``attack -> {epsilon -> robustness}`` for every swept attack family;
+    empty for cells the gate rejected."""
 
     elapsed_seconds: float = field(default=0.0, compare=False)
     """Wall-clock time spent evaluating this cell (train + attacks).
@@ -35,11 +43,11 @@ class CellResult:
     phase_seconds: dict[str, float] = field(default_factory=dict, compare=False)
     """Wall-clock breakdown of :attr:`elapsed_seconds` by phase.
 
-    Keys are a subset of ``train_s`` (the Train()+gate step, or the
-    weight-cache load that replaced it), ``attack_s`` (the security
-    sweep) and ``eval_s`` (clean-accuracy evaluation, when it runs as a
-    separate phase).  Provenance like :attr:`elapsed_seconds` — excluded
-    from equality and stripped by ``scripts/compare_results.py``.
+    Keys are ``train_s`` (training and the clean score, or the
+    weight-cache load that replaced them) and, for attacked models,
+    ``attack_s`` (the security sweep).  Provenance like
+    :attr:`elapsed_seconds` — excluded from equality and stripped by
+    ``scripts/compare_results.py``.
     """
 
     worker: str = field(default="", compare=False)
@@ -68,15 +76,30 @@ class CellResult:
     what guards the science behind it.
     """
 
+    weights_from_cache: bool = field(default=False, compare=False)
+    """Whether training was skipped by a weight-cache hit.  Provenance of
+    this evaluation only: not serialized, so a checkpointed result reads
+    back ``False``."""
+
+    @property
+    def robustness(self) -> dict[float, float]:
+        """``epsilon -> robustness`` of the first attack family (a grid
+        cell's only one); empty for non-learnable cells."""
+        return next(iter(self.curves.values()), {})
+
     def as_dict(self) -> dict:
-        """JSON-friendly representation (epsilon keys stringified)."""
-        return {
+        """JSON-friendly representation (epsilon keys stringified).
+
+        ``robustness`` holds the first attack family's curve; results
+        that swept several families also carry them all under ``curves``.
+        """
+        payload = {
             "v_th": self.v_th,
             "time_window": self.time_window,
             "clean_accuracy": self.clean_accuracy,
             "learnable": self.learnable,
             "diverged": self.diverged,
-            "robustness": {repr(k): v for k, v in self.robustness.items()},
+            "robustness": _curve_dict(self.robustness),
             "elapsed_seconds": self.elapsed_seconds,
             "phase_seconds": dict(self.phase_seconds),
             "worker": self.worker,
@@ -84,17 +107,32 @@ class CellResult:
             "stack_index": self.stack_index,
             "warm_start": dict(self.warm_start) if self.warm_start else None,
         }
+        if len(self.curves) > 1:
+            payload["curves"] = {
+                attack: _curve_dict(curve) for attack, curve in self.curves.items()
+            }
+        return payload
 
     @staticmethod
-    def from_dict(payload: dict) -> "CellResult":
-        """Inverse of :meth:`as_dict`."""
+    def from_dict(payload: dict, attacks: tuple[str, ...] = ("pgd",)) -> "CellResult":
+        """Inverse of :meth:`as_dict`; ``attacks`` names the families
+        swept (the first names a lone ``robustness`` curve)."""
+        if "curves" in payload:
+            curves = {
+                str(attack): _parse_curve(curve)
+                for attack, curve in payload["curves"].items()
+            }
+        else:
+            robustness = _parse_curve(payload["robustness"])
+            curves = {attacks[0]: robustness} if robustness else {}
+        v_th = payload["v_th"]
         return CellResult(
-            v_th=float(payload["v_th"]),
+            v_th=None if v_th is None else float(v_th),
             time_window=int(payload["time_window"]),
             clean_accuracy=float(payload["clean_accuracy"]),
             learnable=bool(payload["learnable"]),
             diverged=bool(payload.get("diverged", False)),
-            robustness={float(k): float(v) for k, v in payload["robustness"].items()},
+            curves=curves,
             elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
             phase_seconds={
                 str(k): float(v)
@@ -107,6 +145,14 @@ class CellResult:
             if payload.get("warm_start")
             else None,
         )
+
+
+def _curve_dict(curve: dict[float, float]) -> dict[str, float]:
+    return {repr(eps): value for eps, value in curve.items()}
+
+
+def _parse_curve(curve: dict) -> dict[float, float]:
+    return {float(eps): float(value) for eps, value in curve.items()}
 
 
 class ExplorationResult:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,12 @@ import numpy as np
 from repro.utils.atomic import write_atomic
 
 _METADATA_KEY = "__repro_metadata__"
+
+_LOAD_LOCK = threading.Lock()
+"""Serializes ``np.load`` parses within a process.  Its header parser
+(``ast.literal_eval``) can raise ``SystemError`` when threads of one
+process parse at once (seen on CPython 3.11 at a 10 µs switch interval),
+and queue workers may be threads of one process."""
 
 
 def save_npz(
@@ -54,7 +61,7 @@ def save_npz(
 
 def load_npz(path: str | Path) -> tuple[dict[str, np.ndarray], dict | None]:
     """Load arrays and metadata previously written by :func:`save_npz`."""
-    with np.load(Path(path)) as archive:
+    with _LOAD_LOCK, np.load(Path(path)) as archive:
         arrays = {name: archive[name] for name in archive.files if name != _METADATA_KEY}
         metadata = None
         if _METADATA_KEY in archive.files:
@@ -72,7 +79,7 @@ def load_npz_metadata(path: str | Path) -> dict | None:
     this staying cheap for archives holding megabytes of parameters.
     Returns ``None`` when the archive carries no metadata.
     """
-    with np.load(Path(path)) as archive:
+    with _LOAD_LOCK, np.load(Path(path)) as archive:
         if _METADATA_KEY not in archive.files:
             return None
         raw = archive[_METADATA_KEY].tobytes().decode("utf-8")

@@ -69,9 +69,9 @@ class TestTasks:
         tasks = explorer.tasks()
         assert len(tasks) == 2
         assert [t.index for t in tasks] == [0, 1]
-        assert len({t.cell_seed for t in tasks}) == 2
+        assert len({t.train_seed for t in tasks}) == 2
         assert len({t.attack_seed for t in tasks}) == 2
-        assert {t.cell_seed for t in tasks}.isdisjoint({t.attack_seed for t in tasks})
+        assert {t.train_seed for t in tasks}.isdisjoint({t.attack_seed for t in tasks})
 
     def test_explore_cell_matches_grid_run(self, explorer):
         # The single-cell API and the scheduled grid must agree exactly.
@@ -126,9 +126,14 @@ class TestCellCache:
     def test_fingerprint_sensitive_to_config_and_tags(self, explorer):
         base = context_fingerprint(explorer.context)
         train, test = _tiny_sets()
-        other = RobustnessExplorer(_factory, train, test, _tiny_config(epsilons=(0.2,)))
-        assert context_fingerprint(other.context) != base
+        gate = RobustnessExplorer(_factory, train, test, _tiny_config(accuracy_threshold=0.5))
+        assert context_fingerprint(gate.context) != base
         assert context_fingerprint(explorer.context, tags={"model": "x"}) != base
+        # The ε list is per-task key material: same context, other checkpoint.
+        other = RobustnessExplorer(_factory, train, test, _tiny_config(epsilons=(0.2,)))
+        assert context_fingerprint(other.context) == base
+        cache = CellCache("unused", base)
+        assert cache.path_for(other.tasks()[0]) != cache.path_for(explorer.tasks()[0])
 
     def test_clear_removes_entries(self, explorer, tmp_path):
         cache = CellCache(tmp_path, context_fingerprint(explorer.context))
@@ -206,7 +211,7 @@ def _stub_result() -> ExplorationResult:
         time_window=8,
         clean_accuracy=0.9,
         learnable=True,
-        robustness={1.0: 0.5},
+        curves={"pgd": {1.0: 0.5}},
     )
     return ExplorationResult(
         v_thresholds=(1.0,), time_windows=(8,), cells=[cell], metadata={}

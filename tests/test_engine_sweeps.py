@@ -23,14 +23,14 @@ from pathlib import Path
 import pytest
 
 from repro.engine import (
+    CellCache,
     ContextSpec,
     ShardSpec,
-    SweepCache,
     WeightCache,
+    context_fingerprint,
     merge_event_logs,
-    run_sweep_task,
+    run_cell_task,
     run_tasks,
-    sweep_fingerprint,
     training_fingerprint,
 )
 from repro.experiments import (
@@ -103,36 +103,40 @@ class TestSweepTasks:
             assert task.time_steps > 0
             assert task.time_steps == builder(task).time_steps
 
-    def test_run_sweep_task_shape(self):
+    def test_run_cell_task_shape_for_an_ungated_variant(self):
         profile = get_profile("micro")
         context = build_ablation_context(profile)
         task = build_ablation_tasks(profile, factors=("attack",))[0]
-        result = run_sweep_task(context, task)
+        result = run_cell_task(context, task)
         assert set(result.curves) == set(task.attacks)
         assert 0.0 <= result.clean_accuracy <= 1.0
         for curve in result.curves.values():
             assert set(curve) == set(task.epsilons)
         assert not result.weights_from_cache
         assert result.elapsed_seconds > 0.0
-        # Per-phase breakdown: trained fresh, so all three phases ran and
-        # roughly account for the elapsed wall time.
-        assert set(result.phase_seconds) == {"train_s", "eval_s", "attack_s"}
+        # Per-phase breakdown: trained fresh (the clean score is part of
+        # the train phase), so both phases ran and roughly account for
+        # the elapsed wall time.
+        assert set(result.phase_seconds) == {"train_s", "attack_s"}
         assert all(value >= 0.0 for value in result.phase_seconds.values())
         assert sum(result.phase_seconds.values()) <= result.elapsed_seconds
 
     def test_phase_seconds_roundtrip_and_equality(self):
-        from repro.engine.sweep import SweepResult
+        from repro.robustness.results import CellResult
 
-        result = SweepResult(
-            key="k", clean_accuracy=0.5, curves={"pgd": {0.5: 0.4}},
+        result = CellResult(
+            None, 0, clean_accuracy=0.5, learnable=True,
+            curves={"pgd": {0.5: 0.4}, "fgsm": {0.5: 0.3}},
             phase_seconds={"train_s": 1.5, "attack_s": 0.25},
         )
-        clone = SweepResult.from_dict(result.as_dict())
+        clone = CellResult.from_dict(result.as_dict())
+        assert clone == result
         assert clone.phase_seconds == result.phase_seconds
         # Provenance: two scientifically identical results compare equal
         # regardless of their timings.
-        other = SweepResult(
-            key="k", clean_accuracy=0.5, curves={"pgd": {0.5: 0.4}},
+        other = CellResult(
+            None, 0, clean_accuracy=0.5, learnable=True,
+            curves={"pgd": {0.5: 0.4}, "fgsm": {0.5: 0.3}},
             phase_seconds={"train_s": 99.0},
         )
         assert result == other
@@ -143,14 +147,14 @@ class TestSpawnBackend:
         profile = get_profile("micro")
         context = build_ablation_context(profile)
         tasks = build_ablation_tasks(profile, factors=("reset",))
-        serial, serial_stats = run_tasks(context, tasks, run_sweep_task)
+        serial, serial_stats = run_tasks(context, tasks, run_cell_task)
         spec = ContextSpec(
             "repro.experiments.sweeps:build_ablation_context", {"profile": "micro"}
         )
         spawned, stats = run_tasks(
             context,
             tasks,
-            run_sweep_task,
+            run_cell_task,
             jobs=2,
             start_method="spawn",
             context_spec=spec,
@@ -165,7 +169,7 @@ class TestSpawnBackend:
         context = build_ablation_context(profile)
         tasks = build_ablation_tasks(profile, factors=("reset",))
         with pytest.raises(ValueError, match="context_spec"):
-            run_tasks(context, tasks, run_sweep_task, jobs=2, start_method="spawn")
+            run_tasks(context, tasks, run_cell_task, jobs=2, start_method="spawn")
 
     def test_spawn_without_spec_rejected_even_with_nothing_pending(self):
         # The programming error must not pass or fail with cache warmth:
@@ -173,14 +177,14 @@ class TestSpawnBackend:
         profile = get_profile("micro")
         context = build_ablation_context(profile)
         with pytest.raises(ValueError, match="context_spec"):
-            run_tasks(context, [], run_sweep_task, jobs=4, start_method="spawn")
+            run_tasks(context, [], run_cell_task, jobs=4, start_method="spawn")
 
     def test_bad_start_method_rejected(self):
         profile = get_profile("micro")
         context = build_ablation_context(profile)
         tasks = build_ablation_tasks(profile, factors=("reset",))
         with pytest.raises(ValueError, match="start_method"):
-            run_tasks(context, tasks, run_sweep_task, start_method="threads")
+            run_tasks(context, tasks, run_cell_task, start_method="threads")
 
     def test_context_spec_validates_target(self):
         with pytest.raises(ValueError, match="package.module:function"):
@@ -246,8 +250,8 @@ class TestFig1Engine:
         assert _fig1_science(first) == _fig1_science(serial)
         profile = get_profile("micro")
         context = build_fig1_context(profile, cache_dir=tmp_path)
-        cache = SweepCache(
-            tmp_path, sweep_fingerprint(context, tags=_model_tags(profile, "fig1"))
+        cache = CellCache(
+            tmp_path, context_fingerprint(context, tags=_model_tags(profile, "fig1"))
         )
         tasks = build_fig1_tasks(profile)
         cache.path_for(tasks[1]).unlink()
@@ -274,12 +278,13 @@ class TestFig1Engine:
         lease_ttl = 0.25
         script = (
             "import sys, time\n"
-            "from repro.experiments import run_fig1, sweeps\n"
-            "inner = sweeps.run_sweep_task\n"
+            "from repro.experiments import run_fig1\n"
+            "from repro.engine import scheduler\n"
+            "inner = scheduler.run_cell_task\n"
             "def padded(context, task):\n"
             "    time.sleep(4 * float(sys.argv[2]))\n"
             "    return inner(context, task)\n"
-            "sweeps.run_sweep_task = padded\n"
+            "scheduler.run_cell_task = padded\n"
             "root = sys.argv[1]\n"
             "run_fig1('micro', cache_dir=root + '/cache', queue_dir=root,"
             " lease_ttl=float(sys.argv[2]))\n"
@@ -331,8 +336,8 @@ class TestFig9Engine:
         first = run_fig9("micro", cache_dir=tmp_path)
         profile = get_profile("micro")
         context = build_fig9_context(profile, cache_dir=tmp_path)
-        cache = SweepCache(
-            tmp_path, sweep_fingerprint(context, tags=_model_tags(profile, "fig9"))
+        cache = CellCache(
+            tmp_path, context_fingerprint(context, tags=_model_tags(profile, "fig9"))
         )
         tasks = build_fig9_tasks(profile)
         assert len(cache) == len(tasks)
@@ -374,13 +379,13 @@ class TestFig9Engine:
         profile = get_profile("micro")
         other = dataclasses.replace(profile, snn_model="snn_cnn5")
         context = build_fig9_context(profile)
-        fp_a = sweep_fingerprint(context, tags=_model_tags(profile, "fig9"))
-        fp_b = sweep_fingerprint(context, tags=_model_tags(other, "fig9"))
+        fp_a = context_fingerprint(context, tags=_model_tags(profile, "fig9"))
+        fp_b = context_fingerprint(context, tags=_model_tags(other, "fig9"))
         assert fp_a != fp_b
         # ...and run_fig9 really keys its checkpoints with the model tags.
         run_fig9("micro", cache_dir=tmp_path)
-        assert len(SweepCache(tmp_path, fp_a)) == 3
-        assert len(SweepCache(tmp_path, fp_b)) == 0
+        assert len(CellCache(tmp_path, fp_a)) == 3
+        assert len(CellCache(tmp_path, fp_b)) == 0
 
     def test_weights_reused_counts_this_run_only(self, tmp_path):
         run_fig9("micro", cache_dir=tmp_path)
@@ -411,8 +416,8 @@ class TestAblationEngine:
         first = run_ablation_suite("micro", factors=factors, cache_dir=tmp_path)
         profile = get_profile("micro")
         context = build_ablation_context(profile, cache_dir=tmp_path)
-        cache = SweepCache(
-            tmp_path, sweep_fingerprint(context, tags=_model_tags(profile, "ablation"))
+        cache = CellCache(
+            tmp_path, context_fingerprint(context, tags=_model_tags(profile, "ablation"))
         )
         tasks = build_ablation_tasks(profile, factors=factors)
         cache.path_for(tasks[0]).unlink()
@@ -633,7 +638,7 @@ class TestCacheCLI:
         sweeps = [e for e in entries if e["kind"] == "sweep"]
         for entry in sweeps:
             timings = entry["timings"]
-            assert {"elapsed_s", "train_s", "eval_s", "attack_s"} <= set(timings)
+            assert {"elapsed_s", "train_s", "attack_s"} <= set(timings)
         # Weight archives carry no result payload, hence no timings.
         assert all(
             e["timings"] is None for e in entries if e["kind"] == "weights"
@@ -742,3 +747,165 @@ class TestCacheCLI:
     def test_stats_on_missing_directory(self, tmp_path, capsys):
         stats = self._stats(capsys, tmp_path / "nope")
         assert stats["entries"] == 0
+
+
+# -- one job family -----------------------------------------------------------
+
+
+def _diverging_context(weight_cache, accuracy_threshold):
+    """A context whose model's loss is non-finite from the first batch."""
+    import numpy as np
+
+    from repro import nn
+    from repro.data import ArrayDataset
+    from repro.engine import JobContext
+    from repro.training import TrainingConfig
+
+    rng = np.random.default_rng(0)
+    data = ArrayDataset(
+        rng.random((16, 1, 4, 4)).astype(np.float32), rng.integers(0, 4, 16)
+    )
+
+    def build(task):
+        model = nn.Sequential(nn.Flatten(), nn.Linear(16, 4, rng=task.train_seed))
+        model.layers[1].weight.data[...] = np.inf
+        return model
+
+    return JobContext(
+        model_builder=build,
+        train_set=data,
+        clean_eval_set=data,
+        attack_set=data,
+        training=TrainingConfig(epochs=1, batch_size=8),
+        accuracy_threshold=accuracy_threshold,
+        weight_cache=weight_cache,
+    )
+
+
+class TestDivergence:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("gated", [True, False], ids=["grid-cell", "variant"])
+    def test_diverged_training_outcome_per_task_shape(self, tmp_path, monkeypatch, gated):
+        from repro.engine import job, make_cell_task, make_variant_task
+        from repro.errors import TrainingError
+        from repro.utils.seeding import SeedSequence
+
+        def no_attack(*args, **kwargs):
+            raise AssertionError("a diverged model was attacked")
+
+        monkeypatch.setattr(job, "robustness_curve", no_attack)
+        weights = WeightCache(tmp_path, "f" * 64)
+        seeds = SeedSequence(3)
+        if gated:
+            # A grid cell: recorded as diverged, gated out, never attacked
+            # and never archived.
+            context = _diverging_context(weights, 0.5)
+            cell = run_cell_task(context, make_cell_task(seeds, 0, 1.0, 4, (0.5,)))
+            assert cell.diverged and not cell.learnable
+            assert cell.clean_accuracy == 0.0
+            assert cell.curves == {} and cell.robustness == {}
+            assert set(cell.phase_seconds) == {"train_s"}
+        else:
+            # An ungated variant has no gate to fail, so divergence raises.
+            context = _diverging_context(weights, None)
+            task = make_variant_task(seeds, 0, "snn", "ablation", epsilons=(0.5,))
+            with pytest.raises(TrainingError):
+                run_cell_task(context, task)
+        assert len(weights) == 0
+
+
+def _parent_payload(task, result) -> dict:
+    """A checkpoint in the format-1 payload shape: grid cells and other
+    variants were two stores with two task and result shapes."""
+    if task.kind == "cell":
+        return {
+            "version": 1,
+            "task": {
+                "index": task.index, "v_th": task.v_th,
+                "time_window": task.time_window, "cell_seed": task.train_seed,
+                "attack_seed": task.attack_seed,
+            },
+            "cell": result.as_dict(),
+        }
+    return {
+        "version": 1,
+        "task": {
+            "index": task.index, "key": task.key, "kind": task.kind,
+            "params": [list(pair) for pair in task.params],
+            "attacks": list(task.attacks), "epsilons": list(task.epsilons),
+            "train_seed": task.train_seed, "attack_seed": task.attack_seed,
+        },
+        "result": {
+            "key": task.key, "clean_accuracy": result.clean_accuracy,
+            "curves": {
+                attack: {repr(eps): value for eps, value in curve.items()}
+                for attack, curve in result.curves.items()
+            },
+            "weights_from_cache": False,
+            "elapsed_seconds": result.elapsed_seconds,
+            "phase_seconds": {"train_s": 0.5, "eval_s": 0.1, "attack_s": 0.2},
+            "worker": "MainProcess",
+        },
+    }
+
+
+class TestFormatOneCheckpoints:
+    def test_resume_misses_old_checkpoints_and_reuses_their_weights(self, tmp_path, capsys):
+        # A checkpoint written before the format bump, sitting where the
+        # store looks: it is a miss (never an error), the trained weights
+        # still hit, and the maintenance commands still count and prune it.
+        from repro.engine import build_cell_tasks
+        from repro.experiments.fig678_grid import grid_search_tags
+        from repro.experiments.sweeps import build_grid_context, grid_config
+
+        profile = get_profile("micro")
+        grid = run_grid_exploration(profile, cache_dir=tmp_path)
+        fig9 = run_fig9(profile, cache_dir=tmp_path)
+        cell_task = build_cell_tasks(grid_config(profile))[0]
+        cell_store = CellCache(
+            tmp_path,
+            context_fingerprint(build_grid_context(profile), tags=grid_search_tags(profile)),
+        )
+        sweep_task = build_fig9_tasks(profile)[1]
+        sweep_store = CellCache(
+            tmp_path,
+            context_fingerprint(build_fig9_context(profile), tags=_model_tags(profile, "fig9")),
+        )
+        old = {}
+        for store, task in ((cell_store, cell_task), (sweep_store, sweep_task)):
+            path = store.path_for(task)
+            payload = _parent_payload(task, store.get(task))
+            path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+            old[task.family] = path
+        assert sorted(old) == ["cell", "sweep"]
+        assert cell_store.get(cell_task) is None
+        assert sweep_store.get(sweep_task) is None
+
+        regrid = run_grid_exploration(profile, cache_dir=tmp_path, resume=True)
+        refig9 = run_fig9(profile, cache_dir=tmp_path, resume=True)
+        assert regrid.cells == grid.cells
+        assert regrid.metadata["engine"]["computed_cells"] == 1
+        assert (refig9.snn_curves, refig9.cnn_curve) == (fig9.snn_curves, fig9.cnn_curve)
+        assert refig9.metadata["weights_reused"] == 1
+        assert refig9.metadata["engine"]["computed_cells"] == 1
+
+        # The re-run replaced both files; put the old shape back for the
+        # maintenance commands.
+        for family, path in old.items():
+            task = cell_task if family == "cell" else sweep_task
+            store = cell_store if family == "cell" else sweep_store
+            path.write_text(json.dumps(_parent_payload(task, store.get(task))))
+        capsys.readouterr()
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path), "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["by_kind"]["cell"]["entries"] == len(grid.cells)
+        assert stats["by_kind"]["sweep"]["entries"] == 3
+        assert main(["cache", "inspect", "--cache-dir", str(tmp_path), "--json"]) == 0
+        capsys.readouterr()
+        for path in old.values():
+            os.utime(path, (0, 0))
+        assert main(["cache", "gc", "--cache-dir", str(tmp_path), "--max-age-days", "1"]) == 0
+        assert not any(path.exists() for path in old.values())
+        assert sorted(tmp_path.glob("cell_*.json")) and sorted(tmp_path.glob("sweep_*.json"))
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+        assert not sorted(tmp_path.glob("*_*.json"))

@@ -37,7 +37,7 @@ from repro.engine import (
     context_fingerprint,
     run_tasks,
 )
-from repro.engine.job import run_cell_task
+from repro.engine.job import CellTask, run_cell_task
 from repro.engine.metrics import (
     ATTEMPT_BUCKETS,
     CATALOG,
@@ -63,6 +63,7 @@ from repro.engine.metrics import (
 )
 from repro.experiments.runner import main
 from repro.robustness import ExplorationConfig, RobustnessExplorer
+from repro.robustness.results import CellResult
 from repro.training import TrainingConfig
 
 FINGERPRINT = "f" * 64
@@ -113,21 +114,24 @@ def _sample(snapshot: dict, name: str, **labels):
     return None
 
 
+_CELL_TASK = CellTask(0, "cell_vth1_T8", "cell")
+_SWEEP_TASK = CellTask(1, "cnn", "fig9_cnn")
+
+
 def _record_fixed_sequence() -> None:
     """One pass through every helper, touching all nine catalogue metrics."""
-    SweepResult = type("SweepResult", (), {})
     cell = SimpleNamespace(phase_seconds={
         "train_s": 0.25,        # 250 ms: exactly on a latency bound
         "attack_s": 0.0123,     # a fractional sum
         "eval_s": 700.0,        # past the last bound: +Inf
         "note": "skipped",      # not a number: never observed
     })
-    record_task(cell, cached=False)
-    record_task(cell, cached=True)
-    sweep = SweepResult()
-    sweep.phase_seconds = {"train_s": 1.5, "attack_s": 0.004}
-    record_task(sweep, cached=False)
-    record_task(SimpleNamespace(stack_size=4, phase_seconds={"train_s": 3.0}),
+    record_task(_CELL_TASK, cell, cached=False)
+    record_task(_CELL_TASK, cell, cached=True)
+    sweep = CellResult(None, 0, 0.5, True,
+                       phase_seconds={"train_s": 1.5, "attack_s": 0.004})
+    record_task(_SWEEP_TASK, sweep, cached=False)
+    record_task(_CELL_TASK, SimpleNamespace(stack_size=4, phase_seconds={"train_s": 3.0}),
                 cached=False)
     for kind, op in (("cell", "miss"), ("cell", "put"), ("cell", "hit"),
                      ("weights", "hit"), ("sweep", "miss"), ("cell", "hit")):
@@ -171,7 +175,7 @@ class TestPrimitives:
         for seconds in (0.25, 0.250001, 0.5, 1e6):
             # 250 ms is exactly on a bound (le=250), 250.001 ms just over
             # (le=500), 500 ms on the next bound, 1e9 ms past the last: +Inf.
-            record_task(SimpleNamespace(phase_seconds={"train_s": seconds}), cached=False)
+            record_task(_CELL_TASK, SimpleNamespace(phase_seconds={"train_s": seconds}), cached=False)
         snap = snapshot()
         train = _sample(snap, "repro_task_phase_duration_ms", job="cell", phase="train")
         expected = [0] * (len(LATENCY_BUCKETS_MS) + 1)
@@ -189,7 +193,7 @@ class TestPrimitives:
 
     def test_default_buckets_are_the_latency_ladder(self, tmp_path):
         configure_metrics(tmp_path)
-        record_task(SimpleNamespace(phase_seconds={"train_s": 1.0}), cached=False)
+        record_task(_CELL_TASK, SimpleNamespace(phase_seconds={"train_s": 1.0}), cached=False)
         record_task_attempts("committed", 1)
         snap = snapshot()
         phases = snap["metrics"]["repro_task_phase_duration_ms"]
@@ -208,7 +212,7 @@ class TestPrimitives:
 
     def test_computed_task_without_phases_lists_the_phase_family(self, tmp_path):
         configure_metrics(tmp_path)
-        record_task(SimpleNamespace(phase_seconds={}), cached=False)
+        record_task(_CELL_TASK, SimpleNamespace(phase_seconds={}), cached=False)
         assert snapshot()["metrics"]["repro_task_phase_duration_ms"]["samples"] == []
 
     def test_snapshot_is_a_copy(self, tmp_path):
@@ -435,14 +439,14 @@ class TestSnapshotFiles:
 
 class TestRecordingHelpers:
     def test_helpers_are_noops_when_disabled(self):
-        record_task(SimpleNamespace(phase_seconds={"train_s": 1.0}), cached=False)
+        record_task(_CELL_TASK, SimpleNamespace(phase_seconds={"train_s": 1.0}), cached=False)
         record_cache("cell", "hit")
         assert snapshot()["metrics"] == {}
 
     def test_record_task_counts_and_observes_phases(self, tmp_path):
         configure_metrics(tmp_path)
         result = SimpleNamespace(phase_seconds={"train_s": 0.5, "attack_s": 0.02})
-        record_task(result, cached=False)
+        record_task(_CELL_TASK, result, cached=False)
         snap = snapshot()
         assert _sample(snap, "repro_tasks_total", job="cell", status="computed") == 1.0
         train = _sample(snap, "repro_task_phase_duration_ms", job="cell", phase="train")
@@ -452,16 +456,15 @@ class TestRecordingHelpers:
 
     def test_cached_tasks_skip_the_phase_histograms(self, tmp_path):
         configure_metrics(tmp_path)
-        record_task(SimpleNamespace(phase_seconds={"train_s": 9.0}), cached=True)
+        record_task(_CELL_TASK, SimpleNamespace(phase_seconds={"train_s": 9.0}), cached=True)
         snap = snapshot()
         assert _sample(snap, "repro_tasks_total", job="cell", status="cached") == 1.0
         assert "repro_task_phase_duration_ms" not in snap["metrics"]
 
     def test_job_kind_inference(self, tmp_path):
         configure_metrics(tmp_path)
-        record_task(SimpleNamespace(stack_size=3, phase_seconds={}), cached=False)
-        SweepResult = type("SweepResult", (), {"phase_seconds": {}})
-        record_task(SweepResult(), cached=False)
+        record_task(_CELL_TASK, SimpleNamespace(stack_size=3, phase_seconds={}), cached=False)
+        record_task(_SWEEP_TASK, CellResult(None, 0, 0.5, True), cached=False)
         snap = snapshot()
         assert _sample(snap, "repro_tasks_total", job="stacked", status="computed") == 1.0
         assert _sample(snap, "repro_tasks_total", job="sweep", status="computed") == 1.0

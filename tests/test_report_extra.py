@@ -48,7 +48,7 @@ class TestExplorationResultEdgeCases:
     def test_missing_cells_render_as_nan(self):
         # declare a 2x1 grid but provide only one cell
         result = ExplorationResult(
-            (0.5, 1.0), (8,), [CellResult(0.5, 8, 0.9, True, robustness={1.0: 0.5})]
+            (0.5, 1.0), (8,), [CellResult(0.5, 8, 0.9, True, curves={"pgd": {1.0: 0.5}})]
         )
         grid = result.accuracy_grid()
         assert grid.shape == (1, 2)
@@ -75,7 +75,7 @@ class TestExplorationResultEdgeCases:
 
     def test_robustness_grid_missing_epsilon_is_nan(self):
         result = ExplorationResult(
-            (0.5,), (8,), [CellResult(0.5, 8, 0.9, True, robustness={1.0: 0.5})]
+            (0.5,), (8,), [CellResult(0.5, 8, 0.9, True, curves={"pgd": {1.0: 0.5}})]
         )
         grid = result.robustness_grid(2.0)
         assert np.isnan(grid[0, 0])

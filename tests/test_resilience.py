@@ -144,8 +144,9 @@ def _pad(writer: int) -> str:
 
 
 def _checkpoint_put(directory: Path, writer: int) -> Path:
-    task = CellTask(index=0, v_th=1.0, time_window=8, cell_seed=1, attack_seed=2)
-    value = CellResult(1.0, 8, 0.5, True, robustness={1.0: 0.25}, worker=_pad(writer))
+    task = CellTask(index=0, key="cell_vth1_T8", kind="cell",
+                    params=(("time_window", 8), ("v_th", 1.0)), train_seed=1, attack_seed=2)
+    value = CellResult(1.0, 8, 0.5, True, curves={"pgd": {1.0: 0.25}}, worker=_pad(writer))
     return CellCache(directory, "f" * 64).put(task, value)
 
 

@@ -66,8 +66,11 @@ class TestExplorationConfig:
             ExplorationConfig(**kwargs).validate()
 
     def test_build_attack_uses_bounds(self):
+        from repro.engine import JobContext
+
         config = ExplorationConfig(clip_min=-0.5, clip_max=2.5)
-        attack = config.build_attack(1.0, seed=0)
+        context = JobContext.for_grid(config, None, None, None)
+        attack = context.build_attack(config.attack, 1.0, seed=0)
         assert isinstance(attack, PGD)
         assert attack.clip_min == -0.5
         assert attack.clip_max == 2.5
@@ -150,10 +153,10 @@ class TestRobustnessCurve:
 class TestResults:
     def _cells(self):
         return [
-            CellResult(0.5, 8, 0.9, True, robustness={1.0: 0.6}),
-            CellResult(0.5, 16, 0.8, True, robustness={1.0: 0.7}),
+            CellResult(0.5, 8, 0.9, True, curves={"pgd": {1.0: 0.6}}),
+            CellResult(0.5, 16, 0.8, True, curves={"pgd": {1.0: 0.7}}),
             CellResult(1.0, 8, 0.4, False),
-            CellResult(1.0, 16, 0.95, True, robustness={1.0: 0.2}),
+            CellResult(1.0, 16, 0.95, True, curves={"pgd": {1.0: 0.2}}),
         ]
 
     def _result(self):

@@ -33,7 +33,7 @@ from repro.engine import (
 )
 from repro.engine.cache import split_optimizer_arrays
 from repro.engine.resilience import QUARANTINE_EXIT_CODE, ResilienceConfig
-from repro.engine.job import ExplorationJobContext, WarmStartRef, build_cell_tasks
+from repro.engine.job import JobContext, WarmStartRef, build_cell_tasks
 from repro.engine.search import (
     SearchConfig,
     SearchResult,
@@ -77,9 +77,13 @@ def _config(epochs: int = 2) -> ExplorationConfig:
     )
 
 
-def _context(epochs: int = 2) -> ExplorationJobContext:
+def _context(epochs: int = 2) -> JobContext:
     train, test = _tiny_sets()
-    return ExplorationJobContext(_factory, train, test, _config(epochs))
+    return JobContext.for_grid(_config(epochs), _factory, train, test)
+
+
+def _tasks():
+    return build_cell_tasks(_config())
 
 
 class TestSchedules:
@@ -209,21 +213,21 @@ class TestOptimizerStateArchives:
         # epoch, archiving (weights + Adam moments), then resuming to the
         # full budget must equal one uninterrupted full-budget run.
         full = _context(epochs=2)
-        task = build_cell_tasks(full.config)[0]
+        task = _tasks()[0]
         cold = run_cell_task(full, task)
 
         short = _context(epochs=1)
         cache = WeightCache(tmp_path, FINGERPRINT)
         short.weight_cache = cache
         run_cell_task(short, task)
-        path = cache.path_for(task.weight_key, task.cell_seed)
+        path = cache.path_for(task.key, task.train_seed)
         assert path.is_file()
 
         warm = _context(epochs=2)
         warm.warm_start = {
             task.index: WarmStartRef(
                 path=str(path),
-                source_key=task.weight_key,
+                source_key=task.key,
                 source_epochs=1,
                 distance=0.0,
             )
@@ -233,7 +237,7 @@ class TestOptimizerStateArchives:
         assert resumed.robustness == cold.robustness
         assert resumed.warm_start == {
             "source_file": path.name,
-            "source_key": task.weight_key,
+            "source_key": task.key,
             "source_epochs": 1,
             "start_epoch": 1,
             "distance": 0.0,
@@ -249,17 +253,17 @@ class TestOptimizerStateArchives:
         from repro.utils.serialization import load_npz
 
         raw, meta = load_npz(
-            short.weight_cache.path_for(task.weight_key, task.cell_seed)
+            short.weight_cache.path_for(task.key, task.train_seed)
         )
         legacy_state, _opt = split_optimizer_arrays(raw)
         cache = WeightCache(tmp_path, FINGERPRINT)
-        cache.put(task.weight_key, task.cell_seed, legacy_state, meta)
+        cache.put(task.key, task.train_seed, legacy_state, meta)
 
         warm = _context(epochs=2)
         warm.warm_start = {
             task.index: WarmStartRef(
-                path=str(cache.path_for(task.weight_key, task.cell_seed)),
-                source_key=task.weight_key,
+                path=str(cache.path_for(task.key, task.train_seed)),
+                source_key=task.key,
                 source_epochs=1,
                 distance=0.0,
             )
@@ -270,13 +274,13 @@ class TestOptimizerStateArchives:
 
     def test_unreadable_source_degrades_to_cold(self, tmp_path):
         full = _context(epochs=2)
-        task = build_cell_tasks(full.config)[0]
+        task = _tasks()[0]
         cold = run_cell_task(full, task)
         warm = _context(epochs=2)
         warm.warm_start = {
             task.index: WarmStartRef(
                 path=str(tmp_path / "vanished.npz"),
-                source_key=task.weight_key,
+                source_key=task.key,
                 source_epochs=1,
                 distance=0.0,
             )
@@ -321,8 +325,8 @@ def _search_config(schedule=(1, 2), **overrides) -> SearchConfig:
 class TestHalvingSearch:
     def test_search_finds_the_exhaustive_top1(self, tmp_path):
         context = _context()
-        exhaustive, _ = run_cell_tasks(context, build_cell_tasks(context.config))
-        epsilon = max(context.config.epsilons)
+        exhaustive, _ = run_cell_tasks(context, _tasks())
+        epsilon = max(_config().epsilons)
         best = max(
             (c for c in exhaustive if c.learnable),
             key=lambda c: (c.robustness.get(epsilon, -1.0), c.clean_accuracy),
@@ -332,7 +336,8 @@ class TestHalvingSearch:
         # price of a deterministic agreement assertion (the realistic
         # micro-search profile agrees at eta=4 in CI's check_search gate).
         result = run_halving_search(
-            _context(), _search_config(eta=1.5), tmp_path / "cache"
+            _context(),
+            _tasks(), _search_config(eta=1.5), tmp_path / "cache"
         )
         spot = result.sweet_spot()
         assert spot is not None
@@ -348,7 +353,8 @@ class TestHalvingSearch:
 
     def test_rung_composition_follows_eta(self, tmp_path):
         result = run_halving_search(
-            _context(), _search_config(eta=3.0), tmp_path / "cache"
+            _context(),
+            _tasks(), _search_config(eta=3.0), tmp_path / "cache"
         )
         assert [r.budget for r in result.rungs] == [1, 2]
         assert len(result.rungs[0].cells) == 6
@@ -361,7 +367,8 @@ class TestHalvingSearch:
 
     def test_bias_gate_passes_with_zero_divergence(self, tmp_path):
         result = run_halving_search(
-            _context(), _search_config(), tmp_path / "cache"
+            _context(),
+            _tasks(), _search_config(), tmp_path / "cache"
         )
         gate = result.bias_gate
         assert gate is not None and gate["passed"]
@@ -388,7 +395,8 @@ class TestHalvingSearch:
 
         monkeypatch.setattr(search_module, "_bias_study", biased_study)
         result = run_halving_search(
-            _context(), _search_config(), tmp_path / "cache"
+            _context(),
+            _tasks(), _search_config(), tmp_path / "cache"
         )
         assert not result.warm_start_active
         assert result.warm_start  # it was requested
@@ -397,7 +405,8 @@ class TestHalvingSearch:
 
     def test_no_warm_start_runs_cold_without_gate(self, tmp_path):
         result = run_halving_search(
-            _context(), _search_config(warm_start=False), tmp_path / "cache"
+            _context(),
+            _tasks(), _search_config(warm_start=False), tmp_path / "cache"
         )
         assert result.bias_gate is None
         assert all(r.warm_started == 0 for r in result.rungs)
@@ -405,7 +414,7 @@ class TestHalvingSearch:
 
     def test_cache_dir_is_mandatory(self):
         with pytest.raises(ValueError, match="cache directory"):
-            run_halving_search(_context(), _search_config(), None)
+            run_halving_search(_context(), _tasks(), _search_config(), None)
 
     def test_parity_serial_jobs_stack_queue(self, tmp_path):
         """Same seed + same (fresh) cache state => identical search."""
@@ -441,16 +450,20 @@ class TestHalvingSearch:
             }
 
         serial = run_halving_search(
-            _context(), _search_config(), tmp_path / "c-serial"
+            _context(),
+            _tasks(), _search_config(), tmp_path / "c-serial"
         )
         jobs = run_halving_search(
-            _context(), _search_config(), tmp_path / "c-jobs", jobs=2
+            _context(),
+            _tasks(), _search_config(), tmp_path / "c-jobs", jobs=2
         )
         stacked = run_halving_search(
-            _context(), _search_config(), tmp_path / "c-stack", stack=2
+            _context(),
+            _tasks(), _search_config(), tmp_path / "c-stack", stack=2
         )
         queued = run_halving_search(
             _context(),
+            _tasks(),
             _search_config(),
             tmp_path / "c-queue",
             queue_dir=tmp_path / "q",
@@ -467,7 +480,8 @@ class TestHalvingSearch:
         # manifest must expect exactly those ids, not range(candidates).
         queue = {"queue_dir": tmp_path / "q", "lease_ttl": 30.0} if queued else {}
         result = run_halving_search(
-            _context(), _search_config(), tmp_path / "cache", **queue
+            _context(),
+            _tasks(), _search_config(), tmp_path / "cache", **queue
         )
         promoted = [(c.v_th, c.time_window) for c in result.rungs[1].cells]
         assert promoted == [(0.5, 2), (0.5, 4), (1.0, 4)]  # grid ids 0, 1, 3
@@ -483,6 +497,7 @@ class TestHalvingSearch:
         with pytest.raises(ExplorationError, match="quarantined"):
             run_halving_search(
                 _context(),
+                _tasks(),
                 _search_config(),
                 tmp_path / "cache",
                 queue_dir=tmp_path / "q",
@@ -494,10 +509,12 @@ class TestHalvingSearch:
 
     def test_resume_replays_rungs_from_checkpoints(self, tmp_path):
         first = run_halving_search(
-            _context(), _search_config(), tmp_path / "cache"
+            _context(),
+            _tasks(), _search_config(), tmp_path / "cache"
         )
         replay = run_halving_search(
-            _context(), _search_config(), tmp_path / "cache", resume=True
+            _context(),
+            _tasks(), _search_config(), tmp_path / "cache", resume=True
         )
         assert [r.survivors for r in replay.rungs] == [
             r.survivors for r in first.rungs
@@ -508,7 +525,8 @@ class TestHalvingSearch:
 
     def test_json_round_trip(self, tmp_path):
         result = run_halving_search(
-            _context(), _search_config(), tmp_path / "cache"
+            _context(),
+            _tasks(), _search_config(), tmp_path / "cache"
         )
         path = tmp_path / "out" / "search.json"
         result.to_json(path)

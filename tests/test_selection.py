@@ -16,11 +16,11 @@ from repro.robustness import (
 
 def _result() -> ExplorationResult:
     cells = [
-        CellResult(0.5, 8, 0.95, True, robustness={1.0: 0.30}),
-        CellResult(0.5, 16, 0.90, True, robustness={1.0: 0.60}),
+        CellResult(0.5, 8, 0.95, True, curves={"pgd": {1.0: 0.30}}),
+        CellResult(0.5, 16, 0.90, True, curves={"pgd": {1.0: 0.60}}),
         CellResult(1.0, 8, 0.40, False),                          # gated out
-        CellResult(1.0, 16, 0.97, True, robustness={1.0: 0.20}),
-        CellResult(1.5, 16, 0.85, True, robustness={1.0: 0.60}),  # tie on rob.
+        CellResult(1.0, 16, 0.97, True, curves={"pgd": {1.0: 0.20}}),
+        CellResult(1.5, 16, 0.85, True, curves={"pgd": {1.0: 0.60}}),  # tie on rob.
     ]
     return ExplorationResult((0.5, 1.0, 1.5), (8, 16), cells)
 
@@ -80,7 +80,7 @@ class TestParetoFront:
 
     def test_single_cell_grid(self):
         result = ExplorationResult(
-            (1.0,), (8,), [CellResult(1.0, 8, 0.9, True, robustness={0.5: 0.4})]
+            (1.0,), (8,), [CellResult(1.0, 8, 0.9, True, curves={"pgd": {0.5: 0.4}})]
         )
         front = pareto_front(result, epsilon=0.5)
         assert len(front) == 1

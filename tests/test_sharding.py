@@ -206,7 +206,7 @@ class TestCacheMerge:
         task = ShardSpec(0, 2).partition(explorer.tasks())[0]
         clone = tmp_path / "b" / cache_a.path_for(task).name
         payload = json.loads(cache_a.path_for(task).read_text())
-        payload["cell"]["clean_accuracy"] = 0.123456
+        payload["result"]["clean_accuracy"] = 0.123456
         clone.write_text(json.dumps(payload))
         destination = tmp_path / "merged"
         with pytest.raises(CacheMergeError, match="conflict"):
@@ -377,13 +377,13 @@ class TestManifestInvalidation:
     def test_failed_checkpoint_writes_are_not_certified(
         self, tmp_path, monkeypatch
     ):
-        from repro.engine.cache import SweepCache
+        from repro.engine.cache import CellCache
         from repro.experiments import run_fig9
 
         def refuse(self, task, value):
             raise OSError("disk full")
 
-        monkeypatch.setattr(SweepCache, "put", refuse)
+        monkeypatch.setattr(CellCache, "put", refuse)
         result = run_fig9("micro", cache_dir=tmp_path)
         # The run itself succeeds (checkpointing is a convenience)...
         assert result.metadata["engine"]["computed_cells"] == 3

@@ -18,7 +18,6 @@ from repro.data.dataset import ArrayDataset
 from repro.engine import scheduler
 from repro.engine.cache import (
     CellCache,
-    SweepCache,
     WeightCache,
     cache_stats,
     context_fingerprint,
@@ -30,12 +29,11 @@ from repro.engine.costs import (
     deadline_estimator,
     order_tasks,
 )
-from repro.engine.job import CellTask, ExplorationJobContext, build_cell_tasks
+from repro.engine.job import CellTask, JobContext, build_cell_tasks
 from repro.engine.resilience import ResilienceConfig
 from repro.engine.scheduler import ContextSpec, run_cell_tasks, run_tasks
 from repro.engine.stacking import pack_stacks
-from repro.engine.sweep import SweepResult, SweepTask
-from repro.experiments.sweeps import build_grid_context
+from repro.experiments.sweeps import build_grid_context, grid_config
 from repro.models.spiking_lenet import build_spiking_lenet_mini
 from repro.robustness.config import ExplorationConfig
 from repro.robustness.results import CellResult
@@ -373,15 +371,13 @@ class TestStackedEngine:
         factory, train, test, config = _grid_fixture()
         tasks = build_cell_tasks(config)
 
-        ctx_a = ExplorationJobContext(
-            _unrolled_graph_factory(factory), train, test, config
-        )
+        ctx_a = JobContext.for_grid(config, _unrolled_graph_factory(factory), train, test)
         ctx_a.weight_cache = WeightCache(
             tmp_path / "a", training_fingerprint(train, config.training)
         )
         base, _stats = run_cell_tasks(ctx_a, tasks)
 
-        ctx_b = ExplorationJobContext(factory, train, test, config)
+        ctx_b = JobContext.for_grid(config, factory, train, test)
         ctx_b.weight_cache = WeightCache(
             tmp_path / "b", training_fingerprint(train, config.training)
         )
@@ -397,12 +393,12 @@ class TestStackedEngine:
         # archives, so a later --resume re-sweep is provably unaffected
         # by how the original run was stacked.
         for task in tasks:
-            path_a = ctx_a.weight_cache.path_for(task.weight_key, task.cell_seed)
-            path_b = ctx_b.weight_cache.path_for(task.weight_key, task.cell_seed)
+            path_a = ctx_a.weight_cache.path_for(task.key, task.train_seed)
+            path_b = ctx_b.weight_cache.path_for(task.key, task.train_seed)
             assert path_a.is_file() == path_b.is_file()
             if path_a.is_file():
-                got_a = ctx_a.weight_cache.get(task.weight_key, task.cell_seed)
-                got_b = ctx_b.weight_cache.get(task.weight_key, task.cell_seed)
+                got_a = ctx_a.weight_cache.get(task.key, task.train_seed)
+                got_b = ctx_b.weight_cache.get(task.key, task.train_seed)
                 for key in got_a[0]:
                     assert got_a[0][key].tobytes() == got_b[0][key].tobytes()
 
@@ -418,7 +414,7 @@ class TestStackedEngine:
         # --stack composes with --jobs: each pool worker runs whole
         # stacked units, and every cell stays bitwise serial.
         context = build_grid_context("micro")
-        tasks = build_cell_tasks(context.config)
+        tasks = build_cell_tasks(grid_config("micro"))
         serial, _stats = run_cell_tasks(context, tasks)
         spec = ContextSpec("repro.experiments.sweeps:build_grid_context",
                            {"profile": "micro"})
@@ -443,11 +439,9 @@ class TestStackedEngine:
                 model.layers[0].cell = _UnknownLIFCell(model.layers[0].cell.params)
             return model
 
-        ctx_a = ExplorationJobContext(
-            _unrolled_graph_factory(factory), train, test, config
-        )
+        ctx_a = JobContext.for_grid(config, _unrolled_graph_factory(factory), train, test)
         base, _stats = run_cell_tasks(ctx_a, tasks)
-        ctx_b = ExplorationJobContext(suspicious_factory, train, test, config)
+        ctx_b = JobContext.for_grid(config, suspicious_factory, train, test)
         stacked, _stats = run_cell_tasks(ctx_b, tasks, stack=4)
         for expected, got in zip(base, stacked):
             assert expected == got
@@ -460,7 +454,7 @@ class TestStackedEngine:
     def test_pack_stacks_diverts_weight_cache_hits(self, tmp_path):
         factory, train, test, config = _grid_fixture()
         tasks = build_cell_tasks(config)[:2]
-        context = ExplorationJobContext(factory, train, test, config)
+        context = JobContext.for_grid(config, factory, train, test)
         context.weight_cache = WeightCache(
             tmp_path, training_fingerprint(train, config.training)
         )
@@ -477,12 +471,15 @@ class TestStackedEngine:
 
 
 def _cell(index, v_th, time_window):
-    return CellTask(index, v_th, time_window, cell_seed=0, attack_seed=0)
+    return CellTask(
+        index, f"cell_vth{v_th:g}_T{time_window}", "cell",
+        params=(("time_window", time_window), ("v_th", v_th)),
+    )
 
 
 def _variant(index, key, time_window=None):
     params = () if time_window is None else (("time_window", time_window),)
-    return SweepTask(index=index, key=key, kind="fig9_snn", params=params)
+    return CellTask(index=index, key=key, kind="fig9_snn", params=params)
 
 
 def _cell_result(task, elapsed_seconds=0.0, phase_seconds=None):
@@ -498,15 +495,15 @@ def _cell_result(task, elapsed_seconds=0.0, phase_seconds=None):
 
 def _reference_order_cell_tasks(tasks, costs):
     """The cell-only ordering rule the shared cost model replaced, over
-    measured seconds keyed by ``(v_th, time_window)``: the oracle the
+    measured ``(seconds, time_window)`` keyed by cell: the oracle the
     shared rule must reproduce on grid cells."""
     rates = sorted(
-        seconds / steps for (_v, steps), seconds in costs.items() if steps > 0
+        seconds / steps for seconds, steps in costs.values() if steps > 0
     )
     rate = rates[len(rates) // 2] if rates else None
 
     def estimate(task):
-        known = costs.get((float(task.v_th), int(task.time_window)))
+        known = costs.get(task.key, (None,))[0]
         if known is not None:
             return known
         steps = int(task.time_window)
@@ -524,12 +521,12 @@ class TestCostOrdering:
     def test_measured_costs_win_over_t(self):
         tasks = [_cell(0, 0.5, 4), _cell(1, 1.0, 64)]
         # A measured slow T=4 cell outranks an estimated T=64 one.
-        costs = {(0.5, 4): (100.0, 4), (1.0, 64): (1.0, 64)}
+        costs = {"cell_vth0.5_T4": (100.0, 4), "cell_vth1_T64": (1.0, 64)}
         ordered = order_tasks(tasks, costs)
         assert [task.index for task in ordered] == [0, 1]
 
     def test_unmeasured_tasks_priced_by_median_rate(self):
-        estimate = cost_estimator({(0.5, 10): (20.0, 10)})  # 2 s per step
+        estimate = cost_estimator({"cell_vth0.5_T10": (20.0, 10)})  # 2 s per step
         assert estimate(_cell(0, 1.0, 8)) == pytest.approx(16.0)
         assert estimate(_cell(1, 0.5, 10)) == 20.0
 
@@ -559,17 +556,16 @@ class TestCostOrdering:
             cache.put(task, _cell_result(task, float(rng.uniform(0.1, 50.0))))
         costs = cached_costs(cache)
         assert len(costs) == len(measured)
-        seconds = {key: value for key, (value, _steps) in costs.items()}
         for _ in range(5):
             shuffled = [tasks[i] for i in rng.permutation(len(tasks))]
             assert order_tasks(shuffled, costs) == _reference_order_cell_tasks(
-                shuffled, seconds
+                shuffled, costs
             )
 
     def test_cached_costs_read_from_checkpoints(self, tmp_path):
         factory, train, test, config = _grid_fixture()
         tasks = build_cell_tasks(config)
-        context = ExplorationJobContext(factory, train, test, config)
+        context = JobContext.for_grid(config, factory, train, test)
         cache = CellCache(tmp_path, context_fingerprint(context))
         cache.put(
             tasks[0],
@@ -578,11 +574,9 @@ class TestCostOrdering:
             ),
         )
         costs = cached_costs(cache)
-        assert costs == {
-            (tasks[0].v_th, tasks[0].time_window): (12.5, tasks[0].time_window)
-        }
+        assert costs == {tasks[0].key: (12.5, tasks[0].time_window)}
         assert tasks[0].cost_key in costs
-        assert cached_costs(SweepCache(tmp_path, "f" * 64)) == {}
+        assert cached_costs(CellCache(tmp_path / "empty", "f" * 64)) == {}
 
     def test_scheduler_returns_declared_order_despite_reordering(self, tmp_path):
         factory, train, test, config = _grid_fixture()
@@ -615,12 +609,9 @@ class TestSweepPricing:
     """Sweep variants are priced by the same rule as grid cells."""
 
     def _history(self, tmp_path, seconds):
-        cache = SweepCache(tmp_path, "f" * 64)
+        cache = CellCache(tmp_path, "f" * 64)
         measured = _variant(1, "snn_vth1_T64", 64)
-        cache.put(
-            measured,
-            SweepResult(key=measured.key, clean_accuracy=0.5, elapsed_seconds=seconds),
-        )
+        cache.put(measured, _cell_result(measured, seconds))
         return cache, [_variant(0, "snn_vth1_T32", 32), measured]
 
     def test_unmeasured_variant_priced_by_the_history_rate(self, tmp_path):
@@ -630,11 +621,11 @@ class TestSweepPricing:
 
         def run(context, task):
             executed.append(task.key)
-            return SweepResult(key=task.key, clean_accuracy=0.5)
+            return _cell_result(task)
 
         results, _stats = run_tasks(None, tasks, run, cache=cache)
         assert executed == ["snn_vth1_T64", "snn_vth1_T32"]
-        assert [result.key for result in results] == [task.key for task in tasks]
+        assert [r.time_window for r in results] == [t.time_window for t in tasks]
 
     def test_unmeasured_variant_gets_the_rate_priced_deadline(
         self, tmp_path, monkeypatch
@@ -672,7 +663,7 @@ class TestCacheStatsTimings:
     def test_phase_totals_aggregate_across_entries(self, tmp_path):
         factory, train, test, config = _grid_fixture()
         tasks = build_cell_tasks(config)
-        context = ExplorationJobContext(factory, train, test, config)
+        context = JobContext.for_grid(config, factory, train, test)
         cache = CellCache(tmp_path, context_fingerprint(context))
         for task, train_s, attack_s in ((tasks[0], 4.0, 1.0), (tasks[1], 6.0, 3.0)):
             cache.put(

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import logging
+import sys
+import threading
 import time
 
 import numpy as np
@@ -17,6 +19,7 @@ from repro.utils import (
     save_npz,
     spawn_rngs,
 )
+from repro.utils.serialization import load_npz_metadata
 
 
 class TestNewRng:
@@ -116,6 +119,59 @@ class TestNpz:
     def test_creates_parent_dirs(self, tmp_path):
         path = save_npz(tmp_path / "deep" / "nested" / "f.npz", {"a": np.ones(1)})
         assert path.exists()
+
+    @pytest.mark.parametrize("reader", ["load_npz", "load_npz_metadata"])
+    def test_threads_reading_archives_all_succeed(self, tmp_path, reader):
+        # Queue workers may be threads of one process, all reading weight
+        # archives.  np.load's header parser is not safe to run from
+        # several threads at once on every CPython (it raised SystemError
+        # there), so a failed read would escape the cache's miss handling.
+        read = {"load_npz": load_npz, "load_npz_metadata": load_npz_metadata}[reader]
+        threads, calls = 4, 100
+        paths = [
+            save_npz(
+                tmp_path / f"w{writer}.npz",
+                {f"layer{i}.weight": np.full((3, 4), writer + i, dtype=np.float32)
+                 for i in range(8)},
+                {"clean_accuracy": 0.5, "params": {"v_th": 1.0 + writer}},
+            )
+            for writer in range(threads)
+        ]
+        expected = [read(path) for path in paths]
+        errors: list[BaseException] = []
+        start = threading.Barrier(threads, timeout=10.0)
+
+        def reread(writer: int) -> None:
+            start.wait()
+            for _ in range(calls):
+                try:
+                    loaded = read(paths[writer])
+                    if reader == "load_npz":
+                        same = loaded[1] == expected[writer][1] and all(
+                            np.array_equal(loaded[0][k], v)
+                            for k, v in expected[writer][0].items()
+                        )
+                    else:
+                        same = loaded == expected[writer]
+                    if not same:
+                        raise AssertionError("read back different contents")
+                except Exception as error:
+                    errors.append(error)
+
+        workers = [threading.Thread(target=reread, args=(w,)) for w in range(threads)]
+        switch = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors, (
+            f"{len(errors)} of {threads * calls} reads failed, first: {errors[0]!r}"
+        )
 
 
 class TestLogging:
