@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from conftest import record
 
-from repro.experiments import run_attack_ablation
+from repro.experiments import run_ablation_suite
 
 
 def test_ablation_attacks(benchmark, profile_name):
     result = benchmark.pedantic(
-        lambda: run_attack_ablation(profile_name), rounds=1, iterations=1
+        lambda: run_ablation_suite(profile_name, factors=("attack",))["attack"],
+        rounds=1,
+        iterations=1,
     )
     record("ablation_attacks", result.render(), result.as_dict())
 

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from conftest import record
 
-from repro.experiments import run_surrogate_ablation
+from repro.experiments import run_ablation_suite
 
 
 def test_ablation_surrogate(benchmark, profile_name):
     result = benchmark.pedantic(
-        lambda: run_surrogate_ablation(profile_name), rounds=1, iterations=1
+        lambda: run_ablation_suite(profile_name, factors=("surrogate",))["surrogate"],
+        rounds=1,
+        iterations=1,
     )
     record("ablation_surrogate", result.render(), result.as_dict())
 

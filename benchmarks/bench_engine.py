@@ -18,7 +18,8 @@ from repro.attacks.base import input_gradient
 from repro.data import ArrayDataset
 from repro.models import build_model
 from repro.optim import Adam
-from repro.robustness import ExplorationConfig, RobustnessExplorer
+from repro.engine import JobContext, build_cell_tasks, run_cell_tasks
+from repro.robustness import ExplorationConfig
 from repro.snn import LIFCell, LIFParameters
 from repro.tensor import Tensor, functional as F
 from repro.tensor.tensor import no_grad
@@ -127,7 +128,7 @@ def test_adam_step(benchmark):
 # independent.
 
 
-def _tiny_grid_explorer() -> RobustnessExplorer:
+def _tiny_grid() -> tuple[JobContext, list]:
     rng = np.random.default_rng(7)
     train = ArrayDataset(rng.random((32, 1, 6, 6)).astype(np.float32), rng.integers(0, 4, 32))
     test = ArrayDataset(rng.random((16, 1, 6, 6)).astype(np.float32), rng.integers(0, 4, 16))
@@ -145,17 +146,17 @@ def _tiny_grid_explorer() -> RobustnessExplorer:
         training=TrainingConfig(epochs=1, batch_size=8, learning_rate=0.01),
         seed=7,
     )
-    return RobustnessExplorer(factory, train, test, config)
+    return JobContext.for_grid(config, factory, train, test), build_cell_tasks(config)
 
 
 def test_engine_grid_serial(benchmark):
-    explorer = _tiny_grid_explorer()
-    benchmark(lambda: explorer.run(jobs=1))
+    context, tasks = _tiny_grid()
+    benchmark(lambda: run_cell_tasks(context, tasks, jobs=1))
 
 
 def test_engine_grid_parallel(benchmark):
-    explorer = _tiny_grid_explorer()
-    benchmark(lambda: explorer.run(jobs=2))
+    context, tasks = _tiny_grid()
+    benchmark(lambda: run_cell_tasks(context, tasks, jobs=2))
 
 
 # -- epsilon-shared attack sweeps ---------------------------------------------

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 from repro.data import MNIST_MEAN, MNIST_STD, ArrayDataset, Normalize, load_synthetic_mnist
 from repro.data.transforms import normalized_bounds
+from repro.engine import JobContext, build_cell_tasks, run_cell_tasks
+from repro.experiments.fig678_grid import cell_progress, grid_result
 from repro.models import build_model
-from repro.robustness import (
-    ExplorationConfig,
-    RobustnessExplorer,
-    render_heatmap,
-)
+from repro.robustness import ExplorationConfig, render_heatmap
 from repro.snn import LIFParameters
 from repro.training import TrainingConfig
 
@@ -55,8 +53,11 @@ def main() -> None:
         training=TrainingConfig(epochs=5, batch_size=32),
         seed=7,
     )
-    explorer = RobustnessExplorer(factory, train, test.take(48), config)
-    result = explorer.run(verbose=True)
+    # One gated engine task per (Vth, T) cell, run as the CLI runs them.
+    context = JobContext.for_grid(config, factory, train, test.take(48))
+    tasks = build_cell_tasks(config)
+    cells, stats = run_cell_tasks(context, tasks, progress=cell_progress(True, len(tasks)))
+    result = grid_result(config, context, cells, stats)
 
     print()
     print(render_heatmap(

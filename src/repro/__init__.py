@@ -8,7 +8,7 @@ The library is organised as a stack:
 * :mod:`repro.tensor` — numpy autograd engine (PyTorch substitute)
 * :mod:`repro.nn`, :mod:`repro.optim` — layers and optimizers
 * :mod:`repro.snn` — LIF neurons, surrogate gradients, encoders/decoders
-* :mod:`repro.models` — LeNet-5 / CNN5 and their spiking twins
+* :mod:`repro.models` — the LeNet-shaped and 5-layer CNNs and their spiking twins
 * :mod:`repro.data` — synthetic MNIST substitute and loaders
 * :mod:`repro.attacks` — FGSM / BIM / PGD white-box attacks
 * :mod:`repro.training` — training loop

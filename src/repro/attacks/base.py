@@ -20,9 +20,9 @@ def input_gradient(model: Module, images: np.ndarray, labels: np.ndarray) -> np.
 
     The model is forced into eval mode for the duration of the pass (and
     restored afterwards): attack gradients must be taken against the
-    deterministic inference behaviour — a ``Dropout`` left in training
-    mode would redraw its mask between PGD iterations and randomize the
-    attack direction.
+    deterministic inference behaviour — a layer that is stochastic in
+    training mode would redraw its noise between PGD iterations and
+    randomize the attack direction.
 
     Models with a ``fused_input_gradient`` (i.e.
     :class:`~repro.snn.network.SpikingNetwork`) take that graph-free

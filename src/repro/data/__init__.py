@@ -9,33 +9,18 @@ same code path (10-class grey-scale image classification with pixels in
 for the substitution rationale.
 """
 
-from repro.data.dataset import ArrayDataset, DataLoader, train_test_split
-from repro.data.patterns import PatternsConfig, make_patterns
+from repro.data.dataset import ArrayDataset, DataLoader
 from repro.data.synth_mnist import SynthConfig, SyntheticMNIST, load_synthetic_mnist
-from repro.data.transforms import (
-    MNIST_MEAN,
-    MNIST_STD,
-    AddGaussianNoise,
-    Clip,
-    Compose,
-    Normalize,
-    normalized_bounds,
-)
+from repro.data.transforms import MNIST_MEAN, MNIST_STD, Normalize, normalized_bounds
 
 __all__ = [
-    "AddGaussianNoise",
     "ArrayDataset",
-    "Clip",
-    "Compose",
     "DataLoader",
     "MNIST_MEAN",
     "MNIST_STD",
     "Normalize",
-    "PatternsConfig",
     "SynthConfig",
     "SyntheticMNIST",
     "load_synthetic_mnist",
-    "make_patterns",
     "normalized_bounds",
-    "train_test_split",
 ]

@@ -56,21 +56,6 @@ class ArrayDataset:
         return np.bincount(self.labels, minlength=self.num_classes)
 
 
-def train_test_split(
-    dataset: ArrayDataset,
-    test_fraction: float = 0.2,
-    seed: int | None = None,
-) -> tuple[ArrayDataset, ArrayDataset]:
-    """Shuffle and split a dataset into train/test parts."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    rng = new_rng(seed)
-    order = rng.permutation(len(dataset))
-    n_test = max(1, int(round(len(dataset) * test_fraction)))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    return dataset.subset(train_idx), dataset.subset(test_idx)
-
-
 class DataLoader:
     """Deterministic mini-batch iterator over an :class:`ArrayDataset`.
 

@@ -1,18 +1,12 @@
-"""Array transforms for dataset post-processing and augmentation.
+"""Pixel normalisation: the paper's MNIST constants and the box they imply.
 
-Transforms are callables ``(images: np.ndarray) -> np.ndarray`` operating on
-batches ``(N, C, H, W)``; compose them with :class:`Compose`.
+:class:`Normalize` is a callable ``(images: np.ndarray) -> np.ndarray``
+operating on batches ``(N, C, H, W)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-
 import numpy as np
-
-from repro.utils.seeding import new_rng
-
-Transform = Callable[[np.ndarray], np.ndarray]
 
 MNIST_MEAN = 0.1307
 """Canonical MNIST pixel mean — the paper's pipeline (Norse tutorial)
@@ -32,18 +26,6 @@ def normalized_bounds(mean: float = MNIST_MEAN, std: float = MNIST_STD) -> tuple
     return (0.0 - mean) / std, (1.0 - mean) / std
 
 
-class Compose:
-    """Apply transforms left to right."""
-
-    def __init__(self, transforms: Sequence[Transform]) -> None:
-        self.transforms = list(transforms)
-
-    def __call__(self, images: np.ndarray) -> np.ndarray:
-        for transform in self.transforms:
-            images = transform(images)
-        return images
-
-
 class Normalize:
     """Channel-wise standardisation ``(x - mean) / std``."""
 
@@ -56,31 +38,3 @@ class Normalize:
     def __call__(self, images: np.ndarray) -> np.ndarray:
         return (images - self.mean) / self.std
 
-
-class Clip:
-    """Clamp pixel values into ``[low, high]``."""
-
-    def __init__(self, low: float = 0.0, high: float = 1.0) -> None:
-        if low >= high:
-            raise ValueError(f"need low < high, got {low} >= {high}")
-        self.low = low
-        self.high = high
-
-    def __call__(self, images: np.ndarray) -> np.ndarray:
-        return np.clip(images, self.low, self.high)
-
-
-class AddGaussianNoise:
-    """Additive Gaussian pixel noise (training-time augmentation)."""
-
-    def __init__(self, std: float, seed: int | None = None) -> None:
-        if std < 0:
-            raise ValueError(f"std must be >= 0, got {std}")
-        self.std = std
-        self._rng = new_rng(seed)
-
-    def __call__(self, images: np.ndarray) -> np.ndarray:
-        if self.std == 0:
-            return images
-        noise = self._rng.normal(0.0, self.std, size=images.shape)
-        return (images + noise).astype(images.dtype, copy=False)

@@ -32,11 +32,12 @@ turns that observation into infrastructure, split into three layers:
   completion, and :func:`merge_cache_dirs` federates the per-host cache
   directories back into one a ``--resume`` run can render figures from.
 
-:class:`repro.robustness.exploration.RobustnessExplorer` and the
-experiment runners in :mod:`repro.experiments` are the consumers; future
-sweeps (transfer studies) should build on the same layers instead of
-hand-rolling loops.  See ``docs/architecture.md`` for the full layer map
-and ``docs/sharding.md`` for the multi-host workflow.
+The experiment runners in :mod:`repro.experiments` are the consumers
+(the Figs. 6-8 grid is ``JobContext.for_grid`` plus
+``build_cell_tasks``); future sweeps (transfer studies) should build on
+the same layers instead of hand-rolling loops.  See
+``docs/architecture.md`` for the full layer map and ``docs/sharding.md``
+for the multi-host workflow.
 """
 
 from repro.engine.cache import (

@@ -11,8 +11,8 @@ attack family.
 Every experiment is a list of such tasks.  A Figs. 6-8 grid cell
 (Algorithm 1, lines 3-16) is a task whose context carries the
 learnability gate ``accuracy_threshold`` and, in a guided search, a
-warm-start plan; a cell below the gate (a diverged training scores 0)
-is not attacked.  A Fig. 1 or Fig. 9 model or an ablation variant is the
+warm-start plan; a cell below the gate, or whose training diverged, is
+not attacked.  A Fig. 1 or Fig. 9 model or an ablation variant is the
 same task with no gate.
 
 Example — evaluating one grid cell by hand::
@@ -42,7 +42,7 @@ import numpy as np
 from repro.attacks.base import Attack
 from repro.data.dataset import ArrayDataset
 from repro.engine.cache import archive_weights, split_optimizer_arrays
-from repro.errors import TrainingError
+from repro.errors import ExplorationError, TrainingError
 from repro.nn.module import Module
 from repro.robustness.config import ExplorationConfig, make_attack
 from repro.robustness.learnability import train_and_score
@@ -203,9 +203,9 @@ class JobContext:
     """Training hyper-parameters; the per-task seed overrides its seed."""
 
     accuracy_threshold: float | None = None
-    """Learnability gate ``Ath``: a task scoring below it (a diverged
-    training scores 0) is recorded and not attacked.  ``None`` means ungated — every model is
-    attacked and a diverged training raises."""
+    """Learnability gate ``Ath``: a task scoring below it, or whose
+    training diverged, is recorded and not attacked.  ``None`` means
+    ungated — every model is attacked and a diverged training raises."""
 
     attack_steps: int = 10
     """Iterations of the (iterative) attacks."""
@@ -254,7 +254,15 @@ class JobContext:
     ) -> "JobContext":
         """The gated context of an Algorithm-1 grid: ``test_set`` is both
         scored and attacked, and ``model_factory(v_th, T, seed)`` builds
-        each cell."""
+        each cell.
+
+        Raises :class:`~repro.errors.ConfigurationError` for an invalid
+        ``config`` and :class:`~repro.errors.ExplorationError` for an
+        empty dataset.
+        """
+        config.validate()
+        if len(train_set) == 0 or len(test_set) == 0:
+            raise ExplorationError("train and test sets must be non-empty")
         return cls(
             model_builder=lambda task: model_factory(
                 task.v_th, task.time_window, task.train_seed
@@ -272,8 +280,13 @@ class JobContext:
             clip_max=config.clip_max,
         )
 
-    def passes_gate(self, clean_accuracy: float) -> bool:
-        """Whether a model scoring ``clean_accuracy`` is attacked."""
+    def passes_gate(self, clean_accuracy: float, diverged: bool) -> bool:
+        """Whether a model scoring ``clean_accuracy`` is attacked: the one
+        learnability rule of the unstacked and the stacked paths.  A
+        diverged training never passes, whatever the gate (its weights
+        are non-finite); otherwise the score must meet the gate."""
+        if diverged:
+            return False
         return self.accuracy_threshold is None or clean_accuracy >= self.accuracy_threshold
 
     def build_attack(self, name: str, epsilon: float, seed: int) -> Attack:
@@ -398,9 +411,9 @@ def run_cell_task(context: JobContext, task: CellTask) -> CellResult:
     source's completed budget (``start_epoch`` resume); the provenance
     lands in :attr:`CellResult.warm_start` and in the archived metadata.
 
-    A diverged training scores 0 and is not archived: under a gate that
-    score meets the gate like any other; without a gate it raises
-    :class:`~repro.errors.TrainingError`.
+    A diverged training scores 0 and is not archived: under a gate it is
+    recorded unlearnable and not attacked, even at gate 0; without a gate
+    it raises :class:`~repro.errors.TrainingError`.
     """
     start = time.perf_counter()
     phase_seconds: dict[str, float] = {}
@@ -439,7 +452,6 @@ def run_cell_task(context: JobContext, task: CellTask) -> CellResult:
             context.train_set,
             context.clean_eval_set,
             training,
-            context.accuracy_threshold or 0.0,
             initial_state=initial_state,
             start_epoch=start_epoch,
             initial_optimizer_state=initial_optimizer_state,
@@ -466,7 +478,7 @@ def run_cell_task(context: JobContext, task: CellTask) -> CellResult:
                 metadata,
                 optimizer_state=learn.optimizer_state,
             )
-    learnable = context.passes_gate(clean_accuracy)
+    learnable = context.passes_gate(clean_accuracy, diverged)
     # train_and_score folds training and the clean-accuracy score into one
     # call, so the breakdown reports them (or the cache load) as one phase.
     phase_seconds["train_s"] = time.perf_counter() - start

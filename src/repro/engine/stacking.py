@@ -321,7 +321,9 @@ def run_stacked_group(
     ]
     if context.accuracy_threshold is None and any(train_diverged):
         raise TrainingError(f"training of {tasks[train_diverged.index(True)].key} diverged")
-    learnable = [context.passes_gate(acc) for acc in clean]
+    learnable = [
+        context.passes_gate(acc, diverged) for acc, diverged in zip(clean, train_diverged)
+    ]
     for lane, task in enumerate(tasks):
         if not train_diverged[lane]:
             # Diverged weights are useless for re-sweeps; don't archive them.

@@ -18,14 +18,7 @@ Figures 6-8 come from a *single* run of Algorithm 1 (the security study
 evaluates every ε on the models trained once), exactly as in the paper.
 """
 
-from repro.experiments.ablations import (
-    AblationResult,
-    run_ablation_suite,
-    run_attack_ablation,
-    run_encoding_ablation,
-    run_reset_ablation,
-    run_surrogate_ablation,
-)
+from repro.experiments.ablations import AblationResult, run_ablation_suite
 from repro.experiments.fig1_motivation import Fig1Result, run_fig1
 from repro.experiments.fig678_grid import (
     fig6_table,
@@ -51,11 +44,7 @@ __all__ = [
     "get_profile",
     "load_profile_data",
     "run_ablation_suite",
-    "run_attack_ablation",
-    "run_encoding_ablation",
     "run_fig1",
     "run_fig9",
     "run_grid_exploration",
-    "run_reset_ablation",
-    "run_surrogate_ablation",
 ]

@@ -11,13 +11,26 @@ of the profile's first sweet spot and the profile's default time window
 ``time_steps_default`` (not that sweet spot's own T) — and varies a
 single factor.
 
-All four factors run as ungated :class:`~repro.engine.job.CellTask` jobs
-on a *shared* job context, so :func:`run_ablation_suite` parallelizes across
+The four factors:
+
+* ``surrogate`` (A1) — the surrogate-gradient family, used for training
+  *and* for the white-box attack gradient (the attacker differentiates
+  the true deployed graph), so sharper surrogates both hamper training
+  and mask attack gradients;
+* ``encoding`` (A2) — constant-current vs Poisson rate encoding;
+* ``attack`` (A3) — attack families on one trained reference SNN.
+  Expected ordering: PGD >= BIM >= FGSM >> noise controls; a PGD that
+  fails to beat the magnitude-matched sign-noise control would indicate
+  fully masked gradients;
+* ``reset`` (A4) — hard (reset-to-zero) vs soft (subtractive) membrane
+  reset.
+
+All four run as ungated :class:`~repro.engine.job.CellTask` jobs on a
+*shared* job context, so :func:`run_ablation_suite` parallelizes across
 the whole suite at once (``jobs``), checkpoints and resumes every variant
 (``cache_dir``/``resume``), and reuses cached trained weights when only
-the security sweep changed.  The per-factor ``run_*_ablation`` functions
-are thin wrappers kept for notebooks, benchmarks and backward
-compatibility.
+the security sweep changed.  One factor runs as
+``run_ablation_suite(profile, factors=("reset",))["reset"]``.
 """
 
 from __future__ import annotations
@@ -45,10 +58,6 @@ __all__ = [
     "ABLATION_FACTORS",
     "AblationResult",
     "run_ablation_suite",
-    "run_attack_ablation",
-    "run_encoding_ablation",
-    "run_reset_ablation",
-    "run_surrogate_ablation",
 ]
 
 _FACTOR_LABELS = {
@@ -201,50 +210,3 @@ def run_ablation_suite(
         return results  # a shard's or queue worker's summary; no tables yet
     return _group_by_factor(tasks, results, metadata)
 
-
-def run_surrogate_ablation(
-    profile: ExperimentProfile | str = "smoke",
-    families: tuple[str, ...] = DEFAULT_SURROGATE_FAMILIES,
-    **engine_kwargs,
-) -> AblationResult:
-    """A1: how the surrogate-gradient family changes measured robustness.
-
-    The same family is used for training *and* for the white-box attack
-    gradient (the attacker differentiates the true deployed graph), so
-    sharper surrogates both hamper training and mask attack gradients.
-    """
-    return run_ablation_suite(
-        profile, factors=("surrogate",), surrogate_families=families, **engine_kwargs
-    )["surrogate"]
-
-
-def run_encoding_ablation(
-    profile: ExperimentProfile | str = "smoke", **engine_kwargs
-) -> AblationResult:
-    """A2: constant-current vs Poisson rate encoding under PGD."""
-    return run_ablation_suite(profile, factors=("encoding",), **engine_kwargs)[
-        "encoding"
-    ]
-
-
-def run_reset_ablation(
-    profile: ExperimentProfile | str = "smoke", **engine_kwargs
-) -> AblationResult:
-    """A4: hard (reset-to-zero) vs soft (subtractive) membrane reset."""
-    return run_ablation_suite(profile, factors=("reset",), **engine_kwargs)["reset"]
-
-
-def run_attack_ablation(
-    profile: ExperimentProfile | str = "smoke",
-    attacks: tuple[str, ...] = DEFAULT_ATTACK_FAMILIES,
-    **engine_kwargs,
-) -> AblationResult:
-    """A3: attack families on one trained reference SNN.
-
-    Expected ordering: PGD >= BIM >= FGSM >> noise controls.  A PGD that
-    fails to beat the magnitude-matched sign-noise control would indicate
-    fully masked gradients.
-    """
-    return run_ablation_suite(
-        profile, factors=("attack",), attack_families=attacks, **engine_kwargs
-    )["attack"]

@@ -5,6 +5,27 @@ One run of Algorithm 1 produces all three artifacts:
 * Fig. 6 — clean-accuracy heat map (learnability study);
 * Fig. 7 — robustness heat map under PGD ε = 1;
 * Fig. 8 — robustness heat map under PGD ε = 1.5.
+
+Pseudo-code of the paper (Algorithm 1) and its mapping here:
+
+.. code-block:: text
+
+    for i in 1..n:                      # v_thresholds        (cell tasks)
+      for j in 1..m:                    # time_windows        (cell tasks)
+        Train(Sij)                      # learnability.train_and_score
+        if Accuracy(Sij) >= Ath:        # JobContext.passes_gate
+          for k in 1..p:                # epsilons
+            X* = PGD(Sij, eps_k, Xt)    # attacks.pgd via JobContext.build_attack
+            Robustness(eps_k) = 1 - Adv/|D|   # attacks.metrics
+
+Every grid cell derives independent child seeds for model initialisation,
+training shuffling and attack randomness from the root seed
+(:func:`~repro.engine.job.build_cell_tasks`), so cells are reproducible in
+isolation and independent of evaluation order.  Execution is the
+engine's: the scheduler runs the cell tasks serially, across worker
+processes, in fused stacks, by shard or from a queue with
+bitwise-identical results, and checkpoints / resumes them through a
+:class:`~repro.engine.cache.CellCache`.
 """
 
 from __future__ import annotations
@@ -12,7 +33,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.engine import CellCache, context_fingerprint, scheduler
-from repro.engine.job import build_cell_tasks
+from repro.engine.job import CellTask, JobContext, build_cell_tasks
 from repro.engine.queue import DEFAULT_LEASE_TTL, QueueRunResult
 from repro.engine.resilience import ResilienceConfig
 from repro.engine.search import (
@@ -24,19 +45,79 @@ from repro.engine.search import (
 from repro.engine.shard import ShardRunResult, ShardSpec, shard_run_result
 from repro.experiments.profiles import ExperimentProfile, get_profile
 from repro.experiments.sweeps import build_grid_context, grid_config, spawn_spec_for
-from repro.experiments.workloads import build_grid_model_factory
-from repro.robustness.exploration import RobustnessExplorer, cell_progress
+from repro.robustness.config import ExplorationConfig
 from repro.robustness.report import render_heatmap
-from repro.robustness.results import ExplorationResult
+from repro.robustness.results import CellResult, ExplorationResult
+from repro.utils.logging import get_logger
 
 __all__ = [
+    "cell_progress",
     "fig6_table",
     "fig7_table",
     "fig8_table",
+    "grid_result",
     "grid_search_tags",
     "run_grid_exploration",
     "run_grid_search",
 ]
+
+# Per-cell lines keep the ``repro.robustness`` logger they have always used.
+_logger = get_logger("robustness")
+
+
+def cell_progress(verbose: bool, total: int | None = None):
+    """Engine progress callback logging one line per completed grid cell.
+
+    Returns ``None`` (no callback) unless ``verbose``.  Lines count as
+    ``[done/total]``; a queue worker or search rung, which cannot know
+    its share of the cells in advance, passes no ``total`` and counts
+    ``[done]``.
+    """
+    if not verbose:
+        return None
+    done = 0
+
+    def progress(task: CellTask, cell: CellResult, from_cache: bool) -> None:
+        nonlocal done
+        done += 1
+        status = "learnable" if cell.learnable else "rejected"
+        if from_cache:
+            status += " (cached)"
+        _logger.info(
+            "[%s] Vth=%g T=%d acc=%.3f %s %s",
+            done if total is None else f"{done}/{total}",
+            task.v_th,
+            task.time_window,
+            cell.clean_accuracy,
+            status,
+            {e: round(r, 3) for e, r in cell.robustness.items()},
+        )
+
+    return progress
+
+
+def grid_result(
+    config: ExplorationConfig,
+    context: JobContext,
+    cells: list[CellResult],
+    stats: scheduler.ScheduleStats,
+) -> ExplorationResult:
+    """Wrap a grid run's cells and schedule stats as the Figs. 6-8 result."""
+    return ExplorationResult(
+        v_thresholds=config.v_thresholds,
+        time_windows=config.time_windows,
+        cells=cells,
+        metadata={
+            "attack": config.attack,
+            "attack_steps": config.attack_steps,
+            "epsilons": list(config.epsilons),
+            "accuracy_threshold": config.accuracy_threshold,
+            "seed": config.seed,
+            "num_train": len(context.train_set),
+            "num_test": len(context.clean_eval_set),
+            "engine": stats.as_dict(),
+        },
+    )
 
 
 def run_grid_exploration(
@@ -112,13 +193,8 @@ def run_grid_exploration(
     if isinstance(profile, str):
         profile = get_profile(profile)
     context = build_grid_context(profile, cache_dir=cache_dir, reuse_weights=resume)
-    explorer = RobustnessExplorer(
-        model_factory=build_grid_model_factory(profile),
-        train_set=context.train_set,
-        test_set=context.clean_eval_set,
-        config=grid_config(profile),
-    )
-    tasks = explorer.tasks()
+    config = grid_config(profile)
+    tasks = build_cell_tasks(config)
     cache = None
     if cache_dir is not None:
         # The factory cannot be hashed; tags pin everything it derives from.
@@ -127,9 +203,8 @@ def run_grid_exploration(
     total = None if queue_dir is not None else len(
         tasks if shard is None else shard.partition(tasks)
     )
-    # Looked up on the module at call time (as RobustnessExplorer.run
-    # imports it), so wrappers installed on scheduler.run_cell_tasks —
-    # gridbench's tracer — see every grid run.
+    # Looked up on the module at call time, so wrappers installed on
+    # scheduler.run_cell_tasks — gridbench's tracer — see every grid run.
     outcome, stats = scheduler.run_cell_tasks(
         context,
         tasks,
@@ -155,7 +230,7 @@ def run_grid_exploration(
             "grid", shard, tasks, cache_dir,
             {"profile": profile.name, "engine": stats.as_dict()},
         )
-    result = explorer.result(outcome, stats)
+    result = grid_result(config, context, outcome, stats)
     result.metadata["profile"] = profile.name
     return result
 

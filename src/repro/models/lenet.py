@@ -13,7 +13,7 @@ from repro import nn
 from repro.tensor.tensor import Tensor
 from repro.utils.seeding import new_rng
 
-__all__ = ["CNN5", "LeNet5", "LeNetMini", "pooled_size"]
+__all__ = ["CNN5", "LeNetMini", "pooled_size"]
 
 
 def pooled_size(input_size: int, times: int) -> int:
@@ -26,54 +26,11 @@ def pooled_size(input_size: int, times: int) -> int:
     return size
 
 
-class LeNet5(nn.Module):
-    """LeNet-5: 2 conv + 3 FC layers (the paper's evaluation CNN).
-
-    Structure (for 28x28): conv(6@5x5, pad 2) - pool - conv(16@5x5) -
-    pool - fc 120 - fc 84 - fc ``num_classes``.  The spatial sizes adapt
-    to ``input_size`` so the same class serves the reduced-resolution
-    profiles.
-    """
-
-    def __init__(
-        self,
-        input_size: int = 28,
-        num_classes: int = 10,
-        rng: int | np.random.Generator | None = None,
-    ) -> None:
-        super().__init__()
-        generator = new_rng(rng)
-        self.input_size = input_size
-        self.num_classes = num_classes
-        # conv1 (pad 2) keeps size; pool /2; conv2 (valid 5x5) -4; pool /2.
-        after_conv2 = input_size // 2 - 4
-        flat = 16 * (after_conv2 // 2) ** 2
-        self.features = nn.Sequential(
-            nn.Conv2d(1, 6, 5, padding=2, rng=generator),
-            nn.ReLU(),
-            nn.MaxPool2d(2),
-            nn.Conv2d(6, 16, 5, rng=generator),
-            nn.ReLU(),
-            nn.MaxPool2d(2),
-            nn.Flatten(),
-        )
-        self.classifier = nn.Sequential(
-            nn.Linear(flat, 120, rng=generator),
-            nn.ReLU(),
-            nn.Linear(120, 84, rng=generator),
-            nn.ReLU(),
-            nn.Linear(84, num_classes, rng=generator),
-        )
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.classifier(self.features(self._as_tensor(x)))
-
-
 class LeNetMini(nn.Module):
     """Width-reduced LeNet-shaped CNN for the fast experiment profiles.
 
-    Same 2-conv + FC shape as :class:`LeNet5` with 8/16 channels and a
-    64-unit hidden FC layer, mirroring the spiking mini twin exactly
+    LeNet-5's 2-conv + FC shape with 8/16 channels and a 64-unit hidden
+    FC layer, mirroring the spiking mini twin exactly
     (:func:`repro.models.spiking_lenet.build_spiking_lenet_mini`).
     """
 

@@ -8,19 +8,13 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.models.lenet import CNN5, LeNet5, LeNetMini
-from repro.models.spiking_lenet import (
-    build_spiking_cnn5,
-    build_spiking_lenet5,
-    build_spiking_lenet_mini,
-)
+from repro.models.lenet import CNN5, LeNetMini
+from repro.models.spiking_lenet import build_spiking_cnn5, build_spiking_lenet_mini
 from repro.nn.module import Module
 
 _BUILDERS: dict[str, Callable[..., Module]] = {
-    "lenet5": LeNet5,
     "lenet_mini": LeNetMini,
     "cnn5": CNN5,
-    "snn_lenet5": build_spiking_lenet5,
     "snn_lenet_mini": build_spiking_lenet_mini,
     "snn_cnn5": build_spiking_cnn5,
 }

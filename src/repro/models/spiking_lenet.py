@@ -38,7 +38,7 @@ from repro.snn.network import SpikingLayer, SpikingNetwork, SpikingReadout
 from repro.snn.neuron import LICell, LIFCell, LIFParameters
 from repro.utils.seeding import new_rng
 
-__all__ = ["build_spiking_cnn5", "build_spiking_lenet5", "build_spiking_lenet_mini"]
+__all__ = ["build_spiking_cnn5", "build_spiking_lenet_mini"]
 
 _DECODERS = {
     "mean": MeanMembraneDecoder,
@@ -88,49 +88,6 @@ def _network(
     )
     _apply_weight_gain(network, weight_gain)
     return network
-
-
-def build_spiking_lenet5(
-    input_size: int = 28,
-    num_classes: int = 10,
-    time_steps: int = 64,
-    lif_params: LIFParameters | None = None,
-    input_scale: float = 2.0,
-    vary_encoder_threshold: bool = True,
-    decoder: str = "max",
-    weight_gain: float = 3.0,
-    rng: int | np.random.Generator | None = None,
-) -> SpikingNetwork:
-    """Spiking LeNet-5 (paper's evaluation SNN).
-
-    Topology: encoder - [conv6@5x5 + LIF] - [pool, conv16@5x5 + LIF] -
-    [pool, flatten, fc120 + LIF] - [fc84 + LIF] - readout fc``num_classes``.
-    """
-    params = lif_params or LIFParameters()
-    params.validate()
-    generator = new_rng(rng)
-    # conv1 (pad 2) keeps size; pool /2; conv2 (valid 5x5) -4; pool /2.
-    after_conv2 = input_size // 2 - 4
-    flat = 16 * (after_conv2 // 2) ** 2
-    stages = [
-        SpikingLayer(nn.Conv2d(1, 6, 5, padding=2, rng=generator), LIFCell(params)),
-        SpikingLayer(
-            nn.Sequential(nn.MaxPool2d(2), nn.Conv2d(6, 16, 5, rng=generator)),
-            LIFCell(params),
-        ),
-        SpikingLayer(
-            nn.Sequential(
-                nn.MaxPool2d(2), nn.Flatten(), nn.Linear(flat, 120, rng=generator)
-            ),
-            LIFCell(params),
-        ),
-        SpikingLayer(nn.Linear(120, 84, rng=generator), LIFCell(params)),
-    ]
-    readout = SpikingReadout(nn.Linear(84, num_classes, rng=generator), LICell(params))
-    return _network(
-        stages, readout, params, time_steps, input_scale,
-        vary_encoder_threshold, decoder, weight_gain,
-    )
 
 
 def build_spiking_lenet_mini(

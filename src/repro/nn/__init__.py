@@ -6,13 +6,11 @@ The API mirrors a small, explicit subset of ``torch.nn``: modules own
 ``load_state_dict`` for persistence.
 """
 
-from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Tanh
+from repro.nn.activations import ReLU, Tanh
 from repro.nn.container import ModuleList, Sequential
 from repro.nn.conv import Conv2d
-from repro.nn.dropout import Dropout
 from repro.nn.flatten import Flatten
 from repro.nn.linear import Linear
-from repro.nn.loss import CrossEntropyLoss, MSELoss, NLLLoss
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.nn.pooling import AvgPool2d, MaxPool2d
@@ -20,19 +18,13 @@ from repro.nn.pooling import AvgPool2d, MaxPool2d
 __all__ = [
     "AvgPool2d",
     "Conv2d",
-    "CrossEntropyLoss",
-    "Dropout",
     "Flatten",
-    "LeakyReLU",
     "Linear",
-    "MSELoss",
     "MaxPool2d",
     "Module",
     "ModuleList",
-    "NLLLoss",
     "Parameter",
     "ReLU",
     "Sequential",
-    "Sigmoid",
     "Tanh",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.nn.module import Module
-from repro.tensor.tensor import Tensor, where
+from repro.tensor.tensor import Tensor
 
 
 class ReLU(Module):
@@ -19,26 +19,3 @@ class Tanh(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self._as_tensor(x).tanh()
 
-
-class Sigmoid(Module):
-    """Logistic sigmoid."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self._as_tensor(x).sigmoid()
-
-
-class LeakyReLU(Module):
-    """Leaky ReLU with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        if negative_slope < 0:
-            raise ValueError("negative_slope must be >= 0")
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = self._as_tensor(x)
-        return where(x.data > 0, x, x * self.negative_slope)
-
-    def __repr__(self) -> str:
-        return f"LeakyReLU(negative_slope={self.negative_slope})"

@@ -13,13 +13,7 @@ import numpy as np
 
 from repro.config import DEFAULT_DTYPE
 
-__all__ = [
-    "calculate_fans",
-    "kaiming_normal",
-    "kaiming_uniform",
-    "xavier_normal",
-    "xavier_uniform",
-]
+__all__ = ["calculate_fans", "kaiming_uniform"]
 
 
 def calculate_fans(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -49,38 +43,3 @@ def kaiming_uniform(
     bound = gain * math.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype or DEFAULT_DTYPE)
 
-
-def kaiming_normal(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    gain: float = math.sqrt(2.0),
-    dtype: np.dtype | None = None,
-) -> np.ndarray:
-    """He/Kaiming normal init: ``N(0, gain²/fan_in)``."""
-    fan_in, _ = calculate_fans(shape)
-    std = gain / math.sqrt(fan_in)
-    return (rng.standard_normal(shape) * std).astype(dtype or DEFAULT_DTYPE)
-
-
-def xavier_uniform(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    gain: float = 1.0,
-    dtype: np.dtype | None = None,
-) -> np.ndarray:
-    """Glorot/Xavier uniform init over ``fan_in + fan_out``."""
-    fan_in, fan_out = calculate_fans(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype or DEFAULT_DTYPE)
-
-
-def xavier_normal(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    gain: float = 1.0,
-    dtype: np.dtype | None = None,
-) -> np.ndarray:
-    """Glorot/Xavier normal init over ``fan_in + fan_out``."""
-    fan_in, fan_out = calculate_fans(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return (rng.standard_normal(shape) * std).astype(dtype or DEFAULT_DTYPE)

@@ -1,16 +1,6 @@
-"""First-order optimizers and learning-rate schedulers."""
+"""First-order optimizers."""
 
-from repro.optim.adam import Adam, AdamW
-from repro.optim.lr_scheduler import CosineAnnealingLR, ExponentialLR, StepLR
+from repro.optim.adam import Adam
 from repro.optim.optimizer import Optimizer
-from repro.optim.sgd import SGD
 
-__all__ = [
-    "Adam",
-    "AdamW",
-    "CosineAnnealingLR",
-    "ExponentialLR",
-    "Optimizer",
-    "SGD",
-    "StepLR",
-]
+__all__ = ["Adam", "Optimizer"]

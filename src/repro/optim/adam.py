@@ -1,4 +1,4 @@
-"""Adam and AdamW optimizers."""
+"""The Adam optimizer."""
 
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from repro.optim.optimizer import Optimizer
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2015) with bias-corrected moment estimates.
 
-    ``weight_decay`` here is the classic L2-penalty formulation (added to
-    the gradient); use :class:`AdamW` for decoupled decay.
+    ``weight_decay`` is the classic L2-penalty formulation (added to the
+    gradient).
     """
 
     def __init__(
@@ -81,15 +81,6 @@ class Adam(Optimizer):
             self._m[index] = m
             self._v[index] = v
 
-    def _decayed_gradient(self, parameter: Parameter) -> np.ndarray:
-        grad = parameter.grad
-        if self.weight_decay:
-            grad = grad + self.weight_decay * parameter.data
-        return grad
-
-    def _apply_decoupled_decay(self, parameter: Parameter) -> None:
-        """Hook for AdamW; no-op for classic Adam."""
-
     def step(self) -> None:
         """Apply one Adam update to every parameter with a gradient."""
         super().step()
@@ -100,7 +91,9 @@ class Adam(Optimizer):
         for index, parameter in enumerate(self.parameters):
             if parameter.grad is None:
                 continue
-            grad = self._decayed_gradient(parameter)
+            grad = parameter.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * parameter.data
             m = self._m[index]
             v = self._v[index]
             if m is None:
@@ -112,16 +105,5 @@ class Adam(Optimizer):
             self._v[index] = v
             m_hat = m / bias1
             v_hat = v / bias2
-            self._apply_decoupled_decay(parameter)
             parameter.data = parameter.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter, 2019)."""
-
-    def _decayed_gradient(self, parameter: Parameter) -> np.ndarray:
-        return parameter.grad
-
-    def _apply_decoupled_decay(self, parameter: Parameter) -> None:
-        if self.weight_decay:
-            parameter.data = parameter.data * (1.0 - self.lr * self.weight_decay)

@@ -12,11 +12,12 @@ Implements Algorithm 1 end to end:
 
 Results are collected into serialisable grids
 (:mod:`repro.robustness.results`) and rendered as the paper's heat maps
-and robustness curves (:mod:`repro.robustness.report`).
+and robustness curves (:mod:`repro.robustness.report`).  The grid runs
+as engine cell tasks (:mod:`repro.engine.job`); the Figs. 6-8 driver is
+:func:`repro.experiments.fig678_grid.run_grid_exploration`.
 """
 
 from repro.robustness.config import ExplorationConfig, make_attack
-from repro.robustness.exploration import RobustnessExplorer
 from repro.robustness.learnability import LearnabilityResult, train_and_score
 from repro.robustness.report import render_curve_table, render_heatmap
 from repro.robustness.results import CellResult, ExplorationResult
@@ -34,7 +35,6 @@ __all__ = [
     "ExplorationResult",
     "LearnabilityResult",
     "RobustnessCurve",
-    "RobustnessExplorer",
     "make_attack",
     "pareto_front",
     "render_curve_table",

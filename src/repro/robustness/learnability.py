@@ -1,8 +1,10 @@
 """Learnability study (Algorithm 1, lines 3-4).
 
-Trains one ``(Vth, T)`` instantiation and checks whether it clears the
-baseline-accuracy gate ``Ath``.  "There is indeed no interest in studying
-the robustness of SNNs with low baseline performance" (paper §V).
+Trains one ``(Vth, T)`` instantiation and scores its clean accuracy; the
+engine checks that score against the baseline-accuracy gate ``Ath``
+(:meth:`~repro.engine.job.JobContext.passes_gate`).  "There is indeed no
+interest in studying the robustness of SNNs with low baseline
+performance" (paper §V).
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ class LearnabilityResult:
     clean_accuracy: float
     """Test accuracy after training (the heat-map value of paper Fig. 6)."""
 
-    learnable: bool
-    """Whether ``clean_accuracy >= Ath``."""
-
     diverged: bool
     """True when training aborted on a non-finite loss."""
 
@@ -48,17 +47,16 @@ def train_and_score(
     train_set: ArrayDataset,
     test_set: ArrayDataset,
     training_config: TrainingConfig,
-    accuracy_threshold: float,
     *,
     initial_state: dict[str, np.ndarray] | None = None,
     start_epoch: int = 0,
     initial_optimizer_state: dict[str, np.ndarray] | None = None,
 ) -> LearnabilityResult:
-    """Train ``model`` and evaluate the learnability gate.
+    """Train ``model`` and score its clean accuracy on ``test_set``.
 
-    A diverged run (non-finite loss) is treated as non-learnable with zero
-    accuracy rather than an error: the paper's heat map (Fig. 6) includes
-    such failed cells as low-accuracy entries.
+    A diverged run (non-finite loss) scores zero accuracy rather than
+    raising: the paper's heat map (Fig. 6) includes such failed cells as
+    low-accuracy entries, and the gate rejects them.
 
     ``initial_state``/``start_epoch`` form the resume-from-weights entry
     point used by warm-started search cells and promoted partial-budget
@@ -66,8 +64,7 @@ def train_and_score(
     past ``start_epoch`` execute.  Passing the checkpoint's
     ``initial_optimizer_state`` alongside makes the resume a bitwise
     continuation (see :meth:`Trainer.fit` for the shuffle and
-    optimizer-state semantics).  The gate itself is unchanged — the
-    final accuracy is scored against ``accuracy_threshold`` exactly as a
+    optimizer-state semantics).  The final accuracy is scored exactly as a
     cold run's would be.
     """
     if initial_state is not None:
@@ -89,7 +86,6 @@ def train_and_score(
         optimizer_state = None
     return LearnabilityResult(
         clean_accuracy=clean_accuracy,
-        learnable=clean_accuracy >= accuracy_threshold,
         diverged=diverged,
         history=history,
         optimizer_state=optimizer_state,

@@ -14,34 +14,9 @@ Design notes
 * Non-differentiable forward decisions (spike thresholding) are implemented
   as *custom ops* via :func:`~repro.tensor.tensor.apply_op`, which is how
   the SNN surrogate gradients plug in.
-* :func:`~repro.tensor.gradcheck.gradcheck` validates analytic gradients
-  against float64 central differences and backs the engine's test suite.
 """
 
 from repro.tensor import functional
-from repro.tensor.gradcheck import gradcheck
-from repro.tensor.tensor import (
-    Tensor,
-    apply_op,
-    concatenate,
-    is_grad_enabled,
-    maximum,
-    minimum,
-    no_grad,
-    stack,
-    where,
-)
+from repro.tensor.tensor import Tensor, apply_op, is_grad_enabled, no_grad, stack
 
-__all__ = [
-    "Tensor",
-    "apply_op",
-    "concatenate",
-    "functional",
-    "gradcheck",
-    "is_grad_enabled",
-    "maximum",
-    "minimum",
-    "no_grad",
-    "stack",
-    "where",
-]
+__all__ = ["Tensor", "apply_op", "functional", "is_grad_enabled", "no_grad", "stack"]

@@ -29,7 +29,6 @@ __all__ = [
     "avg_pool2d",
     "conv2d",
     "cross_entropy",
-    "dropout",
     "log_softmax",
     "max_pool2d",
     "mse_loss",
@@ -162,21 +161,6 @@ def one_hot(labels: np.ndarray, num_classes: int, dtype: np.dtype | None = None)
     out = np.zeros((labels.shape[0], num_classes), dtype=dtype or np.float32)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
-
-
-def dropout(
-    x: Tensor,
-    p: float,
-    rng: np.random.Generator,
-    training: bool = True,
-) -> Tensor:
-    """Inverted dropout: zero with probability ``p``, rescale survivors."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
-    return x * Tensor(keep)
 
 
 # --------------------------------------------------------------------------

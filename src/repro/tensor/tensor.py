@@ -24,14 +24,10 @@ from repro.errors import AutogradError, ShapeError
 __all__ = [
     "Tensor",
     "apply_op",
-    "concatenate",
     "is_grad_enabled",
-    "maximum",
-    "minimum",
     "no_grad",
     "promote_scalar",
     "stack",
-    "where",
 ]
 
 # --------------------------------------------------------------------------
@@ -451,35 +447,6 @@ class Tensor:
 
     # -- elementwise functions ---------------------------------------------------
 
-    def exp(self) -> "Tensor":
-        """Elementwise exponential."""
-        a = self
-        out_data = np.exp(a.data)
-
-        def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-            return (g * out_data,)
-
-        return apply_op(out_data, (a,), backward, "exp")
-
-    def log(self) -> "Tensor":
-        """Elementwise natural logarithm."""
-        a = self
-
-        def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-            return (g / a.data,)
-
-        return apply_op(np.log(a.data), (a,), backward, "log")
-
-    def sqrt(self) -> "Tensor":
-        """Elementwise square root."""
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-            return (g * (0.5 / out_data),)
-
-        return apply_op(out_data, (a,), backward, "sqrt")
-
     def tanh(self) -> "Tensor":
         """Elementwise hyperbolic tangent."""
         a = self
@@ -489,21 +456,6 @@ class Tensor:
             return (g * (1.0 - out_data * out_data),)
 
         return apply_op(out_data, (a,), backward, "tanh")
-
-    def sigmoid(self) -> "Tensor":
-        """Elementwise logistic sigmoid, computed stably for large inputs."""
-        a = self
-        x = a.data
-        out_data = np.empty_like(x)
-        positive = x >= 0
-        out_data[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-        exp_x = np.exp(x[~positive])
-        out_data[~positive] = exp_x / (1.0 + exp_x)
-
-        def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-            return (g * out_data * (1.0 - out_data),)
-
-        return apply_op(out_data, (a,), backward, "sigmoid")
 
     def relu(self) -> "Tensor":
         """Elementwise rectified linear unit."""
@@ -524,21 +476,6 @@ class Tensor:
             return (g * sign,)
 
         return apply_op(np.abs(a.data), (a,), backward, "abs")
-
-    def clip(self, low: float | None, high: float | None) -> "Tensor":
-        """Clamp values into ``[low, high]``; gradient passes inside bounds."""
-        a = self
-        out_data = np.clip(a.data, low, high)
-        mask = np.ones_like(a.data, dtype=bool)
-        if low is not None:
-            mask &= a.data >= low
-        if high is not None:
-            mask &= a.data <= high
-
-        def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-            return (g * mask,)
-
-        return apply_op(out_data, (a,), backward, "clip")
 
     # -- reductions ---------------------------------------------------------------
 
@@ -637,25 +574,6 @@ class Tensor:
 
         return apply_op(np.ascontiguousarray(out_data), (a,), backward, "getitem")
 
-    def pad(self, pad_width: Sequence[tuple[int, int]], value: float = 0.0) -> "Tensor":
-        """Constant-pad with ``pad_width`` like :func:`numpy.pad`."""
-        a = self
-        pad_width = tuple((int(lo), int(hi)) for lo, hi in pad_width)
-        if len(pad_width) != a.ndim:
-            raise ShapeError(
-                f"pad_width has {len(pad_width)} entries for a {a.ndim}-d tensor"
-            )
-        slices = tuple(
-            slice(lo, lo + dim) for (lo, _hi), dim in zip(pad_width, a.shape)
-        )
-
-        def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-            return (g[slices],)
-
-        out_data = np.pad(a.data, pad_width, mode="constant", constant_values=value)
-        return apply_op(out_data, (a,), backward, "pad")
-
-
 # --------------------------------------------------------------------------
 # Free functions over tensors
 # --------------------------------------------------------------------------
@@ -722,49 +640,6 @@ def _axis_size(shape: tuple[int, ...], axis: int | tuple[int, ...]) -> int:
     return size
 
 
-def where(condition: np.ndarray | Tensor, a: Tensor | float, b: Tensor | float) -> Tensor:
-    """Differentiable selection: ``a`` where ``condition`` else ``b``.
-
-    The condition itself is treated as a constant (no gradient flows into
-    it), matching the usual autograd convention.
-    """
-    cond = np.asarray(_raw(condition), dtype=bool)
-    a_t, b_t = _ensure_tensor(a), _ensure_tensor(b)
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        grad_a = _unbroadcast(np.where(cond, g, 0.0), a_t.shape)
-        grad_b = _unbroadcast(np.where(cond, 0.0, g), b_t.shape)
-        return grad_a, grad_b
-
-    return apply_op(np.where(cond, a_t.data, b_t.data), (a_t, b_t), backward, "where")
-
-
-def maximum(a: Tensor | float, b: Tensor | float) -> Tensor:
-    """Elementwise maximum; ties send the gradient to the first operand."""
-    a_t, b_t = _ensure_tensor(a), _ensure_tensor(b)
-    take_a = a_t.data >= b_t.data
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        grad_a = _unbroadcast(np.where(take_a, g, 0.0), a_t.shape)
-        grad_b = _unbroadcast(np.where(take_a, 0.0, g), b_t.shape)
-        return grad_a, grad_b
-
-    return apply_op(np.maximum(a_t.data, b_t.data), (a_t, b_t), backward, "maximum")
-
-
-def minimum(a: Tensor | float, b: Tensor | float) -> Tensor:
-    """Elementwise minimum; ties send the gradient to the first operand."""
-    a_t, b_t = _ensure_tensor(a), _ensure_tensor(b)
-    take_a = a_t.data <= b_t.data
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        grad_a = _unbroadcast(np.where(take_a, g, 0.0), a_t.shape)
-        grad_b = _unbroadcast(np.where(take_a, 0.0, g), b_t.shape)
-        return grad_a, grad_b
-
-    return apply_op(np.minimum(a_t.data, b_t.data), (a_t, b_t), backward, "minimum")
-
-
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors of identical shape along a new axis."""
     tensors = [_ensure_tensor(t) for t in tensors]
@@ -783,18 +658,3 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     return apply_op(out_data, tuple(tensors), backward, "stack")
 
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along an existing axis."""
-    tensors = [_ensure_tensor(t) for t in tensors]
-    if not tensors:
-        raise ValueError("concatenate() needs at least one tensor")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    norm_axis = axis % out_data.ndim
-    sizes = [t.shape[norm_axis] for t in tensors]
-    boundaries = np.cumsum(sizes)[:-1]
-
-    def backward(g: np.ndarray) -> tuple[np.ndarray | None, ...]:
-        return tuple(np.split(g, boundaries, axis=norm_axis))
-
-    return apply_op(out_data, tuple(tensors), backward, "concatenate")

@@ -1,16 +1,6 @@
-"""Training loops (standard and adversarial) and classification metrics."""
+"""The training loop and its accuracy metric."""
 
-from repro.training.adversarial import AdversarialTrainer, AdversarialTrainingConfig
-from repro.training.metrics import accuracy, confusion_matrix, per_class_accuracy
+from repro.training.metrics import accuracy
 from repro.training.trainer import Trainer, TrainingConfig, TrainingHistory
 
-__all__ = [
-    "AdversarialTrainer",
-    "AdversarialTrainingConfig",
-    "Trainer",
-    "TrainingConfig",
-    "TrainingHistory",
-    "accuracy",
-    "confusion_matrix",
-    "per_class_accuracy",
-]
+__all__ = ["Trainer", "TrainingConfig", "TrainingHistory", "accuracy"]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy", "confusion_matrix", "per_class_accuracy"]
+__all__ = ["accuracy"]
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -19,25 +19,3 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
         return 0.0
     return float((predictions == labels).mean())
 
-
-def confusion_matrix(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int | None = None
-) -> np.ndarray:
-    """Confusion matrix ``C[true, predicted]`` of integer counts."""
-    predictions = np.asarray(predictions, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if num_classes is None:
-        num_classes = int(max(predictions.max(initial=0), labels.max(initial=0))) + 1
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (labels, predictions), 1)
-    return matrix
-
-
-def per_class_accuracy(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int | None = None
-) -> np.ndarray:
-    """Recall per class; NaN for classes absent from ``labels``."""
-    matrix = confusion_matrix(predictions, labels, num_classes)
-    totals = matrix.sum(axis=1).astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(totals > 0, np.diag(matrix) / totals, np.nan)

@@ -33,18 +33,6 @@ def new_rng(seed: int | np.random.Generator | None = None) -> np.random.Generato
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: int | None, count: int) -> list[np.random.Generator]:
-    """Create ``count`` statistically independent generators from one seed.
-
-    Uses :class:`numpy.random.SeedSequence` spawning, so sibling generators
-    do not overlap even for adjacent seeds.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    root = np.random.SeedSequence(DEFAULT_SEED if seed is None else seed)
-    return [np.random.default_rng(child) for child in root.spawn(count)]
-
-
 class SeedSequence:
     """A small helper that hands out deterministic child seeds by name.
 

@@ -1,9 +1,10 @@
-"""Numerical gradient checking for the autograd engine.
+"""Numerical gradient checking for the autograd engine (a test helper).
 
 :func:`gradcheck` compares analytic reverse-mode gradients with float64
 central differences.  The engine's unit tests call it for every primitive
 and composite operation; any new custom op (e.g. a different surrogate
-gradient) should ship with a gradcheck-based test.
+gradient) should ship with a gradcheck-based test.  Nothing under
+``src/`` imports this module.
 """
 
 from __future__ import annotations

@@ -4,17 +4,14 @@ from __future__ import annotations
 
 import json
 
-from repro.experiments import (
-    run_attack_ablation,
-    run_encoding_ablation,
-    run_reset_ablation,
-    run_surrogate_ablation,
-)
+from repro.experiments import run_ablation_suite
 
 
 class TestAblationRunners:
     def test_surrogate_ablation_micro(self):
-        result = run_surrogate_ablation("micro", families=("superspike", "triangle"))
+        result = run_ablation_suite(
+            "micro", factors=("surrogate",), surrogate_families=("superspike", "triangle")
+        )["surrogate"]
         assert set(result.variants) == {"superspike", "triangle"}
         assert result.factor == "surrogate"
         text = result.render()
@@ -22,19 +19,21 @@ class TestAblationRunners:
         json.dumps(result.as_dict())
 
     def test_reset_ablation_micro(self):
-        result = run_reset_ablation("micro")
+        result = run_ablation_suite("micro", factors=("reset",))["reset"]
         assert set(result.variants) == {"reset_hard", "reset_soft"}
         for curve in result.variants.values():
             assert len(curve) == len(result.epsilons)
             assert all(0.0 <= v <= 1.0 for v in curve)
 
     def test_encoding_ablation_micro(self):
-        result = run_encoding_ablation("micro")
+        result = run_ablation_suite("micro", factors=("encoding",))["encoding"]
         assert set(result.variants) == {"constant_current", "poisson_rate"}
         assert set(result.clean_accuracies) == {"constant_current", "poisson_rate"}
 
     def test_attack_ablation_micro(self):
-        result = run_attack_ablation("micro", attacks=("pgd", "fgsm", "uniform_noise"))
+        result = run_ablation_suite(
+            "micro", factors=("attack",), attack_families=("pgd", "fgsm", "uniform_noise")
+        )["attack"]
         assert set(result.variants) == {"pgd", "fgsm", "uniform_noise"}
         assert "reference_snn" in result.clean_accuracies
 

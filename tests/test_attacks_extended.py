@@ -1,4 +1,4 @@
-"""Targeted attacks, transfer evaluation and adversarial training."""
+"""Targeted attacks and transfer evaluation."""
 
 from __future__ import annotations
 
@@ -11,14 +11,7 @@ from repro.attacks import (
     evaluate_transfer_attack,
     predict_batched,
 )
-from repro.models import build_model
 from repro.tensor import Tensor, functional as F
-from repro.training import (
-    AdversarialTrainer,
-    AdversarialTrainingConfig,
-    Trainer,
-    TrainingConfig,
-)
 
 
 class TestTargetedAttacks:
@@ -102,76 +95,3 @@ class TestTransferAttacks:
         result = TransferEvaluation("fgsm", 0.1, 4, 0.0, 0.0, 0.0)
         assert result.transfer_rate == 0.0
 
-
-class TestAdversarialTrainingConfig:
-    def test_defaults_valid(self):
-        AdversarialTrainingConfig().validate()
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"attack_epsilon": -0.1},
-            {"attack_steps": 0},
-            {"adversarial_fraction": 1.5},
-            {"clip_min": 1.0, "clip_max": 0.0},
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            AdversarialTrainingConfig(**kwargs).validate()
-
-
-class TestAdversarialTrainer:
-    def test_trains_and_records_history(self, tiny_digits):
-        train, _test = tiny_digits
-        model = build_model("lenet_mini", input_size=12, rng=0)
-        config = AdversarialTrainingConfig(
-            epochs=2, batch_size=16, attack_epsilon=0.05, attack_steps=2
-        )
-        history = AdversarialTrainer(model, config).fit(train.take(48))
-        assert len(history.train_loss) == 2
-
-    def test_improves_robustness_over_standard_training(self, tiny_digits):
-        train, test = tiny_digits
-        epsilon = 0.15
-
-        standard = build_model("lenet_mini", input_size=12, rng=0)
-        Trainer(standard, TrainingConfig(epochs=4, batch_size=16)).fit(train)
-
-        hardened = build_model("lenet_mini", input_size=12, rng=0)
-        config = AdversarialTrainingConfig(
-            epochs=4,
-            batch_size=16,
-            attack_epsilon=epsilon,
-            attack_steps=3,
-            adversarial_fraction=1.0,
-        )
-        AdversarialTrainer(hardened, config).fit(train)
-
-        from repro.attacks import evaluate_attack
-
-        subset = test.take(24)
-        attack = PGD(epsilon, steps=4, rng=0)
-        rob_standard = evaluate_attack(standard, attack, subset).robustness
-        rob_hardened = evaluate_attack(hardened, attack, subset).robustness
-        assert rob_hardened >= rob_standard
-
-    def test_zero_fraction_matches_standard_batches(self, tiny_digits):
-        train, _test = tiny_digits
-        model = build_model("lenet_mini", input_size=12, rng=0)
-        config = AdversarialTrainingConfig(
-            epochs=1, batch_size=16, adversarial_fraction=0.0
-        )
-        trainer = AdversarialTrainer(model, config)
-        images = train.images[:8]
-        out = trainer._adversarialize(images, train.labels[:8], config)
-        np.testing.assert_array_equal(out, images)
-
-    def test_model_back_in_train_mode_after_crafting(self, tiny_digits):
-        train, _test = tiny_digits
-        model = build_model("lenet_mini", input_size=12, rng=0)
-        config = AdversarialTrainingConfig(epochs=1, batch_size=16)
-        trainer = AdversarialTrainer(model, config)
-        model.train()
-        trainer._adversarialize(train.images[:8], train.labels[:8], config)
-        assert model.training

@@ -1,4 +1,4 @@
-"""Datasets: glyphs, synthetic MNIST, patterns, loaders, transforms."""
+"""Datasets: glyphs, synthetic MNIST, loaders, transforms."""
 
 from __future__ import annotations
 
@@ -11,21 +11,15 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    AddGaussianNoise,
     ArrayDataset,
-    Clip,
-    Compose,
     DataLoader,
     MNIST_MEAN,
     MNIST_STD,
     Normalize,
-    PatternsConfig,
     SynthConfig,
     SyntheticMNIST,
     load_synthetic_mnist,
-    make_patterns,
     normalized_bounds,
-    train_test_split,
 )
 from repro.data.glyphs import GLYPH_HEIGHT, GLYPH_WIDTH, all_glyphs, digit_glyph
 from repro.errors import ConfigurationError, ShapeError
@@ -138,28 +132,6 @@ class TestSyntheticMNIST:
         assert result.stdout.strip() == "[]"
 
 
-class TestPatterns:
-    def test_shapes_and_balance(self):
-        data = make_patterns(40, seed=0)
-        assert data.images.shape == (40, 1, 16, 16)
-        np.testing.assert_array_equal(data.class_counts(), np.full(4, 10))
-
-    def test_determinism(self):
-        a = make_patterns(20, seed=1)
-        b = make_patterns(20, seed=1)
-        np.testing.assert_array_equal(a.images, b.images)
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            make_patterns(10, PatternsConfig(num_classes=1))
-        with pytest.raises(ConfigurationError):
-            make_patterns(10, PatternsConfig(frequency=0.0))
-
-    def test_range(self):
-        data = make_patterns(10, seed=0)
-        assert data.images.min() >= 0.0 and data.images.max() <= 1.0
-
-
 class TestArrayDataset:
     def test_len_getitem(self):
         ds = ArrayDataset(np.zeros((5, 1, 2, 2)), np.arange(5))
@@ -182,25 +154,6 @@ class TestArrayDataset:
         ds = ArrayDataset(np.zeros((6, 1)), np.array([0, 0, 1, 2, 2, 2]))
         assert ds.num_classes == 3
         np.testing.assert_array_equal(ds.class_counts(), [2, 1, 3])
-
-
-class TestTrainTestSplit:
-    def test_sizes(self):
-        ds = ArrayDataset(np.zeros((10, 1)), np.arange(10))
-        train, test = train_test_split(ds, test_fraction=0.3, seed=0)
-        assert len(train) == 7 and len(test) == 3
-
-    def test_disjoint(self):
-        ds = ArrayDataset(np.arange(20).reshape(20, 1).astype(float), np.zeros(20, dtype=int))
-        train, test = train_test_split(ds, test_fraction=0.25, seed=0)
-        train_vals = set(train.images.ravel().tolist())
-        test_vals = set(test.images.ravel().tolist())
-        assert not train_vals & test_vals
-
-    def test_invalid_fraction(self):
-        ds = ArrayDataset(np.zeros((4, 1)), np.zeros(4, dtype=int))
-        with pytest.raises(ValueError):
-            train_test_split(ds, test_fraction=0.0)
 
 
 class TestDataLoader:
@@ -248,30 +201,6 @@ class TestTransforms:
     def test_normalize_invalid_std(self):
         with pytest.raises(ValueError):
             Normalize(0.0, 0.0)
-
-    def test_clip(self):
-        out = Clip(0.0, 1.0)(np.array([-1.0, 0.5, 2.0]))
-        np.testing.assert_allclose(out, [0.0, 0.5, 1.0])
-
-    def test_clip_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            Clip(1.0, 0.0)
-
-    def test_compose_order(self):
-        pipeline = Compose([Normalize(0.5, 0.5), Clip(0.0, 1.0)])
-        out = pipeline(np.array([1.0]))
-        np.testing.assert_allclose(out, [1.0])
-
-    def test_add_gaussian_noise_seeded(self):
-        x = np.zeros((4, 4), dtype=np.float32)
-        a = AddGaussianNoise(0.1, seed=0)(x)
-        b = AddGaussianNoise(0.1, seed=0)(x)
-        np.testing.assert_array_equal(a, b)
-        assert a.std() > 0
-
-    def test_add_gaussian_noise_zero_std_identity(self):
-        x = np.ones((3, 3))
-        np.testing.assert_array_equal(AddGaussianNoise(0.0)(x), x)
 
     def test_mnist_constants_and_bounds(self):
         lo, hi = normalized_bounds()

@@ -18,6 +18,7 @@ from repro import nn
 from repro.data import ArrayDataset
 from repro.engine import (
     CellCache,
+    JobContext,
     ResilienceConfig,
     build_cell_tasks,
     context_fingerprint,
@@ -26,7 +27,7 @@ from repro.engine import (
 )
 from repro.experiments import runner as runner_module
 from repro.experiments.runner import main
-from repro.robustness import CellResult, ExplorationConfig, ExplorationResult, RobustnessExplorer
+from repro.robustness import CellResult, ExplorationConfig, ExplorationResult
 from repro.training.trainer import TrainingConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -58,147 +59,151 @@ def _tiny_config(**overrides) -> ExplorationConfig:
     return ExplorationConfig(**settings)
 
 
-@pytest.fixture()
-def explorer() -> RobustnessExplorer:
+def _context(**overrides) -> JobContext:
     train, test = _tiny_sets()
-    return RobustnessExplorer(_factory, train, test, _tiny_config())
+    return JobContext.for_grid(_tiny_config(**overrides), _factory, train, test)
+
+
+def _tasks(**overrides):
+    return build_cell_tasks(_tiny_config(**overrides))
+
+
+@pytest.fixture()
+def context() -> JobContext:
+    return _context()
 
 
 class TestTasks:
-    def test_tasks_cover_grid_with_unique_seeds(self, explorer):
-        tasks = explorer.tasks()
+    def test_tasks_cover_grid_with_unique_seeds(self):
+        tasks = _tasks()
         assert len(tasks) == 2
         assert [t.index for t in tasks] == [0, 1]
         assert len({t.train_seed for t in tasks}) == 2
         assert len({t.attack_seed for t in tasks}) == 2
         assert {t.train_seed for t in tasks}.isdisjoint({t.attack_seed for t in tasks})
 
-    def test_explore_cell_matches_grid_run(self, explorer):
-        # The single-cell API and the scheduled grid must agree exactly.
-        result = explorer.run()
-        assert explorer.explore_cell(0.5, 2) == result.cell(0.5, 2)
+    def test_explore_cell_matches_grid_run(self, context):
+        # One cell run alone and the scheduled grid must agree exactly.
+        cells, _ = run_cell_tasks(context, _tasks())
+        assert run_cell_task(_context(), _tasks()[0]) == cells[0]
 
-    def test_run_cell_task_records_timing_and_worker(self, explorer):
-        task = explorer.tasks()[0]
-        cell = run_cell_task(explorer.context, task)
+    def test_run_cell_task_records_timing_and_worker(self, context):
+        task = _tasks()[0]
+        cell = run_cell_task(context, task)
         assert cell.elapsed_seconds > 0.0
         assert cell.worker == "MainProcess"
 
 
 class TestSerialParallelEquivalence:
-    def test_parallel_results_identical_to_serial(self, explorer):
-        serial = explorer.run(jobs=1)
-        parallel = explorer.run(jobs=2)
-        assert serial.cells == parallel.cells
-        for cell_s, cell_p in zip(serial.cells, parallel.cells):
+    def test_parallel_results_identical_to_serial(self, context):
+        serial, _ = run_cell_tasks(context, _tasks(), jobs=1)
+        parallel, stats = run_cell_tasks(context, _tasks(), jobs=2)
+        assert serial == parallel
+        for cell_s, cell_p in zip(serial, parallel):
             assert cell_s.clean_accuracy == cell_p.clean_accuracy
             assert cell_s.robustness == cell_p.robustness
-        assert parallel.metadata["engine"]["jobs"] == 2
-        workers = parallel.metadata["engine"]["workers"]
-        assert workers and all(w != "MainProcess" for w in workers)
+        assert stats.jobs == 2
+        assert stats.workers and all(w != "MainProcess" for w in stats.workers)
 
-    def test_jobs_capped_by_pending_cells(self, explorer):
-        result = explorer.run(jobs=16)
-        assert result.metadata["engine"]["jobs"] <= 2
+    def test_jobs_capped_by_pending_cells(self, context):
+        _, stats = run_cell_tasks(context, _tasks(), jobs=16)
+        assert stats.jobs <= 2
 
-    def test_invalid_jobs_rejected(self, explorer):
+    def test_invalid_jobs_rejected(self, context):
         with pytest.raises(ValueError):
-            explorer.run(jobs=0)
+            run_cell_tasks(context, _tasks(), jobs=0)
 
 
 class TestCellCache:
-    def test_put_get_roundtrip(self, explorer, tmp_path):
-        cache = CellCache(tmp_path, context_fingerprint(explorer.context))
-        task = explorer.tasks()[0]
+    def test_put_get_roundtrip(self, context, tmp_path):
+        cache = CellCache(tmp_path, context_fingerprint(context))
+        task = _tasks()[0]
         assert cache.get(task) is None
-        cell = run_cell_task(explorer.context, task)
+        cell = run_cell_task(context, task)
         cache.put(task, cell)
         assert cache.get(task) == cell
         assert len(cache) == 1
 
-    def test_corrupt_entry_is_a_miss(self, explorer, tmp_path):
-        cache = CellCache(tmp_path, context_fingerprint(explorer.context))
-        task = explorer.tasks()[0]
-        cache.put(task, run_cell_task(explorer.context, task))
+    def test_corrupt_entry_is_a_miss(self, context, tmp_path):
+        cache = CellCache(tmp_path, context_fingerprint(context))
+        task = _tasks()[0]
+        cache.put(task, run_cell_task(context, task))
         cache.path_for(task).write_text("{not json")
         assert cache.get(task) is None
 
-    def test_fingerprint_sensitive_to_config_and_tags(self, explorer):
-        base = context_fingerprint(explorer.context)
-        train, test = _tiny_sets()
-        gate = RobustnessExplorer(_factory, train, test, _tiny_config(accuracy_threshold=0.5))
-        assert context_fingerprint(gate.context) != base
-        assert context_fingerprint(explorer.context, tags={"model": "x"}) != base
+    def test_fingerprint_sensitive_to_config_and_tags(self, context):
+        base = context_fingerprint(context)
+        assert context_fingerprint(_context(accuracy_threshold=0.5)) != base
+        assert context_fingerprint(context, tags={"model": "x"}) != base
         # The ε list is per-task key material: same context, other checkpoint.
-        other = RobustnessExplorer(_factory, train, test, _tiny_config(epsilons=(0.2,)))
-        assert context_fingerprint(other.context) == base
+        assert context_fingerprint(_context(epsilons=(0.2,))) == base
         cache = CellCache("unused", base)
-        assert cache.path_for(other.tasks()[0]) != cache.path_for(explorer.tasks()[0])
+        assert cache.path_for(_tasks(epsilons=(0.2,))[0]) != cache.path_for(_tasks()[0])
 
-    def test_clear_removes_entries(self, explorer, tmp_path):
-        cache = CellCache(tmp_path, context_fingerprint(explorer.context))
-        for task in explorer.tasks():
-            cache.put(task, run_cell_task(explorer.context, task))
+    def test_clear_removes_entries(self, context, tmp_path):
+        cache = CellCache(tmp_path, context_fingerprint(context))
+        for task in _tasks():
+            cache.put(task, run_cell_task(context, task))
         assert cache.clear() == 2
         assert len(cache) == 0
 
 
 class TestResume:
-    def _cache(self, explorer, tmp_path) -> CellCache:
-        return CellCache(tmp_path, context_fingerprint(explorer.context))
+    def _cache(self, context, tmp_path) -> CellCache:
+        return CellCache(tmp_path, context_fingerprint(context))
 
-    def test_full_resume_skips_all_cells(self, explorer, tmp_path):
-        cache = self._cache(explorer, tmp_path)
-        first = explorer.run(cache=cache)
-        assert first.metadata["engine"]["cached_cells"] == 0
-        resumed = explorer.run(cache=cache, resume=True)
-        assert resumed.metadata["engine"]["cached_cells"] == 2
-        assert resumed.metadata["engine"]["computed_cells"] == 0
-        assert resumed.cells == first.cells
+    def test_full_resume_skips_all_cells(self, context, tmp_path):
+        cache = self._cache(context, tmp_path)
+        first, stats = run_cell_tasks(context, _tasks(), cache=cache)
+        assert stats.cached_cells == 0
+        resumed, stats = run_cell_tasks(context, _tasks(), cache=cache, resume=True)
+        assert stats.cached_cells == 2
+        assert stats.computed_cells == 0
+        assert resumed == first
 
-    def test_partial_resume_recomputes_only_missing(self, explorer, tmp_path):
-        cache = self._cache(explorer, tmp_path)
-        first = explorer.run(cache=cache)
+    def test_partial_resume_recomputes_only_missing(self, context, tmp_path):
+        cache = self._cache(context, tmp_path)
+        first, _ = run_cell_tasks(context, _tasks(), cache=cache)
         # Simulate an interrupt that lost one checkpoint.
-        cache.path_for(explorer.tasks()[1]).unlink()
-        resumed = explorer.run(cache=cache, resume=True)
-        assert resumed.metadata["engine"]["cached_cells"] == 1
-        assert resumed.metadata["engine"]["computed_cells"] == 1
-        assert resumed.cells == first.cells
+        cache.path_for(_tasks()[1]).unlink()
+        resumed, stats = run_cell_tasks(context, _tasks(), cache=cache, resume=True)
+        assert stats.cached_cells == 1
+        assert stats.computed_cells == 1
+        assert resumed == first
 
-    def test_without_resume_cache_is_write_only(self, explorer, tmp_path):
-        cache = self._cache(explorer, tmp_path)
-        explorer.run(cache=cache)
-        again = explorer.run(cache=cache)
-        assert again.metadata["engine"]["cached_cells"] == 0
-        assert again.metadata["engine"]["computed_cells"] == 2
+    def test_without_resume_cache_is_write_only(self, context, tmp_path):
+        cache = self._cache(context, tmp_path)
+        run_cell_tasks(context, _tasks(), cache=cache)
+        _, stats = run_cell_tasks(context, _tasks(), cache=cache)
+        assert stats.cached_cells == 0
+        assert stats.computed_cells == 2
 
-    def test_resume_without_cache_rejected(self, explorer):
+    def test_resume_without_cache_rejected(self, context):
         with pytest.raises(ValueError, match="resume"):
-            explorer.run(resume=True)
+            run_cell_tasks(context, _tasks(), resume=True)
 
-    def test_workers_reflect_only_this_invocation(self, explorer, tmp_path):
-        cache = self._cache(explorer, tmp_path)
-        explorer.run(cache=cache, jobs=2)
-        resumed = explorer.run(cache=cache, resume=True)
+    def test_workers_reflect_only_this_invocation(self, context, tmp_path):
+        cache = self._cache(context, tmp_path)
+        run_cell_tasks(context, _tasks(), cache=cache, jobs=2)
+        resumed, stats = run_cell_tasks(context, _tasks(), cache=cache, resume=True)
         # All cells came from checkpoints: the old pool workers must not
         # be credited with work in this run.
-        assert resumed.metadata["engine"]["workers"] == []
+        assert stats.workers == []
         # ...but per-cell provenance is preserved.
-        assert all(c.worker and c.worker != "MainProcess" for c in resumed.cells)
+        assert all(c.worker and c.worker != "MainProcess" for c in resumed)
 
 
 class TestSchedulerUnits:
-    def test_duplicate_task_indices_rejected(self, explorer):
-        task = explorer.tasks()[0]
+    def test_duplicate_task_indices_rejected(self, context):
+        task = _tasks()[0]
         with pytest.raises(ValueError):
-            run_cell_tasks(explorer.context, [task, task])
+            run_cell_tasks(context, [task, task])
 
     @pytest.mark.parametrize("jobs,stack", [(1, 0)])
-    def test_invalid_stack_rejected(self, explorer, jobs, stack):
+    def test_invalid_stack_rejected(self, context, jobs, stack):
         # stack < 1 is meaningless.
         with pytest.raises(ValueError, match="stack"):
-            run_cell_tasks(explorer.context, explorer.tasks(), jobs=jobs, stack=stack)
+            run_cell_tasks(context, _tasks(), jobs=jobs, stack=stack)
 
     def test_build_cell_tasks_is_deterministic(self):
         config = _tiny_config()
@@ -540,11 +545,11 @@ class TestRunnerAllMode:
 
 
 class TestSharedCacheDirectory:
-    def test_len_and_clear_scoped_to_fingerprint(self, explorer, tmp_path):
-        cache_a = CellCache(tmp_path, context_fingerprint(explorer.context))
+    def test_len_and_clear_scoped_to_fingerprint(self, context, tmp_path):
+        cache_a = CellCache(tmp_path, context_fingerprint(context))
         cache_b = CellCache(tmp_path, "f" * 64)
-        task = explorer.tasks()[0]
-        cell = run_cell_task(explorer.context, task)
+        task = _tasks()[0]
+        cell = run_cell_task(context, task)
         cache_a.put(task, cell)
         cache_b.put(task, cell)
         assert len(cache_a) == 1 and len(cache_b) == 1
@@ -555,26 +560,26 @@ class TestSharedCacheDirectory:
 
 
 class TestResumeDiagnostics:
-    def test_empty_cache_resume_is_not_a_warning(self, explorer, tmp_path, caplog):
+    def test_empty_cache_resume_is_not_a_warning(self, context, tmp_path, caplog):
         import logging
 
-        cache = CellCache(tmp_path, context_fingerprint(explorer.context))
+        cache = CellCache(tmp_path, context_fingerprint(context))
         with caplog.at_level(logging.INFO, logger="repro.engine"):
-            explorer.run(cache=cache, resume=True)
+            run_cell_tasks(context, _tasks(), cache=cache, resume=True)
         warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
         assert warnings == []
 
-    def test_mismatched_checkpoints_warn(self, explorer, tmp_path, caplog):
+    def test_mismatched_checkpoints_warn(self, context, tmp_path, caplog):
         import logging
 
         # A sibling cache under a different fingerprint leaves entries the
         # resuming run cannot use — that's worth a warning.
         foreign = CellCache(tmp_path, "f" * 64)
-        task = explorer.tasks()[0]
-        foreign.put(task, run_cell_task(explorer.context, task))
-        cache = CellCache(tmp_path, context_fingerprint(explorer.context))
+        task = _tasks()[0]
+        foreign.put(task, run_cell_task(context, task))
+        cache = CellCache(tmp_path, context_fingerprint(context))
         with caplog.at_level(logging.INFO, logger="repro.engine"):
-            explorer.run(cache=cache, resume=True)
+            run_cell_tasks(context, _tasks(), cache=cache, resume=True)
         assert any(
             r.levelno == logging.WARNING and "match this configuration" in r.message
             for r in caplog.records
@@ -582,17 +587,17 @@ class TestResumeDiagnostics:
 
 
 class TestCacheRobustness:
-    def test_non_dict_json_checkpoint_is_a_miss(self, explorer, tmp_path):
-        cache = CellCache(tmp_path, context_fingerprint(explorer.context))
-        task = explorer.tasks()[0]
-        cache.put(task, run_cell_task(explorer.context, task))
+    def test_non_dict_json_checkpoint_is_a_miss(self, context, tmp_path):
+        cache = CellCache(tmp_path, context_fingerprint(context))
+        task = _tasks()[0]
+        cache.put(task, run_cell_task(context, task))
         for content in ("null", "[1, 2]", '"text"', '{"version": 1, "cell": null}'):
             cache.path_for(task).write_text(content)
             assert cache.get(task) is None
 
     @pytest.mark.parametrize("stack", [1, 2])
     def test_unwritable_cache_does_not_abort_the_run(
-        self, explorer, tmp_path, caplog, stack
+        self, context, tmp_path, caplog, stack
     ):
         import logging
 
@@ -600,18 +605,18 @@ class TestCacheRobustness:
             def put(self, task, cell):
                 raise OSError("disk full")
 
-        cache = BrokenCache(tmp_path, context_fingerprint(explorer.context))
+        cache = BrokenCache(tmp_path, context_fingerprint(context))
         with caplog.at_level(logging.WARNING, logger="repro.engine"):
-            result = explorer.run(cache=cache, stack=stack)
-        assert len(result.cells) == 2
-        assert result.metadata["engine"]["computed_cells"] == 2
+            cells, stats = run_cell_tasks(context, _tasks(), cache=cache, stack=stack)
+        assert len(cells) == 2
+        assert stats.computed_cells == 2
         assert sum(
             "checkpointing disabled" in r.message for r in caplog.records
         ) == 1  # warned once, not per cell
 
     @pytest.mark.parametrize("stack", [1, 2])
     def test_transient_cache_write_failure_is_retried(
-        self, explorer, tmp_path, caplog, stack
+        self, context, tmp_path, caplog, stack
     ):
         import logging
 
@@ -624,10 +629,10 @@ class TestCacheRobustness:
                     raise OSError("transient")
                 return super().put(task, cell)
 
-        cache = FlakyCache(tmp_path, context_fingerprint(explorer.context))
+        cache = FlakyCache(tmp_path, context_fingerprint(context))
         with caplog.at_level(logging.WARNING, logger="repro.engine"):
-            explorer.run(cache=cache, stack=stack)
-        assert all(cache.get(task) is not None for task in explorer.tasks())
+            run_cell_tasks(context, _tasks(), cache=cache, stack=stack)
+        assert all(cache.get(task) is not None for task in _tasks())
         messages = [r.message for r in caplog.records]
         assert sum("retrying once" in m for m in messages) == 1
         assert not any("checkpointing disabled" in m for m in messages)

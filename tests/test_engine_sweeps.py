@@ -265,7 +265,7 @@ class TestFig1Engine:
         tags = _model_tags(profile, "fig1")
         assert tags["cnn_model"] == profile.fig1_cnn_model
         assert tags["snn_model"] == profile.fig1_snn_model
-        other = dataclasses.replace(profile, fig1_snn_model="snn_lenet5")
+        other = dataclasses.replace(profile, fig1_snn_model="snn_lenet_mini")
         assert _model_tags(other, "fig1") != tags
         # fig9's tags do not see the fig1 models.
         assert _model_tags(other, "fig9") == _model_tags(profile, "fig9")
@@ -812,6 +812,47 @@ class TestDivergence:
             with pytest.raises(TrainingError):
                 run_cell_task(context, task)
         assert len(weights) == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("stack", [1, 2], ids=["unstacked", "stacked"])
+    def test_diverged_cell_fails_an_open_gate(self, stack):
+        # At gate 0.0 a diverged cell's score of 0 meets the threshold, but
+        # its weights are non-finite: the one learnability rule rejects it
+        # on both paths, and it is never attacked.
+        import numpy as np
+
+        from repro.data import ArrayDataset
+        from repro.engine import JobContext, build_cell_tasks, run_cell_tasks
+        from repro.models import build_spiking_lenet_mini
+        from repro.robustness import ExplorationConfig
+        from repro.snn import LIFParameters
+        from repro.training import TrainingConfig
+
+        rng = np.random.default_rng(0)
+        data = ArrayDataset(rng.random((16, 1, 8, 8), dtype=np.float32), rng.integers(0, 4, 16))
+
+        def factory(v_th, time_window, seed):
+            model = build_spiking_lenet_mini(
+                input_size=8, num_classes=4, time_steps=time_window,
+                lif_params=LIFParameters(v_th=v_th), rng=seed,
+            )
+            if v_th == 1.0:
+                model.readout.transform.weight.data[...] = np.inf
+            return model
+
+        config = ExplorationConfig(
+            v_thresholds=(0.5, 1.0), time_windows=(4,), epsilons=(0.5,),
+            accuracy_threshold=0.0, attack_steps=2,
+            training=TrainingConfig(epochs=1, batch_size=8), seed=7,
+        )
+        context = JobContext.for_grid(config, factory, data, data.take(8))
+        cells, stats = run_cell_tasks(context, build_cell_tasks(config), stack=stack)
+        assert stats.start_method == ("stacked" if stack > 1 else "serial")
+        healthy, diverged = cells
+        assert diverged.diverged and not diverged.learnable
+        assert diverged.clean_accuracy == 0.0
+        assert diverged.curves == {} and "attack_s" not in diverged.phase_seconds
+        assert not healthy.diverged and healthy.learnable and healthy.curves
 
 
 def _parent_payload(task, result) -> dict:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.tensor import Tensor, functional as F, gradcheck
+from repro.tensor import Tensor, functional as F
 from tests.conftest import make_tensor
+from tests.gradcheck import gradcheck
 
 
 class TestSoftmaxFamily:
@@ -108,29 +109,6 @@ class TestOneHot:
     def test_wrong_rank_raises(self):
         with pytest.raises(ShapeError):
             F.one_hot(np.zeros((2, 2), dtype=int), 3)
-
-
-class TestDropout:
-    def test_eval_mode_is_identity(self, rng):
-        x = Tensor(rng.standard_normal((10, 10)))
-        out = F.dropout(x, 0.5, rng, training=False)
-        np.testing.assert_array_equal(out.data, x.data)
-
-    def test_p_zero_is_identity(self, rng):
-        x = Tensor(rng.standard_normal((5, 5)))
-        out = F.dropout(x, 0.0, rng, training=True)
-        np.testing.assert_array_equal(out.data, x.data)
-
-    def test_expectation_preserved(self, rng):
-        x = Tensor(np.ones((200, 200)))
-        out = F.dropout(x, 0.3, rng, training=True)
-        assert out.data.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_invalid_p_raises(self, rng):
-        with pytest.raises(ValueError):
-            F.dropout(Tensor([1.0]), 1.0, rng)
-        with pytest.raises(ValueError):
-            F.dropout(Tensor([1.0]), -0.1, rng)
 
 
 def _reference_conv2d(x, w, b, stride, padding):

@@ -33,7 +33,7 @@ from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, no_grad
 from tests import reference_ops
 
-SPIKING_MODELS = ["snn_lenet_mini", "snn_lenet5", "snn_cnn5"]
+SPIKING_MODELS = ["snn_lenet_mini", "snn_cnn5"]
 
 
 class _DoubledFGSM(FGSM):
@@ -49,11 +49,6 @@ class _QuantizedFGSM(FGSM):
     def generate(self, model, images, labels, clean_gradient=None):
         out = super().generate(model, images, labels, clean_gradient)
         return np.round(out * 255.0) / 255.0
-
-
-def _input_size(name: str) -> int:
-    # snn_lenet5 needs the /2 - 4 geometry to stay positive.
-    return 28 if name == "snn_lenet5" else 16
 
 
 def _reference_conv(conv, x):
@@ -613,7 +608,7 @@ class TestFusedPlanPath:
 
     @pytest.mark.parametrize("name", SPIKING_MODELS)
     def test_registry_models_bitwise_identical(self, name):
-        size = _input_size(name)
+        size = 16
         model = build_model(name, input_size=size, time_steps=5, rng=0)
         x = Tensor(np.random.default_rng(3).random((3, 1, size, size)).astype(np.float32))
         reference = reference_ops.unrolled_forward(model, x)
@@ -627,7 +622,7 @@ class TestFusedPlanPath:
     def test_registry_models_full_plan_coverage(self, name, monkeypatch):
         # Every synaptic transform runs its compiled plan twins: neither a
         # no-grad nor a training pass ever calls a Tensor forward.
-        size = _input_size(name)
+        size = 16
         model = build_model(name, input_size=size, time_steps=6, rng=0)
         x = Tensor(np.random.default_rng(3).random((2, 1, size, size)).astype(np.float32))
 

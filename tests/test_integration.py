@@ -6,7 +6,9 @@ import numpy as np
 
 from repro.attacks import PGD, evaluate_attack, evaluate_clean_accuracy
 from repro.models import build_model
-from repro.robustness import ExplorationConfig, RobustnessExplorer
+from repro.engine import JobContext, build_cell_tasks, run_cell_tasks
+from repro.experiments.fig678_grid import grid_result
+from repro.robustness import ExplorationConfig
 from repro.snn import LIFParameters, spike_activity
 from repro.tensor import Tensor
 from repro.training import Trainer, TrainingConfig
@@ -63,7 +65,8 @@ class TestStructuralParameterPipeline:
             training=TrainingConfig(epochs=1, batch_size=16),
             seed=1,
         )
-        result = RobustnessExplorer(factory, small_train, subset, config).run()
+        context = JobContext.for_grid(config, factory, small_train, subset)
+        result = grid_result(config, context, *run_cell_tasks(context, build_cell_tasks(config)))
         assert len(result.cells) == 2
         grid = result.accuracy_grid()
         assert grid.shape == (1, 2)
@@ -105,13 +108,3 @@ class TestPersistenceRoundTrip:
         b = PGD(0.1, steps=2, rng=3).generate(clone, test.images[:4], test.labels[:4])
         np.testing.assert_allclose(a, b, rtol=1e-5)
 
-
-class TestSecondDataset:
-    def test_patterns_trainable(self):
-        from repro.data import make_patterns
-
-        train = make_patterns(80, seed=0, split="train")
-        test = make_patterns(40, seed=0, split="test")
-        model = build_model("lenet_mini", input_size=16, num_classes=4, rng=0)
-        Trainer(model, TrainingConfig(epochs=4, batch_size=16)).fit(train)
-        assert evaluate_clean_accuracy(model, test) > 0.6

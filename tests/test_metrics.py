@@ -33,7 +33,9 @@ from repro import nn
 from repro.data import ArrayDataset
 from repro.engine import (
     CellCache,
+    JobContext,
     WorkQueue,
+    build_cell_tasks,
     context_fingerprint,
     run_tasks,
 )
@@ -62,7 +64,7 @@ from repro.engine.metrics import (
     snapshot_worker_id,
 )
 from repro.experiments.runner import main
-from repro.robustness import ExplorationConfig, RobustnessExplorer
+from repro.robustness import ExplorationConfig
 from repro.robustness.results import CellResult
 from repro.training import TrainingConfig
 
@@ -89,10 +91,8 @@ def _factory(v_th: float, time_window: int, seed: int) -> nn.Module:
     return nn.Sequential(nn.Flatten(), nn.Linear(36, 4, rng=seed))
 
 
-@pytest.fixture()
-def explorer() -> RobustnessExplorer:
-    train, test = _tiny_sets()
-    config = ExplorationConfig(
+def _config() -> ExplorationConfig:
+    return ExplorationConfig(
         v_thresholds=(0.5, 1.0),
         time_windows=(2,),
         epsilons=(0.1,),
@@ -102,7 +102,17 @@ def explorer() -> RobustnessExplorer:
         training=TrainingConfig(epochs=1, batch_size=8, learning_rate=0.01),
         seed=7,
     )
-    return RobustnessExplorer(_factory, train, test, config)
+
+
+@pytest.fixture()
+def context() -> JobContext:
+    train, test = _tiny_sets()
+    return JobContext.for_grid(_config(), _factory, train, test)
+
+
+@pytest.fixture()
+def tasks() -> list[CellTask]:
+    return build_cell_tasks(_config())
 
 
 def _sample(snapshot: dict, name: str, **labels):
@@ -485,20 +495,18 @@ class TestRecordingHelpers:
 
 
 class TestEngineIntegration:
-    def test_results_are_identical_with_metrics_on_and_off(self, explorer, tmp_path):
-        tasks = explorer.tasks()
-        baseline, _ = run_tasks(explorer.context, tasks, run_cell_task, jobs=1)
+    def test_results_are_identical_with_metrics_on_and_off(self, context, tasks, tmp_path):
+        baseline, _ = run_tasks(context, tasks, run_cell_task, jobs=1)
         configure_metrics(tmp_path / "m")
-        instrumented, _ = run_tasks(explorer.context, tasks, run_cell_task, jobs=1)
+        instrumented, _ = run_tasks(context, tasks, run_cell_task, jobs=1)
         # CellResult equality covers every science field (timing telemetry
         # is compare=False): instrumentation must not perturb a single one.
         assert instrumented == baseline
 
-    def test_scheduler_counts_tasks_and_cache_traffic(self, explorer, tmp_path):
+    def test_scheduler_counts_tasks_and_cache_traffic(self, context, tasks, tmp_path):
         configure_metrics(tmp_path / "m")
-        tasks = explorer.tasks()
-        cache = CellCache(tmp_path / "cache", context_fingerprint(explorer.context))
-        run_tasks(explorer.context, tasks, run_cell_task, jobs=1, cache=cache)
+        cache = CellCache(tmp_path / "cache", context_fingerprint(context))
+        run_tasks(context, tasks, run_cell_task, jobs=1, cache=cache)
         snap = snapshot()
         assert _sample(snap, "repro_tasks_total", job="cell", status="computed") == len(tasks)
         assert _sample(snap, "repro_cache_requests_total", cache="cell", op="put") == len(tasks)
@@ -506,20 +514,19 @@ class TestEngineIntegration:
         assert train["count"] == len(tasks)
 
         reset_metrics(keep_dir=True)
-        run_tasks(explorer.context, tasks, run_cell_task, jobs=1, cache=cache, resume=True)
+        run_tasks(context, tasks, run_cell_task, jobs=1, cache=cache, resume=True)
         snap = snapshot()
         assert _sample(snap, "repro_tasks_total", job="cell", status="cached") == len(tasks)
         assert _sample(snap, "repro_cache_requests_total", cache="cell", op="hit") == len(tasks)
         assert "repro_task_phase_duration_ms" not in snap["metrics"]
 
-    def test_fork_pool_workers_do_not_double_count(self, explorer, tmp_path, monkeypatch):
+    def test_fork_pool_workers_do_not_double_count(self, context, tasks, tmp_path, monkeypatch):
         # Unpinned, so each pool worker flushes under its own hostname-pid.
         monkeypatch.delenv("REPRO_QUEUE_WORKER", raising=False)
         metrics_dir = tmp_path / "m"
         configure_metrics(metrics_dir)
         record_search_rung()  # a parent-side record every forked worker inherits
-        tasks = explorer.tasks()
-        _, stats = run_tasks(explorer.context, tasks, run_cell_task, jobs=2)
+        _, stats = run_tasks(context, tasks, run_cell_task, jobs=2)
         assert stats.start_method == "fork"
         snapshots = read_metrics_dir(metrics_dir)
         assert len(snapshots) > 1  # the parent's and the workers'
@@ -528,14 +535,13 @@ class TestEngineIntegration:
         tasks_family = merged["metrics"]["repro_tasks_total"]
         assert sum(sample["value"] for sample in tasks_family["samples"]) == len(tasks)
 
-    def test_queue_drain_commits_once_per_task(self, explorer, tmp_path, monkeypatch):
+    def test_queue_drain_commits_once_per_task(self, context, tasks, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_QUEUE_WORKER", "solo")
         metrics_dir = tmp_path / "m"
         configure_metrics(metrics_dir)
-        tasks = explorer.tasks()
-        cache = CellCache(tmp_path / "cache", context_fingerprint(explorer.context))
+        cache = CellCache(tmp_path / "cache", context_fingerprint(context))
         result, _ = run_tasks(
-            explorer.context, tasks, run_cell_task, cache=cache,
+            context, tasks, run_cell_task, cache=cache,
             queue_dir=tmp_path / "q", experiment="grid",
             cache_dir=tmp_path / "cache", lease_ttl=30.0,
         )

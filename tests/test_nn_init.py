@@ -30,26 +30,11 @@ class TestDistributions:
         assert np.abs(w).max() <= bound + 1e-7
         assert np.abs(w).max() > bound * 0.9  # actually fills the range
 
-    def test_kaiming_normal_std(self, rng):
-        w = init.kaiming_normal((400, 300), rng)
-        expected_std = math.sqrt(2.0) / math.sqrt(300)
-        assert w.std() == pytest.approx(expected_std, rel=0.05)
-
-    def test_xavier_uniform_bound(self, rng):
-        w = init.xavier_uniform((50, 70), rng)
-        bound = math.sqrt(6.0 / 120)
-        assert np.abs(w).max() <= bound + 1e-7
-
-    def test_xavier_normal_std(self, rng):
-        w = init.xavier_normal((300, 500), rng)
-        expected_std = math.sqrt(2.0 / 800)
-        assert w.std() == pytest.approx(expected_std, rel=0.05)
-
     def test_dtype_default_float32(self, rng):
         assert init.kaiming_uniform((4, 4), rng).dtype == np.float32
 
     def test_dtype_override(self, rng):
-        assert init.xavier_uniform((4, 4), rng, dtype=np.float64).dtype == np.float64
+        assert init.kaiming_uniform((4, 4), rng, dtype=np.float64).dtype == np.float64
 
     def test_deterministic_given_rng(self):
         a = init.kaiming_uniform((5, 5), np.random.default_rng(3))

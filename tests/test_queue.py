@@ -35,10 +35,13 @@ from repro.data import ArrayDataset
 from repro.engine import (
     AttemptLedger,
     CellCache,
+    CellTask,
+    JobContext,
     QueueError,
     ResilienceConfig,
     ShardSpec,
     WorkQueue,
+    build_cell_tasks,
     context_fingerprint,
     merge_event_logs,
     queue_status,
@@ -50,7 +53,7 @@ from repro.engine import (
     verify_cache_dir,
 )
 from repro.experiments.runner import main
-from repro.robustness import ExplorationConfig, RobustnessExplorer
+from repro.robustness import ExplorationConfig
 from repro.training.trainer import TrainingConfig
 
 FINGERPRINT = "f" * 64
@@ -99,10 +102,8 @@ def _factory(v_th: float, time_window: int, seed: int) -> nn.Module:
     return nn.Sequential(nn.Flatten(), nn.Linear(36, 4, rng=seed))
 
 
-@pytest.fixture()
-def explorer() -> RobustnessExplorer:
-    train, test = _tiny_sets()
-    config = ExplorationConfig(
+def _config() -> ExplorationConfig:
+    return ExplorationConfig(
         v_thresholds=(0.5, 1.0, 1.5),
         time_windows=(2, 4),
         epsilons=(0.1,),
@@ -112,7 +113,17 @@ def explorer() -> RobustnessExplorer:
         training=TrainingConfig(epochs=1, batch_size=8, learning_rate=0.01),
         seed=7,
     )
-    return RobustnessExplorer(_factory, train, test, config)
+
+
+@pytest.fixture()
+def context() -> JobContext:
+    train, test = _tiny_sets()
+    return JobContext.for_grid(_config(), _factory, train, test)
+
+
+@pytest.fixture()
+def tasks() -> list[CellTask]:
+    return build_cell_tasks(_config())
 
 
 class TestEventLogs:
@@ -446,17 +457,16 @@ class TestQueueInvariants:
 
 
 class TestRunQueuedTasks:
-    def _cache(self, explorer, directory) -> CellCache:
-        return CellCache(directory, context_fingerprint(explorer.context))
+    def _cache(self, context, directory) -> CellCache:
+        return CellCache(directory, context_fingerprint(context))
 
     def test_single_worker_serves_the_whole_grid(
-        self, explorer, tmp_path, monkeypatch
+        self, context, tasks, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_QUEUE_WORKER", "solo")
-        tasks = explorer.tasks()
-        cache = self._cache(explorer, tmp_path / "cache")
+        cache = self._cache(context, tmp_path / "cache")
         result, stats = run_tasks(
-            explorer.context, tasks, run_cell_task, cache=cache,
+            context, tasks, run_cell_task, cache=cache,
             queue_dir=tmp_path / "q", experiment="grid",
             cache_dir=tmp_path / "cache", lease_ttl=30.0,
         )
@@ -467,7 +477,7 @@ class TestRunQueuedTasks:
         assert stats.start_method == "queue"
         # Every committed checkpoint equals the serial evaluation.
         for task in tasks:
-            assert cache.get(task) == run_cell_task(explorer.context, task)
+            assert cache.get(task) == run_cell_task(context, task)
         # The shared cache is certified for `cache verify`.
         ok, summaries = verify_cache_dir(tmp_path / "cache")
         assert ok and summaries[0]["experiment"] == "grid"
@@ -479,17 +489,16 @@ class TestRunQueuedTasks:
                 assert len(event["checksum"]) == 64
 
     def test_replay_over_a_finished_queue_is_a_noop(
-        self, explorer, tmp_path, monkeypatch
+        self, context, tasks, tmp_path, monkeypatch
     ):
-        tasks = explorer.tasks()
-        cache = self._cache(explorer, tmp_path / "cache")
+        cache = self._cache(context, tmp_path / "cache")
         common = dict(cache=cache, queue_dir=tmp_path / "q", experiment="grid",
                       cache_dir=tmp_path / "cache", lease_ttl=30.0)
         monkeypatch.setenv("REPRO_QUEUE_WORKER", "first")
-        run_tasks(explorer.context, tasks, run_cell_task, **common)
+        run_tasks(context, tasks, run_cell_task, **common)
         monkeypatch.setenv("REPRO_QUEUE_WORKER", "second")
         replay, stats = run_tasks(
-            explorer.context, tasks, run_cell_task, resume=True, **common
+            context, tasks, run_cell_task, resume=True, **common
         )
         assert replay.committed == ()
         assert stats.computed_cells == 0
@@ -498,21 +507,20 @@ class TestRunQueuedTasks:
         assert read_events(replay.events_path) == []
 
     def test_resume_streams_warm_checkpoints_into_commits(
-        self, explorer, tmp_path, monkeypatch
+        self, context, tasks, tmp_path, monkeypatch
     ):
         # A queue restarted after a wipe of its markers (but with the
         # checkpoint directory intact) must serve cache hits straight
         # into commit markers without recomputing or leasing anything.
-        tasks = explorer.tasks()
-        cache = self._cache(explorer, tmp_path / "cache")
+        cache = self._cache(context, tmp_path / "cache")
         common = dict(cache=cache, experiment="grid",
                       cache_dir=tmp_path / "cache", lease_ttl=30.0)
         monkeypatch.setenv("REPRO_QUEUE_WORKER", "first")
-        run_tasks(explorer.context, tasks, run_cell_task,
+        run_tasks(context, tasks, run_cell_task,
                   queue_dir=tmp_path / "q1", **common)
         monkeypatch.setenv("REPRO_QUEUE_WORKER", "warm")
         warm, stats = run_tasks(
-            explorer.context, tasks, run_cell_task, queue_dir=tmp_path / "q2",
+            context, tasks, run_cell_task, queue_dir=tmp_path / "q2",
             resume=True, **common,
         )
         assert sorted(warm.committed) == [t.index for t in tasks]
@@ -522,12 +530,11 @@ class TestRunQueuedTasks:
         assert {e["event"] for e in events} == {"cached"}
 
     def test_progress_fires_only_on_commits_this_worker_created(
-        self, explorer, tmp_path
+        self, context, tasks, tmp_path
     ):
         # A completion that loses the done_ marker race to a peer is a
         # duplicate: it must reach neither progress nor the stats.
-        tasks = explorer.tasks()
-        cache = self._cache(explorer, tmp_path / "cache")
+        cache = self._cache(context, tmp_path / "cache")
         queue_dir = tmp_path / "q"
 
         def peer_commits_first(context, task):
@@ -537,7 +544,7 @@ class TestRunQueuedTasks:
 
         seen: list[int] = []
         result, stats = run_tasks(
-            explorer.context, tasks, peer_commits_first, cache=cache,
+            context, tasks, peer_commits_first, cache=cache,
             queue_dir=queue_dir, experiment="grid", lease_ttl=30.0,
             progress=lambda task, cell, cached: seen.append(task.index),
         )
@@ -547,28 +554,28 @@ class TestRunQueuedTasks:
         kinds = Counter(e["event"] for e in read_events(result.events_path))
         assert kinds["duplicate"] == len(tasks)
 
-    def test_queue_requires_a_cache(self, explorer, tmp_path):
+    def test_queue_requires_a_cache(self, context, tasks, tmp_path):
         with pytest.raises(ValueError, match="requires a cache"):
             run_queued_tasks(
-                explorer.context, explorer.tasks(), run_cell_task, None,
+                context, tasks, run_cell_task, None,
                 tmp_path / "q", experiment="grid",
             )
 
     def test_failed_cache_write_is_fatal_after_one_retry(
-        self, explorer, tmp_path, monkeypatch
+        self, context, tasks, tmp_path, monkeypatch
     ):
         # The local scheduler shrugs off checkpoint failures; a queue
         # worker cannot — the cache is how its results reach the fleet.
         # A transient ENOSPC gets exactly one bounded retry (recorded as
         # a cache_write_retry event) before the worker dies.
-        cache = self._cache(explorer, tmp_path / "cache")
+        cache = self._cache(context, tmp_path / "cache")
         monkeypatch.setattr(
             CellCache, "put",
             lambda self, task, value: (_ for _ in ()).throw(OSError("disk full")),
         )
         with pytest.raises(QueueError, match="result transport"):
             run_queued_tasks(
-                explorer.context, explorer.tasks(), run_cell_task, cache,
+                context, tasks, run_cell_task, cache,
                 tmp_path / "q", experiment="grid", lease_ttl=30.0,
                 worker="full", resilience=FAST_RETRIES,
             )
@@ -579,11 +586,11 @@ class TestRunQueuedTasks:
         assert kinds.index("cache_write_retry") < kinds.index("failed")
 
     def test_transient_cache_write_failure_is_absorbed(
-        self, explorer, tmp_path, monkeypatch
+        self, context, tasks, tmp_path, monkeypatch
     ):
         # ENOSPC that clears before the bounded retry (space freed, quota
         # raised) must cost one cache_write_retry event and nothing else.
-        cache = self._cache(explorer, tmp_path / "cache")
+        cache = self._cache(context, tmp_path / "cache")
         real_put = CellCache.put
         flaked: set[int] = set()
 
@@ -594,9 +601,8 @@ class TestRunQueuedTasks:
             return real_put(self, task, value)
 
         monkeypatch.setattr(CellCache, "put", flaky_put)
-        tasks = explorer.tasks()
         result = run_queued_tasks(
-            explorer.context, tasks, run_cell_task, cache, tmp_path / "q",
+            context, tasks, run_cell_task, cache, tmp_path / "q",
             experiment="grid", lease_ttl=30.0, worker="flaky",
             resilience=FAST_RETRIES,
         )
@@ -607,12 +613,11 @@ class TestRunQueuedTasks:
         assert len(retries) == len(tasks)
         assert not any(e["event"] == "failed" for e in events)
 
-    def test_crashed_run_fn_retries_then_quarantines(self, explorer, tmp_path):
+    def test_crashed_run_fn_retries_then_quarantines(self, context, tasks, tmp_path):
         # A task that fails on every attempt burns its budget and lands
         # in quarantine; the worker survives, nothing stays leased, and
         # the marker carries the attempt history.
-        tasks = explorer.tasks()
-        cache = self._cache(explorer, tmp_path / "cache")
+        cache = self._cache(context, tmp_path / "cache")
 
         def explode(context, task):
             raise RuntimeError("boom")
@@ -621,7 +626,7 @@ class TestRunQueuedTasks:
             max_attempts=2, backoff_base=0.01, backoff_cap=0.02, jitter=0.0
         )
         result = run_queued_tasks(
-            explorer.context, tasks, explode, cache, tmp_path / "q",
+            context, tasks, explode, cache, tmp_path / "q",
             experiment="grid", lease_ttl=30.0, worker="doomed",
             resilience=supervision, poll_interval=0.01,
         )
@@ -641,12 +646,11 @@ class TestRunQueuedTasks:
             assert "boom" in marker["error"]
             assert "RuntimeError" in marker["attempts"][-1]["traceback"]
 
-    def test_every_task_failing_once_still_exact_covers(self, explorer, tmp_path):
+    def test_every_task_failing_once_still_exact_covers(self, context, tasks, tmp_path):
         # The seeded-interleaving guarantee under fire: a ragged pair of
         # workers where *every* task's first attempt crashes must still
         # end with an exact cover and exactly one commit per task.
-        tasks = explorer.tasks()
-        cache = self._cache(explorer, tmp_path / "cache")
+        cache = self._cache(context, tmp_path / "cache")
         attempts_seen: dict[int, int] = {}
         attempts_lock = threading.Lock()
 
@@ -663,7 +667,7 @@ class TestRunQueuedTasks:
         def serve(worker: str, delay: float) -> None:
             time.sleep(delay)
             outcomes[worker] = run_queued_tasks(
-                explorer.context, tasks, fail_once, cache, tmp_path / "q",
+                context, tasks, fail_once, cache, tmp_path / "q",
                 experiment="grid", lease_ttl=30.0, worker=worker,
                 poll_interval=0.01, resilience=FAST_RETRIES,
             )
@@ -689,14 +693,13 @@ class TestRunQueuedTasks:
         assert retries == Counter({t.index: 1 for t in tasks})
         # The salvaged results are byte-identical to a clean evaluation.
         for task in tasks:
-            assert cache.get(task) == run_cell_task(explorer.context, task)
+            assert cache.get(task) == run_cell_task(context, task)
 
-    def test_two_workers_partition_without_overlap(self, explorer, tmp_path):
+    def test_two_workers_partition_without_overlap(self, context, tasks, tmp_path):
         # A ragged pair: the second worker joins late, mid-drain.  The
         # committed sets must be disjoint and union to the full grid no
         # matter who wins which race.
-        tasks = explorer.tasks()
-        cache = self._cache(explorer, tmp_path / "cache")
+        cache = self._cache(context, tmp_path / "cache")
         outcomes: dict[str, object] = {}
 
         def slow_cell(context, task):
@@ -706,7 +709,7 @@ class TestRunQueuedTasks:
         def serve(worker: str, delay: float) -> None:
             time.sleep(delay)
             outcomes[worker] = run_queued_tasks(
-                explorer.context, tasks, slow_cell, cache, tmp_path / "q",
+                context, tasks, slow_cell, cache, tmp_path / "q",
                 experiment="grid", lease_ttl=30.0, worker=worker,
                 poll_interval=0.02,
             )
@@ -725,27 +728,26 @@ class TestRunQueuedTasks:
         assert early | late == {t.index for t in tasks}
         assert outcomes["early"].complete and outcomes["late"].complete
         for task in tasks:
-            assert cache.get(task) == run_cell_task(explorer.context, task)
+            assert cache.get(task) == run_cell_task(context, task)
 
 
 class TestQueueParity:
     """Dynamic queue == static shards merged == serial, bit for bit."""
 
-    def test_queue_equals_shard_equals_serial(self, explorer, tmp_path):
-        tasks = explorer.tasks()
-        fingerprint = context_fingerprint(explorer.context)
-        serial, _ = run_cell_tasks(explorer.context, tasks)
+    def test_queue_equals_shard_equals_serial(self, context, tasks, tmp_path):
+        fingerprint = context_fingerprint(context)
+        serial, _ = run_cell_tasks(context, tasks)
 
         # Static partition: two shards into one shared cache directory.
         shard_cache = CellCache(tmp_path / "shards", fingerprint)
         for index in range(2):
-            run_cell_tasks(explorer.context, tasks, cache=shard_cache,
+            run_cell_tasks(context, tasks, cache=shard_cache,
                            shard=ShardSpec(index, 2))
 
         # Dynamic partition: one queue worker drains the same task list.
         queue_cache = CellCache(tmp_path / "qcache", fingerprint)
         run_queued_tasks(
-            explorer.context, tasks, run_cell_task, queue_cache,
+            context, tasks, run_cell_task, queue_cache,
             tmp_path / "q", experiment="grid", lease_ttl=30.0, worker="solo",
         )
 
@@ -754,16 +756,15 @@ class TestQueueParity:
             assert queue_cache.get(task) == reference
 
     def test_quarantined_cell_leaves_the_rest_byte_identical(
-        self, explorer, tmp_path
+        self, context, tasks, tmp_path
     ):
         # Quarantine bounds the blast radius: a grid with one poisoned
         # cell must equal the serial reference on every *other* cell —
         # same bytes, no contagion — and leave only the poisoned index
         # without a checkpoint.
-        tasks = explorer.tasks()
-        serial, _ = run_cell_tasks(explorer.context, tasks)
+        serial, _ = run_cell_tasks(context, tasks)
         poisoned = tasks[2].index
-        cache = CellCache(tmp_path / "cache", context_fingerprint(explorer.context))
+        cache = CellCache(tmp_path / "cache", context_fingerprint(context))
 
         def poison_one(context, task):
             if task.index == poisoned:
@@ -774,7 +775,7 @@ class TestQueueParity:
             max_attempts=2, backoff_base=0.01, backoff_cap=0.02, jitter=0.0
         )
         result = run_queued_tasks(
-            explorer.context, tasks, poison_one, cache, tmp_path / "q",
+            context, tasks, poison_one, cache, tmp_path / "q",
             experiment="grid", lease_ttl=30.0, worker="solo",
             resilience=supervision, poll_interval=0.01,
         )
@@ -788,21 +789,20 @@ class TestQueueParity:
             else:
                 assert cache.get(task) == reference
 
-    def test_stacked_queue_leg_matches_serial(self, explorer, tmp_path, monkeypatch):
+    def test_stacked_queue_leg_matches_serial(self, context, tasks, tmp_path, monkeypatch):
         # --stack 2 through the queue: cells are folded into fused
         # multi-variant passes but must stay bitwise identical per cell.
         monkeypatch.setenv("REPRO_QUEUE_WORKER", "stacker")
-        tasks = explorer.tasks()
-        cache = CellCache(tmp_path / "cache", context_fingerprint(explorer.context))
+        cache = CellCache(tmp_path / "cache", context_fingerprint(context))
         result, stats = run_tasks(
-            explorer.context, tasks, run_cell_task, cache=cache,
+            context, tasks, run_cell_task, cache=cache,
             queue_dir=tmp_path / "q", experiment="grid",
             cache_dir=tmp_path / "cache", lease_ttl=30.0, stack=2,
         )
         assert sorted(result.committed) == [t.index for t in tasks]
         assert stats.computed_cells == len(tasks)
         for task in tasks:
-            assert cache.get(task) == run_cell_task(explorer.context, task)
+            assert cache.get(task) == run_cell_task(context, task)
 
 
 def _fake_queue_dir(root, experiment: str = "grid", tasks: int = 2,

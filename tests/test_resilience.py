@@ -32,6 +32,8 @@ from repro.data import ArrayDataset
 from repro.engine import (
     CellCache,
     CellTask,
+    JobContext,
+    build_cell_tasks,
     context_fingerprint,
     read_events,
     run_cell_task,
@@ -54,7 +56,7 @@ from repro.engine.resilience import (
     quarantined_indices,
 )
 from repro.engine.shard import ShardManifest, save_manifests
-from repro.robustness import ExplorationConfig, RobustnessExplorer
+from repro.robustness import ExplorationConfig
 from repro.robustness.results import CellResult, ExplorationResult
 from repro.training.trainer import TrainingConfig
 from repro.utils.atomic import create_exclusive, write_atomic
@@ -546,10 +548,8 @@ def _factory(v_th: float, time_window: int, seed: int) -> nn.Module:
     return nn.Sequential(nn.Flatten(), nn.Linear(36, 4, rng=seed))
 
 
-@pytest.fixture()
-def explorer() -> RobustnessExplorer:
-    train, test = _tiny_sets()
-    config = ExplorationConfig(
+def _config() -> ExplorationConfig:
+    return ExplorationConfig(
         v_thresholds=(0.5, 1.5),
         time_windows=(2,),
         epsilons=(0.1,),
@@ -559,21 +559,30 @@ def explorer() -> RobustnessExplorer:
         training=TrainingConfig(epochs=1, batch_size=8, learning_rate=0.01),
         seed=7,
     )
-    return RobustnessExplorer(_factory, train, test, config)
+
+
+@pytest.fixture()
+def context() -> JobContext:
+    train, test = _tiny_sets()
+    return JobContext.for_grid(_config(), _factory, train, test)
+
+
+@pytest.fixture()
+def tasks() -> list[CellTask]:
+    return build_cell_tasks(_config())
 
 
 class TestSupervisedQueueRuns:
-    def _cache(self, explorer, directory) -> CellCache:
-        return CellCache(directory, context_fingerprint(explorer.context))
+    def _cache(self, context, directory) -> CellCache:
+        return CellCache(directory, context_fingerprint(context))
 
     def test_watchdog_timeout_burns_an_attempt_then_retries(
-        self, explorer, tmp_path, monkeypatch
+        self, context, tasks, tmp_path, monkeypatch
     ):
         for name in ("REPRO_CHAOS_FAIL_RATE", "REPRO_CHAOS_CORRUPT_RATE",
                      "REPRO_CHAOS_POISON_TASKS"):
             monkeypatch.delenv(name, raising=False)
-        tasks = explorer.tasks()
-        cache = self._cache(explorer, tmp_path / "cache")
+        cache = self._cache(context, tmp_path / "cache")
         attempts: dict[int, int] = {}
         lock = threading.Lock()
 
@@ -588,7 +597,7 @@ class TestSupervisedQueueRuns:
             return run_cell_task(context, task)
 
         result = run_queued_tasks(
-            explorer.context, tasks, hang_once, cache, tmp_path / "q",
+            context, tasks, hang_once, cache, tmp_path / "q",
             experiment="grid", lease_ttl=30.0, worker="sleepy",
             resilience=FAST_RETRIES, poll_interval=0.01,
             task_deadline=lambda task: 0.1,
@@ -606,10 +615,10 @@ class TestSupervisedQueueRuns:
             assert "watchdog deadline" in record["error"]
         # The retried results equal a serial evaluation of the same cell.
         for task in tasks:
-            assert cache.get(task) == run_cell_task(explorer.context, task)
+            assert cache.get(task) == run_cell_task(context, task)
 
     def test_injected_corruption_is_caught_and_retried(
-        self, explorer, tmp_path, monkeypatch
+        self, context, tasks, tmp_path, monkeypatch
     ):
         # Chaos truncates every task's first checkpoint post-write; the
         # read-back sha256 proof must catch each one, drop the torn
@@ -617,10 +626,9 @@ class TestSupervisedQueueRuns:
         monkeypatch.setenv("REPRO_CHAOS_CORRUPT_RATE", "1.0")
         monkeypatch.delenv("REPRO_CHAOS_FAIL_RATE", raising=False)
         monkeypatch.delenv("REPRO_CHAOS_POISON_TASKS", raising=False)
-        tasks = explorer.tasks()
-        cache = self._cache(explorer, tmp_path / "cache")
+        cache = self._cache(context, tmp_path / "cache")
         result = run_queued_tasks(
-            explorer.context, tasks, run_cell_task, cache, tmp_path / "q",
+            context, tasks, run_cell_task, cache, tmp_path / "q",
             experiment="grid", lease_ttl=30.0, worker="victim",
             resilience=FAST_RETRIES, poll_interval=0.01,
         )
@@ -637,4 +645,4 @@ class TestSupervisedQueueRuns:
         # match a serial evaluation byte-for-byte at the value level.
         for task in tasks:
             json.loads(cache.path_for(task).read_text())
-            assert cache.get(task) == run_cell_task(explorer.context, task)
+            assert cache.get(task) == run_cell_task(context, task)

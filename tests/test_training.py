@@ -8,13 +8,7 @@ import pytest
 from repro import nn
 from repro.data import ArrayDataset
 from repro.errors import TrainingError
-from repro.training import (
-    Trainer,
-    TrainingConfig,
-    accuracy,
-    confusion_matrix,
-    per_class_accuracy,
-)
+from repro.training import Trainer, TrainingConfig, accuracy
 
 
 def _separable_dataset(n=120, seed=0) -> ArrayDataset:
@@ -113,20 +107,3 @@ class TestMetrics:
     def test_accuracy_shape_mismatch(self):
         with pytest.raises(ValueError):
             accuracy(np.array([1]), np.array([1, 2]))
-
-    def test_confusion_matrix(self):
-        cm = confusion_matrix(np.array([0, 1, 1, 2]), np.array([0, 1, 2, 2]), 3)
-        np.testing.assert_array_equal(cm, [[1, 0, 0], [0, 1, 0], [0, 1, 1]])
-        assert cm.sum() == 4
-
-    def test_confusion_matrix_infers_classes(self):
-        cm = confusion_matrix(np.array([0, 4]), np.array([0, 4]))
-        assert cm.shape == (5, 5)
-
-    def test_per_class_accuracy(self):
-        predictions = np.array([0, 0, 1, 1])
-        labels = np.array([0, 1, 1, 1])
-        pca = per_class_accuracy(predictions, labels, 3)
-        assert pca[0] == pytest.approx(1.0)
-        assert pca[1] == pytest.approx(2 / 3)
-        assert np.isnan(pca[2])

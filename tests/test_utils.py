@@ -1,24 +1,15 @@
-"""Utilities: seeding, timing, serialization, logging."""
+"""Utilities: seeding, serialization, logging."""
 
 from __future__ import annotations
 
 import logging
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from repro.utils import (
-    SeedSequence,
-    Stopwatch,
-    get_logger,
-    load_npz,
-    new_rng,
-    save_npz,
-    spawn_rngs,
-)
+from repro.utils import SeedSequence, get_logger, load_npz, new_rng, save_npz
 from repro.utils.serialization import load_npz_metadata
 
 
@@ -32,23 +23,6 @@ class TestNewRng:
     def test_generator_passthrough(self):
         gen = np.random.default_rng(0)
         assert new_rng(gen) is gen
-
-
-class TestSpawnRngs:
-    def test_count_and_independence(self):
-        rngs = spawn_rngs(0, 3)
-        assert len(rngs) == 3
-        values = [r.random() for r in rngs]
-        assert len(set(values)) == 3
-
-    def test_deterministic(self):
-        a = [r.random() for r in spawn_rngs(1, 2)]
-        b = [r.random() for r in spawn_rngs(1, 2)]
-        assert a == b
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
 
 
 class TestSeedSequence:
@@ -79,23 +53,6 @@ class TestSeedSequence:
     def test_tuple_key_normalization(self):
         seeds = SeedSequence(0)
         assert seeds.child_seed(("a", 1.5)) == seeds.child_seed(("a", 1.5))
-
-
-class TestStopwatch:
-    def test_context_manager(self):
-        with Stopwatch() as sw:
-            time.sleep(0.01)
-        assert sw.elapsed >= 0.005
-
-    def test_stop_before_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_live_elapsed(self):
-        sw = Stopwatch().start()
-        time.sleep(0.005)
-        assert sw.elapsed > 0
-        sw.stop()
 
 
 class TestNpz:
