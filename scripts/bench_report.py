@@ -34,10 +34,10 @@ guided-search timings to ``BENCH_pr8.json`` (repo root by default).  ``--check-f
 timing and only runs the smoke guards on the profile's default spiking
 model: its forward and backward counters must advance (no-grad
 inference, attack crafting, a training step), the no-grad pass must run
-layer 0's transform on exactly the steps of its structural window, and
-one batch's input gradient must be bitwise equal to the unrolled
-autograd graph's — the CI job runs this to catch regressions of the
-fused path.
+layer 0's transform, and step its deterministic encoder, on exactly the
+steps of that transform's structural window, and one batch's input
+gradient must be bitwise equal to the unrolled autograd graph's — the CI
+job runs this to catch regressions of the fused path.
 
 ``--check-regression`` measures fresh and compares the *speedup ratios*
 against the committed baseline reports: the planned-fused forward, the
@@ -120,21 +120,29 @@ def check_fused(profile) -> list[str]:
     ).astype(np.float32))
     # Layer 0's transform is live while its output can still reach the
     # readout membrane by the last step: T - 1 - depth steps (step 0
-    # always runs).
+    # always runs).  A deterministic encoder steps while it reads them.
     first = model.layers[0].transform
+    encoder = model.encoder
     window = max(model.time_steps - 1 - len(model.layers), 1)
     first_calls = []
+    encoder_steps = []
 
     def counted(spikes, _forward=first.forward_numpy):
         first_calls.append(spikes.shape)
         return _forward(spikes)
 
+    def stepped(image, state, _step=encoder.step_numpy):
+        encoder_steps.append(image.shape)
+        return _step(image, state)
+
     first.forward_numpy = counted
+    encoder.step_numpy = stepped
     try:
         with no_grad():
             model(x)
     finally:
         del first.forward_numpy
+        del encoder.step_numpy
     if model.fused_forward_count != 1:
         errors.append(
             f"{profile.snn_model}: no-grad forward did not take the fused path "
@@ -145,6 +153,12 @@ def check_fused(profile) -> list[str]:
             f"{profile.snn_model}: no-grad forward ran layer 0's transform on "
             f"{len(first_calls)} of {model.time_steps} steps, not on its "
             f"{window}-step window"
+        )
+    if len(encoder_steps) != window:
+        errors.append(
+            f"{profile.snn_model}: no-grad forward stepped its "
+            f"{type(encoder).__name__} on {len(encoder_steps)} of "
+            f"{model.time_steps} steps, not on layer 0's {window}-step window"
         )
     labels = np.zeros(4, dtype=np.int64)
     gradient = input_gradient(model, x.data, labels)

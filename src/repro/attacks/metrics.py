@@ -141,6 +141,8 @@ def evaluate_attack_sweep(
     dataset: ArrayDataset,
     batch_size: int = 32,
     fused_batch_size: int | None = None,
+    *,
+    score_clean: bool = True,
 ) -> tuple[AttackEvaluation, ...]:
     """Evaluate one attack family at every ε, sharing ε-independent work.
 
@@ -149,7 +151,8 @@ def evaluate_attack_sweep(
     but restructures the sweep around three observations:
 
     - clean predictions do not depend on ε — computed once per batch
-      instead of once per ``(batch, ε)``;
+      instead of once per ``(batch, ε)``, and not at all when unscored
+      (``score_clean=False``) for a model that draws no randomness;
     - the white-box loss gradient at the clean input does not depend on ε
       — computed once per batch and passed to every budget's
       :meth:`~repro.attacks.base.Attack.generate`; attacks that declare
@@ -186,15 +189,26 @@ def evaluate_attack_sweep(
         batch-size-invariant if the BLAS in use computes rows
         independently (true for the library's default stack, and
         asserted by the parity tests).
+    score_clean:
+        Score ``clean_accuracy``.  A caller that reads only the
+        adversarial numbers
+        (:func:`~repro.robustness.security.robustness_curve`, which the
+        engine runs) passes ``False``: a model that
+        draws no randomness then runs no clean forward and every
+        evaluation's ``clean_accuracy`` is NaN.  Every other field is
+        unchanged.
 
     Notes
     -----
     Exact equality with the per-ε loop holds for deterministic forward
     passes (every standard model).  A model whose *forward* itself draws
-    randomness (e.g. a Poisson encoder) consumes its rng stream in a
-    different order here than the historical loop did, so its numbers
-    match only statistically; re-seed such components before the sweep
-    (the engine's ``attack_prep`` hook) for run-to-run reproducibility.
+    randomness (a module declaring
+    :attr:`~repro.nn.module.Module.draws_randomness`, e.g. a Poisson
+    encoder) consumes its rng stream in a different order here than the
+    historical loop did, so its numbers match only statistically; re-seed
+    such components before the sweep (the engine's ``attack_prep`` hook)
+    for run-to-run reproducibility.  Such a model always runs the clean
+    forward, scored or not, so its stream advances the same either way.
     """
     model.eval()
     attacks = [attack_family(float(epsilon)) for epsilon in epsilons]
@@ -203,6 +217,7 @@ def evaluate_attack_sweep(
     images, labels = dataset.images, dataset.labels
     n = len(images)
     need_gradient = any(attack.reuses_clean_gradient for attack in attacks)
+    clean_pass = score_clean or model.forward_draws_randomness()
     clean_correct = 0
     adv_correct = [0] * len(attacks)
     linf_sums = [0.0] * len(attacks)
@@ -210,8 +225,9 @@ def evaluate_attack_sweep(
     for start in range(0, n, batch_size):
         x = images[start : start + batch_size]
         y = labels[start : start + batch_size]
-        clean_pred = predict_batched(model, x, batch_size)
-        clean_correct += int((clean_pred == y).sum())
+        if clean_pass:
+            clean_pred = predict_batched(model, x, batch_size)
+            clean_correct += int((clean_pred == y).sum())
         gradient = input_gradient(model, x, y) if need_gradient else None
         adversarial = []
         for index, attack in enumerate(attacks):
@@ -225,7 +241,7 @@ def evaluate_attack_sweep(
         for index in range(len(attacks)):
             adv_pred = predictions[index * len(x) : (index + 1) * len(x)]
             adv_correct[index] += int((adv_pred == y).sum())
-    clean_accuracy = clean_correct / n
+    clean_accuracy = clean_correct / n if clean_pass else float("nan")
     return tuple(
         AttackEvaluation(
             attack_name=attack.name,

@@ -5,7 +5,7 @@ Two stores share one directory layout (``<kind>_<fp12>_<key>.<ext>``):
 * :class:`CellCache` — one JSON file per completed task
   (:class:`~repro.robustness.results.CellResult`), named ``cell_*`` for
   a grid cell and ``sweep_*`` for any other variant;
-* :class:`WeightCache` — one compressed ``.npz`` archive per trained
+* :class:`WeightCache` — one ``.npz`` archive per trained
   model (``state_dict`` plus clean-accuracy metadata), so security-only
   re-sweeps (new ε lists, new attack families) skip retraining entirely.
 
@@ -462,11 +462,13 @@ def nearest_weight_entry(
 class WeightCache:
     """Trained ``state_dict`` archives keyed by variant key + train seed.
 
-    Entries are compressed ``.npz`` files written atomically via
+    Entries are ``.npz`` files written atomically via
     :func:`repro.utils.serialization.save_npz`; JSON metadata (at least
     ``clean_accuracy``) rides along inside the archive.  The fingerprint
     should come from :func:`training_fingerprint` so entries survive
-    changes to anything training does not depend on.
+    changes to anything training does not depend on.  Members are stored,
+    not deflated, so an archive takes about twice the bytes a deflated
+    one did (deflated archives from older caches still load).
 
     Example::
 
@@ -543,7 +545,7 @@ class WeightCache:
         The backing read of the neighbour index: each entry carries the
         structural ``params`` and completed ``epochs`` recorded at archive
         time, so :func:`nearest_weight_entry` can rank candidates without
-        ever decompressing a state dict.  Unreadable or metadata-less
+        ever reading a state dict.  Unreadable or metadata-less
         archives are skipped, matching the miss semantics of :meth:`get`.
         """
         if not self.directory.is_dir():

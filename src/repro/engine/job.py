@@ -488,9 +488,9 @@ def run_cell_task(context: JobContext, task: CellTask) -> CellResult:
             context.attack_prep(model, task)
         attack_start = time.perf_counter()
         for name in task.attacks:
-            # One ε-shared sweep per family: clean predictions and (for
-            # single-step attacks) the white-box gradient are computed
-            # once and reused at every budget.
+            # One ε-shared sweep per family: (for single-step attacks)
+            # the white-box gradient is computed once and reused at every
+            # budget.  No result reads the sweep's clean accuracy.
             curve = robustness_curve(
                 model,
                 context.attack_set,

@@ -84,6 +84,7 @@ __all__ = [
     "RungReport",
     "SearchConfig",
     "SearchResult",
+    "check_search_options",
     "derive_schedule",
     "parse_budget_schedule",
     "run_halving_search",
@@ -144,6 +145,21 @@ class SearchConfig:
             raise ValueError(
                 f"bias_tolerance must be >= 0, got {self.bias_tolerance}"
             )
+
+
+def check_search_options(start_method: str, queue_dir) -> None:
+    """Raise ``ValueError`` on run options a halving search cannot serve.
+
+    :func:`run_halving_search` calls it before rung 0, and the CLI before
+    it dispatches anything.  A rung's context is derived in memory, so
+    spawn workers (which rebuild their context from a module-level
+    builder) cannot run a local rung; queued rungs start no pool.
+    """
+    if start_method == "spawn" and queue_dir is None:
+        raise ValueError(
+            "--search halving conflicts with --start-method spawn: spawn "
+            "workers cannot rebuild a rung's context; use fork or auto"
+        )
 
 
 def derive_schedule(full_epochs: int, rungs: int = 3) -> tuple[int, ...]:
@@ -728,6 +744,7 @@ def run_halving_search(
             "guided search requires a cache directory: rung checkpoints are "
             "the promotion transport and weight archives the warm-start source"
         )
+    check_search_options(start_method, queue_dir)
     full_epochs = int(context.training.epochs)
     search.validate(full_epochs)
     epsilon = float(

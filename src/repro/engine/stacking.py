@@ -25,11 +25,12 @@ for operation* per lane:
   semantics (a non-finite loss stops that lane *before* its optimizer
   step; the stack keeps driving the other lanes);
 * evaluation replays ``Trainer.evaluate``'s chunking and argmax;
-* the security sweep replays
-  :func:`repro.attacks.metrics.evaluate_attack_sweep`'s batch loop in the
-  same order — clean predictions first (kept even though their values are
-  unused, so stochastic encoders consume their rng streams identically),
-  then every ε crafted, then every ε predicted — with PGD's per-step
+* the security sweep replays the engine's unscored
+  :func:`repro.attacks.metrics.evaluate_attack_sweep` batch loop in the
+  same order — clean predictions first, only when a member draws
+  randomness (their values are unused; a Poisson encoder must consume
+  its rng stream identically), then every ε crafted, then every ε
+  predicted — with PGD's per-step
   arithmetic running fold-wide and its random starts drawn per lane from
   that lane's own seeded attack.
 
@@ -242,15 +243,15 @@ def _stacked_attack_sweep(
 ) -> list[list[float]]:
     """Per-lane robustness fractions, one folded sweep for all lanes.
 
-    Mirrors the batch loop of
+    Mirrors the batch loop of the engine's unscored
     :func:`repro.attacks.metrics.evaluate_attack_sweep` in execution
     order: clean predictions, the shared clean gradient (when any budget
-    reuses it), *all* budgets crafted, then all budgets predicted.  The
-    clean forward's values are unused here (cell results only need the
-    adversarial accuracies) but the pass still runs so lanes with
-    stochastic encoders consume their rng streams exactly as the
-    unstacked sweep would.  Perturbation norms are skipped — pure
-    rng-free numpy the cell result never reads.
+    reuses it), *all* budgets crafted, then all budgets predicted.  Cell
+    results read only the adversarial accuracies, so the clean forward
+    runs only when a member draws randomness (a Poisson encoder): its
+    lanes then consume their rng streams exactly as the unstacked sweep
+    would.  Perturbation norms are skipped — pure rng-free numpy the cell
+    result never reads.
     """
     for member in stack.members:
         member.eval()
@@ -260,13 +261,15 @@ def _stacked_attack_sweep(
     need_gradient = any(
         attack.reuses_clean_gradient for lane in attack_lanes for attack in lane
     )
+    clean_pass = any(member.forward_draws_randomness() for member in stack.members)
     adv_correct = [[0] * budgets for _ in range(stack.k)]
     for start in range(0, n, batch_size):
         x = images[start : start + batch_size]
         y = all_labels[start : start + batch_size]
         folded = stack.fold([x] * stack.k)
         labels = [y] * stack.k
-        stack.forward_logits(folded)  # clean predictions (rng-stream parity)
+        if clean_pass:
+            stack.forward_logits(folded)  # clean predictions (rng-stream parity)
         gradient = (
             stack.fused_input_gradient(folded, labels) if need_gradient else None
         )

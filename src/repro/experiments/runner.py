@@ -65,6 +65,7 @@ from repro.engine.scheduler import START_METHODS, check_run_options
 from repro.engine.search import (
     RungQuarantined,
     SearchConfig,
+    check_search_options,
     derive_schedule,
     parse_budget_schedule,
 )
@@ -1001,11 +1002,6 @@ def main(argv: list[str] | None = None) -> int:
             "--search halving conflicts with --shard: promotions need "
             "every cell of a rung; use --queue for a multi-host search"
         )
-    if halving and args.start_method == "spawn" and args.queue is None:
-        parser.error(
-            "--search halving conflicts with --start-method spawn: spawn "
-            "workers cannot rebuild a rung's context; use fork or auto"
-        )
     cache_dir: Path | None = None
     if not args.no_cache:
         if args.cache_dir is not None:
@@ -1032,6 +1028,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         resilience = ResilienceConfig(**queue_fields)
         if halving:
+            check_search_options(args.start_method, args.queue)
             full_epochs = profile.training_config().epochs
             search_config = SearchConfig(
                 **{"schedule": derive_schedule(full_epochs), **search_fields}

@@ -25,6 +25,14 @@ class Module:
     Subclasses implement :meth:`forward`; calling the module invokes it.
     """
 
+    draws_randomness: bool = False
+    """Whether this module's own forward draws from a random generator (a
+    :class:`~repro.snn.encoding.PoissonEncoder` does).  Such a pass must
+    run even when nothing reads its output, so the generator's stream
+    stays where a full run leaves it; a pure pass whose output nothing
+    reads may be skipped.  :meth:`forward_draws_randomness` asks it of a
+    whole model."""
+
     def __init__(self) -> None:
         self.training: bool = True
 
@@ -72,6 +80,10 @@ class Module:
         """Yield every trainable parameter in the subtree."""
         for _name, parameter in self.named_parameters():
             yield parameter
+
+    def forward_draws_randomness(self) -> bool:
+        """Whether any module of the subtree declares :attr:`draws_randomness`."""
+        return any(module.draws_randomness for module in self.modules())
 
     def num_parameters(self) -> int:
         """Total number of trainable scalar weights."""

@@ -63,9 +63,17 @@ def robustness_curve(
     which shares the ε-independent work (clean predictions, the white-box
     gradient of single-step attacks, fused adversarial prediction) across
     the whole curve — results are identical to the per-ε loop.
+
+    A curve is read for its robustness, so the sweep runs unscored
+    (``score_clean=False``): for a model that draws no randomness there is
+    no clean forward and each evaluation's ``clean_accuracy`` is NaN.  A
+    model that draws it (a Poisson encoder) still runs the clean forward,
+    so its rng stream and every robustness value stay those of a scored
+    sweep.
     """
     evaluations = evaluate_attack_sweep(
-        model, attack_builder, epsilons, dataset, batch_size=batch_size
+        model, attack_builder, epsilons, dataset, batch_size=batch_size,
+        score_clean=False,
     )
     return RobustnessCurve(
         label=label,

@@ -198,9 +198,11 @@ def _time_loop(lanes, image: np.ndarray, record: bool) -> BPTTTape:
     its per-lane window as ``alive`` and skips the call when no lane is
     live.  Three stages keep running outside their windows:
 
-    * the encoder steps every ``t`` (while its lane is inside its own
-      ``T_k``), so a Poisson generator draws exactly its unwindowed
-      stream; with ``record``, it records only inside its window;
+    * an encoder that draws randomness (Poisson) steps every ``t`` while
+      its lane is inside its own ``T_k``, so its generator draws exactly
+      its unwindowed stream; a deterministic encoder stops with layer
+      0's transform, the last stage that reads its spikes; with
+      ``record``, either records only inside that window;
     * at a cell's last live step its transform is already dead: the cell
       takes a zero current, which only feeds a new state nothing reads;
     * step 0 runs every stage, so that every state takes its shape (this
@@ -220,17 +222,19 @@ def _time_loop(lanes, image: np.ndarray, record: bool) -> BPTTTape:
     # Step 0 runs every stage, so that every state takes its shape.
     cell_ends = [max(windows.end(index), 0) for index in range(depth + 1)]
     op_ends = [max(windows.end(index, op=True), 0) for index in range(depth + 1)]
+    # The encoder's spikes are read while layer 0's transform is live.
+    draws = any(member.forward_draws_randomness() for member in lanes.members)
+    encoder_steps = lanes.max_steps if draws else op_ends[0] + 1
     encoder_state = None
     states: list = [None] * (depth + 1)
     for t in range(lanes.max_steps):
         alive = [t < steps for steps in lanes.time_steps]
-        # The encoder's spikes are read while layer 0's transform is live.
         if record and t <= op_ends[0]:
             spikes, encoder_state, ctx = lanes.encoder.step_record_numpy(
                 image, encoder_state, alive
             )
             tape.encoder_ctxs.append(ctx)
-        else:
+        elif t < encoder_steps:
             spikes, encoder_state = lanes.encoder.step_numpy(image, encoder_state, alive)
         for index, op in enumerate(ops):
             if t > cell_ends[index]:

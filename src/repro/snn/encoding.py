@@ -103,8 +103,12 @@ class PoissonEncoder(Module):
 
     Both forward twins draw one ``random`` frame per step from the
     encoder's own generator, so a recorded and an unrecorded pass over the
-    same generator state see the same spike trains.
+    same generator state see the same spike trains.  It declares
+    :attr:`~repro.nn.module.Module.draws_randomness`, so every pass and
+    every step of it runs, read or not.
     """
+
+    draws_randomness = True
 
     def __init__(self, scale: float = 0.5, rng: int | np.random.Generator | None = None) -> None:
         super().__init__()

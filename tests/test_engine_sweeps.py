@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import time
+import zipfile
 from collections import Counter
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from repro.experiments import (
     run_fig9,
     run_grid_exploration,
 )
+from repro.engine.merge import merge_cache_dirs
 from repro.experiments.runner import main
 from repro.experiments.sweeps import (
     _model_tags,
@@ -51,6 +53,7 @@ from repro.experiments.sweeps import (
     build_fig9_tasks,
 )
 from repro.training.trainer import Trainer
+from repro.utils.serialization import load_npz_metadata
 
 
 def _forbid_training(monkeypatch):
@@ -483,6 +486,70 @@ class TestGridWeightCache:
         engine = resumed.metadata["engine"]
         assert engine["cached_cells"] == 0
         assert engine["computed_cells"] == len(first.cells)
+        for cell, fresh in zip(first.cells, resumed.cells):
+            assert cell.clean_accuracy == fresh.clean_accuracy
+            assert cell.robustness == fresh.robustness
+
+
+def _compress_types(*paths: Path) -> set[int]:
+    kinds = set()
+    for path in paths:
+        with zipfile.ZipFile(path) as archive:
+            kinds |= {info.compress_type for info in archive.infolist()}
+    return kinds
+
+
+class TestDeflatedWeightArchives:
+    """Archives written deflated (``np.savez_compressed``, the earlier
+    format) keep serving: same names, same fingerprints, same contents."""
+
+    def test_cache_reads_a_deflated_archive(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        cache = WeightCache(tmp_path, "f" * 64)
+        state = {"lin.weight": np.arange(6, dtype=np.float32).reshape(2, 3)}
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "savez", np.savez_compressed)
+            path = cache.put("variant", 7, state, {"clean_accuracy": 0.5})
+        assert _compress_types(path) == {zipfile.ZIP_DEFLATED}
+        arrays, metadata = cache.get("variant", 7)
+        np.testing.assert_array_equal(arrays["lin.weight"], state["lin.weight"])
+        assert metadata["clean_accuracy"] == 0.5
+        assert load_npz_metadata(path) == metadata
+        assert [entry.key for entry in cache.scan()] == ["variant"]
+
+    def test_deflated_grid_merges_and_resumes_without_training(
+        self, tmp_path, monkeypatch
+    ):
+        import numpy as np
+
+        old, new, merged = tmp_path / "old", tmp_path / "new", tmp_path / "merged"
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "savez", np.savez_compressed)
+            first = run_grid_exploration("micro", cache_dir=old)
+        run_grid_exploration("micro", cache_dir=new)
+        archives = sorted(path.name for path in old.glob("weights_*.npz"))
+        assert archives == sorted(path.name for path in new.glob("weights_*.npz"))
+
+        def kinds(directory):
+            return _compress_types(*(directory / name for name in archives))
+
+        assert kinds(old) == {zipfile.ZIP_DEFLATED}
+        assert kinds(new) == {zipfile.ZIP_STORED}
+        for path in new.glob("cell_*.json"):
+            path.unlink()
+        # Same names, different bytes: weights dedupe by name, no conflict.
+        report = merge_cache_dirs([old, new], merged)
+        assert report.skipped_identical == len(archives)
+        for path in merged.glob("cell_*.json"):
+            path.unlink()
+        assert kinds(merged) == {zipfile.ZIP_DEFLATED}
+        _forbid_training(monkeypatch)
+        resumed = run_grid_exploration("micro", cache_dir=merged, resume=True)
+        engine = resumed.metadata["engine"]
+        assert engine["cached_cells"] == 0
+        assert engine["computed_cells"] == len(first.cells)
+        assert all(cell.weights_from_cache for cell in resumed.cells)
         for cell, fresh in zip(first.cells, resumed.cells):
             assert cell.clean_accuracy == fresh.clean_accuracy
             assert cell.robustness == fresh.robustness

@@ -820,9 +820,10 @@ class TestForwardWindows:
     With ``depth`` spiking layers and a lane of ``T`` steps, layer ``i``'s
     transform is live for ``T - 1 - (depth - i)`` steps, its cell for
     one more, the readout transform for ``T - 1`` and the readout cell
-    (and the encoder) for all ``T``; step 0 always runs.  Skipping the
-    rest leaves logits, gradients and gradient ``None``-ness those of the
-    unrolled graph, which runs every step.
+    for all ``T``; step 0 always runs.  A deterministic encoder steps as
+    long as layer 0's transform reads it, a Poisson encoder every step.
+    Skipping the rest leaves logits, gradients and gradient ``None``-ness
+    those of the unrolled graph, which runs every step.
     """
 
     DEPTH = 3  # snn_lenet_mini
@@ -832,10 +833,10 @@ class TestForwardWindows:
         images = data_rng.random((n, 1, 16, 16)).astype(np.float32)
         return images, (np.arange(n) % 10).astype(np.int64)
 
-    def _windows(self, time_steps):
+    def _windows(self, time_steps, poisson=False):
         """Expected calls per stage, in :func:`_spy_stages` order."""
         depth = self.DEPTH
-        windows = [time_steps]
+        windows = [time_steps if poisson else time_steps - 1 - depth]
         for index in range(depth):
             windows += [time_steps - 1 - (depth - index), time_steps - (depth - index)]
         windows += [time_steps - 1, time_steps]
@@ -858,7 +859,30 @@ class TestForwardWindows:
             # conv1 skips its last 4 steps; pool1+conv2 and LIF1 skip 3;
             # LIF2 and pool2+flatten+linear skip 2; LIF3 and the readout
             # linear skip 1.
-            assert self._windows(16) == [16, 12, 13, 13, 14, 14, 15, 15, 16]
+            assert self._windows(16) == [12, 12, 13, 13, 14, 14, 15, 15, 16]
+            assert self._windows(16, poisson=True)[0] == 16
+        encoder_records = sum(name == "step_record_numpy" for name, _ in stages[0].calls)
+        assert encoder_records == (
+            max(time_steps - 1 - self.DEPTH, 1) if record else 0
+        )
+
+    @pytest.mark.parametrize("record", [False, True], ids=["no-grad", "recorded"])
+    @pytest.mark.parametrize("time_steps", [2, 5, 16])
+    def test_a_poisson_encoder_steps_every_step(self, record, time_steps):
+        # Its draws are part of the results, read or not: the generator
+        # must advance by one frame per step of T.
+        model = build_model("snn_lenet_mini", input_size=16, time_steps=time_steps, rng=0)
+        model.encoder = PoissonEncoder(scale=0.5, rng=7)
+        lanes = NetworkLanes(model)
+        stages = _spy_stages(lanes)
+        images, _labels = self._data()
+        if record:
+            bptt.record_forward(lanes, images)
+        else:
+            bptt.run_trace(lanes, images)
+        assert [len(stage.calls) for stage in stages] == self._windows(
+            time_steps, poisson=True
+        )
         encoder_records = sum(name == "step_record_numpy" for name, _ in stages[0].calls)
         assert encoder_records == (
             max(time_steps - 1 - self.DEPTH, 1) if record else 0
@@ -884,8 +908,10 @@ class TestForwardWindows:
                 hops = self.DEPTH - index + 1
                 for t, (_name, alive) in enumerate(op.calls):
                     assert alive == [t <= lane_steps - 1 - hops for lane_steps in steps]
-            # The encoder keeps each lane's own T.
-            assert [call[1] for call in stages[0].calls] == [None] * max(steps)
+            # The encoder stops with layer 0's widest window.
+            assert [call[1] for call in stages[0].calls] == [None] * (
+                max(steps) - 1 - self.DEPTH
+            )
 
     @staticmethod
     def _oracle(model, images, labels):

@@ -11,6 +11,8 @@ implementations, by construction and by these tests:
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,6 +31,7 @@ from repro.attacks import (
 from repro.data.dataset import ArrayDataset
 from repro.models import build_model
 from repro.robustness.security import robustness_curve
+from repro.snn.encoding import PoissonEncoder
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, no_grad
 from tests import reference_ops
@@ -726,7 +729,16 @@ class TestEpsilonSharedSweep:
             evaluate_attack(model, PGD(float(e), steps=2, rng=7), dataset, batch_size=8)
             for e in self.EPSILONS
         )
-        assert curve.evaluations == manual
+        # A curve runs unscored: the clean accuracy of a deterministic
+        # model is NaN, every adversarial field is the loop's.
+        assert all(np.isnan(e.clean_accuracy) for e in curve.evaluations)
+        adversarial = operator.attrgetter(
+            "attack_name", "epsilon", "num_samples", "adversarial_accuracy",
+            "mean_linf", "mean_l2",
+        )
+        assert [adversarial(e) for e in curve.evaluations] == [
+            adversarial(m) for m in manual
+        ]
         assert curve.robustness == tuple(m.robustness for m in manual)
 
     def test_evaluate_attack_accepts_precomputed_clean_predictions(self, setup):
@@ -739,6 +751,99 @@ class TestEpsilonSharedSweep:
         )
         without = evaluate_attack(model, FGSM(0.1), dataset, batch_size=8)
         assert with_hoist == without
+
+
+class TestUnscoredSweep:
+    """``robustness_curve``, the engine's sweep, runs unscored: no clean
+    forward unless the model draws randomness, and the same adversarial
+    numbers."""
+
+    EPSILONS = (0.05, 0.2)
+
+    @staticmethod
+    def _family(epsilon):
+        return PGD(epsilon, steps=2, rng=1)
+
+    @staticmethod
+    def _dataset(n=12):
+        rng = np.random.default_rng(3)
+        return ArrayDataset(
+            rng.random((n, 1, 12, 12)).astype(np.float32), rng.integers(0, 10, n)
+        )
+
+    @staticmethod
+    def _clean_forwards(monkeypatch, dataset):
+        """Count the sweep's predictions on (views of) the clean images."""
+        from repro.attacks import metrics
+
+        calls = []
+        predict = metrics.predict_batched
+
+        def spy(model, images, batch_size=64):
+            if np.shares_memory(images, dataset.images):
+                calls.append(len(images))
+            return predict(model, images, batch_size)
+
+        monkeypatch.setattr(metrics, "predict_batched", spy)
+        return calls
+
+    @staticmethod
+    def _model(name, poisson=False):
+        if name == "lenet_mini":
+            return build_model(name, input_size=12, rng=0)
+        model = build_model(name, input_size=12, time_steps=6, rng=0)
+        if poisson:
+            model.encoder = PoissonEncoder(scale=0.5, rng=7)
+        return model
+
+    @pytest.mark.parametrize("name", ["snn_lenet_mini", "lenet_mini"])
+    def test_deterministic_model_runs_no_clean_forward(self, monkeypatch, name):
+        dataset = self._dataset()
+        model = self._model(name)
+        assert not model.forward_draws_randomness()
+        scored = evaluate_attack_sweep(
+            model, self._family, self.EPSILONS, dataset, batch_size=8
+        )
+        clean = self._clean_forwards(monkeypatch, dataset)
+        unscored = robustness_curve(
+            model, dataset, self.EPSILONS, self._family, batch_size=8
+        )
+        assert clean == []
+        assert unscored.robustness == tuple(e.robustness for e in scored)
+        for got, expected in zip(unscored.evaluations, scored):
+            assert np.isnan(got.clean_accuracy)
+            assert got.adversarial_accuracy == expected.adversarial_accuracy
+            assert (got.mean_linf, got.mean_l2) == (expected.mean_linf, expected.mean_l2)
+
+    def test_poisson_model_keeps_the_clean_forward(self, monkeypatch):
+        dataset = self._dataset()
+        scored = evaluate_attack_sweep(
+            self._model("snn_lenet_mini", poisson=True), self._family, self.EPSILONS,
+            dataset, batch_size=8,
+        )
+        clean = self._clean_forwards(monkeypatch, dataset)
+        model = self._model("snn_lenet_mini", poisson=True)
+        assert model.forward_draws_randomness()
+        unscored = robustness_curve(
+            model, dataset, self.EPSILONS, self._family, batch_size=8
+        )
+        assert clean == [8, 4]
+        # The generator advanced exactly as in a scored sweep, so even the
+        # clean accuracy it measured on the way is the same.
+        assert unscored.evaluations == scored
+
+    def test_poisson_curve_equals_the_per_epsilon_loop(self):
+        # One budget and one batch: the sweep draws in the loop's order.
+        dataset = self._dataset(n=8)
+        loop = evaluate_attack(
+            self._model("snn_lenet_mini", poisson=True), self._family(0.2), dataset,
+            batch_size=8,
+        )
+        curve = robustness_curve(
+            self._model("snn_lenet_mini", poisson=True), dataset, (0.2,), self._family,
+            batch_size=8,
+        )
+        assert curve.evaluations == (loop,)
 
 
 class TestSharedGradientContract:

@@ -17,6 +17,7 @@ Four layers, mirroring docs/search.md:
 
 from __future__ import annotations
 
+import logging
 import os
 
 import numpy as np
@@ -415,6 +416,20 @@ class TestHalvingSearch:
     def test_cache_dir_is_mandatory(self):
         with pytest.raises(ValueError, match="cache directory"):
             run_halving_search(_context(), _tasks(), _search_config(), None)
+
+    def test_spawn_without_queue_is_rejected_before_rung_0(self, tmp_path, caplog):
+        cache = tmp_path / "cache"
+        with caplog.at_level(logging.INFO, logger="repro"):
+            with pytest.raises(ValueError) as raised:
+                run_halving_search(
+                    _context(), _tasks(), _search_config(), cache,
+                    jobs=2, start_method="spawn",
+                )
+        assert "spawn workers cannot rebuild a rung's context; use fork or auto" in str(
+            raised.value
+        )
+        assert not any("rung" in record.getMessage() for record in caplog.records)
+        assert not cache.exists()
 
     def test_parity_serial_jobs_stack_queue(self, tmp_path):
         """Same seed + same (fresh) cache state => identical search."""

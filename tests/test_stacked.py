@@ -11,11 +11,14 @@ scheduling and cache-timing satellites that ride on the same PR.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.data.dataset import ArrayDataset
-from repro.engine import scheduler
+from repro.attacks import metrics as attack_metrics
+from repro.engine import scheduler, stacking
 from repro.engine.cache import (
     CellCache,
     WeightCache,
@@ -34,6 +37,7 @@ from repro.engine.resilience import ResilienceConfig
 from repro.engine.scheduler import ContextSpec, run_cell_tasks, run_tasks
 from repro.engine.stacking import pack_stacks
 from repro.experiments.sweeps import build_grid_context, grid_config
+from repro.models import build_model
 from repro.models.spiking_lenet import build_spiking_lenet_mini
 from repro.robustness.config import ExplorationConfig
 from repro.robustness.results import CellResult
@@ -465,6 +469,82 @@ class TestStackedEngine:
         groups, singles = pack_stacks(context, tasks, stack=2)
         assert groups == []
         assert {task.index for task in singles} == {tasks[0].index, tasks[1].index}
+
+
+class TestEngineSweepCleanForward:
+    """No engine result reads a sweep's clean accuracy: a model that draws
+    no randomness runs no clean forward in its sweep, stacked or not; a
+    Poisson model keeps it, so its generator's stream is unchanged."""
+
+    @staticmethod
+    def _factory(model):
+        base, _train, _test, _config = _grid_fixture()
+
+        def build(v_th, time_window, seed):
+            if model == "cnn":
+                return build_model("lenet_mini", input_size=8, num_classes=4, rng=seed)
+            network = base(v_th, time_window, seed)
+            if model == "poisson":
+                network.encoder = PoissonEncoder(scale=0.5, rng=seed)
+            return network
+
+        return build
+
+    def _clean_forwards(self, monkeypatch, model, stack):
+        _base, train, test, config = _grid_fixture()
+        config = dataclasses.replace(config, epsilons=(0.5, 0.8), accuracy_threshold=0.0)
+        tasks = build_cell_tasks(config)[:2]
+        context = JobContext.for_grid(config, self._factory(model), train, test)
+        clean = {"unstacked": 0, "stacked": 0}
+        predict = attack_metrics.predict_batched
+
+        def spy_predict(model, images, batch_size=64):
+            # Adversarial batches are new arrays; clean ones view the set.
+            if np.shares_memory(images, test.images):
+                clean["unstacked"] += 1
+            return predict(model, images, batch_size)
+
+        sweeping = []
+        sweep = stacking._stacked_attack_sweep
+
+        def spy_sweep(stack, *args):
+            sweeping.append(np.concatenate([test.images] * stack.k))
+            try:
+                return sweep(stack, *args)
+            finally:
+                sweeping.pop()
+
+        forward_logits = VariantStack.forward_logits
+
+        def spy_forward(self, folded):
+            if sweeping and np.array_equal(folded, sweeping[-1]):
+                clean["stacked"] += 1
+            return forward_logits(self, folded)
+
+        monkeypatch.setattr(attack_metrics, "predict_batched", spy_predict)
+        monkeypatch.setattr(stacking, "_stacked_attack_sweep", spy_sweep)
+        monkeypatch.setattr(VariantStack, "forward_logits", spy_forward)
+        results, _stats = run_cell_tasks(context, tasks, stack=stack)
+        assert all(cell.learnable for cell in results)
+        expected_size = 1 if model == "cnn" else stack
+        assert [cell.stack_size for cell in results] == [expected_size] * len(tasks)
+        return clean
+
+    @pytest.mark.parametrize("stack", [1, 2])
+    @pytest.mark.parametrize("model", ["snn", "cnn"])
+    def test_deterministic_models_run_no_clean_forward(self, monkeypatch, model, stack):
+        assert self._clean_forwards(monkeypatch, model, stack) == {
+            "unstacked": 0, "stacked": 0,
+        }
+
+    @pytest.mark.parametrize("stack", [1, 2])
+    def test_poisson_models_keep_the_clean_forward(self, monkeypatch, stack):
+        # One attack batch per cell: one clean forward per unstacked cell,
+        # one per stacked group.
+        expected = {"unstacked": 2, "stacked": 0} if stack == 1 else {
+            "unstacked": 0, "stacked": 1,
+        }
+        assert self._clean_forwards(monkeypatch, "poisson", stack) == expected
 
 
 # -- cost-ordered scheduling --------------------------------------------------

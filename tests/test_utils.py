@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import sys
 import threading
+import zipfile
 
 import numpy as np
 import pytest
@@ -68,6 +69,24 @@ class TestNpz:
         loaded, meta = load_npz(path)
         assert meta is None
         assert set(loaded) == {"a"}
+
+    def test_members_are_stored_not_deflated(self, tmp_path):
+        path = save_npz(tmp_path / "s.npz", {"w": np.ones((8, 8))}, {"epoch": 1})
+        with zipfile.ZipFile(path) as archive:
+            kinds = {info.compress_type for info in archive.infolist()}
+        assert kinds == {zipfile.ZIP_STORED}
+
+    def test_deflated_archives_still_load(self, tmp_path, monkeypatch):
+        arrays = {"w": np.arange(64, dtype=np.float32).reshape(8, 8)}
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "savez", np.savez_compressed)
+            path = save_npz(tmp_path / "d.npz", arrays, {"epoch": 2})
+        with zipfile.ZipFile(path) as archive:
+            kinds = {info.compress_type for info in archive.infolist()}
+        assert kinds == {zipfile.ZIP_DEFLATED}
+        loaded, meta = load_npz(path)
+        np.testing.assert_array_equal(loaded["w"], arrays["w"])
+        assert meta == load_npz_metadata(path) == {"epoch": 2}
 
     def test_reserved_key_rejected(self, tmp_path):
         with pytest.raises(ValueError):
